@@ -11,10 +11,16 @@
      ntserved --socket /tmp/nt.sock --backend undo
      ntserved --port 7477 --backend moss --obs-format jsonl --obs-out t.jsonl
      ntserved --socket /tmp/nt.sock --backend replication --objects 3
+     ntserved --socket /tmp/nt.sock --backend undo --shards 4 --types rw
 
-   Single-threaded: one select loop interleaves accepts, reads, writes
-   and engine steps, so served executions are sequential interleavings —
-   exactly the generic-system behaviors the paper's theorems cover. *)
+   One select loop interleaves accepts, reads, writes and engine work.
+   With one shard the engine is stepped inside the loop, so served
+   executions are sequential interleavings — exactly the generic-system
+   behaviors the paper's theorems cover.  With --shards N > 1 the shard
+   engines run on worker domains and the loop plans submissions on the
+   router and collects completions; everything between the socket and
+   the engine (stage spans, flight recorder, audit log, telemetry) is
+   the same code in both modes. *)
 
 open Core
 open Cmdliner
@@ -64,7 +70,9 @@ type conn = {
 
 (* Submission provenance, kept for the life of the server: the client's
    request id is echoed in every State answer and in audit entries, and
-   t_submit anchors the submit-to-completion latency. *)
+   t_submit anchors the submit-to-completion latency.  Keyed by the
+   transaction name the client was given ([T0.g] for merged submission
+   [g] in sharded mode). *)
 type txn_rec = {
   req : string option;
   client : string;
@@ -103,12 +111,38 @@ type recovery = {
   rec_torn : bool;  (* the log had a damaged tail (now truncated) *)
 }
 
-type server = {
+(* ----- the server ----- *)
+
+(* One shard: the engine lives in the select loop, which steps it in
+   bursts between socket turns; the write-ahead log and the
+   replication transform are single-shard features. *)
+type single = {
   eng : Engine.t;
-  backend : Check.backend;
-  objects : (Obj_id.t * Datatype.t) list;  (* logical (advertised) table *)
+  burst : int;  (* max engine steps per loop turn *)
   replicated : bool;
   mutable logical_rev : Program.t list;  (* replication: forest so far *)
+  mutable wal : wal_state option;
+  mutable recovery : recovery option;
+}
+
+(* Several shards: [Shard_service] runs one worker per shard on its own
+   domain.  The loop plans submissions on the router, answers Status
+   from the router's thread-safe bookkeeping, and scans the open set
+   for completions when a worker pokes the self-pipe.  Merged
+   submission [g] is [T0.g] on the wire. *)
+type sharded = {
+  svc : Shard_service.t;
+  notify_r : Unix.file_descr;  (* self-pipe: workers wake the select *)
+  notify_w : Unix.file_descr;
+  open_set : (int, unit) Hashtbl.t;  (* submitted, completion not seen *)
+}
+
+type arm = Single of single | Sharded of sharded
+
+type server = {
+  arm : arm;
+  backend : Check.backend;
+  objects : (Obj_id.t * Datatype.t) list;  (* logical (advertised) table *)
   conns : (Unix.file_descr, conn) Hashtbl.t;
   metrics : Metrics.t;
   hub : Telemetry.Hub.t;
@@ -132,12 +166,8 @@ type server = {
          the flagged request's reply span has flushed *)
   mutable dump_hold : int;  (* turns the pending dump has waited *)
   mutable draining : bool;  (* no new conns/submissions *)
-  mutable status : Wire.server_status;
-  mutable wal : wal_state option;
-  mutable recovery : recovery option;
+  mutable status : Wire.server_status;  (* only a WAL recovery moves it *)
 }
-
-let server_status srv = srv.status
 
 let mono srv = Unix.gettimeofday () -. srv.t0
 
@@ -205,10 +235,10 @@ let write_file_sync path s =
    covering the step calls since the last cut, then any outcomes those
    steps produced — the ordering that makes every intact log prefix
    reproduce exactly the state its audit records claim. *)
-let wal_cut srv =
-  match srv.wal with
-  | Some ws when srv.recovery = None ->
-      let calls = Engine.step_calls srv.eng in
+let wal_cut s =
+  match s.wal with
+  | Some ws when s.recovery = None ->
+      let calls = Engine.step_calls s.eng in
       let n = calls - ws.last_step_calls in
       ws.last_step_calls <- calls;
       Wal.Closure.push ws.closure (Wal.Steps n);
@@ -217,21 +247,21 @@ let wal_cut srv =
 
 (* Log one replay event (Submit or Kill), cutting first so the record
    lands after the steps that preceded the corresponding engine call. *)
-let wal_event srv r =
-  match srv.wal with
-  | Some ws when srv.recovery = None ->
-      wal_cut srv;
+let wal_event s r =
+  match s.wal with
+  | Some ws when s.recovery = None ->
+      wal_cut s;
       Wal.Closure.push ws.closure r;
       Wal.Writer.append ws.w r
   | _ -> ()
 
-let wal_counts srv =
+let wal_counts eng =
   Wal.Counts
     {
-      submitted = Engine.submitted srv.eng;
-      committed = Engine.committed_top srv.eng;
-      aborted = Engine.aborted_top srv.eng;
-      vetoed = Engine.vetoed srv.eng;
+      submitted = Engine.submitted eng;
+      committed = Engine.committed_top eng;
+      aborted = Engine.aborted_top eng;
+      vetoed = Engine.vetoed eng;
     }
 
 (* Snapshot, then rotate the log.  The snapshot is the compacted
@@ -244,19 +274,19 @@ let wal_counts srv =
    snapshot plus the old log's tail (records with seq >= the cover
    point) recover; after both, the new snapshot plus the new, nearly
    empty generation. *)
-let take_snapshot srv ws =
-  wal_cut srv;
+let take_snapshot srv s ws =
+  wal_cut s;
   Wal.Writer.flush ws.w;
   let next_seq = Wal.Writer.next_seq ws.w in
   let events = Wal.Closure.records ws.closure in
-  let g = Monitor.graph (Admission.monitor (Engine.admission srv.eng)) in
+  let g = Monitor.graph (Admission.monitor (Engine.admission s.eng)) in
   let sn =
     {
       Wal.sn_next_seq = next_seq;
       sn_meta = ws.wal_meta;
       sn_events = events;
       sn_sg = Wal.sg_state_of_graph g;
-      sn_counts = wal_counts srv;
+      sn_counts = wal_counts s.eng;
     }
   in
   let tmp = ws.wal_path ^ ".snap.tmp" in
@@ -280,15 +310,15 @@ let take_snapshot srv ws =
     Format.eprintf "ntserved: snapshot at seq %d (%d replay events)@." next_seq
       (List.length events)
 
-let wal_turn srv =
-  match srv.wal with
-  | Some ws when srv.recovery = None ->
-      wal_cut srv;
+let wal_turn srv s =
+  match s.wal with
+  | Some ws when s.recovery = None ->
+      wal_cut s;
       Wal.Writer.tick ws.w;
       if
         ws.snapshot_every > 0
         && Wal.Writer.appended ws.w - ws.snap_mark >= ws.snapshot_every
-      then take_snapshot srv ws
+      then take_snapshot srv s ws
   | _ -> ()
 
 (* ----- recovery ----- *)
@@ -310,13 +340,13 @@ let take_chunk burst events =
   in
   go [] 0 events
 
-let recovery_turn srv ~burst rc =
+let recovery_turn srv s rc =
   let t0 = mono srv in
   (match rc.phases with
   | [] -> ()
   | (events, check) :: rest -> (
-      let chunk, remaining = take_chunk burst events in
-      (match Engine.replay srv.eng chunk with
+      let chunk, remaining = take_chunk s.burst events in
+      (match Engine.replay s.eng chunk with
       | Ok _ -> ()
       | Error e ->
           Format.eprintf "ntserved: recovery failed: %s@." e;
@@ -340,13 +370,13 @@ let recovery_turn srv ~burst rc =
   if rc.phases <> [] then
     srv.status <- Wire.Recovering { replayed = rc.replayed; total = rc.total }
   else begin
-    srv.recovery <- None;
+    s.recovery <- None;
     srv.status <-
       Wire.Recovered { replayed = rc.replayed; torn = rc.rec_torn };
     (* Serving resumes here: the log continues from the replayed
        position, so the step-call cursor starts at the replayed count. *)
-    (match srv.wal with
-    | Some ws -> ws.last_step_calls <- Engine.step_calls srv.eng
+    (match s.wal with
+    | Some ws -> ws.last_step_calls <- Engine.step_calls s.eng
     | None -> ());
     if srv.verbose then
       Format.eprintf "ntserved: recovered %d events%s@." rc.replayed
@@ -366,8 +396,8 @@ let drop_seq n l =
    is truncated before the writer appends; the replay itself runs in
    bounded chunks inside the select loop (see [recovery_turn]), with
    submissions rejected until it completes. *)
-let init_durability srv ~path ~fsync_batch ~fsync_interval_s ~snapshot_every
-    ~meta =
+let init_durability srv s ~path ~fsync_batch ~fsync_interval_s
+    ~snapshot_every ~meta =
   let header_len = String.length (Wal.header ~magic:Wal.wal_magic ~base_seq:0) in
   let image = Option.value ~default:"" (read_whole path) in
   let scanned =
@@ -466,12 +496,12 @@ let init_durability srv ~path ~fsync_batch ~fsync_interval_s ~snapshot_every
                 fun () ->
                   let g =
                     Monitor.graph
-                      (Admission.monitor (Engine.admission srv.eng))
+                      (Admission.monitor (Engine.admission s.eng))
                   in
                   match Wal.check_sg_state sn.Wal.sn_sg g with
                   | Error _ as e -> e
                   | Ok () ->
-                      if sn.Wal.sn_counts <> wal_counts srv then
+                      if sn.Wal.sn_counts <> wal_counts s.eng then
                         Error "snapshot counters disagree with replayed engine"
                       else Ok () );
             ]))
@@ -480,7 +510,7 @@ let init_durability srv ~path ~fsync_batch ~fsync_interval_s ~snapshot_every
           fun () ->
             match
               Wal.check_outcomes
-                (fun t -> Engine.state srv.eng t)
+                (fun t -> Engine.state s.eng t)
                 tail.Wal.rp_outcomes
             with
             | Ok _ -> Ok ()
@@ -521,20 +551,20 @@ let init_durability srv ~path ~fsync_batch ~fsync_interval_s ~snapshot_every
     Wal.Writer.append w meta;
     ws.snap_mark <- Wal.Writer.appended w
   end;
-  srv.wal <- Some ws;
+  s.wal <- Some ws;
   if total > 0 || torn || snapshot <> None || scanned.Wal.sc_records <> []
   then begin
-    srv.recovery <-
+    s.recovery <-
       Some { phases; total; replayed = 0; rec_torn = torn };
     srv.status <- Wire.Recovering { replayed = 0; total }
   end
   else srv.status <- Wire.Fresh
 
-let wal_shutdown srv =
-  match srv.wal with
+let wal_shutdown s =
+  match s.wal with
   | None -> ()
   | Some ws ->
-      wal_cut srv;
+      wal_cut s;
       Wal.Writer.flush ws.w;
       (try Unix.close !(ws.wal_fd) with Unix.Unix_error _ -> ())
 
@@ -581,12 +611,21 @@ let do_dump srv ~force reason =
         Some (spans, Stage.Recorder.dropped r, jsonl, chrome)
       end
 
+(* ----- the engine arms ----- *)
+
+(* A disconnected client's incomplete submissions are orphans. *)
 let close_conn srv conn =
   Hashtbl.remove srv.conns conn.fd;
   List.iter
     (fun t ->
-      wal_event srv (Wal.Kill { txn = t });
-      ignore (Engine.kill srv.eng t))
+      match srv.arm with
+      | Single s ->
+          wal_event s (Wal.Kill { txn = t });
+          ignore (Engine.kill s.eng t)
+      | Sharded sh -> (
+          match Txn_id.path t with
+          | [ g ] -> Shard_service.kill sh.svc g
+          | _ -> ()))
     conn.live;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ())
 
@@ -594,49 +633,138 @@ let close_conn srv conn =
    forest (version assignment is prefix-stable, so already-submitted
    programs keep their physical form) and submit the new program's
    physical image. *)
-let physical_of srv prog =
-  if not srv.replicated then Ok prog
-  else begin
-    srv.logical_rev <- prog :: srv.logical_rev;
-    let forest = List.rev srv.logical_rev in
-    match
-      Replication.replicate Check.replication_config
-        ~objects:(List.map fst srv.objects) forest
-    with
-    | plan -> (
-        match List.rev plan.Replication.physical_forest with
-        | p :: _ -> Ok p
-        | [] -> Error "empty physical forest")
-    | exception Invalid_argument e ->
-        srv.logical_rev <- List.tl srv.logical_rev;
-        Error e
-  end
+let physical_of srv s prog =
+  s.logical_rev <- prog :: s.logical_rev;
+  let forest = List.rev s.logical_rev in
+  match
+    Replication.replicate Check.replication_config
+      ~objects:(List.map fst srv.objects) forest
+  with
+  | plan -> (
+      match List.rev plan.Replication.physical_forest with
+      | p :: _ -> Ok p
+      | [] -> Error "empty physical forest")
+  | exception Invalid_argument e ->
+      s.logical_rev <- List.tl s.logical_rev;
+      Error e
+
+(* The validate stage: parse, plus the replication transform. *)
+let validate srv program =
+  match (Program_io.parse_program_text program, srv.arm) with
+  | Ok prog, Single s when s.replicated -> physical_of srv s prog
+  | parsed, _ -> parsed
+
+(* The admit stage: hand the program to the engine (or the router). *)
+let admit srv prog =
+  match srv.arm with
+  | Single s -> Engine.submit s.eng prog
+  | Sharded sh ->
+      Result.map
+        (fun g ->
+          Hashtbl.replace sh.open_set g ();
+          Txn_id.of_path [ g ])
+        (Shard_service.submit sh.svc prog)
 
 let wire_state srv t : Wire.txn_state =
-  match Engine.state srv.eng t with
-  | Engine.Unknown | Engine.Pending -> Wire.Pending
-  | Engine.Running -> Wire.Running
-  | Engine.Committed v -> Wire.Committed (Value.to_string v)
-  | Engine.Aborted None -> Wire.Aborted None
-  | Engine.Aborted (Some veto) ->
-      Wire.Aborted (Some veto.Admission.witness)
+  match srv.arm with
+  | Single s -> (
+      match Engine.state s.eng t with
+      | Engine.Unknown | Engine.Pending -> Wire.Pending
+      | Engine.Running -> Wire.Running
+      | Engine.Committed v -> Wire.Committed (Value.to_string v)
+      | Engine.Aborted None -> Wire.Aborted None
+      | Engine.Aborted (Some veto) ->
+          Wire.Aborted (Some veto.Admission.witness))
+  | Sharded sh -> (
+      (* Merged ids are dense: anything at or past [submitted] was
+         never issued, and is as unknown as a name of the wrong shape. *)
+      match Txn_id.path t with
+      | [ g ]
+        when g >= 0 && g < Shard_router.submitted (Shard_service.router sh.svc)
+        -> (
+          match Shard_service.result sh.svc g with
+          | Shard_router.Pending -> Wire.Running
+          | Shard_router.Committed v -> Wire.Committed (Value.to_string v)
+          | Shard_router.Aborted None -> Wire.Aborted None
+          | Shard_router.Aborted (Some veto) ->
+              Wire.Aborted (Some veto.Admission.witness))
+      | _ -> Wire.Pending)
+
+let shard_stats sh = Shard_service.stats sh.svc
+
+let shard_sum f sh =
+  Array.fold_left (fun acc st -> acc + f st) 0 (shard_stats sh)
 
 (* A multiversion backend serializes by pseudotime; the completion-order
    monitor then flags its reads as inappropriate even when correct, so
    mvts is judged on cycle alarms alone. *)
 let actionable_alarms srv =
-  if srv.backend = Check.Mvts then Engine.cycle_alarms srv.eng
-  else Engine.alarms srv.eng
+  let mvts = srv.backend = Check.Mvts in
+  match srv.arm with
+  | Single s ->
+      if mvts then Engine.cycle_alarms s.eng else Engine.alarms s.eng
+  | Sharded sh ->
+      shard_sum
+        (fun st ->
+          if mvts then st.Shard_engine.sh_cycle_alarms
+          else st.Shard_engine.sh_alarms)
+        sh
 
+let shard_rows sh =
+  Array.to_list
+    (Array.mapi
+       (fun i (st : Shard_engine.stats) ->
+         {
+           Wire.r_shard = i;
+           r_submitted = st.sh_submitted;
+           r_committed = st.sh_committed;
+           r_aborted = st.sh_aborted;
+           r_vetoed = st.sh_vetoed;
+           r_live = st.sh_live;
+         })
+       (shard_stats sh))
+
+(* Engine counters for a frame, plus the per-shard rows.  Shard engines
+   live on other domains, so their half comes from the counter
+   snapshots the workers publish. *)
+let frame_counts srv =
+  match srv.arm with
+  | Single s -> (Telemetry.Hub.counts_of_engine s.eng, [])
+  | Sharded sh ->
+      ( Telemetry.Hub.merge
+          (Array.to_list
+             (Array.map
+                (fun (st : Shard_engine.stats) ->
+                  {
+                    Telemetry.Hub.n_submitted = st.sh_submitted;
+                    n_committed = st.sh_committed;
+                    n_aborted = st.sh_aborted;
+                    n_vetoed = st.sh_vetoed;
+                    n_orphans = st.sh_orphans;
+                    n_live = st.sh_live;
+                    n_doomed = st.sh_doomed;
+                    n_sg_nodes = st.sh_sg_nodes;
+                    n_sg_edges = st.sh_sg_edges;
+                    n_sg_reorders = st.sh_sg_reorders;
+                  })
+                (shard_stats sh))),
+        shard_rows sh )
+
+(* Client-visible totals.  Sharded ones come from the router (merged
+   tops: a cross-shard program counts once, not once per piece);
+   vetoes and alarms are engine-level, summed over shards. *)
 let quiesced_response srv =
+  let committed, aborted, vetoed, per_shard =
+    match srv.arm with
+    | Single s ->
+        (Engine.committed_top s.eng, Engine.aborted_top s.eng,
+         Engine.vetoed s.eng, [])
+    | Sharded sh ->
+        let c, a = Shard_router.counts (Shard_service.router sh.svc) in
+        (c, a, shard_sum (fun st -> st.Shard_engine.sh_vetoed) sh, shard_rows sh)
+  in
   Wire.Quiesced
-    {
-      committed = Engine.committed_top srv.eng;
-      aborted = Engine.aborted_top srv.eng;
-      vetoed = Engine.vetoed srv.eng;
-      alarms = actionable_alarms srv;
-      per_shard = [];
-    }
+    { committed; aborted; vetoed; alarms = actionable_alarms srv; per_shard }
 
 let req_of srv t =
   match Txn_id.Tbl.find_opt srv.txns t with
@@ -647,30 +775,16 @@ let subscriber_count srv =
   Hashtbl.fold (fun _ c n -> if c.subscribed then n + 1 else n) srv.conns 0
 
 let build_frame srv ~cut =
+  let counts, per_shard = frame_counts srv in
   (if cut then Telemetry.Hub.cut else Telemetry.Hub.peek)
-    srv.hub ~eng:srv.eng ~alarms:(actionable_alarms srv)
+    ~per_shard srv.hub ~counts ~alarms:(actionable_alarms srv)
     ~conns:(Hashtbl.length srv.conns) ~subscribers:(subscriber_count srv)
     ~now:(mono srv)
 
-(* The completion hook: runs inside Engine.step at every top-level
-   Commit/Abort, while the admission record is fresh (and before the
-   engine retires its stage_times entry). *)
-let on_complete srv txn outcome =
-  (* Audit the completion in the log (buffered; appended after the
-     covering Steps record at the next cut).  During recovery the
-     replayed completions are already in the log. *)
-  (match srv.wal with
-  | Some ws when srv.recovery = None ->
-      let oc =
-        match (outcome, Engine.state srv.eng txn) with
-        | `Committed, Engine.Committed v -> Wal.Committed (Value.to_string v)
-        | `Aborted, Engine.Aborted veto ->
-            Wal.Aborted (Option.map (fun v -> v.Admission.witness) veto)
-        | `Committed, _ -> Wal.Committed "?"
-        | `Aborted, _ -> Wal.Aborted None
-      in
-      Wal.Writer.note_outcome ws.w ~txn oc
-  | _ -> ());
+(* Every completed submission, from either arm: feed the latency
+   window, retire it from its client's kill list, audit vetoes and slow
+   requests, and flag an anomaly dump. *)
+let complete srv txn outcome veto =
   match Txn_id.Tbl.find_opt srv.txns txn with
   | None -> ()
   | Some r -> (
@@ -679,37 +793,12 @@ let on_complete srv txn outcome =
         int_of_float (Float.max 0.0 ((now -. r.t_submit) *. 1e6))
       in
       Telemetry.Hub.observe_latency srv.hub latency_us;
-      let txn_s = Some (Txn_id.to_string txn) in
-      srv.gc_ctx <- (r.req, txn_s, r.conn_id);
-      (* execute / gate stages off the engine's clock-stamped readings.
-         Histograms get gate-exclusive execute time so stage sums do
-         not double-count; the ring keeps the full execute interval
-         with a gate span nested at its end, which the flight analyzer
-         deduplicates by containment. *)
-      (match Engine.stage_times srv.eng txn with
-      | Some st ->
-          let gate_us =
-            int_of_float ((st.Engine.st_gate *. 1e6) +. 0.5)
-          in
-          let exec_us =
-            int_of_float
-              (Float.max 0.0
-                 ((st.Engine.st_complete -. st.Engine.st_start) *. 1e6))
-          in
-          record_stage srv
-            ~hub_us:(max 0 (exec_us - gate_us))
-            ~stage:"execute" ~req:r.req ~txn:txn_s ~conn_id:r.conn_id
-            st.Engine.st_start st.Engine.st_complete;
-          record_stage srv ~stage:"gate" ~req:r.req ~txn:txn_s
-            ~conn_id:r.conn_id
-            (st.Engine.st_complete -. st.Engine.st_gate)
-            st.Engine.st_complete
-      | None -> ());
-      let veto =
-        if outcome = `Aborted then
-          Admission.veto_of (Engine.admission srv.eng) txn
-        else None
-      in
+      srv.gc_ctx <- (r.req, Some (Txn_id.to_string txn), r.conn_id);
+      Hashtbl.iter
+        (fun _ c ->
+          if c.id = r.conn_id then
+            c.live <- List.filter (fun u -> not (Txn_id.equal u txn)) c.live)
+        srv.conns;
       let slow = veto = None && latency_us >= srv.slow_us in
       if veto <> None then flag_dump srv "veto";
       if slow then flag_dump srv "slow";
@@ -730,6 +819,91 @@ let on_complete srv txn outcome =
                 Telemetry.Audit.slow audit ~now ~req:r.req ~client:r.client
                   ~txn ~latency_us ~outcome))
 
+(* The single engine's completion hook: runs inside Engine.step at every
+   top-level Commit/Abort, while the admission record is fresh (and
+   before the engine retires its stage_times entry). *)
+let on_complete srv s txn outcome =
+  (* Audit the completion in the log (buffered; appended after the
+     covering Steps record at the next cut).  During recovery the
+     replayed completions are already in the log. *)
+  (match s.wal with
+  | Some ws when s.recovery = None ->
+      let oc =
+        match (outcome, Engine.state s.eng txn) with
+        | `Committed, Engine.Committed v -> Wal.Committed (Value.to_string v)
+        | `Aborted, Engine.Aborted veto ->
+            Wal.Aborted (Option.map (fun v -> v.Admission.witness) veto)
+        | `Committed, _ -> Wal.Committed "?"
+        | `Aborted, _ -> Wal.Aborted None
+      in
+      Wal.Writer.note_outcome ws.w ~txn oc
+  | _ -> ());
+  (* execute / gate stages off the engine's clock-stamped readings.
+     Histograms get gate-exclusive execute time so stage sums do not
+     double-count; the ring keeps the full execute interval with a gate
+     span nested at its end, which the flight analyzer deduplicates by
+     containment. *)
+  (match (Txn_id.Tbl.find_opt srv.txns txn, Engine.stage_times s.eng txn) with
+  | Some r, Some st ->
+      let txn_s = Some (Txn_id.to_string txn) in
+      let gate_us = int_of_float ((st.Engine.st_gate *. 1e6) +. 0.5) in
+      let exec_us =
+        int_of_float
+          (Float.max 0.0 ((st.Engine.st_complete -. st.Engine.st_start) *. 1e6))
+      in
+      record_stage srv
+        ~hub_us:(max 0 (exec_us - gate_us))
+        ~stage:"execute" ~req:r.req ~txn:txn_s ~conn_id:r.conn_id
+        st.Engine.st_start st.Engine.st_complete;
+      record_stage srv ~stage:"gate" ~req:r.req ~txn:txn_s ~conn_id:r.conn_id
+        (st.Engine.st_complete -. st.Engine.st_gate)
+        st.Engine.st_complete
+  | _ -> ());
+  complete srv txn outcome
+    (if outcome = `Aborted then Admission.veto_of (Engine.admission s.eng) txn
+     else None)
+
+(* One turn of engine work.  The single engine replays a recovery chunk
+   or drains a burst of steps; sharded, the loop only collects the
+   workers' completions.  [`Waiting] means shards still hold
+   submissions — the loop sleeps on the self-pipe meanwhile. *)
+let engine_turn srv buf =
+  match srv.arm with
+  | Single s ->
+      (* while a recovery is in flight the engine replays the log in
+         bounded chunks instead of serving (submissions are rejected),
+         so Ping and Status stay responsive *)
+      let status =
+        match s.recovery with
+        | Some rc ->
+            recovery_turn srv s rc;
+            `Progress
+        | None -> Engine.drain ~burst:s.burst s.eng
+      in
+      wal_turn srv s;
+      (status :> [ `Progress | `Quiescent | `Truncated | `Waiting ])
+  | Sharded sh ->
+      (try ignore (Unix.read sh.notify_r buf 0 (Bytes.length buf))
+       with Unix.Unix_error _ -> ());
+      (* read [pending] first: whatever it counted as done is visible
+         to the scan below *)
+      let quiet = Shard_service.pending sh.svc = 0 in
+      Hashtbl.filter_map_inplace
+        (fun g () ->
+          let txn = Txn_id.of_path [ g ] in
+          match Shard_service.result sh.svc g with
+          | Shard_router.Pending -> Some ()
+          | Shard_router.Committed _ ->
+              complete srv txn `Committed None;
+              None
+          | Shard_router.Aborted veto ->
+              complete srv txn `Aborted veto;
+              None)
+        sh.open_set;
+      if quiet then `Quiescent else `Waiting
+
+(* ----- requests ----- *)
+
 let handle_request srv conn (req : Wire.request) =
   Metrics.incr (Metrics.counter srv.metrics "served.requests");
   match req with
@@ -746,59 +920,52 @@ let handle_request srv conn (req : Wire.request) =
                List.map
                  (fun (x, dt) -> (Obj_id.name x, Program_io.dtype_decl dt))
                  srv.objects;
-             status = server_status srv;
-             shards = 1;
+             status = srv.status;
+             shards =
+               (match srv.arm with
+               | Single _ -> 1
+               | Sharded sh -> Shard_service.shards sh.svc);
            })
   | Wire.Submit { req; _ } when not conn.greeted ->
       send conn (Wire.Rejected { why = "say hello first"; req })
   | Wire.Submit { req; _ } when srv.draining ->
       send conn (Wire.Rejected { why = "server is draining"; req })
-  | Wire.Submit { req; _ } when srv.recovery <> None ->
+  | Wire.Submit { req; _ }
+    when (match srv.status with Wire.Recovering _ -> true | _ -> false) ->
       send conn (Wire.Rejected { why = "server is recovering"; req })
   | Wire.Submit { program; req } -> (
       let t_v0 = mono srv in
       srv.gc_ctx <- (req, None, conn.id);
-      match Program_io.parse_program_text program with
+      match validate srv program with
       | Error why -> send conn (Wire.Rejected { why; req })
       | Ok prog -> (
-          match physical_of srv prog with
+          let t_v1 = mono srv in
+          record_stage srv ~stage:"validate" ~req ~txn:None ~conn_id:conn.id
+            t_v0 t_v1;
+          match admit srv prog with
           | Error why -> send conn (Wire.Rejected { why; req })
-          | Ok phys -> (
-              let t_v1 = mono srv in
-              record_stage srv ~stage:"validate" ~req ~txn:None
-                ~conn_id:conn.id t_v0 t_v1;
-              match Engine.submit srv.eng phys with
-              | Error why -> send conn (Wire.Rejected { why; req })
-              | Ok txn ->
-                  let t_a1 = mono srv in
-                  wal_event srv
+          | Ok txn ->
+              let t_a1 = mono srv in
+              (match srv.arm with
+              | Single s ->
+                  wal_event s
                     (Wal.Submit
                        {
                          req;
                          client = conn.client_name;
-                         program = Program_io.program_to_string phys;
-                       });
-                  record_stage srv ~stage:"admit" ~req
-                    ~txn:(Some (Txn_id.to_string txn))
-                    ~conn_id:conn.id t_v1 t_a1;
-                  conn.live <- txn :: conn.live;
-                  Txn_id.Tbl.replace srv.txns txn
-                    {
-                      req;
-                      client = conn.client_name;
-                      t_submit = t_a1;
-                      conn_id = conn.id;
-                    };
-                  Metrics.incr
-                    (Metrics.counter srv.metrics "served.submissions");
-                  send_reply srv conn ~req
-                    ~txn:(Some (Txn_id.to_string txn))
-                    (Wire.Accepted { txn; req }))))
+                         program = Program_io.program_to_string prog;
+                       })
+              | Sharded _ -> ());
+              let txn_s = Some (Txn_id.to_string txn) in
+              record_stage srv ~stage:"admit" ~req ~txn:txn_s ~conn_id:conn.id
+                t_v1 t_a1;
+              conn.live <- txn :: conn.live;
+              Txn_id.Tbl.replace srv.txns txn
+                { req; client = conn.client_name; t_submit = t_a1;
+                  conn_id = conn.id };
+              Metrics.incr (Metrics.counter srv.metrics "served.submissions");
+              send_reply srv conn ~req ~txn:txn_s (Wire.Accepted { txn; req })))
   | Wire.Status t ->
-      (match Engine.state srv.eng t with
-      | Engine.Committed _ | Engine.Aborted _ ->
-          conn.live <- List.filter (fun u -> not (Txn_id.equal u t)) conn.live
-      | _ -> ());
       send conn
         (Wire.State { txn = t; state = wire_state srv t; req = req_of srv t })
   | Wire.Metrics -> send conn (Wire.Metrics_dump (Metrics.to_json srv.metrics))
@@ -808,14 +975,21 @@ let handle_request srv conn (req : Wire.request) =
       (* One frame right away (the open interval), then one per tick. *)
       send conn (Wire.Telemetry (build_frame srv ~cut:false))
   | Wire.Ping ->
+      let live, doomed =
+        match srv.arm with
+        | Single s -> (Engine.live_top s.eng, Engine.doomed_count s.eng)
+        | Sharded sh ->
+            ( Shard_service.pending sh.svc,
+              shard_sum (fun st -> st.Shard_engine.sh_doomed) sh )
+      in
       send conn
         (Wire.Pong
            {
              t_mono = mono srv;
-             live = Engine.live_top srv.eng;
-             doomed = Engine.doomed_count srv.eng;
+             live;
+             doomed;
              conns = Hashtbl.length srv.conns;
-             status = server_status srv;
+             status = srv.status;
            })
   | Wire.Dump -> (
       match do_dump srv ~force:true "request" with
@@ -886,16 +1060,17 @@ let export_prom srv =
       close_out oc;
       Sys.rename tmp path
 
-let run_server listen_fd srv ~read_timeout ~burst ~verbose =
+let run_server listen_fd srv ~read_timeout =
   let buf = Bytes.create 8192 in
-  let idle = ref false in
+  let status = ref `Progress in
   let continue = ref true in
   let last_frame = ref (mono srv) in
   while !continue do
     if !terminate then srv.draining <- true;
     let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) srv.conns [] in
     let rfds =
-      (if srv.draining then [] else [ listen_fd ])
+      (match srv.arm with Single _ -> [] | Sharded sh -> [ sh.notify_r ])
+      @ (if srv.draining then [] else [ listen_fd ])
       @ List.filter
           (fun fd -> not (Hashtbl.find srv.conns fd).closing)
           conn_fds
@@ -907,7 +1082,9 @@ let run_server listen_fd srv ~read_timeout ~burst ~verbose =
           String.length c.out > c.out_off)
         conn_fds
     in
-    let timeout = if !idle then 0.05 else 0.0 in
+    (* Spin while the in-loop engine has work; otherwise sleep until a
+       socket (or, sharded, a worker's self-pipe poke) wakes us. *)
+    let timeout = if !status = `Progress then 0.0 else 0.05 in
     let r, w, _ =
       try Unix.select rfds wfds [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -942,37 +1119,24 @@ let run_server listen_fd srv ~read_timeout ~burst ~verbose =
     (* reads *)
     List.iter
       (fun fd ->
-        if fd != listen_fd then
-          match Hashtbl.find_opt srv.conns fd with
-          | None -> ()
-          | Some conn -> (
-              match Unix.read fd buf 0 (Bytes.length buf) with
-              | 0 -> close_conn srv conn
-              | n ->
-                  conn.last_rx <- Unix.gettimeofday ();
-                  if conn.rx_start = None then
-                    conn.rx_start <- Some (mono srv);
-                  Wire.Reader.feed conn.reader (Bytes.sub_string buf 0 n);
-                  pump_frames srv conn
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  ()
-              | exception Unix.Unix_error _ -> close_conn srv conn))
+        match Hashtbl.find_opt srv.conns fd with
+        | None -> ()
+        | Some conn -> (
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> close_conn srv conn
+            | n ->
+                conn.last_rx <- Unix.gettimeofday ();
+                if conn.rx_start = None then conn.rx_start <- Some (mono srv);
+                Wire.Reader.feed conn.reader (Bytes.sub_string buf 0 n);
+                pump_frames srv conn
+            | exception
+                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                ()
+            | exception Unix.Unix_error _ -> close_conn srv conn))
       r;
-    (* engine work: while a recovery is in flight the engine replays
-       the log in bounded chunks instead of serving (submissions are
-       rejected above), so Ping and Status stay responsive *)
-    let status =
-      match srv.recovery with
-      | Some rc ->
-          recovery_turn srv ~burst rc;
-          `Progress
-      | None -> Engine.drain ~burst srv.eng
-    in
-    wal_turn srv;
-    idle := status <> `Progress;
-    if status = `Truncated then begin
-      if verbose then Format.eprintf "ntserved: step budget exhausted@.";
+    status := engine_turn srv buf;
+    if !status = `Truncated then begin
+      if srv.verbose then Format.eprintf "ntserved: step budget exhausted@.";
       srv.draining <- true
     end;
     (* telemetry tick: close the window, push a frame to every
@@ -990,8 +1154,9 @@ let run_server listen_fd srv ~read_timeout ~burst ~verbose =
         export_prom srv
       end
     end;
-    (* quiesce waiters are answered only when truly idle *)
-    if status = `Quiescent then
+    (* quiesce waiters are answered only when truly idle — sharded,
+       once every submission, local or cross-shard, has reported *)
+    if !status = `Quiescent then
       Hashtbl.iter
         (fun _ conn ->
           if conn.wants_quiesce then begin
@@ -1106,7 +1271,7 @@ let run_server listen_fd srv ~read_timeout ~burst ~verbose =
       List.iter (fun c -> close_conn srv c) stale
     end;
     (* drain exit: idle engine, nothing buffered *)
-    if srv.draining && !idle then begin
+    if srv.draining && (!status = `Quiescent || !status = `Truncated) then begin
       let flushed =
         Hashtbl.fold
           (fun _ c acc -> acc && String.length c.out = c.out_off)
@@ -1115,417 +1280,6 @@ let run_server listen_fd srv ~read_timeout ~burst ~verbose =
       if flushed then begin
         Hashtbl.iter (fun _ c -> try Unix.close c.fd with _ -> ()) srv.conns;
         Hashtbl.reset srv.conns;
-        continue := false
-      end
-    end
-  done
-
-(* ----- sharded serving (--shards > 1) ----- *)
-
-(* With more than one shard the engine no longer lives in the select
-   loop: [Shard_service] runs one worker per shard on its own domain,
-   and this loop is pure I/O — it plans submissions on the router,
-   answers status from the router's thread-safe bookkeeping, and builds
-   telemetry frames from the workers' published counter snapshots.  The
-   sharded loop drops the single-engine extras that assume an in-loop
-   engine (write-ahead log, flight recorder, audit log, GC
-   attribution); [--obs-out] still works, with one sink per shard. *)
-
-type sserver = {
-  svc : Shard_service.t;
-  s_backend : Check.backend;
-  s_objects : (Obj_id.t * Datatype.t) list;
-  s_conns : (Unix.file_descr, conn) Hashtbl.t;
-  s_metrics : Metrics.t;
-  s_hub : Telemetry.Hub.t;
-  s_t0 : float;
-  s_interval : float;
-  s_prom : string option;
-  s_verbose : bool;
-  mutable s_draining : bool;
-  (* submission id -> submit time: the open set the completion scan
-     walks to feed the latency histogram *)
-  s_open : (int, float) Hashtbl.t;
-  (* submission id -> client request id: echoed in every State answer
-     (kept for the server's lifetime — clients poll Status after
-     completion, when the open set no longer has the submission) *)
-  s_reqs : (int, string) Hashtbl.t;
-  notify_r : Unix.file_descr;  (* self-pipe: workers wake the select *)
-}
-
-let s_mono ss = Unix.gettimeofday () -. ss.s_t0
-
-let s_stats ss = Shard_service.stats ss.svc
-
-let s_sum f ss = Array.fold_left (fun acc st -> acc + f st) 0 (s_stats ss)
-
-(* Same mvts carve-out as the single-engine path: pseudotime order
-   makes the completion-order monitor's "inappropriate read" alarms
-   spurious, so only cycle alarms are actionable. *)
-let s_alarms ss =
-  if ss.s_backend = Check.Mvts then
-    s_sum (fun st -> st.Shard_engine.sh_cycle_alarms) ss
-  else s_sum (fun st -> st.Shard_engine.sh_alarms) ss
-
-let s_counts ss =
-  Telemetry.Hub.merge
-    (Array.to_list
-       (Array.map
-          (fun (st : Shard_engine.stats) ->
-            {
-              Telemetry.Hub.n_submitted = st.sh_submitted;
-              n_committed = st.sh_committed;
-              n_aborted = st.sh_aborted;
-              n_vetoed = st.sh_vetoed;
-              n_orphans = st.sh_orphans;
-              n_live = st.sh_live;
-              n_doomed = st.sh_doomed;
-              n_sg_nodes = st.sh_sg_nodes;
-              n_sg_edges = st.sh_sg_edges;
-              n_sg_reorders = st.sh_sg_reorders;
-            })
-          (s_stats ss)))
-
-let s_rows ss =
-  Array.to_list
-    (Array.mapi
-       (fun i (st : Shard_engine.stats) ->
-         {
-           Wire.r_shard = i;
-           r_submitted = st.sh_submitted;
-           r_committed = st.sh_committed;
-           r_aborted = st.sh_aborted;
-           r_vetoed = st.sh_vetoed;
-           r_live = st.sh_live;
-         })
-       (s_stats ss))
-
-let s_subscribers ss =
-  Hashtbl.fold (fun _ c n -> if c.subscribed then n + 1 else n) ss.s_conns 0
-
-let s_frame ss ~cut =
-  (if cut then Telemetry.Hub.cut_counts else Telemetry.Hub.peek_counts)
-    ~per_shard:(s_rows ss) ss.s_hub ~counts:(s_counts ss)
-    ~alarms:(s_alarms ss)
-    ~conns:(Hashtbl.length ss.s_conns)
-    ~subscribers:(s_subscribers ss) ~now:(s_mono ss)
-
-(* Client-visible totals come from the router (merged tops: a
-   cross-shard program counts once, not once per piece); vetoes and
-   alarms are engine-level, summed over shards. *)
-let s_quiesced ss =
-  let committed, aborted = Shard_router.counts (Shard_service.router ss.svc) in
-  Wire.Quiesced
-    {
-      committed;
-      aborted;
-      vetoed = s_sum (fun st -> st.Shard_engine.sh_vetoed) ss;
-      alarms = s_alarms ss;
-      per_shard = s_rows ss;
-    }
-
-let s_close_conn ss conn =
-  Hashtbl.remove ss.s_conns conn.fd;
-  List.iter
-    (fun t ->
-      match Txn_id.path t with
-      | [ g ] -> Shard_service.kill ss.svc g
-      | _ -> ())
-    conn.live;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ())
-
-let s_state ss g : Wire.txn_state =
-  match Shard_service.result ss.svc g with
-  | Shard_router.Pending -> Wire.Running
-  | Shard_router.Committed v -> Wire.Committed (Value.to_string v)
-  | Shard_router.Aborted None -> Wire.Aborted None
-  | Shard_router.Aborted (Some veto) ->
-      Wire.Aborted (Some veto.Admission.witness)
-
-let handle_srequest ss conn (req : Wire.request) =
-  Metrics.incr (Metrics.counter ss.s_metrics "served.requests");
-  match req with
-  | Wire.Hello { client } ->
-      conn.greeted <- true;
-      conn.client_name <- client;
-      send conn
-        (Wire.Welcome
-           {
-             server = "ntserved";
-             version = Version.string;
-             backend = Check.backend_name ss.s_backend;
-             objects =
-               List.map
-                 (fun (x, dt) -> (Obj_id.name x, Program_io.dtype_decl dt))
-                 ss.s_objects;
-             status = Wire.Fresh;
-             shards = Shard_service.shards ss.svc;
-           })
-  | Wire.Submit { req; _ } when not conn.greeted ->
-      send conn (Wire.Rejected { why = "say hello first"; req })
-  | Wire.Submit { req; _ } when ss.s_draining ->
-      send conn (Wire.Rejected { why = "server is draining"; req })
-  | Wire.Submit { program; req } -> (
-      match Program_io.parse_program_text program with
-      | Error why -> send conn (Wire.Rejected { why; req })
-      | Ok prog -> (
-          match Shard_service.submit ss.svc prog with
-          | Error why -> send conn (Wire.Rejected { why; req })
-          | Ok g ->
-              let txn = Txn_id.of_path [ g ] in
-              conn.live <- txn :: conn.live;
-              Hashtbl.replace ss.s_open g (s_mono ss);
-              (match req with
-              | Some r -> Hashtbl.replace ss.s_reqs g r
-              | None -> ());
-              Metrics.incr (Metrics.counter ss.s_metrics "served.submissions");
-              send conn (Wire.Accepted { txn; req })))
-  | Wire.Status t ->
-      let state, req =
-        match Txn_id.path t with
-        | [ g ] ->
-            let st = s_state ss g in
-            (match st with
-            | Wire.Committed _ | Wire.Aborted _ ->
-                conn.live <-
-                  List.filter (fun u -> not (Txn_id.equal u t)) conn.live
-            | _ -> ());
-            (st, Hashtbl.find_opt ss.s_reqs g)
-        | _ -> (Wire.Pending, None)
-      in
-      send conn (Wire.State { txn = t; state; req })
-  | Wire.Metrics ->
-      send conn (Wire.Metrics_dump (Metrics.to_json ss.s_metrics))
-  | Wire.Subscribe ->
-      conn.subscribed <- true;
-      Metrics.incr (Metrics.counter ss.s_metrics "served.subscribes");
-      send conn (Wire.Telemetry (s_frame ss ~cut:false))
-  | Wire.Ping ->
-      send conn
-        (Wire.Pong
-           {
-             t_mono = s_mono ss;
-             live = Shard_service.pending ss.svc;
-             doomed = s_sum (fun st -> st.Shard_engine.sh_doomed) ss;
-             conns = Hashtbl.length ss.s_conns;
-             status = Wire.Fresh;
-           })
-  | Wire.Dump ->
-      send conn (Wire.Error_msg "flight recorder disabled in sharded mode")
-  | Wire.Quiesce -> conn.wants_quiesce <- true
-  | Wire.Shutdown ->
-      ss.s_draining <- true;
-      send conn Wire.Goodbye;
-      conn.closing <- true
-
-let pump_sframes ss conn =
-  let rec go () =
-    if not conn.closing then
-      match Wire.Reader.next conn.reader with
-      | Ok None -> ()
-      | Ok (Some payload) ->
-          (match Wire.decode_request payload with
-          | Ok req -> handle_srequest ss conn req
-          | Error e ->
-              send conn (Wire.Error_msg e);
-              conn.closing <- true);
-          go ()
-      | Error e ->
-          send conn (Wire.Error_msg e);
-          conn.closing <- true
-  in
-  go ()
-
-(* Close out submissions the workers finished since the last turn:
-   feed the latency window and retire them from the open set and from
-   their clients' kill lists. *)
-let s_scan_completions ss =
-  let now = s_mono ss in
-  let finished =
-    Hashtbl.fold
-      (fun g t_submit acc ->
-        match Shard_service.result ss.svc g with
-        | Shard_router.Pending -> acc
-        | Shard_router.Committed _ | Shard_router.Aborted _ ->
-            (g, t_submit) :: acc)
-      ss.s_open []
-  in
-  if finished <> [] then begin
-    List.iter
-      (fun (g, t_submit) ->
-        Hashtbl.remove ss.s_open g;
-        Telemetry.Hub.observe_latency ss.s_hub
-          (int_of_float (Float.max 0.0 ((now -. t_submit) *. 1e6))))
-      finished;
-    let gone = List.map fst finished in
-    Hashtbl.iter
-      (fun _ c ->
-        if c.live <> [] then
-          c.live <-
-            List.filter
-              (fun t ->
-                match Txn_id.path t with
-                | [ g ] -> not (List.mem g gone)
-                | _ -> true)
-              c.live)
-      ss.s_conns
-  end
-
-let s_export_prom ss =
-  match ss.s_prom with
-  | None -> ()
-  | Some path ->
-      let tmp = path ^ ".tmp" in
-      let oc = open_out tmp in
-      let fmt = Format.formatter_of_out_channel oc in
-      Metrics.pp_prometheus fmt ss.s_metrics;
-      Format.pp_print_flush fmt ();
-      close_out oc;
-      Sys.rename tmp path
-
-let run_sharded_server listen_fd ss ~read_timeout =
-  let buf = Bytes.create 8192 in
-  let continue = ref true in
-  let last_frame = ref (s_mono ss) in
-  while !continue do
-    if !terminate then ss.s_draining <- true;
-    let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) ss.s_conns [] in
-    let rfds =
-      ss.notify_r
-      :: ((if ss.s_draining then [] else [ listen_fd ])
-         @ List.filter
-             (fun fd -> not (Hashtbl.find ss.s_conns fd).closing)
-             conn_fds)
-    in
-    let wfds =
-      List.filter
-        (fun fd ->
-          let c = Hashtbl.find ss.s_conns fd in
-          String.length c.out > c.out_off)
-        conn_fds
-    in
-    (* The workers never need this loop to run the engine, so it can
-       sleep; completions poke the self-pipe. *)
-    let r, w, _ =
-      try Unix.select rfds wfds [] 0.05
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    if List.mem ss.notify_r r then begin
-      match Unix.read ss.notify_r buf 0 (Bytes.length buf) with
-      | _ -> ()
-      | exception Unix.Unix_error _ -> ()
-    end;
-    if List.mem listen_fd r then begin
-      match Unix.accept listen_fd with
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          incr next_conn_id;
-          Hashtbl.replace ss.s_conns fd
-            {
-              fd;
-              id = !next_conn_id;
-              reader = Wire.Reader.create ();
-              out = "";
-              out_off = 0;
-              sent = 0;
-              greeted = false;
-              client_name = "?";
-              subscribed = false;
-              live = [];
-              wants_quiesce = false;
-              closing = false;
-              last_rx = Unix.gettimeofday ();
-              rx_start = None;
-              replies = [];
-            };
-          Metrics.incr (Metrics.counter ss.s_metrics "served.accepts")
-      | exception Unix.Unix_error _ -> ()
-    end;
-    List.iter
-      (fun fd ->
-        if fd != listen_fd && fd != ss.notify_r then
-          match Hashtbl.find_opt ss.s_conns fd with
-          | None -> ()
-          | Some conn -> (
-              match Unix.read fd buf 0 (Bytes.length buf) with
-              | 0 -> s_close_conn ss conn
-              | n ->
-                  conn.last_rx <- Unix.gettimeofday ();
-                  Wire.Reader.feed conn.reader (Bytes.sub_string buf 0 n);
-                  pump_sframes ss conn
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  ()
-              | exception Unix.Unix_error _ -> s_close_conn ss conn))
-      r;
-    s_scan_completions ss;
-    if ss.s_interval > 0.0 then begin
-      let now = s_mono ss in
-      if now -. !last_frame >= ss.s_interval then begin
-        last_frame := now;
-        let frame = s_frame ss ~cut:true in
-        Hashtbl.iter
-          (fun _ c ->
-            if c.subscribed && not c.closing then
-              send c (Wire.Telemetry frame))
-          ss.s_conns;
-        s_export_prom ss
-      end
-    end;
-    (* quiesce waiters: answered only once every submission, local or
-       cross-shard, has reported through the router *)
-    if Shard_service.pending ss.svc = 0 then
-      Hashtbl.iter
-        (fun _ conn ->
-          if conn.wants_quiesce then begin
-            conn.wants_quiesce <- false;
-            send conn (s_quiesced ss)
-          end)
-        ss.s_conns;
-    List.iter
-      (fun fd ->
-        match Hashtbl.find_opt ss.s_conns fd with
-        | None -> ()
-        | Some conn -> (
-            let pending = String.length conn.out - conn.out_off in
-            if pending > 0 then
-              match Unix.write_substring fd conn.out conn.out_off pending with
-              | n ->
-                  conn.out_off <- conn.out_off + n;
-                  if conn.out_off >= String.length conn.out then begin
-                    conn.sent <- conn.sent + String.length conn.out;
-                    conn.out <- "";
-                    conn.out_off <- 0;
-                    if conn.closing then s_close_conn ss conn
-                  end
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  ()
-              | exception Unix.Unix_error _ -> s_close_conn ss conn))
-      w;
-    if read_timeout > 0.0 then begin
-      let now = Unix.gettimeofday () in
-      let stale =
-        Hashtbl.fold
-          (fun _ c acc ->
-            if
-              now -. c.last_rx > read_timeout
-              && String.length c.out = c.out_off
-            then c :: acc
-            else acc)
-          ss.s_conns []
-      in
-      List.iter (fun c -> s_close_conn ss c) stale
-    end;
-    if ss.s_draining && Shard_service.pending ss.svc = 0 then begin
-      let flushed =
-        Hashtbl.fold
-          (fun _ c acc -> acc && String.length c.out = c.out_off)
-          ss.s_conns true
-      in
-      if flushed then begin
-        Hashtbl.iter (fun _ c -> try Unix.close c.fd with _ -> ()) ss.s_conns;
-        Hashtbl.reset ss.s_conns;
         continue := false
       end
     end
@@ -1603,14 +1357,41 @@ let install_signals () =
   Sys.set_signal Sys.sigint on_term;
   Sys.set_signal Sys.sigquit (Sys.Signal_handle (fun _ -> dump_signal := true))
 
-let serve_sharded socket port backend table n_objects seed policy admission
-    max_steps read_timeout obs_format obs_out telemetry_interval prom shards
-    verbose =
-  let table = if Check.rw_only backend then T_rw else table in
-  let objects = build_objects table n_objects in
-  let metrics = Metrics.create () in
-  let hub = Telemetry.Hub.create ~interval_s:telemetry_interval metrics in
-  let obs_for, finish_obs = setup_shard_obs obs_format obs_out in
+let refuse fmt =
+  Format.kasprintf
+    (fun m ->
+      Format.eprintf "ntserved: %s@." m;
+      exit 2)
+    fmt
+
+(* The single engine: the backend's engine over the (for replication,
+   physical) object table, with its completion hook tied to the server
+   record through [post_complete]. *)
+let single_arm ~policy ~max_steps ~admission ~seed ~burst ~t0 ~obs
+    ~post_complete backend objects =
+  let replicated = backend = Check.Replication in
+  let engine_objects =
+    if not replicated then objects
+    else begin
+      let plan =
+        Replication.replicate Check.replication_config
+          ~objects:(List.map fst objects) []
+      in
+      let schema = plan.Replication.physical_schema in
+      List.map (fun x -> (x, schema.Schema.dtype_of x)) schema.Schema.objects
+    end
+  in
+  let eng =
+    Engine.create ~policy ~max_steps ~obs ~admission
+      ~on_top_complete:(fun u o -> !post_complete u o)
+      ~clock:(fun () -> Unix.gettimeofday () -. t0)
+      ~seed engine_objects
+      (Check.factory_of backend)
+  in
+  { eng; burst; replicated; logical_rev = []; wal = None; recovery = None }
+
+let sharded_arm ~policy ~max_steps ~admission ~seed ~obs_for ~shards backend
+    objects =
   let notify_r, notify_w = Unix.pipe () in
   Unix.set_nonblock notify_r;
   Unix.set_nonblock notify_w;
@@ -1624,58 +1405,7 @@ let serve_sharded socket port backend table n_objects seed policy admission
       ~shards ~seed objects
       (Check.factory_of backend)
   in
-  let ss =
-    {
-      svc;
-      s_backend = backend;
-      s_objects = objects;
-      s_conns = Hashtbl.create 16;
-      s_metrics = metrics;
-      s_hub = hub;
-      s_t0 = Unix.gettimeofday ();
-      s_interval = telemetry_interval;
-      s_prom = prom;
-      s_verbose = verbose;
-      s_draining = false;
-      s_open = Hashtbl.create 256;
-      s_reqs = Hashtbl.create 256;
-      notify_r;
-    }
-  in
-  let listen_fd, cleanup = make_listen socket port in
-  install_signals ();
-  if verbose then
-    Format.printf "ntserved: %s backend, %d objects, %d shards, admission %s@."
-      (Check.backend_name backend)
-      (List.length objects) shards
-      (if admission then "on" else "off");
-  run_sharded_server listen_fd ss ~read_timeout;
-  Shard_service.stop ss.svc;
-  Unix.close listen_fd;
-  cleanup ();
-  (try Unix.close notify_r with Unix.Unix_error _ -> ());
-  (try Unix.close notify_w with Unix.Unix_error _ -> ());
-  let r, _forest, _schema = Shard_service.finish ss.svc in
-  finish_obs ();
-  s_export_prom ss;
-  let rt = Shard_service.router ss.svc in
-  Format.printf
-    "ntserved: served %d submissions over %d shards (%d cross-shard): %d \
-     committed, %d aborted (%d vetoed), %d monitor alarms@."
-    (Shard_router.submitted rt) shards (Shard_router.cross_count rt)
-    r.Runtime.committed_top r.Runtime.aborted_top
-    (s_sum (fun st -> st.Shard_engine.sh_vetoed) ss)
-    (s_alarms ss);
-  if verbose then
-    Array.iteri
-      (fun i (st : Shard_engine.stats) ->
-        Format.printf
-          "  shard %d: %d pieces, %d committed, %d aborted, %d vetoed, %d \
-           steps@."
-          i st.sh_submitted st.sh_committed st.sh_aborted st.sh_vetoed
-          st.sh_steps)
-      (s_stats ss);
-  if s_alarms ss > 0 then exit 1
+  { svc; notify_r; notify_w; open_set = Hashtbl.create 256 }
 
 let serve_cmd socket port backend_name table n_objects seed policy admission
     max_steps burst read_timeout wal fsync_batch fsync_interval snapshot_every
@@ -1684,77 +1414,50 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
   let backend =
     match Check.backend_of_name backend_name with
     | Some b when List.mem b Check.correct_backends -> b
-    | Some _ ->
-        Format.eprintf "ntserved: broken backends are for ntcheck only@.";
-        exit 2
-    | None ->
-        Format.eprintf "ntserved: unknown backend %s@." backend_name;
-        exit 2
+    | Some _ -> refuse "broken backends are for ntcheck only"
+    | None -> refuse "unknown backend %s" backend_name
   in
-  if shards < 1 then begin
-    Format.eprintf "ntserved: --shards must be at least 1@.";
-    exit 2
-  end;
-  if shards > 1 then begin
-    (* The sharded service has no per-shard log yet (ROADMAP), and the
-       replication transform re-derives the whole physical forest per
-       submission — both are single-shard features; refuse loudly
-       rather than silently degrade. *)
-    if wal <> None then begin
-      Format.eprintf
-        "ntserved: --wal requires a single shard (per-shard logging is \
-         not implemented; drop --shards or --wal)@.";
-      exit 2
-    end;
-    if backend = Check.Replication then begin
-      Format.eprintf
-        "ntserved: the replication backend is single-shard only (its \
-         logical-to-physical transform re-derives the whole forest per \
-         submission)@.";
-      exit 2
-    end;
-    serve_sharded socket port backend table n_objects seed policy admission
-      max_steps read_timeout obs_format obs_out telemetry_interval prom
-      shards verbose
-  end
-  else begin
-  if wal <> None && backend = Check.Replication then begin
-    (* The log records physically transformed programs, but the
-       replication transform re-derives the whole physical forest from
-       the logical one — replay would not rebuild that state.  Scope
-       line, not a format limit. *)
-    Format.eprintf "ntserved: --wal does not support the replication backend@.";
-    exit 2
-  end;
+  if shards < 1 then refuse "--shards must be at least 1";
+  (* The sharded service has no per-shard log yet (ROADMAP), and the
+     replication transform re-derives the whole physical forest per
+     submission — both are single-shard features; refuse loudly rather
+     than silently degrade. *)
+  if shards > 1 && wal <> None then
+    refuse
+      "--wal requires a single shard (per-shard logging is not \
+       implemented; drop --shards or --wal)";
+  if shards > 1 && backend = Check.Replication then
+    refuse
+      "the replication backend is single-shard only (its \
+       logical-to-physical transform re-derives the whole forest per \
+       submission)";
+  (* The log records physically transformed programs, but the
+     replication transform re-derives the whole physical forest from
+     the logical one — replay would not rebuild that state.  Scope
+     line, not a format limit. *)
+  if wal <> None && backend = Check.Replication then
+    refuse "--wal does not support the replication backend";
   let table = if Check.rw_only backend then T_rw else table in
   let objects = build_objects table n_objects in
-  let replicated = backend = Check.Replication in
-  let engine_objects =
-    if not replicated then objects
-    else begin
-      let plan =
-        Replication.replicate Check.replication_config
-          ~objects:(List.map fst objects) []
-      in
-      let schema = plan.Replication.physical_schema in
-      List.map (fun x -> (x, schema.Schema.dtype_of x)) schema.Schema.objects
-    end
-  in
   let metrics = Metrics.create () in
-  let hub =
-    Telemetry.Hub.create ~interval_s:telemetry_interval metrics
-  in
-  let obs, finish_obs = setup_obs metrics obs_format obs_out in
+  let hub = Telemetry.Hub.create ~interval_s:telemetry_interval metrics in
   let t0 = Unix.gettimeofday () in
   (* The engine's completion hook needs the server record, which needs
      the engine; tie the knot through a cell. *)
   let post_complete = ref (fun _ _ -> ()) in
-  let eng =
-    Engine.create ~policy ~max_steps ~obs ~admission
-      ~on_top_complete:(fun u o -> !post_complete u o)
-      ~clock:(fun () -> Unix.gettimeofday () -. t0)
-      ~seed engine_objects
-      (match Check.factory_of backend with f -> f)
+  let arm, finish_obs =
+    if shards = 1 then
+      let obs, finish_obs = setup_obs metrics obs_format obs_out in
+      ( Single
+          (single_arm ~policy ~max_steps ~admission ~seed ~burst ~t0 ~obs
+             ~post_complete backend objects),
+        finish_obs )
+    else
+      let obs_for, finish_obs = setup_shard_obs obs_format obs_out in
+      ( Sharded
+          (sharded_arm ~policy ~max_steps ~admission ~seed ~obs_for ~shards
+             backend objects),
+        finish_obs )
   in
   let audit = Option.map Telemetry.Audit.open_file audit_log in
   let recorder =
@@ -1765,11 +1468,9 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
     Format.eprintf "ntserved: runtime-events tracing unavailable@.";
   let srv =
     {
-      eng;
+      arm;
       backend;
       objects;
-      replicated;
-      logical_rev = [];
       conns = Hashtbl.create 16;
       metrics;
       hub;
@@ -1790,14 +1491,11 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
       pending_dump = None;
       dump_hold = 0;
       status = Wire.Fresh;
-      wal = None;
-      recovery = None;
     }
   in
-  post_complete := on_complete srv;
-  (match wal with
-  | None -> ()
-  | Some path ->
+  (match (arm, wal) with
+  | Single s, Some path ->
+      post_complete := on_complete srv s;
       let meta =
         Wal.Meta
           {
@@ -1815,32 +1513,67 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
                 objects;
           }
       in
-      init_durability srv ~path ~fsync_batch
+      init_durability srv s ~path ~fsync_batch
         ~fsync_interval_s:(float_of_int fsync_interval /. 1000.)
-        ~snapshot_every ~meta);
+        ~snapshot_every ~meta
+  | Single s, None -> post_complete := on_complete srv s
+  | Sharded _, _ -> ());
   let listen_fd, cleanup = make_listen socket port in
   install_signals ();
   if verbose then
-    Format.printf "ntserved: %s backend, %d objects, admission %s@."
+    Format.printf "ntserved: %s backend, %d objects, %sadmission %s@."
       (Check.backend_name backend)
       (List.length objects)
+      (if shards > 1 then Printf.sprintf "%d shards, " shards else "")
       (if admission then "on" else "off");
-  run_server listen_fd srv ~read_timeout ~burst ~verbose;
-  wal_shutdown srv;
+  run_server listen_fd srv ~read_timeout;
+  (match arm with
+  | Single s -> wal_shutdown s
+  | Sharded sh ->
+      Shard_service.stop sh.svc;
+      (try Unix.close sh.notify_r with Unix.Unix_error _ -> ());
+      (try Unix.close sh.notify_w with Unix.Unix_error _ -> ()));
   Unix.close listen_fd;
   cleanup ();
   Option.iter Gcmon.stop gcmon;
-  let r = Engine.finish eng in
+  let report =
+    match arm with
+    | Single s ->
+        let r = Engine.finish s.eng in
+        fun () ->
+          Format.printf
+            "ntserved: served %d submissions: %d committed, %d aborted (%d \
+             vetoed, %d orphaned), %d monitor alarms@."
+            (Engine.submitted s.eng) r.Runtime.committed_top
+            r.Runtime.aborted_top (Engine.vetoed s.eng)
+            (Engine.orphan_aborts s.eng) (actionable_alarms srv)
+    | Sharded sh ->
+        let r, _forest, _schema = Shard_service.finish sh.svc in
+        fun () ->
+          let rt = Shard_service.router sh.svc in
+          Format.printf
+            "ntserved: served %d submissions over %d shards (%d \
+             cross-shard): %d committed, %d aborted (%d vetoed), %d monitor \
+             alarms@."
+            (Shard_router.submitted rt) shards (Shard_router.cross_count rt)
+            r.Runtime.committed_top r.Runtime.aborted_top
+            (shard_sum (fun st -> st.Shard_engine.sh_vetoed) sh)
+            (actionable_alarms srv);
+          if verbose then
+            Array.iteri
+              (fun i (st : Shard_engine.stats) ->
+                Format.printf
+                  "  shard %d: %d pieces, %d committed, %d aborted, %d \
+                   vetoed, %d steps@."
+                  i st.sh_submitted st.sh_committed st.sh_aborted st.sh_vetoed
+                  st.sh_steps)
+              (shard_stats sh)
+  in
   finish_obs ();
   export_prom srv;
   Option.iter Telemetry.Audit.close audit;
-  Format.printf
-    "ntserved: served %d submissions: %d committed, %d aborted (%d vetoed, \
-     %d orphaned), %d monitor alarms@."
-    (Engine.submitted eng) r.Runtime.committed_top r.Runtime.aborted_top
-    (Engine.vetoed eng) (Engine.orphan_aborts eng) (actionable_alarms srv);
+  report ();
   if actionable_alarms srv > 0 then exit 1
-  end
 
 let cmd =
   let socket =
@@ -2006,8 +1739,10 @@ let cmd =
           ~doc:
             "Serve from N shard engines, one per domain (OCaml 5; system \
              threads on 4.x), with cross-shard commits gated by the \
-             spine.  N=1 is the classic single-engine loop; N>1 \
-             disables --wal, the flight recorder and the audit log.")
+             spine.  N=1 steps the one engine inside the select loop; \
+             N>1 keeps the flight recorder, audit log and telemetry \
+             (minus the engine-clock execute and gate stages) but \
+             refuses --wal and the replication backend.")
   in
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ]) in
   let term =

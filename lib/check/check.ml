@@ -375,6 +375,32 @@ let judge backend (schema : Schema.t) (r : Runtime.result) forest =
             | Some order -> differential schema order r forest
             | None -> Some (Not_correct "acyclic but no witness order")))
 
+(* The verdict on one run: the backend's oracle (replication is
+   judged on its physical image, as undo), then the one-copy claim —
+   made only when [quorums_completed]: drops, vetoes, deadlock victims
+   and injected faults abort replica subtransactions mid-quorum, so such
+   runs are judged on serializability alone. *)
+let verdict backend ~plan ~quorums_completed schema
+    (r : Runtime.result) forest =
+  if r.Runtime.stats.truncated then None
+  else
+    let judged_as = match backend with Replication -> Undo | b -> b in
+    match judge judged_as schema r forest with
+    | Some f -> Some f
+    | None -> (
+        match plan with
+        | Some plan when quorums_completed -> (
+            match
+              Nt_replication.Replication.check_one_copy plan r.Runtime.trace
+            with
+            | Ok () -> None
+            | Error v ->
+                Some
+                  (One_copy
+                     (Format.asprintf "%a"
+                        Nt_replication.Replication.pp_violation v)))
+        | _ -> None)
+
 let replication_config =
   { Nt_replication.Replication.n_replicas = 3; read_quorum = 2; write_quorum = 2 }
 
@@ -392,34 +418,16 @@ let run_scenario ?(obs = Obs.null) ?(max_steps = 200_000) backend sc =
           ~abort_prob:sc.abort_prob ~max_steps ~obs ~seed:sc.sched_seed schema
           (factory_of backend) forest
       in
-      if r.Runtime.stats.truncated then
-        { trace = r.Runtime.trace; truncated = true; failure = None }
-      else
-        let failure =
-          match judge Undo schema r forest with
-          | Some f -> Some f
-          | None ->
-              (* Deadlock victims and injected faults can abort replica
-                 subtransactions mid-quorum; the one-copy claim is only
-                 made for runs whose quorums completed (as in the E11
-                 setup), so those runs are judged on serializability
-                 alone. *)
-              if
-                r.Runtime.stats.deadlock_aborts > 0
-                || r.Runtime.stats.injected_aborts > 0
-              then None
-              else (
-                match
-                  Nt_replication.Replication.check_one_copy plan r.Runtime.trace
-                with
-                | Ok () -> None
-                | Error v ->
-                    Some
-                      (One_copy
-                         (Format.asprintf "%a"
-                            Nt_replication.Replication.pp_violation v)))
-        in
-        { trace = r.Runtime.trace; truncated = false; failure }
+      {
+        trace = r.Runtime.trace;
+        truncated = r.Runtime.stats.truncated;
+        failure =
+          verdict Replication ~plan:(Some plan)
+            ~quorums_completed:
+              (r.Runtime.stats.deadlock_aborts = 0
+              && r.Runtime.stats.injected_aborts = 0)
+            schema r forest;
+      }
   | _ ->
       let schema = schema_of_scenario sc in
       let r =
@@ -642,32 +650,13 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
   let schema = Nt_net.Engine.schema eng in
   let truncated = r.Runtime.stats.truncated in
   let failure =
-    if truncated then None
-    else
-      let judged_as = match backend with Replication -> Undo | b -> b in
-      match judge judged_as schema r forest with
-      | Some f -> Some f
-      | None -> (
-          match plan with
-          | Some plan
-            when r.Runtime.stats.deadlock_aborts = 0
-                 && r.Runtime.stats.injected_aborts = 0
-                 && Nt_net.Engine.orphan_aborts eng = 0
-                 && Nt_net.Engine.vetoed eng = 0 -> (
-              (* As in [run_scenario]: the one-copy claim is only made
-                 for runs whose quorums completed, so drops and vetoes
-                 (which abort replica subtransactions mid-quorum) judge
-                 on serializability alone. *)
-              match
-                Nt_replication.Replication.check_one_copy plan r.Runtime.trace
-              with
-              | Ok () -> None
-              | Error v ->
-                  Some
-                    (One_copy
-                       (Format.asprintf "%a"
-                          Nt_replication.Replication.pp_violation v)))
-          | _ -> None)
+    verdict backend ~plan
+      ~quorums_completed:
+        (r.Runtime.stats.deadlock_aborts = 0
+        && r.Runtime.stats.injected_aborts = 0
+        && Nt_net.Engine.orphan_aborts eng = 0
+        && Nt_net.Engine.vetoed eng = 0)
+      schema r forest
   in
   let report =
     {
@@ -679,10 +668,7 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
       s_dropped = !dropped;
       s_orphans = Nt_net.Engine.orphan_aborts eng;
       s_alarms = Nt_net.Engine.alarms eng;
-      s_cycle_alarms =
-        (Monitor.counters
-           (Nt_net.Admission.monitor (Nt_net.Engine.admission eng)))
-          .Monitor.cycle_alarms;
+      s_cycle_alarms = Nt_net.Engine.cycle_alarms eng;
       s_truncated = truncated;
       s_failure = failure;
     }
@@ -779,39 +765,20 @@ let serve_sharded ?(max_steps = 200_000) ?(drop_prob = 0.0) ?(gating = true)
   in
   let orphans = sum Nt_net.Engine.orphan_aborts in
   let alarms = sum Nt_net.Engine.alarms in
-  let cycle_alarms =
-    sum (fun eng ->
-        (Monitor.counters (Nt_net.Admission.monitor (Nt_net.Engine.admission eng)))
-          .Monitor.cycle_alarms)
-  in
+  let cycle_alarms = sum Nt_net.Engine.cycle_alarms in
+  (* One-copy is also only claimed when every replicated program stayed
+     whole on one shard: a split program's merged forest node is a
+     [Par] of pieces, so the plan's position map no longer describes
+     it. *)
   let failure =
-    if truncated then None
-    else
-      let judged_as = match backend with Replication -> Undo | b -> b in
-      match judge judged_as schema r forest with
-      | Some f -> Some f
-      | None -> (
-          match plan with
-          | Some plan
-            when cross = 0
-                 && r.Runtime.stats.deadlock_aborts = 0
-                 && r.Runtime.stats.injected_aborts = 0
-                 && orphans = 0
-                 && Nt_shard.Cluster.vetoed cl = 0 -> (
-              (* One-copy is only claimed when every replicated program
-                 stayed whole on one shard: a split program's merged
-                 forest node is a [Par] of pieces, so the plan's
-                 position map no longer describes it. *)
-              match
-                Nt_replication.Replication.check_one_copy plan r.Runtime.trace
-              with
-              | Ok () -> None
-              | Error v ->
-                  Some
-                    (One_copy
-                       (Format.asprintf "%a"
-                          Nt_replication.Replication.pp_violation v)))
-          | _ -> None)
+    verdict backend ~plan
+      ~quorums_completed:
+        (cross = 0
+        && r.Runtime.stats.deadlock_aborts = 0
+        && r.Runtime.stats.injected_aborts = 0
+        && orphans = 0
+        && Nt_shard.Cluster.vetoed cl = 0)
+      schema r forest
   in
   let sp = Nt_shard.Cluster.spine cl in
   {

@@ -183,8 +183,7 @@ module Hub = struct
         })
       zero_counts cs
 
-  let peek_counts ?(per_shard = []) t ~counts:c ~alarms ~conns ~subscribers
-      ~now =
+  let peek ?(per_shard = []) t ~counts:c ~alarms ~conns ~subscribers ~now =
     t.seq <- t.seq + 1;
     let delta, _ = Snapshot.delta_live ~at:now ~prev:t.prev_snap t.registry in
     let w_requests =
@@ -229,10 +228,8 @@ module Hub = struct
       per_shard;
     }
 
-  let cut_counts ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now =
-    let frame =
-      peek_counts ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now
-    in
+  let cut ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now =
+    let frame = peek ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now in
     t.p_submitted <- c.n_submitted;
     t.p_committed <- c.n_committed;
     t.p_aborted <- c.n_aborted;
@@ -246,13 +243,6 @@ module Hub = struct
     Window.tick t.win;
     frame
 
-  let peek t ~eng ~alarms ~conns ~subscribers ~now =
-    peek_counts t ~counts:(counts_of_engine eng) ~alarms ~conns ~subscribers
-      ~now
-
-  let cut t ~eng ~alarms ~conns ~subscribers ~now =
-    cut_counts t ~counts:(counts_of_engine eng) ~alarms ~conns ~subscribers
-      ~now
 end
 
 module Audit = struct

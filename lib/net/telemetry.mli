@@ -61,37 +61,14 @@ module Hub : sig
 
   val interval_s : t -> float
 
-  val peek :
-    t ->
-    eng:Engine.t ->
-    alarms:int ->
-    conns:int ->
-    subscribers:int ->
-    now:float ->
-    Wire.telemetry
-  (** Build a frame for the {e open} (partial) interval without
-      closing it — what a fresh subscriber gets immediately.  [alarms]
-      is the server's actionable-alarm count (backend-dependent, so
-      the caller supplies it).  Increments {!seq}. *)
+  (** {2 Frames}
 
-  val cut :
-    t ->
-    eng:Engine.t ->
-    alarms:int ->
-    conns:int ->
-    subscribers:int ->
-    now:float ->
-    Wire.telemetry
-  (** {!peek}, then close the interval: remember current cumulative
-      readings as the new baseline, snapshot the registry and rotate
-      the window.  Call once per telemetry interval. *)
-
-  (** {2 Sharded frames}
-
-      A sharded server cannot hand the hub one engine — each lives on
-      its own domain — so the engine-reading half of a frame is split
-      out as a [counts] value the caller assembles: per-shard
-      {!Shard_engine.published} snapshots summed with {!merge}. *)
+      A frame differences cumulative engine readings against the
+      previous {!cut}.  The caller reads them into a [counts] value: a
+      single engine with {!counts_of_engine}, a sharded server by
+      summing the workers' {!Shard_engine.published} snapshots with
+      {!merge} — each shard engine lives on its own domain, so the hub
+      never touches an engine itself. *)
 
   type counts = {
     n_submitted : int;
@@ -109,14 +86,14 @@ module Hub : sig
   val zero_counts : counts
 
   val counts_of_engine : Engine.t -> counts
-  (** The readings {!peek} takes; must be called from the engine's
-      owning thread. *)
+  (** One engine's readings; must be called from the engine's owning
+      thread. *)
 
   val merge : counts list -> counts
   (** Field-wise sum.  Exact for disjoint shard monitors: shard SGs
       partition the tops, cross-shard edges live in the spine. *)
 
-  val peek_counts :
+  val peek :
     ?per_shard:Wire.shard_row list ->
     t ->
     counts:counts ->
@@ -125,9 +102,13 @@ module Hub : sig
     subscribers:int ->
     now:float ->
     Wire.telemetry
-  (** {!peek} from pre-read counts instead of a live engine. *)
+  (** Build a frame for the {e open} (partial) interval without
+      closing it — what a fresh subscriber gets immediately.  [alarms]
+      is the server's actionable-alarm count (backend-dependent, so
+      the caller supplies it); [per_shard] (default none) is copied
+      into the frame.  Increments {!seq}. *)
 
-  val cut_counts :
+  val cut :
     ?per_shard:Wire.shard_row list ->
     t ->
     counts:counts ->
@@ -136,7 +117,9 @@ module Hub : sig
     subscribers:int ->
     now:float ->
     Wire.telemetry
-  (** {!cut} from pre-read counts instead of a live engine. *)
+  (** {!peek}, then close the interval: remember [counts] as the new
+      baseline, snapshot the registry and rotate the window.  Call once
+      per telemetry interval. *)
 end
 
 module Audit : sig
