@@ -82,33 +82,24 @@ type txn_rec = {
 
 (* ----- durability state ----- *)
 
-(* The live write-ahead log: a writer over the current log generation,
-   the fd it appends to (swapped at rotation — the sink reads it
-   through [fd]), and the cumulative compacted replay closure the next
-   snapshot will persist. *)
-type wal_state = {
+(* The log's file side: the fd the current generation appends to
+   (swapped at rotation — the sink reads it through the ref) and a
+   writer factory over it.  What is logged, when, and what recovery may
+   trust is [Wal.Session] / [Wal.Recovery]. *)
+type wal_file = {
   wal_path : string;
   snapshot_every : int;  (* appended records per snapshot; 0 = never *)
   wal_fd : Unix.file_descr ref;
   mk_writer : fresh:bool -> base_seq:int -> Wal.Writer.t;
-  mutable w : Wal.Writer.t;
-  mutable last_step_calls : int;  (* engine step_calls at the last cut *)
-  closure : Wal.Closure.t;  (* incrementally compacted replay closure *)
-  mutable snap_mark : int;  (* Writer.appended at the last snapshot *)
-  wal_meta : Wal.record;
 }
 
-(* A recovery in flight: chunks of the logged call sequence are applied
-   between select turns so Ping stays responsive.  Each phase pairs an
-   event list with the validation that must pass once its events have
-   been applied (snapshot: SG and counter agreement; log tail: the
-   outcome prefix-closure check). *)
+(* A recovery in flight: the plan replays in bounded chunks between
+   select turns so Ping stays responsive; [resume] opens the logging
+   session once it has been replayed and validated. *)
 type recovery = {
-  mutable phases :
-    (Engine.replay_event list * (unit -> (unit, string) result)) list;
-  total : int;  (* sum of event weights across all phases *)
-  mutable replayed : int;
-  rec_torn : bool;  (* the log had a damaged tail (now truncated) *)
+  progress : Wal.Recovery.progress;
+  torn : bool;  (* the log had a damaged tail (now truncated) *)
+  resume : unit -> Wal.Session.t;
 }
 
 (* ----- the server ----- *)
@@ -121,7 +112,8 @@ type single = {
   burst : int;  (* max engine steps per loop turn *)
   replicated : bool;
   mutable logical_rev : Program.t list;  (* replication: forest so far *)
-  mutable wal : wal_state option;
+  mutable wal : wal_file option;
+  mutable session : Wal.Session.t option;  (* logging; None while recovering *)
   mutable recovery : recovery option;
 }
 
@@ -231,220 +223,101 @@ let write_file_sync path s =
   Unix.fsync fd;
   Unix.close fd
 
-(* Cut the log at the current engine position: one [Steps] record
-   covering the step calls since the last cut, then any outcomes those
-   steps produced — the ordering that makes every intact log prefix
-   reproduce exactly the state its audit records claim. *)
-let wal_cut s =
-  match s.wal with
-  | Some ws when s.recovery = None ->
-      let calls = Engine.step_calls s.eng in
-      let n = calls - ws.last_step_calls in
-      ws.last_step_calls <- calls;
-      Wal.Closure.push ws.closure (Wal.Steps n);
-      Wal.Writer.log_steps ws.w n
-  | _ -> ()
-
-(* Log one replay event (Submit or Kill), cutting first so the record
-   lands after the steps that preceded the corresponding engine call. *)
-let wal_event s r =
-  match s.wal with
-  | Some ws when s.recovery = None ->
-      wal_cut s;
-      Wal.Closure.push ws.closure r;
-      Wal.Writer.append ws.w r
-  | _ -> ()
-
-let wal_counts eng =
-  Wal.Counts
-    {
-      submitted = Engine.submitted eng;
-      committed = Engine.committed_top eng;
-      aborted = Engine.aborted_top eng;
-      vetoed = Engine.vetoed eng;
-    }
-
-(* Snapshot, then rotate the log.  The snapshot is the compacted
-   replay closure of the whole history (merged step runs, no
-   outcomes) plus the monitor's graph and the engine counters, written
-   whole to a temp file and renamed into place; the log then restarts
-   as a fresh generation whose [base_seq] is the snapshot's cover
-   point.  Every crash window is safe: before the snapshot rename the
-   old snapshot and full log recover; between the two renames the new
-   snapshot plus the old log's tail (records with seq >= the cover
-   point) recover; after both, the new snapshot plus the new, nearly
-   empty generation. *)
-let take_snapshot srv s ws =
-  wal_cut s;
-  Wal.Writer.flush ws.w;
-  let next_seq = Wal.Writer.next_seq ws.w in
-  let events = Wal.Closure.records ws.closure in
-  let g = Monitor.graph (Admission.monitor (Engine.admission s.eng)) in
-  let sn =
-    {
-      Wal.sn_next_seq = next_seq;
-      sn_meta = ws.wal_meta;
-      sn_events = events;
-      sn_sg = Wal.sg_state_of_graph g;
-      sn_counts = wal_counts s.eng;
-    }
-  in
-  let tmp = ws.wal_path ^ ".snap.tmp" in
-  write_file_sync tmp (Wal.encode_snapshot sn);
-  Sys.rename tmp (ws.wal_path ^ ".snap");
-  let rot = ws.wal_path ^ ".rot" in
+(* Snapshot, then rotate the log.  The snapshot is written whole to a
+   temp file and renamed into place; the log then restarts as a fresh
+   generation whose [base_seq] is the snapshot's cover point.  Every
+   crash window is safe: before the snapshot rename the old snapshot
+   and full log recover; between the two renames the new snapshot plus
+   the old log's tail (records with seq >= the cover point) recover;
+   after both, the new snapshot plus the new, nearly empty generation. *)
+let take_snapshot srv wf ss =
+  let image = Wal.Session.snapshot ss in
+  let next_seq = Wal.Writer.next_seq (Wal.Session.writer ss) in
+  let tmp = wf.wal_path ^ ".snap.tmp" in
+  write_file_sync tmp image;
+  Sys.rename tmp (wf.wal_path ^ ".snap");
+  let rot = wf.wal_path ^ ".rot" in
   let fd' =
     Unix.openfile rot [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
-  let old_fd = !(ws.wal_fd) in
-  ws.wal_fd := fd';
-  let w' = ws.mk_writer ~fresh:true ~base_seq:next_seq in
-  ws.w <- w';
-  Wal.Writer.append w' ws.wal_meta;
-  Wal.Writer.flush w';
-  Sys.rename rot ws.wal_path;
+  let old_fd = !(wf.wal_fd) in
+  wf.wal_fd := fd';
+  Wal.Session.rotate ss (wf.mk_writer ~fresh:true ~base_seq:next_seq);
+  Sys.rename rot wf.wal_path;
   Unix.close old_fd;
-  ws.snap_mark <- Wal.Writer.appended w';
   Metrics.incr (Metrics.counter srv.metrics "served.wal.snapshots");
   if srv.verbose then
     Format.eprintf "ntserved: snapshot at seq %d (%d replay events)@." next_seq
-      (List.length events)
+      (Wal.Session.closure_length ss)
 
 let wal_turn srv s =
-  match s.wal with
-  | Some ws when s.recovery = None ->
-      wal_cut s;
-      Wal.Writer.tick ws.w;
-      if
-        ws.snapshot_every > 0
-        && Wal.Writer.appended ws.w - ws.snap_mark >= ws.snapshot_every
-      then take_snapshot srv s ws
+  match (s.wal, s.session) with
+  | Some wf, Some ss ->
+      Wal.Session.cut ss;
+      Wal.Writer.tick (Wal.Session.writer ss);
+      if Wal.Session.due ss ~every:wf.snapshot_every then
+        take_snapshot srv wf ss
   | _ -> ()
 
 (* ----- recovery ----- *)
 
-let event_weight = function `Steps n -> n | `Submit _ | `Kill _ -> 1
-
-(* Split up to [burst] weight off the head of an event list, cutting a
-   long [Steps] run mid-way so one turn never replays unboundedly. *)
-let take_chunk burst events =
-  let rec go acc w evs =
-    if w >= burst then (List.rev acc, evs)
-    else
-      match evs with
-      | [] -> (List.rev acc, [])
-      | `Steps n :: rest when n > burst - w ->
-          ( List.rev (`Steps (burst - w) :: acc),
-            `Steps (n - (burst - w)) :: rest )
-      | ev :: rest -> go (ev :: acc) (w + event_weight ev) rest
-  in
-  go [] 0 events
-
 let recovery_turn srv s rc =
   let t0 = mono srv in
-  (match rc.phases with
-  | [] -> ()
-  | (events, check) :: rest -> (
-      let chunk, remaining = take_chunk s.burst events in
-      (match Engine.replay s.eng chunk with
-      | Ok _ -> ()
-      | Error e ->
-          Format.eprintf "ntserved: recovery failed: %s@." e;
-          exit 2);
-      rc.replayed <-
-        rc.replayed + List.fold_left (fun a e -> a + event_weight e) 0 chunk;
-      Metrics.incr
-        ~by:(List.fold_left (fun a e -> a + event_weight e) 0 chunk)
-        (Metrics.counter srv.metrics "served.wal.replayed");
-      if remaining <> [] then rc.phases <- (remaining, check) :: rest
-      else begin
-        (match check () with
-        | Ok () -> ()
-        | Error e ->
-            Format.eprintf "ntserved: recovery validation failed: %s@." e;
-            exit 2);
-        rc.phases <- rest
-      end));
+  let before = Wal.Recovery.replayed rc.progress in
+  let turn = Wal.Recovery.turn ~burst:s.burst s.eng rc.progress in
+  let replayed = Wal.Recovery.replayed rc.progress in
+  Metrics.incr ~by:(replayed - before)
+    (Metrics.counter srv.metrics "served.wal.replayed");
   record_stage srv ~stage:Stage.wal_replay_stage ~req:None ~txn:None ~conn_id:(-1) t0
     (mono srv);
-  if rc.phases <> [] then
-    srv.status <- Wire.Recovering { replayed = rc.replayed; total = rc.total }
-  else begin
-    s.recovery <- None;
-    srv.status <-
-      Wire.Recovered { replayed = rc.replayed; torn = rc.rec_torn };
-    (* Serving resumes here: the log continues from the replayed
-       position, so the step-call cursor starts at the replayed count. *)
-    (match s.wal with
-    | Some ws -> ws.last_step_calls <- Engine.step_calls s.eng
-    | None -> ());
-    if srv.verbose then
-      Format.eprintf "ntserved: recovered %d events%s@." rc.replayed
-        (if rc.rec_torn then " (torn tail truncated)" else "")
-  end
+  match turn with
+  | Error e ->
+      Format.eprintf "ntserved: recovery failed: %s@." e;
+      exit 2
+  | Ok `More ->
+      srv.status <-
+        Wire.Recovering { replayed; total = Wal.Recovery.total rc.progress }
+  | Ok `Done ->
+      (* Serving resumes here, logging from the replayed position. *)
+      s.recovery <- None;
+      s.session <- Some (rc.resume ());
+      srv.status <- Wire.Recovered { replayed; torn = rc.torn };
+      if srv.verbose then
+        Format.eprintf "ntserved: recovered %d events%s@." replayed
+          (if rc.torn then " (torn tail truncated)" else "")
 
 let wal_fatal path e =
   Format.eprintf "ntserved: %s: %s@." path e;
   exit 2
 
-let drop_seq n l =
-  let rec go n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> go (n - 1) r in
-  go n l
-
-(* Open (or create) the log at [path], recover whatever it and its
-   snapshot hold, and install the writer.  The damaged tail, if any,
-   is truncated before the writer appends; the replay itself runs in
-   bounded chunks inside the select loop (see [recovery_turn]), with
-   submissions rejected until it completes. *)
+(* Open (or create) the log at [path] and plan the recovery of whatever
+   it and its snapshot hold.  The replay runs in bounded chunks inside
+   the select loop (see [recovery_turn]), with submissions rejected
+   until it completes; only then is the damaged tail, if any, truncated
+   and the writer installed. *)
 let init_durability srv s ~path ~fsync_batch ~fsync_interval_s
     ~snapshot_every ~meta =
-  let header_len = String.length (Wal.header ~magic:Wal.wal_magic ~base_seq:0) in
-  let image = Option.value ~default:"" (read_whole path) in
-  let scanned =
-    match Wal.scan ~magic:Wal.wal_magic image with
-    | Ok s -> s
-    | Error e -> wal_fatal path e
-  in
-  let torn = scanned.Wal.sc_tail <> Wal.Clean in
-  (match scanned.Wal.sc_tail with
-  | Wal.Torn { valid; why } ->
-      Format.eprintf "ntserved: %s: torn tail (%s); truncating to %d bytes@."
-        path why valid
-  | Wal.Clean -> ());
   let snap_path = path ^ ".snap" in
-  let snapshot =
-    match read_whole snap_path with
-    | None -> None
-    | Some s -> (
-        match Wal.decode_snapshot s with
-        | Ok sn -> Some sn
-        | Error e ->
-            (* A corrupt snapshot is never trusted.  When the log still
-               holds the whole history we can ignore it; when the log
-               was rotated past it, nothing can rebuild the prefix. *)
-            if scanned.Wal.sc_base_seq = 0 then begin
-              Format.eprintf
-                "ntserved: %s: %s; ignoring it (log holds full history)@."
-                snap_path e;
-              None
-            end
-            else wal_fatal snap_path e)
+  let file = function `Log -> path | `Snapshot -> snap_path in
+  let plan =
+    match
+      Wal.Recovery.plan ~meta
+        ~log:(Option.value ~default:"" (read_whole path))
+        ~snapshot:(read_whole snap_path)
+    with
+    | Ok plan -> plan
+    | Error { Wal.Recovery.culprit; why } -> wal_fatal (file culprit) why
   in
-  (match snapshot with
-  | Some sn when sn.Wal.sn_meta <> meta ->
-      wal_fatal snap_path
-        "snapshot belongs to a different server configuration"
-  | _ ->
-      if snapshot = None && scanned.Wal.sc_base_seq > 0 then
-        wal_fatal path
-          "log was rotated past a snapshot that is now missing");
-  let fresh = scanned.Wal.sc_valid < header_len in
-  let fd =
-    Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
-  in
-  Unix.ftruncate fd (if fresh then 0 else scanned.Wal.sc_valid);
-  ignore (Unix.lseek fd 0 Unix.SEEK_END);
-  let fd = ref fd in
+  (match plan.Wal.Recovery.tail with
+  | Wal.Torn { why; _ } ->
+      Format.eprintf "ntserved: %s: torn tail (%s); truncating to %d bytes@."
+        path why plan.Wal.Recovery.valid
+  | Wal.Clean -> ());
+  List.iter
+    (fun { Wal.Recovery.culprit; why } ->
+      Format.eprintf "ntserved: %s: %s@." (file culprit) why)
+    plan.Wal.Recovery.notes;
+  let fd = ref (Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644) in
   let on_sync () =
     Metrics.incr (Metrics.counter srv.metrics "served.wal.syncs")
   in
@@ -464,109 +337,37 @@ let init_durability srv s ~path ~fsync_batch ~fsync_interval_s
       ~clock:(fun () -> mono srv)
       ~fresh ~base_seq ~on_sync sink
   in
-  let skip = match snapshot with Some sn -> sn.Wal.sn_next_seq | None -> 0 in
-  let kept =
-    drop_seq (skip - scanned.Wal.sc_base_seq) scanned.Wal.sc_records
+  (* The log is cut back (or restarted) only once the replay has been
+     validated: until then a crash or a refusal leaves it as found. *)
+  let resume () =
+    let valid = plan.Wal.Recovery.valid in
+    Unix.ftruncate !fd valid;
+    ignore (Unix.lseek !fd 0 Unix.SEEK_END);
+    Wal.Session.create ~plan ~meta s.eng
+      (mk_writer ~fresh:(valid = 0) ~base_seq:plan.Wal.Recovery.base_seq)
   in
-  let tail =
-    match
-      Wal.replayable_of_records ~base_seq:scanned.Wal.sc_base_seq
-        ~skip_below:skip scanned.Wal.sc_records
-    with
-    | Ok rp -> rp
-    | Error e -> wal_fatal path e
-  in
-  (match tail.Wal.rp_meta with
-  | Some (m, _) when m <> meta ->
-      wal_fatal path "log belongs to a different server configuration"
-  | None when snapshot = None && scanned.Wal.sc_records <> [] ->
-      wal_fatal path "log has records but no meta record"
-  | _ -> ());
-  let phases =
-    (match snapshot with
-    | None -> []
-    | Some sn -> (
-        match
-          Wal.replayable_of_records ~base_seq:0 ~skip_below:0 sn.Wal.sn_events
-        with
-        | Error e -> wal_fatal snap_path e
-        | Ok rp ->
-            [
-              ( rp.Wal.rp_events,
-                fun () ->
-                  let g =
-                    Monitor.graph
-                      (Admission.monitor (Engine.admission s.eng))
-                  in
-                  match Wal.check_sg_state sn.Wal.sn_sg g with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      if sn.Wal.sn_counts <> wal_counts s.eng then
-                        Error "snapshot counters disagree with replayed engine"
-                      else Ok () );
-            ]))
-    @ [
-        ( tail.Wal.rp_events,
-          fun () ->
-            match
-              Wal.check_outcomes
-                (fun t -> Engine.state s.eng t)
-                tail.Wal.rp_outcomes
-            with
-            | Ok _ -> Ok ()
-            | Error _ as e -> e );
-      ]
-  in
-  let total =
-    List.fold_left
-      (fun a (evs, _) ->
-        a + List.fold_left (fun a e -> a + event_weight e) 0 evs)
-      0 phases
-  in
-  let base_seq =
-    if fresh then skip
-    else scanned.Wal.sc_base_seq + List.length scanned.Wal.sc_records
-  in
-  let w = mk_writer ~fresh ~base_seq in
-  let seed_events =
-    Wal.compact
-      ((match snapshot with Some sn -> sn.Wal.sn_events | None -> []) @ kept)
-  in
-  let ws =
-    {
-      wal_path = path;
-      snapshot_every;
-      wal_fd = fd;
-      mk_writer;
-      w;
-      last_step_calls = 0;
-      closure = Wal.Closure.of_records seed_events;
-      snap_mark = Wal.Writer.appended w;
-      wal_meta = meta;
-    }
-  in
-  (* A brand-new generation begins with its Meta record; an existing
-     one already holds it (validated above). *)
-  if fresh then begin
-    Wal.Writer.append w meta;
-    ws.snap_mark <- Wal.Writer.appended w
-  end;
-  s.wal <- Some ws;
-  if total > 0 || torn || snapshot <> None || scanned.Wal.sc_records <> []
-  then begin
-    s.recovery <-
-      Some { phases; total; replayed = 0; rec_torn = torn };
-    srv.status <- Wire.Recovering { replayed = 0; total }
+  s.wal <- Some { wal_path = path; snapshot_every; wal_fd = fd; mk_writer };
+  if plan.Wal.Recovery.empty then begin
+    s.session <- Some (resume ());
+    srv.status <- Wire.Fresh
   end
-  else srv.status <- Wire.Fresh
+  else begin
+    s.recovery <-
+      Some
+        {
+          progress = Wal.Recovery.start plan;
+          torn = plan.Wal.Recovery.tail <> Wal.Clean;
+          resume;
+        };
+    srv.status <-
+      Wire.Recovering { replayed = 0; total = plan.Wal.Recovery.total }
+  end
 
 let wal_shutdown s =
-  match s.wal with
-  | None -> ()
-  | Some ws ->
-      wal_cut s;
-      Wal.Writer.flush ws.w;
-      (try Unix.close !(ws.wal_fd) with Unix.Unix_error _ -> ())
+  Option.iter Wal.Session.flush s.session;
+  Option.iter
+    (fun wf -> try Unix.close !(wf.wal_fd) with Unix.Unix_error _ -> ())
+    s.wal
 
 let sanitize_reason s =
   String.map
@@ -619,9 +420,8 @@ let close_conn srv conn =
   List.iter
     (fun t ->
       match srv.arm with
-      | Single s ->
-          wal_event s (Wal.Kill { txn = t });
-          ignore (Engine.kill s.eng t)
+      | Single { session = Some ss; _ } -> ignore (Wal.Session.kill ss t)
+      | Single s -> ignore (Engine.kill s.eng t)
       | Sharded sh -> (
           match Txn_id.path t with
           | [ g ] -> Shard_service.kill sh.svc g
@@ -654,9 +454,11 @@ let validate srv program =
   | Ok prog, Single s when s.replicated -> physical_of srv s prog
   | parsed, _ -> parsed
 
-(* The admit stage: hand the program to the engine (or the router). *)
-let admit srv prog =
+(* The admit stage: hand the program to the engine (or the router),
+   logging it before it is acknowledged when the log is on. *)
+let admit srv ~req ~client prog =
   match srv.arm with
+  | Single { session = Some ss; _ } -> Wal.Session.submit ss ?req ~client prog
   | Single s -> Engine.submit s.eng prog
   | Sharded sh ->
       Result.map
@@ -823,21 +625,9 @@ let complete srv txn outcome veto =
    top-level Commit/Abort, while the admission record is fresh (and
    before the engine retires its stage_times entry). *)
 let on_complete srv s txn outcome =
-  (* Audit the completion in the log (buffered; appended after the
-     covering Steps record at the next cut).  During recovery the
-     replayed completions are already in the log. *)
-  (match s.wal with
-  | Some ws when s.recovery = None ->
-      let oc =
-        match (outcome, Engine.state s.eng txn) with
-        | `Committed, Engine.Committed v -> Wal.Committed (Value.to_string v)
-        | `Aborted, Engine.Aborted veto ->
-            Wal.Aborted (Option.map (fun v -> v.Admission.witness) veto)
-        | `Committed, _ -> Wal.Committed "?"
-        | `Aborted, _ -> Wal.Aborted None
-      in
-      Wal.Writer.note_outcome ws.w ~txn oc
-  | _ -> ());
+  (* Audit the completion in the log.  During recovery there is no
+     session: the replayed completions are already in the log. *)
+  Option.iter (fun ss -> Wal.Session.note_outcome ss txn outcome) s.session;
   (* execute / gate stages off the engine's clock-stamped readings.
      Histograms get gate-exclusive execute time so stage sums do not
      double-count; the ring keeps the full execute interval with a gate
@@ -942,20 +732,10 @@ let handle_request srv conn (req : Wire.request) =
           let t_v1 = mono srv in
           record_stage srv ~stage:"validate" ~req ~txn:None ~conn_id:conn.id
             t_v0 t_v1;
-          match admit srv prog with
+          match admit srv ~req ~client:conn.client_name prog with
           | Error why -> send conn (Wire.Rejected { why; req })
           | Ok txn ->
               let t_a1 = mono srv in
-              (match srv.arm with
-              | Single s ->
-                  wal_event s
-                    (Wal.Submit
-                       {
-                         req;
-                         client = conn.client_name;
-                         program = Program_io.program_to_string prog;
-                       })
-              | Sharded _ -> ());
               let txn_s = Some (Txn_id.to_string txn) in
               record_stage srv ~stage:"admit" ~req ~txn:txn_s ~conn_id:conn.id
                 t_v1 t_a1;
@@ -1388,7 +1168,15 @@ let single_arm ~policy ~max_steps ~admission ~seed ~burst ~t0 ~obs
       ~seed engine_objects
       (Check.factory_of backend)
   in
-  { eng; burst; replicated; logical_rev = []; wal = None; recovery = None }
+  {
+    eng;
+    burst;
+    replicated;
+    logical_rev = [];
+    wal = None;
+    session = None;
+    recovery = None;
+  }
 
 let sharded_arm ~policy ~max_steps ~admission ~seed ~obs_for ~shards backend
     objects =
@@ -1497,21 +1285,9 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
   | Single s, Some path ->
       post_complete := on_complete srv s;
       let meta =
-        Wal.Meta
-          {
-            seed;
-            backend = Check.backend_name backend;
-            policy =
-              (match policy with
-              | Runtime.Random_step -> "random-step"
-              | Runtime.Bsp_rounds -> "bsp-rounds");
-            inform = "eager";  (* the engine's default inform policy *)
-            abort_prob = 0.0;
-            objects =
-              List.map
-                (fun (x, dt) -> (Obj_id.name x, Program_io.dtype_decl dt))
-                objects;
-          }
+        (* the engine runs its default inform policy and no faults *)
+        Wal.meta ~seed ~backend:(Check.backend_name backend) ~policy
+          ~inform_policy:Runtime.Eager ~abort_prob:0.0 objects
       in
       init_durability srv s ~path ~fsync_batch
         ~fsync_interval_s:(float_of_int fsync_interval /. 1000.)

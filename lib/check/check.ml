@@ -480,25 +480,10 @@ let physical backend sc =
       (objects, plan.Nt_replication.Replication.physical_forest, Some plan)
   | _ -> (sc.objects, sc.forest, None)
 
-let policy_name = function
-  | Runtime.Random_step -> "random-step"
-  | Runtime.Bsp_rounds -> "bsp-rounds"
-
-let inform_name = function Runtime.Eager -> "eager" | Runtime.Lazy -> "lazy"
-
 let meta_of backend sc objects =
-  Nt_net.Wal.Meta
-    {
-      seed = sc.sched_seed;
-      backend = backend_name backend;
-      policy = policy_name sc.policy;
-      inform = inform_name sc.inform_policy;
-      abort_prob = sc.abort_prob;
-      objects =
-        List.map
-          (fun (x, dt) -> (Obj_id.name x, Program_io.dtype_decl dt))
-          objects;
-    }
+  Nt_net.Wal.meta ~seed:sc.sched_seed ~backend:(backend_name backend)
+    ~policy:sc.policy ~inform_policy:sc.inform_policy ~abort_prob:sc.abort_prob
+    objects
 
 type recorded = {
   rc_wal : string;
@@ -517,83 +502,23 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
     Nt_net.Wal.Writer.create ~fsync_batch ~base_seq:0 ~on_sync:ignore
       (Nt_net.Wal.buffer_sink buf)
   in
-  Nt_net.Wal.Writer.append w (meta_of backend sc objects);
   (* The outcome hook is installed at engine-creation time, before the
-     engine value exists — hence the forward reference. *)
-  let eng_ref = ref None in
-  let on_top_complete txn oc =
-    match !eng_ref with
-    | None -> ()
-    | Some eng ->
-        let outcome =
-          match (oc, Nt_net.Engine.state eng txn) with
-          | `Committed, Nt_net.Engine.Committed v ->
-              Nt_net.Wal.Committed (Value.to_string v)
-          | `Aborted, Nt_net.Engine.Aborted veto ->
-              Nt_net.Wal.Aborted
-                (Option.map (fun v -> v.Nt_net.Admission.witness) veto)
-          | `Committed, _ -> Nt_net.Wal.Committed "?"
-          | `Aborted, _ -> Nt_net.Wal.Aborted None
-        in
-        Nt_net.Wal.Writer.note_outcome w ~txn outcome
-  in
+     session exists — hence the forward reference. *)
+  let session = ref None in
   let eng =
     Nt_net.Engine.create ~policy:sc.policy ~inform_policy:sc.inform_policy
-      ~abort_prob:sc.abort_prob ~max_steps ~obs ~admission ~on_top_complete
+      ~abort_prob:sc.abort_prob ~max_steps ~obs ~admission
+      ~on_top_complete:(fun txn oc ->
+        Option.iter (fun s -> Nt_net.Wal.Session.note_outcome s txn oc) !session)
       ~seed:sc.sched_seed objects factory
   in
-  eng_ref := Some eng;
+  let s =
+    Nt_net.Wal.Session.create ~meta:(meta_of backend sc objects) eng w
+  in
+  session := Some s;
   let rng = Rng.create seed in
   let pending = ref progs in
-  let pending_steps = ref 0 in
-  (* Cut before every Submit/Kill record: the covering [Steps] record,
-     then any outcomes those steps produced — so every intact log
-     prefix reproduces exactly the state its audit records claim. *)
-  (* The in-memory replay closure a live server would keep between
-     snapshots, maintained incrementally so its growth can be pinned:
-     however long the run, it holds at most [2 * (submits + kills) + 1]
-     records, not one per idle [Steps] cut. *)
-  let closure = Nt_net.Wal.Closure.create () in
-  let cut () =
-    Nt_net.Wal.Closure.push closure (Nt_net.Wal.Steps !pending_steps);
-    Nt_net.Wal.Writer.log_steps w !pending_steps;
-    pending_steps := 0
-  in
   let snapshot = ref None in
-  let maybe_snapshot () =
-    match snapshot_at with
-    | Some n
-      when !snapshot = None && Nt_net.Wal.Writer.appended w >= n ->
-        cut ();
-        let scanned =
-          match
-            Nt_net.Wal.scan ~magic:Nt_net.Wal.wal_magic (Buffer.contents buf)
-          with
-          | Ok s -> s
-          | Error e -> invalid_arg ("Check.record: scan of own log: " ^ e)
-        in
-        let g =
-          Monitor.graph (Nt_net.Admission.monitor (Nt_net.Engine.admission eng))
-        in
-        snapshot :=
-          Some
-            (Nt_net.Wal.encode_snapshot
-               {
-                 Nt_net.Wal.sn_next_seq = Nt_net.Wal.Writer.next_seq w;
-                 sn_meta = meta_of backend sc objects;
-                 sn_events = Nt_net.Wal.compact scanned.Nt_net.Wal.sc_records;
-                 sn_sg = Nt_net.Wal.sg_state_of_graph g;
-                 sn_counts =
-                   Nt_net.Wal.Counts
-                     {
-                       submitted = Nt_net.Engine.submitted eng;
-                       committed = Nt_net.Engine.committed_top eng;
-                       aborted = Nt_net.Engine.aborted_top eng;
-                       vetoed = Nt_net.Engine.vetoed eng;
-                     };
-               })
-    | _ -> ()
-  in
   let drops = ref [] in
   let dropped = ref 0 in
   let last = ref `Progress in
@@ -602,18 +527,7 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
     (match !pending with
     | prog :: rest when !last = `Quiescent || Rng.int rng 3 = 0 ->
         pending := rest;
-        cut ();
-        let r =
-          Nt_net.Wal.Submit
-            {
-              req = None;
-              client = "check";
-              program = Program_io.program_to_string prog;
-            }
-        in
-        Nt_net.Wal.Closure.push closure r;
-        Nt_net.Wal.Writer.append w r;
-        (match Nt_net.Engine.submit eng prog with
+        (match Nt_net.Wal.Session.submit s ~client:"check" prog with
         | Ok txn ->
             if drop_prob > 0.0 && Rng.float rng 1.0 < drop_prob then
               drops := (txn, ref (1 + Rng.int rng 8)) :: !drops
@@ -621,30 +535,28 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
             invalid_arg ("Check.serve: generated program rejected: " ^ e))
     | _ -> ());
     last := Nt_net.Engine.step eng;
-    incr pending_steps;
     drops :=
       List.filter
         (fun (txn, left) ->
           decr left;
           if !left <= 0 then begin
-            cut ();
-            Nt_net.Wal.Closure.push closure (Nt_net.Wal.Kill { txn });
-            Nt_net.Wal.Writer.append w (Nt_net.Wal.Kill { txn });
-            (match Nt_net.Engine.kill eng txn with
+            (match Nt_net.Wal.Session.kill s txn with
             | `Aborted | `Doomed -> incr dropped
             | `Already_complete | `Unknown -> ());
             false
           end
           else true)
         !drops;
-    maybe_snapshot ();
+    (match snapshot_at with
+    | Some n when !snapshot = None && Nt_net.Wal.Writer.appended w >= n ->
+        snapshot := Some (Nt_net.Wal.Session.snapshot s)
+    | _ -> ());
     match !last with
     | `Truncated -> continue := false
     | `Quiescent -> if !pending = [] then continue := false
     | `Progress -> ()
   done;
-  cut ();
-  Nt_net.Wal.Writer.flush w;
+  Nt_net.Wal.Session.flush s;
   let r = Nt_net.Engine.finish eng in
   let forest = Nt_net.Engine.forest eng in
   let schema = Nt_net.Engine.schema eng in
@@ -684,7 +596,7 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
     rc_offsets = offsets;
     rc_snapshot = !snapshot;
     rc_report = report;
-    rc_closure_len = Nt_net.Wal.Closure.length closure;
+    rc_closure_len = Nt_net.Wal.Session.closure_length s;
   }
 
 let serve ?obs ?max_steps ?drop_prob ?admission ~seed backend sc =
@@ -817,113 +729,43 @@ type crash_report = {
 
 let crash_seed_of sc = sc.sched_seed lxor 0x2C5A11
 
-(* Recover one damaged log image into a fresh engine: scan (tolerating
-   a torn tail), refuse a foreign [Meta], replay the intact event
-   prefix, then demand prefix closure — every audited outcome in the
-   prefix reproduced exactly — before resuming (drain) and judging the
-   completed behavior with the same four oracles as any served run.
-   Returns the replayed engine so callers can compare recoveries. *)
-let recover_image ?(max_steps = 200_000) ?(admission = true) ~expect_meta
-    ~counts backend sc img =
-  let ( let* ) = Result.bind in
-  let* scanned = Nt_net.Wal.scan ~magic:Nt_net.Wal.wal_magic img in
-  let* rp =
-    Nt_net.Wal.replayable_of_records ~base_seq:scanned.Nt_net.Wal.sc_base_seq
-      ~skip_below:0 scanned.Nt_net.Wal.sc_records
-  in
-  let* () =
-    match rp.Nt_net.Wal.rp_meta with
-    | Some (m, _) ->
-        if m = expect_meta then Ok ()
-        else Error "meta mismatch: log belongs to a different configuration"
-    | None ->
-        if rp.Nt_net.Wal.rp_events = [] then Ok ()
-        else Error "events without a meta record"
-  in
-  let objects, _, _ = physical backend sc in
-  let eng =
-    Nt_net.Engine.create ~policy:sc.policy ~inform_policy:sc.inform_policy
-      ~abort_prob:sc.abort_prob ~max_steps ~admission ~seed:sc.sched_seed
-      objects (factory_of backend)
-  in
-  let* _ = Nt_net.Engine.recover eng rp.Nt_net.Wal.rp_events in
-  let* checked =
-    Nt_net.Wal.check_outcomes (Nt_net.Engine.state eng)
-      rp.Nt_net.Wal.rp_outcomes
-  in
-  counts := !counts + checked;
-  Ok (eng, scanned)
-
-(* Recover via snapshot + log tail: replay the snapshot's compacted
-   events, cross-check its materialized SG and counters against the
-   replayed state, then replay the tail ([skip_below] the snapshot's
-   coverage) with the no-freshness-check chunked entry point. *)
-let recover_snapshot ?(max_steps = 200_000) ?(admission = true) ~expect_meta
-    ~counts backend sc simg img =
-  let ( let* ) = Result.bind in
-  let* sn = Nt_net.Wal.decode_snapshot simg in
-  let* () =
-    if sn.Nt_net.Wal.sn_meta = expect_meta then Ok ()
-    else Error "snapshot meta mismatch"
-  in
-  let* rp_snap =
-    Nt_net.Wal.replayable_of_records ~base_seq:0 ~skip_below:0
-      sn.Nt_net.Wal.sn_events
-  in
-  let objects, _, _ = physical backend sc in
-  let eng =
-    Nt_net.Engine.create ~policy:sc.policy ~inform_policy:sc.inform_policy
-      ~abort_prob:sc.abort_prob ~max_steps ~admission ~seed:sc.sched_seed
-      objects (factory_of backend)
-  in
-  let* _ = Nt_net.Engine.recover eng rp_snap.Nt_net.Wal.rp_events in
-  let g () =
-    Monitor.graph (Nt_net.Admission.monitor (Nt_net.Engine.admission eng))
-  in
-  let* () = Nt_net.Wal.check_sg_state sn.Nt_net.Wal.sn_sg (g ()) in
-  let* () =
-    match sn.Nt_net.Wal.sn_counts with
-    | Nt_net.Wal.Counts { submitted; committed; aborted; vetoed } ->
-        if
-          submitted = Nt_net.Engine.submitted eng
-          && committed = Nt_net.Engine.committed_top eng
-          && aborted = Nt_net.Engine.aborted_top eng
-          && vetoed = Nt_net.Engine.vetoed eng
-        then Ok ()
-        else Error "snapshot counters not reproduced by replay"
-    | _ -> Error "snapshot without a counts record"
-  in
-  let* scanned = Nt_net.Wal.scan ~magic:Nt_net.Wal.wal_magic img in
-  let* rp_tail =
-    Nt_net.Wal.replayable_of_records ~base_seq:scanned.Nt_net.Wal.sc_base_seq
-      ~skip_below:sn.Nt_net.Wal.sn_next_seq scanned.Nt_net.Wal.sc_records
-  in
-  let* _ = Nt_net.Engine.replay eng rp_tail.Nt_net.Wal.rp_events in
-  let* checked =
-    Nt_net.Wal.check_outcomes (Nt_net.Engine.state eng)
-      rp_tail.Nt_net.Wal.rp_outcomes
-  in
-  counts := !counts + checked;
-  Ok eng
+(* Recover one log image (plus, optionally, a snapshot image) into a
+   fresh engine through the server's own recovery plan, replaying in
+   small turns so long [Steps] runs are split mid-way as a server
+   splits them.  Returns the replayed engine and its plan. *)
+let recover ?(max_steps = 200_000) ~meta ~counts backend sc ~snapshot log =
+  match Nt_net.Wal.Recovery.plan ~meta ~log ~snapshot with
+  | Error { Nt_net.Wal.Recovery.why; _ } -> Error why
+  | Ok plan ->
+      let objects, _, _ = physical backend sc in
+      let eng =
+        Nt_net.Engine.create ~policy:sc.policy ~inform_policy:sc.inform_policy
+          ~abort_prob:sc.abort_prob ~max_steps ~seed:sc.sched_seed objects
+          (factory_of backend)
+      in
+      Result.map
+        (fun n ->
+          counts := !counts + n;
+          (eng, plan))
+        (Nt_net.Wal.Recovery.run ~burst:7 eng plan)
 
 (* Two recoveries agree when the engines are observationally equal:
    same submission forest, same call count, same counters, same
    monitor graph. *)
 let engines_agree a b =
   let render eng =
-    ( List.map Program_io.program_to_string (Nt_net.Engine.forest eng),
-      Nt_net.Engine.step_calls eng,
-      Nt_net.Engine.submitted eng,
-      Nt_net.Engine.committed_top eng,
-      Nt_net.Engine.aborted_top eng,
-      Nt_net.Engine.vetoed eng )
+    let g = Monitor.graph (Nt_net.Admission.monitor (Nt_net.Engine.admission eng)) in
+    let name = Txn_id.to_string in
+    ( ( List.map Program_io.program_to_string (Nt_net.Engine.forest eng),
+        Nt_net.Engine.step_calls eng,
+        Nt_net.Engine.submitted eng,
+        Nt_net.Engine.committed_top eng,
+        Nt_net.Engine.aborted_top eng,
+        Nt_net.Engine.vetoed eng ),
+      List.sort compare (List.map name (Graph.nodes g)),
+      List.sort compare (List.map (fun (u, v) -> (name u, name v)) (Graph.edges g)) )
   in
-  if render a <> render b then Error "recovered engines disagree"
-  else
-    let g eng =
-      Monitor.graph (Nt_net.Admission.monitor (Nt_net.Engine.admission eng))
-    in
-    Nt_net.Wal.check_sg_state (Nt_net.Wal.sg_state_of_graph (g a)) (g b)
+  if render a = render b then Ok () else Error "recovered engines disagree"
 
 let flip_bit img pos =
   let b = Bytes.of_string img in
@@ -937,11 +779,14 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
   let image = rc.rc_wal in
   let len = String.length image in
   let objects, _, _ = physical backend sc in
-  let expect_meta = meta_of backend sc objects in
+  let meta = meta_of backend sc objects in
   let recoveries = ref 0 and outcomes = ref 0 and snaps = ref 0 in
   let failure = ref None in
   let fail where f = if !failure = None then failure := Some (where, f) in
   let faild where msg = fail where (Durability msg) in
+  let recover ?snapshot img =
+    recover ~max_steps ~meta ~counts:outcomes backend sc ~snapshot img
+  in
   (* Judge a recovered engine as a complete run: resume (drain to
      quiescence — the remaining pre-crash submissions never arrive)
      and apply the four oracles.  One-copy is not claimed for
@@ -950,29 +795,25 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
   let judge_recovered where eng =
     ignore (Nt_net.Engine.drain eng);
     let r = Nt_net.Engine.finish eng in
-    if not r.Runtime.stats.truncated then begin
-      let judged_as = match backend with Replication -> Undo | b -> b in
-      match
-        judge judged_as (Nt_net.Engine.schema eng) r (Nt_net.Engine.forest eng)
-      with
-      | Some f -> fail where f
-      | None -> ()
-    end
+    match
+      verdict backend ~plan:None ~quorums_completed:false
+        (Nt_net.Engine.schema eng) r (Nt_net.Engine.forest eng)
+    with
+    | Some f -> fail where f
+    | None -> ()
   in
   let recover_and_judge ~where ?expect_valid img =
     incr recoveries;
-    match
-      recover_image ~max_steps ~expect_meta ~counts:outcomes backend sc img
-    with
+    match recover img with
     | Error e -> faild where e
-    | Ok (eng, scanned) -> (
+    | Ok (eng, plan) ->
         (match expect_valid with
-        | Some v when scanned.Nt_net.Wal.sc_valid <> v ->
+        | Some v when plan.Nt_net.Wal.Recovery.valid <> v ->
             faild where
               (Printf.sprintf "scan kept %d valid bytes, expected %d"
-                 scanned.Nt_net.Wal.sc_valid v)
+                 plan.Nt_net.Wal.Recovery.valid v)
         | _ -> ());
-        judge_recovered where eng)
+        judge_recovered where eng
   in
   (match rc.rc_report.s_failure with
   | Some f -> fail "pre-crash run" f
@@ -1021,18 +862,14 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
      falls back to the full log, exercised above). *)
   (match rc.rc_snapshot with
   | Some simg when !failure = None -> (
-      (match
-         recover_snapshot ~max_steps ~expect_meta ~counts:outcomes backend sc
-           simg image
-       with
+      (match recover ~snapshot:simg image with
       | Error e -> faild "snapshot + tail recovery" e
-      | Ok eng_snap -> (
+      | Ok (_, plan) when not plan.Nt_net.Wal.Recovery.snapshot_trusted ->
+          faild "snapshot + tail recovery" "intact snapshot not trusted"
+      | Ok (eng_snap, _) -> (
           incr snaps;
           incr recoveries;
-          match
-            recover_image ~max_steps ~expect_meta ~counts:outcomes backend sc
-              image
-          with
+          match recover image with
           | Error e -> faild "full-log recovery (snapshot comparison)" e
           | Ok (eng_full, _) -> (
               match engines_agree eng_snap eng_full with
@@ -1041,24 +878,19 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
       (* Torn-write injection on the rotation path: the snapshot is
          written tmp + fsync + rename, so a crash mid-rotation leaves
          either a truncated tmp image (the rename never happened) or a
-         corrupted sector.  Every damaged image must be rejected by
-         [decode_snapshot], after which recovery falls back to the
-         previous window — here, the full log, which must still
-         recover and pass the four oracles. *)
+         corrupted sector.  The plan must refuse to trust every damaged
+         image and fall back to the previous window — here, the full
+         log, which must still recover and pass the four oracles. *)
       let slen = String.length simg in
       let check_damaged where img =
-        if !failure = None then
-          match Nt_net.Wal.decode_snapshot img with
-          | Ok _ -> faild where "damaged snapshot decoded successfully"
-          | Error _ -> (
-              incr recoveries;
-              match
-                recover_image ~max_steps ~expect_meta ~counts:outcomes
-                  backend sc image
-              with
-              | Error e -> faild (where ^ ": full-log fallback") e
-              | Ok (eng, _) ->
-                  judge_recovered (where ^ ": full-log fallback") eng)
+        if !failure = None then begin
+          incr recoveries;
+          match recover ~snapshot:img image with
+          | Error e -> faild (where ^ ": full-log fallback") e
+          | Ok (_, plan) when plan.Nt_net.Wal.Recovery.snapshot_trusted ->
+              faild where "damaged snapshot trusted"
+          | Ok (eng, _) -> judge_recovered (where ^ ": full-log fallback") eng
+        end
       in
       List.iter
         (fun k ->

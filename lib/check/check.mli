@@ -286,15 +286,17 @@ val serve_sharded :
 
     {!record} is {!serve} with a write-ahead log attached: the same
     loop, the same report, plus a complete {!Nt_net.Wal} image of the
-    run — every submission, orphan kill and coalesced step count, with
-    the commit-gate outcome of every completed top-level transaction
+    run, written through the server's own {!Nt_net.Wal.Session} —
+    every submission, orphan kill and coalesced step count, with the
+    commit-gate outcome of every completed top-level transaction
     appended {e after} the step record that produced it, so each
     intact log prefix reproduces exactly the state its audit records
     claim.  {!crash} then simulates a [kill -9] at every log boundary
-    (plus torn and bit-flipped variants) and proves each recovery: the
-    scan diagnoses the damage, {!Nt_net.Engine.recover} replays the
-    intact prefix, every audited outcome is reproduced, and the
-    resumed run still passes all four oracles. *)
+    (plus torn and bit-flipped variants) and proves each recovery
+    through the server's own {!Nt_net.Wal.Recovery}: the plan
+    diagnoses the damage, the intact prefix replays in small turns,
+    every audited outcome is reproduced, and the resumed run still
+    passes all four oracles. *)
 
 type recorded = {
   rc_wal : string;  (** The complete log image (header included). *)

@@ -579,50 +579,38 @@ end
 type replayable = {
   rp_events : Engine.replay_event list;
   rp_outcomes : (Txn_id.t * outcome) list;
-  rp_meta : (record * int) option;
 }
 
 let replayable_of_records ~base_seq ~skip_below records =
   let ( let* ) = Result.bind in
-  let rec go i events outcomes meta = function
-    | [] ->
-        Ok
-          {
-            rp_events = List.rev events;
-            rp_outcomes = List.rev outcomes;
-            rp_meta = meta;
-          }
+  let rec go i events outcomes = function
+    | [] -> Ok { rp_events = List.rev events; rp_outcomes = List.rev outcomes }
     | r :: rest ->
         let seq = base_seq + i in
-        if seq < skip_below then go (i + 1) events outcomes meta rest
+        if seq < skip_below then go (i + 1) events outcomes rest
         else
-          let* events, outcomes, meta =
+          let* events, outcomes =
             match r with
-            | Meta _ ->
-                Ok
-                  ( events,
-                    outcomes,
-                    match meta with None -> Some (r, seq) | some -> some )
+            | Meta _ -> Ok (events, outcomes)
             | Submit { program; _ } -> (
                 match Nt_workload.Program_io.parse_program_text program with
-                | Ok p -> Ok (`Submit p :: events, outcomes, meta)
+                | Ok p -> Ok (`Submit p :: events, outcomes)
                 | Error e ->
                     (* The checksum passed, so this is a writer bug, not
                        bit rot: refuse rather than guess. *)
                     Error
                       (Printf.sprintf "record %d: unparsable program: %s" seq e))
-            | Kill { txn } -> Ok (`Kill txn :: events, outcomes, meta)
-            | Steps n -> Ok (`Steps n :: events, outcomes, meta)
-            | Outcome { txn; outcome } ->
-                Ok (events, (txn, outcome) :: outcomes, meta)
+            | Kill { txn } -> Ok (`Kill txn :: events, outcomes)
+            | Steps n -> Ok (`Steps n :: events, outcomes)
+            | Outcome { txn; outcome } -> Ok (events, (txn, outcome) :: outcomes)
             | Sg_state _ | Counts _ ->
                 Error
                   (Printf.sprintf "record %d: snapshot-only %s record in a log"
                      seq (record_name r))
           in
-          go (i + 1) events outcomes meta rest
+          go (i + 1) events outcomes rest
   in
-  go 0 [] [] None records
+  go 0 [] [] records
 
 let check_outcomes state outcomes =
   let rec go n = function
@@ -663,6 +651,17 @@ let sg_state_of_graph g =
   in
   Sg_state { nodes; edges }
 
+let graph_of eng = Nt_sg.Monitor.graph (Admission.monitor (Engine.admission eng))
+
+let counts_of eng =
+  Counts
+    {
+      submitted = Engine.submitted eng;
+      committed = Engine.committed_top eng;
+      aborted = Engine.aborted_top eng;
+      vetoed = Engine.vetoed eng;
+    }
+
 let check_sg_state r g =
   match r with
   | Sg_state { nodes; edges } ->
@@ -696,3 +695,318 @@ let check_sg_state r g =
   | r ->
       Error
         (Printf.sprintf "expected an sg-state record, got %s" (record_name r))
+
+(* ----- the log policy over one engine ----- *)
+
+let meta ~seed ~backend ~policy ~inform_policy ~abort_prob objects =
+  Meta
+    {
+      seed;
+      backend;
+      policy =
+        (match policy with
+        | Nt_generic.Runtime.Random_step -> "random-step"
+        | Nt_generic.Runtime.Bsp_rounds -> "bsp-rounds");
+      inform =
+        (match inform_policy with
+        | Nt_generic.Runtime.Eager -> "eager"
+        | Nt_generic.Runtime.Lazy -> "lazy");
+      abort_prob;
+      objects =
+        List.map
+          (fun (x, dt) -> (Obj_id.name x, Nt_workload.Program_io.dtype_decl dt))
+          objects;
+    }
+
+module Recovery = struct
+  type check =
+    | Snapshot_state of { sg : record; counts : record }
+    | Outcome_prefix of (Txn_id.t * outcome) list
+
+  type phase = { events : Engine.replay_event list; check : check }
+  type problem = { culprit : [ `Log | `Snapshot ]; why : string }
+
+  type plan = {
+    phases : phase list;
+    total : int;
+    tail : tail;
+    valid : int;
+    base_seq : int;
+    has_meta : bool;
+    snapshot_trusted : bool;
+    empty : bool;
+    seed : record list;
+    notes : problem list;
+  }
+
+  let weight = function `Steps n -> n | `Submit _ | `Kill _ -> 1
+  let weigh events = List.fold_left (fun a e -> a + weight e) 0 events
+
+  let rec drop n = function _ :: rest when n > 0 -> drop (n - 1) rest | l -> l
+  let has_meta = List.exists (function Meta _ -> true | _ -> false)
+
+  let plan ~meta ~log ~snapshot =
+    let ( let* ) = Result.bind in
+    let refuse culprit why = Error { culprit; why } in
+    let blame culprit = Result.map_error (fun why -> { culprit; why }) in
+    let* sc = blame `Log (scan ~magic:wal_magic log) in
+    let records = sc.sc_records in
+    (* A corrupt snapshot is never trusted.  While the log still holds
+       the whole history it can be ignored; once the log was rotated
+       past it, nothing can rebuild the prefix. *)
+    let* snapshot, notes =
+      match Option.map decode_snapshot snapshot with
+      | None -> Ok (None, [])
+      | Some (Ok sn) -> Ok (Some sn, [])
+      | Some (Error e) when sc.sc_base_seq = 0 ->
+          Ok
+            ( None,
+              [
+                {
+                  culprit = `Snapshot;
+                  why = e ^ "; ignoring it (log holds full history)";
+                };
+              ] )
+      | Some (Error e) -> refuse `Snapshot e
+    in
+    let* () =
+      match snapshot with
+      | Some sn when sn.sn_meta <> meta ->
+          refuse `Snapshot "snapshot belongs to a different server configuration"
+      | Some sn when sn.sn_next_seq < sc.sc_base_seq ->
+          refuse `Log
+            (Printf.sprintf
+               "log starts at seq %d but the snapshot covers only seq < %d: \
+                the records in between are lost"
+               sc.sc_base_seq sn.sn_next_seq)
+      | None when sc.sc_base_seq > 0 ->
+          refuse `Log "log was rotated past a snapshot that is now missing"
+      | _ ->
+          if List.exists (function Meta _ as m -> m <> meta | _ -> false) records
+          then refuse `Log "log belongs to a different server configuration"
+          else if snapshot = None && records <> [] && not (has_meta records)
+          then refuse `Log "log has records but no meta record"
+          else Ok ()
+    in
+    let skip = match snapshot with Some sn -> sn.sn_next_seq | None -> 0 in
+    let* tail_rp =
+      blame `Log
+        (replayable_of_records ~base_seq:sc.sc_base_seq ~skip_below:skip records)
+    in
+    let* head =
+      match snapshot with
+      | None -> Ok []
+      | Some sn ->
+          let* rp =
+            blame `Snapshot
+              (replayable_of_records ~base_seq:0 ~skip_below:0 sn.sn_events)
+          in
+          Ok
+            [
+              {
+                events = rp.rp_events;
+                check = Snapshot_state { sg = sn.sn_sg; counts = sn.sn_counts };
+              };
+            ]
+    in
+    let phases =
+      head
+      @ [ { events = tail_rp.rp_events; check = Outcome_prefix tail_rp.rp_outcomes } ]
+    in
+    let next = sc.sc_base_seq + List.length records in
+    (* Without an intact header the log restarts as a new generation.
+       So does one ending before the snapshot's cover point: appending
+       there would reuse sequence numbers the snapshot already covers,
+       and the snapshot holds everything the log lost. *)
+    let restart = sc.sc_valid < header_len || next < skip in
+    Ok
+      {
+        phases;
+        total = List.fold_left (fun a ph -> a + weigh ph.events) 0 phases;
+        tail = sc.sc_tail;
+        valid = (if restart then 0 else sc.sc_valid);
+        base_seq = (if restart then skip else next);
+        has_meta = (not restart) && has_meta records;
+        snapshot_trusted = snapshot <> None;
+        empty = snapshot = None && records = [] && sc.sc_tail = Clean;
+        seed =
+          compact
+            ((match snapshot with Some sn -> sn.sn_events | None -> [])
+            @ drop (skip - sc.sc_base_seq) records);
+        notes;
+      }
+
+  type progress = {
+    mutable pending : phase list;
+    mutable replayed : int;
+    mutable checked : int;
+    p_total : int;
+  }
+
+  let start plan =
+    { pending = plan.phases; replayed = 0; checked = 0; p_total = plan.total }
+
+  (* Split up to [burst] weight off the head of an event list, cutting
+     a long [Steps] run mid-way so one turn never replays unboundedly. *)
+  let take_chunk burst events =
+    let rec go acc w evs =
+      if w >= burst then (List.rev acc, evs)
+      else
+        match evs with
+        | [] -> (List.rev acc, [])
+        | `Steps n :: rest when n > burst - w ->
+            (List.rev (`Steps (burst - w) :: acc), `Steps (n - (burst - w)) :: rest)
+        | ev :: rest -> go (ev :: acc) (w + weight ev) rest
+    in
+    go [] 0 events
+
+  let check_phase eng = function
+    | Outcome_prefix outcomes -> check_outcomes (Engine.state eng) outcomes
+    | Snapshot_state { sg; counts } -> (
+        match check_sg_state sg (graph_of eng) with
+        | Error e -> Error e
+        | Ok () ->
+            if counts = counts_of eng then Ok 0
+            else Error "snapshot counters disagree with replayed engine")
+
+  let turn ~burst eng p =
+    match p.pending with
+    | [] -> Ok `Done
+    | ph :: rest -> (
+        let chunk, remaining = take_chunk (max 1 burst) ph.events in
+        (* The first chunk goes through [Engine.recover], whose
+           freshness check refuses an engine that has already run. *)
+        let apply = if p.replayed = 0 then Engine.recover else Engine.replay in
+        match apply eng chunk with
+        | Error e -> Error e
+        | Ok _ -> (
+            p.replayed <- p.replayed + weigh chunk;
+            if remaining <> [] then begin
+              p.pending <- { ph with events = remaining } :: rest;
+              Ok `More
+            end
+            else
+              match check_phase eng ph.check with
+              | Error e -> Error ("validation failed: " ^ e)
+              | Ok n ->
+                  p.checked <- p.checked + n;
+                  p.pending <- rest;
+                  Ok (if rest = [] then `Done else `More)))
+
+  let replayed p = p.replayed
+  let total p = p.p_total
+  let checked p = p.checked
+
+  let run ~burst eng plan =
+    let p = start plan in
+    let rec go () =
+      match turn ~burst eng p with
+      | Ok `More -> go ()
+      | Ok `Done -> Ok (checked p)
+      | Error _ as e -> e
+    in
+    go ()
+end
+
+module Session = struct
+  type t = {
+    eng : Engine.t;
+    meta : record;
+    mutable w : Writer.t;
+    closure : Closure.t;  (* replay closure of everything logged so far *)
+    mutable cursor : int;  (* [Engine.step_calls] at the last cut *)
+    mutable mark : int;  (* [Writer.appended] at the last snapshot *)
+  }
+
+  (* Without a plan the log is new.  A recovered one that kept no Meta
+     (a new generation, or a header-only file left by a crash right
+     after its header was written) gets it before any record. *)
+  let create ?plan ~meta eng w =
+    let seed, has_meta =
+      match plan with
+      | None -> ([], false)
+      | Some p -> (p.Recovery.seed, p.Recovery.has_meta)
+    in
+    if not has_meta then Writer.append w meta;
+    {
+      eng;
+      meta;
+      w;
+      closure = Closure.of_records seed;
+      cursor = Engine.step_calls eng;
+      mark = Writer.appended w;
+    }
+
+  (* One [Steps] record covering the step calls since the last cut,
+     then any outcomes those steps produced — the ordering that makes
+     every intact log prefix reproduce exactly the state its audit
+     records claim. *)
+  let cut t =
+    let calls = Engine.step_calls t.eng in
+    let n = calls - t.cursor in
+    t.cursor <- calls;
+    Closure.push t.closure (Steps n);
+    Writer.log_steps t.w n
+
+  (* A replay event lands after the steps that preceded its engine
+     call. *)
+  let event t r =
+    cut t;
+    Closure.push t.closure r;
+    Writer.append t.w r
+
+  let submit t ?req ~client prog =
+    match Engine.submit t.eng prog with
+    | Error _ as e -> e
+    | Ok _ as ok ->
+        event t
+          (Submit
+             {
+               req;
+               client;
+               program = Nt_workload.Program_io.program_to_string prog;
+             });
+        ok
+
+  (* Logged before the engine call: a kill can complete the
+     transaction, and its outcome must follow the [Kill] record. *)
+  let kill t txn =
+    event t (Kill { txn });
+    Engine.kill t.eng txn
+
+  let note_outcome t txn oc =
+    let outcome =
+      match (oc, Engine.state t.eng txn) with
+      | `Committed, Engine.Committed v -> Committed (Value.to_string v)
+      | `Aborted, Engine.Aborted veto ->
+          Aborted (Option.map (fun v -> v.Admission.witness) veto)
+      | `Committed, _ -> Committed "?"
+      | `Aborted, _ -> Aborted None
+    in
+    Writer.note_outcome t.w ~txn outcome
+
+  let flush t =
+    cut t;
+    Writer.flush t.w
+
+  let snapshot t =
+    flush t;
+    encode_snapshot
+      {
+        sn_next_seq = Writer.next_seq t.w;
+        sn_meta = t.meta;
+        sn_events = Closure.records t.closure;
+        sn_sg = sg_state_of_graph (graph_of t.eng);
+        sn_counts = counts_of t.eng;
+      }
+
+  let rotate t w =
+    t.w <- w;
+    Writer.append w t.meta;
+    Writer.flush w;
+    t.mark <- Writer.appended w
+
+  let due t ~every = every > 0 && Writer.appended t.w - t.mark >= every
+  let writer t = t.w
+  let closure_length t = Closure.length t.closure
+end

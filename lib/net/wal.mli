@@ -236,7 +236,6 @@ end
 type replayable = {
   rp_events : Engine.replay_event list;
   rp_outcomes : (Txn_id.t * outcome) list;  (** Audit prefix, in order. *)
-  rp_meta : (record * int) option;  (** First [Meta] and its seq. *)
 }
 
 val replayable_of_records :
@@ -258,3 +257,173 @@ val check_sg_state :
   record -> Nt_sg.Graph.t -> (unit, string) result
 (** The snapshot's graph must equal the replayed monitor's graph
     (same node set, same edge set). *)
+
+(** {1 The log policy}
+
+    Everything above is mechanism.  The two modules below are the one
+    policy built from it: what a durable server logs, in which order,
+    what a snapshot holds, and which file images it may recover from.
+    [ntserved] keeps only the file I/O around them, and the crash
+    harness ([Nt_check.Check.record] / [Nt_check.Check.crash]) drives
+    the same two modules over in-memory images. *)
+
+val meta :
+  seed:int ->
+  backend:string ->
+  policy:Nt_generic.Runtime.policy ->
+  inform_policy:Nt_generic.Runtime.inform_policy ->
+  abort_prob:float ->
+  (Obj_id.t * Nt_spec.Datatype.t) list ->
+  record
+(** The [Meta] record of an engine configuration. *)
+
+module Recovery : sig
+  (** Recovery as a pure function of the file images, then a resumable
+      replay of the result.
+
+      {!plan} decides what may be trusted.  A refusal names the file
+      at fault.  The rules:
+      - an empty log with no snapshot is a fresh start;
+      - a torn log tail is cut off: the log keeps its intact prefix
+        ([valid]) and is replayed;
+      - a corrupt snapshot is ignored, with a note, while the log still
+        holds the whole history ([base_seq = 0]); after a rotation it
+        is refused, and so is a missing snapshot;
+      - a [Meta] in the log or the snapshot that differs from the
+        server's is refused;
+      - the gap rule: a log that starts after the snapshot's cover
+        point ([sn_next_seq < base_seq]) has lost the records in
+        between, and is refused;
+      - a log with records but no [Meta] and no snapshot is refused
+        (every generation begins with one).
+
+      A trusted snapshot replays first and is checked against its
+      graph and counters; the log records from its cover point on
+      replay next and are checked against their [Outcome]s.  The files
+      are not touched until that replay is [`Done]: a refusal or a
+      crash mid-recovery leaves the images as they were, and the next
+      start plans the same recovery. *)
+
+  type check =
+    | Snapshot_state of { sg : record; counts : record }
+        (** The replayed monitor graph and counters must match. *)
+    | Outcome_prefix of (Txn_id.t * outcome) list
+        (** Every audited outcome must be reproduced ({!check_outcomes}). *)
+
+  type phase = { events : Engine.replay_event list; check : check }
+
+  type problem = { culprit : [ `Log | `Snapshot ]; why : string }
+
+  type plan = {
+    phases : phase list;
+        (** The snapshot phase when one is trusted, then the log tail. *)
+    total : int;  (** Event weight over all phases ([Steps n] weighs [n]). *)
+    tail : tail;  (** The log scan's diagnosis. *)
+    valid : int;
+        (** Bytes of the log to keep; the writer resumes there
+            ([Writer.create ~fresh:(valid = 0)]).  [0]: start a new
+            generation at [base_seq] — the log had no intact header, or
+            ended before the snapshot's cover point. *)
+    base_seq : int;  (** Sequence number of the next record appended. *)
+    has_meta : bool;
+        (** The kept log holds its [Meta] record.  [false] for a new
+            generation and for a header-only log; {!Session.create}
+            appends [Meta] then. *)
+    snapshot_trusted : bool;  (** The first phase replays the snapshot. *)
+    empty : bool;
+        (** Nothing to recover: no records, no snapshot, no damage. *)
+    seed : record list;
+        (** Replay closure of the recovered history, for
+            {!Session.create}. *)
+    notes : problem list;  (** Damage that was tolerated. *)
+  }
+
+  val plan :
+    meta:record -> log:string -> snapshot:string option -> (plan, problem) result
+  (** [log] is the whole log image ([""] when the file is missing);
+      [snapshot] the snapshot image, if the file exists. *)
+
+  type progress
+
+  val start : plan -> progress
+
+  val turn :
+    burst:int -> Engine.t -> progress -> ([ `More | `Done ], string) result
+  (** Replay up to [burst] event weight into the engine (a long
+      [Steps] run is split mid-way), running a phase's check as it
+      completes.  The engine must be fresh and configured as [Meta]
+      says; the first turn refuses one that has already run. *)
+
+  val replayed : progress -> int
+  val total : progress -> int
+
+  val checked : progress -> int
+  (** Audited outcomes verified so far. *)
+
+  val run : burst:int -> Engine.t -> plan -> (int, string) result
+  (** {!start}, then {!turn} until [`Done]: [Ok] the audited outcomes
+      verified. *)
+end
+
+module Session : sig
+  (** One engine, the writer of its current log generation, and the
+      replay closure of everything logged so far.
+
+      Every engine input goes through the session: {!submit} and
+      {!kill} call the engine and log the call, each preceded by a
+      {!cut} — one [Steps] record covering the {!Engine.step_calls}
+      since the last cut, then the outcomes those steps produced.  So
+      every intact prefix of the log replays to exactly the state its
+      [Outcome] records claim.  The caller steps the engine itself and
+      cuts when it likes (a server once per loop turn). *)
+
+  type t
+
+  val create : ?plan:Recovery.plan -> meta:record -> Engine.t -> Writer.t -> t
+  (** Log [engine]'s inputs through the writer from here on.  Without
+      [plan] the log is new and begins with [Meta].  With one, the
+      engine must already have run it to [`Done] and the writer must
+      resume where it says ([valid], [base_seq]); [Meta] is appended
+      unless the kept log holds it, and the replay closure starts from
+      the plan's [seed], so the next snapshot covers the whole
+      history. *)
+
+  val submit :
+    t -> ?req:string -> client:string -> Nt_serial.Program.t ->
+    (Txn_id.t, string) result
+  (** {!Engine.submit}, logging the program once it is accepted. *)
+
+  val kill :
+    t -> Txn_id.t -> [ `Aborted | `Doomed | `Already_complete | `Unknown ]
+  (** Log an orphan kill, then {!Engine.kill}: the kill may complete
+      the transaction, and its outcome must follow the [Kill] record. *)
+
+  val note_outcome : t -> Txn_id.t -> [ `Committed | `Aborted ] -> unit
+  (** The engine's [on_top_complete] hook: render the completion
+      ({!Engine.state}) as an [Outcome], buffered until the next cut. *)
+
+  val cut : t -> unit
+
+  val flush : t -> unit
+  (** {!cut}, then {!Writer.flush}. *)
+
+  val snapshot : t -> string
+  (** {!flush}, then the encoded snapshot: the replay closure, the
+      monitor's graph and the engine counters, covering every record
+      below [Writer.next_seq (writer t)].  The log is not touched; a
+      server follows up with {!rotate}. *)
+
+  val rotate : t -> Writer.t -> unit
+  (** Continue on a fresh writer (a new generation whose [base_seq]
+      is the snapshot's cover point): append [Meta], flush, and restart
+      the {!due} count. *)
+
+  val due : t -> every:int -> bool
+  (** At least [every] records appended since the last snapshot or
+      generation start ([every <= 0]: never). *)
+
+  val writer : t -> Writer.t
+
+  val closure_length : t -> int
+  (** Records in the replay closure ({!Closure.length}). *)
+end

@@ -8,14 +8,15 @@ type t = {
   engines : Shard_engine.t array;
 }
 
-let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs ?mode ?gating
-    ?key ?max_program ~shards ~seed objects factory =
+let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs_for ?mode
+    ?gating ?key ?max_program ~shards ~seed objects factory =
   let part = Partition.create ?key ~shards objects in
   let spine = Spine.create () in
   let rt = Router.create ?max_program part spine in
   let engines =
     Array.init shards (fun s ->
-        Shard_engine.create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
+        Shard_engine.create ?policy ?inform_policy ?abort_prob ?max_steps
+          ?obs:(Option.map (fun f -> f s) obs_for)
           ?mode ?gating ?max_program ~spine ~partition:part ~shard:s
           ~seed:(seed + (s * 1000003))
           factory)
@@ -25,21 +26,18 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs ?mode ?gating
     engines;
   { part; spine; rt; engines }
 
+let dispatch t ~g { Router.d_shard; d_prefix; d_prog } =
+  match Shard_engine.submit t.engines.(d_shard) ~prefix:d_prefix d_prog with
+  | Ok _ -> ()
+  | Error _ ->
+      Router.note_dispatch_failed t.rt ~g
+        ~piece:(match d_prefix with [ _; k ] -> Some k | _ -> None)
+
 let submit t prog =
   match Router.plan t.rt prog with
   | Error _ as e -> e
   | Ok { Router.p_g; p_dispatches; _ } ->
-      List.iter
-        (fun { Router.d_shard; d_prefix; d_prog } ->
-          match
-            Shard_engine.submit t.engines.(d_shard) ~prefix:d_prefix d_prog
-          with
-          | Ok _ -> ()
-          | Error _ ->
-              Router.note_dispatch_failed t.rt ~g:p_g
-                ~piece:
-                  (match d_prefix with [ _; k ] -> Some k | _ -> None))
-        p_dispatches;
+      List.iter (dispatch t ~g:p_g) p_dispatches;
       Ok p_g
 
 let kill t g =

@@ -22,7 +22,7 @@ val create :
   ?inform_policy:Runtime.inform_policy ->
   ?abort_prob:float ->
   ?max_steps:int ->
-  ?obs:Obs.t ->
+  ?obs_for:(int -> Obs.t) ->
   ?mode:Nt_sg.Sg.conflict_mode ->
   ?gating:bool ->
   ?key:(Obj_id.t -> string) ->
@@ -32,10 +32,16 @@ val create :
   (Obj_id.t * Datatype.t) list ->
   Nt_gobj.Gobj.factory ->
   t
-(** Shard [s] runs on [seed + s * 1000003]. *)
+(** Shard [s] runs on [seed + s * 1000003], with telemetry sink
+    [obs_for s] (default null). *)
 
 val submit : t -> Program.t -> (int, string) result
 (** Route, dispatch, return the merged id [g]. *)
+
+val dispatch : t -> g:int -> Router.dispatch -> unit
+(** Submit one planned piece of merged submission [g] to its shard
+    (from that shard's thread); a refused piece is reported to the
+    router as failed. *)
 
 val kill : t -> int -> unit
 (** Kill every piece of submission [g]. *)

@@ -8,7 +8,10 @@
     router's thread-safe bookkeeping.  Cross-shard coordination happens
     only inside {!Spine.gate} (one short mutex-guarded critical
     section per edge-bearing commit), so shard-local traffic never
-    contends. *)
+    contends.
+
+    The ensemble itself is a {!Cluster}; the service adds only the
+    mailboxes and the worker domains that step it. *)
 
 open Nt_base
 open Nt_spec

@@ -1,6 +1,6 @@
 """End-to-end smoke test of the ntserved binary, at one shard and at two.
 
-Usage: python3 serve_smoke.py NTSERVED NTLOAD
+Usage: python3 serve_smoke.py NTSERVED NTLOAD NTWAL
 
 For each mode it starts the server on a fresh Unix socket, then
   * speaks the wire protocol directly (<len>\\n<json> frames): Status of
@@ -11,6 +11,12 @@ For each mode it starts the server on a fresh Unix socket, then
     exit 0 with no alarms and no request-id mismatches;
   * waits for the server to drain on its own, exit 0 and print its
     summary line.
+
+Then a durable round at one shard (--wal, --snapshot-every 20): a
+campaign with --shutdown, a restart on the same log whose Ping must
+report "recovered" and whose acknowledged outcomes ntwal verify must
+find reproduced, and a restart after one byte of the rotated snapshot
+is flipped, which must exit 2 naming the snapshot.
 """
 
 import json
@@ -112,12 +118,80 @@ def run_mode(ntserved, ntload, tmp, shards):
         fail("shards=%d: no clean summary line\n%s" % (shards, out))
 
 
+def durable_round(ntserved, ntload, ntwal, tmp):
+    sock_path = os.path.join(tmp, "ntwal.sock")
+    wal = os.path.join(tmp, "nt.wal")
+    argv = [ntserved, "--socket", sock_path, "--backend", "undo",
+            "--types", "rw", "--objects", "16", "--seed", "11",
+            "--no-gc-trace", "--flight", "0", "--wal", wal,
+            "--snapshot-every", "20"]
+
+    def start():
+        return subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, text=True)
+
+    srv = start()
+    try:
+        load = subprocess.run(
+            [ntload, "--socket", sock_path, "--workload", "smallbank",
+             "--clients", "4", "--requests", "25", "--seed", "5",
+             "--shutdown"],
+            capture_output=True, text=True, timeout=60)
+        if load.returncode != 0:
+            fail("wal: ntload exited %d\n%s%s"
+                 % (load.returncode, load.stdout, load.stderr))
+        out, _ = srv.communicate(timeout=30)
+        if srv.returncode != 0:
+            fail("wal: ntserved exited %d\n%s" % (srv.returncode, out))
+        if not os.path.exists(wal + ".snap"):
+            fail("wal: no snapshot after the campaign")
+        srv = start()
+        s = connect(sock_path)
+        deadline = time.time() + 10
+        while True:
+            pong = call(s, {"type": "ping"})
+            if pong.get("status") != "recovering":
+                break
+            if time.time() > deadline:
+                fail("wal: recovery did not finish")
+            time.sleep(0.02)
+        if pong.get("status") != "recovered":
+            fail("wal: restart answered Ping with %r" % pong)
+        verify = subprocess.run([ntwal, "verify", wal, "--socket", sock_path],
+                                capture_output=True, text=True, timeout=60)
+        if verify.returncode != 0 or "recovered server, 0 mismatches" \
+                not in verify.stdout:
+            fail("wal: ntwal verify exited %d\n%s%s"
+                 % (verify.returncode, verify.stdout, verify.stderr))
+        call(s, {"type": "shutdown"})
+        s.close()
+        out, _ = srv.communicate(timeout=30)
+        if srv.returncode != 0:
+            fail("wal: restarted ntserved exited %d\n%s"
+                 % (srv.returncode, out))
+        with open(wal + ".snap", "r+b") as f:
+            f.seek(os.path.getsize(wal + ".snap") // 2)
+            byte = f.read(1)
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([byte[0] ^ 0x10]))
+        srv = start()
+        out, _ = srv.communicate(timeout=30)
+        if srv.returncode != 2 or wal + ".snap" not in out:
+            fail("wal: corrupt rotated snapshot gave exit %d\n%s"
+                 % (srv.returncode, out))
+    finally:
+        if srv.poll() is None:
+            srv.kill()
+            srv.wait()
+
+
 def main():
-    ntserved, ntload = (os.path.abspath(p) for p in sys.argv[1:3])
+    ntserved, ntload, ntwal = (os.path.abspath(p) for p in sys.argv[1:4])
     tmp = tempfile.mkdtemp(prefix="ntsmoke")
     try:
         for shards in (1, 2):
             run_mode(ntserved, ntload, tmp, shards)
+        durable_round(ntserved, ntload, ntwal, tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

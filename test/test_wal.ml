@@ -548,6 +548,227 @@ let t_flipped_snapshot_falls_back () =
   check_int "fallback aborts" rc.Check.rc_report.Check.s_aborted
     (Engine.aborted_top eng)
 
+(* ----- the shared log policy: Wal.Session and Wal.Recovery ----- *)
+
+let meta_for backend (sc : Check.scenario) =
+  Wal.meta ~seed:sc.Check.sched_seed ~backend:(Check.backend_name backend)
+    ~policy:sc.Check.policy ~inform_policy:sc.Check.inform_policy
+    ~abort_prob:sc.Check.abort_prob sc.Check.objects
+
+(* A fresh engine whose completion hook feeds whatever session the
+   returned cell holds, as a server's does. *)
+let hooked_engine backend (sc : Check.scenario) =
+  let cell = ref None in
+  let eng =
+    Engine.create ~policy:sc.Check.policy ~inform_policy:sc.Check.inform_policy
+      ~abort_prob:sc.Check.abort_prob
+      ~on_top_complete:(fun t o ->
+        Option.iter (fun s -> Wal.Session.note_outcome s t o) !cell)
+      ~seed:sc.Check.sched_seed sc.Check.objects (Check.factory_of backend)
+  in
+  (eng, cell)
+
+let plan_or_fail ~meta ~log ~snapshot =
+  match Wal.Recovery.plan ~meta ~log ~snapshot with
+  | Ok plan -> plan
+  | Error { Wal.Recovery.why; _ } -> Alcotest.fail ("plan refused: " ^ why)
+
+(* Replay a plan to the end in small turns. *)
+let run_plan eng plan =
+  match Wal.Recovery.run ~burst:7 eng plan with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("recovery: " ^ e)
+
+(* What a server does once a plan is replayed: keep the log's first
+   [valid] bytes (or start a new generation) and log on from there
+   through a session resumed from the plan.  Returns the session and
+   the buffer holding the continued log. *)
+let resume ~meta eng cell plan log =
+  let valid = plan.Wal.Recovery.valid in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (String.sub log 0 valid);
+  let w =
+    Wal.Writer.create ~fresh:(valid = 0) ~base_seq:plan.Wal.Recovery.base_seq
+      ~on_sync:ignore (Wal.buffer_sink buf)
+  in
+  let s = Wal.Session.create ~plan ~meta eng w in
+  cell := Some s;
+  (s, buf)
+
+(* A server's life in memory: programs submitted through the session,
+   random step runs in between, the odd orphan kill, then quiescence. *)
+let serve_into rng eng s progs =
+  List.iter
+    (fun prog ->
+      (match Wal.Session.submit s ~client:"t" prog with
+      | Ok txn -> if Rng.int rng 8 = 0 then ignore (Wal.Session.kill s txn)
+      | Error e -> Alcotest.fail e);
+      for _ = 1 to Rng.int rng 6 do
+        ignore (Engine.step eng)
+      done)
+    progs;
+  ignore (Engine.drain eng)
+
+(* Every rule of [Recovery.plan], table-driven over one recorded run
+   with a snapshot: the images a server can meet after a crash, a
+   rotation, bit rot or an operator's mistake.  Accepted plans are
+   replayed and compared with [recover_full] of the log prefix they
+   stand for. *)
+let t_recovery_plan_rules () =
+  let backend, sc, rc, simg = run_with_snapshot () in
+  let meta = meta_for backend sc in
+  let foreign = meta_for backend { sc with Check.sched_seed = sc.Check.sched_seed + 1 } in
+  let img = rc.Check.rc_wal in
+  let len = String.length img in
+  let offsets = Array.of_list rc.Check.rc_offsets in
+  let n = Array.length offsets in
+  let off j = if j < n then offsets.(j) else len in
+  let from j = String.sub img (off j) (len - off j) in
+  let sn =
+    match Wal.decode_snapshot simg with
+    | Ok sn -> sn
+    | Error e -> Alcotest.fail e
+  in
+  let k = sn.Wal.sn_next_seq in
+  let flipped = Bytes.of_string simg in
+  Bytes.set flipped (String.length simg / 2)
+    (Char.chr (Char.code (Bytes.get flipped (String.length simg / 2)) lxor 0x10));
+  let flipped = Bytes.to_string flipped in
+  let log_at base = Wal.header ~magic:Wal.wal_magic ~base_seq:base in
+  (* The generation a server rotates onto at the cover point: its own
+     Meta, then the records the old log held from [k] on. *)
+  let rotated = log_at k ^ Wal.encode_record meta ^ from k in
+  check_bool "snapshot covers part of the log" true (k > 1 && k <= n);
+  let ok ?reference check = `Ok (check, reference) in
+  let cases =
+    [
+      ("fresh", "", None, ok (fun p -> p.Wal.Recovery.empty && p.Wal.Recovery.valid = 0));
+      ( "header-only log (crash after its header)",
+        log_at 0,
+        None,
+        ok (fun p -> p.Wal.Recovery.empty && not p.Wal.Recovery.has_meta) );
+      ( "snapshot + header-only rotated log",
+        log_at k,
+        Some simg,
+        ok ~reference:(String.sub img 0 (off k)) (fun p ->
+            p.Wal.Recovery.snapshot_trusted
+            && (not p.Wal.Recovery.has_meta)
+            && p.Wal.Recovery.base_seq = k) );
+      ( "torn tail",
+        String.sub img 0 (off (n - 1) + 3),
+        None,
+        ok ~reference:(String.sub img 0 (off (n - 1))) (fun p ->
+            p.Wal.Recovery.tail <> Wal.Clean
+            && p.Wal.Recovery.valid = off (n - 1)
+            && p.Wal.Recovery.base_seq = n - 1) );
+      ( "snapshot + full log",
+        img,
+        Some simg,
+        ok ~reference:img (fun p ->
+            p.Wal.Recovery.snapshot_trusted && p.Wal.Recovery.base_seq = n) );
+      ( "snapshot + rotated log",
+        rotated,
+        Some simg,
+        ok ~reference:img (fun p ->
+            p.Wal.Recovery.snapshot_trusted && p.Wal.Recovery.base_seq = n + 1) );
+      ( "corrupt snapshot, base_seq 0: falls back with a note",
+        img,
+        Some flipped,
+        ok ~reference:img (fun p ->
+            (not p.Wal.Recovery.snapshot_trusted)
+            && List.map (fun i -> i.Wal.Recovery.culprit) p.Wal.Recovery.notes
+               = [ `Snapshot ]) );
+      ( "log ends before the cover point: new generation there",
+        String.sub img 0 (off (k - 1)),
+        Some simg,
+        ok ~reference:(String.sub img 0 (off k)) (fun p ->
+            p.Wal.Recovery.snapshot_trusted && p.Wal.Recovery.valid = 0
+            && p.Wal.Recovery.base_seq = k) );
+      ("corrupt snapshot after rotation", rotated, Some flipped, `Refused `Snapshot);
+      ("snapshot missing after rotation", rotated, None, `Refused `Log);
+      ( "foreign Meta in the log",
+        log_at 0 ^ Wal.encode_record foreign ^ from 1,
+        None,
+        `Refused `Log );
+      ( "foreign Meta in the snapshot",
+        img,
+        Some (Wal.encode_snapshot { sn with Wal.sn_meta = foreign }),
+        `Refused `Snapshot );
+      ( "gap between snapshot and log",
+        log_at (k + 2) ^ Wal.encode_record meta ^ from (k + 1),
+        Some simg,
+        `Refused `Log );
+      ("records but no Meta", log_at 0 ^ from 1, None, `Refused `Log);
+    ]
+  in
+  List.iter
+    (fun (name, log, snapshot, expect) ->
+      match (Wal.Recovery.plan ~meta ~log ~snapshot, expect) with
+      | Error { Wal.Recovery.culprit; _ }, `Refused c ->
+          check_bool (name ^ ": refusal names the file") true (culprit = c)
+      | Error { Wal.Recovery.why; _ }, `Ok _ -> Alcotest.fail (name ^ ": refused: " ^ why)
+      | Ok _, `Refused _ -> Alcotest.fail (name ^ ": accepted")
+      | Ok plan, `Ok (check, reference) ->
+          check_bool (name ^ ": plan") true (check plan);
+          let eng, cell = hooked_engine backend sc in
+          run_plan eng plan;
+          Option.iter
+            (fun ref_img -> engines_agree name eng (recover_full backend sc ref_img))
+            reference;
+          (* Serve on from the plan, then restart again: whatever the
+             first restart kept, the continued log must recover to the
+             live engine — a generation that lost its Meta would be
+             refused here. *)
+          let s, buf = resume ~meta eng cell plan log in
+          serve_into (Rng.create 7) eng s [ List.hd sc.Check.forest ];
+          Wal.Session.flush s;
+          let plan' = plan_or_fail ~meta ~log:(Buffer.contents buf) ~snapshot in
+          check_bool (name ^ ": continued log holds its Meta") true
+            plan'.Wal.Recovery.has_meta;
+          let eng', _ = hooked_engine backend sc in
+          run_plan eng' plan';
+          engines_agree (name ^ ": continued") eng eng')
+    cases
+
+(* Restart, then snapshot: a crash at a record boundary, the plan's
+   recovery, a session resumed from the plan's seed closure serving
+   more traffic, a snapshot mid-way.  The snapshot must hold the whole
+   history — pre-crash prefix included — so snapshot + tail and the
+   live engine both agree with a full replay of the continued log. *)
+let t_restart_then_snapshot () =
+  let runs = ref 0 in
+  for i = 0 to 39 do
+    let backend, sc = scenario_for i in
+    let meta = meta_for backend sc in
+    let rc = Check.record ~drop_prob:0.1 ~seed:(4000 + i) backend sc in
+    let offsets = Array.of_list rc.Check.rc_offsets in
+    let n = Array.length offsets in
+    if n >= 4 then begin
+      incr runs;
+      let cut = String.sub rc.Check.rc_wal 0 offsets.(n / 2) in
+      let plan = plan_or_fail ~meta ~log:cut ~snapshot:None in
+      let eng, cell = hooked_engine backend sc in
+      run_plan eng plan;
+      engines_agree "plan = reference replay" eng (recover_full backend sc cut);
+      let s, buf = resume ~meta eng cell plan cut in
+      let rng = Rng.create (5000 + i) in
+      let half = List.length sc.Check.forest / 2 in
+      serve_into rng eng s (List.filteri (fun j _ -> j < half) sc.Check.forest);
+      let snap = Wal.Session.snapshot s in
+      serve_into rng eng s (List.filteri (fun j _ -> j >= half) sc.Check.forest);
+      Wal.Session.flush s;
+      let log = Buffer.contents buf in
+      let full = recover_full backend sc log in
+      engines_agree "live engine = full-log replay" eng full;
+      let plan' = plan_or_fail ~meta ~log ~snapshot:(Some snap) in
+      check_bool "snapshot trusted" true plan'.Wal.Recovery.snapshot_trusted;
+      let eng', _ = hooked_engine backend sc in
+      run_plan eng' plan';
+      engines_agree "snapshot + tail = full log" eng' full
+    end
+  done;
+  check_bool "restarts exercised" true (!runs > 20)
+
 let suite =
   ( "wal",
     [
@@ -574,4 +795,7 @@ let suite =
         t_torn_snapshot_refused;
       Alcotest.test_case "flipped snapshot falls back to full log" `Quick
         t_flipped_snapshot_falls_back;
+      Alcotest.test_case "recovery plan rules" `Quick t_recovery_plan_rules;
+      Alcotest.test_case "restart, then snapshot (40 seeds)" `Quick
+        t_restart_then_snapshot;
     ] )
