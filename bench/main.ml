@@ -978,12 +978,6 @@ let e18 () =
     f ();
     (Sys.time () -. t0) *. 1000.0
   in
-  let bucket_index_of v =
-    let rec go i =
-      if i >= 63 || Metrics.bucket_upper i >= v then i else go (i + 1)
-    in
-    go 0
-  in
   List.iter
     (fun n_top ->
       let rng = Rng.create 11 in
@@ -1115,7 +1109,7 @@ let e18 () =
           Table.cell_i cum.Metrics.p99;
           Table.cell_i p99_win;
           Table.cell_i
-            (abs (bucket_index_of p99_win - bucket_index_of cum.Metrics.p99));
+            (abs (Metrics.bucket_of p99_win - Metrics.bucket_of cum.Metrics.p99));
         ])
     [ 8; 16; 32; 64 ];
   report t

@@ -34,39 +34,6 @@ open Cmdliner
 
 type workload = W_random | W_smallbank
 
-(* SmallBank-style contended transactions over the advertised register
-   accounts: the same five kind shapes as Gen.smallbank, Zipf-skewed
-   account popularity, so a live server sees the contention profile the
-   offline checker fuzzes with. *)
-let gen_smallbank rng accounts =
-  let n = Array.length accounts in
-  let acct () = Rng.zipf rng ~n ~theta:Gen.smallbank_profile.Gen.theta in
-  let pair () =
-    let a = acct () in
-    let b0 = acct () in
-    (a, if b0 = a then (a + 1) mod n else b0)
-  in
-  let read i = Program.access accounts.(i) Datatype.Read in
-  let write i =
-    Program.access accounts.(i) (Datatype.Write (Value.Int (Rng.int rng 16)))
-  in
-  match Gen.sample_kind rng Gen.smallbank_default with
-  | Gen.Balance ->
-      let a, b = pair () in
-      Program.par [ read a; read b ]
-  | Gen.Deposit ->
-      let a = acct () in
-      Program.seq [ read a; write a ]
-  | Gen.Write_check ->
-      let a, b = pair () in
-      Program.seq [ Program.par [ read a; read b ]; write a ]
-  | Gen.Amalgamate ->
-      let a, b = pair () in
-      Program.seq [ Program.par [ read a; read b ]; write a; write b ]
-  | Gen.Payment ->
-      let a, b = pair () in
-      Program.seq [ read a; write a; read b; write b ]
-
 let gen_program rng objects ~depth ~fanout =
   let leaf () =
     let x, dt = Rng.pick_list rng objects in
@@ -198,33 +165,6 @@ let sub_merged_stages s =
       let buckets, count, maxv = Hashtbl.find tbl name in
       (name, buckets, !count, !maxv))
     !order
-
-(* Same convention as Metrics.histogram_stats: the value at quantile q
-   is the upper bound of the bucket holding the rank-q observation,
-   clamped to the exact maximum. *)
-let quantile_of_buckets buckets count maxv q =
-  if count = 0 then 0
-  else begin
-    let rank =
-      Stdlib.max 1 (int_of_float (ceil (q *. float_of_int count)))
-    in
-    let acc = ref 0 and res = ref maxv in
-    (try
-       Array.iteri
-         (fun i n ->
-           acc := !acc + n;
-           if n > 0 && !acc >= rank then begin
-             res := Metrics.bucket_upper i;
-             raise Exit
-           end)
-         buckets
-     with Exit -> ());
-    Stdlib.min !res maxv
-  end
-
-let bucket_index_of v =
-  let rec go i = if i >= 63 || Metrics.bucket_upper i >= v then i else go (i + 1) in
-  go 0
 
 let connect addr =
   let domain =
@@ -391,7 +331,9 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
   let gen_txn c =
     match workload with
     | W_random -> gen_program c.rng !objects ~depth ~fanout
-    | W_smallbank -> gen_smallbank c.rng (Lazy.force sb_accounts)
+    | W_smallbank ->
+        Gen.smallbank_txn ~theta:Gen.smallbank_profile.Gen.theta c.rng
+          (Lazy.force sb_accounts)
   in
   let submit c =
     if c.remaining <= 0 then begin
@@ -832,10 +774,10 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
         let buckets, count, _sum, _min, maxv = sub_merged_latency s in
         if count = 0 then (List.length s.s_frames, -1, -1)
         else
-          let p99 = quantile_of_buckets buckets count maxv 0.99 in
+          let p99 = Metrics.quantile buckets ~count ~max:maxv 0.99 in
           ( List.length s.s_frames,
             p99,
-            abs (bucket_index_of p99 - bucket_index_of h.Metrics.p99) )
+            abs (Metrics.bucket_of p99 - Metrics.bucket_of h.Metrics.p99) )
   in
   (* per-stage server breakdown (p99 of each stage's windowed
      histogram), and the consistency check: the serving-path stages
@@ -852,7 +794,7 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
         List.filter_map
           (fun (name, buckets, count, maxv) ->
             if count = 0 then None
-            else Some (name, quantile_of_buckets buckets count maxv 0.99, count))
+            else Some (name, Metrics.quantile buckets ~count ~max:maxv 0.99, count))
           (sub_merged_stages s)
   in
   let inner_stages = [ "decode"; "validate"; "admit"; "gate"; "execute" ] in
@@ -869,7 +811,7 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
   in
   let stage_check_failed =
     stage_check_active
-    && bucket_index_of stage_sum_p99 > bucket_index_of srv_p99 + 1
+    && Metrics.bucket_of stage_sum_p99 > Metrics.bucket_of srv_p99 + 1
   in
   if json then
     print_endline

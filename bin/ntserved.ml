@@ -105,13 +105,11 @@ type recovery = {
 (* ----- the server ----- *)
 
 (* One shard: the engine lives in the select loop, which steps it in
-   bursts between socket turns; the write-ahead log and the
-   replication transform are single-shard features. *)
+   bursts between socket turns; the write-ahead log is a single-shard
+   feature. *)
 type single = {
   eng : Engine.t;
   burst : int;  (* max engine steps per loop turn *)
-  replicated : bool;
-  mutable logical_rev : Program.t list;  (* replication: forest so far *)
   mutable wal : wal_file option;
   mutable session : Wal.Session.t option;  (* logging; None while recovering *)
   mutable recovery : recovery option;
@@ -135,6 +133,8 @@ type server = {
   arm : arm;
   backend : Check.backend;
   objects : (Obj_id.t * Datatype.t) list;  (* logical (advertised) table *)
+  replicated : bool;
+  mutable logical_rev : Program.t list;  (* replication: forest so far *)
   conns : (Unix.file_descr, conn) Hashtbl.t;
   metrics : Metrics.t;
   hub : Telemetry.Hub.t;
@@ -433,9 +433,9 @@ let close_conn srv conn =
    forest (version assignment is prefix-stable, so already-submitted
    programs keep their physical form) and submit the new program's
    physical image. *)
-let physical_of srv s prog =
-  s.logical_rev <- prog :: s.logical_rev;
-  let forest = List.rev s.logical_rev in
+let physical_of srv prog =
+  srv.logical_rev <- prog :: srv.logical_rev;
+  let forest = List.rev srv.logical_rev in
   match
     Replication.replicate Check.replication_config
       ~objects:(List.map fst srv.objects) forest
@@ -445,14 +445,14 @@ let physical_of srv s prog =
       | p :: _ -> Ok p
       | [] -> Error "empty physical forest")
   | exception Invalid_argument e ->
-      s.logical_rev <- List.tl s.logical_rev;
+      srv.logical_rev <- List.tl srv.logical_rev;
       Error e
 
 (* The validate stage: parse, plus the replication transform. *)
 let validate srv program =
-  match (Program_io.parse_program_text program, srv.arm) with
-  | Ok prog, Single s when s.replicated -> physical_of srv s prog
-  | parsed, _ -> parsed
+  match Program_io.parse_program_text program with
+  | Ok prog when srv.replicated -> physical_of srv prog
+  | parsed -> parsed
 
 (* The admit stage: hand the program to the engine (or the router),
    logging it before it is acknowledged when the log is on. *)
@@ -1144,39 +1144,29 @@ let refuse fmt =
       exit 2)
     fmt
 
-(* The single engine: the backend's engine over the (for replication,
-   physical) object table, with its completion hook tied to the server
+(* The table the engines run: the replicas, for replication. *)
+let physical_objects backend objects =
+  if backend <> Check.Replication then objects
+  else
+    let plan =
+      Replication.replicate Check.replication_config
+        ~objects:(List.map fst objects) []
+    in
+    let schema = plan.Replication.physical_schema in
+    List.map (fun x -> (x, schema.Schema.dtype_of x)) schema.Schema.objects
+
+(* The single engine, with its completion hook tied to the server
    record through [post_complete]. *)
 let single_arm ~policy ~max_steps ~admission ~seed ~burst ~t0 ~obs
     ~post_complete backend objects =
-  let replicated = backend = Check.Replication in
-  let engine_objects =
-    if not replicated then objects
-    else begin
-      let plan =
-        Replication.replicate Check.replication_config
-          ~objects:(List.map fst objects) []
-      in
-      let schema = plan.Replication.physical_schema in
-      List.map (fun x -> (x, schema.Schema.dtype_of x)) schema.Schema.objects
-    end
-  in
   let eng =
     Engine.create ~policy ~max_steps ~obs ~admission
       ~on_top_complete:(fun u o -> !post_complete u o)
       ~clock:(fun () -> Unix.gettimeofday () -. t0)
-      ~seed engine_objects
+      ~seed objects
       (Check.factory_of backend)
   in
-  {
-    eng;
-    burst;
-    replicated;
-    logical_rev = [];
-    wal = None;
-    session = None;
-    recovery = None;
-  }
+  { eng; burst; wal = None; session = None; recovery = None }
 
 let sharded_arm ~policy ~max_steps ~admission ~seed ~obs_for ~shards backend
     objects =
@@ -1206,19 +1196,12 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
     | None -> refuse "unknown backend %s" backend_name
   in
   if shards < 1 then refuse "--shards must be at least 1";
-  (* The sharded service has no per-shard log yet (ROADMAP), and the
-     replication transform re-derives the whole physical forest per
-     submission — both are single-shard features; refuse loudly rather
-     than silently degrade. *)
+  (* The sharded service has no per-shard log yet (ROADMAP); refuse
+     loudly rather than silently degrade. *)
   if shards > 1 && wal <> None then
     refuse
       "--wal requires a single shard (per-shard logging is not \
        implemented; drop --shards or --wal)";
-  if shards > 1 && backend = Check.Replication then
-    refuse
-      "the replication backend is single-shard only (its \
-       logical-to-physical transform re-derives the whole forest per \
-       submission)";
   (* The log records physically transformed programs, but the
      replication transform re-derives the whole physical forest from
      the logical one — replay would not rebuild that state.  Scope
@@ -1227,6 +1210,9 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
     refuse "--wal does not support the replication backend";
   let table = if Check.rw_only backend then T_rw else table in
   let objects = build_objects table n_objects in
+  (* Replicas are co-sharded by the default partition key, so a
+     logical access's quorum subtree stays on one shard. *)
+  let engine_objects = physical_objects backend objects in
   let metrics = Metrics.create () in
   let hub = Telemetry.Hub.create ~interval_s:telemetry_interval metrics in
   let t0 = Unix.gettimeofday () in
@@ -1238,13 +1224,13 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
       let obs, finish_obs = setup_obs metrics obs_format obs_out in
       ( Single
           (single_arm ~policy ~max_steps ~admission ~seed ~burst ~t0 ~obs
-             ~post_complete backend objects),
+             ~post_complete backend engine_objects),
         finish_obs )
     else
       let obs_for, finish_obs = setup_shard_obs obs_format obs_out in
       ( Sharded
           (sharded_arm ~policy ~max_steps ~admission ~seed ~obs_for ~shards
-             backend objects),
+             backend engine_objects),
         finish_obs )
   in
   let audit = Option.map Telemetry.Audit.open_file audit_log in
@@ -1259,6 +1245,8 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
       arm;
       backend;
       objects;
+      replicated = backend = Check.Replication;
+      logical_rev = [];
       conns = Hashtbl.create 16;
       metrics;
       hub;

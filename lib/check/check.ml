@@ -404,7 +404,13 @@ let verdict backend ~plan ~quorums_completed schema
 let replication_config =
   { Nt_replication.Replication.n_replicas = 3; read_quorum = 2; write_quorum = 2 }
 
-let run_scenario ?(obs = Obs.null) ?(max_steps = 200_000) backend sc =
+(* The physical configuration a backend runs: [Replication]
+   replicates the whole logical forest up front (version numbers are
+   globally generation-ordered across the forest), then runs the
+   physical programs — served one at a time, submission order
+   preserves forest positions, so the plan's [logical_of] maps the
+   served trace back exactly. *)
+let physical backend sc =
   match backend with
   | Replication ->
       let plan =
@@ -412,37 +418,30 @@ let run_scenario ?(obs = Obs.null) ?(max_steps = 200_000) backend sc =
           ~objects:(List.map fst sc.objects) sc.forest
       in
       let schema = plan.Nt_replication.Replication.physical_schema in
-      let forest = plan.Nt_replication.Replication.physical_forest in
-      let r =
-        Runtime.run ~policy:sc.policy ~inform_policy:sc.inform_policy
-          ~abort_prob:sc.abort_prob ~max_steps ~obs ~seed:sc.sched_seed schema
-          (factory_of backend) forest
+      let objects =
+        List.map (fun x -> (x, schema.Schema.dtype_of x)) schema.Schema.objects
       in
-      {
-        trace = r.Runtime.trace;
-        truncated = r.Runtime.stats.truncated;
-        failure =
-          verdict Replication ~plan:(Some plan)
-            ~quorums_completed:
-              (r.Runtime.stats.deadlock_aborts = 0
-              && r.Runtime.stats.injected_aborts = 0)
-            schema r forest;
-      }
-  | _ ->
-      let schema = schema_of_scenario sc in
-      let r =
-        Runtime.run ~policy:sc.policy ~inform_policy:sc.inform_policy
-          ~abort_prob:sc.abort_prob ~max_steps ~obs ~seed:sc.sched_seed schema
-          (factory_of backend) sc.forest
-      in
-      if r.Runtime.stats.truncated then
-        { trace = r.Runtime.trace; truncated = true; failure = None }
-      else
-        {
-          trace = r.Runtime.trace;
-          truncated = false;
-          failure = judge backend schema r sc.forest;
-        }
+      (objects, plan.Nt_replication.Replication.physical_forest, Some plan)
+  | _ -> (sc.objects, sc.forest, None)
+
+let run_scenario ?(obs = Obs.null) ?(max_steps = 200_000) backend sc =
+  let objects, forest, plan = physical backend sc in
+  let schema = Program.schema_of ~objects forest in
+  let r =
+    Runtime.run ~policy:sc.policy ~inform_policy:sc.inform_policy
+      ~abort_prob:sc.abort_prob ~max_steps ~obs ~seed:sc.sched_seed schema
+      (factory_of backend) forest
+  in
+  {
+    trace = r.Runtime.trace;
+    truncated = r.Runtime.stats.truncated;
+    failure =
+      verdict backend ~plan
+        ~quorums_completed:
+          (r.Runtime.stats.deadlock_aborts = 0
+          && r.Runtime.stats.injected_aborts = 0)
+        schema r forest;
+  }
 
 (* ----- in-process serving harness ----- *)
 
@@ -460,30 +459,85 @@ type serve_report = {
   s_failure : failure option;
 }
 
-(* The physical configuration a backend serves: [Replication]
-   replicates the whole logical forest up front (version numbers are
-   globally generation-ordered across the forest), then serves the
-   physical programs one at a time — submission order preserves forest
-   positions, so the plan's [logical_of] maps the served trace back
-   exactly. *)
-let physical backend sc =
-  match backend with
-  | Replication ->
-      let plan =
-        Nt_replication.Replication.replicate replication_config
-          ~objects:(List.map fst sc.objects) sc.forest
-      in
-      let schema = plan.Nt_replication.Replication.physical_schema in
-      let objects =
-        List.map (fun x -> (x, schema.Schema.dtype_of x)) schema.Schema.objects
-      in
-      (objects, plan.Nt_replication.Replication.physical_forest, Some plan)
-  | _ -> (sc.objects, sc.forest, None)
+(* The open-loop schedule both serving harnesses run: submit the next
+   program when the target went quiescent, or with probability 1/3;
+   arm a 1-8 step disconnect countdown with probability [drop_prob];
+   kill when a countdown expires; step; stop on truncation, or once
+   every program is in and the target is idle.  [kill] says whether
+   the disconnect orphaned anything; the number that did is returned.
+   [tick] runs after each step's kills.  One [Rng] drives every draw,
+   in this order, so the seed fixes the run. *)
+let drive ~seed ~drop_prob ~submit ~step ~kill ~truncated ~idle
+    ?(tick = ignore) progs =
+  let rng = Rng.create seed in
+  let pending = ref progs in
+  let drops = ref [] in
+  let dropped = ref 0 in
+  let rec loop last =
+    (match !pending with
+    | prog :: rest when last = `Quiescent || Rng.int rng 3 = 0 ->
+        pending := rest;
+        let h = submit prog in
+        if drop_prob > 0.0 && Rng.float rng 1.0 < drop_prob then
+          drops := (h, ref (1 + Rng.int rng 8)) :: !drops
+    | _ -> ());
+    let last = step rng in
+    drops :=
+      List.filter
+        (fun (h, left) ->
+          decr left;
+          !left > 0 || (if kill h then incr dropped; false))
+        !drops;
+    tick ();
+    if not (truncated last || (!pending = [] && idle last)) then loop last
+  in
+  loop `Progress;
+  !dropped
+
+let rejected harness = function
+  | Ok h -> h
+  | Error e ->
+      invalid_arg ("Check." ^ harness ^ ": generated program rejected: " ^ e)
+
+(* The report over a finished run of [engines]: counters summed across
+   them, the verdict claiming one-copy only when no abort can have cut
+   a quorum short and [whole] holds. *)
+let served backend ~plan ~whole ~submitted ~dropped engines (r, forest, schema)
+    =
+  let sum f = List.fold_left (fun acc e -> acc + f e) 0 engines in
+  let orphans = sum Nt_net.Engine.orphan_aborts in
+  let vetoed = sum Nt_net.Engine.vetoed in
+  {
+    s_trace = r.Runtime.trace;
+    s_submitted = submitted;
+    s_committed = r.Runtime.committed_top;
+    s_aborted = r.Runtime.aborted_top;
+    s_vetoed = vetoed;
+    s_dropped = dropped;
+    s_orphans = orphans;
+    s_alarms = sum Nt_net.Engine.alarms;
+    s_cycle_alarms = sum Nt_net.Engine.cycle_alarms;
+    s_truncated = r.Runtime.stats.truncated;
+    s_failure =
+      verdict backend ~plan
+        ~quorums_completed:
+          (whole
+          && r.Runtime.stats.deadlock_aborts = 0
+          && r.Runtime.stats.injected_aborts = 0
+          && orphans = 0 && vetoed = 0)
+        schema r forest;
+  }
 
 let meta_of backend sc objects =
   Nt_net.Wal.meta ~seed:sc.sched_seed ~backend:(backend_name backend)
     ~policy:sc.policy ~inform_policy:sc.inform_policy ~abort_prob:sc.abort_prob
     objects
+
+(* The one engine a scenario is served (and recovered) on. *)
+let engine_for ?on_top_complete ~max_steps backend sc objects =
+  Nt_net.Engine.create ~policy:sc.policy ~inform_policy:sc.inform_policy
+    ~abort_prob:sc.abort_prob ~max_steps ?on_top_complete ~seed:sc.sched_seed
+    objects (factory_of backend)
 
 type recorded = {
   rc_wal : string;
@@ -493,97 +547,49 @@ type recorded = {
   rc_closure_len : int;
 }
 
-let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
-    ?(admission = true) ?(fsync_batch = 0) ?snapshot_at ~seed backend sc =
-  let factory = factory_of backend in
+let record ?(max_steps = 200_000) ?(drop_prob = 0.0) ?snapshot_at ~seed
+    backend sc =
   let objects, progs, plan = physical backend sc in
   let buf = Buffer.create 4096 in
   let w =
-    Nt_net.Wal.Writer.create ~fsync_batch ~base_seq:0 ~on_sync:ignore
+    Nt_net.Wal.Writer.create ~fsync_batch:0 ~base_seq:0 ~on_sync:ignore
       (Nt_net.Wal.buffer_sink buf)
   in
   (* The outcome hook is installed at engine-creation time, before the
      session exists — hence the forward reference. *)
   let session = ref None in
   let eng =
-    Nt_net.Engine.create ~policy:sc.policy ~inform_policy:sc.inform_policy
-      ~abort_prob:sc.abort_prob ~max_steps ~obs ~admission
+    engine_for ~max_steps backend sc objects
       ~on_top_complete:(fun txn oc ->
         Option.iter (fun s -> Nt_net.Wal.Session.note_outcome s txn oc) !session)
-      ~seed:sc.sched_seed objects factory
   in
-  let s =
-    Nt_net.Wal.Session.create ~meta:(meta_of backend sc objects) eng w
-  in
+  let s = Nt_net.Wal.Session.create ~meta:(meta_of backend sc objects) eng w in
   session := Some s;
-  let rng = Rng.create seed in
-  let pending = ref progs in
   let snapshot = ref None in
-  let drops = ref [] in
-  let dropped = ref 0 in
-  let last = ref `Progress in
-  let continue = ref true in
-  while !continue do
-    (match !pending with
-    | prog :: rest when !last = `Quiescent || Rng.int rng 3 = 0 ->
-        pending := rest;
-        (match Nt_net.Wal.Session.submit s ~client:"check" prog with
-        | Ok txn ->
-            if drop_prob > 0.0 && Rng.float rng 1.0 < drop_prob then
-              drops := (txn, ref (1 + Rng.int rng 8)) :: !drops
-        | Error e ->
-            invalid_arg ("Check.serve: generated program rejected: " ^ e))
-    | _ -> ());
-    last := Nt_net.Engine.step eng;
-    drops :=
-      List.filter
-        (fun (txn, left) ->
-          decr left;
-          if !left <= 0 then begin
-            (match Nt_net.Wal.Session.kill s txn with
-            | `Aborted | `Doomed -> incr dropped
-            | `Already_complete | `Unknown -> ());
-            false
-          end
-          else true)
-        !drops;
-    (match snapshot_at with
-    | Some n when !snapshot = None && Nt_net.Wal.Writer.appended w >= n ->
-        snapshot := Some (Nt_net.Wal.Session.snapshot s)
-    | _ -> ());
-    match !last with
-    | `Truncated -> continue := false
-    | `Quiescent -> if !pending = [] then continue := false
-    | `Progress -> ()
-  done;
+  let dropped =
+    drive ~seed ~drop_prob
+      ~submit:(fun prog ->
+        rejected "record" (Nt_net.Wal.Session.submit s ~client:"check" prog))
+      ~step:(fun _ -> Nt_net.Engine.step eng)
+      ~kill:(fun txn ->
+        match Nt_net.Wal.Session.kill s txn with
+        | `Aborted | `Doomed -> true
+        | `Already_complete | `Unknown -> false)
+      ~truncated:(fun last -> last = `Truncated)
+      ~idle:(fun last -> last = `Quiescent)
+      ~tick:(fun () ->
+        match snapshot_at with
+        | Some n when !snapshot = None && Nt_net.Wal.Writer.appended w >= n ->
+            snapshot := Some (Nt_net.Wal.Session.snapshot s)
+        | _ -> ())
+      progs
+  in
   Nt_net.Wal.Session.flush s;
   let r = Nt_net.Engine.finish eng in
-  let forest = Nt_net.Engine.forest eng in
-  let schema = Nt_net.Engine.schema eng in
-  let truncated = r.Runtime.stats.truncated in
-  let failure =
-    verdict backend ~plan
-      ~quorums_completed:
-        (r.Runtime.stats.deadlock_aborts = 0
-        && r.Runtime.stats.injected_aborts = 0
-        && Nt_net.Engine.orphan_aborts eng = 0
-        && Nt_net.Engine.vetoed eng = 0)
-      schema r forest
-  in
   let report =
-    {
-      s_trace = r.Runtime.trace;
-      s_submitted = Nt_net.Engine.submitted eng;
-      s_committed = r.Runtime.committed_top;
-      s_aborted = r.Runtime.aborted_top;
-      s_vetoed = Nt_net.Engine.vetoed eng;
-      s_dropped = !dropped;
-      s_orphans = Nt_net.Engine.orphan_aborts eng;
-      s_alarms = Nt_net.Engine.alarms eng;
-      s_cycle_alarms = Nt_net.Engine.cycle_alarms eng;
-      s_truncated = truncated;
-      s_failure = failure;
-    }
+    served backend ~plan ~whole:true ~submitted:(Nt_net.Engine.submitted eng)
+      ~dropped [ eng ]
+      (r, Nt_net.Engine.forest eng, Nt_net.Engine.schema eng)
   in
   let image = Buffer.contents buf in
   let offsets =
@@ -599,9 +605,6 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
     rc_closure_len = Nt_net.Wal.Session.closure_length s;
   }
 
-let serve ?obs ?max_steps ?drop_prob ?admission ~seed backend sc =
-  (record ?obs ?max_steps ?drop_prob ?admission ~seed backend sc).rc_report
-
 (* ----- sharded serving harness ----- *)
 
 type sharded_report = {
@@ -616,7 +619,6 @@ type sharded_report = {
 
 let serve_sharded ?(max_steps = 200_000) ?(drop_prob = 0.0) ?(gating = true)
     ~shards ~seed backend sc =
-  let factory = factory_of backend in
   let objects, progs, plan = physical backend sc in
   (* The default partition key strips replica suffixes, so a logical
      object's replicas are co-sharded: quorum writes stay shard-local
@@ -624,90 +626,36 @@ let serve_sharded ?(max_steps = 200_000) ?(drop_prob = 0.0) ?(gating = true)
   let cl =
     Nt_shard.Cluster.create ~policy:sc.policy ~inform_policy:sc.inform_policy
       ~abort_prob:sc.abort_prob ~max_steps ~gating ~shards ~seed:sc.sched_seed
-      objects factory
+      objects (factory_of backend)
   in
   let rt = Nt_shard.Cluster.router cl in
-  let rng = Rng.create seed in
-  let pending = ref progs in
-  let drops = ref [] in
-  let dropped = ref 0 in
-  let last = ref `Progress in
-  let continue = ref true in
-  while !continue do
-    (match !pending with
-    | prog :: rest when !last = `Quiescent || Rng.int rng 3 = 0 ->
-        pending := rest;
-        (match Nt_shard.Cluster.submit cl prog with
-        | Ok g ->
-            if drop_prob > 0.0 && Rng.float rng 1.0 < drop_prob then
-              drops := (g, ref (1 + Rng.int rng 8)) :: !drops
-        | Error e ->
-            invalid_arg
-              ("Check.serve_sharded: generated program rejected: " ^ e))
-    | _ -> ());
-    last := Nt_shard.Cluster.step_shard cl (Rng.int rng shards);
-    drops :=
-      List.filter
-        (fun (g, left) ->
-          decr left;
-          if !left <= 0 then begin
-            Nt_shard.Cluster.kill cl g;
-            incr dropped;
-            false
-          end
-          else true)
-        !drops;
-    if Nt_shard.Cluster.truncated cl then continue := false
-    else if
-      !pending = []
-      && Nt_shard.Cluster.quiescent cl
-      && Nt_shard.Router.pending rt = []
-    then continue := false
-  done;
-  let r, forest, schema = Nt_shard.Cluster.finish cl in
-  let truncated = r.Runtime.stats.truncated in
+  let dropped =
+    drive ~seed ~drop_prob
+      ~submit:(fun prog ->
+        rejected "serve_sharded" (Nt_shard.Cluster.submit cl prog))
+      ~step:(fun rng -> Nt_shard.Cluster.step_shard cl (Rng.int rng shards))
+      ~kill:(fun g ->
+        Nt_shard.Cluster.kill cl g;
+        true)
+      ~truncated:(fun _ -> Nt_shard.Cluster.truncated cl)
+      ~idle:(fun _ ->
+        Nt_shard.Cluster.quiescent cl && Nt_shard.Router.pending rt = [])
+      progs
+  in
+  let finished = Nt_shard.Cluster.finish cl in
   let cross = Nt_shard.Router.cross_count rt in
-  let engine_of s = Nt_shard.Shard_engine.engine (Nt_shard.Cluster.engine cl s) in
-  let sum f =
-    let acc = ref 0 in
-    for s = 0 to shards - 1 do
-      acc := !acc + f (engine_of s)
-    done;
-    !acc
-  in
-  let orphans = sum Nt_net.Engine.orphan_aborts in
-  let alarms = sum Nt_net.Engine.alarms in
-  let cycle_alarms = sum Nt_net.Engine.cycle_alarms in
-  (* One-copy is also only claimed when every replicated program stayed
-     whole on one shard: a split program's merged forest node is a
-     [Par] of pieces, so the plan's position map no longer describes
-     it. *)
-  let failure =
-    verdict backend ~plan
-      ~quorums_completed:
-        (cross = 0
-        && r.Runtime.stats.deadlock_aborts = 0
-        && r.Runtime.stats.injected_aborts = 0
-        && orphans = 0
-        && Nt_shard.Cluster.vetoed cl = 0)
-      schema r forest
-  in
   let sp = Nt_shard.Cluster.spine cl in
   {
+    (* One-copy is also only claimed when every replicated program
+       stayed whole on one shard: a split program's merged forest node
+       is a [Par] of pieces, so the plan's position map no longer
+       describes it. *)
     sh_report =
-      {
-        s_trace = r.Runtime.trace;
-        s_submitted = Nt_shard.Router.submitted rt;
-        s_committed = r.Runtime.committed_top;
-        s_aborted = r.Runtime.aborted_top;
-        s_vetoed = Nt_shard.Cluster.vetoed cl;
-        s_dropped = !dropped;
-        s_orphans = orphans;
-        s_alarms = alarms;
-        s_cycle_alarms = cycle_alarms;
-        s_truncated = truncated;
-        s_failure = failure;
-      };
+      served backend ~plan ~whole:(cross = 0)
+        ~submitted:(Nt_shard.Router.submitted rt) ~dropped
+        (List.init shards (fun s ->
+             Nt_shard.Shard_engine.engine (Nt_shard.Cluster.engine cl s)))
+        finished;
     sh_shards = shards;
     sh_cross = cross;
     sh_local = Nt_shard.Router.local_count rt;
@@ -728,26 +676,6 @@ type crash_report = {
 }
 
 let crash_seed_of sc = sc.sched_seed lxor 0x2C5A11
-
-(* Recover one log image (plus, optionally, a snapshot image) into a
-   fresh engine through the server's own recovery plan, replaying in
-   small turns so long [Steps] runs are split mid-way as a server
-   splits them.  Returns the replayed engine and its plan. *)
-let recover ?(max_steps = 200_000) ~meta ~counts backend sc ~snapshot log =
-  match Nt_net.Wal.Recovery.plan ~meta ~log ~snapshot with
-  | Error { Nt_net.Wal.Recovery.why; _ } -> Error why
-  | Ok plan ->
-      let objects, _, _ = physical backend sc in
-      let eng =
-        Nt_net.Engine.create ~policy:sc.policy ~inform_policy:sc.inform_policy
-          ~abort_prob:sc.abort_prob ~max_steps ~seed:sc.sched_seed objects
-          (factory_of backend)
-      in
-      Result.map
-        (fun n ->
-          counts := !counts + n;
-          (eng, plan))
-        (Nt_net.Wal.Recovery.run ~burst:7 eng plan)
 
 (* Two recoveries agree when the engines are observationally equal:
    same submission forest, same call count, same counters, same
@@ -784,8 +712,20 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
   let failure = ref None in
   let fail where f = if !failure = None then failure := Some (where, f) in
   let faild where msg = fail where (Durability msg) in
-  let recover ?snapshot img =
-    recover ~max_steps ~meta ~counts:outcomes backend sc ~snapshot img
+  (* Recover one log image (plus, optionally, a snapshot image) into a
+     fresh engine through the server's own recovery plan, replaying in
+     small turns so long [Steps] runs are split mid-way as a server
+     splits them. *)
+  let recover ?snapshot log =
+    match Nt_net.Wal.Recovery.plan ~meta ~log ~snapshot with
+    | Error { Nt_net.Wal.Recovery.why; _ } -> Error why
+    | Ok plan ->
+        let eng = engine_for ~max_steps backend sc objects in
+        Result.map
+          (fun n ->
+            outcomes := !outcomes + n;
+            (eng, plan))
+          (Nt_net.Wal.Recovery.run ~burst:7 eng plan)
   in
   (* Judge a recovered engine as a complete run: resume (drain to
      quiescence — the remaining pre-crash submissions never arrive)
@@ -979,11 +919,16 @@ type report = {
   failures : (int * scenario * failure) list;
 }
 
-let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
-    ?(stop_at_first = true) backend ~seed ~runs =
+(* The campaign loop: [runs] scenarios split off one master [Rng], each
+   judged by [subject]; counters go under [prefix] ([check] or
+   [check.crash]). *)
+let sweep ~obs ~prefix ?grammar ?shape ~stop_at_first ~subject backend ~seed
+    ~runs =
   let master = Rng.create seed in
+  let metric name = prefix ^ "." ^ name in
   let bump name =
-    if Obs.enabled obs then Metrics.incr (Metrics.counter (Obs.metrics obs) name)
+    if Obs.enabled obs then
+      Metrics.incr (Metrics.counter (Obs.metrics obs) (metric name))
   in
   let passed = ref 0 and truncations = ref 0 and failures = ref [] in
   let executed = ref 0 in
@@ -992,17 +937,17 @@ let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
        let rng = Rng.split master in
        let sc = gen_scenario ?grammar ?shape backend rng in
        incr executed;
-       bump "check.runs";
-       let o = run_scenario ~obs ?max_steps backend sc in
+       bump "runs";
+       let o = subject sc in
        if o.truncated then incr truncations;
        match o.failure with
        | None ->
            incr passed;
-           bump "check.pass"
+           bump "pass"
        | Some f ->
-           bump "check.fail";
-           bump ("check.fail." ^ failure_tag f);
-           Obs.instant obs ("check.fail." ^ failure_tag f);
+           bump "fail";
+           bump ("fail." ^ failure_tag f);
+           Obs.instant obs (metric ("fail." ^ failure_tag f));
            failures := (i, sc, f) :: !failures;
            if stop_at_first then raise Exit
      done
@@ -1011,12 +956,12 @@ let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
      campaign totals, not just the in-process registry. *)
   if Obs.enabled obs then begin
     let sample name =
-      Obs.counter_sample obs name
-        (Metrics.counter_value (Metrics.counter (Obs.metrics obs) name))
+      Obs.counter_sample obs (metric name)
+        (Metrics.counter_value (Metrics.counter (Obs.metrics obs) (metric name)))
     in
-    sample "check.runs";
-    sample "check.pass";
-    if !failures <> [] then sample "check.fail"
+    sample "runs";
+    sample "pass";
+    if !failures <> [] then sample "fail"
   end;
   {
     runs = !executed;
@@ -1025,38 +970,15 @@ let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
     failures = List.rev !failures;
   }
 
+let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
+    ?(stop_at_first = true) backend ~seed ~runs =
+  sweep ~obs ~prefix:"check" ?grammar ?shape ~stop_at_first
+    ~subject:(run_scenario ~obs ?max_steps backend)
+    backend ~seed ~runs
+
 let crash_campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape ?drop_prob
     ?(snapshot_at = 8) ?(stop_at_first = true) backend ~seed ~runs =
-  let master = Rng.create seed in
-  let bump name =
-    if Obs.enabled obs then Metrics.incr (Metrics.counter (Obs.metrics obs) name)
-  in
-  let passed = ref 0 and truncations = ref 0 and failures = ref [] in
-  let executed = ref 0 in
-  (try
-     for i = 0 to runs - 1 do
-       let rng = Rng.split master in
-       let sc = gen_scenario ?grammar ?shape backend rng in
-       incr executed;
-       bump "check.crash.runs";
-       let rep = crash ?max_steps ?drop_prob ~snapshot_at backend sc in
-       let o = crash_outcome rep in
-       if o.truncated then incr truncations;
-       match o.failure with
-       | None ->
-           incr passed;
-           bump "check.crash.pass"
-       | Some f ->
-           bump "check.crash.fail";
-           bump ("check.crash.fail." ^ failure_tag f);
-           Obs.instant obs ("check.crash.fail." ^ failure_tag f);
-           failures := (i, sc, f) :: !failures;
-           if stop_at_first then raise Exit
-     done
-   with Exit -> ());
-  {
-    runs = !executed;
-    passed = !passed;
-    truncations = !truncations;
-    failures = List.rev !failures;
-  }
+  sweep ~obs ~prefix:"check.crash" ?grammar ?shape ~stop_at_first
+    ~subject:(fun sc ->
+      crash_outcome (crash ?max_steps ?drop_prob ~snapshot_at backend sc))
+    backend ~seed ~runs

@@ -197,7 +197,17 @@ val run_scenario :
     controller gates commits online.  The final trace is judged by the
     same four oracles — served executions are still generic-system
     behaviors, so everything proved about [run_scenario] outcomes
-    applies. *)
+    applies.
+
+    {!record} serves one engine behind a write-ahead log and
+    {!serve_sharded} a shard ensemble; one schedule drives both.
+    [seed] fixes the arrival interleaving and the disconnect injection
+    ([drop_prob], default [0.] — per-submission probability of a
+    mid-flight disconnect); the scenario's [sched_seed] drives the
+    runtime exactly as in {!run_scenario}.  Same arguments, same
+    result.  [Replication] scenarios are physically transformed up
+    front and served as physical programs (judged as [Undo], plus
+    one-copy when no abort interfered). *)
 
 type serve_report = {
   s_trace : Trace.t;
@@ -215,43 +225,41 @@ type serve_report = {
   s_failure : failure option;
 }
 
-val serve :
-  ?obs:Nt_obs.Obs.t ->
+type recorded = {
+  rc_wal : string;  (** The complete log image (header included). *)
+  rc_offsets : int list;  (** Frame offset of every record. *)
+  rc_snapshot : string option;
+      (** Encoded snapshot, when [snapshot_at] fired mid-run. *)
+  rc_report : serve_report;
+  rc_closure_len : int;
+      (** Final length of the incrementally-maintained in-memory
+          replay closure ({!Nt_net.Wal.Closure}) — bounded by
+          [2 * (submits + kills) + 1] however long the run, which is
+          what keeps a live server's between-snapshot memory flat. *)
+}
+
+val record :
   ?max_steps:int ->
   ?drop_prob:float ->
-  ?admission:bool ->
+  ?snapshot_at:int ->
   seed:int ->
   backend ->
   scenario ->
-  serve_report
-(** Serve the scenario's forest through an {!Nt_net.Engine} under the
-    given backend.  [seed] drives the arrival interleaving and the
-    disconnect injection ([drop_prob], default [0.] — per-submission
-    probability of a mid-flight disconnect); the scenario's own
-    [sched_seed] drives the runtime exactly as in {!run_scenario}.
-    Deterministic: same arguments, same report.  [Replication]
-    scenarios are physically transformed up front and served as
-    physical programs (judged as [Undo], plus one-copy when no abort
-    interfered — mirroring {!run_scenario}). *)
-
-(** {1 Sharded serving}
-
-    The same oracles pointed at the multicore ensemble: the scenario's
-    forest streams into a {!Nt_shard.Cluster} — one {!Nt_net.Engine}
-    per shard behind a {!Nt_shard.Router}, cross-shard commits gated by
-    the {!Nt_shard.Spine} — stepped deterministically, one shard at a
-    time, by a single splittable [Rng].  The merged history (stamp-
-    sorted union of the shards' traces plus the router's synthetic
-    cross-program nodes) is judged offline by the same four oracles,
-    which is the differential claim of [doc/sharding.mld]: for the
-    verified backends the sharded gate must fail exactly when the
-    single-shard gate does, at failure-tag granularity. *)
+  recorded
+(** Serve the scenario through one admission-gated {!Nt_net.Engine},
+    logging through the server's own {!Nt_net.Wal.Session} into memory
+    (unsynced: a buffer sink has nothing to make durable) — every
+    submission, orphan kill and coalesced step count, with the
+    commit-gate outcome of every completed top-level transaction
+    appended {e after} the step record that produced it, so each
+    intact log prefix reproduces exactly the state its audit records
+    claim.  [snapshot_at] takes one snapshot once that many records
+    have been appended. *)
 
 type sharded_report = {
   sh_report : serve_report;
-      (** Exactly {!serve}'s shape, for the merged run: summed alarms
-          and orphan counts, merged top-level commit/abort counts, and
-          the merged trace. *)
+      (** The merged run: summed alarms and orphan counts, merged
+          top-level commit/abort counts, and the merged trace. *)
   sh_shards : int;
   sh_cross : int;  (** Submissions split across shards. *)
   sh_local : int;  (** Submissions dispatched whole to one shard. *)
@@ -269,12 +277,16 @@ val serve_sharded :
   backend ->
   scenario ->
   sharded_report
-(** Serve the scenario's forest through a [shards]-way
-    {!Nt_shard.Cluster}.  [seed] drives arrivals, shard-step
-    interleaving and disconnect injection; the scenario's [sched_seed]
-    seeds the shard engines (shard [s] on [sched_seed + s * 1000003]).
-    Deterministic: same arguments, same report.  [Replication]
-    scenarios are physically transformed up front with replicas
+(** Serve the scenario through a [shards]-way {!Nt_shard.Cluster} —
+    one {!Nt_net.Engine} per shard behind a {!Nt_shard.Router},
+    cross-shard commits gated by the {!Nt_shard.Spine} — stepping one
+    shard at a time, chosen by the [seed]'s generator; shard [s]'s
+    engine runs on [sched_seed + s * 1000003].  The merged history
+    (stamp-sorted union of the shards' traces plus the router's
+    synthetic cross-program nodes) is judged offline, which is the
+    differential claim of [doc/sharding.mld]: for the verified
+    backends the sharded gate must fail exactly when the single-engine
+    gate does, at failure-tag granularity.  [Replication] replicas are
     co-sharded by the default partition key; the one-copy oracle runs
     only when every replicated program stayed single-shard (a split
     program's merged node is a [Par] of pieces, outside the plan's
@@ -282,51 +294,14 @@ val serve_sharded :
     cross-shard commit gates — the negative-control configuration whose
     admitted cross-shard cycles the SG oracle must catch. *)
 
-(** {1 Durability: recorded serves and crash injection}
+(** {1 Durability: crash injection}
 
-    {!record} is {!serve} with a write-ahead log attached: the same
-    loop, the same report, plus a complete {!Nt_net.Wal} image of the
-    run, written through the server's own {!Nt_net.Wal.Session} —
-    every submission, orphan kill and coalesced step count, with the
-    commit-gate outcome of every completed top-level transaction
-    appended {e after} the step record that produced it, so each
-    intact log prefix reproduces exactly the state its audit records
-    claim.  {!crash} then simulates a [kill -9] at every log boundary
-    (plus torn and bit-flipped variants) and proves each recovery
+    {!crash} simulates a [kill -9] at every boundary of a {!record}ed
+    log (plus torn and bit-flipped variants) and proves each recovery
     through the server's own {!Nt_net.Wal.Recovery}: the plan
     diagnoses the damage, the intact prefix replays in small turns,
     every audited outcome is reproduced, and the resumed run still
     passes all four oracles. *)
-
-type recorded = {
-  rc_wal : string;  (** The complete log image (header included). *)
-  rc_offsets : int list;  (** Frame offset of every record. *)
-  rc_snapshot : string option;
-      (** Encoded snapshot, when [snapshot_at] fired mid-run. *)
-  rc_report : serve_report;  (** Exactly {!serve}'s report. *)
-  rc_closure_len : int;
-      (** Final length of the incrementally-maintained in-memory
-          replay closure ({!Nt_net.Wal.Closure}) — bounded by
-          [2 * (submits + kills) + 1] however long the run, which is
-          what keeps a live server's between-snapshot memory flat. *)
-}
-
-val record :
-  ?obs:Nt_obs.Obs.t ->
-  ?max_steps:int ->
-  ?drop_prob:float ->
-  ?admission:bool ->
-  ?fsync_batch:int ->
-  ?snapshot_at:int ->
-  seed:int ->
-  backend ->
-  scenario ->
-  recorded
-(** {!serve} while writing the WAL (into memory; [fsync_batch]
-    defaults to [0] — no syncing — since a buffer sink has nothing to
-    make durable).  [snapshot_at] takes one snapshot once that many
-    records have been appended.  Deterministic, and [rc_report] is
-    byte-for-byte the {!serve} report for the same arguments. *)
 
 type crash_report = {
   c_boundaries : int;  (** Record boundaries in the log. *)

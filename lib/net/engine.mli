@@ -13,7 +13,7 @@
     {!Nt_serial.Program.schema_of} classifies a fixed forest.  The
     engine applies no replication transform: callers serving
     replicated objects submit physically transformed programs (see
-    [Nt_check.Check.serve]). *)
+    [Nt_check.Check.record]). *)
 
 open Nt_base
 open Nt_spec

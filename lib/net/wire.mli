@@ -27,7 +27,7 @@
 
     The codec is symmetric — both directions are exposed so the server,
     the clients ([ntload], [nttop]) and the in-process harness
-    ([Nt_check.Check.serve]) share one definition. *)
+    ([Nt_check.Check.record]) share one definition. *)
 
 open Nt_base
 open Nt_obs

@@ -102,32 +102,31 @@ type hstats = {
 (* Quantile as the upper bound (2^i - 1, i.e. the largest value the
    bucket can hold) of the bucket where the cumulative count crosses
    the rank, clamped to the observed max. *)
-let quantile h q =
-  if h.h_count = 0 then 0
+let quantile buckets ~count ~max:vmax q =
+  if count = 0 then 0
   else begin
-    let rank =
-      Stdlib.max 1 (int_of_float (ceil (q *. float_of_int h.h_count)))
-    in
+    let rank = Stdlib.max 1 (int_of_float (ceil (q *. float_of_int count))) in
     let rec go i acc =
-      if i >= n_buckets then h.h_max
+      if i >= Array.length buckets then vmax
       else
-        let acc = acc + h.buckets.(i) in
+        let acc = acc + buckets.(i) in
         if acc >= rank then
-          if i = 0 then 0 else Stdlib.min h.h_max ((1 lsl i) - 1)
+          if i = 0 then 0 else Stdlib.min vmax ((1 lsl i) - 1)
         else go (i + 1) acc
     in
     go 0 0
   end
 
 let histogram_stats h =
+  let quantile = quantile h.buckets ~count:h.h_count ~max:h.h_max in
   {
     count = h.h_count;
     sum = h.h_sum;
     min = h.h_min;
     max = h.h_max;
-    p50 = quantile h 0.5;
-    p99 = quantile h 0.99;
-    p999 = quantile h 0.999;
+    p50 = quantile 0.5;
+    p99 = quantile 0.99;
+    p999 = quantile 0.999;
   }
 
 let histogram_buckets h =

@@ -70,6 +70,15 @@ val histogram_buckets : histogram -> (int * int) list
     bucket [i > 0] holds [2^(i-1) <= v < 2^i].  The raw shape behind
     {!histogram_stats}, exported so artifacts survive re-bucketing. *)
 
+val bucket_of : int -> int
+(** The bucket an observation lands in: [0] for [v <= 0], else
+    [1 + floor (log2 v)], capped at the last bucket. *)
+
+val quantile : int array -> count:int -> max:int -> float -> int
+(** [quantile buckets ~count ~max q] over per-bucket counts (index as
+    {!bucket_of}): the convention of {!histogram_stats}, for bucket
+    arrays merged elsewhere (windows, wire frames). *)
+
 val bucket_lower : int -> int
 (** Smallest value bucket [i] can hold ([0] for bucket 0). *)
 

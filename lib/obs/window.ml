@@ -3,13 +3,7 @@
    head slot, and [tick] rotates the ring by zeroing the slot it is
    about to reuse — no allocation after registration. *)
 
-let n_buckets = 64
-
-let bucket_of v =
-  if v <= 0 then 0
-  else
-    let rec go i v = if v = 0 then i else go (i + 1) (v lsr 1) in
-    min (n_buckets - 1) (go 0 v)
+let n_buckets = 64  (* Metrics.bucket_of's range *)
 
 type t = {
   slots : int;
@@ -78,7 +72,7 @@ let incr ?(by = 1) c = c.cells.(c.win.head) <- c.cells.(c.win.head) + by
 let observe h v =
   let v = max 0 v in
   let s = h.hwin.head in
-  let i = bucket_of v in
+  let i = Metrics.bucket_of v in
   h.rows.((s * n_buckets) + i) <- h.rows.((s * n_buckets) + i) + 1;
   if h.counts.(s) = 0 then begin
     h.mins.(s) <- v;
@@ -127,24 +121,6 @@ let empty_view =
   { count = 0; sum = 0; min = 0; max = 0; p50 = 0; p99 = 0; p999 = 0;
     buckets = [] }
 
-(* Same convention as [Metrics.quantile]: the upper bound of the
-   bucket where the cumulative count crosses the rank, clamped to the
-   exact observed max. *)
-let quantile merged ~count ~vmax q =
-  if count = 0 then 0
-  else begin
-    let rank = Stdlib.max 1 (int_of_float (ceil (q *. float_of_int count))) in
-    let rec go i acc =
-      if i >= n_buckets then vmax
-      else
-        let acc = acc + merged.(i) in
-        if acc >= rank then
-          if i = 0 then 0 else Stdlib.min vmax ((1 lsl i) - 1)
-        else go (i + 1) acc
-    in
-    go 0 0
-  end
-
 let view_of_slots h slot_list =
   let merged = Array.make n_buckets 0 in
   let count = ref 0 and sum = ref 0 in
@@ -172,9 +148,9 @@ let view_of_slots h slot_list =
       sum = !sum;
       min = !vmin;
       max = !vmax;
-      p50 = quantile merged ~count:!count ~vmax:!vmax 0.5;
-      p99 = quantile merged ~count:!count ~vmax:!vmax 0.99;
-      p999 = quantile merged ~count:!count ~vmax:!vmax 0.999;
+      p50 = Metrics.quantile merged ~count:!count ~max:!vmax 0.5;
+      p99 = Metrics.quantile merged ~count:!count ~max:!vmax 0.99;
+      p999 = Metrics.quantile merged ~count:!count ~max:!vmax 0.999;
       buckets = !buckets;
     }
   end

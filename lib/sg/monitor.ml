@@ -552,7 +552,9 @@ type prospective = (Txn_id.t * Txn_id.t * provenance) list
    (a [Request_commit] of an uncommitted access is always deferred as
    an item; a [Request_create] precedes-edge points at a brand-new
    node with no outgoing edges), so only commits can close a cycle and
-   gating them on this edge set is a complete admission test. *)
+   gating them on this edge set is a complete admission test.  Edges
+   the graph already holds are kept: feeding skips them, but a sharded
+   gate must still see a local edge its spine does not order. *)
 let prospective_commit_edges t w =
   let dependents =
     match Txn_id.Tbl.find_opt t.waiters w with Some l -> l | None -> []
@@ -569,11 +571,7 @@ let prospective_commit_edges t w =
   let seen = Hashtbl.create 16 in
   let out = ref [] in
   let candidate a b prov =
-    if
-      (not (Txn_id.equal a b))
-      && (not (Graph.mem_edge t.g a b))
-      && not (Hashtbl.mem seen (a, b))
-    then begin
+    if (not (Txn_id.equal a b)) && not (Hashtbl.mem seen (a, b)) then begin
       Hashtbl.add seen (a, b) ();
       out := (a, b, prov) :: !out
     end
@@ -626,7 +624,11 @@ let prospective_commit_edges t w =
 let commit_would_cycle t w =
   if t.batch <> None then
     invalid_arg "Monitor.commit_would_cycle: mid-batch speculation";
-  match prospective_commit_edges t w with
+  match
+    List.filter
+      (fun (a, b, _) -> not (Graph.mem_edge t.g a b))
+      (prospective_commit_edges t w)
+  with
   | [] -> None
   | edges -> (
       match

@@ -152,11 +152,13 @@ type prospective = (Txn_id.t * Txn_id.t * provenance) list
     would be recorded under. *)
 
 val prospective_commit_edges : t -> Txn_id.t -> prospective
-(** The edges [feed t (Commit w)] would insert, with the provenance
-    each would be recorded under — the visibility wakeups the commit
-    triggers, simulated without mutating the monitor.  This is the
+(** The edges the visibility wakeups of [feed t (Commit w)] witness,
+    with the provenance each would be recorded under, simulated
+    without mutating the monitor.  Edges the graph already holds are
+    included (the feed would insert only the others): this is the
     dependency set a sharded admission controller ships to the
-    cross-shard gate (see [Nt_shard.Spine]).  Raises
+    cross-shard gate (see [Nt_shard.Spine]), and a locally held edge
+    may be one the spine has not seen.  Raises
     [Invalid_argument] mid-{!feed_batch}, as {!commit_would_cycle}
     does. *)
 

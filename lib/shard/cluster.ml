@@ -101,8 +101,3 @@ let engine t s = t.engines.(s)
 let spine t = t.spine
 let partition t = t.part
 let router t = t.rt
-
-let vetoed t =
-  Array.fold_left
-    (fun acc e -> acc + Nt_net.Engine.vetoed (Shard_engine.engine e))
-    0 t.engines

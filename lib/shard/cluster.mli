@@ -64,6 +64,3 @@ val engine : t -> int -> Shard_engine.t
 val spine : t -> Spine.t
 val partition : t -> Partition.t
 val router : t -> Router.t
-val vetoed : t -> int
-(** Summed local veto counts (spine vetoes included — they are
-    recorded on the owning shard's controller). *)

@@ -131,17 +131,30 @@ let extra_gate t u =
   else
     let eng = the_engine t in
     let adm = Engine.admission eng in
-    let pro = Monitor.prospective_commit_edges (Admission.monitor adm) u in
+    let m = Admission.monitor adm in
+    (* A new edge is always shipped.  An edge the local graph already
+       holds may be a precedes edge from a piece that reported before
+       the other top started here; the spine's rail orders the two
+       merged tops only if the first had reported before the second
+       was requested, so the edge is shipped unless that holds. *)
+    let railed ga gb =
+      match (Spine.complete_seq t.spine ga, Spine.submit_seq t.spine gb) with
+      | Some c, Some s -> c < s
+      | _ -> false
+    in
     let tops =
       List.filter_map
         (fun (a, b, prov) ->
           if Txn_id.depth a = 1 && Txn_id.depth b = 1 then
             match (merged_g t a, merged_g t b) with
-            | Some ga, Some gb when ga <> gb ->
+            | Some ga, Some gb
+              when ga <> gb
+                   && not (Graph.mem_edge (Monitor.graph m) a b && railed ga gb)
+              ->
                 Some (ga, gb, witness_string t prov)
             | _ -> None
           else None)
-        pro
+        (Monitor.prospective_commit_edges m u)
     in
     match tops with
     | [] -> true

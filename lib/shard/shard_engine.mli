@@ -16,7 +16,10 @@
     - {e the second gate} — a top-level commit whose prospective edge
       set ({!Nt_sg.Monitor.prospective_commit_edges}) contains
       top-level edges presents their merged projection to
-      {!Spine.gate} after the local controller admits; a spine veto is
+      {!Spine.gate} after the local controller admits — new edges,
+      and edges the local graph already holds unless the spine's rail
+      orders their merged tops (the rule and its argument are in
+      [doc/sharding.mld]); a spine veto is
       recorded through {!Nt_net.Admission.record_veto}, so clients see
       it exactly like a local veto.  Commits with no top-level
       prospective edges skip the spine — that fast path is exact, not

@@ -5,7 +5,9 @@
     system's SG joins two transactions that touched the same object —
     the same shard — so each shard's local monitor materializes it
     first, and the shard {e ships} its top-level projection here as a
-    [(from, to, witness)] triple at the commit that creates it.  The
+    [(from, to, witness)] triple at the commit that witnesses it —
+    even when the local graph already held the edge, unless the rail
+    below orders its endpoints.  The
     spine never stores precedes edges explicitly: the top-level
     precedes relation is the dense time rail [u -> v iff u reported
     before v was requested], which the global sequence stamps encode

@@ -258,40 +258,42 @@ let sample_kind rng m =
   then Amalgamate
   else Payment
 
-let smallbank ?(mix = smallbank_default) rng p =
-  let n = max 2 p.n_objects in
-  let objs = object_names "acct" n in
-  let dt = Register.make () in
-  let acct () = Rng.zipf rng ~n ~theta:p.theta in
+let smallbank_txn ?(mix = smallbank_default) ~theta rng accounts =
+  let n = Array.length accounts in
+  let acct () = Rng.zipf rng ~n ~theta in
   (* Two distinct Zipf-popular accounts — a "customer"'s checking and
      savings, or the two parties of a payment. *)
   let pair () =
     let a = acct () in
     let b0 = acct () in
-    let b = if b0 = a then (a + 1) mod n else b0 in
-    (List.nth objs a, List.nth objs b)
+    (a, if b0 = a then (a + 1) mod n else b0)
   in
-  let read x = Program.access x Datatype.Read in
-  let write x = Program.access x (Datatype.Write (Value.Int (Rng.int rng 16))) in
-  let gen_txn () =
-    match sample_kind rng mix with
-    | Balance ->
-        let a, b = pair () in
-        Program.par [ read a; read b ]
-    | Deposit ->
-        let a = List.nth objs (acct ()) in
-        Program.seq [ read a; write a ]
-    | Write_check ->
-        let a, b = pair () in
-        Program.seq [ Program.par [ read a; read b ]; write a ]
-    | Amalgamate ->
-        let a, b = pair () in
-        Program.seq [ Program.par [ read a; read b ]; write a; write b ]
-    | Payment ->
-        let a, b = pair () in
-        Program.seq [ read a; write a; read b; write b ]
+  let read i = Program.access accounts.(i) Datatype.Read in
+  let write i =
+    Program.access accounts.(i) (Datatype.Write (Value.Int (Rng.int rng 16)))
   in
-  ( List.init p.n_top (fun _ -> gen_txn ()),
+  match sample_kind rng mix with
+  | Balance ->
+      let a, b = pair () in
+      Program.par [ read a; read b ]
+  | Deposit ->
+      let a = acct () in
+      Program.seq [ read a; write a ]
+  | Write_check ->
+      let a, b = pair () in
+      Program.seq [ Program.par [ read a; read b ]; write a ]
+  | Amalgamate ->
+      let a, b = pair () in
+      Program.seq [ Program.par [ read a; read b ]; write a; write b ]
+  | Payment ->
+      let a, b = pair () in
+      Program.seq [ read a; write a; read b; write b ]
+
+let smallbank ?mix rng p =
+  let objs = object_names "acct" (max 2 p.n_objects) in
+  let accounts = Array.of_list objs in
+  let dt = Register.make () in
+  ( List.init p.n_top (fun _ -> smallbank_txn ?mix ~theta:p.theta rng accounts),
     List.map (fun x -> (x, dt)) objs )
 
 let forest_and_schema gen ~seed p =

@@ -132,6 +132,13 @@ val sample_kind : Rng.t -> smallbank_mix -> smallbank_kind
 (** Draw one transaction kind from the mix (exposed so distribution
     tests can pin the sampler against its nominal weights). *)
 
+val smallbank_txn :
+  ?mix:smallbank_mix -> theta:float -> Rng.t -> Obj_id.t array -> Program.t
+(** One SmallBank transaction over the given accounts, their
+    popularity Zipf-skewed by [theta] (default mix
+    {!smallbank_default}) — the generator {!smallbank} draws its
+    forest from, shared with live load generators. *)
+
 val smallbank :
   ?mix:smallbank_mix ->
   Rng.t ->

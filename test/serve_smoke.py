@@ -1,4 +1,5 @@
-"""End-to-end smoke test of the ntserved binary, at one shard and at two.
+"""End-to-end smoke test of the ntserved binary: undo at one shard and
+at two, and the replication backend at two.
 
 Usage: python3 serve_smoke.py NTSERVED NTLOAD NTWAL
 
@@ -63,59 +64,60 @@ def call(s, req):
     return json.loads(body)
 
 
-def probe(sock_path, tmp, shards):
+def probe(sock_path, mode):
     s = connect(sock_path)
     st = call(s, {"type": "status", "txn": "T0.42"})
     if st.get("state") != "pending":
-        fail("shards=%d: Status of an unissued id answered %r" % (shards, st))
+        fail("%s: Status of an unissued id answered %r" % (mode, st))
     call(s, {"type": "hello", "client": "smoke"})
     acc = call(
         s, {"type": "submit", "req": "smoke-1", "program": "(access r0 read)"})
     if acc.get("type") != "accepted":
-        fail("shards=%d: submit answered %r" % (shards, acc))
+        fail("%s: submit answered %r" % (mode, acc))
     d = call(s, {"type": "dump"})
     if d.get("type") != "dumped":
-        fail("shards=%d: Dump answered %r" % (shards, d))
+        fail("%s: Dump answered %r" % (mode, d))
     with open(d["jsonl"]) as f:
         stages = {json.loads(line).get("stage") for line in f}
     missing = [st for st in LOOP_STAGES if st not in stages]
     if missing:
-        fail("shards=%d: dump lacks stages %s" % (shards, missing))
+        fail("%s: dump lacks stages %s" % (mode, missing))
     s.close()
 
 
-def run_mode(ntserved, ntload, tmp, shards):
-    sock_path = os.path.join(tmp, "nt%d.sock" % shards)
-    flight_dir = os.path.join(tmp, "flight%d" % shards)
+def run_mode(ntserved, ntload, tmp, backend, shards):
+    mode = "%s shards=%d" % (backend, shards)
+    sock_path = os.path.join(tmp, "%s%d.sock" % (backend, shards))
+    flight_dir = os.path.join(tmp, "flight-%s%d" % (backend, shards))
     os.mkdir(flight_dir)
     srv = subprocess.Popen(
-        [ntserved, "--socket", sock_path, "--backend", "undo",
+        [ntserved, "--socket", sock_path, "--backend", backend,
          "--shards", str(shards), "--types", "rw", "--objects", "16",
          "--seed", "11", "--no-gc-trace", "--flight-dir", flight_dir],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
-        probe(sock_path, tmp, shards)
+        probe(sock_path, mode)
         load = subprocess.run(
             [ntload, "--socket", sock_path, "--workload", "smallbank",
              "--clients", "4", "--requests", "25", "--seed", "5",
              "--shutdown", "--json"],
             capture_output=True, text=True, timeout=60)
         if load.returncode != 0:
-            fail("shards=%d: ntload exited %d\n%s%s"
-                 % (shards, load.returncode, load.stdout, load.stderr))
+            fail("%s: ntload exited %d\n%s%s"
+                 % (mode, load.returncode, load.stdout, load.stderr))
         for key in ['"server_alarms":0', '"req_mismatches":0']:
             if key not in load.stdout:
-                fail("shards=%d: ntload JSON lacks %s\n%s"
-                     % (shards, key, load.stdout))
+                fail("%s: ntload JSON lacks %s\n%s"
+                     % (mode, key, load.stdout))
         out, _ = srv.communicate(timeout=30)
     finally:
         if srv.poll() is None:
             srv.kill()
             srv.wait()
     if srv.returncode != 0:
-        fail("shards=%d: ntserved exited %d\n%s" % (shards, srv.returncode, out))
+        fail("%s: ntserved exited %d\n%s" % (mode, srv.returncode, out))
     if "ntserved: served " not in out or "0 monitor alarms" not in out:
-        fail("shards=%d: no clean summary line\n%s" % (shards, out))
+        fail("%s: no clean summary line\n%s" % (mode, out))
 
 
 def durable_round(ntserved, ntload, ntwal, tmp):
@@ -189,8 +191,8 @@ def main():
     ntserved, ntload, ntwal = (os.path.abspath(p) for p in sys.argv[1:4])
     tmp = tempfile.mkdtemp(prefix="ntsmoke")
     try:
-        for shards in (1, 2):
-            run_mode(ntserved, ntload, tmp, shards)
+        for backend, shards in (("undo", 1), ("undo", 2), ("replication", 2)):
+            run_mode(ntserved, ntload, tmp, backend, shards)
         durable_round(ntserved, ntload, ntwal, tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -687,8 +687,9 @@ let t_serve_sweep_correct () =
         let rng = Rng.split master in
         let sc = Check.gen_scenario backend rng in
         let rep =
-          Check.serve ~max_steps:400_000 ~drop_prob:0.1 ~seed:(i * 31)
-            backend sc
+          (Check.record ~max_steps:400_000 ~drop_prob:0.1 ~seed:(i * 31)
+             backend sc)
+            .Check.rc_report
         in
         (match rep.Check.s_failure with
         | None -> ()
@@ -716,8 +717,11 @@ let t_serve_sweep_correct () =
 
 let t_serve_deterministic () =
   let sc = Check.gen_scenario Check.Undo (Rng.create 99) in
-  let r1 = Check.serve ~drop_prob:0.2 ~seed:5 Check.Undo sc in
-  let r2 = Check.serve ~drop_prob:0.2 ~seed:5 Check.Undo sc in
+  let serve () =
+    (Check.record ~drop_prob:0.2 ~seed:5 Check.Undo sc).Check.rc_report
+  in
+  let r1 = serve () in
+  let r2 = serve () in
   check_int "same trace length" (Trace.length r1.Check.s_trace)
     (Trace.length r2.Check.s_trace);
   check_bool "identical traces" true
@@ -738,8 +742,8 @@ let t_serve_gated_broken () =
     let rng = Rng.split master in
     let sc = Check.gen_scenario Check.No_control rng in
     let rep =
-      Check.serve ~max_steps:400_000 ~seed:(i * 17) ~admission:true
-        Check.No_control sc
+      (Check.record ~max_steps:400_000 ~seed:(i * 17) Check.No_control sc)
+        .Check.rc_report
     in
     check_int (Printf.sprintf "run %d: cycle alarms" i) 0 rep.Check.s_cycle_alarms;
     (match rep.Check.s_failure with

