@@ -17,6 +17,49 @@ let run ?(abort_prob = 0.0) ~seed schema factory forest =
 
 let fi = float_of_int
 
+(* CPU milliseconds spent in [f ()], with its result.  Process CPU
+   time ([Sys.time]) ignores other processes' load; entries that need
+   the wall clock (fsync waits, campaigns longer than its ~10 ms tick)
+   read [Unix.gettimeofday] themselves. *)
+let cpu_ms f =
+  let t0 = Sys.time () in
+  let x = f () in
+  (x, (Sys.time () -. t0) *. 1000.0)
+
+(* Interleaved best-of-[n]: a single sample of a ~20ms run swings by
+   10-20% with scheduler and frequency noise, and timing configurations
+   in separate blocks lets that drift masquerade as overhead.
+   Alternating samples and keeping each side's best bounds every run by
+   the same quiet-machine floor.  Each thunk reports its own elapsed ms
+   (on whichever clock suits it), so per-run setup stays untimed. *)
+let best_of n thunks =
+  let best = Array.make (Array.length thunks) infinity in
+  for _ = 1 to n do
+    Array.iteri
+      (fun i k ->
+        let dt = k () in
+        if dt < best.(i) then best.(i) <- dt)
+      thunks
+  done;
+  best
+
+(* The open-loop serving drive e17-e19 time: one engine step per
+   submission ([on_submit] sees each accepted name before its step,
+   [after_step i] runs after the [i]-th program's), then drain to
+   quiescence.  The caller settles with [Engine.finish]. *)
+let serve_open_loop ?(on_submit = ignore) ?(after_step = ignore) eng forest =
+  List.iteri
+    (fun i p ->
+      (match Engine.submit eng p with
+      | Ok txn -> on_submit txn
+      | Error e -> failwith e);
+      ignore (Engine.step eng);
+      after_step i)
+    forest;
+  match Engine.drain eng with
+  | `Quiescent -> ()
+  | _ -> failwith "engine did not quiesce"
+
 (* Every experiment prints its table as it finishes; with [--json FILE]
    the same tables are also collected and dumped as one JSON array at
    exit, so plots and dashboards need not scrape the text output. *)
@@ -218,15 +261,14 @@ let e5 () =
       in
       let r = run ~seed:11 schema Moss_object.factory forest in
       let beta = Trace.serial r.Runtime.trace in
-      let time f =
-        let t0 = Sys.time () in
-        let x = f () in
-        (x, (Sys.time () -. t0) *. 1000.0)
+      let g, t_build =
+        cpu_ms (fun () -> Sg.build Sg.Access_level schema beta)
       in
-      let g, t_build = time (fun () -> Sg.build Sg.Access_level schema beta) in
-      let v, t_verdict = time (fun () -> Checker.check schema r.Runtime.trace) in
+      let v, t_verdict =
+        cpu_ms (fun () -> Checker.check schema r.Runtime.trace)
+      in
       let alarms, t_monitor =
-        time (fun () ->
+        cpu_ms (fun () ->
             let m = Monitor.create schema in
             Monitor.feed_trace m r.Runtime.trace)
       in
@@ -785,20 +827,15 @@ let e16 () =
           { Gen.default with n_top; depth = 2; n_objects = 8 }
       in
       let r = run ~seed:11 schema Moss_object.factory forest in
-      let time f =
-        let t0 = Sys.time () in
-        let x = f () in
-        (x, (Sys.time () -. t0) *. 1000.0)
-      in
       let m, t_monitor =
-        time (fun () ->
+        cpu_ms (fun () ->
             let m = Monitor.create schema in
             ignore (Monitor.feed_trace m r.Runtime.trace);
             m)
       in
       let edges = Graph.edges (Monitor.graph m) in
       let g_inc, t_inc =
-        time (fun () ->
+        cpu_ms (fun () ->
             let g = Graph.create () in
             List.iter
               (fun (a, b) -> ignore (Graph.add_edge_checked g a b))
@@ -806,7 +843,7 @@ let e16 () =
             g)
       in
       let _, t_scratch =
-        time (fun () ->
+        cpu_ms (fun () ->
             let g = Graph.create () in
             List.iter
               (fun (a, b) ->
@@ -844,11 +881,6 @@ let e17 () =
         [ "n_top"; "actions"; "run_ms"; "engine_ms"; "gated_ms"; "vetoes";
           "wire_us" ]
   in
-  let time f =
-    let t0 = Sys.time () in
-    let x = f () in
-    (x, (Sys.time () -. t0) *. 1000.0)
-  in
   let wire_us =
     let submit =
       Wire.Submit
@@ -867,7 +899,7 @@ let e17 () =
     in
     let n = 20_000 in
     let _, ms =
-      time (fun () ->
+      cpu_ms (fun () ->
           for _ = 1 to n do
             let r = Wire.Reader.create () in
             Wire.Reader.feed r (Wire.encode_request submit);
@@ -890,28 +922,19 @@ let e17 () =
       in
       let schema = Program.schema_of ~objects forest in
       let r, t_run =
-        time (fun () -> run ~seed:11 schema Moss_object.factory forest)
+        cpu_ms (fun () -> run ~seed:11 schema Moss_object.factory forest)
       in
       let open_loop ~admission () =
         let eng =
           Engine.create ~policy:Runtime.Bsp_rounds ~admission ~seed:11 objects
             Moss_object.factory
         in
-        List.iter
-          (fun p ->
-            (match Engine.submit eng p with
-            | Ok _ -> ()
-            | Error e -> failwith e);
-            ignore (Engine.step eng))
-          forest;
-        (match Engine.drain eng with
-        | `Quiescent -> ()
-        | _ -> failwith "engine did not quiesce");
+        serve_open_loop eng forest;
         ignore (Engine.finish eng);
         eng
       in
-      let _, t_engine = time (open_loop ~admission:false) in
-      let gated, t_gated = time (open_loop ~admission:true) in
+      let _, t_engine = cpu_ms (open_loop ~admission:false) in
+      let gated, t_gated = cpu_ms (open_loop ~admission:true) in
       Table.add_row t
         [
           Table.cell_i n_top;
@@ -953,30 +976,13 @@ let e18 () =
           "frames"; "frame_bytes"; "p99_cum_us"; "p99_win_us";
           "bucket_dist" ]
   in
-  (* Interleaved best-of-N: a single Sys.time sample of a ~20ms run
-     swings by 10-20% with scheduler and frequency noise, and timing
-     the configurations in separate blocks lets that drift masquerade
-     as overhead.  Alternating samples and keeping each side's best
-     bounds every run by the same quiet-machine floor.  Each thunk
-     reports its own elapsed ms, so per-run setup (registry and hub
-     construction on the telemetry side) stays untimed. *)
-  let time3 f g h =
-    let best = Array.make 3 infinity in
-    let sample i k =
-      let dt = k () in
-      if dt < best.(i) then best.(i) <- dt
-    in
-    for _ = 1 to 7 do
-      sample 0 f;
-      sample 1 g;
-      sample 2 h
-    done;
-    (best.(0), best.(1), best.(2))
-  in
-  let timed f =
-    let t0 = Sys.time () in
-    f ();
-    (Sys.time () -. t0) *. 1000.0
+  (* Registry and hub construction on the telemetry side stay outside
+     the timed region, as engine construction does on the other two. *)
+  let timed_serve eng forest =
+    snd
+      (cpu_ms (fun () ->
+           serve_open_loop eng forest;
+           ignore (Engine.finish eng)))
   in
   List.iter
     (fun n_top ->
@@ -984,83 +990,66 @@ let e18 () =
       let forest, objects =
         Gen.registers rng { Gen.default with n_top; depth = 2; n_objects = 8 }
       in
-      let drive eng =
-        List.iter
-          (fun p ->
-            (match Engine.submit eng p with
-            | Ok _ -> ()
-            | Error e -> failwith e);
-            ignore (Engine.step eng))
-          forest;
-        (match Engine.drain eng with
-        | `Quiescent -> ()
-        | _ -> failwith "engine did not quiesce");
-        ignore (Engine.finish eng)
-      in
       let frames = ref [] and frame_bytes = ref 0 in
       let last_metrics = ref (Metrics.create ()) in
-      let t_bare, t_plain, t_telem =
-        time3
-          (fun () ->
-            let eng =
-              Engine.create ~policy:Runtime.Bsp_rounds ~admission:true
-                ~seed:11 objects Moss_object.factory
-            in
-            timed (fun () -> drive eng))
-          (fun () ->
-            let eng =
-              Engine.create ~policy:Runtime.Bsp_rounds ~admission:true
-                ~obs:(Obs.create ~metrics:(Metrics.create ()) ())
-                ~seed:11 objects Moss_object.factory
-            in
-            timed (fun () -> drive eng))
-          (fun () ->
-            let metrics = Metrics.create () in
-            last_metrics := metrics;
-            let hub = Telemetry.Hub.create ~interval_s:1.0 metrics in
-            frames := [];
-            frame_bytes := 0;
-            let obs = Obs.create ~metrics () in
-            let submit_at = Hashtbl.create 256 in
-            let eng =
-              Engine.create ~policy:Runtime.Bsp_rounds ~admission:true ~obs
-                ~on_top_complete:(fun u _ ->
-                  match Hashtbl.find_opt submit_at (Txn_id.to_string u) with
-                  | None -> ()
-                  | Some t0 ->
-                      Telemetry.Hub.observe_latency hub
-                        (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
-                ~seed:11 objects Moss_object.factory
-            in
-            let cut () =
-              let f =
-                Telemetry.Hub.cut hub
-                  ~counts:(Telemetry.Hub.counts_of_engine eng)
-                  ~alarms:(Engine.alarms eng)
-                  ~conns:1 ~subscribers:1 ~now:0.0
+      let best =
+        best_of 7
+          [|
+            (fun () ->
+              let eng =
+                Engine.create ~policy:Runtime.Bsp_rounds ~admission:true
+                  ~seed:11 objects Moss_object.factory
               in
-              frames := f :: !frames;
-              frame_bytes :=
-                !frame_bytes
-                + String.length (Wire.encode_response (Wire.Telemetry f))
-            in
-            timed (fun () ->
-                List.iteri
-                  (fun i p ->
-                    (match Engine.submit eng p with
-                    | Ok txn ->
-                        Hashtbl.replace submit_at (Txn_id.to_string txn)
-                          (Unix.gettimeofday ())
-                    | Error e -> failwith e);
-                    ignore (Engine.step eng);
-                    if (i + 1) mod 8 = 0 then cut ())
-                  forest;
-                (match Engine.drain eng with
-                | `Quiescent -> ()
-                | _ -> failwith "engine did not quiesce");
-                cut ();
-                ignore (Engine.finish eng)))
+              timed_serve eng forest);
+            (fun () ->
+              let eng =
+                Engine.create ~policy:Runtime.Bsp_rounds ~admission:true
+                  ~obs:(Obs.create ~metrics:(Metrics.create ()) ())
+                  ~seed:11 objects Moss_object.factory
+              in
+              timed_serve eng forest);
+            (fun () ->
+              let metrics = Metrics.create () in
+              last_metrics := metrics;
+              let hub = Telemetry.Hub.create ~interval_s:1.0 metrics in
+              frames := [];
+              frame_bytes := 0;
+              let obs = Obs.create ~metrics () in
+              let submit_at = Hashtbl.create 256 in
+              let eng =
+                Engine.create ~policy:Runtime.Bsp_rounds ~admission:true ~obs
+                  ~on_top_complete:(fun u _ ->
+                    match Hashtbl.find_opt submit_at (Txn_id.to_string u) with
+                    | None -> ()
+                    | Some t0 ->
+                        Telemetry.Hub.observe_latency hub
+                          (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
+                  ~seed:11 objects Moss_object.factory
+              in
+              let cut () =
+                let f =
+                  Telemetry.Hub.cut hub
+                    ~counts:(Telemetry.Hub.counts_of_engine eng)
+                    ~alarms:(Engine.alarms eng)
+                    ~conns:1 ~subscribers:1 ~now:0.0
+                in
+                frames := f :: !frames;
+                frame_bytes :=
+                  !frame_bytes
+                  + String.length (Wire.encode_response (Wire.Telemetry f))
+              in
+              snd
+                (cpu_ms (fun () ->
+                     serve_open_loop eng forest
+                       ~on_submit:(fun txn ->
+                         Hashtbl.replace submit_at (Txn_id.to_string txn)
+                           (Unix.gettimeofday ()))
+                       ~after_step:(fun i -> if (i + 1) mod 8 = 0 then cut ());
+                     cut ();
+                     ignore (Engine.finish eng))));
+          |]
       in
+      let t_bare, t_plain, t_telem = (best.(0), best.(1), best.(2)) in
       (* merge the windowed histograms back out of the frames *)
       let buckets = Array.make 64 0 in
       let count = ref 0 and maxv = ref 0 in
@@ -1073,26 +1062,7 @@ let e18 () =
             (fun (i, n) -> buckets.(i) <- buckets.(i) + n)
             h.Wire.h_buckets)
         !frames;
-      let p99_win =
-        if !count = 0 then 0
-        else begin
-          let rank =
-            Stdlib.max 1 (int_of_float (ceil (0.99 *. fi !count)))
-          in
-          let acc = ref 0 and res = ref !maxv in
-          (try
-             Array.iteri
-               (fun i n ->
-                 acc := !acc + n;
-                 if n > 0 && !acc >= rank then begin
-                   res := Metrics.bucket_upper i;
-                   raise Exit
-                 end)
-               buckets
-           with Exit -> ());
-          Stdlib.min !res !maxv
-        end
-      in
+      let p99_win = Metrics.quantile buckets ~count:!count ~max:!maxv 0.99 in
       let cum =
         Metrics.histogram_stats
           (Metrics.histogram !last_metrics "served.latency_us")
@@ -1136,23 +1106,7 @@ let e19 () =
         [ "n_top"; "base_ms"; "traced_ms"; "overhead_pct"; "ring_spans";
           "dump_ms"; "dump_bytes" ]
   in
-  let time2 f g =
-    let best = Array.make 2 infinity in
-    let sample i k =
-      let dt = k () in
-      if dt < best.(i) then best.(i) <- dt
-    in
-    for _ = 1 to 7 do
-      sample 0 f;
-      sample 1 g
-    done;
-    (best.(0), best.(1))
-  in
-  let timed f =
-    let t0 = Sys.time () in
-    f ();
-    (Sys.time () -. t0) *. 1000.0
-  in
+  let timed f = snd (cpu_ms f) in
   List.iter
     (fun n_top ->
       let rng = Rng.create 13 in
@@ -1176,18 +1130,9 @@ let e19 () =
             ~seed:13 objects Moss_object.factory
         in
         timed (fun () ->
-            List.iter
-              (fun p ->
-                (match Engine.submit eng p with
-                | Ok txn ->
-                    Hashtbl.replace submit_at (Txn_id.to_string txn)
-                      (Unix.gettimeofday ())
-                | Error e -> failwith e);
-                ignore (Engine.step eng))
-              forest;
-            (match Engine.drain eng with
-            | `Quiescent -> ()
-            | _ -> failwith "engine did not quiesce");
+            serve_open_loop eng forest ~on_submit:(fun txn ->
+                Hashtbl.replace submit_at (Txn_id.to_string txn)
+                  (Unix.gettimeofday ()));
             ignore (Engine.finish eng))
       in
       let traced () =
@@ -1260,16 +1205,19 @@ let e19 () =
             | _ -> failwith "engine did not quiesce");
             ignore (Engine.finish eng))
       in
-      let t_base, t_traced = time2 base traced in
+      let best = best_of 7 [| base; traced |] in
+      let t_base, t_traced = (best.(0), best.(1)) in
       (match !ring with
       | None -> ()
       | Some recorder ->
-          let t0 = Sys.time () in
           let oc_path = Filename.temp_file "e19" ".jsonl" in
-          let oc = open_out oc_path in
-          ignore (Stage.Recorder.dump_jsonl recorder ~reason:"bench" ~now:0.0 oc);
-          close_out oc;
-          dump_ms := (Sys.time () -. t0) *. 1000.0;
+          dump_ms :=
+            timed (fun () ->
+                let oc = open_out oc_path in
+                ignore
+                  (Stage.Recorder.dump_jsonl recorder ~reason:"bench" ~now:0.0
+                     oc);
+                close_out oc);
           dump_bytes := (Unix.stat oc_path).Unix.st_size;
           Sys.remove oc_path);
       Table.add_row t
@@ -1400,15 +1348,16 @@ let e20 () =
         Sys.remove path;
         (ms, syncs)
       in
-      let best = [| (infinity, 0); (infinity, 0) |] in
-      for _ = 1 to 5 do
-        List.iteri
-          (fun i batch ->
-            let ms, syncs = run batch in
-            if ms < fst best.(i) then best.(i) <- (ms, syncs))
-          [ 1; 64 ]
-      done;
-      let (t1, s1), (t64, s64) = (best.(0), best.(1)) in
+      (* a policy's sync count is a function of the fixed stream, so
+         every sample reports the same one *)
+      let s1 = ref 0 and s64 = ref 0 in
+      let sample batch syncs () =
+        let ms, n = run batch in
+        syncs := n;
+        ms
+      in
+      let best = best_of 5 [| sample 1 s1; sample 64 s64 |] in
+      let t1, t64 = (best.(0), best.(1)) and s1, s64 = (!s1, !s64) in
       Table.add_row t
         [
           Table.cell_i n_top;

@@ -435,7 +435,7 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
             c.outstanding <-
               List.filter (fun (r, _, _) -> r <> rid) c.outstanding
         | None -> ())
-    | _, Wire.State { txn; state = st; req = _ } -> (
+    | _, Wire.State { txn; state = st; req } -> (
         let hit =
           List.find_opt
             (fun (_, _, tx) ->
@@ -447,9 +447,11 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
         | Some (rid, t0, _) -> (
             match st with
             | Wire.Committed _ ->
+                check_echo rid req;
                 stats.committed <- stats.committed + 1;
                 settle_open c rid t0
             | Wire.Aborted veto ->
+                check_echo rid req;
                 stats.aborted <- stats.aborted + 1;
                 if veto <> None then
                   stats.vetoed_seen <- stats.vetoed_seen + 1;

@@ -884,11 +884,10 @@ type sg_agreement = {
    reference ([Graph.find_cycle_scratch]).  The three must agree —
    this is the cross-implementation oracle the differential tests and
    ntcheck sweeps pin. *)
-let sg_agreement ?mode (schema : Schema.t) trace =
-  let mode = match mode with Some m -> m | None -> Sg.Operation_level in
+let sg_agreement (schema : Schema.t) trace =
   let beta = Trace.serial trace in
-  let g = Sg.build mode schema beta in
-  let m = Nt_sg.Monitor.create ~mode schema in
+  let g = Sg.build Sg.Operation_level schema beta in
+  let m = Nt_sg.Monitor.create schema in
   let alarms = Nt_sg.Monitor.feed_trace m trace in
   let cycle_alarms, inappropriate_alarms =
     List.fold_left

@@ -358,11 +358,12 @@ type sg_agreement = {
   inappropriate_alarms : int;  (** Monitor return-value alarms. *)
 }
 
-val sg_agreement : ?mode:Nt_sg.Sg.conflict_mode -> Schema.t -> Trace.t -> sg_agreement
+val sg_agreement : Schema.t -> Trace.t -> sg_agreement
 (** Decide SG acyclicity of one behavior three independent ways —
     incremental batch, incremental online, from-scratch DFS — for the
-    differential oracle-equivalence tests and ntcheck sweeps.  The
-    default mode is [Operation_level], matching {!Nt_sg.Checker}. *)
+    differential oracle-equivalence tests and ntcheck sweeps, all
+    under [Operation_level] conflicts, the default of
+    {!Nt_sg.Checker} and {!Nt_sg.Monitor}. *)
 
 val sg_agrees : sg_agreement -> bool
 (** All three verdicts coincide. *)

@@ -17,9 +17,9 @@
     {- the classical baseline: {!History}, {!Flat_sg};}
     {- workloads and measurement: {!Gen}, {!Scenario}, {!Stats},
        {!Table};}
-    {- observability: {!Obs}, {!Metrics}, {!Obs_window},
-       {!Obs_snapshot}, {!Obs_event}, {!Obs_sink}, {!Chrome_trace},
-       {!Obs_json}, {!Stage}, {!Gcmon}, {!Profile}, {!Flight};}
+    {- observability: {!Obs}, {!Metrics}, {!Obs_event}, {!Obs_sink},
+       {!Chrome_trace}, {!Obs_json}, {!Stage}, {!Gcmon}, {!Profile},
+       {!Flight};}
     {- property-based checking: {!Check}, {!Shrink}, {!Bundle};}
     {- serving and durability: {!Wire}, {!Admission}, {!Engine},
        {!Wal}, {!Telemetry} (plus {!Version});}
@@ -88,8 +88,6 @@ module Stats = Nt_stats.Stats
 module Table = Nt_stats.Table
 module Obs = Nt_obs.Obs
 module Metrics = Nt_obs.Metrics
-module Obs_window = Nt_obs.Window
-module Obs_snapshot = Nt_obs.Snapshot
 module Obs_event = Nt_obs.Event
 module Obs_sink = Nt_obs.Sink
 module Chrome_trace = Nt_obs.Chrome

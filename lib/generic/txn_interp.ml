@@ -95,4 +95,3 @@ let note_child_aborted t i =
   t.awaiting <- t.awaiting - 1
 
 let note_commit_requested t = t.commit_requested <- true
-let is_commit_requested t = t.commit_requested

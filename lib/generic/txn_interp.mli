@@ -42,5 +42,3 @@ val note_child_requested : t -> int -> unit
 val note_child_committed : t -> int -> Value.t -> unit
 val note_child_aborted : t -> int -> unit
 val note_commit_requested : t -> unit
-
-val is_commit_requested : t -> bool

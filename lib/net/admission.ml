@@ -13,9 +13,9 @@ type t = {
   vetoes : veto Txn_id.Tbl.t;  (* keyed by top-level ancestor *)
 }
 
-let create ?mode ?(obs = Obs.null) ?(gating = true) schema =
+let create ?(obs = Obs.null) ?(gating = true) schema =
   {
-    monitor = Monitor.create ?mode schema;
+    monitor = Monitor.create schema;
     obs;
     gating;
     admitted = 0;

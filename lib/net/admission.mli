@@ -30,7 +30,7 @@ type veto = {
   witness : string;  (** Edge-by-edge explanation. *)
 }
 
-val create : ?mode:Sg.conflict_mode -> ?obs:Obs.t -> ?gating:bool -> Schema.t -> t
+val create : ?obs:Obs.t -> ?gating:bool -> Schema.t -> t
 (** Fresh controller over a fresh monitor ([gating] defaults to
     [true]; [obs] receives the monitor telemetry plus an
     [admission.vetoed] counter). *)

@@ -32,7 +32,6 @@ type t = {
   mutable submitted : int;
   mutable step_calls : int;
   mutable truncated : bool;
-  max_program : int;
   clock : (unit -> float) option;
   times : stage_times Txn_id.Tbl.t;
 }
@@ -53,7 +52,7 @@ let subprogram progs n_progs txn =
   | i :: rest -> if i < !n_progs then walk !progs.(i) rest else None
 
 let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
-    ?mode ?(admission = true) ?(max_program = 10_000)
+    ?(admission = true)
     ?(on_top_complete = fun _ _ -> ()) ?(on_action = fun _ -> ())
     ?(extra_gate = fun _ -> true) ?clock ~seed objects factory =
   let dtypes = Obj_id.Tbl.create 16 in
@@ -83,7 +82,7 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
       op_of;
     }
   in
-  let adm = Admission.create ?mode ~obs ~gating:admission schema in
+  let adm = Admission.create ~obs ~gating:admission schema in
   let committed_top = ref 0 and aborted_top = ref 0 in
   let times = Txn_id.Tbl.create 64 in
   (* Stage bookkeeping is entirely clock-gated: with no [clock] the
@@ -159,21 +158,22 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
     submitted = 0;
     step_calls = 0;
     truncated = false;
-    max_program;
     clock;
     times;
   }
 
-let validate t prog =
-  if Program.size prog > t.max_program then
+let max_program = 10_000
+
+let validate objects prog =
+  if Program.size prog > max_program then
     Error
       (Printf.sprintf "program too large (%d names; limit %d)"
-         (Program.size prog) t.max_program)
+         (Program.size prog) max_program)
   else
     let rec check = function
       | Program.Access (x, op) -> (
           match
-            List.find_opt (fun (x', _) -> Obj_id.equal x x') t.objects
+            List.find_opt (fun (x', _) -> Obj_id.equal x x') objects
           with
           | None -> Error ("undeclared object " ^ Obj_id.name x)
           | Some (_, dt) -> (
@@ -192,7 +192,7 @@ let validate t prog =
     check prog
 
 let submit t prog =
-  match validate t prog with
+  match validate t.objects prog with
   | Error _ as e -> e
   | Ok () ->
       let i = !(t.n_progs) in

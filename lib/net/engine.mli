@@ -20,7 +20,6 @@ open Nt_spec
 open Nt_serial
 open Nt_generic
 open Nt_obs
-open Nt_sg
 
 type t
 
@@ -53,9 +52,7 @@ val create :
   ?abort_prob:float ->
   ?max_steps:int ->
   ?obs:Obs.t ->
-  ?mode:Sg.conflict_mode ->
   ?admission:bool ->
-  ?max_program:int ->
   ?on_top_complete:(Txn_id.t -> [ `Committed | `Aborted ] -> unit) ->
   ?on_action:(Action.t -> unit) ->
   ?extra_gate:(Txn_id.t -> bool) ->
@@ -66,8 +63,8 @@ val create :
   t
 (** An engine over the given object table, starting with an empty
     forest.  [admission] (default [true]) turns the commit gate on;
-    the monitor runs either way.  [max_program] (default 10000) bounds
-    accepted program sizes.  [on_top_complete] fires synchronously, in
+    the monitor runs either way, with operation-level conflicts.
+    [on_top_complete] fires synchronously, in
     trace order, at every top-level [Commit]/[Abort] — the hook a
     server uses to measure submit-to-completion latency and attribute
     the outcome (e.g. audit-log a veto) while the admission record is
@@ -85,6 +82,19 @@ val create :
     [false] vetoes the commit exactly as a local veto would (the
     caller should record the veto via {!Admission.record_veto} so
     {!state} can report it). *)
+
+val max_program : int
+(** The largest program (in transaction names, {!Program.size}) any
+    engine accepts: 10 000. *)
+
+val validate :
+  (Obj_id.t * Datatype.t) list -> Program.t -> (unit, string) result
+(** The check {!submit} applies, as a pure function of the object
+    table: size at most {!max_program}, every object declared, every
+    operation offered by its object's type.  The error is the
+    rejection message a client sees.  A sharded router runs the same
+    check against the full table, so a program is refused with the same
+    words at any shard count. *)
 
 val submit : t -> Program.t -> (Txn_id.t, string) result
 (** Validate (size, declared objects, offered operations) and attach.

@@ -5,19 +5,18 @@ open Nt_sg
 module Hub = struct
   type t = {
     interval_s : float;
-    win : Window.t;
-    latency_w : Window.whistogram;
+    interval : Metrics.t;  (* this interval's histograms; [cut] resets it *)
+    latency_w : Metrics.histogram;
     latency_c : Metrics.histogram;  (* cumulative twin, for --prom *)
     registry : Metrics.t;
-    mutable prev_snap : Snapshot.t;
-    top_k : int;
+    mutable prev : Metrics.t;  (* [registry] as of the last cut *)
     mutable seq : int;
-    (* per-stage latency histograms: windowed + cumulative twins,
+    (* per-stage latency histograms: interval + cumulative twins,
        resolved once per name (the serving loop observes by string a
        handful of times per request) *)
-    stage_tbl : (string, Window.whistogram * Metrics.histogram) Hashtbl.t;
+    stage_tbl : (string, Metrics.histogram * Metrics.histogram) Hashtbl.t;
     mutable stage_order : string list;  (* reporting order, reversed *)
-    gc_w : Window.whistogram;
+    gc_w : Metrics.histogram;
     gc_c : Metrics.histogram;
     gc_pct_g : Metrics.gauge;
     mutable gc_busy : float;  (* pause seconds in the open interval *)
@@ -36,32 +35,33 @@ module Hub = struct
     | Some pair -> pair
     | None ->
         let pair =
-          ( Window.histogram t.win ("stage." ^ name),
+          ( Metrics.histogram t.interval ("stage." ^ name),
             Metrics.histogram t.registry ("served.stage." ^ name ^ "_us") )
         in
         Hashtbl.add t.stage_tbl name pair;
         t.stage_order <- name :: t.stage_order;
         pair
 
-  let create ?(slots = 8) ?(top_k = 5) ?(t0 = 0.) ~interval_s metrics =
-    let win = Window.create ~slots () in
+  let top_k = 5
+
+  let create ~interval_s metrics =
+    let interval = Metrics.create () in
     let t =
       {
         interval_s;
-        win;
-        latency_w = Window.histogram win "latency_us";
+        interval;
+        latency_w = Metrics.histogram interval "latency_us";
         latency_c = Metrics.histogram metrics "served.latency_us";
         registry = metrics;
-        prev_snap = Snapshot.capture metrics;
-        top_k;
+        prev = Metrics.copy metrics;
         seq = 0;
         stage_tbl = Hashtbl.create 16;
         stage_order = [];
-        gc_w = Window.histogram win "gc.pause_us";
+        gc_w = Metrics.histogram interval "gc.pause_us";
         gc_c = Metrics.histogram metrics "served.gc.pause_us";
         gc_pct_g = Metrics.gauge metrics "served.gc.pct";
         gc_busy = 0.;
-        t_cut = t0;
+        t_cut = 0.;
         p_submitted = 0;
         p_committed = 0;
         p_aborted = 0;
@@ -82,16 +82,16 @@ module Hub = struct
   let interval_s t = t.interval_s
 
   let observe_latency t us =
-    Window.observe t.latency_w us;
+    Metrics.observe t.latency_w us;
     Metrics.observe t.latency_c us
 
   let observe_stage t name us =
     let w, c = stage_instruments t name in
-    Window.observe w us;
+    Metrics.observe w us;
     Metrics.observe c us
 
   let observe_gc t ~dur_us =
-    Window.observe t.gc_w dur_us;
+    Metrics.observe t.gc_w dur_us;
     Metrics.observe t.gc_c dur_us;
     t.gc_busy <- t.gc_busy +. (float_of_int dur_us /. 1e6)
 
@@ -101,7 +101,7 @@ module Hub = struct
      objects without any event stream in the loop. *)
   let refused_prefix = "runtime.refused."
 
-  let hot_top t delta =
+  let hot_top delta =
     let plen = String.length refused_prefix in
     Metrics.counters delta
     |> List.filter_map (fun (name, n) ->
@@ -113,7 +113,7 @@ module Hub = struct
            else None)
     |> List.sort (fun (a, na) (b, nb) ->
            if na <> nb then compare nb na else compare a b)
-    |> List.filteri (fun i _ -> i < t.top_k)
+    |> List.filteri (fun i _ -> i < top_k)
 
   (* The cumulative engine readings a frame differences against its
      previous cut.  A single-engine server builds them with
@@ -185,7 +185,7 @@ module Hub = struct
 
   let peek ?(per_shard = []) t ~counts:c ~alarms ~conns ~subscribers ~now =
     t.seq <- t.seq + 1;
-    let delta, _ = Snapshot.delta_live ~at:now ~prev:t.prev_snap t.registry in
+    let delta = Metrics.diff ~cur:t.registry ~prev:t.prev in
     let w_requests =
       Metrics.counter_value (Metrics.counter delta "served.requests")
     in
@@ -200,7 +200,7 @@ module Hub = struct
       w_vetoed = c.n_vetoed - t.p_vetoed;
       w_orphans = c.n_orphans - t.p_orphans;
       w_alarms = alarms - t.p_alarms;
-      w_latency = Wire.hist_of_view (Window.histogram_current t.latency_w);
+      w_latency = Wire.hist_of_metrics t.latency_w;
       o_live = c.n_live;
       o_doomed = c.n_doomed;
       o_conns = conns;
@@ -213,14 +213,14 @@ module Hub = struct
       sg_nodes = c.n_sg_nodes;
       sg_edges = c.n_sg_edges;
       sg_reorders = c.n_sg_reorders;
-      hot = hot_top t delta;
+      hot = hot_top delta;
       stages =
         List.rev_map
           (fun name ->
             let w, _ = Hashtbl.find t.stage_tbl name in
-            (name, Wire.hist_of_view (Window.histogram_current w)))
+            (name, Wire.hist_of_metrics w))
           t.stage_order;
-      gc_pause = Wire.hist_of_view (Window.histogram_current t.gc_w);
+      gc_pause = Wire.hist_of_metrics t.gc_w;
       gc_pct =
         (let elapsed = now -. t.t_cut in
          if elapsed <= 0. then 0.
@@ -236,11 +236,11 @@ module Hub = struct
     t.p_vetoed <- c.n_vetoed;
     t.p_orphans <- c.n_orphans;
     t.p_alarms <- alarms;
-    t.prev_snap <- Snapshot.capture ~at:now t.registry;
+    t.prev <- Metrics.copy t.registry;
     Metrics.set t.gc_pct_g frame.Wire.gc_pct;
     t.gc_busy <- 0.;
     t.t_cut <- now;
-    Window.tick t.win;
+    Metrics.reset t.interval;
     frame
 
 end

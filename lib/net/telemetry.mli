@@ -1,17 +1,19 @@
-(** Server-side telemetry: the windowed hub behind [Telemetry] frames
+(** Server-side telemetry: the interval hub behind [Telemetry] frames
     and the structured audit log.
 
-    The {!Hub} owns the one sliding-window instrument a serving loop
-    cannot read straight off the engine: submit-to-completion latency,
-    fed from {!Engine.create}'s [on_top_complete] hook.  Everything
-    else in a frame — request counts, the per-object
+    The {!Hub} owns the histograms a serving loop cannot read straight
+    off the engine — submit-to-completion latency (fed from
+    {!Engine.create}'s [on_top_complete] hook), per-stage durations and
+    GC pauses — in a private {!Nt_obs.Metrics} registry that holds the
+    open interval only: {!Hub.cut} renders it and resets it.
+    Everything else in a frame — request counts, the per-object
     [runtime.refused.*] family behind the hot-object ranking, engine
     totals — is computed by differencing cumulative sources at frame
     time: engine counters against their previous readings, and the
-    server's {!Nt_obs.Metrics} registry against a {!Nt_obs.Snapshot}.
-    The submit path pays nothing for telemetry beyond the hook's two
-    histogram updates; in particular no event stream is required, so
-    the server runs a metrics-only recorder by default.
+    server's {!Nt_obs.Metrics} registry against its {!Nt_obs.Metrics.copy}
+    at the last cut.  The submit path pays nothing for telemetry beyond
+    the hook's two histogram updates; in particular no event stream is
+    required, so the server runs a metrics-only recorder by default.
 
     The {!Audit} writer emits one JSON object per line: an entry for
     every admission veto (carrying the full cycle and the
@@ -25,10 +27,9 @@ open Nt_obs
 module Hub : sig
   type t
 
-  val create :
-    ?slots:int -> ?top_k:int -> ?t0:float -> interval_s:float -> Metrics.t -> t
-  (** A hub windowing over [slots] intervals (default 8), reporting at
-      most [top_k] hot objects (default 5).  The registry is the one
+  val create : interval_s:float -> Metrics.t -> t
+  (** A hub whose frames cover one interval each and report at most
+      five hot objects.  The registry is the one
       the server counts wire requests in ([served.requests]) and hands
       to the engine's recorder — frames rank hot objects by the
       interval delta of its [runtime.refused.<obj>] counters, which
@@ -38,17 +39,16 @@ module Hub : sig
       stage (the seven canonical {!Nt_obs.Stage.stages} and the
       durability {!Nt_obs.Stage.wal_stages} are pre-registered),
       [served.gc.pause_us] and the [served.gc.pct]
-      gauge.  [t0] is the hub's clock reading at creation (default 0,
-      the server's monotonic origin) — the start of the first GC
-      interval. *)
+      gauge.  The first interval starts at time 0, the server's
+      monotonic origin. *)
 
   val observe_latency : t -> int -> unit
   (** Record one submit-to-completion latency (µs) into both the
-      window and the cumulative registry histogram. *)
+      interval and the cumulative registry histogram. *)
 
   val observe_stage : t -> string -> int -> unit
   (** [observe_stage t stage us] records one stage duration (µs) into
-      the stage's windowed and cumulative histograms (get-or-create;
+      the stage's interval and cumulative histograms (get-or-create;
       new stage names join frames after the canonical seven). *)
 
   val observe_gc : t -> dur_us:int -> unit
@@ -83,8 +83,6 @@ module Hub : sig
     n_sg_reorders : int;
   }
 
-  val zero_counts : counts
-
   val counts_of_engine : Engine.t -> counts
   (** One engine's readings; must be called from the engine's owning
       thread. *)
@@ -118,8 +116,8 @@ module Hub : sig
     now:float ->
     Wire.telemetry
   (** {!peek}, then close the interval: remember [counts] as the new
-      baseline, snapshot the registry and rotate the window.  Call once
-      per telemetry interval. *)
+      baseline, copy the registry and reset the interval histograms.
+      Call once per telemetry interval. *)
 end
 
 module Audit : sig

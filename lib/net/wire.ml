@@ -713,16 +713,17 @@ let decode_request payload = decode_with request_of_json payload
 let encode_response r = frame (Json.to_string (response_to_json r))
 let decode_response payload = decode_with response_of_json payload
 
-let hist_of_view (v : Nt_obs.Window.view) =
+let hist_of_metrics h =
+  let s = Metrics.histogram_stats h in
   {
-    h_count = v.Window.count;
-    h_sum = v.Window.sum;
-    h_min = v.Window.min;
-    h_max = v.Window.max;
-    h_p50 = v.Window.p50;
-    h_p99 = v.Window.p99;
-    h_p999 = v.Window.p999;
-    h_buckets = v.Window.buckets;
+    h_count = s.Metrics.count;
+    h_sum = s.Metrics.sum;
+    h_min = s.Metrics.min;
+    h_max = s.Metrics.max;
+    h_p50 = s.Metrics.p50;
+    h_p99 = s.Metrics.p99;
+    h_p999 = s.Metrics.p999;
+    h_buckets = Metrics.histogram_buckets h;
   }
 
 let pp_request ppf r =

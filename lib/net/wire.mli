@@ -248,8 +248,9 @@ val response_of_json : Json.t -> (response, string) result
 val hist_to_json : hist -> Json.t
 val hist_of_json : Json.t -> (hist, string) result
 
-val hist_of_view : Window.view -> hist
-(** Lift a windowed histogram readout onto the wire. *)
+val hist_of_metrics : Metrics.histogram -> hist
+(** Lift a histogram's readout ({!Metrics.histogram_stats} and
+    {!Metrics.histogram_buckets}) onto the wire. *)
 
 val encode_request : request -> string
 (** Framed and ready to write. *)

@@ -77,7 +77,7 @@ val bucket_of : int -> int
 val quantile : int array -> count:int -> max:int -> float -> int
 (** [quantile buckets ~count ~max q] over per-bucket counts (index as
     {!bucket_of}): the convention of {!histogram_stats}, for bucket
-    arrays merged elsewhere (windows, wire frames). *)
+    arrays merged elsewhere (wire frames). *)
 
 val bucket_lower : int -> int
 (** Smallest value bucket [i] can hold ([0] for bucket 0). *)
@@ -100,8 +100,8 @@ val merge : t -> t -> unit
     This is how [ntprof] combines registries across trace files. *)
 
 val copy : t -> t
-(** A deep, independent copy — the frozen registry a {!Snapshot}
-    retains. *)
+(** A deep, independent copy — the frozen reading {!diff} subtracts
+    (the telemetry hub keeps one per frame interval). *)
 
 val diff : cur:t -> prev:t -> t
 (** [diff ~cur ~prev] is a fresh registry holding the per-interval

@@ -110,18 +110,6 @@ let successors g t =
       Int_set.fold (fun j acc -> g.names.(j) :: acc) g.succ.(i) []
       |> List.sort Txn_id.compare
 
-let predecessors g t =
-  match Txn_id.Tbl.find_opt g.ids t with
-  | None -> []
-  | Some i ->
-      Int_set.fold (fun j acc -> g.names.(j) :: acc) g.pred.(i) []
-      |> List.sort Txn_id.compare
-
-let iter_nodes g f =
-  for i = 0 to g.n - 1 do
-    f g.names.(i)
-  done
-
 let iter_edges g f =
   for i = 0 to g.n - 1 do
     Int_set.iter (fun j -> f g.names.(i) g.names.(j)) g.succ.(i)

@@ -67,11 +67,6 @@ val n_edges : t -> int
 (** O(1) (cached; duplicates were never counted). *)
 
 val successors : t -> Txn_id.t -> Txn_id.t list
-val predecessors : t -> Txn_id.t -> Txn_id.t list
-
-val iter_nodes : t -> (Txn_id.t -> unit) -> unit
-(** Iterate nodes without building the sorted list {!nodes} allocates
-    (iteration order is unspecified). *)
 
 val iter_edges : t -> (Txn_id.t -> Txn_id.t -> unit) -> unit
 (** Iterate edges allocation-free (order unspecified). *)

@@ -8,16 +8,16 @@ type t = {
   engines : Shard_engine.t array;
 }
 
-let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs_for ?mode
-    ?gating ?key ?max_program ~shards ~seed objects factory =
-  let part = Partition.create ?key ~shards objects in
+let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs_for ?gating
+    ~shards ~seed objects factory =
+  let part = Partition.create ~shards objects in
   let spine = Spine.create () in
-  let rt = Router.create ?max_program part spine in
+  let rt = Router.create part spine in
   let engines =
     Array.init shards (fun s ->
         Shard_engine.create ?policy ?inform_policy ?abort_prob ?max_steps
           ?obs:(Option.map (fun f -> f s) obs_for)
-          ?mode ?gating ?max_program ~spine ~partition:part ~shard:s
+          ?gating ~spine ~partition:part ~shard:s
           ~seed:(seed + (s * 1000003))
           factory)
   in

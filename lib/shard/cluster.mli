@@ -23,10 +23,7 @@ val create :
   ?abort_prob:float ->
   ?max_steps:int ->
   ?obs_for:(int -> Obs.t) ->
-  ?mode:Nt_sg.Sg.conflict_mode ->
   ?gating:bool ->
-  ?key:(Obj_id.t -> string) ->
-  ?max_program:int ->
   shards:int ->
   seed:int ->
   (Obj_id.t * Datatype.t) list ->

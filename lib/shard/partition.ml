@@ -3,7 +3,6 @@ open Nt_spec
 
 type t = {
   n : int;
-  key : Obj_id.t -> string;
   all : (Obj_id.t * Datatype.t) list;
   per_shard : (Obj_id.t * Datatype.t) list array;
 }
@@ -24,23 +23,23 @@ let mix h =
   let h = h * 0x45d9f3b land 0x3FFFFFFF in
   h lxor (h lsr 16)
 
-let create ?(key = default_key) ~shards objects =
+let place n x = mix (Hashtbl.hash (default_key x)) mod n
+
+let create ~shards objects =
   if shards < 1 then invalid_arg "Partition.create: shards < 1";
-  let shard_of x = mix (Hashtbl.hash (key x)) mod shards in
   let per_shard = Array.make shards [] in
   List.iter
     (fun (x, dt) ->
-      let s = shard_of x in
+      let s = place shards x in
       per_shard.(s) <- (x, dt) :: per_shard.(s))
     objects;
   {
     n = shards;
-    key;
     all = objects;
     per_shard = Array.map List.rev per_shard;
   }
 
 let shards t = t.n
-let shard_of t x = mix (Hashtbl.hash (t.key x)) mod t.n
+let shard_of t x = place t.n x
 let objects_of t s = t.per_shard.(s)
 let objects t = t.all

@@ -17,14 +17,10 @@ val default_key : Obj_id.t -> string
 (** The object's name up to (excluding) the last ['#'], or the whole
     name when there is none. *)
 
-val create :
-  ?key:(Obj_id.t -> string) ->
-  shards:int ->
-  (Obj_id.t * Datatype.t) list ->
-  t
+val create : shards:int -> (Obj_id.t * Datatype.t) list -> t
 (** Partition the declared object table into [shards] classes by
-    hashing [key] (default {!default_key}).  Raises [Invalid_argument]
-    when [shards < 1]. *)
+    hashing {!default_key}.  Raises [Invalid_argument] when
+    [shards < 1]. *)
 
 val shards : t -> int
 

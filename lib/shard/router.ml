@@ -1,5 +1,4 @@
 open Nt_base
-open Nt_spec
 open Nt_serial
 
 type dispatch = { d_shard : int; d_prefix : int list; d_prog : Program.t }
@@ -27,12 +26,11 @@ type t = {
   entries : (int, entry) Hashtbl.t;
   progs : (int, Program.t) Hashtbl.t;  (* the merged forest, per g *)
   mutable synth : (int * Action.t) list;  (* synthesized G actions *)
-  max_program : int;
   mutable n_local : int;
   mutable n_cross : int;
 }
 
-let create ?(max_program = 10_000) part spine =
+let create part spine =
   {
     part;
     spine;
@@ -40,7 +38,6 @@ let create ?(max_program = 10_000) part spine =
     entries = Hashtbl.create 256;
     progs = Hashtbl.create 256;
     synth = [];
-    max_program;
     n_local = 0;
     n_cross = 0;
   }
@@ -49,41 +46,13 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* Same checks the engine applies, against the full table — so a
-   cross-shard program is accepted or rejected atomically, before any
-   piece reaches a shard. *)
-let validate t prog =
-  if Program.size prog > t.max_program then
-    Error
-      (Printf.sprintf "program too large (%d names; limit %d)"
-         (Program.size prog) t.max_program)
-  else
-    let objects = Partition.objects t.part in
-    let rec check = function
-      | Program.Access (x, op) -> (
-          match
-            List.find_opt (fun (x', _) -> Obj_id.equal x x') objects
-          with
-          | None -> Error ("undeclared object " ^ Obj_id.name x)
-          | Some (_, dt) -> (
-              match dt.Datatype.apply dt.Datatype.init op with
-              | _ -> Ok ()
-              | exception Datatype.Unsupported _ ->
-                  Error
-                    (Printf.sprintf "operation %s not offered by %s (%s)"
-                       (Datatype.op_to_string op) (Obj_id.name x)
-                       dt.Datatype.dt_name)))
-      | Program.Node (_, children) ->
-          List.fold_left
-            (fun acc c -> Result.bind acc (fun () -> check c))
-            (Ok ()) children
-    in
-    check prog
-
 let top_txn g = Txn_id.child Txn_id.root g
 
+(* The engine's own check, against the full table — so a cross-shard
+   program is accepted or rejected atomically, before any piece
+   reaches a shard. *)
 let plan t prog =
-  match validate t prog with
+  match Nt_net.Engine.validate (Partition.objects t.part) prog with
   | Error _ as e -> e
   | Ok () -> (
       match Footprint.classify t.part prog with

@@ -25,11 +25,12 @@ type result_view =
   | Committed of Value.t
   | Aborted of Nt_net.Admission.veto option
 
-val create : ?max_program:int -> Partition.t -> Spine.t -> t
+val create : Partition.t -> Spine.t -> t
 
 val plan : t -> Program.t -> (plan, string) result
-(** Validate against the full object table (atomically — no piece is
-    dispatched for a rejected program), classify, allocate [g],
+(** Validate with {!Nt_net.Engine.validate} against the full object
+    table (atomically — no piece is dispatched for a rejected program,
+    and the message is the one a single engine gives), classify, allocate [g],
     register it with the spine, and for a cross-shard program stamp the
     merged node's [Request_create]/[Create] into the synthetic action
     stream.  The caller performs the dispatches. *)

@@ -42,12 +42,11 @@ let worker cl s mbox notify () =
   done;
   Shard_engine.publish se
 
-let start ?policy ?inform_policy ?abort_prob ?max_steps ?mode ?gating ?key
-    ?max_program ?obs_for ?(notify = fun () -> ()) ~shards ~seed objects
-    factory =
+let start ?policy ?max_steps ?gating ?obs_for ?(notify = fun () -> ())
+    ~shards ~seed objects factory =
   let cl =
-    Cluster.create ?policy ?inform_policy ?abort_prob ?max_steps ?obs_for ?mode
-      ?gating ?key ?max_program ~shards ~seed objects factory
+    Cluster.create ?policy ?max_steps ?obs_for ?gating ~shards ~seed objects
+      factory
   in
   let mboxes = Array.init shards (fun _ -> Mailbox.create ()) in
   let handles =

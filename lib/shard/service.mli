@@ -23,13 +23,8 @@ type t
 
 val start :
   ?policy:Runtime.policy ->
-  ?inform_policy:Runtime.inform_policy ->
-  ?abort_prob:float ->
   ?max_steps:int ->
-  ?mode:Nt_sg.Sg.conflict_mode ->
   ?gating:bool ->
-  ?key:(Obj_id.t -> string) ->
-  ?max_program:int ->
   ?obs_for:(int -> Obs.t) ->
   ?notify:(unit -> unit) ->
   shards:int ->

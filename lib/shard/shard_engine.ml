@@ -168,8 +168,8 @@ let extra_gate t u =
                 Admission.record_veto adm u ~cycle ~witness;
                 false))
 
-let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs ?mode
-    ?(gating = true) ?max_program ~spine ~partition ~shard ~seed factory =
+let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
+    ?(gating = true) ~spine ~partition ~shard ~seed factory =
   let t =
     {
       shard;
@@ -184,8 +184,8 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs ?mode
     }
   in
   let eng =
-    Engine.create ?policy ?inform_policy ?abort_prob ?max_steps ?obs ?mode
-      ~admission:gating ?max_program ~on_action:(tap t)
+    Engine.create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
+      ~admission:gating ~on_action:(tap t)
       ~extra_gate:(fun u -> (not t.gating) || extra_gate t u)
       ~seed
       (Partition.objects_of partition shard)

@@ -66,9 +66,7 @@ val create :
   ?abort_prob:float ->
   ?max_steps:int ->
   ?obs:Obs.t ->
-  ?mode:Nt_sg.Sg.conflict_mode ->
   ?gating:bool ->
-  ?max_program:int ->
   spine:Spine.t ->
   partition:Partition.t ->
   shard:int ->

@@ -67,4 +67,3 @@ let pp_op fmt = function
   | Vwrite (ver, v) -> Format.fprintf fmt "vwrite(%d, %a)" ver Value.pp v
 
 let op_to_string op = Format.asprintf "%a" pp_op op
-let is_read_write_op = function Read | Write _ -> true | _ -> false

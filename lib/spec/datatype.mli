@@ -80,6 +80,3 @@ val accesses_conflict : t -> op -> op -> bool
 
 val pp_op : Format.formatter -> op -> unit
 val op_to_string : op -> string
-
-val is_read_write_op : op -> bool
-(** [true] exactly for [Read] and [Write _]. *)

@@ -515,16 +515,23 @@ let t_engine_basic () =
   check_int "forest grew" 3 (List.length (Engine.forest eng))
 
 let t_engine_validation () =
-  let eng = Engine.create ~seed:1 ~max_program:10 (rw_objects ()) Undo_object.factory in
+  let eng = Engine.create ~seed:1 (rw_objects ()) Undo_object.factory in
   let bad_obj = Program.access (Obj_id.make "nope") Datatype.Read in
   check_bool "undeclared object rejected" true
     (Result.is_error (Engine.submit eng bad_obj));
   let bad_op = Program.access x0 (Datatype.Incr 1) in
   check_bool "foreign operation rejected" true
     (Result.is_error (Engine.submit eng bad_op));
-  let huge = Program.par (List.init 11 (fun _ -> rd x0)) in
+  (* a [Par] of n reads names n + 1 transactions *)
+  let reads n = Program.par (List.init n (fun _ -> rd x0)) in
+  let huge = reads (Engine.max_program + 1) in
   check_bool "oversized program rejected" true
-    (Result.is_error (Engine.submit eng huge));
+    (Engine.submit eng huge
+    = Error
+        (Printf.sprintf "program too large (%d names; limit %d)"
+           (Engine.max_program + 2) Engine.max_program));
+  check_bool "program at the limit passes validation" true
+    (Engine.validate (rw_objects ()) (reads (Engine.max_program - 1)) = Ok ());
   check_int "nothing was attached" 0 (Engine.submitted eng);
   check_bool "still quiescent" true (Engine.step eng = `Quiescent)
 

@@ -105,60 +105,74 @@ let t_metrics_json () =
   check_bool "has histogram" true (contains s "\"lat\"");
   check_bool "has count" true (contains s "\"count\":1")
 
-(* --- windows and snapshots ------------------------------------------- *)
+(* --- interval histograms and registry deltas ------------------------ *)
 
-(* The property behind every per-interval readout: feeding the same
-   stream into a windowed instrument and a cumulative one, the sum of
-   the per-interval window readings equals the cumulative delta over
-   the same span — counters and histograms alike, whatever the
-   tick pattern. *)
-let t_window_sum_is_cumulative_delta () =
+(* The property behind every per-interval readout: each frame the
+   telemetry hub cuts carries exactly the latency and stage values
+   observed since the previous cut (a fresh histogram fed that
+   interval's stream reads the same), and summed over the cuts those
+   frames account for the cumulative [served.*] twins. *)
+let t_hub_interval_sum_is_cumulative () =
   let rng = Rng.create 42 in
-  let win = Obs_window.create ~slots:4 () in
   let m = Metrics.create () in
-  let wc = Obs_window.counter win "ops" and cc = Metrics.counter m "ops" in
-  let wh = Obs_window.histogram win "lat" and ch = Metrics.histogram m "lat" in
-  let base = Obs_snapshot.capture m in
-  (* per-interval tallies reconstructed from the window as we go *)
-  let intervals_c = ref [] and intervals_h = ref [] in
-  for _interval = 1 to 10 do
-    let n = 1 + Rng.int rng 50 in
-    for _ = 1 to n do
-      Obs_window.incr wc;
-      Metrics.incr cc;
+  let hub = Telemetry.Hub.create ~interval_s:1.0 m in
+  let counts = Telemetry.Hub.merge [] in
+  let fed = [| "read"; "execute"; "reply" |] in
+  let frames = ref [] in
+  for i = 1 to 10 do
+    let fresh = Metrics.create () in
+    for _ = 1 to Rng.int rng 50 do
       let v = Rng.int rng 10_000 in
-      Obs_window.observe wh v;
-      Metrics.observe ch v
+      Telemetry.Hub.observe_latency hub v;
+      Metrics.observe (Metrics.histogram fresh "latency_us") v;
+      let stage = fed.(Rng.int rng (Array.length fed)) in
+      let d = Rng.int rng 5_000 in
+      Telemetry.Hub.observe_stage hub stage d;
+      Metrics.observe (Metrics.histogram fresh stage) d
     done;
-    intervals_c := Obs_window.counter_current wc :: !intervals_c;
-    intervals_h := (Obs_window.histogram_current wh).Obs_window.count :: !intervals_h;
-    Obs_window.tick win
+    let f =
+      Telemetry.Hub.cut hub ~counts ~alarms:0 ~conns:0 ~subscribers:0
+        ~now:(float_of_int i)
+    in
+    let expect name = Wire.hist_of_metrics (Metrics.histogram fresh name) in
+    check_bool "latency = the interval's stream" true
+      (f.Wire.w_latency = expect "latency_us");
+    List.iter
+      (fun (name, h) ->
+        check_bool ("stage " ^ name ^ " = the interval's stream") true
+          (h = expect name))
+      f.Wire.stages;
+    frames := f :: !frames
   done;
-  let delta, _ = Obs_snapshot.delta ~prev:base (Obs_snapshot.capture m) in
-  let d_ops = Metrics.counter_value (Metrics.counter delta "ops") in
-  check_int "sum of window counters = cumulative delta" d_ops
-    (List.fold_left ( + ) 0 !intervals_c);
-  let d_lat = Metrics.histogram_stats (Metrics.histogram delta "lat") in
-  check_int "sum of window histogram counts = cumulative delta"
-    d_lat.Metrics.count
-    (List.fold_left ( + ) 0 !intervals_h);
-  (* the ring only retains [slots] intervals: totals cover exactly the
-     live slots, never more *)
-  check_bool "window total bounded by ring size" true
-    (Obs_window.counter_total wc <= d_ops)
+  let summed field =
+    List.fold_left (fun a f -> a + (field f).Wire.h_count) 0 !frames
+  in
+  let total name =
+    (Metrics.histogram_stats (Metrics.histogram m name)).Metrics.count
+  in
+  check_int "latency counts sum to served.latency_us"
+    (total "served.latency_us")
+    (summed (fun f -> f.Wire.w_latency));
+  List.iter
+    (fun (name, _) ->
+      check_int
+        ("stage " ^ name ^ " counts sum to its served twin")
+        (total ("served.stage." ^ name ^ "_us"))
+        (summed (fun f -> List.assoc name f.Wire.stages)))
+    (List.hd !frames).Wire.stages
 
-(* Obs_snapshot.delta subtracts instrument-wise and treats instruments
-   born after the snapshot as starting from zero. *)
+(* [Metrics.diff] against a [Metrics.copy] subtracts instrument-wise
+   and treats instruments born after the copy as starting from zero. *)
 let t_snapshot_delta () =
   let m = Metrics.create () in
   Metrics.incr ~by:5 (Metrics.counter m "old");
   Metrics.observe (Metrics.histogram m "h") 16;
-  let s0 = Obs_snapshot.capture m in
+  let s0 = Metrics.copy m in
   Metrics.incr ~by:2 (Metrics.counter m "old");
   Metrics.incr ~by:9 (Metrics.counter m "new");
   Metrics.observe (Metrics.histogram m "h") 16;
   Metrics.observe (Metrics.histogram m "h") 300;
-  let d, _ = Obs_snapshot.delta ~prev:s0 (Obs_snapshot.capture m) in
+  let d = Metrics.diff ~cur:(Metrics.copy m) ~prev:s0 in
   check_int "existing counter subtracts" 2
     (Metrics.counter_value (Metrics.counter d "old"));
   check_int "new counter from zero" 9
@@ -391,7 +405,7 @@ let suite =
         t_metrics_histogram_boundaries;
       Alcotest.test_case "metrics JSON export" `Quick t_metrics_json;
       Alcotest.test_case "window sum = cumulative delta" `Quick
-        t_window_sum_is_cumulative_delta;
+        t_hub_interval_sum_is_cumulative;
       Alcotest.test_case "snapshot delta" `Quick t_snapshot_delta;
       Alcotest.test_case "recorder event interests" `Quick t_obs_interest;
       Alcotest.test_case "span derivation from actions" `Quick

@@ -318,6 +318,39 @@ let t_sharded_ungated_cross_cycle () =
 
 (* ----- the live service ----- *)
 
+(* The router runs the engine's own validator against the full table:
+   every refusal carries the words a single engine gives, a
+   cross-shard program with one bad access is refused whole, and no
+   rejected program reaches a shard. *)
+let t_router_refuses_like_engine () =
+  let objects = registers (numbered "k" 8) in
+  let cl =
+    Shard_cluster.create ~shards:2 ~seed:5 objects (Check.factory_of Check.Undo)
+  in
+  let eng = Engine.create ~seed:5 objects (Check.factory_of Check.Undo) in
+  let rd x = Program.access (obj x) Datatype.Read in
+  let spread bad = Program.par (List.map rd (numbered "k" 8) @ [ bad ]) in
+  let cases =
+    [
+      ("undeclared object", rd "nope");
+      ("foreign operation", Program.access (obj "k1") (Datatype.Incr 1));
+      ("cross-shard, one undeclared access", spread (rd "nope"));
+      ( "cross-shard, one foreign operation",
+        spread (Program.access (obj "k5") (Datatype.Incr 2)) );
+      ( "oversized program",
+        Program.par (List.init (Engine.max_program + 1) (fun _ -> rd "k0")) );
+    ]
+  in
+  List.iter
+    (fun (what, prog) ->
+      match (Shard_cluster.submit cl prog, Engine.submit eng prog) with
+      | Error routed, Error single ->
+          Alcotest.(check string) (what ^ ": same message") single routed
+      | _ -> Alcotest.failf "%s: both must refuse" what)
+    cases;
+  check_int "nothing routed" 0 (Shard_router.submitted (Shard_cluster.router cl));
+  check_bool "shards idle" true (Shard_cluster.quiescent cl)
+
 (* Twenty read-one-write-another programs over eight registers: on two
    shards most of them cross, and their write skew is what a missed
    cross-shard edge turns into an admitted cycle. *)
@@ -436,4 +469,6 @@ let suite =
         t_service_live;
       Alcotest.test_case "spine sees locally held cross-shard edges" `Quick
         t_spine_sees_local_edges;
+      Alcotest.test_case "router refuses like the engine" `Quick
+        t_router_refuses_like_engine;
     ] )
