@@ -72,8 +72,8 @@ type client = {
   mutable phase : phase;
   mutable remaining : int;
   mutable reqno : int;  (* request-id sequence: "c<id>-<reqno>" *)
-  (* open-loop mode: in-flight submissions (rid, submit time, txn once
-     Accepted), and the next scheduled Poisson arrival *)
+  (* open-loop mode: in-flight submissions (rid, due arrival time, txn
+     once Accepted), and the next scheduled Poisson arrival *)
   mutable outstanding : (string * float * Txn_id.t option) list;
   mutable next_arrival : float;
 }
@@ -383,7 +383,13 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
     | None -> 0.0
   in
   let exp_gap rng = -.log (1.0 -. Rng.float rng 1.0) /. per_client_rate in
+  (* Each request is timed from its due arrival, not from when the pump
+     got round to firing it, so a stall shows up as queueing delay in
+     the latencies instead of hiding it; [late_max] is how far behind
+     its schedule the generator fell. *)
+  let late_max = ref 0.0 in
   let submit_open c now =
+    late_max := Float.max !late_max (now -. c.next_arrival);
     let prog = gen_txn c in
     let rid = Printf.sprintf "c%d-%d" c.id c.reqno in
     c.reqno <- c.reqno + 1;
@@ -392,7 +398,7 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
          { program = Program_io.program_to_string prog; req = Some rid });
     stats.submitted <- stats.submitted + 1;
     c.remaining <- c.remaining - 1;
-    c.outstanding <- (rid, now, None) :: c.outstanding
+    c.outstanding <- (rid, c.next_arrival, None) :: c.outstanding
   in
   let settle_open c rid t0 =
     Metrics.observe latency
@@ -850,6 +856,12 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
                ("server_vetoed", Obs_json.Int srv_vetoed);
                ("server_alarms", Obs_json.Int alarms);
              ]
+            @ (if open_rate = None then []
+               else
+                 [
+                   ( "open_loop_late_ms_max",
+                     Obs_json.Float (!late_max *. 1e3) );
+                 ])
             @
             (if sub = None then []
              else
@@ -1068,8 +1080,10 @@ let cmd =
              RATE transactions per second (split across clients) with \
              exponential inter-arrival gaps, decoupled from completions — \
              clients keep multiple transactions outstanding when the \
-             server lags the offered load.  Incompatible with \
-             $(b,--drop-rate).")
+             server lags the offered load.  Latency is timed from each \
+             arrival's due time, and $(b,--json) reports \
+             $(b,open_loop_late_ms_max), the furthest the generator fell \
+             behind its schedule.  Incompatible with $(b,--drop-rate).")
   in
   let term =
     Term.(

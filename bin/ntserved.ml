@@ -1506,7 +1506,7 @@ let cmd =
              spine.  N=1 steps the one engine inside the select loop; \
              N>1 keeps the flight recorder, audit log and telemetry \
              (minus the engine-clock execute and gate stages) but \
-             refuses --wal and the replication backend.")
+             refuses --wal.")
   in
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ]) in
   let term =

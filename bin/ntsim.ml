@@ -131,7 +131,7 @@ let factory_of = function
 
 let run_cmd workload protocol seed n_top depth fanout n_objects theta
     read_ratio abort_prob policy check print_trace save_path dot_path
-    load_path monitor batch report program_path obs_format obs_out =
+    load_path monitor report program_path obs_format obs_out =
   let obs, finish_obs = setup_obs ~report obs_format obs_out in
   let forest, schema =
     match program_path with
@@ -190,31 +190,7 @@ let run_cmd workload protocol seed n_top depth fanout n_objects theta
   let mon =
     if monitor then begin
       let m = Monitor.create schema in
-      let alarms =
-        match batch with
-        | None -> Monitor.feed_trace ~obs m trace
-        | Some n ->
-            (* Feed in coalesced bursts: each chunk's edge insertions
-               are deduplicated and run through the incremental
-               detector once, at the chunk boundary.  Alarm indices
-               are the chunk's starting event. *)
-            let n = max 1 n in
-            let len = Array.length trace in
-            let acc = ref [] in
-            let i = ref 0 in
-            while !i < len do
-              let stop = min len (!i + n) in
-              let chunk =
-                Array.to_list (Array.sub trace !i (stop - !i))
-              in
-              List.iter
-                (fun a -> acc := (!i, a) :: !acc)
-                (Monitor.feed_batch ~obs m chunk);
-              i := stop
-            done;
-            List.rev !acc
-      in
-      (match alarms with
+      (match Monitor.feed_trace ~obs m trace with
       | [] -> Format.printf "online monitor: no alarms@."
       | alarms ->
           List.iter
@@ -394,19 +370,6 @@ let cmd =
           ~doc:"Feed the behavior through the online monitor and report \
                 alarms with their event indices.")
   in
-  let batch =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch" ] ~docv:"N"
-          ~doc:
-            "With $(b,--monitor): feed the trace in bursts of $(docv) \
-             events via Monitor.feed_batch, coalescing each burst's edge \
-             insertions (deduplicated, one incremental-detector pass per \
-             distinct edge at the burst boundary).  Verdict-equivalent to \
-             event-by-event feeding; reported alarm indices are burst \
-             starts.")
-  in
   let report =
     Arg.(
       value & flag
@@ -440,7 +403,7 @@ let cmd =
     Term.(
       const run_cmd $ workload $ protocol $ seed $ n_top $ depth $ fanout
       $ n_objects $ theta $ read_ratio $ abort_prob $ policy $ check
-      $ print_trace $ save_path $ dot_path $ load_path $ monitor $ batch
+      $ print_trace $ save_path $ dot_path $ load_path $ monitor
       $ report $ program_path $ obs_format $ obs_out)
   in
   Cmd.v

@@ -139,7 +139,6 @@ type sim = {
   mutable deadlock_aborts : int;
   mutable deadlock_cycles : int;
   mutable injected_aborts : int;
-  mutable admission_aborts : int;
   mutable orphan_aborts : int;
 }
 
@@ -412,7 +411,6 @@ let fire sim c =
          requested and incomplete, so the veto is delivered as an
          abort — the resulting behavior is still one the generic
          system allows. *)
-      sim.admission_aborts <- sim.admission_aborts + 1;
       if sim.obs_emit then
         Obs.instant ~txn:t
           ~ts:(sim.obs_base + sim.n_actions)
@@ -597,7 +595,6 @@ let make ?(policy = Random_step) ?(inform_policy = Eager) ?(abort_prob = 0.0)
       deadlock_aborts = 0;
       deadlock_cycles = 0;
       injected_aborts = 0;
-      admission_aborts = 0;
       orphan_aborts = 0;
     }
   in
@@ -670,20 +667,15 @@ let step sim =
     end
   end
 
-let abort_txn sim ?(cause = `Orphan) t =
+let abort_txn sim t =
   match Txn_id.Tbl.find_opt sim.statuses t with
   | Some s when s.requested && s.completed = No ->
-      (match cause with
-      | `Orphan -> sim.orphan_aborts <- sim.orphan_aborts + 1
-      | `Injected -> sim.injected_aborts <- sim.injected_aborts + 1);
+      sim.orphan_aborts <- sim.orphan_aborts + 1;
       if sim.obs_emit then
         Obs.instant ~txn:t
           ~ts:(sim.obs_base + sim.n_actions)
-          sim.obs.o
-          (match cause with
-          | `Orphan -> "abort.orphan"
-          | `Injected -> "abort.injected");
-      do_abort sim ~cause:(match cause with `Orphan -> `Orphan | `Injected -> `Injected) t;
+          sim.obs.o "abort.orphan";
+      do_abort sim ~cause:`Orphan t;
       true
   | Some _ | None -> false
 
@@ -698,7 +690,6 @@ let top_state sim t =
 
 let actions_so_far sim = sim.n_actions
 let steps_so_far sim = sim.steps
-let admission_aborts sim = sim.admission_aborts
 let orphan_aborts sim = sim.orphan_aborts
 
 let finish sim =

@@ -112,12 +112,12 @@ val step : t -> [ `Progress | `Quiescent | `Truncated ]
     deadlock-breaking abort).  [`Quiescent]: nothing enabled.
     [`Truncated]: the step budget is exhausted. *)
 
-val abort_txn : t -> ?cause:[ `Orphan | `Injected ] -> Txn_id.t -> bool
+val abort_txn : t -> Txn_id.t -> bool
 (** Abort a transaction from outside the scheduler, if the permissive
     controller currently may (requested and incomplete): emits
-    [ABORT], records the cause (default [`Orphan] — the serving-time
-    "client vanished" cause) and queues the informs.  Returns [false]
-    if the transaction is unknown, not yet requested, or complete. *)
+    [ABORT], records it as an orphan abort (the serving-time "client
+    vanished" cause) and queues the informs.  Returns [false] if the
+    transaction is unknown, not yet requested, or complete. *)
 
 val top_state :
   t -> Txn_id.t -> [ `Unknown | `Running | `Committed of Value.t | `Aborted ]
@@ -128,11 +128,8 @@ val top_state :
 val actions_so_far : t -> int
 val steps_so_far : t -> int
 
-val admission_aborts : t -> int
-(** Commits vetoed by the [commit_gate] so far. *)
-
 val orphan_aborts : t -> int
-(** {!abort_txn} aborts with cause [`Orphan] so far. *)
+(** {!abort_txn} aborts so far. *)
 
 val finish : t -> result
 (** Settle telemetry and package the trace and statistics.  Call once,

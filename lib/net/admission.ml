@@ -8,7 +8,6 @@ type t = {
   monitor : Monitor.t;
   obs : Obs.t;
   gating : bool;
-  mutable admitted : int;
   mutable vetoed : int;
   vetoes : veto Txn_id.Tbl.t;  (* keyed by top-level ancestor *)
 }
@@ -18,14 +17,12 @@ let create ?(obs = Obs.null) ?(gating = true) schema =
     monitor = Monitor.create schema;
     obs;
     gating;
-    admitted = 0;
     vetoed = 0;
     vetoes = Txn_id.Tbl.create 64;
   }
 
 let monitor t = t.monitor
 let gating t = t.gating
-let admitted t = t.admitted
 let vetoed t = t.vetoed
 
 let alarms t =
@@ -41,25 +38,25 @@ let top_of u =
   | [] -> u
   | i :: _ -> Txn_id.child Txn_id.root i
 
-let gate t u =
-  if not t.gating then true
-  else
-    match Monitor.commit_would_cycle t.monitor u with
-    | None ->
-        t.admitted <- t.admitted + 1;
-        true
-    | Some (cycle, edges) ->
-        t.vetoed <- t.vetoed + 1;
-        let witness = Monitor.explain_cycle_with t.monitor edges cycle in
-        Txn_id.Tbl.replace t.vetoes (top_of u) { node = u; cycle; witness };
-        if Obs.enabled t.obs then
-          Metrics.incr (Metrics.counter (Obs.metrics t.obs) "admission.vetoed");
-        false
-
-let record_veto t u ~cycle ~witness =
+(* The one place a veto is recorded, whichever gate decided it. *)
+let veto t u ~cycle ~witness =
   t.vetoed <- t.vetoed + 1;
   Txn_id.Tbl.replace t.vetoes (top_of u) { node = u; cycle; witness };
   if Obs.enabled t.obs then
-    Metrics.incr (Metrics.counter (Obs.metrics t.obs) "admission.vetoed")
+    Metrics.incr (Metrics.counter (Obs.metrics t.obs) "admission.vetoed");
+  false
+
+let gate t ~extra u =
+  if not t.gating then true
+  else
+    let edges = Monitor.prospective_commit_edges t.monitor u in
+    match Monitor.edges_would_cycle t.monitor edges with
+    | Some (cycle, fresh) ->
+        veto t u ~cycle
+          ~witness:(Monitor.explain_cycle ~extra:fresh t.monitor cycle)
+    | None -> (
+        match extra u edges with
+        | Some (cycle, witness) -> veto t u ~cycle ~witness
+        | None -> true)
 
 let veto_of t u = Txn_id.Tbl.find_opt t.vetoes (top_of u)

@@ -3,12 +3,15 @@
     Wraps the incremental {!Nt_sg.Monitor}: {!on_action} feeds it every
     emitted action (wired through [Runtime.make ~on_action], so the
     monitor is exactly current at every point of the step), and {!gate}
-    is the [Runtime] commit gate — it asks
-    {!Nt_sg.Monitor.commit_would_cycle} whether performing the commit
-    would close an SG cycle, and vetoes it if so, recording a witness
-    ({!Nt_sg.Monitor.explain_cycle_with}) keyed by the transaction's
+    is the [Runtime] commit gate — it computes the commit's prospective
+    edges ({!Nt_sg.Monitor.prospective_commit_edges}) once, asks
+    {!Nt_sg.Monitor.edges_would_cycle} whether inserting them would
+    close an SG cycle, and vetoes it if so, recording a witness
+    ({!Nt_sg.Monitor.explain_cycle}) keyed by the transaction's
     top-level ancestor so the server can report {e why} a submission
-    aborted.
+    aborted.  The prospective set comes from the same conflict-edge and
+    wakeup code the monitor's feed runs, so the gate judges exactly the
+    edges the commit then inserts.
 
     Soundness: in this construction only [Commit] actions can close a
     cycle (see the Admission-speculation section of
@@ -39,15 +42,18 @@ val on_action : t -> Action.t -> unit
 (** Feed one action to the monitor (alarms are absorbed into
     {!alarms}; under gating none should ever fire). *)
 
-val gate : t -> Txn_id.t -> bool
-(** The commit gate: [false] vetoes. *)
-
-val record_veto : t -> Txn_id.t -> cycle:Txn_id.t list -> witness:string -> unit
-(** Record a veto decided {e outside} the local gate (the cross-shard
-    spine, see [Nt_shard]): bumps {!vetoed}, stores the witness under
-    the transaction's top-level ancestor, and emits the
-    [admission.vetoed] counter — so externally-vetoed submissions
-    report through {!veto_of} exactly like local ones. *)
+val gate :
+  t ->
+  extra:(Txn_id.t -> Monitor.prospective -> (Txn_id.t list * string) option) ->
+  Txn_id.t ->
+  bool
+(** The commit gate: [false] vetoes.  The local verdict comes first;
+    only a commit it admits reaches [extra] (the cross-shard spine, see
+    [Nt_shard]), which receives the same unfiltered prospective set and
+    answers [None] to admit or [Some (cycle, witness)] to veto.  Either
+    veto bumps {!vetoed}, stores the witness under the transaction's
+    top-level ancestor and emits the [admission.vetoed] counter, so
+    both report through {!veto_of} alike. *)
 
 val veto_of : t -> Txn_id.t -> veto option
 (** The recorded veto under this transaction's top-level ancestor, if
@@ -55,9 +61,6 @@ val veto_of : t -> Txn_id.t -> veto option
 
 val monitor : t -> Monitor.t
 val gating : t -> bool
-val admitted : t -> int
-(** Commits the gate let through. *)
-
 val vetoed : t -> int
 val alarms : t -> int
 (** Monitor alarms so far (cycle + inappropriate); always [0] under

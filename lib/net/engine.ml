@@ -54,7 +54,7 @@ let subprogram progs n_progs txn =
 let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
     ?(admission = true)
     ?(on_top_complete = fun _ _ -> ()) ?(on_action = fun _ -> ())
-    ?(extra_gate = fun _ -> true) ?clock ~seed objects factory =
+    ?(extra_gate = fun _ _ -> None) ?clock ~seed objects factory =
   let dtypes = Obj_id.Tbl.create 16 in
   List.iter (fun (x, dt) -> Obj_id.Tbl.replace dtypes x dt) objects;
   let progs = ref [||] and n_progs = ref 0 in
@@ -117,7 +117,7 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
   (* The local verdict first: a commit the local monitor already
      refuses never reaches [extra_gate], so the cross-shard spine only
      ever sees locally-consistent candidates. *)
-  let gate u = Admission.gate adm u && extra_gate u in
+  let gate = Admission.gate adm ~extra:extra_gate in
   let commit_gate =
     match clock with
     | None -> gate
@@ -226,7 +226,7 @@ let sweep_doomed t =
     let pending = Txn_id.Tbl.fold (fun u () acc -> u :: acc) t.doomed [] in
     List.iter
       (fun u ->
-        if Runtime.abort_txn t.rt ~cause:`Orphan u then
+        if Runtime.abort_txn t.rt u then
           Txn_id.Tbl.remove t.doomed u
         else
           match Runtime.top_state t.rt u with
@@ -260,7 +260,7 @@ let known_top t txn =
 
 let kill t txn =
   if not (known_top t txn) then `Unknown
-  else if Runtime.abort_txn t.rt ~cause:`Orphan txn then begin
+  else if Runtime.abort_txn t.rt txn then begin
     sweep_doomed t;
     `Aborted
   end

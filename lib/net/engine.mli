@@ -55,7 +55,8 @@ val create :
   ?admission:bool ->
   ?on_top_complete:(Txn_id.t -> [ `Committed | `Aborted ] -> unit) ->
   ?on_action:(Action.t -> unit) ->
-  ?extra_gate:(Txn_id.t -> bool) ->
+  ?extra_gate:
+    (Txn_id.t -> Nt_sg.Monitor.prospective -> (Txn_id.t list * string) option) ->
   ?clock:(unit -> float) ->
   seed:int ->
   (Obj_id.t * Datatype.t) list ->
@@ -78,10 +79,12 @@ val create :
     before the engine's own bookkeeping on every runtime action — a
     shard wrapper uses it to stamp sequence numbers and mirror the
     action stream.  [extra_gate] is a second commit gate consulted
-    {e only after} the local admission controller admits: returning
-    [false] vetoes the commit exactly as a local veto would (the
-    caller should record the veto via {!Admission.record_veto} so
-    {!state} can report it). *)
+    {e only after} the local admission controller admits (so never
+    when [admission] is off), with the prospective edge set the local
+    gate already computed (unfiltered, from the monitor's one edge
+    rule — see {!Admission.gate}): [Some (cycle, witness)] vetoes the
+    commit and is recorded exactly as a local veto, so {!state}
+    reports it. *)
 
 val max_program : int
 (** The largest program (in transaction names, {!Program.size}) any

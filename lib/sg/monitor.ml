@@ -18,14 +18,6 @@ type endpoint = { who : Txn_id.t; at : int; where : Obj_id.t option }
 
 type provenance = { kind : edge_kind; before : endpoint; after : endpoint }
 
-(* What to do when a transaction becomes visible to T0. *)
-type item =
-  | Activate_op of Obj_id.t * int  (* seq within the object's op table *)
-  | Activate_edge of Txn_id.t * Txn_id.t * provenance
-  | Activate_node of Txn_id.t
-
-type visibility = Visible | Dead | Pending of int
-
 type op_record = {
   access : Txn_id.t;
   value : Value.t;
@@ -33,6 +25,14 @@ type op_record = {
   at : int;  (* feed index of the recording Request_commit *)
   mutable op_visible : bool;
 }
+
+(* What to do when a transaction becomes visible to T0. *)
+type item =
+  | Activate_op of Obj_id.t * op_record
+  | Activate_edge of Txn_id.t * Txn_id.t * provenance
+  | Activate_node of Txn_id.t
+
+type visibility = Visible | Dead | Pending of int
 
 type obj_state = {
   mutable ops : op_record list;  (* newest first *)
@@ -56,12 +56,6 @@ type t = {
       (* first witness per inserted edge (edges are deduplicated) *)
   mutable pending_edges : (Txn_id.t * Txn_id.t * provenance) list;
       (* edges inserted by the current feed, for the event stream *)
-  mutable batch :
-    ((Txn_id.t * Txn_id.t, unit) Hashtbl.t
-    * (Txn_id.t * Txn_id.t * provenance) list ref)
-    option;
-      (* when feeding a batch, edges are coalesced here and inserted
-         (deduplicated) at the batch boundary *)
   mutable first_cycle : Txn_id.t list option;
   mutable any_alarm : bool;
   mutable n_feeds : int;
@@ -90,7 +84,6 @@ let create ?mode schema =
     objects;
     edge_prov = Hashtbl.create 64;
     pending_edges = [];
-    batch = None;
     first_cycle = None;
     any_alarm = false;
     n_feeds = 0;
@@ -160,73 +153,65 @@ let add_item t u item =
    maintains a topological order and searches only the region the new
    edge can disturb, so most insertions are O(1) and none re-walks the
    whole graph. *)
-let really_insert t ~prov a b =
-  Hashtbl.replace t.edge_prov (a, b) prov;
-  t.pending_edges <- (a, b, prov) :: t.pending_edges;
-  match Graph.add_edge_checked t.g a b with
-  | Graph.Ok _ -> []
-  | Graph.Cycle path ->
-      (* path is b ... a; the cycle is that path (edge a->b closes it). *)
-      t.any_alarm <- true;
-      if t.first_cycle = None then t.first_cycle <- Some path;
-      [ Cycle path ]
-
 let insert_edge t ~prov a b =
-  if Txn_id.equal a b then []
-  else if Graph.mem_edge t.g a b then []
-  else
-    match t.batch with
-    | None -> really_insert t ~prov a b
-    | Some (seen, queue) ->
-        (* Coalesce: first witness wins, the search happens once per
-           distinct edge at the batch boundary. *)
-        if Hashtbl.mem seen (a, b) then []
-        else begin
-          Hashtbl.add seen (a, b) ();
-          queue := (a, b, prov) :: !queue;
-          []
-        end
+  if Txn_id.equal a b || Graph.mem_edge t.g a b then []
+  else begin
+    Hashtbl.replace t.edge_prov (a, b) prov;
+    t.pending_edges <- (a, b, prov) :: t.pending_edges;
+    match Graph.add_edge_checked t.g a b with
+    | Graph.Ok _ -> []
+    | Graph.Cycle path ->
+        (* path is b ... a; the cycle is that path (edge a->b closes it). *)
+        t.any_alarm <- true;
+        if t.first_cycle = None then t.first_cycle <- Some path;
+        [ Cycle path ]
+  end
 
 let ops_conflict t (a, va) (b, vb) =
   match t.mode with
   | Sg.Operation_level -> Schema.operations_conflict t.schema (a, va) (b, vb)
   | Sg.Access_level -> Schema.accesses_conflict t.schema a b
 
-(* An operation became visible: emit conflict edges; the replay check
-   is deferred to the end of the fed action (a single commit can wake
-   several operations, and replaying between the wakeups of one batch
-   would examine a state no prefix of the behavior exhibits). *)
-let activate_op t touched x seq =
-  let ost = Obj_id.Tbl.find t.objects x in
-  let record = List.find (fun r -> r.seq = seq) ost.ops in
-  record.op_visible <- true;
-  touched := x :: !touched;
-  let alarms = ref [] in
+(* The one conflict-edge rule, for the feed and the admission
+   speculation alike: operation [record] on [x] becomes visible, so
+   every [visible], unrelated, conflicting operation on [x] yields an
+   edge [a -> b] between the children of the pair's lca, earlier
+   response first. *)
+let conflict_edges t ~visible x record emit =
   List.iter
     (fun other ->
       if
-        other.seq <> seq && other.op_visible
+        other.seq <> record.seq && visible other
         && (not (Txn_id.related record.access other.access))
         && ops_conflict t
              (record.access, record.value)
              (other.access, other.value)
       then begin
         let earlier, later =
-          if other.seq < seq then (other, record) else (record, other)
+          if other.seq < record.seq then (other, record) else (record, other)
         in
         let l = Txn_id.lca earlier.access later.access in
-        let a = Txn_id.child_of_on_path ~ancestor:l earlier.access in
-        let b = Txn_id.child_of_on_path ~ancestor:l later.access in
-        let prov =
+        emit
+          (Txn_id.child_of_on_path ~ancestor:l earlier.access)
+          (Txn_id.child_of_on_path ~ancestor:l later.access)
           {
             kind = Conflict;
             before = { who = earlier.access; at = earlier.at; where = Some x };
             after = { who = later.access; at = later.at; where = Some x };
           }
-        in
-        alarms := insert_edge t ~prov a b @ !alarms
       end)
-    ost.ops;
+    (Obj_id.Tbl.find t.objects x).ops
+
+(* An operation became visible: insert its conflict edges; the replay
+   check is deferred to the end of the fed action (a single commit can
+   wake several operations, and replaying between the wakeups of one
+   commit would examine a state no prefix of the behavior exhibits). *)
+let activate_op t touched x record =
+  record.op_visible <- true;
+  touched := x :: !touched;
+  let alarms = ref [] in
+  conflict_edges t ~visible:(fun r -> r.op_visible) x record (fun a b prov ->
+      alarms := insert_edge t ~prov a b @ !alarms);
   !alarms
 
 (* Replay an object's visible sequence (end-of-action check). *)
@@ -248,37 +233,45 @@ let replay_object t x =
   end
 
 let run_item t touched = function
-  | Activate_op (x, seq) -> activate_op t touched x seq
+  | Activate_op (x, record) -> activate_op t touched x record
   | Activate_edge (a, b, prov) -> insert_edge t ~prov a b
   | Activate_node u ->
       Graph.add_node t.g u;
       []
 
+let dependents t w =
+  match Txn_id.Tbl.find_opt t.waiters w with Some l -> l | None -> []
+
+(* [u]'s queued items, in the order they were queued. *)
+let queued t u =
+  match Txn_id.Tbl.find_opt t.items u with Some l -> List.rev l | None -> []
+
+(* The one wakeup rule, for the feed and the admission speculation
+   alike: committing [w] makes a dependent visible when [w] was the
+   last uncommitted ancestor it was waiting on. *)
+let wakes t u =
+  match Txn_id.Tbl.find_opt t.vis u with Some (Pending n) -> n <= 1 | _ -> false
+
 (* A commit arrived: wake dependents. *)
 let process_commit t touched w =
   Txn_id.Tbl.replace t.committed w ();
-  let dependents =
-    match Txn_id.Tbl.find_opt t.waiters w with Some l -> l | None -> []
-  in
+  let deps = dependents t w in
   Txn_id.Tbl.remove t.waiters w;
   List.concat_map
     (fun u ->
-      match Txn_id.Tbl.find_opt t.vis u with
-      | Some (Pending n) ->
-          if n <= 1 then begin
-            Txn_id.Tbl.replace t.vis u Visible;
-            let items =
-              match Txn_id.Tbl.find_opt t.items u with Some l -> l | None -> []
-            in
-            Txn_id.Tbl.remove t.items u;
-            List.concat_map (run_item t touched) (List.rev items)
-          end
-          else begin
-            Txn_id.Tbl.replace t.vis u (Pending (n - 1));
-            []
-          end
-      | _ -> [])
-    dependents
+      if wakes t u then begin
+        Txn_id.Tbl.replace t.vis u Visible;
+        let items = queued t u in
+        Txn_id.Tbl.remove t.items u;
+        List.concat_map (run_item t touched) items
+      end
+      else begin
+        (match Txn_id.Tbl.find_opt t.vis u with
+        | Some (Pending n) -> Txn_id.Tbl.replace t.vis u (Pending (n - 1))
+        | _ -> ());
+        []
+      end)
+    deps
 
 let process_abort t w =
   Txn_id.Tbl.replace t.aborted w ();
@@ -296,9 +289,9 @@ let process_abort t w =
   Txn_id.Tbl.remove t.waiters w;
   []
 
-(* Alarm bookkeeping and telemetry shared by {!feed} and the batch
-   flush: count the alarms, emit instants for them, and stream the
-   edges inserted since [edges_before]. *)
+(* Alarm bookkeeping and telemetry for one fed action: count the
+   alarms, emit instants for them, and stream the edges inserted since
+   [edges_before]. *)
 let account ~obs t ~edges_before alarms =
   List.iter
     (fun alarm ->
@@ -372,12 +365,14 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
       let seq = ost.next_seq in
       t.n_operations <- t.n_operations + 1;
       ost.next_seq <- seq + 1;
-      ost.ops <-
-        { access = u; value = v; seq; at = now; op_visible = false } :: ost.ops;
+      let record =
+        { access = u; value = v; seq; at = now; op_visible = false }
+      in
+      ost.ops <- record :: ost.ops;
       match visibility t u with
-      | Visible -> activate_op t touched x seq
+      | Visible -> activate_op t touched x record
       | Pending _ ->
-          add_item t u (Activate_op (x, seq));
+          add_item t u (Activate_op (x, record));
           []
       | Dead -> [])
   | Action.Commit u -> process_commit t touched u
@@ -426,36 +421,6 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
   account ~obs t ~edges_before all;
   all
 
-(* Feed a burst of actions with their edge insertions coalesced: every
-   edge the burst produces is queued (deduplicated, first witness
-   wins) and inserted through the incremental detector only at the
-   batch boundary.  Verdict-equivalent to feeding the actions one by
-   one — the same edges enter the same graph — but cycle alarms are
-   reported at the boundary rather than mid-batch, including a cycle
-   closed by the batch's last edge. *)
-let feed_batch ?(obs = Obs.null) t actions =
-  let base =
-    match t.batch with
-    | Some _ -> invalid_arg "Monitor.feed_batch: already batching"
-    | None ->
-        t.batch <- Some (Hashtbl.create 16, ref []);
-        List.concat_map (fun a -> feed ~obs t a) actions
-  in
-  let queued =
-    match t.batch with Some (_, q) -> List.rev !q | None -> []
-  in
-  t.batch <- None;
-  t.pending_edges <- [];
-  let edges_before = Graph.n_edges t.g in
-  let cycle_alarms =
-    List.concat_map
-      (fun (a, b, prov) ->
-        if Graph.mem_edge t.g a b then [] else really_insert t ~prov a b)
-      queued
-  in
-  account ~obs t ~edges_before cycle_alarms;
-  base @ cycle_alarms
-
 let feed_trace ?obs t trace =
   let alarms = ref [] in
   Array.iteri
@@ -475,13 +440,15 @@ let visible_operations t x =
 let edge_provenance t a b = Hashtbl.find_opt t.edge_prov (a, b)
 let first_cycle t = t.first_cycle
 
+type prospective = (Txn_id.t * Txn_id.t * provenance) list
+
 (* The consecutive (wrapping) edges of a cycle, with what inserted (or
    would insert) each.  [extra] supplies provenance for edges that are
    only prospective (admission speculation); everything else resolves
    against the recorded witnesses.  Every edge of a cycle reported by
    [feed] was inserted by this monitor, so the provenance is only
    [None] for a list that is not one of its cycles. *)
-let cycle_witness_with t extra cycle =
+let cycle_witness ?(extra = []) t cycle =
   match cycle with
   | [] -> []
   | _ ->
@@ -500,8 +467,6 @@ let cycle_witness_with t extra cycle =
           in
           (a, b, prov))
 
-let cycle_witness t cycle = cycle_witness_with t [] cycle
-
 let pp_provenance fmt p =
   match p.kind with
   | Conflict ->
@@ -518,7 +483,7 @@ let pp_provenance fmt p =
         (Txn_id.to_string p.after.who)
         p.after.at
 
-let explain_witness witness =
+let explain_cycle ?extra t cycle =
   let b = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer b in
   List.iter
@@ -529,44 +494,26 @@ let explain_witness witness =
           | Some p -> pp_provenance fmt p
           | None -> Format.pp_print_string fmt "unknown edge")
         prov)
-    witness;
+    (cycle_witness ?extra t cycle);
   Format.pp_print_flush fmt ();
   Buffer.contents b
 
-let explain_cycle t cycle = explain_witness (cycle_witness t cycle)
-
-let explain_cycle_with t extra cycle =
-  explain_witness (cycle_witness_with t extra cycle)
-
 (* --- Admission speculation --------------------------------------------- *)
 
-type prospective = (Txn_id.t * Txn_id.t * provenance) list
-
 (* The edges [feed (Commit w)] would insert, computed without mutating
-   anything: simulate the wakeups of {!process_commit} — dependents of
-   [w] whose pending count would reach zero become visible and their
-   queued items run — but collect the edges instead of inserting them.
-   Operations "activated" earlier in the simulated batch are visible
-   to later ones, exactly as in the real path, via the local [newly]
-   set.  All other feed actions are edge-free or target fresh nodes
-   (a [Request_commit] of an uncommitted access is always deferred as
-   an item; a [Request_create] precedes-edge points at a brand-new
-   node with no outgoing edges), so only commits can close a cycle and
-   gating them on this edge set is a complete admission test.  Edges
-   the graph already holds are kept: feeding skips them, but a sharded
-   gate must still see a local edge its spine does not order. *)
+   anything: the feed's own wakeup and conflict-edge rules ({!wakes},
+   {!conflict_edges}) run over the dependents [w] would wake, but the
+   edges are collected instead of inserted.  Operations "activated"
+   earlier in the simulated commit are visible to later ones, exactly
+   as in the real path, via the local [newly] set.  All other feed
+   actions are edge-free or target fresh nodes (a [Request_commit] of
+   an uncommitted access is always deferred as an item; a
+   [Request_create] precedes-edge points at a brand-new node with no
+   outgoing edges), so only commits can close a cycle and gating them
+   on this edge set is a complete admission test.  Edges the graph
+   already holds are kept: feeding skips them, but a sharded gate must
+   still see a local edge its spine does not order. *)
 let prospective_commit_edges t w =
-  let dependents =
-    match Txn_id.Tbl.find_opt t.waiters w with Some l -> l | None -> []
-  in
-  let woken =
-    List.filter
-      (fun u ->
-        match Txn_id.Tbl.find_opt t.vis u with
-        | Some (Pending n) -> n <= 1
-        | _ -> false)
-      dependents
-  in
   let newly : (Obj_id.t * int, unit) Hashtbl.t = Hashtbl.create 16 in
   let seen = Hashtbl.create 16 in
   let out = ref [] in
@@ -576,66 +523,32 @@ let prospective_commit_edges t w =
       out := (a, b, prov) :: !out
     end
   in
-  let simulate_op x seq =
-    let ost = Obj_id.Tbl.find t.objects x in
-    let record = List.find (fun r -> r.seq = seq) ost.ops in
-    List.iter
-      (fun other ->
-        if
-          other.seq <> seq
-          && (other.op_visible || Hashtbl.mem newly (x, other.seq))
-          && (not (Txn_id.related record.access other.access))
-          && ops_conflict t
-               (record.access, record.value)
-               (other.access, other.value)
-        then begin
-          let earlier, later =
-            if other.seq < seq then (other, record) else (record, other)
-          in
-          let l = Txn_id.lca earlier.access later.access in
-          let a = Txn_id.child_of_on_path ~ancestor:l earlier.access in
-          let b = Txn_id.child_of_on_path ~ancestor:l later.access in
-          let prov =
-            {
-              kind = Conflict;
-              before = { who = earlier.access; at = earlier.at; where = Some x };
-              after = { who = later.access; at = later.at; where = Some x };
-            }
-          in
-          candidate a b prov
-        end)
-      ost.ops;
-    Hashtbl.replace newly (x, seq) ()
-  in
   List.iter
     (fun u ->
-      let items =
-        match Txn_id.Tbl.find_opt t.items u with Some l -> l | None -> []
-      in
-      List.iter
-        (function
-          | Activate_op (x, seq) -> simulate_op x seq
-          | Activate_edge (a, b, prov) -> candidate a b prov
-          | Activate_node _ -> ())
-        (List.rev items))
-    woken;
+      if wakes t u then
+        List.iter
+          (function
+            | Activate_op (x, record) ->
+                let visible r = r.op_visible || Hashtbl.mem newly (x, r.seq) in
+                conflict_edges t ~visible x record candidate;
+                Hashtbl.replace newly (x, record.seq) ()
+            | Activate_edge (a, b, prov) -> candidate a b prov
+            | Activate_node _ -> ())
+          (queued t u))
+    (dependents t w);
   List.rev !out
 
-let commit_would_cycle t w =
-  if t.batch <> None then
-    invalid_arg "Monitor.commit_would_cycle: mid-batch speculation";
-  match
-    List.filter
-      (fun (a, b, _) -> not (Graph.mem_edge t.g a b))
-      (prospective_commit_edges t w)
-  with
+let edges_would_cycle t edges =
+  match List.filter (fun (a, b, _) -> not (Graph.mem_edge t.g a b)) edges with
   | [] -> None
-  | edges -> (
+  | fresh -> (
       match
-        Graph.would_close_cycle t.g (List.map (fun (a, b, _) -> (a, b)) edges)
+        Graph.would_close_cycle t.g (List.map (fun (a, b, _) -> (a, b)) fresh)
       with
       | None -> None
-      | Some path -> Some (path, edges))
+      | Some path -> Some (path, fresh))
+
+let commit_would_cycle t w = edges_would_cycle t (prospective_commit_edges t w)
 
 (* A compact per-edge label for DOT: the witnessing actions with their
    feed indices (and the conflicting object). *)

@@ -58,16 +58,6 @@ val feed : ?obs:Obs.t -> t -> Action.t -> alarm list
     become instant events, edge insertions feed the [monitor.*]
     metrics and a [sg.edges] counter track. *)
 
-val feed_batch : ?obs:Obs.t -> t -> Action.t list -> alarm list
-(** Feed a burst of actions with their edge insertions coalesced:
-    duplicates across the batch collapse to one insertion (first
-    witness wins) and the cycle search runs once per distinct edge at
-    the batch boundary.  Verdict-equivalent to feeding the actions
-    one at a time — same final graph, same alarms — but cycle alarms
-    (including one closed by the batch's last edge) are reported at
-    the boundary, so per-action attribution is coarser.  Telemetry
-    for the deferred edges is likewise emitted at the boundary. *)
-
 val feed_trace : ?obs:Obs.t -> t -> Trace.t -> (int * alarm) list
 (** Feed a whole trace; returns all alarms with the index of the
     triggering event. *)
@@ -124,14 +114,25 @@ val first_cycle : t -> Txn_id.t list option
 (** The witness of the first {!constructor:Cycle} alarm, retained for
     rendering ({!dot}). *)
 
-val cycle_witness :
-  t -> Txn_id.t list -> (Txn_id.t * Txn_id.t * provenance option) list
-(** The consecutive (wrapping) edges of a cycle with their provenance.
-    For a cycle this monitor reported, every edge has [Some]. *)
+type prospective = (Txn_id.t * Txn_id.t * provenance) list
+(** Edges a speculated action would insert, with the provenance each
+    would be recorded under. *)
 
-val explain_cycle : t -> Txn_id.t list -> string
-(** A human-readable witness chain, one line per edge:
-    ["T0.1 -> T0.2 [conflict at X: T0.1.0.1@12 vs T0.2.3@17]"]. *)
+val cycle_witness :
+  ?extra:prospective ->
+  t ->
+  Txn_id.t list ->
+  (Txn_id.t * Txn_id.t * provenance option) list
+(** The consecutive (wrapping) edges of a cycle with their provenance,
+    resolved against [extra] (default none) first and then against
+    the recorded witnesses.  For a cycle this monitor reported, every
+    edge has [Some]; for a {!commit_would_cycle} verdict, pass its
+    prospective set as [extra], since its closing edges were never
+    inserted. *)
+
+val explain_cycle : ?extra:prospective -> t -> Txn_id.t list -> string
+(** A human-readable witness chain of {!cycle_witness}, one line per
+    edge: ["T0.1 -> T0.2 [conflict at X: T0.1.0.1@12 vs T0.2.3@17]"]. *)
 
 val pp_provenance : Format.formatter -> provenance -> unit
 
@@ -145,39 +146,34 @@ val pp_provenance : Format.formatter -> provenance -> unit
     always deferred as a visibility item, and a [Request_create]
     precedes-edge targets a brand-new node with no outgoing edges — so
     vetoing exactly the cycle-closing commits keeps the graph acyclic
-    with zero false negatives. *)
+    with zero false negatives.
 
-type prospective = (Txn_id.t * Txn_id.t * provenance) list
-(** Edges a speculated action would insert, with the provenance each
-    would be recorded under. *)
+    The speculation runs {!feed}'s own conflict-edge and wakeup code,
+    collecting the edges instead of inserting them, so the prospective
+    set is exactly what the feed would witness. *)
 
 val prospective_commit_edges : t -> Txn_id.t -> prospective
 (** The edges the visibility wakeups of [feed t (Commit w)] witness,
-    with the provenance each would be recorded under, simulated
-    without mutating the monitor.  Edges the graph already holds are
-    included (the feed would insert only the others): this is the
-    dependency set a sharded admission controller ships to the
-    cross-shard gate (see [Nt_shard.Spine]), and a locally held edge
-    may be one the spine has not seen.  Raises
-    [Invalid_argument] mid-{!feed_batch}, as {!commit_would_cycle}
-    does. *)
+    with the provenance each would be recorded under, computed without
+    mutating the monitor.  Edges the graph already holds are included
+    (the feed would insert only the others): this is the dependency
+    set a sharded admission controller ships to the cross-shard gate
+    (see [Nt_shard.Spine]), and a locally held edge may be one the
+    spine has not seen. *)
+
+val edges_would_cycle :
+  t -> prospective -> (Txn_id.t list * prospective) option
+(** Would inserting these edges close an SG cycle?  Read-only: drops
+    the edges the graph already holds and runs one joint reachability
+    test ({!Graph.would_close_cycle}) over the current graph plus the
+    rest.  [Some (cycle, fresh)] gives the witness cycle (same
+    convention as {!constructor:Cycle}) and the edges not yet in the
+    graph, for {!explain_cycle}'s [extra]. *)
 
 val commit_would_cycle :
   t -> Txn_id.t -> (Txn_id.t list * prospective) option
 (** [commit_would_cycle t w] — would [feed t (Commit w)] close an SG
-    cycle?  Read-only: simulates the visibility wakeups the commit
-    triggers, collects the edges they would insert and runs a joint
-    reachability test ({!Graph.would_close_cycle}) over the current
-    graph plus those edges.  [Some (cycle, edges)] gives the witness
-    cycle (same convention as {!constructor:Cycle}) and the full
-    prospective edge set for explanation.  Raises [Invalid_argument]
-    mid-{!feed_batch} (the queued batch edges are not in the graph
-    yet, so speculation would be unsound). *)
-
-val explain_cycle_with : t -> prospective -> Txn_id.t list -> string
-(** {!explain_cycle}, but resolving edges of the cycle against the
-    prospective set first — for explaining a {!commit_would_cycle}
-    verdict, whose closing edges were never inserted. *)
+    cycle?  [edges_would_cycle t (prospective_commit_edges t w)]. *)
 
 val dot : t -> string
 (** The current graph rendered via {!Dot.of_graph}, each edge labelled

@@ -44,7 +44,6 @@ let zero_stats =
 type t = {
   shard : int;
   spine : Spine.t;
-  gating : bool;
   mutable eng : Engine.t option;  (* set once, at the end of [create] *)
   prefixes : (int, int list) Hashtbl.t;  (* local top index -> merged prefix *)
   by_prefix : (int list, Txn_id.t) Hashtbl.t;
@@ -123,15 +122,15 @@ let witness_string t prov =
     { prov with Monitor.before = r prov.Monitor.before;
                 after = r prov.Monitor.after }
 
-let extra_gate t u =
-  if Txn_id.depth u <> 1 then true
+(* The second gate: [edges] is the prospective set the local gate
+   already computed for [u]'s commit. *)
+let extra_gate t u edges =
+  if Txn_id.depth u <> 1 then None
     (* Inner commits cannot add top-level edges: an operation is
        visible to [T0] only once every ancestor, the top included, has
        committed. *)
   else
-    let eng = the_engine t in
-    let adm = Engine.admission eng in
-    let m = Admission.monitor adm in
+    let m = Admission.monitor (Engine.admission (the_engine t)) in
     (* A new edge is always shipped.  An edge the local graph already
        holds may be a precedes edge from a piece that reported before
        the other top started here; the spine's rail orders the two
@@ -154,19 +153,14 @@ let extra_gate t u =
                 Some (ga, gb, witness_string t prov)
             | _ -> None
           else None)
-        (Monitor.prospective_commit_edges m u)
+        edges
     in
-    match tops with
-    | [] -> true
-    | edges -> (
-        match merged_g t u with
-        | None -> true
-        | Some g -> (
-            match Spine.gate t.spine ~top:g ~edges with
-            | Spine.Admitted -> true
-            | Spine.Vetoed { cycle; witness } ->
-                Admission.record_veto adm u ~cycle ~witness;
-                false))
+    match (tops, merged_g t u) with
+    | [], _ | _, None -> None
+    | tops, Some g -> (
+        match Spine.gate t.spine ~top:g ~edges:tops with
+        | Spine.Admitted -> None
+        | Spine.Vetoed { cycle; witness } -> Some (cycle, witness))
 
 let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
     ?(gating = true) ~spine ~partition ~shard ~seed factory =
@@ -174,7 +168,6 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
     {
       shard;
       spine;
-      gating;
       eng = None;
       prefixes = Hashtbl.create 64;
       by_prefix = Hashtbl.create 64;
@@ -186,7 +179,7 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
   let eng =
     Engine.create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
       ~admission:gating ~on_action:(tap t)
-      ~extra_gate:(fun u -> (not t.gating) || extra_gate t u)
+      ~extra_gate:(extra_gate t)
       ~seed
       (Partition.objects_of partition shard)
       factory

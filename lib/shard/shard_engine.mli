@@ -13,18 +13,20 @@
       stamp {!Spine.note_submit}/{!Spine.note_complete} with the same
       sequence numbers, making the spine's implicit precedes rail
       exactly the merged trace's;
-    - {e the second gate} — a top-level commit whose prospective edge
-      set ({!Nt_sg.Monitor.prospective_commit_edges}) contains
-      top-level edges presents their merged projection to
-      {!Spine.gate} after the local controller admits — new edges,
-      and edges the local graph already holds unless the spine's rail
-      orders their merged tops (the rule and its argument are in
-      [doc/sharding.mld]); a spine veto is
-      recorded through {!Nt_net.Admission.record_veto}, so clients see
-      it exactly like a local veto.  Commits with no top-level
-      prospective edges skip the spine — that fast path is exact, not
-      heuristic: only edges incident to the committing top can close a
-      new global cycle, and they are all in the prospective set.
+    - {e the second gate} — after the local controller admits a
+      top-level commit, it hands this wrapper the prospective edge set
+      it already computed ({!Nt_sg.Monitor.prospective_commit_edges},
+      the feed's own edge rule, computed once per commit); if the set
+      contains top-level edges, their merged projection goes to
+      {!Spine.gate} — new edges, and edges the local graph already
+      holds unless the spine's rail orders their merged tops (the rule
+      and its argument are in [doc/sharding.mld]); a spine veto goes
+      back to {!Nt_net.Admission.gate}, which records it like a local
+      veto, so clients cannot tell the two apart.  Commits with no
+      top-level prospective edges skip the spine — that fast path is
+      exact, not heuristic: only edges incident to the committing top
+      can close a new global cycle, and they are all in the prospective
+      set.
 
     Thread discipline: every mutating entry point ({!submit}, {!step},
     {!drain}, {!kill}, {!finish}) must be called from the one thread

@@ -176,63 +176,86 @@ let t_counters () =
         (Monitor.alarmed m))
     [ (Moss_object.factory, "moss"); (Broken.no_control, "broken") ]
 
-(* [feed_batch] is verdict-equivalent to feeding one action at a
-   time: same final graph, same alarmed verdict, same cumulative
-   counters — on correct and broken runs alike, across batch sizes
-   (including a batch whose last action's edge closes the cycle). *)
-let t_feed_batch_equivalent () =
+(* The commit gate's speculation predicts the feed exactly: before
+   each [Commit w], [prospective_commit_edges] names the edges the feed
+   then adds (those the graph does not hold yet), each with the
+   provenance the feed records, and [commit_would_cycle] is [Some]
+   exactly when the feed raises a [Cycle].  Each run stops at its first
+   cycle alarm, after which the graph holds a cycle and no longer
+   gates anything. *)
+let t_speculation_matches_feed () =
+  let key (a, b) = (Txn_id.to_string a, Txn_id.to_string b) in
+  let keys edges = List.sort compare (List.map key edges) in
+  let prov p = Format.asprintf "%a" Monitor.pp_provenance p in
+  let is_cycle = function Monitor.Cycle _ -> true | _ -> false in
+  let cycles = ref 0 and predicted_edges = ref 0 in
   List.iter
-    (fun (factory, name) ->
+    (fun (factory, name, gen) ->
       List.iter
-        (fun batch_size ->
-          let forest, schema =
-            Gen.forest_and_schema Gen.registers ~seed:7
-              { Gen.default with n_top = 6; depth = 1; n_objects = 2;
-                read_ratio = 0.4 }
+        (fun (seed, shape) ->
+          let forest, schema = Gen.forest_and_schema gen ~seed shape in
+          let r = run_protocol ~abort_prob:0.05 ~seed schema factory forest in
+          let m = Monitor.create schema in
+          let g = Monitor.graph m in
+          let rec go i =
+            if i < Trace.length r.Runtime.trace then
+              let a = r.Runtime.trace.(i) in
+              let cycled =
+                match a with
+                | Action.Commit w ->
+                    let tag =
+                      Printf.sprintf "%s seed %d event %d" name seed i
+                    in
+                    let held = keys (Graph.edges g) in
+                    let fresh =
+                      List.filter
+                        (fun (a, b, _) -> not (List.mem (key (a, b)) held))
+                        (Monitor.prospective_commit_edges m w)
+                    in
+                    let verdict = Monitor.commit_would_cycle m w in
+                    let cycled = List.exists is_cycle (Monitor.feed m a) in
+                    let gained =
+                      List.filter
+                        (fun e -> not (List.mem e held))
+                        (keys (Graph.edges g))
+                    in
+                    let predicted = List.map (fun (a, b, _) -> (a, b)) fresh in
+                    check_bool (tag ^ ": gained edges = predicted") true
+                      (gained = keys predicted);
+                    List.iter
+                      (fun (a, b, p) ->
+                        check_bool (tag ^ ": predicted provenance") true
+                          (Option.map prov (Monitor.edge_provenance m a b)
+                          = Some (prov p)))
+                      fresh;
+                    check_bool (tag ^ ": verdict = cycle alarm") cycled
+                      (verdict <> None);
+                    predicted_edges := !predicted_edges + List.length fresh;
+                    cycled
+                | _ -> List.exists is_cycle (Monitor.feed m a)
+              in
+              if cycled then incr cycles else go (i + 1)
           in
-          let r = run_protocol ~seed:7 schema factory forest in
-          let actions = Array.to_list r.Runtime.trace in
-          let m1 = Monitor.create schema in
-          let a1 = List.concat_map (Monitor.feed m1) actions in
-          let m2 = Monitor.create schema in
-          let rec chunks = function
-            | [] -> []
-            | l ->
-                let rec take k = function
-                  | x :: r when k > 0 ->
-                      let h, t = take (k - 1) r in
-                      (x :: h, t)
-                  | r -> ([], r)
-                in
-                let h, t = take batch_size l in
-                h :: chunks t
-          in
-          let a2 =
-            List.concat_map (Monitor.feed_batch m2) (chunks actions)
-          in
-          let tag = Printf.sprintf "%s/batch=%d" name batch_size in
-          let sorted_edges m =
-            List.sort compare
-              (List.map
-                 (fun (a, b) -> (Txn_id.to_string a, Txn_id.to_string b))
-                 (Graph.edges (Monitor.graph m)))
-          in
-          check_bool (tag ^ " same edges") true
-            (sorted_edges m1 = sorted_edges m2);
-          check_bool (tag ^ " same alarmed verdict") (Monitor.alarmed m1)
-            (Monitor.alarmed m2);
-          let cycle = function Monitor.Cycle _ -> true | _ -> false in
-          check_bool (tag ^ " same cycle verdict")
-            (List.exists cycle a1) (List.exists cycle a2);
-          let c1 = Monitor.counters m1 and c2 = Monitor.counters m2 in
-          check_int (tag ^ " same feeds") c1.Monitor.feeds c2.Monitor.feeds;
-          check_int (tag ^ " same edges count") c1.Monitor.edges
-            c2.Monitor.edges;
-          check_int (tag ^ " same inappropriate alarms")
-            c1.Monitor.inappropriate_alarms c2.Monitor.inappropriate_alarms)
-        [ 1; 3; 16; 1000 ])
-    [ (Moss_object.factory, "moss"); (Broken.no_control, "broken");
-      (Broken.unsafe_read, "unsafe-read") ]
+          go 0)
+        (List.concat_map
+           (fun seed ->
+             [
+               ( seed,
+                 { Gen.default with n_top = 6; depth = 2; n_objects = 2;
+                   read_ratio = 0.4 } );
+               ( seed,
+                 { Gen.default with n_top = 8; depth = 1; n_objects = 1;
+                   read_ratio = 0.3 } );
+             ])
+           (List.init 8 (fun i -> i + 1))))
+    [
+      (Moss_object.factory, "moss", Gen.registers);
+      (Undo_object.factory, "undo", Gen.mixed);
+      (Broken.no_control, "no-control", Gen.registers);
+    ];
+  check_bool "some commit was predicted to add edges" true
+    (!predicted_edges > 0);
+  check_bool "some run reached a cycle alarm" true (!cycles > 0)
 
 (* The witness order read off the maintained topological order is a
    real Theorem-8 witness on alarm-free runs: defined, it orders the
@@ -296,8 +319,8 @@ let suite =
       Alcotest.test_case "cycle witness is a cycle" `Quick
         t_cycle_witness_is_a_cycle;
       Alcotest.test_case "counters agree with activity" `Quick t_counters;
-      Alcotest.test_case "feed_batch is verdict-equivalent" `Quick
-        t_feed_batch_equivalent;
+      Alcotest.test_case "gate speculation matches the feed" `Quick
+        t_speculation_matches_feed;
       Alcotest.test_case "witness order from the maintained order" `Quick
         t_witness_order;
       Alcotest.test_case "witness order gone on cycle" `Quick
