@@ -55,10 +55,8 @@ let gen_program rng objects ~depth ~fanout =
 
 type phase =
   | Greeting  (* Hello sent, Welcome pending *)
-  | Idle  (* about to submit *)
-  | Submitting of float * string  (* Submit sent at this time, with req id *)
+  | Idle  (* submitting as arrivals fall due, polling what is in flight *)
   | Dropping  (* Submit sent; close as soon as it flushes *)
-  | Polling of Txn_id.t * float * string
   | Done
 
 type client = {
@@ -72,8 +70,9 @@ type client = {
   mutable phase : phase;
   mutable remaining : int;
   mutable reqno : int;  (* request-id sequence: "c<id>-<reqno>" *)
-  (* open-loop mode: in-flight submissions (rid, due arrival time, txn
-     once Accepted), and the next scheduled Poisson arrival *)
+  (* in-flight submissions, oldest first (rid, latency origin, txn once
+     Accepted), and the next scheduled arrival; the closed loop keeps at
+     most one outstanding and its next arrival is due once that settles *)
   mutable outstanding : (string * float * Txn_id.t option) list;
   mutable next_arrival : float;
 }
@@ -92,10 +91,7 @@ type stats = {
 (* ----- the telemetry side channel (--subscribe) ----- *)
 
 type sub = {
-  s_fd : Unix.file_descr;
-  s_reader : Wire.Reader.t;
-  mutable s_out : string;
-  mutable s_out_off : int;
+  s_conn : Wire_client.conn;  (* nonblocking once subscribed *)
   mutable s_frames : Wire.telemetry list;  (* newest first *)
   mutable s_alive : bool;
 }
@@ -103,35 +99,13 @@ type sub = {
 let sub_last_seq s =
   match s.s_frames with [] -> 0 | f :: _ -> f.Wire.seq
 
-(* Merge the windowed latency histograms of the pushed (cut) frames.
-   The first frame a subscriber receives is the immediate peek of the
-   open interval; its counts reappear in the next cut, so skip it. *)
-let sub_merged_latency s =
-  let frames = List.rev s.s_frames in
-  let cuts = match frames with _ :: rest -> rest | [] -> [] in
-  let buckets = Array.make 64 0 in
-  let count = ref 0 and sum = ref 0 in
-  let minv = ref max_int and maxv = ref 0 in
-  List.iter
-    (fun (f : Wire.telemetry) ->
-      let h = f.Wire.w_latency in
-      if h.Wire.h_count > 0 then begin
-        count := !count + h.Wire.h_count;
-        sum := !sum + h.Wire.h_sum;
-        if h.Wire.h_min < !minv then minv := h.Wire.h_min;
-        if h.Wire.h_max > !maxv then maxv := h.Wire.h_max;
-        List.iter
-          (fun (i, n) ->
-            if i >= 0 && i < 64 then buckets.(i) <- buckets.(i) + n)
-          h.Wire.h_buckets
-      end)
-    cuts;
-  (buckets, !count, !sum, (if !count = 0 then 0 else !minv), !maxv)
-
-(* Merge the per-stage windowed histograms across the cut frames, the
-   same skip-the-peek convention as {!sub_merged_latency}.  Returns
-   (stage, buckets, count, max) in the server's (canonical) order. *)
-let sub_merged_stages s =
+(* Merge the windowed histograms that [hists] picks out of each pushed
+   (cut) frame, by name in first-seen order (the server's canonical
+   order for stages).  The first frame a subscriber receives is the
+   immediate peek of the open interval; its counts reappear in the next
+   cut, so skip it.  Returns (name, buckets, count, max) for every name
+   with samples. *)
+let sub_merged s hists =
   let cuts =
     match List.rev s.s_frames with _ :: rest -> rest | [] -> []
   in
@@ -158,7 +132,7 @@ let sub_merged_stages s =
                 if i >= 0 && i < 64 then buckets.(i) <- buckets.(i) + n)
               h.Wire.h_buckets
           end)
-        f.Wire.stages)
+        (hists f))
     cuts;
   List.rev_map
     (fun name ->
@@ -166,78 +140,36 @@ let sub_merged_stages s =
       (name, buckets, !count, !maxv))
     !order
 
-let connect addr =
-  let domain =
-    match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  match Unix.connect fd addr with
-  | () ->
-      Unix.set_nonblock fd;
-      fd
-  | exception e ->
-      (try Unix.close fd with _ -> ());
-      raise e
-
-let connect_retry addr =
-  let rec go n =
-    match connect addr with
-    | fd -> fd
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-      when n > 0 ->
-        Unix.sleepf 0.1;
-        go (n - 1)
-  in
-  go 50
-
 let send c req = c.out <- c.out ^ Wire.encode_request req
 
 (* A blocking Hello/Ping exchange before the campaign: a dead, deaf,
    or pre-v3 server fails fast here instead of as a timeout storm
    once all the load connections are up. *)
 let ping_server addr =
-  let fd = connect_retry addr in
-  Unix.clear_nonblock fd;
-  let write_all s =
-    let n = String.length s in
-    let rec go off =
-      if off < n then go (off + Unix.write_substring fd s off (n - off))
-    in
-    go 0
+  let c = Wire_client.dial addr in
+  let rec pong = function
+    | Wire.Pong _ -> ()
+    | Wire.Error_msg e -> failwith e
+    | Wire.Goodbye -> failwith "server said goodbye"
+    | _ -> pong (Wire_client.recv c)
   in
-  let reader = Wire.Reader.create () in
-  let b = Bytes.create 4096 in
-  let result = ref None in
+  let fail why =
+    Format.eprintf "ntload: ping failed: %s@." why;
+    exit 1
+  in
   (try
-     write_all (Wire.encode_request (Wire.Hello { client = "ntload-ping" }));
-     write_all (Wire.encode_request Wire.Ping);
-     while !result = None do
-       match Wire.Reader.next reader with
-       | Ok (Some payload) -> (
-           match Wire.decode_response payload with
-           | Ok (Wire.Pong p) -> result := Some (p.t_mono, p.live, p.conns)
-           | Ok (Wire.Error_msg e) -> failwith e
-           | Ok Wire.Goodbye -> failwith "server said goodbye"
-           | Ok _ -> ()
-           | Error e -> failwith e)
-       | Ok None -> (
-           match Unix.read fd b 0 (Bytes.length b) with
-           | 0 -> failwith "connection closed"
-           | n -> Wire.Reader.feed reader (Bytes.sub_string b 0 n))
-       | Error e -> failwith e
-     done
+     Wire_client.send c (Wire.Hello { client = "ntload-ping" });
+     pong (Wire_client.call c Wire.Ping)
    with
-  | Failure e ->
-      Format.eprintf "ntload: ping failed: %s@." e;
-      exit 1
-  | Unix.Unix_error (e, _, _) ->
-      Format.eprintf "ntload: ping failed: %s@." (Unix.error_message e);
-      exit 1);
-  (try Unix.close fd with _ -> ());
-  match !result with Some p -> p | None -> assert false
+  | Failure e -> fail e
+  | Wire_client.Closed -> fail "connection closed"
+  | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e));
+  Wire_client.close c
 
 let open_client addr c =
-  c.fd <- Some (connect_retry addr);
+  let fd = Wire_client.connect addr in
+  Unix.set_nonblock fd;
+  c.fd <- Some fd;
   c.reader <- Wire.Reader.create ();
   c.out <- "";
   c.out_off <- 0;
@@ -286,7 +218,7 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
           next_arrival = 0.0;
         })
   in
-  let (_ : float * int * int) = ping_server addr in
+  ping_server addr;
   List.iter (open_client addr) cs;
   (* the telemetry side channel: a read-mostly observer alongside the
      load connections, so server windows can be cross-checked against
@@ -294,20 +226,11 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
   let sub =
     if not subscribe then None
     else begin
-      let fd = connect_retry addr in
-      let s =
-        {
-          s_fd = fd;
-          s_reader = Wire.Reader.create ();
-          s_out =
-            Wire.encode_request (Wire.Hello { client = "ntload-sub" })
-            ^ Wire.encode_request Wire.Subscribe;
-          s_out_off = 0;
-          s_frames = [];
-          s_alive = true;
-        }
-      in
-      Some s
+      let c = Wire_client.dial addr in
+      Wire_client.send c (Wire.Hello { client = "ntload-sub" });
+      Wire_client.send c Wire.Subscribe;
+      Unix.set_nonblock c.Wire_client.fd;
+      Some { s_conn = c; s_frames = []; s_alive = true }
     end
   in
   let t_start = Unix.gettimeofday () in
@@ -323,7 +246,7 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
        if List.length accts < 2 then begin
          Format.eprintf
            "ntload: --workload smallbank needs at least 2 register objects \
-            (try ntserved --table rw)@.";
+            (try ntserved --types rw)@.";
          exit 2
        end;
        Array.of_list (List.map fst accts))
@@ -334,26 +257,6 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
     | W_smallbank ->
         Gen.smallbank_txn ~theta:Gen.smallbank_profile.Gen.theta c.rng
           (Lazy.force sb_accounts)
-  in
-  let submit c =
-    if c.remaining <= 0 then begin
-      c.phase <- Done;
-      close_client c
-    end
-    else begin
-      let prog = gen_txn c in
-      let now = Unix.gettimeofday () in
-      let rid = Printf.sprintf "c%d-%d" c.id c.reqno in
-      c.reqno <- c.reqno + 1;
-      send c
-        (Wire.Submit
-           { program = Program_io.program_to_string prog; req = Some rid });
-      stats.submitted <- stats.submitted + 1;
-      c.remaining <- c.remaining - 1;
-      if drop_rate > 0.0 && Rng.float c.rng 1.0 < drop_rate then
-        c.phase <- Dropping
-      else c.phase <- Submitting (now, rid)
-    end
   in
   let check_echo rid req =
     if req <> Some rid then stats.req_mismatches <- stats.req_mismatches + 1
@@ -372,24 +275,27 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
         Format.printf "ntload: sent SIGKILL to %d after %d acks@." pid !acks
     | _ -> ()
   in
-  (* ----- open-loop mode (--open-loop RATE) -----
-     Submissions arrive as a Poisson process — exponential inter-arrival
-     gaps at RATE/clients per client — decoupled from completions, so a
-     client keeps multiple transactions outstanding when the server lags
-     the offered load. *)
+  (* ----- arrivals -----
+     The closed loop keeps one submission outstanding per client and the
+     next one falls due the moment it settles.  Open loop (--open-loop
+     RATE): submissions arrive as a Poisson process — exponential
+     inter-arrival gaps at RATE/clients per client — decoupled from
+     completions, so a client keeps multiple transactions outstanding
+     when the server lags the offered load. *)
+  let window = if open_rate = None then 1 else max_int in
   let per_client_rate =
     match open_rate with
     | Some r -> r /. float_of_int (Stdlib.max 1 clients)
     | None -> 0.0
   in
   let exp_gap rng = -.log (1.0 -. Rng.float rng 1.0) /. per_client_rate in
-  (* Each request is timed from its due arrival, not from when the pump
-     got round to firing it, so a stall shows up as queueing delay in
-     the latencies instead of hiding it; [late_max] is how far behind
-     its schedule the generator fell. *)
+  (* A closed-loop request is timed from its send.  An open-loop one is
+     timed from its due arrival, not from when the pump got round to
+     firing it, so a stall shows up as queueing delay in the latencies
+     instead of hiding it; [late_max] is how far behind its schedule
+     the generator fell. *)
   let late_max = ref 0.0 in
-  let submit_open c now =
-    late_max := Float.max !late_max (now -. c.next_arrival);
+  let submit c now =
     let prog = gen_txn c in
     let rid = Printf.sprintf "c%d-%d" c.id c.reqno in
     c.reqno <- c.reqno + 1;
@@ -398,14 +304,50 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
          { program = Program_io.program_to_string prog; req = Some rid });
     stats.submitted <- stats.submitted + 1;
     c.remaining <- c.remaining - 1;
-    c.outstanding <- (rid, c.next_arrival, None) :: c.outstanding
+    if drop_rate > 0.0 && Rng.float c.rng 1.0 < drop_rate then
+      c.phase <- Dropping
+    else begin
+      let t0 =
+        if open_rate = None then Unix.gettimeofday () else c.next_arrival
+      in
+      c.outstanding <- c.outstanding @ [ (rid, t0, None) ]
+    end;
+    if open_rate <> None then begin
+      late_max := Float.max !late_max (now -. c.next_arrival);
+      c.next_arrival <- c.next_arrival +. exp_gap c.rng
+    end
   in
-  let settle_open c rid t0 =
+  (* fire every arrival that is due; a client is done only once its
+     last submission has settled *)
+  let pump now c =
+    while
+      c.phase = Idle && c.remaining > 0
+      && List.length c.outstanding < window
+      && now >= c.next_arrival
+    do
+      submit c now
+    done;
+    if c.phase = Idle && c.remaining <= 0 && c.outstanding = [] then begin
+      c.phase <- Done;
+      close_client c
+    end
+  in
+  let settle c rid t0 =
     Metrics.observe latency
       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
     c.outstanding <- List.filter (fun (r, _, _) -> r <> rid) c.outstanding
   in
-  let handle_open c (resp : Wire.response) =
+  let abandon c =
+    stats.proto_errors <- stats.proto_errors + 1;
+    c.phase <- Done;
+    close_client c
+  in
+  (* A connection's answers come in request order, so Accepted and
+     Rejected answer the oldest submission not yet accepted. *)
+  let unaccepted c =
+    List.find_opt (fun (_, _, tx) -> tx = None) c.outstanding
+  in
+  let handle c (resp : Wire.response) =
     match (c.phase, resp) with
     | Greeting, Wire.Welcome w ->
         if !objects = [] then
@@ -419,25 +361,26 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
                     exit 2)
               w.objects;
         c.phase <- Idle;
-        c.next_arrival <- Unix.gettimeofday () +. exp_gap c.rng
+        if open_rate <> None then
+          c.next_arrival <- Unix.gettimeofday () +. exp_gap c.rng
     | _, Wire.Accepted { txn; req } -> (
-        incr acks;
-        maybe_kill ();
-        match req with
-        | Some rid when List.exists (fun (r, _, _) -> r = rid) c.outstanding
-          ->
+        match unaccepted c with
+        | None -> abandon c
+        | Some (rid, _, _) ->
+            check_echo rid req;
+            incr acks;
+            maybe_kill ();
             c.outstanding <-
               List.map
                 (fun (r, t0, tx) ->
                   if r = rid then (r, t0, Some txn) else (r, t0, tx))
                 c.outstanding;
-            send c (Wire.Status txn)
-        | _ -> stats.req_mismatches <- stats.req_mismatches + 1)
-    | _, Wire.Rejected { why; req } ->
+            send c (Wire.Status txn))
+    | _, Wire.Rejected { why; req = _ } -> (
         stats.rejected <- stats.rejected + 1;
         Format.eprintf "ntload: submission rejected: %s@." why;
-        (match req with
-        | Some rid ->
+        match unaccepted c with
+        | Some (rid, _, _) ->
             c.outstanding <-
               List.filter (fun (r, _, _) -> r <> rid) c.outstanding
         | None -> ())
@@ -448,87 +391,22 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
               match tx with Some t -> Txn_id.equal t txn | None -> false)
             c.outstanding
         in
-        match hit with
-        | None -> ()
-        | Some (rid, t0, _) -> (
-            match st with
-            | Wire.Committed _ ->
-                check_echo rid req;
-                stats.committed <- stats.committed + 1;
-                settle_open c rid t0
-            | Wire.Aborted veto ->
-                check_echo rid req;
-                stats.aborted <- stats.aborted + 1;
-                if veto <> None then
-                  stats.vetoed_seen <- stats.vetoed_seen + 1;
-                settle_open c rid t0
-            | Wire.Pending | Wire.Running -> send c (Wire.Status txn)))
-    | _, Wire.Error_msg why ->
-        stats.proto_errors <- stats.proto_errors + 1;
-        Format.eprintf "ntload: protocol error: %s@." why;
-        c.phase <- Done;
-        close_client c
-    | _, _ ->
-        stats.proto_errors <- stats.proto_errors + 1;
-        c.phase <- Done;
-        close_client c
-  in
-  let handle_closed c (resp : Wire.response) =
-    match (c.phase, resp) with
-    | Greeting, Wire.Welcome w ->
-        if !objects = [] then
-          objects :=
-            List.map
-              (fun (name, decl) ->
-                match Program_io.parse_dtype_decl decl with
-                | Ok dt -> (Obj_id.make name, dt)
-                | Error e ->
-                    Format.eprintf "ntload: bad decl for %s: %s@." name e;
-                    exit 2)
-              w.objects;
-        c.phase <- Idle;
-        submit c
-    | Submitting (t0, rid), Wire.Accepted { txn; req } ->
-        check_echo rid req;
-        incr acks;
-        maybe_kill ();
-        c.phase <- Polling (txn, t0, rid);
-        send c (Wire.Status txn)
-    | _, Wire.Rejected { why; req = _ } ->
-        stats.rejected <- stats.rejected + 1;
-        Format.eprintf "ntload: submission rejected: %s@." why;
-        submit c
-    | Polling (txn, t0, rid), Wire.State { txn = txn'; state = st; req }
-      when Txn_id.equal txn txn' -> (
-        match st with
-        | Wire.Committed _ ->
+        match (hit, st) with
+        | None, _ -> abandon c
+        | Some (rid, t0, _), Wire.Committed _ ->
             check_echo rid req;
             stats.committed <- stats.committed + 1;
-            Metrics.observe latency
-              (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-            submit c
-        | Wire.Aborted veto ->
+            settle c rid t0
+        | Some (rid, t0, _), Wire.Aborted veto ->
             check_echo rid req;
             stats.aborted <- stats.aborted + 1;
             if veto <> None then stats.vetoed_seen <- stats.vetoed_seen + 1;
-            Metrics.observe latency
-              (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-            submit c
-        | Wire.Pending | Wire.Running -> send c (Wire.Status txn))
+            settle c rid t0
+        | Some _, (Wire.Pending | Wire.Running) -> send c (Wire.Status txn))
     | _, Wire.Error_msg why ->
-        stats.proto_errors <- stats.proto_errors + 1;
         Format.eprintf "ntload: protocol error: %s@." why;
-        c.phase <- Done;
-        close_client c
-    | _, _ ->
-        stats.proto_errors <- stats.proto_errors + 1;
-        c.phase <- Done;
-        close_client c
-  in
-  let handle c resp =
-    match open_rate with
-    | Some _ -> handle_open c resp
-    | None -> handle_closed c resp
+        abandon c
+    | _, _ -> abandon c
   in
   let buf = Bytes.create 8192 in
   let all_done () = List.for_all (fun c -> c.phase = Done) cs in
@@ -554,42 +432,18 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
            done_seq := Some (sub_last_seq s);
            t_done := Unix.gettimeofday ()
        | None -> ());
-    (* open-loop arrival pump: fire every Poisson arrival that is due,
-       independent of completions; a client is done only once its last
-       submission has settled *)
-    (match open_rate with
-    | Some _ ->
-        let now = Unix.gettimeofday () in
-        List.iter
-          (fun c ->
-            match c.phase with
-            | Idle ->
-                while c.remaining > 0 && now >= c.next_arrival do
-                  submit_open c now;
-                  c.next_arrival <- c.next_arrival +. exp_gap c.rng
-                done;
-                if c.remaining <= 0 && c.outstanding = [] then begin
-                  c.phase <- Done;
-                  close_client c
-                end
-            | _ -> ())
-          cs
-    | None -> ());
+    List.iter (pump (Unix.gettimeofday ())) cs;
     let fds c = match c.fd with Some fd -> [ fd ] | None -> [] in
-    let sub_fds alive writing =
+    let sub_fds =
       match sub with
-      | Some s
-        when s.s_alive && alive
-             && ((not writing) || String.length s.s_out > s.s_out_off) ->
-          [ s.s_fd ]
+      | Some s when s.s_alive -> [ s.s_conn.Wire_client.fd ]
       | _ -> []
     in
-    let rfds = List.concat_map fds cs @ sub_fds true false in
+    let rfds = List.concat_map fds cs @ sub_fds in
     let wfds =
       List.concat_map
         (fun c -> if String.length c.out > c.out_off then fds c else [])
         cs
-      @ sub_fds true true
     in
     let r, w, _ =
       try Unix.select rfds wfds [] 0.005
@@ -597,46 +451,32 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
     in
     (* telemetry side channel *)
     (match sub with
-    | Some s when s.s_alive ->
-        (if List.mem s.s_fd w && String.length s.s_out > s.s_out_off then
-           let pending = String.length s.s_out - s.s_out_off in
-           match Unix.write_substring s.s_fd s.s_out s.s_out_off pending with
-           | n ->
-               s.s_out_off <- s.s_out_off + n;
-               if s.s_out_off >= String.length s.s_out then begin
-                 s.s_out <- "";
-                 s.s_out_off <- 0
-               end
-           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-             ->
-               ()
-           | exception Unix.Unix_error _ -> s.s_alive <- false);
-        if s.s_alive && List.mem s.s_fd r then begin
-          match Unix.read s.s_fd buf 0 (Bytes.length buf) with
-          | 0 -> s.s_alive <- false
-          | n ->
-              Wire.Reader.feed s.s_reader (Bytes.sub_string buf 0 n);
-              let rec drain () =
-                match Wire.Reader.next s.s_reader with
-                | Ok None -> ()
-                | Ok (Some payload) ->
-                    (match Wire.decode_response payload with
-                    | Ok (Wire.Telemetry f) -> s.s_frames <- f :: s.s_frames
-                    | Ok _ -> ()
-                    | Error e ->
-                        Format.eprintf "ntload: subscribe: %s@." e;
-                        s.s_alive <- false);
-                    if s.s_alive then drain ()
-                | Error e ->
-                    Format.eprintf "ntload: subscribe: %s@." e;
-                    s.s_alive <- false
-              in
-              drain ()
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-              ()
-          | exception Unix.Unix_error _ -> s.s_alive <- false
-        end
+    | Some ({ s_conn = { fd; reader }; _ } as s)
+      when s.s_alive && List.mem fd r -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> s.s_alive <- false
+        | n ->
+            Wire.Reader.feed reader (Bytes.sub_string buf 0 n);
+            let rec drain () =
+              match Wire.Reader.next reader with
+              | Ok None -> ()
+              | Ok (Some payload) ->
+                  (match Wire.decode_response payload with
+                  | Ok (Wire.Telemetry f) -> s.s_frames <- f :: s.s_frames
+                  | Ok _ -> ()
+                  | Error e ->
+                      Format.eprintf "ntload: subscribe: %s@." e;
+                      s.s_alive <- false);
+                  if s.s_alive then drain ()
+              | Error e ->
+                  Format.eprintf "ntload: subscribe: %s@." e;
+                  s.s_alive <- false
+            in
+            drain ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            ()
+        | exception Unix.Unix_error _ -> s.s_alive <- false)
     | _ -> ());
     List.iter
       (fun c ->
@@ -691,14 +531,10 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
                             drain ()
                         | Error e ->
                             Format.eprintf "ntload: bad frame: %s@." e;
-                            stats.proto_errors <- stats.proto_errors + 1;
-                            c.phase <- Done;
-                            close_client c)
+                            abandon c)
                     | Error e ->
                         Format.eprintf "ntload: framing error: %s@." e;
-                        stats.proto_errors <- stats.proto_errors + 1;
-                        c.phase <- Done;
-                        close_client c
+                        abandon c
                 in
                 drain ()
             | exception
@@ -712,7 +548,7 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
   done;
   let elapsed = Unix.gettimeofday () -. t_start in
   (match sub with
-  | Some s -> ( try Unix.close s.s_fd with _ -> ())
+  | Some s -> Wire_client.close s.s_conn
   | None -> ());
   if !killed then begin
     List.iter close_client cs;
@@ -722,54 +558,37 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
     exit 0
   end;
   (* a fresh control connection: drain the server and fetch its tallies *)
-  let quiesced = ref None in
-  (let fd = connect_retry addr in
-   Unix.clear_nonblock fd;
-   let write_all s =
-     let n = String.length s in
-     let rec go off =
-       if off < n then go (off + Unix.write_substring fd s off (n - off))
-     in
-     go 0
-   in
-   write_all (Wire.encode_request (Wire.Hello { client = "ntload-control" }));
-   write_all (Wire.encode_request Wire.Quiesce);
-   let reader = Wire.Reader.create () in
-   let b = Bytes.create 8192 in
-   let stop = ref false in
-   while not !stop do
-     (match Wire.Reader.next reader with
-     | Ok (Some payload) -> (
-         match Wire.decode_response payload with
-         | Ok (Wire.Quiesced _ as q) ->
-             quiesced := Some q;
-             if shutdown then write_all (Wire.encode_request Wire.Shutdown)
-             else stop := true
-         | Ok Wire.Goodbye -> stop := true
-         | Ok _ -> ()
-         | Error e ->
-             Format.eprintf "ntload: control: %s@." e;
-             stop := true)
-     | Ok None -> (
-         match Unix.read fd b 0 (Bytes.length b) with
-         | 0 -> stop := true
-         | n -> Wire.Reader.feed reader (Bytes.sub_string b 0 n)
-         | exception Unix.Unix_error _ -> stop := true)
-     | Error e ->
-         Format.eprintf "ntload: control: %s@." e;
-         stop := true)
-   done;
-   try Unix.close fd with _ -> ());
+  let quiesced =
+    let c = Wire_client.dial addr in
+    let rec await q =
+      match Wire_client.recv c with
+      | Wire.Quiesced _ as q when shutdown ->
+          Wire_client.send c Wire.Shutdown;
+          await (Some q)
+      | Wire.Quiesced _ as q -> Some q
+      | Wire.Goodbye -> q
+      | _ -> await q
+      | exception (Wire_client.Closed | Unix.Unix_error _) -> q
+      | exception Failure e ->
+          Format.eprintf "ntload: control: %s@." e;
+          q
+    in
+    Wire_client.send c (Wire.Hello { client = "ntload-control" });
+    Wire_client.send c Wire.Quiesce;
+    let q = await None in
+    Wire_client.close c;
+    q
+  in
   let h = Metrics.histogram_stats latency in
   let alarms, srv_committed, srv_aborted, srv_vetoed =
-    match !quiesced with
+    match quiesced with
     | Some (Wire.Quiesced q) -> (q.alarms, q.committed, q.aborted, q.vetoed)
     | _ -> (-1, -1, -1, -1)
   in
   (* per-shard rows ride the Quiesced report when the server runs more
      than one shard; empty on a classic single-engine server *)
   let shard_rows =
-    match !quiesced with
+    match quiesced with
     | Some (Wire.Quiesced q) -> q.per_shard
     | _ -> []
   in
@@ -778,14 +597,14 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
   let frames_seen, srv_p99, p99_distance =
     match sub with
     | None -> (0, -1, -1)
-    | Some s ->
-        let buckets, count, _sum, _min, maxv = sub_merged_latency s in
-        if count = 0 then (List.length s.s_frames, -1, -1)
-        else
-          let p99 = Metrics.quantile buckets ~count ~max:maxv 0.99 in
-          ( List.length s.s_frames,
-            p99,
-            abs (Metrics.bucket_of p99 - Metrics.bucket_of h.Metrics.p99) )
+    | Some s -> (
+        match sub_merged s (fun f -> [ ("latency", f.Wire.w_latency) ]) with
+        | [ (_, buckets, count, maxv) ] ->
+            let p99 = Metrics.quantile buckets ~count ~max:maxv 0.99 in
+            ( List.length s.s_frames,
+              p99,
+              abs (Metrics.bucket_of p99 - Metrics.bucket_of h.Metrics.p99) )
+        | _ -> (List.length s.s_frames, -1, -1))
   in
   (* per-stage server breakdown (p99 of each stage's windowed
      histogram), and the consistency check: the serving-path stages
@@ -799,11 +618,10 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
     match sub with
     | None -> []
     | Some s ->
-        List.filter_map
+        List.map
           (fun (name, buckets, count, maxv) ->
-            if count = 0 then None
-            else Some (name, Metrics.quantile buckets ~count ~max:maxv 0.99, count))
-          (sub_merged_stages s)
+            (name, Metrics.quantile buckets ~count ~max:maxv 0.99, count))
+          (sub_merged s (fun f -> f.Wire.stages))
   in
   let inner_stages = [ "decode"; "validate"; "admit"; "gate"; "execute" ] in
   let stage_sum_p99 =
@@ -940,7 +758,7 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
         (if not stage_check_active then "skipped"
          else if stage_check_failed then "FAIL"
          else "ok");
-    match !quiesced with
+    match quiesced with
     | Some (Wire.Quiesced q) ->
         Format.printf
           "server: %d committed, %d aborted, %d vetoed, %d alarms@."
@@ -967,17 +785,8 @@ let run_load addr ~clients ~requests ~seed ~depth ~fanout ~drop_rate
   if alarms > 0 then exit 1;
   if alarms < 0 then exit 1
 
-let load_cmd socket port clients requests seed depth fanout drop_rate
-    slow_clients shutdown subscribe json kill_after kill_pid workload
-    open_rate =
-  let addr =
-    match (socket, port) with
-    | Some path, None -> Unix.ADDR_UNIX path
-    | None, Some p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)
-    | _ ->
-        Format.eprintf "ntload: pass exactly one of --socket or --port@.";
-        exit 2
-  in
+let load_cmd addr clients requests seed depth fanout drop_rate slow_clients
+    shutdown subscribe json kill_after kill_pid workload open_rate =
   if kill_after <> None && kill_pid = None then begin
     Format.eprintf "ntload: --kill-after needs --kill-pid@.";
     exit 2
@@ -998,10 +807,6 @@ let load_cmd socket port clients requests seed depth fanout drop_rate
     ~open_rate
 
 let cmd =
-  let socket =
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH")
-  in
-  let port = Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT") in
   let clients =
     Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Client count.")
   in
@@ -1087,9 +892,9 @@ let cmd =
   in
   let term =
     Term.(
-      const load_cmd $ socket $ port $ clients $ requests $ seed $ depth
-      $ fanout $ drop_rate $ slow_clients $ shutdown $ subscribe $ json
-      $ kill_after $ kill_pid $ workload $ open_rate)
+      const load_cmd $ Wire_client.addr "ntload" $ clients $ requests $ seed
+      $ depth $ fanout $ drop_rate $ slow_clients $ shutdown $ subscribe
+      $ json $ kill_after $ kill_pid $ workload $ open_rate)
   in
   Cmd.v
     (Cmd.info "ntload" ~version:Version.string

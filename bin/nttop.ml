@@ -16,35 +16,6 @@
 open Core
 open Cmdliner
 
-let connect addr =
-  let domain =
-    match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  match Unix.connect fd addr with
-  | () -> fd
-  | exception e ->
-      (try Unix.close fd with _ -> ());
-      raise e
-
-let connect_retry addr =
-  let rec go n =
-    match connect addr with
-    | fd -> fd
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-      when n > 0 ->
-        Unix.sleepf 0.1;
-        go (n - 1)
-  in
-  go 50
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
-
 (* ----- rendering ----- *)
 
 let bar width n maxn =
@@ -135,77 +106,53 @@ let render ~clear (f : Wire.telemetry) =
 
 let run addr ~frames ~once ~json =
   let want = if once then 1 else frames in
-  let fd = connect_retry addr in
-  write_all fd (Wire.encode_request (Wire.Hello { client = "nttop" }));
-  write_all fd (Wire.encode_request Wire.Subscribe);
-  let reader = Wire.Reader.create () in
-  let buf = Bytes.create 8192 in
+  let c = Wire_client.dial addr in
+  Wire_client.send c (Wire.Hello { client = "nttop" });
+  Wire_client.send c Wire.Subscribe;
   let seen = ref 0 in
   let last_seq = ref 0 in
   let bad = ref false in
   let stop = ref false in
   while (not !stop) && ((want <= 0 && not once) || !seen < want) do
-    match Wire.Reader.next reader with
-    | Ok (Some payload) -> (
-        match Wire.decode_response payload with
-        | Ok (Wire.Telemetry f) ->
-            if f.Wire.seq <= !last_seq then begin
-              Format.eprintf "nttop: sequence went backwards (%d after %d)@."
-                f.Wire.seq !last_seq;
-              bad := true;
-              stop := true
-            end
-            else begin
-              last_seq := f.Wire.seq;
-              incr seen;
-              if json then begin
-                print_string
-                  (Obs_json.to_string (Wire.response_to_json (Wire.Telemetry f)));
-                print_newline ();
-                flush stdout
-              end
-              else render ~clear:(not once) f
-            end
-        | Ok Wire.Goodbye -> stop := true
-        | Ok _ -> ()
-        | Error e ->
-            Format.eprintf "nttop: %s@." e;
-            bad := true;
-            stop := true)
-    | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> stop := true
-        | n -> Wire.Reader.feed reader (Bytes.sub_string buf 0 n)
-        | exception Unix.Unix_error _ -> stop := true)
-    | Error e ->
-        Format.eprintf "nttop: framing error: %s@." e;
+    match Wire_client.recv c with
+    | Wire.Telemetry f ->
+        if f.Wire.seq <= !last_seq then begin
+          Format.eprintf "nttop: sequence went backwards (%d after %d)@."
+            f.Wire.seq !last_seq;
+          bad := true;
+          stop := true
+        end
+        else begin
+          last_seq := f.Wire.seq;
+          incr seen;
+          if json then begin
+            print_string
+              (Obs_json.to_string (Wire.response_to_json (Wire.Telemetry f)));
+            print_newline ();
+            flush stdout
+          end
+          else render ~clear:(not once) f
+        end
+    | Wire.Goodbye -> stop := true
+    | _ -> ()
+    | exception (Wire_client.Closed | Unix.Unix_error _) -> stop := true
+    | exception Failure e ->
+        Format.eprintf "nttop: %s@." e;
         bad := true;
         stop := true
   done;
-  (try Unix.close fd with _ -> ());
+  Wire_client.close c;
   if !bad then exit 1;
   if want > 0 && !seen < want then begin
     Format.eprintf "nttop: stream ended after %d/%d frames@." !seen want;
     exit 1
   end
 
-let top_cmd socket port frames once json =
-  let addr =
-    match (socket, port) with
-    | Some path, None -> Unix.ADDR_UNIX path
-    | None, Some p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)
-    | _ ->
-        Format.eprintf "nttop: pass exactly one of --socket or --port@.";
-        exit 2
-  in
+let top_cmd addr frames once json =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   run addr ~frames ~once ~json
 
 let cmd =
-  let socket =
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH")
-  in
-  let port = Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT") in
   let frames =
     Arg.(
       value & opt int 0
@@ -229,7 +176,9 @@ let cmd =
              rendering, stages and gc included) instead of the panel — \
              for piping into jq or archiving.")
   in
-  let term = Term.(const top_cmd $ socket $ port $ frames $ once $ json) in
+  let term =
+    Term.(const top_cmd $ Wire_client.addr "nttop" $ frames $ once $ json)
+  in
   Cmd.v
     (Cmd.info "nttop" ~version:Version.string
        ~doc:"Terminal dashboard over ntserved's Telemetry stream.")

@@ -96,59 +96,7 @@ let dump_cmd file =
 
 (* ----- verify: the prefix closure, over the wire ----- *)
 
-let connect addr =
-  let domain =
-    match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  let rec go n =
-    match Unix.connect fd addr with
-    | () -> ()
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-      when n > 0 ->
-        Unix.sleepf 0.1;
-        go (n - 1)
-  in
-  go 50;
-  fd
-
-let write_all fd s =
-  let rec go off =
-    if off < String.length s then
-      go (off + Unix.write_substring fd s off (String.length s - off))
-  in
-  go 0
-
-(* One blocking request/response exchange (the connection is ours and
-   the server answers in order). *)
-let rpc fd reader req =
-  write_all fd (Wire.encode_request req);
-  let b = Bytes.create 8192 in
-  let rec next () =
-    match Wire.Reader.next reader with
-    | Ok (Some payload) -> (
-        match Wire.decode_response payload with
-        | Ok resp -> resp
-        | Error e -> failwith e)
-    | Ok None -> (
-        match Unix.read fd b 0 (Bytes.length b) with
-        | 0 -> failwith "connection closed"
-        | n ->
-            Wire.Reader.feed reader (Bytes.sub_string b 0 n);
-            next ())
-    | Error e -> failwith e
-  in
-  next ()
-
-let verify_cmd file socket port =
-  let addr =
-    match (socket, port) with
-    | Some path, None -> Unix.ADDR_UNIX path
-    | None, Some p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)
-    | _ ->
-        Format.eprintf "ntwal: pass exactly one of --socket or --port@.";
-        exit 2
-  in
+let verify_cmd file addr =
   let image =
     match read_whole file with
     | Ok s -> s
@@ -169,16 +117,14 @@ let verify_cmd file socket port =
       sc.Wal.sc_records
   in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let fd = connect addr in
-  Unix.clear_nonblock fd;
-  let reader = Wire.Reader.create () in
-  (match rpc fd reader (Wire.Hello { client = "ntwal" }) with
+  let c = Wire_client.dial addr in
+  (match Wire_client.call c (Wire.Hello { client = "ntwal" }) with
   | Wire.Welcome _ -> ()
   | _ -> failwith "expected Welcome");
   (* wait out an in-flight recovery: the contract holds only once the
      replay has completed and been validated *)
   let rec wait_recovered () =
-    match rpc fd reader Wire.Ping with
+    match Wire_client.call c Wire.Ping with
     | Wire.Pong { status = Wire.Recovering { replayed; total }; _ } ->
         Format.printf "ntwal: server recovering (%d/%d)...@." replayed total;
         Unix.sleepf 0.1;
@@ -191,7 +137,7 @@ let verify_cmd file socket port =
   List.iter
     (fun (txn, logged) ->
       let state =
-        match rpc fd reader (Wire.Status txn) with
+        match Wire_client.call c (Wire.Status txn) with
         | Wire.State { state; _ } -> state
         | _ -> failwith "expected State"
       in
@@ -212,7 +158,7 @@ let verify_cmd file socket port =
           | Wire.Running -> "running")
       end)
     outcomes;
-  (try Unix.close fd with _ -> ());
+  Wire_client.close c;
   Format.printf "ntwal: %d outcomes verified against %s server, %d mismatches%s@."
     (List.length outcomes)
     (match status with
@@ -234,17 +180,13 @@ let dump =
 
 let verify =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
-  let socket =
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH")
-  in
-  let port = Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT") in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
          "Check every Outcome record in FILE against a serving (typically \
           just-recovered) ntserved: the acknowledged prefix must be \
           reproduced exactly.")
-    Term.(const verify_cmd $ file $ socket $ port)
+    Term.(const verify_cmd $ file $ Wire_client.addr "ntwal")
 
 let cmd =
   Cmd.group

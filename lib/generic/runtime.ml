@@ -109,9 +109,6 @@ type sim = {
          empty (and untouched) when the recorder is disabled *)
   obs_on : bool;  (* Obs.enabled obs.o, hoisted for the hot path *)
   obs_emit : bool;  (* Obs.emitting obs.o, likewise *)
-  obs_emit_waits : bool;  (* Obs.emitting_waits obs.o: blocked-access
-                             bookkeeping is maintained exactly when the
-                             sink wants Wait events *)
   obs_base : int;  (* recorder clock at run start; ticks = base + n_actions *)
   policy : policy;
   inform_policy : inform_policy;
@@ -362,7 +359,7 @@ let fire sim c =
               Metrics.observe sim.obs.h_blocked_streak s.blocked_streak;
               Metrics.observe sim.obs.h_wait_ticks
                 (sim.obs_base + sim.n_actions - s.blocked_since);
-              if sim.obs_emit_waits then begin
+              if sim.obs_emit then begin
                 blocked_remove sim t;
                 s.last_blockers <- []
               end
@@ -389,7 +386,7 @@ let fire sim c =
                      s.refused_c <- Some c;
                      Metrics.incr c
                  | None -> ()));
-             if sim.obs_emit_waits then begin
+             if sim.obs_emit then begin
                let holders = (object_of sim x).waiting_on t in
                s.last_blockers <- holders;
                blocked_add sim t;
@@ -576,7 +573,6 @@ let make ?(policy = Random_step) ?(inform_policy = Eager) ?(abort_prob = 0.0)
          tbl);
       obs_on = Obs.enabled obs;
       obs_emit = Obs.emitting obs;
-      obs_emit_waits = Obs.emitting_waits obs;
       obs_base = Obs.now obs;
       policy;
       inform_policy;

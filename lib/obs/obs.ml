@@ -6,32 +6,9 @@ open Nt_base
    allocation after the first run. *)
 type span_cell = { mutable begin_tick : int; mutable live : bool }
 
-type interest = {
-  spans : bool;
-  instants : bool;
-  waits : bool;
-  edges : bool;
-  counters : bool;
-}
-
-let all_events =
-  { spans = true; instants = true; waits = true; edges = true; counters = true }
-
-let no_events =
-  {
-    spans = false;
-    instants = false;
-    waits = false;
-    edges = false;
-    counters = false;
-  }
-
-let waits_only = { no_events with waits = true }
-
 type t = {
   enabled : bool;
-  emit_events : bool;  (* sink is not Sink.null and some interest is on *)
-  i : interest;
+  emit_events : bool;  (* sink is not Sink.null *)
   sink : Sink.t;
   m : Metrics.t;
   mutable clock : int;
@@ -44,12 +21,10 @@ type t = {
   h_abort_ticks : Metrics.histogram;
 }
 
-let make ?(events = all_events) ~enabled ~sink ~m () =
-  let i = if sink == Sink.null then no_events else events in
+let make ~enabled ~sink ~m () =
   {
     enabled;
-    emit_events = i.spans || i.instants || i.waits || i.edges || i.counters;
-    i;
+    emit_events = sink != Sink.null;
     sink;
     m;
     clock = 0;
@@ -64,14 +39,12 @@ let make ?(events = all_events) ~enabled ~sink ~m () =
 
 let null = make ~enabled:false ~sink:Sink.null ~m:(Metrics.create ()) ()
 
-let create ?metrics ?(sink = Sink.null) ?events () =
+let create ?metrics ?(sink = Sink.null) () =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
-  make ?events ~enabled:true ~sink ~m ()
+  make ~enabled:true ~sink ~m ()
 
 let enabled t = t.enabled
 let emitting t = t.enabled && t.emit_events
-let emitting_waits t = t.enabled && t.i.waits
-let emitting_edges t = t.enabled && t.i.edges
 let metrics t = t.m
 let now t = t.clock
 let close t = t.sink.Sink.close ()
@@ -92,7 +65,7 @@ let finish t txn outcome =
   | Event.Aborted ->
       Metrics.incr t.c_aborted;
       Metrics.observe t.h_abort_ticks dur);
-  if t.i.spans then
+  if t.emit_events then
     t.sink.Sink.emit (Event.End { txn; ts = t.clock; outcome; dur })
 
 let lifecycle t (a : Action.t) =
@@ -105,7 +78,7 @@ let lifecycle t (a : Action.t) =
           cell.live <- true
       | None ->
           Txn_id.Tbl.add t.open_spans txn { begin_tick = t.clock; live = true });
-      if t.i.spans then t.sink.Sink.emit (Event.Begin { txn; ts = t.clock })
+      if t.emit_events then t.sink.Sink.emit (Event.Begin { txn; ts = t.clock })
   | Action.Commit txn -> finish t txn Event.Committed
   | Action.Abort txn -> finish t txn Event.Aborted
   | Action.Request_create _ | Action.Request_commit _ | Action.Report_commit _
@@ -127,7 +100,7 @@ let span_begin t ts txn =
   if t.enabled then begin
     t.clock <- ts;
     Metrics.incr t.c_created;
-    if t.i.spans then t.sink.Sink.emit (Event.Begin { txn; ts })
+    if t.emit_events then t.sink.Sink.emit (Event.Begin { txn; ts })
   end
 
 let span_end t ts ~began txn outcome =
@@ -141,7 +114,7 @@ let span_end t ts ~began txn outcome =
     | Event.Aborted ->
         Metrics.incr t.c_aborted;
         Metrics.observe t.h_abort_ticks dur);
-    if t.i.spans then t.sink.Sink.emit (Event.End { txn; ts; outcome; dur })
+    if t.emit_events then t.sink.Sink.emit (Event.End { txn; ts; outcome; dur })
   end
 
 let settle t ~clock ~actions =
@@ -151,23 +124,23 @@ let settle t ~clock ~actions =
   end
 
 let instant ?txn ?obj ?ts t name =
-  if t.enabled && t.i.instants then begin
+  if emitting t then begin
     (match ts with Some ts when ts > t.clock -> t.clock <- ts | _ -> ());
     t.sink.Sink.emit (Event.Instant { name; ts = t.clock; txn; obj })
   end
 
 let counter_sample t name value =
-  if t.enabled && t.i.counters then
+  if emitting t then
     t.sink.Sink.emit (Event.Counter { name; ts = t.clock; value })
 
 let wait ?ts t ~txn ~obj ~holders ~waited =
-  if t.enabled && t.i.waits then begin
+  if emitting t then begin
     (match ts with Some ts when ts > t.clock -> t.clock <- ts | _ -> ());
     t.sink.Sink.emit (Event.Wait { txn; obj; holders; ts = t.clock; waited })
   end
 
 let sg_edge ?obj ?ts t ~src ~dst ~kind ~w1 ~w1_ts ~w2 ~w2_ts =
-  if t.enabled && t.i.edges then begin
+  if emitting t then begin
     (match ts with Some ts when ts > t.clock -> t.clock <- ts | _ -> ());
     t.sink.Sink.emit
       (Event.Edge { src; dst; kind; obj; w1; w1_ts; w2; w2_ts; ts = t.clock })

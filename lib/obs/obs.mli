@@ -18,45 +18,19 @@ type t
 val null : t
 (** The disabled recorder (shared; its registry stays empty). *)
 
-type interest = {
-  spans : bool;  (** {!Event.Begin}/{!Event.End} *)
-  instants : bool;
-  waits : bool;
-  edges : bool;
-  counters : bool;
-}
-(** Which event kinds a sink wants.  A recorder only builds (and the
-    producer only pays for) the kinds its sink declared — this is how
-    [ntserved]'s telemetry hub listens for lock-wait events without
-    making every access allocate a span event. *)
-
-val all_events : interest
-val no_events : interest
-val waits_only : interest
-
-val create :
-  ?metrics:Metrics.t -> ?sink:Sink.t -> ?events:interest -> unit -> t
-(** An enabled recorder.  Default sink {!Sink.null} (metrics only),
-    default registry fresh, default interest {!all_events} (forced to
-    {!no_events} when the sink is {!Sink.null}). *)
+val create : ?metrics:Metrics.t -> ?sink:Sink.t -> unit -> t
+(** An enabled recorder.  Default sink {!Sink.null} (metrics only,
+    no events), default registry fresh. *)
 
 val enabled : t -> bool
 
 val emitting : t -> bool
-(** [enabled t] and the sink consumes {e some} event kind.  Hot paths
-    that must build an {!Event.t} (or box optional arguments for
-    {!instant}) check this first so a metrics-only recorder allocates
-    nothing; paths serving exactly one kind use the [emitting_*]
-    variants below instead. *)
-
-val emitting_waits : t -> bool
-(** The sink wants {!Event.Wait} — the generic runtime's blocked-access
-    bookkeeping (holder lists, wait-for index) is maintained exactly
-    when this holds. *)
-
-val emitting_edges : t -> bool
-(** The sink wants {!Event.Edge} (checked by the SG monitor before
-    assembling witness arguments). *)
+(** [enabled t] and the sink is not {!Sink.null}.  Hot paths that must
+    build an {!Event.t} (or box optional arguments for {!instant})
+    check this first so a metrics-only recorder allocates nothing; the
+    generic runtime's blocked-access bookkeeping (holder lists,
+    wait-for index) and the SG monitor's edge-witness assembly are
+    maintained exactly when this holds. *)
 
 val metrics : t -> Metrics.t
 

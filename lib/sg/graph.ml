@@ -133,8 +133,6 @@ let nodes g = fold_nodes g (fun acc n -> n :: acc) [] |> List.sort Txn_id.compar
 
 let edges g = fold_edges g (fun acc a b -> (a, b) :: acc) []
 
-let rank g t = Option.map (fun i -> g.ord.(i)) (Txn_id.Tbl.find_opt g.ids t)
-
 let order g =
   if g.n_cyclic_edges > 0 then None
   else begin

@@ -94,11 +94,6 @@ val order : t -> Txn_id.t list option
     for a canonical insertion-independent order use
     {!topological_sort}. *)
 
-val rank : t -> Txn_id.t -> int option
-(** The node's position key in the maintained order ([None] for
-    unknown nodes).  Keys are distinct and order-consistent; treat
-    them as opaque (contiguity is not part of the contract). *)
-
 val reorders : t -> int
 (** Cumulative number of node renumberings performed by incremental
     insertions — the work the limited two-way search actually did

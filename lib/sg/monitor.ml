@@ -313,7 +313,7 @@ let account ~obs t ~edges_before alarms =
     if inserted > 0 then begin
       Metrics.incr ~by:inserted (Metrics.counter m "monitor.edges");
       Obs.counter_sample obs "sg.edges" (Graph.n_edges t.g);
-      if Obs.emitting_edges obs then
+      if Obs.emitting obs then
         List.iter
           (fun (a, b, p) ->
             Obs.sg_edge ?obj:p.before.where obs ~src:a ~dst:b

@@ -1,7 +1,7 @@
 """End-to-end smoke test of the ntserved binary: undo at one shard and
 at two, and the replication backend at two.
 
-Usage: python3 serve_smoke.py NTSERVED NTLOAD NTWAL
+Usage: python3 serve_smoke.py NTSERVED NTLOAD NTWAL NTTOP
 
 For each mode it starts the server on a fresh Unix socket, then
   * speaks the wire protocol directly (<len>\\n<json> frames): Status of
@@ -18,6 +18,13 @@ campaign with --shutdown, a restart on the same log whose Ping must
 report "recovered" and whose acknowledged outcomes ntwal verify must
 find reproduced, and a restart after one byte of the rotated snapshot
 is flipped, which must exit 2 naming the snapshot.
+
+Then the client tools against one server: an open-loop SmallBank
+campaign (no alarms, no request-id mismatches, every submission
+settled, the generator's lateness reported), a subscribed campaign
+that must see telemetry frames, and one nttop panel.  Last, SmallBank
+against a server without enough registers must exit 2 naming the
+ntserved option that provides them.
 """
 
 import json
@@ -187,13 +194,81 @@ def durable_round(ntserved, ntload, ntwal, tmp):
             srv.wait()
 
 
+def run_load(ntload, sock_path, what, args):
+    load = subprocess.run([ntload, "--socket", sock_path] + args,
+                          capture_output=True, text=True, timeout=60)
+    if load.returncode != 0:
+        fail("%s: ntload exited %d\n%s%s"
+             % (what, load.returncode, load.stdout, load.stderr))
+    return json.loads(load.stdout)
+
+
+def tools_round(ntserved, ntload, nttop, tmp):
+    sock_path = os.path.join(tmp, "tools.sock")
+    srv = subprocess.Popen(
+        [ntserved, "--socket", sock_path, "--backend", "undo",
+         "--types", "rw", "--objects", "16", "--seed", "11",
+         "--no-gc-trace", "--flight", "0", "--telemetry-interval", "0.2"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        r = run_load(ntload, sock_path, "open loop",
+                     ["--workload", "smallbank", "--clients", "4",
+                      "--requests", "25", "--seed", "5", "--open-loop",
+                      "300", "--json"])
+        for key in ["server_alarms", "req_mismatches"]:
+            if r.get(key) != 0:
+                fail("open loop: %s is %r" % (key, r.get(key)))
+        if "open_loop_late_ms_max" not in r:
+            fail("open loop: JSON lacks open_loop_late_ms_max")
+        if r["committed"] + r["aborted"] != r["submitted"]:
+            fail("open loop: %d committed + %d aborted != %d submitted"
+                 % (r["committed"], r["aborted"], r["submitted"]))
+        r = run_load(ntload, sock_path, "subscribe",
+                     ["--clients", "2", "--requests", "10", "--seed", "5",
+                      "--subscribe", "--json"])
+        if r.get("telemetry_frames", 0) < 1:
+            fail("subscribe: no telemetry frames in %r" % r)
+        top = subprocess.run([nttop, "--socket", sock_path, "--once"],
+                             capture_output=True, text=True, timeout=60)
+        if top.returncode != 0 or "ntserved  seq" not in top.stdout:
+            fail("nttop --once exited %d\n%s%s"
+                 % (top.returncode, top.stdout, top.stderr))
+        run_load(ntload, sock_path, "shutdown",
+                 ["--requests", "0", "--shutdown", "--json"])
+        out, _ = srv.communicate(timeout=30)
+    finally:
+        if srv.poll() is None:
+            srv.kill()
+            srv.wait()
+    if srv.returncode != 0:
+        fail("tools: ntserved exited %d\n%s" % (srv.returncode, out))
+    sock_path = os.path.join(tmp, "mixed.sock")
+    srv = subprocess.Popen(
+        [ntserved, "--socket", sock_path, "--backend", "undo",
+         "--types", "mixed", "--objects", "4", "--seed", "11",
+         "--no-gc-trace", "--flight", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        load = subprocess.run(
+            [ntload, "--socket", sock_path, "--workload", "smallbank"],
+            capture_output=True, text=True, timeout=60)
+        if load.returncode != 2 or "--types rw" not in load.stderr:
+            fail("smallbank without registers exited %d\n%s"
+                 % (load.returncode, load.stderr))
+    finally:
+        srv.kill()
+        srv.wait()
+
+
 def main():
-    ntserved, ntload, ntwal = (os.path.abspath(p) for p in sys.argv[1:4])
+    ntserved, ntload, ntwal, nttop = (
+        os.path.abspath(p) for p in sys.argv[1:5])
     tmp = tempfile.mkdtemp(prefix="ntsmoke")
     try:
         for backend, shards in (("undo", 1), ("undo", 2), ("replication", 2)):
             run_mode(ntserved, ntload, tmp, backend, shards)
         durable_round(ntserved, ntload, ntwal, tmp)
+        tools_round(ntserved, ntload, nttop, tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

@@ -184,21 +184,16 @@ let t_snapshot_delta () =
   check_int "delta max exact" 300 hs.Metrics.max
 
 (* A recorder without a sink emits nothing, but still maintains the
-   metrics side — and reports its event interests accordingly. *)
+   metrics side; one with a real sink emits. *)
 let t_obs_interest () =
   let m = Metrics.create () in
   let quiet = Obs.create ~metrics:m () in
   check_bool "enabled" true (Obs.enabled quiet);
   check_bool "not emitting" false (Obs.emitting quiet);
-  check_bool "no wait interest" false (Obs.emitting_waits quiet);
-  check_bool "no edge interest" false (Obs.emitting_edges quiet);
   let sink, _events = Obs_sink.memory () in
-  let waits = Obs.create ~metrics:m ~sink ~events:Obs.waits_only () in
-  check_bool "waits interest" true (Obs.emitting_waits waits);
-  check_bool "waits_only excludes edges" false (Obs.emitting_edges waits);
   let full = Obs.create ~metrics:m ~sink () in
-  check_bool "full interest: waits" true (Obs.emitting_waits full);
-  check_bool "full interest: edges" true (Obs.emitting_edges full)
+  check_bool "real sink: enabled" true (Obs.enabled full);
+  check_bool "real sink: emitting" true (Obs.emitting full)
 
 (* --- span derivation from an action stream --------------------------- *)
 

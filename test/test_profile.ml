@@ -385,7 +385,9 @@ let t_runtime_attribution () =
     (events ());
   check_int "one Wait event per refusal"
     r.Runtime.stats.Runtime.blocked_attempts !n_waits;
-  check_bool "wait-for edges observed" true (cv "runtime.waitfor.edges" >= 0)
+  check_bool "wait-for edges observed" true (cv "runtime.waitfor.edges" > 0);
+  check_bool "near cycles are among the wait-for edges" true
+    (cv "runtime.waitfor.near_cycles" <= cv "runtime.waitfor.edges")
 
 let suite =
   ( "profile",
