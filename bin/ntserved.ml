@@ -13,17 +13,26 @@
      ntserved --socket /tmp/nt.sock --backend replication --objects 3
      ntserved --socket /tmp/nt.sock --backend undo --shards 4 --types rw
 
-   One select loop interleaves accepts, reads, writes and engine work.
-   With one shard the engine is stepped inside the loop, so served
-   executions are sequential interleavings — exactly the generic-system
-   behaviors the paper's theorems cover.  With --shards N > 1 the shard
-   engines run on worker domains and the loop plans submissions on the
-   router and collects completions; everything between the socket and
-   the engine (stage spans, flight recorder, audit log, telemetry) is
-   the same code in both modes. *)
+   One select loop interleaves accepts, reads, writes and engine work,
+   and serves one model at every shard count: a [Shard_cluster], whose
+   router plans each submission and answers Status.  At one shard the
+   loop drains the cluster inline, so served executions are sequential
+   interleavings — exactly the generic-system behaviors the paper's
+   theorems cover — and the write-ahead log drives it.  With
+   --shards N > 1 [Shard_service] workers step it on their own
+   domains and the loop collects completions from the router;
+   everything between the socket and the cluster (stage spans, flight
+   recorder, audit log, telemetry) is the same code. *)
 
 open Core
 open Cmdliner
+
+let refuse fmt =
+  Format.kasprintf
+    (fun m ->
+      Format.eprintf "ntserved: %s@." m;
+      exit 2)
+    fmt
 
 (* ----- object tables ----- *)
 
@@ -85,7 +94,7 @@ type txn_rec = {
 (* The log's file side: the fd the current generation appends to
    (swapped at rotation — the sink reads it through the ref) and a
    writer factory over it.  What is logged, when, and what recovery may
-   trust is [Wal.Session] / [Wal.Recovery]. *)
+   trust is [Durable] / [Wal.Recovery.plan]. *)
 type wal_file = {
   wal_path : string;
   snapshot_every : int;  (* appended records per snapshot; 0 = never *)
@@ -97,40 +106,27 @@ type wal_file = {
    select turns so Ping stays responsive; [resume] opens the logging
    session once it has been replayed and validated. *)
 type recovery = {
-  progress : Wal.Recovery.progress;
+  progress : Durable.progress;
   torn : bool;  (* the log had a damaged tail (now truncated) *)
-  resume : unit -> Wal.Session.t;
+  resume : unit -> Durable.Session.t;
 }
 
 (* ----- the server ----- *)
 
-(* One shard: the engine lives in the select loop, which steps it in
-   bursts between socket turns; the write-ahead log is a single-shard
-   feature. *)
-type single = {
-  eng : Engine.t;
-  burst : int;  (* max engine steps per loop turn *)
-  mutable wal : wal_file option;
-  mutable session : Wal.Session.t option;  (* logging; None while recovering *)
-  mutable recovery : recovery option;
-}
-
-(* Several shards: [Shard_service] runs one worker per shard on its own
-   domain.  The loop plans submissions on the router, answers Status
-   from the router's thread-safe bookkeeping, and scans the open set
-   for completions when a worker pokes the self-pipe.  Merged
-   submission [g] is [T0.g] on the wire. *)
-type sharded = {
-  svc : Shard_service.t;
+(* The cluster is the one model: drained inline at one shard, where the
+   log (a one-shard feature) drives it; stepped by workers that poke the
+   self-pipe above one shard.  Its router answers Status at every shard
+   count.  Merged submission [g] is [T0.g] on the wire. *)
+type server = {
+  cl : Shard_cluster.t;
+  workers : Shard_service.t option;  (* above one shard *)
+  burst : int;  (* max engine steps per loop turn, inline *)
   notify_r : Unix.file_descr;  (* self-pipe: workers wake the select *)
   notify_w : Unix.file_descr;
   open_set : (int, unit) Hashtbl.t;  (* submitted, completion not seen *)
-}
-
-type arm = Single of single | Sharded of sharded
-
-type server = {
-  arm : arm;
+  mutable wal : wal_file option;
+  mutable session : Durable.Session.t option;  (* logging; None while recovering *)
+  mutable recovery : recovery option;
   backend : Check.backend;
   objects : (Obj_id.t * Datatype.t) list;  (* logical (advertised) table *)
   replicated : bool;
@@ -207,12 +203,8 @@ let write_all fd s =
   go 0
 
 let read_whole path =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Some s
-  end
+  if Sys.file_exists path then
+    Some (In_channel.with_open_bin path In_channel.input_all)
   else None
 
 let write_file_sync path s =
@@ -223,80 +215,84 @@ let write_file_sync path s =
   Unix.fsync fd;
   Unix.close fd
 
+(* A rename or a file creation survives power loss only once the
+   directory holding the name is synced. *)
+let fsync_dir path =
+  let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
 (* Snapshot, then rotate the log.  The snapshot is written whole to a
    temp file and renamed into place; the log then restarts as a fresh
    generation whose [base_seq] is the snapshot's cover point.  Every
    crash window is safe: before the snapshot rename the old snapshot
    and full log recover; between the two renames the new snapshot plus
    the old log's tail (records with seq >= the cover point) recover;
-   after both, the new snapshot plus the new, nearly empty generation. *)
+   after both, the new snapshot plus the new, nearly empty generation.
+   Each rename is synced before the next: a rotated log next to the old
+   snapshot, after power loss, is a pair recovery refuses. *)
 let take_snapshot srv wf ss =
-  let image = Wal.Session.snapshot ss in
-  let next_seq = Wal.Writer.next_seq (Wal.Session.writer ss) in
+  let image = Durable.Session.snapshot ss in
+  let next_seq = Wal.Writer.next_seq (Durable.Session.writer ss) in
   let tmp = wf.wal_path ^ ".snap.tmp" in
   write_file_sync tmp image;
   Sys.rename tmp (wf.wal_path ^ ".snap");
+  fsync_dir wf.wal_path;
   let rot = wf.wal_path ^ ".rot" in
   let fd' =
     Unix.openfile rot [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   let old_fd = !(wf.wal_fd) in
   wf.wal_fd := fd';
-  Wal.Session.rotate ss (wf.mk_writer ~fresh:true ~base_seq:next_seq);
+  Durable.Session.rotate ss (wf.mk_writer ~fresh:true ~base_seq:next_seq);
   Sys.rename rot wf.wal_path;
+  fsync_dir wf.wal_path;
   Unix.close old_fd;
   Metrics.incr (Metrics.counter srv.metrics "served.wal.snapshots");
   if srv.verbose then
     Format.eprintf "ntserved: snapshot at seq %d (%d replay events)@." next_seq
-      (Wal.Session.closure_length ss)
+      (Durable.Session.closure_length ss)
 
-let wal_turn srv s =
-  match (s.wal, s.session) with
+let wal_turn srv =
+  match (srv.wal, srv.session) with
   | Some wf, Some ss ->
-      Wal.Session.cut ss;
-      Wal.Writer.tick (Wal.Session.writer ss);
-      if Wal.Session.due ss ~every:wf.snapshot_every then
+      Durable.Session.cut ss;
+      Wal.Writer.tick (Durable.Session.writer ss);
+      if Durable.Session.due ss ~every:wf.snapshot_every then
         take_snapshot srv wf ss
   | _ -> ()
 
 (* ----- recovery ----- *)
 
-let recovery_turn srv s rc =
+let recovery_turn srv rc =
   let t0 = mono srv in
-  let before = Wal.Recovery.replayed rc.progress in
-  let turn = Wal.Recovery.turn ~burst:s.burst s.eng rc.progress in
-  let replayed = Wal.Recovery.replayed rc.progress in
+  let before = Durable.replayed rc.progress in
+  let turn = Durable.turn ~burst:srv.burst srv.cl rc.progress in
+  let replayed = Durable.replayed rc.progress in
   Metrics.incr ~by:(replayed - before)
     (Metrics.counter srv.metrics "served.wal.replayed");
   record_stage srv ~stage:Stage.wal_replay_stage ~req:None ~txn:None ~conn_id:(-1) t0
     (mono srv);
   match turn with
-  | Error e ->
-      Format.eprintf "ntserved: recovery failed: %s@." e;
-      exit 2
+  | Error e -> refuse "recovery failed: %s" e
   | Ok `More ->
       srv.status <-
-        Wire.Recovering { replayed; total = Wal.Recovery.total rc.progress }
+        Wire.Recovering { replayed; total = Durable.total rc.progress }
   | Ok `Done ->
       (* Serving resumes here, logging from the replayed position. *)
-      s.recovery <- None;
-      s.session <- Some (rc.resume ());
+      srv.recovery <- None;
+      srv.session <- Some (rc.resume ());
       srv.status <- Wire.Recovered { replayed; torn = rc.torn };
       if srv.verbose then
         Format.eprintf "ntserved: recovered %d events%s@." replayed
           (if rc.torn then " (torn tail truncated)" else "")
-
-let wal_fatal path e =
-  Format.eprintf "ntserved: %s: %s@." path e;
-  exit 2
 
 (* Open (or create) the log at [path] and plan the recovery of whatever
    it and its snapshot hold.  The replay runs in bounded chunks inside
    the select loop (see [recovery_turn]), with submissions rejected
    until it completes; only then is the damaged tail, if any, truncated
    and the writer installed. *)
-let init_durability srv s ~path ~fsync_batch ~fsync_interval_s
-    ~snapshot_every ~meta =
+let init_durability srv ~path ~fsync_batch ~fsync_interval_s ~snapshot_every
+    ~meta =
   let snap_path = path ^ ".snap" in
   let file = function `Log -> path | `Snapshot -> snap_path in
   let plan =
@@ -306,7 +302,7 @@ let init_durability srv s ~path ~fsync_batch ~fsync_interval_s
         ~snapshot:(read_whole snap_path)
     with
     | Ok plan -> plan
-    | Error { Wal.Recovery.culprit; why } -> wal_fatal (file culprit) why
+    | Error { Wal.Recovery.culprit; why } -> refuse "%s: %s" (file culprit) why
   in
   (match plan.Wal.Recovery.tail with
   | Wal.Torn { why; _ } ->
@@ -318,6 +314,7 @@ let init_durability srv s ~path ~fsync_batch ~fsync_interval_s
       Format.eprintf "ntserved: %s: %s@." (file culprit) why)
     plan.Wal.Recovery.notes;
   let fd = ref (Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644) in
+  fsync_dir path;
   let on_sync () =
     Metrics.incr (Metrics.counter srv.metrics "served.wal.syncs")
   in
@@ -343,19 +340,19 @@ let init_durability srv s ~path ~fsync_batch ~fsync_interval_s
     let valid = plan.Wal.Recovery.valid in
     Unix.ftruncate !fd valid;
     ignore (Unix.lseek !fd 0 Unix.SEEK_END);
-    Wal.Session.create ~plan ~meta s.eng
+    Durable.Session.create ~plan ~meta srv.cl
       (mk_writer ~fresh:(valid = 0) ~base_seq:plan.Wal.Recovery.base_seq)
   in
-  s.wal <- Some { wal_path = path; snapshot_every; wal_fd = fd; mk_writer };
+  srv.wal <- Some { wal_path = path; snapshot_every; wal_fd = fd; mk_writer };
   if plan.Wal.Recovery.empty then begin
-    s.session <- Some (resume ());
+    srv.session <- Some (resume ());
     srv.status <- Wire.Fresh
   end
   else begin
-    s.recovery <-
+    srv.recovery <-
       Some
         {
-          progress = Wal.Recovery.start plan;
+          progress = Durable.start plan;
           torn = plan.Wal.Recovery.tail <> Wal.Clean;
           resume;
         };
@@ -363,11 +360,11 @@ let init_durability srv s ~path ~fsync_batch ~fsync_interval_s
       Wire.Recovering { replayed = 0; total = plan.Wal.Recovery.total }
   end
 
-let wal_shutdown s =
-  Option.iter Wal.Session.flush s.session;
+let wal_shutdown srv =
+  Option.iter Durable.Session.flush srv.session;
   Option.iter
     (fun wf -> try Unix.close !(wf.wal_fd) with Unix.Unix_error _ -> ())
-    s.wal
+    srv.wal
 
 let sanitize_reason s =
   String.map
@@ -412,20 +409,19 @@ let do_dump srv ~force reason =
         Some (spans, Stage.Recorder.dropped r, jsonl, chrome)
       end
 
-(* ----- the engine arms ----- *)
+(* ----- the cluster ----- *)
 
-(* A disconnected client's incomplete submissions are orphans. *)
+(* A disconnected client's incomplete submissions are orphans.  Kills,
+   like submissions, go to the workers, else the log, else the cluster. *)
 let close_conn srv conn =
   Hashtbl.remove srv.conns conn.fd;
   List.iter
     (fun t ->
-      match srv.arm with
-      | Single { session = Some ss; _ } -> ignore (Wal.Session.kill ss t)
-      | Single s -> ignore (Engine.kill s.eng t)
-      | Sharded sh -> (
-          match Txn_id.path t with
-          | [ g ] -> Shard_service.kill sh.svc g
-          | _ -> ()))
+      match (Txn_id.path t, srv.workers, srv.session) with
+      | [ g ], Some w, _ -> Shard_service.kill w g
+      | [ g ], None, Some ss -> ignore (Durable.Session.kill ss g)
+      | [ g ], None, None -> ignore (Shard_cluster.kill srv.cl g)
+      | _ -> ())
     conn.live;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ())
 
@@ -454,119 +450,103 @@ let validate srv program =
   | Ok prog when srv.replicated -> physical_of srv prog
   | parsed -> parsed
 
-(* The admit stage: hand the program to the engine (or the router),
-   logging it before it is acknowledged when the log is on. *)
+(* The admit stage: hand the program to the cluster, logging it before
+   it is acknowledged when the log is on. *)
 let admit srv ~req ~client prog =
-  match srv.arm with
-  | Single { session = Some ss; _ } -> Wal.Session.submit ss ?req ~client prog
-  | Single s -> Engine.submit s.eng prog
-  | Sharded sh ->
-      Result.map
-        (fun g ->
-          Hashtbl.replace sh.open_set g ();
-          Txn_id.of_path [ g ])
-        (Shard_service.submit sh.svc prog)
+  Result.map
+    (fun g ->
+      Hashtbl.replace srv.open_set g ();
+      Txn_id.of_path [ g ])
+    (match (srv.workers, srv.session) with
+    | Some w, _ -> Shard_service.submit w prog
+    | None, Some ss -> Durable.Session.submit ss ?req ~client prog
+    | None, None -> Shard_cluster.submit srv.cl prog)
 
+(* Merged ids are dense: anything at or past [submitted] was never
+   issued, and is as unknown as a name of the wrong shape. *)
 let wire_state srv t : Wire.txn_state =
-  match srv.arm with
-  | Single s -> (
-      match Engine.state s.eng t with
-      | Engine.Unknown | Engine.Pending -> Wire.Pending
-      | Engine.Running -> Wire.Running
-      | Engine.Committed v -> Wire.Committed (Value.to_string v)
-      | Engine.Aborted None -> Wire.Aborted None
-      | Engine.Aborted (Some veto) ->
+  match Txn_id.path t with
+  | [ g ] when g >= 0 && g < Shard_router.submitted (Shard_cluster.router srv.cl)
+    -> (
+      match Shard_cluster.result srv.cl g with
+      | Shard_router.Pending -> Wire.Running
+      | Shard_router.Committed v -> Wire.Committed (Value.to_string v)
+      | Shard_router.Aborted None -> Wire.Aborted None
+      | Shard_router.Aborted (Some veto) ->
           Wire.Aborted (Some veto.Admission.witness))
-  | Sharded sh -> (
-      (* Merged ids are dense: anything at or past [submitted] was
-         never issued, and is as unknown as a name of the wrong shape. *)
-      match Txn_id.path t with
-      | [ g ]
-        when g >= 0 && g < Shard_router.submitted (Shard_service.router sh.svc)
-        -> (
-          match Shard_service.result sh.svc g with
-          | Shard_router.Pending -> Wire.Running
-          | Shard_router.Committed v -> Wire.Committed (Value.to_string v)
-          | Shard_router.Aborted None -> Wire.Aborted None
-          | Shard_router.Aborted (Some veto) ->
-              Wire.Aborted (Some veto.Admission.witness))
-      | _ -> Wire.Pending)
+  | _ -> Wire.Pending
 
-let shard_stats sh = Shard_service.stats sh.svc
+(* Per-shard engine counters: the inline engine's, or the snapshots the
+   workers publish (their engines live on other domains). *)
+let shard_stats srv =
+  match srv.workers with
+  | Some w -> Shard_service.stats w
+  | None -> [| Shard_engine.snapshot (Shard_cluster.engine srv.cl 0) |]
 
-let shard_sum f sh =
-  Array.fold_left (fun acc st -> acc + f st) 0 (shard_stats sh)
+let shard_sum f srv =
+  Array.fold_left (fun acc st -> acc + f st) 0 (shard_stats srv)
 
 (* A multiversion backend serializes by pseudotime; the completion-order
    monitor then flags its reads as inappropriate even when correct, so
    mvts is judged on cycle alarms alone. *)
 let actionable_alarms srv =
   let mvts = srv.backend = Check.Mvts in
-  match srv.arm with
-  | Single s ->
-      if mvts then Engine.cycle_alarms s.eng else Engine.alarms s.eng
-  | Sharded sh ->
-      shard_sum
-        (fun st ->
-          if mvts then st.Shard_engine.sh_cycle_alarms
-          else st.Shard_engine.sh_alarms)
-        sh
+  shard_sum
+    (fun st ->
+      if mvts then st.Shard_engine.sh_cycle_alarms else st.Shard_engine.sh_alarms)
+    srv
 
-let shard_rows sh =
-  Array.to_list
-    (Array.mapi
-       (fun i (st : Shard_engine.stats) ->
-         {
-           Wire.r_shard = i;
-           r_submitted = st.sh_submitted;
-           r_committed = st.sh_committed;
-           r_aborted = st.sh_aborted;
-           r_vetoed = st.sh_vetoed;
-           r_live = st.sh_live;
-         })
-       (shard_stats sh))
+(* One shard reports no per-shard rows. *)
+let shard_rows srv =
+  if Shard_cluster.shards srv.cl = 1 then []
+  else
+    Array.to_list
+      (Array.mapi
+         (fun i (st : Shard_engine.stats) ->
+           {
+             Wire.r_shard = i;
+             r_submitted = st.sh_submitted;
+             r_committed = st.sh_committed;
+             r_aborted = st.sh_aborted;
+             r_vetoed = st.sh_vetoed;
+             r_live = st.sh_live;
+           })
+         (shard_stats srv))
 
-(* Engine counters for a frame, plus the per-shard rows.  Shard engines
-   live on other domains, so their half comes from the counter
-   snapshots the workers publish. *)
+(* Engine counters for a frame, plus the per-shard rows. *)
 let frame_counts srv =
-  match srv.arm with
-  | Single s -> (Telemetry.Hub.counts_of_engine s.eng, [])
-  | Sharded sh ->
-      ( Telemetry.Hub.merge
-          (Array.to_list
-             (Array.map
-                (fun (st : Shard_engine.stats) ->
-                  {
-                    Telemetry.Hub.n_submitted = st.sh_submitted;
-                    n_committed = st.sh_committed;
-                    n_aborted = st.sh_aborted;
-                    n_vetoed = st.sh_vetoed;
-                    n_orphans = st.sh_orphans;
-                    n_live = st.sh_live;
-                    n_doomed = st.sh_doomed;
-                    n_sg_nodes = st.sh_sg_nodes;
-                    n_sg_edges = st.sh_sg_edges;
-                    n_sg_reorders = st.sh_sg_reorders;
-                  })
-                (shard_stats sh))),
-        shard_rows sh )
+  ( Telemetry.Hub.merge
+      (Array.to_list
+         (Array.map
+            (fun (st : Shard_engine.stats) ->
+              {
+                Telemetry.Hub.n_submitted = st.sh_submitted;
+                n_committed = st.sh_committed;
+                n_aborted = st.sh_aborted;
+                n_vetoed = st.sh_vetoed;
+                n_orphans = st.sh_orphans;
+                n_live = st.sh_live;
+                n_doomed = st.sh_doomed;
+                n_sg_nodes = st.sh_sg_nodes;
+                n_sg_edges = st.sh_sg_edges;
+                n_sg_reorders = st.sh_sg_reorders;
+              })
+            (shard_stats srv))),
+    shard_rows srv )
 
-(* Client-visible totals.  Sharded ones come from the router (merged
+(* Client-visible totals: commits and aborts from the router (merged
    tops: a cross-shard program counts once, not once per piece);
    vetoes and alarms are engine-level, summed over shards. *)
 let quiesced_response srv =
-  let committed, aborted, vetoed, per_shard =
-    match srv.arm with
-    | Single s ->
-        (Engine.committed_top s.eng, Engine.aborted_top s.eng,
-         Engine.vetoed s.eng, [])
-    | Sharded sh ->
-        let c, a = Shard_router.counts (Shard_service.router sh.svc) in
-        (c, a, shard_sum (fun st -> st.Shard_engine.sh_vetoed) sh, shard_rows sh)
-  in
+  let committed, aborted = Shard_router.counts (Shard_cluster.router srv.cl) in
   Wire.Quiesced
-    { committed; aborted; vetoed; alarms = actionable_alarms srv; per_shard }
+    {
+      committed;
+      aborted;
+      vetoed = shard_sum (fun st -> st.Shard_engine.sh_vetoed) srv;
+      alarms = actionable_alarms srv;
+      per_shard = shard_rows srv;
+    }
 
 let req_of srv t =
   match Txn_id.Tbl.find_opt srv.txns t with
@@ -583,10 +563,11 @@ let build_frame srv ~cut =
     ~conns:(Hashtbl.length srv.conns) ~subscribers:(subscriber_count srv)
     ~now:(mono srv)
 
-(* Every completed submission, from either arm: feed the latency
-   window, retire it from its client's kill list, audit vetoes and slow
-   requests, and flag an anomaly dump. *)
-let complete srv txn outcome veto =
+(* Every completed submission, with the router's result: feed the
+   latency window, retire it from its client's kill list, audit vetoes
+   and slow requests, and flag an anomaly dump. *)
+let complete srv txn result =
+  let veto = match result with Shard_router.Aborted v -> v | _ -> None in
   match Txn_id.Tbl.find_opt srv.txns txn with
   | None -> ()
   | Some r -> (
@@ -614,26 +595,27 @@ let complete srv txn outcome veto =
           | None ->
               if slow then
                 let outcome =
-                  match outcome with
-                  | `Committed -> "committed"
-                  | `Aborted -> "aborted"
+                  match result with
+                  | Shard_router.Committed _ -> "committed"
+                  | _ -> "aborted"
                 in
                 Telemetry.Audit.slow audit ~now ~req:r.req ~client:r.client
                   ~txn ~latency_us ~outcome))
 
-(* The single engine's completion hook: runs inside Engine.step at every
-   top-level Commit/Abort, while the admission record is fresh (and
-   before the engine retires its stage_times entry). *)
-let on_complete srv s txn outcome =
+(* The completion hook of the inline engine: runs inside its step at
+   every top-level Commit/Abort, while the admission record is fresh
+   (and before the engine retires its stage_times entry). *)
+let on_complete srv txn outcome =
   (* Audit the completion in the log.  During recovery there is no
      session: the replayed completions are already in the log. *)
-  Option.iter (fun ss -> Wal.Session.note_outcome ss txn outcome) s.session;
+  Option.iter (fun ss -> Durable.Session.note_outcome ss txn outcome) srv.session;
+  let eng = Shard_engine.engine (Shard_cluster.engine srv.cl 0) in
   (* execute / gate stages off the engine's clock-stamped readings.
      Histograms get gate-exclusive execute time so stage sums do not
      double-count; the ring keeps the full execute interval with a gate
      span nested at its end, which the flight analyzer deduplicates by
      containment. *)
-  (match (Txn_id.Tbl.find_opt srv.txns txn, Engine.stage_times s.eng txn) with
+  (match (Txn_id.Tbl.find_opt srv.txns txn, Engine.stage_times eng txn) with
   | Some r, Some st ->
       let txn_s = Some (Txn_id.to_string txn) in
       let gate_us = int_of_float ((st.Engine.st_gate *. 1e6) +. 0.5) in
@@ -649,48 +631,46 @@ let on_complete srv s txn outcome =
         (st.Engine.st_complete -. st.Engine.st_gate)
         st.Engine.st_complete
   | _ -> ());
-  complete srv txn outcome
-    (if outcome = `Aborted then Admission.veto_of (Engine.admission s.eng) txn
-     else None)
+  (* completed at the instant it happened, not at the next scan *)
+  match Txn_id.path txn with
+  | [ g ] ->
+      Hashtbl.remove srv.open_set g;
+      complete srv txn (Shard_cluster.result srv.cl g)
+  | _ -> ()
 
-(* One turn of engine work.  The single engine replays a recovery chunk
-   or drains a burst of steps; sharded, the loop only collects the
-   workers' completions.  [`Waiting] means shards still hold
-   submissions — the loop sleeps on the self-pipe meanwhile. *)
+(* One turn of engine work: inline, a recovery chunk or a burst of
+   steps; with workers, only their pokes ([`Waiting] while they hold
+   submissions).  Then collect what the inline hook did not take. *)
 let engine_turn srv buf =
-  match srv.arm with
-  | Single s ->
-      (* while a recovery is in flight the engine replays the log in
-         bounded chunks instead of serving (submissions are rejected),
-         so Ping and Status stay responsive *)
-      let status =
-        match s.recovery with
-        | Some rc ->
-            recovery_turn srv s rc;
-            `Progress
-        | None -> Engine.drain ~burst:s.burst s.eng
-      in
-      wal_turn srv s;
-      (status :> [ `Progress | `Quiescent | `Truncated | `Waiting ])
-  | Sharded sh ->
-      (try ignore (Unix.read sh.notify_r buf 0 (Bytes.length buf))
-       with Unix.Unix_error _ -> ());
-      (* read [pending] first: whatever it counted as done is visible
-         to the scan below *)
-      let quiet = Shard_service.pending sh.svc = 0 in
-      Hashtbl.filter_map_inplace
-        (fun g () ->
-          let txn = Txn_id.of_path [ g ] in
-          match Shard_service.result sh.svc g with
-          | Shard_router.Pending -> Some ()
-          | Shard_router.Committed _ ->
-              complete srv txn `Committed None;
-              None
-          | Shard_router.Aborted veto ->
-              complete srv txn `Aborted veto;
-              None)
-        sh.open_set;
-      if quiet then `Quiescent else `Waiting
+  let status =
+    match (srv.workers, srv.recovery) with
+    | Some _, _ ->
+        (try ignore (Unix.read srv.notify_r buf 0 (Bytes.length buf))
+         with Unix.Unix_error _ -> ());
+        (* read [pending] first: whatever it counted as done is visible
+           to the scan below *)
+        if Shard_router.pending (Shard_cluster.router srv.cl) = 0 then `Quiescent
+        else `Waiting
+    | None, Some rc ->
+        (* while a recovery is in flight the cluster replays the log in
+           bounded chunks instead of serving (submissions are
+           rejected), so Ping and Status stay responsive *)
+        recovery_turn srv rc;
+        `Progress
+    | None, None ->
+        (Shard_cluster.drain ~burst:srv.burst srv.cl
+          :> [ `Progress | `Quiescent | `Truncated | `Waiting ])
+  in
+  wal_turn srv;
+  Hashtbl.filter_map_inplace
+    (fun g () ->
+      match Shard_cluster.result srv.cl g with
+      | Shard_router.Pending -> Some ()
+      | result ->
+          complete srv (Txn_id.of_path [ g ]) result;
+          None)
+    srv.open_set;
+  status
 
 (* ----- requests ----- *)
 
@@ -711,10 +691,7 @@ let handle_request srv conn (req : Wire.request) =
                  (fun (x, dt) -> (Obj_id.name x, Program_io.dtype_decl dt))
                  srv.objects;
              status = srv.status;
-             shards =
-               (match srv.arm with
-               | Single _ -> 1
-               | Sharded sh -> Shard_service.shards sh.svc);
+             shards = Shard_cluster.shards srv.cl;
            })
   | Wire.Submit { req; _ } when not conn.greeted ->
       send conn (Wire.Rejected { why = "say hello first"; req })
@@ -755,19 +732,12 @@ let handle_request srv conn (req : Wire.request) =
       (* One frame right away (the open interval), then one per tick. *)
       send conn (Wire.Telemetry (build_frame srv ~cut:false))
   | Wire.Ping ->
-      let live, doomed =
-        match srv.arm with
-        | Single s -> (Engine.live_top s.eng, Engine.doomed_count s.eng)
-        | Sharded sh ->
-            ( Shard_service.pending sh.svc,
-              shard_sum (fun st -> st.Shard_engine.sh_doomed) sh )
-      in
       send conn
         (Wire.Pong
            {
              t_mono = mono srv;
-             live;
-             doomed;
+             live = Shard_router.pending (Shard_cluster.router srv.cl);
+             doomed = shard_sum (fun st -> st.Shard_engine.sh_doomed) srv;
              conns = Hashtbl.length srv.conns;
              status = srv.status;
            })
@@ -849,8 +819,7 @@ let run_server listen_fd srv ~read_timeout =
     if !terminate then srv.draining <- true;
     let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) srv.conns [] in
     let rfds =
-      (match srv.arm with Single _ -> [] | Sharded sh -> [ sh.notify_r ])
-      @ (if srv.draining then [] else [ listen_fd ])
+      (srv.notify_r :: (if srv.draining then [] else [ listen_fd ]))
       @ List.filter
           (fun fd -> not (Hashtbl.find srv.conns fd).closing)
           conn_fds
@@ -1075,40 +1044,31 @@ let obs_format_conv =
 (* Telemetry needs only a metrics-enabled recorder: the hub ranks hot
    objects off the [runtime.refused.*] counter deltas, so the default
    recorder emits no events at all and the wait path stays as cheap as
-   an unobserved run.  [--obs-out] opts into the full event stream. *)
-let setup_obs metrics obs_format obs_out =
-  match (obs_format, obs_out) with
-  | _, None -> (Obs.create ~metrics (), fun () -> ())
-  | fmt, Some path ->
-      let sink =
-        match Option.value ~default:Obs_jsonl fmt with
-        | Obs_jsonl -> Obs_sink.jsonl_file path
-        | Obs_chrome -> Chrome_trace.sink_file path
-      in
-      let obs = Obs.create ~metrics ~sink () in
-      (obs, fun () -> Obs.close obs)
-
-(* The sharded variant: shard [s] writes PATH.shard<s>, each with its
-   own registry — worker domains must not share one.  [Shard_service]
-   calls [obs_for] on the serving thread before spawning, so the
-   closer list needs no lock. *)
-let setup_shard_obs obs_format obs_out =
-  match obs_out with
-  | None -> (None, fun () -> ())
-  | Some path ->
-      let closers = ref [] in
-      let obs_for s =
-        let sink =
-          let spath = Printf.sprintf "%s.shard%d" path s in
-          match Option.value ~default:Obs_jsonl obs_format with
-          | Obs_jsonl -> Obs_sink.jsonl_file spath
-          | Obs_chrome -> Chrome_trace.sink_file spath
+   an unobserved run.  [--obs-out] opts into the full event stream.
+   Above one shard, shard [s] writes PATH.shard<s>, each with its own
+   registry — worker domains must not share one.  [Shard_service]
+   calls [obs_for] on the serving thread before spawning, so the closer
+   list needs no lock. *)
+let setup_obs ~shards metrics obs_format obs_out =
+  let closers = ref [] in
+  let metrics = if shards = 1 then Some metrics else None in
+  let obs_for s =
+    match obs_out with
+    | None -> if shards = 1 then Obs.create ?metrics () else Obs.null
+    | Some path ->
+        let path =
+          if shards = 1 then path else Printf.sprintf "%s.shard%d" path s
         in
-        let obs = Obs.create ~sink () in
+        let sink =
+          match Option.value ~default:Obs_jsonl obs_format with
+          | Obs_jsonl -> Obs_sink.jsonl_file path
+          | Obs_chrome -> Chrome_trace.sink_file path
+        in
+        let obs = Obs.create ?metrics ~sink () in
         closers := obs :: !closers;
         obs
-      in
-      (Some obs_for, fun () -> List.iter Obs.close !closers)
+  in
+  (obs_for, fun () -> List.iter Obs.close !closers)
 
 (* ----- command line ----- *)
 
@@ -1126,9 +1086,7 @@ let make_listen socket port =
       Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, p));
       Unix.listen fd 64;
       (fd, fun () -> ())
-  | _ ->
-      Format.eprintf "ntserved: pass exactly one of --socket or --port@.";
-      exit 2
+  | _ -> refuse "pass exactly one of --socket or --port"
 
 let install_signals () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -1136,13 +1094,6 @@ let install_signals () =
   Sys.set_signal Sys.sigterm on_term;
   Sys.set_signal Sys.sigint on_term;
   Sys.set_signal Sys.sigquit (Sys.Signal_handle (fun _ -> dump_signal := true))
-
-let refuse fmt =
-  Format.kasprintf
-    (fun m ->
-      Format.eprintf "ntserved: %s@." m;
-      exit 2)
-    fmt
 
 (* The table the engines run: the replicas, for replication. *)
 let physical_objects backend objects =
@@ -1154,36 +1105,6 @@ let physical_objects backend objects =
     in
     let schema = plan.Replication.physical_schema in
     List.map (fun x -> (x, schema.Schema.dtype_of x)) schema.Schema.objects
-
-(* The single engine, with its completion hook tied to the server
-   record through [post_complete]. *)
-let single_arm ~policy ~max_steps ~admission ~seed ~burst ~t0 ~obs
-    ~post_complete backend objects =
-  let eng =
-    Engine.create ~policy ~max_steps ~obs ~admission
-      ~on_top_complete:(fun u o -> !post_complete u o)
-      ~clock:(fun () -> Unix.gettimeofday () -. t0)
-      ~seed objects
-      (Check.factory_of backend)
-  in
-  { eng; burst; wal = None; session = None; recovery = None }
-
-let sharded_arm ~policy ~max_steps ~admission ~seed ~obs_for ~shards backend
-    objects =
-  let notify_r, notify_w = Unix.pipe () in
-  Unix.set_nonblock notify_r;
-  Unix.set_nonblock notify_w;
-  let notify () =
-    (* Worker-side wake-up; a full pipe already guarantees a wake. *)
-    try ignore (Unix.write notify_w (Bytes.make 1 '!') 0 1)
-    with Unix.Unix_error _ -> ()
-  in
-  let svc =
-    Shard_service.start ~policy ~max_steps ~gating:admission ?obs_for ~notify
-      ~shards ~seed objects
-      (Check.factory_of backend)
-  in
-  { svc; notify_r; notify_w; open_set = Hashtbl.create 256 }
 
 let serve_cmd socket port backend_name table n_objects seed policy admission
     max_steps burst read_timeout wal fsync_batch fsync_interval snapshot_every
@@ -1216,22 +1137,27 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
   let metrics = Metrics.create () in
   let hub = Telemetry.Hub.create ~interval_s:telemetry_interval metrics in
   let t0 = Unix.gettimeofday () in
-  (* The engine's completion hook needs the server record, which needs
-     the engine; tie the knot through a cell. *)
+  let obs_for, finish_obs = setup_obs ~shards metrics obs_format obs_out in
+  let notify_r, notify_w = Unix.pipe () in
+  Unix.set_nonblock notify_r;
+  Unix.set_nonblock notify_w;
+  let notify () =
+    (* Worker-side wake-up; a full pipe already guarantees a wake. *)
+    try ignore (Unix.write notify_w (Bytes.make 1 '!') 0 1)
+    with Unix.Unix_error _ -> ()
+  in
+  (* The inline engine's completion hook needs the server record, which
+     needs the cluster; tie the knot through a cell. *)
   let post_complete = ref (fun _ _ -> ()) in
-  let arm, finish_obs =
-    if shards = 1 then
-      let obs, finish_obs = setup_obs metrics obs_format obs_out in
-      ( Single
-          (single_arm ~policy ~max_steps ~admission ~seed ~burst ~t0 ~obs
-             ~post_complete backend engine_objects),
-        finish_obs )
-    else
-      let obs_for, finish_obs = setup_shard_obs obs_format obs_out in
-      ( Sharded
-          (sharded_arm ~policy ~max_steps ~admission ~seed ~obs_for ~shards
-             backend engine_objects),
-        finish_obs )
+  (* The clock and the completion hook reach the engine at one shard. *)
+  let cl =
+    Shard_cluster.create ~policy ~max_steps ~gating:admission ~obs_for
+      ~clock:(fun () -> Unix.gettimeofday () -. t0)
+      ~on_top_complete:(fun u o -> !post_complete u o)
+      ~shards ~seed engine_objects (Check.factory_of backend)
+  in
+  let workers =
+    if shards = 1 then None else Some (Shard_service.spawn ~notify cl)
   in
   let audit = Option.map Telemetry.Audit.open_file audit_log in
   let recorder =
@@ -1242,7 +1168,15 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
     Format.eprintf "ntserved: runtime-events tracing unavailable@.";
   let srv =
     {
-      arm;
+      cl;
+      workers;
+      burst;
+      notify_r;
+      notify_w;
+      open_set = Hashtbl.create 256;
+      wal = None;
+      session = None;
+      recovery = None;
       backend;
       objects;
       replicated = backend = Check.Replication;
@@ -1269,19 +1203,17 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
       status = Wire.Fresh;
     }
   in
-  (match (arm, wal) with
-  | Single s, Some path ->
-      post_complete := on_complete srv s;
-      let meta =
-        (* the engine runs its default inform policy and no faults *)
-        Wal.meta ~seed ~backend:(Check.backend_name backend) ~policy
-          ~inform_policy:Runtime.Eager ~abort_prob:0.0 objects
-      in
-      init_durability srv s ~path ~fsync_batch
+  post_complete := on_complete srv;
+  Option.iter
+    (fun path ->
+      (* the engine runs its default inform policy and no faults *)
+      init_durability srv ~path ~fsync_batch
         ~fsync_interval_s:(float_of_int fsync_interval /. 1000.)
-        ~snapshot_every ~meta
-  | Single s, None -> post_complete := on_complete srv s
-  | Sharded _, _ -> ());
+        ~snapshot_every
+        ~meta:
+          (Wal.meta ~seed ~backend:(Check.backend_name backend) ~policy
+             ~inform_policy:Runtime.Eager ~abort_prob:0.0 objects))
+    wal;
   let listen_fd, cleanup = make_listen socket port in
   install_signals ();
   if verbose then
@@ -1291,52 +1223,43 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
       (if shards > 1 then Printf.sprintf "%d shards, " shards else "")
       (if admission then "on" else "off");
   run_server listen_fd srv ~read_timeout;
-  (match arm with
-  | Single s -> wal_shutdown s
-  | Sharded sh ->
-      Shard_service.stop sh.svc;
-      (try Unix.close sh.notify_r with Unix.Unix_error _ -> ());
-      (try Unix.close sh.notify_w with Unix.Unix_error _ -> ()));
+  wal_shutdown srv;
+  Option.iter Shard_service.stop workers;
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ notify_r; notify_w ];
   Unix.close listen_fd;
   cleanup ();
   Option.iter Gcmon.stop gcmon;
-  let report =
-    match arm with
-    | Single s ->
-        let r = Engine.finish s.eng in
-        fun () ->
-          Format.printf
-            "ntserved: served %d submissions: %d committed, %d aborted (%d \
-             vetoed, %d orphaned), %d monitor alarms@."
-            (Engine.submitted s.eng) r.Runtime.committed_top
-            r.Runtime.aborted_top (Engine.vetoed s.eng)
-            (Engine.orphan_aborts s.eng) (actionable_alarms srv)
-    | Sharded sh ->
-        let r, _forest, _schema = Shard_service.finish sh.svc in
-        fun () ->
-          let rt = Shard_service.router sh.svc in
-          Format.printf
-            "ntserved: served %d submissions over %d shards (%d \
-             cross-shard): %d committed, %d aborted (%d vetoed), %d monitor \
-             alarms@."
-            (Shard_router.submitted rt) shards (Shard_router.cross_count rt)
-            r.Runtime.committed_top r.Runtime.aborted_top
-            (shard_sum (fun st -> st.Shard_engine.sh_vetoed) sh)
-            (actionable_alarms srv);
-          if verbose then
-            Array.iteri
-              (fun i (st : Shard_engine.stats) ->
-                Format.printf
-                  "  shard %d: %d pieces, %d committed, %d aborted, %d \
-                   vetoed, %d steps@."
-                  i st.sh_submitted st.sh_committed st.sh_aborted st.sh_vetoed
-                  st.sh_steps)
-              (shard_stats sh)
-  in
+  let r, _forest, _schema = Shard_cluster.finish cl in
   finish_obs ();
   export_prom srv;
   Option.iter Telemetry.Audit.close audit;
-  report ();
+  let rt = Shard_cluster.router cl in
+  Format.printf
+    "ntserved: served %d submissions%s: %d committed, %d aborted (%d \
+     vetoed%s), %d monitor alarms@."
+    (Shard_router.submitted rt)
+    (if shards = 1 then ""
+     else
+       Printf.sprintf " over %d shards (%d cross-shard)" shards
+         (Shard_router.cross_count rt))
+    r.Runtime.committed_top r.Runtime.aborted_top
+    (shard_sum (fun st -> st.Shard_engine.sh_vetoed) srv)
+    (if shards > 1 then ""
+     else
+       Printf.sprintf ", %d orphaned"
+         (shard_sum (fun st -> st.Shard_engine.sh_orphans) srv))
+    (actionable_alarms srv);
+  if verbose && shards > 1 then
+    Array.iteri
+      (fun i (st : Shard_engine.stats) ->
+        Format.printf
+          "  shard %d: %d pieces, %d committed, %d aborted, %d vetoed, %d \
+           steps@."
+          i st.sh_submitted st.sh_committed st.sh_aborted st.sh_vetoed
+          st.sh_steps)
+      (shard_stats srv);
   if actionable_alarms srv > 0 then exit 1
 
 let cmd =
@@ -1501,12 +1424,12 @@ let cmd =
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Serve from N shard engines, one per domain (OCaml 5; system \
-             threads on 4.x), with cross-shard commits gated by the \
-             spine.  N=1 steps the one engine inside the select loop; \
-             N>1 keeps the flight recorder, audit log and telemetry \
-             (minus the engine-clock execute and gate stages) but \
-             refuses --wal.")
+            "Serve from a cluster of N shard engines, with cross-shard \
+             commits gated by the spine.  N=1 drains the one engine \
+             inside the select loop; N>1 runs one engine per domain \
+             (OCaml 5; system threads on 4.x) and keeps the flight \
+             recorder, audit log and telemetry (minus the engine-clock \
+             execute and gate stages) but refuses --wal.")
   in
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ]) in
   let term =

@@ -533,11 +533,11 @@ let meta_of backend sc objects =
     ~policy:sc.policy ~inform_policy:sc.inform_policy ~abort_prob:sc.abort_prob
     objects
 
-(* The one engine a scenario is served (and recovered) on. *)
-let engine_for ?on_top_complete ~max_steps backend sc objects =
-  Nt_net.Engine.create ~policy:sc.policy ~inform_policy:sc.inform_policy
-    ~abort_prob:sc.abort_prob ~max_steps ?on_top_complete ~seed:sc.sched_seed
-    objects (factory_of backend)
+(* The cluster a scenario is served (and recovered) on. *)
+let cluster_for ?on_top_complete ?gating ~max_steps ~shards backend sc objects =
+  Nt_shard.Cluster.create ~policy:sc.policy ~inform_policy:sc.inform_policy
+    ~abort_prob:sc.abort_prob ~max_steps ?gating ?on_top_complete ~shards
+    ~seed:sc.sched_seed objects (factory_of backend)
 
 type recorded = {
   rc_wal : string;
@@ -546,66 +546,6 @@ type recorded = {
   rc_report : serve_report;
   rc_closure_len : int;
 }
-
-let record ?(max_steps = 200_000) ?(drop_prob = 0.0) ?snapshot_at ~seed
-    backend sc =
-  let objects, progs, plan = physical backend sc in
-  let buf = Buffer.create 4096 in
-  let w =
-    Nt_net.Wal.Writer.create ~fsync_batch:0 ~base_seq:0 ~on_sync:ignore
-      (Nt_net.Wal.buffer_sink buf)
-  in
-  (* The outcome hook is installed at engine-creation time, before the
-     session exists — hence the forward reference. *)
-  let session = ref None in
-  let eng =
-    engine_for ~max_steps backend sc objects
-      ~on_top_complete:(fun txn oc ->
-        Option.iter (fun s -> Nt_net.Wal.Session.note_outcome s txn oc) !session)
-  in
-  let s = Nt_net.Wal.Session.create ~meta:(meta_of backend sc objects) eng w in
-  session := Some s;
-  let snapshot = ref None in
-  let dropped =
-    drive ~seed ~drop_prob
-      ~submit:(fun prog ->
-        rejected "record" (Nt_net.Wal.Session.submit s ~client:"check" prog))
-      ~step:(fun _ -> Nt_net.Engine.step eng)
-      ~kill:(fun txn ->
-        match Nt_net.Wal.Session.kill s txn with
-        | `Aborted | `Doomed -> true
-        | `Already_complete | `Unknown -> false)
-      ~truncated:(fun last -> last = `Truncated)
-      ~idle:(fun last -> last = `Quiescent)
-      ~tick:(fun () ->
-        match snapshot_at with
-        | Some n when !snapshot = None && Nt_net.Wal.Writer.appended w >= n ->
-            snapshot := Some (Nt_net.Wal.Session.snapshot s)
-        | _ -> ())
-      progs
-  in
-  Nt_net.Wal.Session.flush s;
-  let r = Nt_net.Engine.finish eng in
-  let report =
-    served backend ~plan ~whole:true ~submitted:(Nt_net.Engine.submitted eng)
-      ~dropped [ eng ]
-      (r, Nt_net.Engine.forest eng, Nt_net.Engine.schema eng)
-  in
-  let image = Buffer.contents buf in
-  let offsets =
-    match Nt_net.Wal.scan ~magic:Nt_net.Wal.wal_magic image with
-    | Ok s -> s.Nt_net.Wal.sc_offsets
-    | Error e -> invalid_arg ("Check.record: scan of own log: " ^ e)
-  in
-  {
-    rc_wal = image;
-    rc_offsets = offsets;
-    rc_snapshot = !snapshot;
-    rc_report = report;
-    rc_closure_len = Nt_net.Wal.Session.closure_length s;
-  }
-
-(* ----- sharded serving harness ----- *)
 
 type sharded_report = {
   sh_report : serve_report;
@@ -617,52 +557,106 @@ type sharded_report = {
   sh_spine_edges : int;
 }
 
-let serve_sharded ?(max_steps = 200_000) ?(drop_prob = 0.0) ?(gating = true)
-    ~shards ~seed backend sc =
+(* The one serving harness, over a [shards]-way cluster.  At one shard
+   the drive draws no shard index and stops at the engine's quiescent
+   step, so a seed keeps its one-engine schedule; [log] (one shard
+   only) goes through a log session, snapshotting at [snapshot_at]. *)
+let serve ?(max_steps = 200_000) ?(drop_prob = 0.0) ?gating ?snapshot_at
+    ~log ~shards ~seed backend sc =
   let objects, progs, plan = physical backend sc in
-  (* The default partition key strips replica suffixes, so a logical
-     object's replicas are co-sharded: quorum writes stay shard-local
-     unless the logical program itself crosses shards. *)
+  (* The outcome hook is installed at cluster-creation time, before the
+     session exists — hence the forward reference. *)
+  let session = ref None in
   let cl =
-    Nt_shard.Cluster.create ~policy:sc.policy ~inform_policy:sc.inform_policy
-      ~abort_prob:sc.abort_prob ~max_steps ~gating ~shards ~seed:sc.sched_seed
-      objects (factory_of backend)
+    cluster_for ?gating ~max_steps ~shards backend sc objects
+      ~on_top_complete:(fun txn oc ->
+        Option.iter (fun s -> Nt_shard.Durable.Session.note_outcome s txn oc) !session)
   in
+  let buf = Buffer.create 4096 in
+  if log then
+    session :=
+      Some
+        (Nt_shard.Durable.Session.create ~meta:(meta_of backend sc objects) cl
+           (Nt_net.Wal.Writer.create ~fsync_batch:0 ~base_seq:0 ~on_sync:ignore
+              (Nt_net.Wal.buffer_sink buf)));
   let rt = Nt_shard.Cluster.router cl in
+  let snapshot = ref None in
   let dropped =
     drive ~seed ~drop_prob
       ~submit:(fun prog ->
-        rejected "serve_sharded" (Nt_shard.Cluster.submit cl prog))
-      ~step:(fun rng -> Nt_shard.Cluster.step_shard cl (Rng.int rng shards))
+        rejected "serve"
+          (match !session with
+          | Some s -> Nt_shard.Durable.Session.submit s ~client:"check" prog
+          | None -> Nt_shard.Cluster.submit cl prog))
+      ~step:(fun rng ->
+        Nt_shard.Cluster.step_shard cl (if shards = 1 then 0 else Rng.int rng shards))
       ~kill:(fun g ->
-        Nt_shard.Cluster.kill cl g;
-        true)
+        match !session with
+        | Some s -> Nt_shard.Durable.Session.kill s g
+        | None -> Nt_shard.Cluster.kill cl g)
       ~truncated:(fun _ -> Nt_shard.Cluster.truncated cl)
-      ~idle:(fun _ ->
-        Nt_shard.Cluster.quiescent cl && Nt_shard.Router.pending rt = [])
+      ~idle:(fun last ->
+        if shards = 1 then last = `Quiescent
+        else Nt_shard.Cluster.quiescent cl && Nt_shard.Router.pending rt = 0)
+      ~tick:(fun () ->
+        match (!session, snapshot_at) with
+        | Some s, Some n
+          when !snapshot = None
+               && Nt_net.Wal.Writer.appended (Nt_shard.Durable.Session.writer s) >= n ->
+            snapshot := Some (Nt_shard.Durable.Session.snapshot s)
+        | _ -> ())
       progs
   in
+  Option.iter Nt_shard.Durable.Session.flush !session;
   let finished = Nt_shard.Cluster.finish cl in
   let cross = Nt_shard.Router.cross_count rt in
   let sp = Nt_shard.Cluster.spine cl in
+  let report =
+    {
+      (* One-copy is also only claimed when every replicated program
+         stayed whole on one shard: a split program's merged forest node
+         is a [Par] of pieces, so the plan's position map no longer
+         describes it. *)
+      sh_report =
+        served backend ~plan ~whole:(cross = 0)
+          ~submitted:(Nt_shard.Router.submitted rt) ~dropped
+          (List.init shards (fun s ->
+               Nt_shard.Shard_engine.engine (Nt_shard.Cluster.engine cl s)))
+          finished;
+      sh_shards = shards;
+      sh_cross = cross;
+      sh_local = Nt_shard.Router.local_count rt;
+      sh_spine_checks = Nt_shard.Spine.checks sp;
+      sh_spine_vetoes = Nt_shard.Spine.vetoes sp;
+      sh_spine_edges = Nt_shard.Spine.edge_count sp;
+    }
+  in
+  (report, buf, !snapshot, !session)
+
+let record ?max_steps ?drop_prob ?snapshot_at ~seed backend sc =
+  let report, buf, snapshot, session =
+    serve ?max_steps ?drop_prob ?snapshot_at ~log:true ~shards:1 ~seed backend sc
+  in
+  let image = Buffer.contents buf in
+  let offsets =
+    match Nt_net.Wal.scan ~magic:Nt_net.Wal.wal_magic image with
+    | Ok s -> s.Nt_net.Wal.sc_offsets
+    | Error e -> invalid_arg ("Check.record: scan of own log: " ^ e)
+  in
   {
-    (* One-copy is also only claimed when every replicated program
-       stayed whole on one shard: a split program's merged forest node
-       is a [Par] of pieces, so the plan's position map no longer
-       describes it. *)
-    sh_report =
-      served backend ~plan ~whole:(cross = 0)
-        ~submitted:(Nt_shard.Router.submitted rt) ~dropped
-        (List.init shards (fun s ->
-             Nt_shard.Shard_engine.engine (Nt_shard.Cluster.engine cl s)))
-        finished;
-    sh_shards = shards;
-    sh_cross = cross;
-    sh_local = Nt_shard.Router.local_count rt;
-    sh_spine_checks = Nt_shard.Spine.checks sp;
-    sh_spine_vetoes = Nt_shard.Spine.vetoes sp;
-    sh_spine_edges = Nt_shard.Spine.edge_count sp;
+    rc_wal = image;
+    rc_offsets = offsets;
+    rc_snapshot = snapshot;
+    rc_report = report.sh_report;
+    rc_closure_len =
+      Option.fold ~none:0 ~some:Nt_shard.Durable.Session.closure_length session;
   }
+
+let serve_sharded ?max_steps ?drop_prob ?gating ~shards ~seed backend sc =
+  let report, _, _, _ =
+    serve ?max_steps ?drop_prob ?gating ~log:false ~shards ~seed backend sc
+  in
+  report
 
 (* ----- crash injection ----- *)
 
@@ -677,11 +671,12 @@ type crash_report = {
 
 let crash_seed_of sc = sc.sched_seed lxor 0x2C5A11
 
-(* Two recoveries agree when the engines are observationally equal:
+(* Two recoveries agree when their engines are observationally equal:
    same submission forest, same call count, same counters, same
    monitor graph. *)
 let engines_agree a b =
-  let render eng =
+  let render cl =
+    let eng = Nt_shard.Shard_engine.engine (Nt_shard.Cluster.engine cl 0) in
     let g = Monitor.graph (Nt_net.Admission.monitor (Nt_net.Engine.admission eng)) in
     let name = Txn_id.to_string in
     ( ( List.map Program_io.program_to_string (Nt_net.Engine.forest eng),
@@ -713,32 +708,29 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
   let fail where f = if !failure = None then failure := Some (where, f) in
   let faild where msg = fail where (Durability msg) in
   (* Recover one log image (plus, optionally, a snapshot image) into a
-     fresh engine through the server's own recovery plan, replaying in
-     small turns so long [Steps] runs are split mid-way as a server
-     splits them. *)
+     fresh one-shard cluster through the server's own recovery plan,
+     replaying in small turns so long [Steps] runs are split mid-way as
+     a server splits them. *)
   let recover ?snapshot log =
     match Nt_net.Wal.Recovery.plan ~meta ~log ~snapshot with
     | Error { Nt_net.Wal.Recovery.why; _ } -> Error why
     | Ok plan ->
-        let eng = engine_for ~max_steps backend sc objects in
+        let cl = cluster_for ~max_steps ~shards:1 backend sc objects in
         Result.map
           (fun n ->
             outcomes := !outcomes + n;
-            (eng, plan))
-          (Nt_net.Wal.Recovery.run ~burst:7 eng plan)
+            (cl, plan))
+          (Nt_shard.Durable.run ~burst:7 cl plan)
   in
-  (* Judge a recovered engine as a complete run: resume (drain to
+  (* Judge a recovered cluster as a complete run: resume (drain to
      quiescence — the remaining pre-crash submissions never arrive)
      and apply the four oracles.  One-copy is not claimed for
      recovered [Replication] runs: the crash orphans in-flight
      quorums by construction. *)
-  let judge_recovered where eng =
-    ignore (Nt_net.Engine.drain eng);
-    let r = Nt_net.Engine.finish eng in
-    match
-      verdict backend ~plan:None ~quorums_completed:false
-        (Nt_net.Engine.schema eng) r (Nt_net.Engine.forest eng)
-    with
+  let judge_recovered where cl =
+    ignore (Nt_shard.Cluster.drain cl);
+    let r, forest, schema = Nt_shard.Cluster.finish cl in
+    match verdict backend ~plan:None ~quorums_completed:false schema r forest with
     | Some f -> fail where f
     | None -> ()
   in
@@ -746,14 +738,14 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
     incr recoveries;
     match recover img with
     | Error e -> faild where e
-    | Ok (eng, plan) ->
+    | Ok (cl, plan) ->
         (match expect_valid with
         | Some v when plan.Nt_net.Wal.Recovery.valid <> v ->
             faild where
               (Printf.sprintf "scan kept %d valid bytes, expected %d"
                  plan.Nt_net.Wal.Recovery.valid v)
         | _ -> ());
-        judge_recovered where eng
+        judge_recovered where cl
   in
   (match rc.rc_report.s_failure with
   | Some f -> fail "pre-crash run" f
@@ -806,15 +798,15 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
       | Error e -> faild "snapshot + tail recovery" e
       | Ok (_, plan) when not plan.Nt_net.Wal.Recovery.snapshot_trusted ->
           faild "snapshot + tail recovery" "intact snapshot not trusted"
-      | Ok (eng_snap, _) -> (
+      | Ok (cl_snap, _) -> (
           incr snaps;
           incr recoveries;
           match recover image with
           | Error e -> faild "full-log recovery (snapshot comparison)" e
-          | Ok (eng_full, _) -> (
-              match engines_agree eng_snap eng_full with
+          | Ok (cl_full, _) -> (
+              match engines_agree cl_snap cl_full with
               | Error e -> faild "snapshot-vs-full-log" e
-              | Ok () -> judge_recovered "snapshot + tail recovery" eng_snap)));
+              | Ok () -> judge_recovered "snapshot + tail recovery" cl_snap)));
       (* Torn-write injection on the rotation path: the snapshot is
          written tmp + fsync + rename, so a crash mid-rotation leaves
          either a truncated tmp image (the rename never happened) or a
@@ -829,7 +821,7 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
           | Error e -> faild (where ^ ": full-log fallback") e
           | Ok (_, plan) when plan.Nt_net.Wal.Recovery.snapshot_trusted ->
               faild where "damaged snapshot trusted"
-          | Ok (eng, _) -> judge_recovered (where ^ ": full-log fallback") eng
+          | Ok (cl, _) -> judge_recovered (where ^ ": full-log fallback") cl
         end
       in
       List.iter

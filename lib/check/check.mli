@@ -246,8 +246,10 @@ val record :
   backend ->
   scenario ->
   recorded
-(** Serve the scenario through one admission-gated {!Nt_net.Engine},
-    logging through the server's own {!Nt_net.Wal.Session} into memory
+(** Serve the scenario through a one-shard {!Nt_shard.Cluster} — the
+    one-shard case of {!serve_sharded}'s harness, whose drive then
+    draws no shard index — logging through the server's own
+    {!Nt_shard.Durable.Session} into memory
     (unsynced: a buffer sink has nothing to make durable) — every
     submission, orphan kill and coalesced step count, with the
     commit-gate outcome of every completed top-level transaction
@@ -298,7 +300,8 @@ val serve_sharded :
 
     {!crash} simulates a [kill -9] at every boundary of a {!record}ed
     log (plus torn and bit-flipped variants) and proves each recovery
-    through the server's own {!Nt_net.Wal.Recovery}: the plan
+    through the server's own {!Nt_net.Wal.Recovery.plan} and
+    {!Nt_shard.Durable} into a fresh one-shard cluster: the plan
     diagnoses the damage, the intact prefix replays in small turns,
     every audited outcome is reproduced, and the resumed run still
     passes all four oracles. *)

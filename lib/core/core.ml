@@ -25,7 +25,8 @@
        {!Wal}, {!Telemetry} (plus {!Version});}
     {- multicore sharding: {!Partition}, {!Footprint}, {!Split},
        {!Spine}, {!Shard_engine}, {!Shard_router}, {!Shard_cluster},
-       {!Shard_service}.}} *)
+       {!Shard_service}, and {!Durable}, the log over a one-shard
+       cluster.}} *)
 
 module Txn_id = Nt_base.Txn_id
 module Obj_id = Nt_base.Obj_id
@@ -113,4 +114,5 @@ module Shard_engine = Nt_shard.Shard_engine
 module Shard_router = Nt_shard.Router
 module Shard_cluster = Nt_shard.Cluster
 module Shard_service = Nt_shard.Service
+module Durable = Nt_shard.Durable
 module Domain_compat = Nt_shard.Domain_compat

@@ -303,44 +303,3 @@ let steps_so_far t = Runtime.steps_so_far t.rt
 let step_calls t = t.step_calls
 let orphan_aborts t = Runtime.orphan_aborts t.rt
 let stage_times t txn = Txn_id.Tbl.find_opt t.times txn
-
-(* ----- recovery ----- *)
-
-type replay_event =
-  [ `Submit of Program.t | `Kill of Txn_id.t | `Steps of int ]
-
-let replay t events =
-  let rec go n = function
-    | [] -> Ok n
-    | ev :: rest -> (
-        match ev with
-        | `Submit prog -> (
-            match submit t prog with
-            | Ok _ -> go (n + 1) rest
-            | Error e ->
-                Error
-                  (Printf.sprintf
-                     "Engine.recover: logged submission %d rejected: %s"
-                     (t.submitted + 1) e))
-        | `Kill txn ->
-            ignore (kill t txn);
-            go (n + 1) rest
-        | `Steps k ->
-            for _ = 1 to k do
-              ignore (step t)
-            done;
-            go (n + 1) rest)
-  in
-  go 0 events
-
-let recover t events =
-  (* The engine's evolution is a pure function of the seed and the
-     submit/kill/step call sequence ([Runtime.step] draws from a seeded
-     RNG and nothing else), so replaying the logged sequence into a
-     fresh engine reproduces the pre-crash run exactly — including
-     every admission verdict and commit-gate outcome.  Replay only
-     makes sense from a pristine engine: any prior call has already
-     advanced the RNG stream. *)
-  if t.submitted > 0 || t.step_calls > 0 then
-    Error "Engine.recover: engine is not fresh"
-  else replay t events

@@ -165,31 +165,3 @@ val stage_times : t -> Txn_id.t -> stage_times option
     transaction completes — the entry is retired when the top-level
     [Commit]/[Abort] returns, so read it inside [on_top_complete]
     (where [st_complete] is already stamped) or before completion. *)
-
-(** {1 Recovery} *)
-
-type replay_event =
-  [ `Submit of Program.t | `Kill of Txn_id.t | `Steps of int ]
-(** One logged engine call: a validated submission, an orphan kill, or
-    a run of [k] {!step} calls (quiescent calls included — see
-    {!step_calls}).  {!Wal.replayable_of_records} produces these from
-    a scanned log. *)
-
-val recover : t -> replay_event list -> (int, string) result
-(** Replay a logged call sequence into a {e fresh} engine (same seed,
-    objects, factory, policies as the original — the caller rebuilds
-    that configuration, typically validated against the log's [Meta]
-    record).  Determinism of the runtime then reproduces the pre-crash
-    state exactly: same forest, same trace prefix, same admission
-    verdicts, same monitor graph.  [Ok n] counts events applied;
-    errors if the engine has already submitted or stepped, or if a
-    logged submission fails validation (a config mismatch — the log
-    belongs to a different server). *)
-
-val replay : t -> replay_event list -> (int, string) result
-(** {!recover} without the freshness check: apply one chunk of a
-    longer replay.  For callers that interleave replay with serving
-    probes (the server replays in bounded chunks so [Ping] stays
-    responsive, and resumes from where the snapshot left off) —
-    correctness still requires the chunks to concatenate into the
-    logged sequence from a fresh engine. *)

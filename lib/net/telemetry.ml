@@ -116,8 +116,8 @@ module Hub = struct
     |> List.filteri (fun i _ -> i < top_k)
 
   (* The cumulative engine readings a frame differences against its
-     previous cut.  A single-engine server builds them with
-     [counts_of_engine]; a sharded one sums per-shard snapshots with
+     previous cut.  A single engine's come from [counts_of_engine]; a
+     shard cluster sums per-shard snapshots with
      [merge] — the hub itself never touches an engine, so it cannot
      race a worker domain. *)
   type counts = {

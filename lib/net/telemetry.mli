@@ -65,10 +65,10 @@ module Hub : sig
 
       A frame differences cumulative engine readings against the
       previous {!cut}.  The caller reads them into a [counts] value: a
-      single engine with {!counts_of_engine}, a sharded server by
-      summing the workers' {!Shard_engine.published} snapshots with
-      {!merge} — each shard engine lives on its own domain, so the hub
-      never touches an engine itself. *)
+      single engine with {!counts_of_engine}, a shard cluster by
+      summing per-shard snapshots with {!merge} — above one shard each
+      engine lives on its own domain, so the hub never touches an
+      engine itself. *)
 
   type counts = {
     n_submitted : int;

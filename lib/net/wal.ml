@@ -527,21 +527,10 @@ let decode_snapshot s =
           | Error _ as e -> e)
       | _ -> Error "corrupt snapshot: missing meta record")
 
-let compact records =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | Steps n :: rest -> (
-        match acc with
-        | Steps m :: acc -> go (Steps (n + m) :: acc) rest
-        | _ -> if n > 0 then go (Steps n :: acc) rest else go acc rest)
-    | ((Submit _ | Kill _) as r) :: rest -> go (r :: acc) rest
-    | (Outcome _ | Meta _ | Sg_state _ | Counts _) :: rest -> go acc rest
-  in
-  go [] records
-
-(* An incrementally-maintained replay closure: [push] is [compact]
-   applied one record at a time, so the retained list never holds two
-   adjacent [Steps] and never holds a non-replay record at all.  With
+(* An incrementally-maintained replay closure: [push] merges adjacent
+   [Steps] runs, drops empty ones and every non-replay record, so the
+   retained list never holds two adjacent [Steps] nor any audit-only
+   record.  With
    [e] retained [Submit]/[Kill] records the closure is at most
    [2*e + 1] records long, however many raw records were pushed. *)
 module Closure = struct
@@ -576,8 +565,10 @@ end
 
 (* ----- replay ----- *)
 
+type replay_event = [ `Submit of Nt_serial.Program.t | `Kill of Txn_id.t | `Steps of int ]
+
 type replayable = {
-  rp_events : Engine.replay_event list;
+  rp_events : replay_event list;
   rp_outcomes : (Txn_id.t * outcome) list;
 }
 
@@ -651,17 +642,6 @@ let sg_state_of_graph g =
   in
   Sg_state { nodes; edges }
 
-let graph_of eng = Nt_sg.Monitor.graph (Admission.monitor (Engine.admission eng))
-
-let counts_of eng =
-  Counts
-    {
-      submitted = Engine.submitted eng;
-      committed = Engine.committed_top eng;
-      aborted = Engine.aborted_top eng;
-      vetoed = Engine.vetoed eng;
-    }
-
 let check_sg_state r g =
   match r with
   | Sg_state { nodes; edges } ->
@@ -723,7 +703,7 @@ module Recovery = struct
     | Snapshot_state of { sg : record; counts : record }
     | Outcome_prefix of (Txn_id.t * outcome) list
 
-  type phase = { events : Engine.replay_event list; check : check }
+  type phase = { events : replay_event list; check : check }
   type problem = { culprit : [ `Log | `Snapshot ]; why : string }
 
   type plan = {
@@ -830,183 +810,8 @@ module Recovery = struct
         snapshot_trusted = snapshot <> None;
         empty = snapshot = None && records = [] && sc.sc_tail = Clean;
         seed =
-          compact
-            ((match snapshot with Some sn -> sn.sn_events | None -> [])
-            @ drop (skip - sc.sc_base_seq) records);
+          (match snapshot with Some sn -> sn.sn_events | None -> [])
+          @ drop (skip - sc.sc_base_seq) records;
         notes;
       }
-
-  type progress = {
-    mutable pending : phase list;
-    mutable replayed : int;
-    mutable checked : int;
-    p_total : int;
-  }
-
-  let start plan =
-    { pending = plan.phases; replayed = 0; checked = 0; p_total = plan.total }
-
-  (* Split up to [burst] weight off the head of an event list, cutting
-     a long [Steps] run mid-way so one turn never replays unboundedly. *)
-  let take_chunk burst events =
-    let rec go acc w evs =
-      if w >= burst then (List.rev acc, evs)
-      else
-        match evs with
-        | [] -> (List.rev acc, [])
-        | `Steps n :: rest when n > burst - w ->
-            (List.rev (`Steps (burst - w) :: acc), `Steps (n - (burst - w)) :: rest)
-        | ev :: rest -> go (ev :: acc) (w + weight ev) rest
-    in
-    go [] 0 events
-
-  let check_phase eng = function
-    | Outcome_prefix outcomes -> check_outcomes (Engine.state eng) outcomes
-    | Snapshot_state { sg; counts } -> (
-        match check_sg_state sg (graph_of eng) with
-        | Error e -> Error e
-        | Ok () ->
-            if counts = counts_of eng then Ok 0
-            else Error "snapshot counters disagree with replayed engine")
-
-  let turn ~burst eng p =
-    match p.pending with
-    | [] -> Ok `Done
-    | ph :: rest -> (
-        let chunk, remaining = take_chunk (max 1 burst) ph.events in
-        (* The first chunk goes through [Engine.recover], whose
-           freshness check refuses an engine that has already run. *)
-        let apply = if p.replayed = 0 then Engine.recover else Engine.replay in
-        match apply eng chunk with
-        | Error e -> Error e
-        | Ok _ -> (
-            p.replayed <- p.replayed + weigh chunk;
-            if remaining <> [] then begin
-              p.pending <- { ph with events = remaining } :: rest;
-              Ok `More
-            end
-            else
-              match check_phase eng ph.check with
-              | Error e -> Error ("validation failed: " ^ e)
-              | Ok n ->
-                  p.checked <- p.checked + n;
-                  p.pending <- rest;
-                  Ok (if rest = [] then `Done else `More)))
-
-  let replayed p = p.replayed
-  let total p = p.p_total
-  let checked p = p.checked
-
-  let run ~burst eng plan =
-    let p = start plan in
-    let rec go () =
-      match turn ~burst eng p with
-      | Ok `More -> go ()
-      | Ok `Done -> Ok (checked p)
-      | Error _ as e -> e
-    in
-    go ()
-end
-
-module Session = struct
-  type t = {
-    eng : Engine.t;
-    meta : record;
-    mutable w : Writer.t;
-    closure : Closure.t;  (* replay closure of everything logged so far *)
-    mutable cursor : int;  (* [Engine.step_calls] at the last cut *)
-    mutable mark : int;  (* [Writer.appended] at the last snapshot *)
-  }
-
-  (* Without a plan the log is new.  A recovered one that kept no Meta
-     (a new generation, or a header-only file left by a crash right
-     after its header was written) gets it before any record. *)
-  let create ?plan ~meta eng w =
-    let seed, has_meta =
-      match plan with
-      | None -> ([], false)
-      | Some p -> (p.Recovery.seed, p.Recovery.has_meta)
-    in
-    if not has_meta then Writer.append w meta;
-    {
-      eng;
-      meta;
-      w;
-      closure = Closure.of_records seed;
-      cursor = Engine.step_calls eng;
-      mark = Writer.appended w;
-    }
-
-  (* One [Steps] record covering the step calls since the last cut,
-     then any outcomes those steps produced — the ordering that makes
-     every intact log prefix reproduce exactly the state its audit
-     records claim. *)
-  let cut t =
-    let calls = Engine.step_calls t.eng in
-    let n = calls - t.cursor in
-    t.cursor <- calls;
-    Closure.push t.closure (Steps n);
-    Writer.log_steps t.w n
-
-  (* A replay event lands after the steps that preceded its engine
-     call. *)
-  let event t r =
-    cut t;
-    Closure.push t.closure r;
-    Writer.append t.w r
-
-  let submit t ?req ~client prog =
-    match Engine.submit t.eng prog with
-    | Error _ as e -> e
-    | Ok _ as ok ->
-        event t
-          (Submit
-             {
-               req;
-               client;
-               program = Nt_workload.Program_io.program_to_string prog;
-             });
-        ok
-
-  (* Logged before the engine call: a kill can complete the
-     transaction, and its outcome must follow the [Kill] record. *)
-  let kill t txn =
-    event t (Kill { txn });
-    Engine.kill t.eng txn
-
-  let note_outcome t txn oc =
-    let outcome =
-      match (oc, Engine.state t.eng txn) with
-      | `Committed, Engine.Committed v -> Committed (Value.to_string v)
-      | `Aborted, Engine.Aborted veto ->
-          Aborted (Option.map (fun v -> v.Admission.witness) veto)
-      | `Committed, _ -> Committed "?"
-      | `Aborted, _ -> Aborted None
-    in
-    Writer.note_outcome t.w ~txn outcome
-
-  let flush t =
-    cut t;
-    Writer.flush t.w
-
-  let snapshot t =
-    flush t;
-    encode_snapshot
-      {
-        sn_next_seq = Writer.next_seq t.w;
-        sn_meta = t.meta;
-        sn_events = Closure.records t.closure;
-        sn_sg = sg_state_of_graph (graph_of t.eng);
-        sn_counts = counts_of t.eng;
-      }
-
-  let rotate t w =
-    t.w <- w;
-    Writer.append w t.meta;
-    Writer.flush w;
-    t.mark <- Writer.appended w
-
-  let due t ~every = every > 0 && Writer.appended t.w - t.mark >= every
-  let writer t = t.w
-  let closure_length t = Closure.length t.closure
 end

@@ -7,10 +7,10 @@
     {!Nt_workload.Program_io} text), orphan kills, and coalesced
     engine-step counts — plus, for audit and recovery validation, the
     commit-gate outcome of every completed top-level transaction.
-    Recovery replays the event prefix into a fresh engine
-    ({!Engine.recover}) and cross-checks the recorded outcomes against
-    the replayed state; the admission {!Nt_sg.Monitor} is rebuilt as a
-    byproduct of the same replay.
+    Recovery replays the event prefix into a fresh one-shard cluster
+    ([Nt_shard.Durable.recover]) and cross-checks the recorded outcomes
+    against the replayed state; the admission {!Nt_sg.Monitor} is
+    rebuilt as a byproduct of the same replay.
 
     {2 On-disk format}
 
@@ -194,15 +194,11 @@ val decode_snapshot : string -> (snapshot, string) result
     whole and renamed into place, so a tail is corruption) is an
     [Error]. *)
 
-val compact : record list -> record list
-(** The replay closure of an event sequence: drop [Outcome]s, merge
-    adjacent [Steps], keep [Submit]/[Kill] order — the event list a
-    snapshot stores.  [compact] is idempotent and replay-equivalent to
-    its input. *)
-
 module Closure : sig
-  (** An incrementally-maintained replay closure: {!push} is
-      {!compact} applied one record at a time, so memory between
+  (** The replay closure of an event sequence, maintained one record
+      at a time: [Outcome]s dropped, adjacent [Steps] merged,
+      [Submit]/[Kill] order kept — the event list a snapshot stores,
+      replay-equivalent to everything pushed.  Memory between
       snapshots is bounded by the retained [Submit]/[Kill] records —
       with [events t = e] the closure holds at most [2*e + 1] records,
       however many raw records (idle [Steps] cuts included) were
@@ -221,8 +217,7 @@ module Closure : sig
       [Counts]). *)
 
   val records : t -> record list
-  (** The closure, oldest first; equal to [compact] of everything
-      pushed. *)
+  (** The closure, oldest first. *)
 
   val length : t -> int
   (** Records currently retained. *)
@@ -233,8 +228,14 @@ end
 
 (** {1 Replay} *)
 
+type replay_event =
+  [ `Submit of Nt_serial.Program.t | `Kill of Txn_id.t | `Steps of int ]
+(** One logged engine call: a validated submission, an orphan kill, or
+    a run of [k] {!Engine.step} calls (quiescent calls included — see
+    {!Engine.step_calls}). *)
+
 type replayable = {
-  rp_events : Engine.replay_event list;
+  rp_events : replay_event list;
   rp_outcomes : (Txn_id.t * outcome) list;  (** Audit prefix, in order. *)
 }
 
@@ -260,12 +261,10 @@ val check_sg_state :
 
 (** {1 The log policy}
 
-    Everything above is mechanism.  The two modules below are the one
-    policy built from it: what a durable server logs, in which order,
-    what a snapshot holds, and which file images it may recover from.
-    [ntserved] keeps only the file I/O around them, and the crash
-    harness ([Nt_check.Check.record] / [Nt_check.Check.crash]) drives
-    the same two modules over in-memory images. *)
+    Everything above is mechanism.  {!Recovery.plan} is the policy
+    that needs no engine: which file images a server may recover from.
+    What a durable server logs and how a plan is replayed drive the
+    one-shard cluster, so that half is [Nt_shard.Durable]. *)
 
 val meta :
   seed:int ->
@@ -278,8 +277,8 @@ val meta :
 (** The [Meta] record of an engine configuration. *)
 
 module Recovery : sig
-  (** Recovery as a pure function of the file images, then a resumable
-      replay of the result.
+  (** Recovery as a pure function of the file images; the resumable
+      replay of the result is [Nt_shard.Durable].
 
       {!plan} decides what may be trusted.  A refusal names the file
       at fault.  The rules:
@@ -310,7 +309,7 @@ module Recovery : sig
     | Outcome_prefix of (Txn_id.t * outcome) list
         (** Every audited outcome must be reproduced ({!check_outcomes}). *)
 
-  type phase = { events : Engine.replay_event list; check : check }
+  type phase = { events : replay_event list; check : check }
 
   type problem = { culprit : [ `Log | `Snapshot ]; why : string }
 
@@ -327,14 +326,15 @@ module Recovery : sig
     base_seq : int;  (** Sequence number of the next record appended. *)
     has_meta : bool;
         (** The kept log holds its [Meta] record.  [false] for a new
-            generation and for a header-only log; {!Session.create}
-            appends [Meta] then. *)
+            generation and for a header-only log;
+            [Nt_shard.Durable.Session.create] appends [Meta] then. *)
     snapshot_trusted : bool;  (** The first phase replays the snapshot. *)
     empty : bool;
         (** Nothing to recover: no records, no snapshot, no damage. *)
     seed : record list;
-        (** Replay closure of the recovered history, for
-            {!Session.create}. *)
+        (** The recovered history's records (the snapshot's events, then
+            the log's from the cover point on), the seed of
+            [Nt_shard.Durable.Session.create]'s replay closure. *)
     notes : problem list;  (** Damage that was tolerated. *)
   }
 
@@ -343,87 +343,7 @@ module Recovery : sig
   (** [log] is the whole log image ([""] when the file is missing);
       [snapshot] the snapshot image, if the file exists. *)
 
-  type progress
-
-  val start : plan -> progress
-
-  val turn :
-    burst:int -> Engine.t -> progress -> ([ `More | `Done ], string) result
-  (** Replay up to [burst] event weight into the engine (a long
-      [Steps] run is split mid-way), running a phase's check as it
-      completes.  The engine must be fresh and configured as [Meta]
-      says; the first turn refuses one that has already run. *)
-
-  val replayed : progress -> int
-  val total : progress -> int
-
-  val checked : progress -> int
-  (** Audited outcomes verified so far. *)
-
-  val run : burst:int -> Engine.t -> plan -> (int, string) result
-  (** {!start}, then {!turn} until [`Done]: [Ok] the audited outcomes
-      verified. *)
-end
-
-module Session : sig
-  (** One engine, the writer of its current log generation, and the
-      replay closure of everything logged so far.
-
-      Every engine input goes through the session: {!submit} and
-      {!kill} call the engine and log the call, each preceded by a
-      {!cut} — one [Steps] record covering the {!Engine.step_calls}
-      since the last cut, then the outcomes those steps produced.  So
-      every intact prefix of the log replays to exactly the state its
-      [Outcome] records claim.  The caller steps the engine itself and
-      cuts when it likes (a server once per loop turn). *)
-
-  type t
-
-  val create : ?plan:Recovery.plan -> meta:record -> Engine.t -> Writer.t -> t
-  (** Log [engine]'s inputs through the writer from here on.  Without
-      [plan] the log is new and begins with [Meta].  With one, the
-      engine must already have run it to [`Done] and the writer must
-      resume where it says ([valid], [base_seq]); [Meta] is appended
-      unless the kept log holds it, and the replay closure starts from
-      the plan's [seed], so the next snapshot covers the whole
-      history. *)
-
-  val submit :
-    t -> ?req:string -> client:string -> Nt_serial.Program.t ->
-    (Txn_id.t, string) result
-  (** {!Engine.submit}, logging the program once it is accepted. *)
-
-  val kill :
-    t -> Txn_id.t -> [ `Aborted | `Doomed | `Already_complete | `Unknown ]
-  (** Log an orphan kill, then {!Engine.kill}: the kill may complete
-      the transaction, and its outcome must follow the [Kill] record. *)
-
-  val note_outcome : t -> Txn_id.t -> [ `Committed | `Aborted ] -> unit
-  (** The engine's [on_top_complete] hook: render the completion
-      ({!Engine.state}) as an [Outcome], buffered until the next cut. *)
-
-  val cut : t -> unit
-
-  val flush : t -> unit
-  (** {!cut}, then {!Writer.flush}. *)
-
-  val snapshot : t -> string
-  (** {!flush}, then the encoded snapshot: the replay closure, the
-      monitor's graph and the engine counters, covering every record
-      below [Writer.next_seq (writer t)].  The log is not touched; a
-      server follows up with {!rotate}. *)
-
-  val rotate : t -> Writer.t -> unit
-  (** Continue on a fresh writer (a new generation whose [base_seq]
-      is the snapshot's cover point): append [Meta], flush, and restart
-      the {!due} count. *)
-
-  val due : t -> every:int -> bool
-  (** At least [every] records appended since the last snapshot or
-      generation start ([every <= 0]: never). *)
-
-  val writer : t -> Writer.t
-
-  val closure_length : t -> int
-  (** Records in the replay closure ({!Closure.length}). *)
+  val weight : replay_event -> int
+  (** An event's share of [total]: [Steps n] weighs [n], the others
+      [1]. *)
 end

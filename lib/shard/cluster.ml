@@ -6,25 +6,31 @@ type t = {
   spine : Spine.t;
   rt : Router.t;
   engines : Shard_engine.t array;
+  merged : bool;
 }
 
 let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs_for ?gating
-    ~shards ~seed objects factory =
+    ?clock ?on_top_complete ~shards ~seed objects factory =
+  (* The one place the shard count picks the machinery: one shard
+     holds no cross-shard cycle and its trace is already the merged
+     history, so it runs bare (see [Shard_engine]). *)
+  let merged = shards > 1 in
   let part = Partition.create ~shards objects in
   let spine = Spine.create () in
-  let rt = Router.create part spine in
+  let rt = Router.create ~merged part spine in
   let engines =
     Array.init shards (fun s ->
         Shard_engine.create ?policy ?inform_policy ?abort_prob ?max_steps
           ?obs:(Option.map (fun f -> f s) obs_for)
-          ?gating ~spine ~partition:part ~shard:s
+          ?gating ?clock ?on_top_complete ~merged ~spine ~partition:part
+          ~shard:s
           ~seed:(seed + (s * 1000003))
           factory)
   in
   Array.iter
     (fun e -> Shard_engine.set_on_report e (Router.note_report rt))
     engines;
-  { part; spine; rt; engines }
+  { part; spine; rt; engines; merged }
 
 let dispatch t ~g { Router.d_shard; d_prefix; d_prog } =
   match Shard_engine.submit t.engines.(d_shard) ~prefix:d_prefix d_prog with
@@ -41,8 +47,10 @@ let submit t prog =
       Ok p_g
 
 let kill t g =
-  List.iter
-    (fun (s, prefix) -> Shard_engine.kill_prefix t.engines.(s) prefix)
+  List.fold_left
+    (fun orphaned (s, prefix) ->
+      Shard_engine.kill_prefix t.engines.(s) prefix || orphaned)
+    false
     (Router.kill_prefixes t.rt g)
 
 let step_shard t s = Shard_engine.step t.engines.(s)
@@ -52,14 +60,21 @@ let quiescent t =
     (fun e -> Nt_net.Engine.live_top (Shard_engine.engine e) = 0)
     t.engines
 
-let drain t = Array.iter (fun e -> ignore (Shard_engine.drain e)) t.engines
+let drain ?burst t =
+  Array.fold_left
+    (fun acc e ->
+      match (acc, Shard_engine.drain ?burst e) with
+      | `Truncated, _ | _, `Truncated -> `Truncated
+      | `Progress, _ | _, `Progress -> `Progress
+      | `Quiescent, `Quiescent -> `Quiescent)
+    `Quiescent t.engines
 
 let truncated t =
   Array.exists (fun e -> Nt_net.Engine.truncated (Shard_engine.engine e)) t.engines
 
 let result t g = Router.result t.rt g
 
-let finish t =
+let finish_merged t =
   let locals = Array.map Shard_engine.finish t.engines in
   let stats =
     Array.fold_left
@@ -96,8 +111,14 @@ let finish t =
   in
   ({ Runtime.trace; stats; committed_top; aborted_top }, forest, schema)
 
+(* One shard's run is its engine's own. *)
+let finish t =
+  if t.merged then finish_merged t
+  else
+    let e = Shard_engine.engine t.engines.(0) in
+    (Nt_net.Engine.finish e, Nt_net.Engine.forest e, Nt_net.Engine.schema e)
+
 let shards t = Array.length t.engines
 let engine t s = t.engines.(s)
 let spine t = t.spine
-let partition t = t.part
 let router t = t.rt

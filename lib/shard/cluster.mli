@@ -7,7 +7,12 @@
     drawn in call order, a fixed interleaving of {!submit}, {!kill}
     and {!step_shard} calls reproduces the identical merged history —
     which is what lets [Check.serve_sharded] drive the whole ensemble
-    from one splittable [Rng] and judge the result offline. *)
+    from one splittable [Rng] and judge the result offline.
+
+    One shard is the stack minus its cross-shard machinery: a bare
+    {!Shard_engine}, no synthesized actions, no spine consult.  A
+    server drains it inline and logs it ({!Durable}); {!Service}
+    workers run a larger one. *)
 
 open Nt_base
 open Nt_spec
@@ -24,13 +29,17 @@ val create :
   ?max_steps:int ->
   ?obs_for:(int -> Obs.t) ->
   ?gating:bool ->
+  ?clock:(unit -> float) ->
+  ?on_top_complete:(Txn_id.t -> [ `Committed | `Aborted ] -> unit) ->
   shards:int ->
   seed:int ->
   (Obj_id.t * Datatype.t) list ->
   Nt_gobj.Gobj.factory ->
   t
 (** Shard [s] runs on [seed + s * 1000003], with telemetry sink
-    [obs_for s] (default null). *)
+    [obs_for s] (default null).  At one shard [clock] and
+    [on_top_complete] reach the engine and {!result} answers from the
+    top-level [Commit]/[Abort]; above one shard, from the report. *)
 
 val submit : t -> Program.t -> (int, string) result
 (** Route, dispatch, return the merged id [g]. *)
@@ -40,11 +49,13 @@ val dispatch : t -> g:int -> Router.dispatch -> unit
     (from that shard's thread); a refused piece is reported to the
     router as failed. *)
 
-val kill : t -> int -> unit
-(** Kill every piece of submission [g]. *)
+val kill : t -> int -> bool
+(** Kill every piece of submission [g]: [true] if any was orphaned. *)
 
 val step_shard : t -> int -> [ `Progress | `Quiescent | `Truncated ]
-val drain : t -> unit
+val drain : ?burst:int -> t -> [ `Progress | `Quiescent | `Truncated ]
+(** Drain every shard in turn ({!Shard_engine.drain}). *)
+
 val quiescent : t -> bool
 val truncated : t -> bool
 
@@ -54,10 +65,9 @@ val finish : t -> Runtime.result * Program.t list * Schema.t
 (** Settle every shard and assemble the merged run: stamp-sorted
     merged trace, summed stats, merged top counts, the par-of-pieces
     forest and its schema — directly judgeable by the offline
-    oracles. *)
+    oracles (at one shard, the engine's own). *)
 
 val shards : t -> int
 val engine : t -> int -> Shard_engine.t
 val spine : t -> Spine.t
-val partition : t -> Partition.t
 val router : t -> Router.t

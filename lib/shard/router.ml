@@ -22,24 +22,30 @@ type entry =
 type t = {
   part : Partition.t;
   spine : Spine.t;
+  merged : bool;  (* several shards: synthesize the merged requests *)
   mu : Mutex.t;
   entries : (int, entry) Hashtbl.t;
   progs : (int, Program.t) Hashtbl.t;  (* the merged forest, per g *)
   mutable synth : (int * Action.t) list;  (* synthesized G actions *)
   mutable n_local : int;
   mutable n_cross : int;
+  mutable n_committed : int;
+  mutable n_aborted : int;
 }
 
-let create part spine =
+let create ~merged part spine =
   {
     part;
     spine;
+    merged;
     mu = Mutex.create ();
     entries = Hashtbl.create 256;
     progs = Hashtbl.create 256;
     synth = [];
     n_local = 0;
     n_cross = 0;
+    n_committed = 0;
+    n_aborted = 0;
   }
 
 let locked t f =
@@ -70,10 +76,13 @@ let plan t prog =
                  merged trace's affects relation at odds with the
                  pseudotime (dfs) sibling order.  The shard tap drops
                  the local event; this stamp is the one the merged
-                 trace and the spine's rail both use. *)
-              let s1 = Spine.stamp t.spine in
-              t.synth <- (s1, Action.Request_create (top_txn g)) :: t.synth;
-              Spine.note_submit t.spine g ~seq:s1);
+                 trace and the spine's rail both use.  One shard's
+                 engine trace is already the merged one. *)
+              if t.merged then begin
+                let s1 = Spine.stamp t.spine in
+                t.synth <- (s1, Action.Request_create (top_txn g)) :: t.synth;
+                Spine.note_submit t.spine g ~seq:s1
+              end);
           Ok { p_g = g; p_dispatches = [ { d_shard = s; d_prefix = [ g ]; d_prog = prog } ]; p_cross = false }
       | Footprint.Cross _ ->
           let pieces = Split.pieces t.part prog in
@@ -147,13 +156,20 @@ let synthesize_commit t g values =
 let note_report t ~g ~piece ~seq:_ out =
   locked t (fun () ->
       match (Hashtbl.find_opt t.entries g, piece) with
-      | Some (Plain p), None -> p.outcome <- Some out
-      | Some (Cross c), Some k ->
+      | Some (Plain ({ outcome = None; _ } as p)), None ->
+          p.outcome <- Some out;
+          (match out with
+          | Shard_engine.Done_committed _ -> t.n_committed <- t.n_committed + 1
+          | Shard_engine.Done_aborted _ -> t.n_aborted <- t.n_aborted + 1)
+      | Some (Cross c), Some k when c.remaining > 0 ->
           (match out with
           | Shard_engine.Done_committed v -> c.values.(k) <- Some v
           | Shard_engine.Done_aborted _ -> ());
           c.remaining <- c.remaining - 1;
-          if c.remaining = 0 then c.value <- Some (synthesize_commit t g c.values)
+          if c.remaining = 0 then begin
+            c.value <- Some (synthesize_commit t g c.values);
+            t.n_committed <- t.n_committed + 1
+          end
       | _ -> ())
 
 (* A shard refused a routed piece (cannot happen for router-validated
@@ -187,26 +203,8 @@ let cross_count t = locked t (fun () -> t.n_cross)
 let local_count t = locked t (fun () -> t.n_local)
 
 let pending t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun g e acc ->
-          match e with
-          | Plain { outcome = None; _ } | Cross { value = None; _ } -> g :: acc
-          | _ -> acc)
-        t.entries [])
-
-let counts t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun _ e (c, a) ->
-          match e with
-          | Plain { outcome = Some (Shard_engine.Done_committed _); _ } ->
-              (c + 1, a)
-          | Plain { outcome = Some (Shard_engine.Done_aborted _); _ } ->
-              (c, a + 1)
-          | Cross { value = Some _; _ } -> (c + 1, a)
-          | _ -> (c, a))
-        t.entries (0, 0))
+  locked t (fun () -> Hashtbl.length t.entries - t.n_committed - t.n_aborted)
+let counts t = locked t (fun () -> (t.n_committed, t.n_aborted))
 
 let merged_forest t =
   locked t (fun () ->

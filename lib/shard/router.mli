@@ -25,14 +25,18 @@ type result_view =
   | Committed of Value.t
   | Aborted of Nt_net.Admission.veto option
 
-val create : Partition.t -> Spine.t -> t
+val create : merged:bool -> Partition.t -> Spine.t -> t
+(** [merged] (several shards) turns on the synthetic merged requests;
+    one shard's engine trace is already the merged history, so without
+    it {!plan} synthesizes nothing for a shard-local program. *)
 
 val plan : t -> Program.t -> (plan, string) result
 (** Validate with {!Nt_net.Engine.validate} against the full object
     table (atomically — no piece is dispatched for a rejected program,
     and the message is the one a single engine gives), classify, allocate [g],
-    register it with the spine, and for a cross-shard program stamp the
-    merged node's [Request_create]/[Create] into the synthetic action
+    register it with the spine, and (when [merged]) stamp the merged
+    node's [Request_create] — for a cross-shard program also its
+    [Create] and its pieces' requests — into the synthetic action
     stream.  The caller performs the dispatches. *)
 
 val note_report :
@@ -53,9 +57,13 @@ val kill_prefixes : t -> int -> (int * int list) list
 val submitted : t -> int
 val cross_count : t -> int
 val local_count : t -> int
-val pending : t -> int list
+val pending : t -> int
+(** Submissions not yet complete. *)
+
 val counts : t -> int * int
-(** Merged [(committed, aborted)] top counts. *)
+(** Merged [(committed, aborted)] top counts.  Like {!pending}, kept
+    current by {!plan} and {!note_report}: constant time, however long
+    the history. *)
 
 val merged_forest : t -> Program.t list
 

@@ -28,7 +28,7 @@ let worker cl s mbox notify () =
     List.iter
       (function
         | Submit (g, d) -> Cluster.dispatch cl ~g d
-        | Kill prefix -> Shard_engine.kill_prefix se prefix
+        | Kill prefix -> ignore (Shard_engine.kill_prefix se prefix)
         | Stop -> running := false)
       msgs;
     if !running then begin
@@ -42,18 +42,20 @@ let worker cl s mbox notify () =
   done;
   Shard_engine.publish se
 
-let start ?policy ?max_steps ?gating ?obs_for ?(notify = fun () -> ())
-    ~shards ~seed objects factory =
-  let cl =
-    Cluster.create ?policy ?max_steps ?obs_for ?gating ~shards ~seed objects
-      factory
-  in
+let spawn ?(notify = fun () -> ()) cl =
+  let shards = Cluster.shards cl in
   let mboxes = Array.init shards (fun _ -> Mailbox.create ()) in
   let handles =
     Array.init shards (fun s ->
         Domain_compat.spawn (worker cl s mboxes.(s) notify))
   in
   { cl; mboxes; handles; stopped = false }
+
+let start ?policy ?max_steps ?gating ?obs_for ?notify ~shards ~seed objects
+    factory =
+  spawn ?notify
+    (Cluster.create ?policy ?max_steps ?obs_for ?gating ~shards ~seed objects
+       factory)
 
 let submit t prog =
   if t.stopped then Error "service stopped"
@@ -72,7 +74,7 @@ let kill t g =
     (Router.kill_prefixes (Cluster.router t.cl) g)
 
 let result t g = Cluster.result t.cl g
-let pending t = List.length (Router.pending (Cluster.router t.cl))
+let pending t = Router.pending (Cluster.router t.cl)
 
 let stats t =
   Array.init (Cluster.shards t.cl) (fun s ->
@@ -80,8 +82,6 @@ let stats t =
 
 let spine t = Cluster.spine t.cl
 let router t = Cluster.router t.cl
-let partition t = Cluster.partition t.cl
-let shards t = Cluster.shards t.cl
 
 let stop t =
   if not t.stopped then begin

@@ -37,6 +37,10 @@ val start :
     submissions complete — a server writes a self-pipe byte there to
     wake its select loop. *)
 
+val spawn : ?notify:(unit -> unit) -> Cluster.t -> t
+(** {!start} over the caller's cluster; from the serving thread read
+    only {!Cluster.result} and the {!Router}, which are thread-safe. *)
+
 val submit : t -> Program.t -> (int, string) result
 val kill : t -> int -> unit
 val result : t -> int -> Router.result_view
@@ -48,8 +52,6 @@ val stats : t -> Shard_engine.stats array
 
 val spine : t -> Spine.t
 val router : t -> Router.t
-val partition : t -> Partition.t
-val shards : t -> int
 
 val stop : t -> unit
 (** Stop and join every worker.  Does not drain: callers wanting a

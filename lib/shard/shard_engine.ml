@@ -162,8 +162,20 @@ let extra_gate t u edges =
         | Spine.Admitted -> None
         | Spine.Vetoed { cycle; witness } -> Some (cycle, witness))
 
+(* Bare mode: the engine's own completion hook reports each top at its
+   [Commit]/[Abort], with the outcome the engine already holds; every
+   top is a whole program there. *)
+let top_done t u =
+  match (prefix_of t u, Engine.state (the_engine t) u) with
+  | Some [ g ], Engine.Committed v ->
+      t.on_report ~g ~piece:None ~seq:0 (Done_committed v)
+  | Some [ g ], Engine.Aborted veto ->
+      t.on_report ~g ~piece:None ~seq:0 (Done_aborted veto)
+  | _ -> ()
+
 let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
-    ?(gating = true) ~spine ~partition ~shard ~seed factory =
+    ?(gating = true) ?clock ?(on_top_complete = fun _ _ -> ()) ~merged
+    ~spine ~partition ~shard ~seed factory =
   let t =
     {
       shard;
@@ -176,13 +188,20 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
       stats_cell = zero_stats;
     }
   in
-  let eng =
+  let create =
     Engine.create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
-      ~admission:gating ~on_action:(tap t)
-      ~extra_gate:(extra_gate t)
-      ~seed
-      (Partition.objects_of partition shard)
-      factory
+      ~admission:gating ~seed
+  in
+  let objects = Partition.objects_of partition shard in
+  let eng =
+    if merged then
+      create ~on_action:(tap t) ~extra_gate:(extra_gate t) objects factory
+    else
+      create ?clock
+        ~on_top_complete:(fun u oc ->
+          top_done t u;
+          on_top_complete u oc)
+        objects factory
   in
   t.eng <- Some eng;
   t
@@ -203,14 +222,16 @@ let submit t ~prefix prog =
 
 let kill_prefix t prefix =
   match Hashtbl.find_opt t.by_prefix prefix with
-  | Some txn -> ignore (Engine.kill (the_engine t) txn)
-  | None -> ()
+  | Some txn -> (
+      match Engine.kill (the_engine t) txn with
+      | `Aborted | `Doomed -> true
+      | `Already_complete | `Unknown -> false)
+  | None -> false
 
 let step t = Engine.step (the_engine t)
 let drain ?burst t = Engine.drain ?burst (the_engine t)
 let finish t = Engine.finish (the_engine t)
 let buffer t = t.buf
-let shard t = t.shard
 let engine t = the_engine t
 
 let snapshot t =

@@ -1,7 +1,8 @@
 (** One shard: an {!Nt_net.Engine} over the shard's slice of the object
     table, wired into the cross-shard {!Spine}.
 
-    The wrapper does three things the plain engine cannot:
+    A {e merged} wrapper (one shard of several) does three things the
+    plain engine cannot:
 
     - {e merged naming} — every submitted local top carries a merged
       path prefix ([[g]] for a whole program, [[g; k]] for piece [k] of
@@ -27,6 +28,10 @@
       exact, not heuristic: only edges incident to the committing top
       can close a new global cycle, and they are all in the prospective
       set.
+
+    A {e bare} wrapper (the only shard) does none of this — its trace
+    is the merged one and it holds no cross-shard cycle — and reports
+    each top at the engine's top-level [Commit]/[Abort].
 
     Thread discipline: every mutating entry point ({!submit}, {!step},
     {!drain}, {!kill}, {!finish}) must be called from the one thread
@@ -69,6 +74,9 @@ val create :
   ?max_steps:int ->
   ?obs:Obs.t ->
   ?gating:bool ->
+  ?clock:(unit -> float) ->
+  ?on_top_complete:(Txn_id.t -> [ `Committed | `Aborted ] -> unit) ->
+  merged:bool ->
   spine:Spine.t ->
   partition:Partition.t ->
   shard:int ->
@@ -77,21 +85,22 @@ val create :
   t
 (** [gating] (default [true]) turns off {e both} the local admission
     gate and the spine consult — the sharded no-control, for negative
-    tests. *)
+    tests.  [clock] and [on_top_complete] reach a bare wrapper's
+    engine; a merged one ignores them. *)
 
 val set_on_report :
   t -> (g:int -> piece:int option -> seq:int -> outcome -> unit) -> unit
-(** Fired from the action tap at every local top-level report, with the
-    merged identity and the report's trace stamp.  Runs on the shard's
-    thread; keep it cheap and lock-disciplined. *)
+(** Fired at every local top-level report (bare: at its [Commit]/[Abort],
+    stamp [0]), with the merged identity and the trace stamp.  Runs on
+    the shard's thread; keep it cheap and lock-disciplined. *)
 
 val submit : t -> prefix:int list -> Program.t -> (Txn_id.t, string) result
 (** Validate and attach, recording the merged prefix for the new local
     top. *)
 
-val kill_prefix : t -> int list -> unit
+val kill_prefix : t -> int list -> bool
 (** Kill the local top registered under this merged prefix (no-op for
-    unknown prefixes). *)
+    unknown prefixes): [true] if {!Nt_net.Engine.kill} orphaned it. *)
 
 val step : t -> [ `Progress | `Quiescent | `Truncated ]
 val drain : ?burst:int -> t -> [ `Progress | `Quiescent | `Truncated ]
@@ -101,9 +110,8 @@ val finish : t -> Runtime.result
     {!buffer}. *)
 
 val buffer : t -> (int * Nt_base.Action.t) list
-(** Merged-named, stamp-carrying actions, newest first. *)
+(** Merged-named, stamp-carrying actions, newest first (none bare). *)
 
-val shard : t -> int
 val engine : t -> Engine.t
 
 val publish : t -> unit

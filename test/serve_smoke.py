@@ -13,8 +13,9 @@ For each mode it starts the server on a fresh Unix socket, then
   * waits for the server to drain on its own, exit 0 and print its
     summary line.
 
-Then a durable round at one shard (--wal, --snapshot-every 20): a
-campaign with --shutdown, a restart on the same log whose Ping must
+Then a durable round at one shard (--wal, --snapshot-every 20): the
+same command line with --shards 2 must exit 2 saying the log requires
+a single shard; then a campaign with --shutdown, a restart on the same log whose Ping must
 report "recovered" and whose acknowledged outcomes ntwal verify must
 find reproduced, and a restart after one byte of the rotated snapshot
 is flipped, which must exit 2 naming the snapshot.
@@ -139,6 +140,12 @@ def durable_round(ntserved, ntload, ntwal, tmp):
         return subprocess.Popen(argv, stdout=subprocess.PIPE,
                                 stderr=subprocess.STDOUT, text=True)
 
+    refused = subprocess.run(argv + ["--shards", "2"], capture_output=True,
+                             text=True, timeout=30)
+    if (refused.returncode != 2
+            or "requires a single shard" not in refused.stderr):
+        fail("wal: --shards 2 --wal exited %d\n%s"
+             % (refused.returncode, refused.stderr))
     srv = start()
     try:
         load = subprocess.run(

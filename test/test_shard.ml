@@ -433,7 +433,7 @@ let t_spine_sees_local_edges () =
         (not (Shard_cluster.truncated cl))
         && (pending <> []
            || (not (Shard_cluster.quiescent cl))
-           || Shard_router.pending (Shard_cluster.router cl) <> [])
+           || Shard_router.pending (Shard_cluster.router cl) > 0)
       then run pending
     in
     run (rotating_rw objects);
@@ -444,6 +444,144 @@ let t_spine_sees_local_edges () =
   done;
   Alcotest.(check (list int)) "seeds whose merged history is cyclic" []
     (List.rev !cyclic)
+
+(* ----- one shard ----- *)
+
+(* One shard is the bare engine: a one-shard cluster and a plain engine
+   on the same seed, driven by the same submit/kill/step calls, yield
+   the same trace action for action, with no merged copy and nothing
+   synthesized; the router's result for every id is final as soon as
+   the engine's is (a server answers Status from it) and agrees with it
+   at quiescence; and the spine is never consulted. *)
+let t_one_shard_is_the_engine () =
+  List.iter
+    (fun backend ->
+      for i = 0 to 9 do
+        let sc = Check.gen_scenario backend (Rng.create (500 + i)) in
+        let create_engine ?on_top_complete () =
+          Engine.create ~policy:sc.Check.policy
+            ~inform_policy:sc.Check.inform_policy
+            ~abort_prob:sc.Check.abort_prob ?on_top_complete
+            ~seed:sc.Check.sched_seed sc.Check.objects
+            (Check.factory_of backend)
+        in
+        let cl =
+          Shard_cluster.create ~policy:sc.Check.policy
+            ~inform_policy:sc.Check.inform_policy
+            ~abort_prob:sc.Check.abort_prob ~shards:1
+            ~seed:sc.Check.sched_seed sc.Check.objects
+            (Check.factory_of backend)
+        in
+        let eng = create_engine () in
+        let rt = Shard_cluster.router cl in
+        let final_with_engine () =
+          for g = 0 to Shard_router.submitted rt - 1 do
+            match (Shard_router.result rt g, Engine.state eng (txn [ g ])) with
+            | Shard_router.Pending, (Engine.Committed _ | Engine.Aborted _) ->
+                Alcotest.failf "T0.%d complete in the engine, pending in the router" g
+            | _ -> ()
+          done
+        in
+        let rng = Rng.create i in
+        List.iter
+          (fun prog ->
+            let g = Result.get_ok (Shard_cluster.submit cl prog) in
+            let t = Result.get_ok (Engine.submit eng prog) in
+            check_bool "same name" true (Txn_id.equal (txn [ g ]) t);
+            for _ = 1 to Rng.int rng 5 do
+              ignore (Shard_cluster.step_shard cl 0);
+              ignore (Engine.step eng);
+              final_with_engine ()
+            done;
+            if Rng.int rng 6 = 0 then
+              check_bool "same kill verdict"
+                (match Engine.kill eng t with
+                | `Aborted | `Doomed -> true
+                | `Already_complete | `Unknown -> false)
+                (Shard_cluster.kill cl g))
+          sc.Check.forest;
+        ignore (Shard_cluster.drain cl);
+        ignore (Engine.drain eng);
+        List.iteri
+          (fun g _ ->
+            let agree =
+              match (Shard_router.result rt g, Engine.state eng (txn [ g ])) with
+              | Shard_router.Pending, (Engine.Pending | Engine.Running) -> true
+              | Shard_router.Committed v, Engine.Committed v' -> Value.equal v v'
+              | Shard_router.Aborted a, Engine.Aborted b ->
+                  Option.map (fun v -> v.Admission.witness) a
+                  = Option.map (fun v -> v.Admission.witness) b
+              | _ -> false
+            in
+            check_bool (Printf.sprintf "result of T0.%d" g) true agree)
+          sc.Check.forest;
+        check_int "no merged copy" 0
+          (List.length (Shard_engine.buffer (Shard_cluster.engine cl 0)));
+        check_int "nothing synthesized" 0
+          (List.length (Trace.to_list (Shard_router.merged_trace rt [])));
+        let r, _, _ = Shard_cluster.finish cl in
+        check_bool "merged trace = engine trace" true
+          (List.equal Action.equal
+             (Trace.to_list r.Runtime.trace)
+             (Trace.to_list (Engine.finish eng).Runtime.trace));
+        check_int "spine never consulted" 0
+          (Spine.checks (Shard_cluster.spine cl))
+      done)
+    [ Check.Undo; Check.Moss; Check.Commlock; Check.Mvts ]
+
+(* The router's counters are kept, not folded: after every step of a
+   run with cross-shard programs and kills, [pending] and [counts]
+   equal a fold of [Router.result] over every id. *)
+let t_router_counts_kept () =
+  let objects = registers (numbered "k" 8) in
+  let crosses = ref 0 and aborts = ref 0 in
+  List.iter
+    (fun shards ->
+      for seed = 1 to 20 do
+        let cl =
+          Shard_cluster.create ~shards ~seed objects
+            (Check.factory_of Check.Undo)
+        in
+        let rt = Shard_cluster.router cl in
+        let rng = Rng.create (seed * 31) in
+        let check_counts () =
+          let p = ref 0 and c = ref 0 and a = ref 0 in
+          for g = 0 to Shard_router.submitted rt - 1 do
+            match Shard_router.result rt g with
+            | Shard_router.Pending -> incr p
+            | Shard_router.Committed _ -> incr c
+            | Shard_router.Aborted _ -> incr a
+          done;
+          check_int "pending" !p (Shard_router.pending rt);
+          check_bool "counts" true (Shard_router.counts rt = (!c, !a))
+        in
+        let rec run pending =
+          let pending =
+            match pending with
+            | prog :: rest when Rng.int rng 3 = 0 ->
+                ignore (Result.get_ok (Shard_cluster.submit cl prog));
+                rest
+            | _ -> pending
+          in
+          let n = Shard_router.submitted rt in
+          if n > 0 && Rng.int rng 8 = 0 then
+            ignore (Shard_cluster.kill cl (Rng.int rng n));
+          ignore (Shard_cluster.step_shard cl (Rng.int rng shards));
+          check_counts ();
+          if
+            (not (Shard_cluster.truncated cl))
+            && (pending <> []
+               || (not (Shard_cluster.quiescent cl))
+               || Shard_router.pending rt > 0)
+          then run pending
+        in
+        run (rotating_rw objects);
+        crosses := !crosses + Shard_router.cross_count rt;
+        aborts := !aborts + snd (Shard_router.counts rt)
+      done)
+    [ 1; 2 ];
+  check_bool "cross-shard programs exercised" true (!crosses > 0);
+  check_bool "aborts exercised" true (!aborts > 0)
 
 let suite =
   ( "shard",
@@ -471,4 +609,8 @@ let suite =
         t_spine_sees_local_edges;
       Alcotest.test_case "router refuses like the engine" `Quick
         t_router_refuses_like_engine;
+      Alcotest.test_case "one shard is the engine" `Quick
+        t_one_shard_is_the_engine;
+      Alcotest.test_case "router counts kept, not folded" `Quick
+        t_router_counts_kept;
     ] )

@@ -170,8 +170,10 @@ let t_outcome_after_steps () =
             Txn_id.equal a t1 && Txn_id.equal b t2
         | _ -> false)
 
-(* [compact] merges step runs, drops audit-only records, keeps the
-   replay-relevant order, and is idempotent. *)
+let compact records = Wal.Closure.records (Wal.Closure.of_records records)
+
+(* The replay closure merges step runs, drops audit-only records, keeps
+   the replay-relevant order, and is idempotent. *)
 let t_compact () =
   let submit = Wal.Submit { req = None; client = "c"; program = "p" } in
   let events =
@@ -187,15 +189,16 @@ let t_compact () =
       Wal.Steps 1;
     ]
   in
-  let c = Wal.compact events in
+  let c = compact events in
   check_bool "merged and pruned" true
     (c = [ submit; Wal.Steps 9; Wal.Kill { txn = t1 }; Wal.Steps 1 ]);
-  check_bool "idempotent" true (Wal.compact c = c)
+  check_bool "idempotent" true (compact c = c)
 
-(* [Closure.push] is [compact] one record at a time: same result, and
-   the retained list stays bounded by the replay events however many
-   idle [Steps] cuts are pushed — the property that keeps a live
-   server's between-snapshot memory flat. *)
+(* [Closure.push] compacts one record at a time: pushing a sequence in
+   two halves gives the closure of the whole, and the retained list
+   stays bounded by the replay events however many idle [Steps] cuts
+   are pushed — the property that keeps a live server's between-
+   snapshot memory flat. *)
 let t_closure_incremental () =
   let submit = Wal.Submit { req = None; client = "c"; program = "p" } in
   let events =
@@ -211,10 +214,15 @@ let t_closure_incremental () =
       Wal.Steps 1;
     ]
   in
-  let c = Wal.Closure.of_records events in
-  check_bool "of_records = compact" true
-    (Wal.Closure.records c = Wal.compact events);
-  check_int "length" (List.length (Wal.compact events)) (Wal.Closure.length c);
+  let c = Wal.Closure.create () in
+  List.iteri (fun i r -> if i < 5 then Wal.Closure.push c r) events;
+  let c' = Wal.Closure.of_records (Wal.Closure.records c) in
+  List.iteri (fun i r -> if i >= 5 then Wal.Closure.push c' r) events;
+  List.iteri (fun i r -> if i >= 5 then Wal.Closure.push c r) events;
+  check_bool "incremental = whole" true
+    (Wal.Closure.records c = compact events
+    && Wal.Closure.records c' = compact events);
+  check_int "length" (List.length (compact events)) (Wal.Closure.length c);
   check_int "events counted" 2 (Wal.Closure.events c);
   (* An idle server cutting its log every turn: 100k Steps pushes with
      a submission every 10k must not grow the closure past the bound. *)
@@ -243,7 +251,16 @@ let scenario_for i =
   let sc = Check.gen_scenario ~shape:Check.Default backend (Rng.create (1000 + i)) in
   (backend, sc)
 
-(* Replay a full log image into a fresh engine; returns the engine. *)
+(* A fresh one-shard cluster configured as the scenario's server. *)
+let cluster_for ?on_top_complete backend (sc : Check.scenario) =
+  Shard_cluster.create ~policy:sc.Check.policy
+    ~inform_policy:sc.Check.inform_policy ~abort_prob:sc.Check.abort_prob
+    ?on_top_complete ~shards:1 ~seed:sc.Check.sched_seed sc.Check.objects
+    (Check.factory_of backend)
+
+let engine_of cl = Shard_engine.engine (Shard_cluster.engine cl 0)
+
+(* Replay a full log image into a fresh cluster; returns its engine. *)
 let recover_full backend (sc : Check.scenario) img =
   let s =
     match Wal.scan ~magic:Wal.wal_magic img with
@@ -259,14 +276,11 @@ let recover_full backend (sc : Check.scenario) img =
     | Ok rp -> rp
     | Error e -> Alcotest.fail ("replayable: " ^ e)
   in
-  let eng =
-    Engine.create ~policy:sc.Check.policy ~inform_policy:sc.Check.inform_policy
-      ~abort_prob:sc.Check.abort_prob ~seed:sc.Check.sched_seed
-      sc.Check.objects (Check.factory_of backend)
-  in
-  (match Engine.recover eng rp.Wal.rp_events with
+  let cl = cluster_for backend sc in
+  (match Durable.recover cl rp.Wal.rp_events with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("recover: " ^ e));
+  let eng = engine_of cl in
   (match Wal.check_outcomes (Engine.state eng) rp.Wal.rp_outcomes with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("outcomes: " ^ e));
@@ -326,13 +340,9 @@ let t_snapshot_tail_equals_full () =
           | Ok rp -> rp
           | Error e -> Alcotest.fail ("snapshot events: " ^ e)
         in
-        let eng3 =
-          Engine.create ~policy:sc.Check.policy
-            ~inform_policy:sc.Check.inform_policy
-            ~abort_prob:sc.Check.abort_prob ~seed:sc.Check.sched_seed
-            sc.Check.objects (Check.factory_of backend)
-        in
-        (match Engine.recover eng3 rp_snap.Wal.rp_events with
+        let cl3 = cluster_for backend sc in
+        let eng3 = engine_of cl3 in
+        (match Durable.recover cl3 rp_snap.Wal.rp_events with
         | Ok _ -> ()
         | Error e -> Alcotest.fail ("snapshot replay: " ^ e));
         (* The snapshot's materialized SG and counters must match the
@@ -357,7 +367,7 @@ let t_snapshot_tail_equals_full () =
           | Ok rp -> rp
           | Error e -> Alcotest.fail ("tail events: " ^ e)
         in
-        (match Engine.replay eng3 rp_tail.Wal.rp_events with
+        (match Durable.replay cl3 rp_tail.Wal.rp_events with
         | Ok _ -> ()
         | Error e -> Alcotest.fail ("tail replay: " ^ e));
         (match Wal.check_outcomes (Engine.state eng3) rp_tail.Wal.rp_outcomes with
@@ -368,7 +378,7 @@ let t_snapshot_tail_equals_full () =
   check_bool "snapshot path exercised" true (!snapshots > 50)
 
 (* [record] is a pure function of its arguments — log image and
-   report alike — and a fresh engine cannot [recover] twice. *)
+   report alike — and a fresh cluster cannot [recover] twice. *)
 let t_record_deterministic () =
   let backend, sc = scenario_for 3 in
   let rc = Check.record ~drop_prob:0.1 ~seed:77 backend sc in
@@ -382,9 +392,11 @@ let t_record_deterministic () =
     (List.equal Action.equal
        (Trace.to_list sr.Check.s_trace)
        (Trace.to_list rc.Check.rc_report.Check.s_trace));
-  let eng = recover_full backend sc rc.Check.rc_wal in
-  check_bool "second recover on a used engine is refused" true
-    (match Engine.recover eng [] with Error _ -> true | Ok _ -> false)
+  let cl = cluster_for backend sc in
+  check_bool "first recover accepted" true
+    (Result.is_ok (Durable.recover cl [ `Steps 1 ]));
+  check_bool "second recover on a used cluster is refused" true
+    (match Durable.recover cl [] with Error _ -> true | Ok _ -> false)
 
 (* Memory pin for the serving loop's replay closure: across long
    recorded runs the in-memory closure must stay within
@@ -408,7 +420,7 @@ let t_closure_bounded_on_record () =
     check_bool "closure within 2e+1" true
       (rc.Check.rc_closure_len <= (2 * events) + 1);
     check_bool "closure is the compacted log" true
-      (rc.Check.rc_closure_len = List.length (Wal.compact records))
+      (rc.Check.rc_closure_len = List.length (compact records))
   done
 
 (* The headline sweep: simulated kill(-9) at every log boundary (plus
@@ -550,25 +562,22 @@ let t_flipped_snapshot_falls_back () =
   check_int "fallback aborts" rc.Check.rc_report.Check.s_aborted
     (Engine.aborted_top eng)
 
-(* ----- the shared log policy: Wal.Session and Wal.Recovery ----- *)
+(* ----- the shared log policy: Wal.Recovery and Durable ----- *)
 
 let meta_for backend (sc : Check.scenario) =
   Wal.meta ~seed:sc.Check.sched_seed ~backend:(Check.backend_name backend)
     ~policy:sc.Check.policy ~inform_policy:sc.Check.inform_policy
     ~abort_prob:sc.Check.abort_prob sc.Check.objects
 
-(* A fresh engine whose completion hook feeds whatever session the
+(* A fresh cluster whose completion hook feeds whatever session the
    returned cell holds, as a server's does. *)
-let hooked_engine backend (sc : Check.scenario) =
+let hooked_cluster backend (sc : Check.scenario) =
   let cell = ref None in
-  let eng =
-    Engine.create ~policy:sc.Check.policy ~inform_policy:sc.Check.inform_policy
-      ~abort_prob:sc.Check.abort_prob
-      ~on_top_complete:(fun t o ->
-        Option.iter (fun s -> Wal.Session.note_outcome s t o) !cell)
-      ~seed:sc.Check.sched_seed sc.Check.objects (Check.factory_of backend)
+  let cl =
+    cluster_for backend sc ~on_top_complete:(fun t o ->
+        Option.iter (fun s -> Durable.Session.note_outcome s t o) !cell)
   in
-  (eng, cell)
+  (cl, cell)
 
 let plan_or_fail ~meta ~log ~snapshot =
   match Wal.Recovery.plan ~meta ~log ~snapshot with
@@ -576,8 +585,8 @@ let plan_or_fail ~meta ~log ~snapshot =
   | Error { Wal.Recovery.why; _ } -> Alcotest.fail ("plan refused: " ^ why)
 
 (* Replay a plan to the end in small turns. *)
-let run_plan eng plan =
-  match Wal.Recovery.run ~burst:7 eng plan with
+let run_plan cl plan =
+  match Durable.run ~burst:7 cl plan with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("recovery: " ^ e)
 
@@ -585,7 +594,7 @@ let run_plan eng plan =
    [valid] bytes (or start a new generation) and log on from there
    through a session resumed from the plan.  Returns the session and
    the buffer holding the continued log. *)
-let resume ~meta eng cell plan log =
+let resume ~meta cl cell plan log =
   let valid = plan.Wal.Recovery.valid in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (String.sub log 0 valid);
@@ -593,23 +602,23 @@ let resume ~meta eng cell plan log =
     Wal.Writer.create ~fresh:(valid = 0) ~base_seq:plan.Wal.Recovery.base_seq
       ~on_sync:ignore (Wal.buffer_sink buf)
   in
-  let s = Wal.Session.create ~plan ~meta eng w in
+  let s = Durable.Session.create ~plan ~meta cl w in
   cell := Some s;
   (s, buf)
 
 (* A server's life in memory: programs submitted through the session,
    random step runs in between, the odd orphan kill, then quiescence. *)
-let serve_into rng eng s progs =
+let serve_into rng cl s progs =
   List.iter
     (fun prog ->
-      (match Wal.Session.submit s ~client:"t" prog with
-      | Ok txn -> if Rng.int rng 8 = 0 then ignore (Wal.Session.kill s txn)
+      (match Durable.Session.submit s ~client:"t" prog with
+      | Ok g -> if Rng.int rng 8 = 0 then ignore (Durable.Session.kill s g)
       | Error e -> Alcotest.fail e);
       for _ = 1 to Rng.int rng 6 do
-        ignore (Engine.step eng)
+        ignore (Shard_cluster.step_shard cl 0)
       done)
     progs;
-  ignore (Engine.drain eng)
+  ignore (Shard_cluster.drain cl)
 
 (* Every rule of [Recovery.plan], table-driven over one recorded run
    with a snapshot: the images a server can meet after a crash, a
@@ -712,24 +721,25 @@ let t_recovery_plan_rules () =
       | Ok _, `Refused _ -> Alcotest.fail (name ^ ": accepted")
       | Ok plan, `Ok (check, reference) ->
           check_bool (name ^ ": plan") true (check plan);
-          let eng, cell = hooked_engine backend sc in
-          run_plan eng plan;
+          let cl, cell = hooked_cluster backend sc in
+          run_plan cl plan;
           Option.iter
-            (fun ref_img -> engines_agree name eng (recover_full backend sc ref_img))
+            (fun ref_img ->
+              engines_agree name (engine_of cl) (recover_full backend sc ref_img))
             reference;
           (* Serve on from the plan, then restart again: whatever the
              first restart kept, the continued log must recover to the
              live engine — a generation that lost its Meta would be
              refused here. *)
-          let s, buf = resume ~meta eng cell plan log in
-          serve_into (Rng.create 7) eng s [ List.hd sc.Check.forest ];
-          Wal.Session.flush s;
+          let s, buf = resume ~meta cl cell plan log in
+          serve_into (Rng.create 7) cl s [ List.hd sc.Check.forest ];
+          Durable.Session.flush s;
           let plan' = plan_or_fail ~meta ~log:(Buffer.contents buf) ~snapshot in
           check_bool (name ^ ": continued log holds its Meta") true
             plan'.Wal.Recovery.has_meta;
-          let eng', _ = hooked_engine backend sc in
-          run_plan eng' plan';
-          engines_agree (name ^ ": continued") eng eng')
+          let cl', _ = hooked_cluster backend sc in
+          run_plan cl' plan';
+          engines_agree (name ^ ": continued") (engine_of cl) (engine_of cl'))
     cases
 
 (* Restart, then snapshot: a crash at a record boundary, the plan's
@@ -749,24 +759,25 @@ let t_restart_then_snapshot () =
       incr runs;
       let cut = String.sub rc.Check.rc_wal 0 offsets.(n / 2) in
       let plan = plan_or_fail ~meta ~log:cut ~snapshot:None in
-      let eng, cell = hooked_engine backend sc in
-      run_plan eng plan;
-      engines_agree "plan = reference replay" eng (recover_full backend sc cut);
-      let s, buf = resume ~meta eng cell plan cut in
+      let cl, cell = hooked_cluster backend sc in
+      run_plan cl plan;
+      engines_agree "plan = reference replay" (engine_of cl)
+        (recover_full backend sc cut);
+      let s, buf = resume ~meta cl cell plan cut in
       let rng = Rng.create (5000 + i) in
       let half = List.length sc.Check.forest / 2 in
-      serve_into rng eng s (List.filteri (fun j _ -> j < half) sc.Check.forest);
-      let snap = Wal.Session.snapshot s in
-      serve_into rng eng s (List.filteri (fun j _ -> j >= half) sc.Check.forest);
-      Wal.Session.flush s;
+      serve_into rng cl s (List.filteri (fun j _ -> j < half) sc.Check.forest);
+      let snap = Durable.Session.snapshot s in
+      serve_into rng cl s (List.filteri (fun j _ -> j >= half) sc.Check.forest);
+      Durable.Session.flush s;
       let log = Buffer.contents buf in
       let full = recover_full backend sc log in
-      engines_agree "live engine = full-log replay" eng full;
+      engines_agree "live engine = full-log replay" (engine_of cl) full;
       let plan' = plan_or_fail ~meta ~log ~snapshot:(Some snap) in
       check_bool "snapshot trusted" true plan'.Wal.Recovery.snapshot_trusted;
-      let eng', _ = hooked_engine backend sc in
-      run_plan eng' plan';
-      engines_agree "snapshot + tail = full log" eng' full
+      let cl', _ = hooked_cluster backend sc in
+      run_plan cl' plan';
+      engines_agree "snapshot + tail = full log" (engine_of cl') full
     end
   done;
   check_bool "restarts exercised" true (!runs > 20)
