@@ -26,24 +26,79 @@ type result = {
 
 type completion = No | Committed | Aborted
 
+(* Swap-remove arrays: add, remove and iteration touch members only, so
+   the ready sets below cost what is live, not what was ever created.
+   Each member records its own index through [slot]/[set_slot]. *)
+module Bag = struct
+  type 'a t = {
+    mutable items : 'a array;
+    mutable len : int;
+    slot : 'a -> int;
+    set_slot : 'a -> int -> unit;
+  }
+
+  let create slot set_slot = { items = [||]; len = 0; slot; set_slot }
+
+  let add b x =
+    if b.len = Array.length b.items then begin
+      let items = Array.make (max 16 (2 * b.len)) x in
+      Array.blit b.items 0 items 0 b.len;
+      b.items <- items
+    end;
+    b.items.(b.len) <- x;
+    b.set_slot x b.len;
+    b.len <- b.len + 1
+
+  let remove b x =
+    let i = b.slot x in
+    let last = b.items.(b.len - 1) in
+    b.items.(i) <- last;
+    b.set_slot last i;
+    b.len <- b.len - 1;
+    b.items.(b.len) <- last
+
+  let iter f b =
+    for i = 0 to b.len - 1 do
+      f b.items.(i)
+    done
+
+  let filter p b =
+    let acc = ref [] in
+    iter (fun x -> if p x then acc := x :: !acc) b;
+    !acc
+end
+
 type status = {
-  mutable requested : bool;
+  txn : Txn_id.t;
+  parent : status option;  (* None for T0 *)
+  obj : obj option;  (* the object of an access; None otherwise *)
+  program : Program.t option;  (* None for T0 *)
+  mutable interp : Txn_interp.t option;  (* set at Create, non-accesses *)
   mutable created : bool;
   mutable commit_value : Value.t option;
   mutable completed : completion;
-  mutable reported : bool;
+  mutable parked : bool;
+      (* refused, and its object has not moved since: not a candidate *)
+  mutable live_slot : int;  (* index in [sim.live] *)
+  mutable interp_slot : int;  (* index in [sim.live_interps] *)
   mutable created_round : int;  (* round of the Create action *)
   mutable created_tick : int;  (* recorder tick of the Create action *)
   mutable blocked_streak : int;  (* consecutive try_respond refusals *)
   mutable blocked_since : int;  (* tick of the streak's first refusal *)
   mutable last_blockers : (Txn_id.t * Nt_gobj.Gobj.lock_kind) list;
       (* holders reported at the latest refusal; event-emitting runs only *)
-  mutable refused_c : Metrics.counter option;
-      (* the [runtime.refused.<obj>] counter for this access's object,
-         resolved on the first refusal and reused: a leaf only ever
-         touches one object, so the cache never invalidates *)
-  program : Program.t option;  (* None for T0 *)
 }
+
+(* A generic object and the accesses it refused since its last move. *)
+and obj = {
+  gobj : Nt_gobj.Gobj.t;
+  mutable parked_here : status list;
+  mutable refused_c : Metrics.counter option;
+      (* [runtime.refused.<obj>], registered at the object's first
+         refusal on a recording run *)
+}
+
+type inform = { at : obj; of_ : status; mutable inform_slot : int }
 
 (* The recorder plus its pre-resolved instruments, so the hot path
    never looks instruments up by name. *)
@@ -89,24 +144,22 @@ let obs_cache o =
 
 (* A controller/runtime action candidate.  [Try_respond] may refuse. *)
 type candidate =
-  | C_interp_output of Txn_id.t * Txn_interp.output
-  | C_create of Txn_id.t
-  | C_try_respond of Txn_id.t
-  | C_commit of Txn_id.t
-  | C_report of Txn_id.t
-  | C_inform of Obj_id.t * Txn_id.t * completion
+  | C_interp_output of status * Txn_interp.output
+  | C_create of status
+  | C_try_respond of status
+  | C_commit of status
+  | C_report of status
+  | C_inform of inform
 
 type sim = {
-  schema : Schema.t;
   rng : Rng.t;
   statuses : status Txn_id.Tbl.t;
-  interps : Txn_interp.t Txn_id.Tbl.t;
-  objects : (Obj_id.t * Nt_gobj.Gobj.t) list;
+  root : status;
+  live : status Bag.t;  (* requested, not yet reported *)
+  live_interps : status Bag.t;  (* created, commit not yet requested *)
+  pending : inform Bag.t;  (* informs queued, not yet delivered *)
+  objects : obj Obj_id.Tbl.t;
   obs : obs_cache;
-  c_refused : Metrics.counter Obj_id.Tbl.t;
-      (* one [runtime.refused.<obj>] counter per schema object, resolved
-         up front so a refusal costs a table probe plus an increment;
-         empty (and untouched) when the recorder is disabled *)
   obs_on : bool;  (* Obs.enabled obs.o, hoisted for the hot path *)
   obs_emit : bool;  (* Obs.emitting obs.o, likewise *)
   obs_base : int;  (* recorder clock at run start; ticks = base + n_actions *)
@@ -125,8 +178,6 @@ type sim = {
   blocked_now : (int, unit Txn_id.Tbl.t) Hashtbl.t;
       (* accesses whose latest try_respond refused; maintained only on
          event-emitting runs (entries validated against status at use) *)
-  mutable informed : (Obj_id.t * Txn_id.t) list;
-      (* pending informs, newest first *)
   mutable buf : Action.t list;  (* trace, newest first *)
   mutable n_actions : int;
   mutable round_no : int;
@@ -150,79 +201,83 @@ let emit sim a =
   sim.n_actions <- sim.n_actions + 1;
   sim.on_action a
 
-let status sim t =
-  match Txn_id.Tbl.find_opt sim.statuses t with
-  | Some s -> s
-  | None -> invalid_arg ("Runtime: unknown transaction " ^ Txn_id.to_string t)
-
-let add_status sim t program =
-  Txn_id.Tbl.replace sim.statuses t
-    {
-      requested = false;
-      created = false;
-      commit_value = None;
-      completed = No;
-      reported = false;
-      created_round = 0;
-      created_tick = 0;
-      blocked_streak = 0;
-      blocked_since = 0;
-      last_blockers = [];
-      refused_c = None;
-      program;
-    }
-
-let object_of sim x =
-  match List.find_opt (fun (y, _) -> Obj_id.equal x y) sim.objects with
-  | Some (_, o) -> o
+let obj_of sim x =
+  match Obj_id.Tbl.find_opt sim.objects x with
+  | Some o -> o
   | None -> invalid_arg ("Runtime: unknown object " ^ Obj_id.name x)
 
-let is_access sim t = System_type.is_access sim.schema.Schema.sys t
+let new_status txn ~parent ~obj ~program =
+  {
+    txn;
+    parent;
+    obj;
+    program;
+    interp = None;
+    created = false;
+    commit_value = None;
+    completed = No;
+    parked = false;
+    live_slot = -1;
+    interp_slot = -1;
+    created_round = 0;
+    created_tick = 0;
+    blocked_streak = 0;
+    blocked_since = 0;
+    last_blockers = [];
+  }
 
-(* Enumerate currently enabled candidates.  Listed in a deterministic
-   order; the policy decides what fires. *)
+let add_status sim ~parent t program =
+  let obj =
+    match program with
+    | Program.Access (x, _) -> Some (obj_of sim x)
+    | Program.Node _ -> None
+  in
+  let s = new_status t ~parent:(Some parent) ~obj ~program:(Some program) in
+  Txn_id.Tbl.replace sim.statuses t s;
+  Bag.add sim.live s
+
+(* An object moved (a create, a successful respond or an inform): the
+   accesses it refused may now be answered differently, so they become
+   candidates again.  Until then re-asking could only repeat the
+   refusal (the wake-up contract on {!Nt_gobj.Gobj.t.try_respond}). *)
+let wake o =
+  List.iter (fun s -> s.parked <- false) o.parked_here;
+  o.parked_here <- []
+
+(* The enabled candidates of the ready sets, plain moves and informs
+   apart (under [Eager] the informs join the plain list).  The order is
+   deterministic; the policy decides what fires. *)
 let candidates sim =
-  let acc = ref [] in
-  let add c = acc := c :: !acc in
-  (* Interpreter outputs. *)
-  Txn_id.Tbl.iter
-    (fun t interp ->
-      List.iter (fun o -> add (C_interp_output (t, o))) (Txn_interp.enabled_outputs interp))
-    sim.interps;
-  (* Controller actions per transaction status. *)
-  Txn_id.Tbl.iter
-    (fun t s ->
-      if s.requested && (not s.created) && s.completed = No then add (C_create t);
-      if s.created && s.commit_value = None && is_access sim t && s.completed = No
-      then add (C_try_respond t);
-      if s.commit_value <> None && s.completed = No then add (C_commit t);
-      if s.completed <> No && not s.reported then add (C_report t))
-    sim.statuses;
-  (* Informs. *)
-  List.iter
-    (fun (x, t) ->
-      let s = status sim t in
-      match s.completed with
-      | Committed -> add (C_inform (x, t, Committed))
-      | Aborted -> add (C_inform (x, t, Aborted))
-      | No -> assert false)
-    sim.informed;
-  !acc
+  let plain = ref [] and informs = ref [] in
+  let add c = plain := c :: !plain in
+  Bag.iter
+    (fun s ->
+      List.iter
+        (fun o -> add (C_interp_output (s, o)))
+        (Txn_interp.enabled_outputs (Option.get s.interp)))
+    sim.live_interps;
+  Bag.iter
+    (fun s ->
+      if s.completed <> No then add (C_report s)
+      else if Option.is_some s.commit_value then add (C_commit s)
+      else if not s.created then add (C_create s)
+      else if Option.is_some s.obj && not s.parked then add (C_try_respond s))
+    sim.live;
+  let queue = match sim.inform_policy with Eager -> plain | Lazy -> informs in
+  Bag.iter (fun i -> queue := C_inform i :: !queue) sim.pending;
+  (!plain, !informs)
 
 (* Root-cause taxonomy for the metrics registry: an abort whose proper
    ancestor is already aborted is collateral of that ancestor's fate,
    whatever mechanism delivered it; otherwise the trigger (deadlock
    breaking = lock conflict, or fault injection) is the cause. *)
-let record_abort_cause sim t cause =
-  let ancestor_aborted =
-    List.exists
-      (fun a ->
-        match Txn_id.Tbl.find_opt sim.statuses a with
-        | Some sa -> sa.completed = Aborted
-        | None -> false)
-      (Txn_id.proper_ancestors t)
+let record_abort_cause sim s cause =
+  let rec ancestor_aborted s =
+    match s.parent with
+    | Some p -> p.completed = Aborted || ancestor_aborted p
+    | None -> false
   in
-  if ancestor_aborted then Metrics.incr sim.obs.c_abort_parent
+  if ancestor_aborted s then Metrics.incr sim.obs.c_abort_parent
   else
     match cause with
     | `Deadlock -> Metrics.incr sim.obs.c_abort_lock
@@ -230,19 +285,26 @@ let record_abort_cause sim t cause =
     | `Admission -> Metrics.incr sim.obs.c_abort_admission
     | `Orphan -> Metrics.incr sim.obs.c_abort_orphan
 
-let do_abort sim ~cause t =
-  let s = status sim t in
+(* Queue the informs of [s]'s completion: to the objects of its own
+   subprogram only.  No other object holds anything of [s]'s subtree,
+   so no other object's behaviour can depend on its fate. *)
+let queue_informs sim s =
+  List.iter
+    (fun x -> Bag.add sim.pending { at = obj_of sim x; of_ = s; inform_slot = -1 })
+    (Program.objects (Option.get s.program))
+
+let do_abort sim ~cause s =
   s.completed <- Aborted;
-  emit sim (Action.Abort t);
+  emit sim (Action.Abort s.txn);
   (if sim.obs_on then begin
-     record_abort_cause sim t cause;
+     record_abort_cause sim s cause;
      let ts = sim.obs_base + sim.n_actions in
      (* A transaction can abort before it was ever created; give such a
         span zero duration, as the recorder's generic path does. *)
      let began = if s.created then s.created_tick else ts in
-     Obs.span_end sim.obs.o ts ~began t Event.Aborted
+     Obs.span_end sim.obs.o ts ~began s.txn Event.Aborted
    end);
-  List.iter (fun (x, _) -> sim.informed <- (x, t) :: sim.informed) sim.objects
+  queue_informs sim s
 
 (* Blocked accesses, indexed by their top-level transaction so the
    wait-for scan below only visits candidates that can possibly lie
@@ -316,31 +378,30 @@ let record_waitfor sim t holders =
 (* Fire a candidate; returns whether an action was emitted. *)
 let fire sim c =
   match c with
-  | C_interp_output (t, Txn_interp.Request_child (i, prog)) ->
-      let child = Txn_id.child t i in
-      add_status sim child (Some prog);
-      (status sim child).requested <- true;
-      Txn_interp.note_child_requested (Txn_id.Tbl.find sim.interps t) i;
+  | C_interp_output (s, Txn_interp.Request_child (i, prog)) ->
+      let child = Txn_id.child s.txn i in
+      add_status sim ~parent:s child prog;
+      Txn_interp.note_child_requested (Option.get s.interp) i;
       emit sim (Action.Request_create child);
       true
-  | C_interp_output (t, Txn_interp.Request_commit v) ->
-      let s = status sim t in
+  | C_interp_output (s, Txn_interp.Request_commit v) ->
       s.commit_value <- Some v;
-      Txn_interp.note_commit_requested (Txn_id.Tbl.find sim.interps t);
-      emit sim (Action.Request_commit (t, v));
+      Txn_interp.note_commit_requested (Option.get s.interp);
+      Bag.remove sim.live_interps s;
+      emit sim (Action.Request_commit (s.txn, v));
       true
-  | C_create t ->
-      let s = status sim t in
+  | C_create s ->
+      let t = s.txn in
       s.created <- true;
       s.created_round <- sim.round_no;
-      (if is_access sim t then
-         (object_of sim (System_type.object_of_exn sim.schema.Schema.sys t)).create
-           t
-       else
-         match s.program with
-         | Some (Program.Node (comb, children)) ->
-             Txn_id.Tbl.replace sim.interps t (Txn_interp.make t comb children)
-         | Some (Program.Access _) | None -> assert false);
+      (match (s.obj, s.program) with
+      | Some o, _ ->
+          o.gobj.create t;
+          wake o
+      | None, Some (Program.Node (comb, children)) ->
+          s.interp <- Some (Txn_interp.make t comb children);
+          Bag.add sim.live_interps s
+      | None, _ -> assert false);
       emit sim (Action.Create t);
       if sim.obs_on then begin
         let ts = sim.obs_base + sim.n_actions in
@@ -348,12 +409,12 @@ let fire sim c =
         Obs.span_begin sim.obs.o ts t
       end;
       true
-  | C_try_respond t -> (
-      let x = System_type.object_of_exn sim.schema.Schema.sys t in
-      let s = status sim t in
-      match (object_of sim x).try_respond t with
+  | C_try_respond s -> (
+      let t = s.txn and o = Option.get s.obj in
+      match o.gobj.try_respond t with
       | Some v ->
           s.commit_value <- Some v;
+          wake o;
           if s.blocked_streak > 0 then begin
             if sim.obs_on then begin
               Metrics.observe sim.obs.h_blocked_streak s.blocked_streak;
@@ -369,6 +430,8 @@ let fire sim c =
           emit sim (Action.Request_commit (t, v));
           true
       | None ->
+          s.parked <- true;
+          o.parked_here <- s :: o.parked_here;
           sim.blocked_attempts <- sim.blocked_attempts + 1;
           s.blocked_streak <- s.blocked_streak + 1;
           (* The [runtime.blocked] counter is settled once at the end of
@@ -377,17 +440,19 @@ let fire sim c =
              so a metrics-only recorder pays two field writes here. *)
           (if sim.obs_on then begin
              let ts = sim.obs_base + sim.n_actions in
+             let x = o.gobj.obj in
              if s.blocked_streak = 1 then s.blocked_since <- ts;
-             (match s.refused_c with
+             (match o.refused_c with
              | Some c -> Metrics.incr c
-             | None -> (
-                 match Obj_id.Tbl.find_opt sim.c_refused x with
-                 | Some c ->
-                     s.refused_c <- Some c;
-                     Metrics.incr c
-                 | None -> ()));
+             | None ->
+                 let c =
+                   Metrics.counter (Obs.metrics sim.obs.o)
+                     ("runtime.refused." ^ Obj_id.name x)
+                 in
+                 o.refused_c <- Some c;
+                 Metrics.incr c);
              if sim.obs_emit then begin
-               let holders = (object_of sim x).waiting_on t in
+               let holders = o.gobj.waiting_on t in
                s.last_blockers <- holders;
                blocked_add sim t;
                record_waitfor sim t holders;
@@ -401,87 +466,75 @@ let fire sim c =
              end
            end);
           false)
-  | C_commit t
-    when (match sim.commit_gate with Some g -> not (g t) | None -> false) ->
+  | C_commit s
+    when (match sim.commit_gate with Some g -> not (g s.txn) | None -> false)
+    ->
       (* Admission veto: performing this commit would close an SG
          cycle.  The permissive controller may abort anything
          requested and incomplete, so the veto is delivered as an
          abort — the resulting behavior is still one the generic
          system allows. *)
       if sim.obs_emit then
-        Obs.instant ~txn:t
+        Obs.instant ~txn:s.txn
           ~ts:(sim.obs_base + sim.n_actions)
           sim.obs.o "abort.admission";
-      do_abort sim ~cause:`Admission t;
+      do_abort sim ~cause:`Admission s;
       true
-  | C_commit t ->
-      let s = status sim t in
+  | C_commit s ->
       s.completed <- Committed;
-      emit sim (Action.Commit t);
+      emit sim (Action.Commit s.txn);
       if sim.obs_on then begin
         Metrics.observe sim.obs.h_commit_rounds
           (sim.round_no - s.created_round);
         let ts = sim.obs_base + sim.n_actions in
         let began = if s.created then s.created_tick else ts in
-        Obs.span_end sim.obs.o ts ~began t Event.Committed
+        Obs.span_end sim.obs.o ts ~began s.txn Event.Committed
       end;
-      List.iter (fun (x, _) -> sim.informed <- (x, t) :: sim.informed) sim.objects;
+      queue_informs sim s;
       true
-  | C_report t ->
-      let s = status sim t in
-      s.reported <- true;
-      let parent = Txn_id.parent_exn t in
+  | C_report s ->
+      let t = s.txn in
+      Bag.remove sim.live s;
+      let interp = Option.get (Option.get s.parent).interp in
       let index = Option.get (Txn_id.last_index t) in
-      (match Txn_id.Tbl.find_opt sim.interps parent with
-      | Some interp -> (
-          match s.completed with
-          | Committed ->
-              Txn_interp.note_child_committed interp index
-                (Option.get s.commit_value)
-          | Aborted -> Txn_interp.note_child_aborted interp index
-          | No -> assert false)
-      | None -> assert false);
       (match s.completed with
-      | Committed -> emit sim (Action.Report_commit (t, Option.get s.commit_value))
-      | Aborted -> emit sim (Action.Report_abort t)
+      | Committed ->
+          let v = Option.get s.commit_value in
+          Txn_interp.note_child_committed interp index v;
+          emit sim (Action.Report_commit (t, v))
+      | Aborted ->
+          Txn_interp.note_child_aborted interp index;
+          emit sim (Action.Report_abort t)
       | No -> assert false);
       true
-  | C_inform (x, t, c) ->
-      sim.informed <-
-        List.filter
-          (fun (y, u) -> not (Obj_id.equal x y && Txn_id.equal u t))
-          sim.informed;
-      (match c with
+  | C_inform ({ at = o; of_ = s; _ } as i) ->
+      Bag.remove sim.pending i;
+      let x = o.gobj.obj in
+      (match s.completed with
       | Committed ->
-          (object_of sim x).inform_commit t;
-          emit sim (Action.Inform_commit (x, t))
+          o.gobj.inform_commit s.txn;
+          emit sim (Action.Inform_commit (x, s.txn))
       | Aborted ->
-          (object_of sim x).inform_abort t;
-          emit sim (Action.Inform_abort (x, t))
+          o.gobj.inform_abort s.txn;
+          emit sim (Action.Inform_abort (x, s.txn))
       | No -> assert false);
+      wake o;
       true
 
 (* Maybe inject an abort of a random live, incomplete transaction. *)
 let maybe_inject sim abort_prob =
   if abort_prob > 0.0 && Rng.float sim.rng 1.0 < abort_prob then begin
-    let victims =
-      Txn_id.Tbl.fold
-        (fun t s acc ->
-          if s.requested && s.completed = No && not (Txn_id.is_root t) then
-            t :: acc
-          else acc)
-        sim.statuses []
-    in
+    let victims = Bag.filter (fun s -> s.completed = No) sim.live in
     match victims with
     | [] -> ()
     | _ ->
-        let t = Rng.pick_list sim.rng victims in
+        let s = Rng.pick_list sim.rng victims in
         sim.injected_aborts <- sim.injected_aborts + 1;
         if sim.obs_emit then
-          Obs.instant ~txn:t
+          Obs.instant ~txn:s.txn
             ~ts:(sim.obs_base + sim.n_actions)
             sim.obs.o "abort.injected";
-        do_abort sim ~cause:`Injected t
+        do_abort sim ~cause:`Injected s
   end
 
 (* Break a global stall.  Build the waits-for graph among blocked
@@ -490,28 +543,25 @@ let maybe_inject sim abort_prob =
    so cannot release, while [b] is stuck).  A cycle is a genuine
    deadlock and its members are the preferred victims; otherwise any
    blocked access is aborted (starvation by an eternal constraint,
-   e.g. a too-late multiversion write). *)
+   e.g. a too-late multiversion write).  Called when nothing can fire,
+   so every blocked access is parked. *)
 let break_deadlock sim =
   let blocked =
-    Txn_id.Tbl.fold
-      (fun t s acc ->
-        if
-          s.created && s.commit_value = None && s.completed = No
-          && is_access sim t
-        then t :: acc
-        else acc)
-      sim.statuses []
+    Bag.filter
+      (fun s ->
+        s.created && s.commit_value = None && s.completed = No
+        && Option.is_some s.obj)
+      sim.live
   in
   match blocked with
   | [] -> false
   | _ ->
       let waits_for a =
-        let x = System_type.object_of_exn sim.schema.Schema.sys a in
-        let blockers = (object_of sim x).waiting_on a in
+        let blockers = (Option.get a.obj).gobj.waiting_on a.txn in
         List.filter
           (fun b ->
-            (not (Txn_id.equal a b))
-            && List.exists (fun (u, _) -> Txn_id.is_descendant b u) blockers)
+            a != b
+            && List.exists (fun (u, _) -> Txn_id.is_descendant b.txn u) blockers)
           blocked
       in
       let victim =
@@ -519,19 +569,19 @@ let break_deadlock sim =
         let visiting = Txn_id.Tbl.create 8 and done_ = Txn_id.Tbl.create 8 in
         let found = ref None in
         let rec dfs a =
-          if !found = None && not (Txn_id.Tbl.mem done_ a) then
-            if Txn_id.Tbl.mem visiting a then found := Some a
+          if Option.is_none !found && not (Txn_id.Tbl.mem done_ a.txn) then
+            if Txn_id.Tbl.mem visiting a.txn then found := Some a
             else begin
-              Txn_id.Tbl.add visiting a ();
+              Txn_id.Tbl.add visiting a.txn ();
               List.iter dfs (waits_for a);
-              Txn_id.Tbl.remove visiting a;
-              Txn_id.Tbl.replace done_ a ()
+              Txn_id.Tbl.remove visiting a.txn;
+              Txn_id.Tbl.replace done_ a.txn ()
             end
         in
         List.iter dfs blocked;
         !found
       in
-      let t =
+      let s =
         match victim with
         | Some v ->
             sim.deadlock_cycles <- sim.deadlock_cycles + 1;
@@ -540,37 +590,39 @@ let break_deadlock sim =
       in
       sim.deadlock_aborts <- sim.deadlock_aborts + 1;
       if sim.obs_emit then
-        Obs.instant ~txn:t
+        Obs.instant ~txn:s.txn
           ~ts:(sim.obs_base + sim.n_actions)
           sim.obs.o "deadlock.victim";
-      do_abort sim ~cause:`Deadlock t;
+      do_abort sim ~cause:`Deadlock s;
       true
-
-
-let is_inform = function C_inform _ -> true | _ -> false
 
 let make ?(policy = Random_step) ?(inform_policy = Eager) ?(abort_prob = 0.0)
     ?(top_comb = Program.Par) ?(max_steps = 1_000_000) ?(obs = Obs.null)
     ?(on_action = fun _ -> ()) ?commit_gate ~seed (schema : Schema.t) factory
     forest =
+  (* T0: an always-created interpreter that never commits. *)
+  let root = new_status Txn_id.root ~parent:None ~obj:None ~program:None in
+  root.created <- true;
+  root.interp <-
+    Some (Txn_interp.make ~no_commit:true Txn_id.root top_comb forest);
+  let objects = Obj_id.Tbl.create 16 in
+  List.iter
+    (fun x ->
+      Obj_id.Tbl.replace objects x
+        { gobj = factory schema x; parked_here = []; refused_c = None })
+    schema.objects;
   let sim =
     {
-      schema;
       rng = Rng.create seed;
       statuses = Txn_id.Tbl.create 128;
-      interps = Txn_id.Tbl.create 64;
-      objects = List.map (fun x -> (x, factory schema x)) schema.objects;
+      root;
+      live = Bag.create (fun s -> s.live_slot) (fun s i -> s.live_slot <- i);
+      live_interps =
+        Bag.create (fun s -> s.interp_slot) (fun s i -> s.interp_slot <- i);
+      pending =
+        Bag.create (fun i -> i.inform_slot) (fun i n -> i.inform_slot <- n);
+      objects;
       obs = obs_cache obs;
-      c_refused =
-        (let tbl = Obj_id.Tbl.create 16 in
-         if Obs.enabled obs then
-           List.iter
-             (fun x ->
-               Obj_id.Tbl.replace tbl x
-                 (Metrics.counter (Obs.metrics obs)
-                    ("runtime.refused." ^ Obj_id.name x)))
-             schema.objects;
-         tbl);
       obs_on = Obs.enabled obs;
       obs_emit = Obs.emitting obs;
       obs_base = Obs.now obs;
@@ -581,7 +633,6 @@ let make ?(policy = Random_step) ?(inform_policy = Eager) ?(abort_prob = 0.0)
       on_action;
       commit_gate;
       blocked_now = Hashtbl.create 16;
-      informed = [];
       buf = [];
       n_actions = 0;
       round_no = 0;
@@ -594,23 +645,16 @@ let make ?(policy = Random_step) ?(inform_policy = Eager) ?(abort_prob = 0.0)
       orphan_aborts = 0;
     }
   in
-  (* T0: an always-created interpreter that never commits. *)
-  add_status sim Txn_id.root None;
-  (status sim Txn_id.root).created <- true;
-  Txn_id.Tbl.replace sim.interps Txn_id.root
-    (Txn_interp.make ~no_commit:true Txn_id.root top_comb forest);
+  Txn_id.Tbl.replace sim.statuses Txn_id.root root;
+  Bag.add sim.live_interps root;
   sim
 
 let add_top sim prog =
-  let root = Txn_id.Tbl.find sim.interps Txn_id.root in
-  let i = Txn_interp.append_child root prog in
+  let i = Txn_interp.append_child (Option.get sim.root.interp) prog in
   Txn_id.child Txn_id.root i
 
-(* One scheduling step: exactly one iteration of the closed-loop run's
-   main loop, so [run] (a [step] loop) consumes the RNG identically to
-   the pre-stepper implementation and seeded results are preserved.
-   [`Quiescent] means nothing is enabled {e now}; an open-loop caller
-   may {!add_top} more work and step again. *)
+(* One scheduling step.  [`Quiescent] means nothing is enabled {e now};
+   an open-loop caller may {!add_top} more work and step again. *)
 let step sim =
   if sim.steps >= sim.max_steps then begin
     sim.truncated <- true;
@@ -618,17 +662,20 @@ let step sim =
   end
   else begin
     maybe_inject sim sim.abort_prob;
-    let all = candidates sim in
     (* Under lazy informs, completion information is delivered only
        when nothing else in the system can move - the worst case for
        protocols that block on visibility or lock inheritance. *)
-    let plain, informs =
-      match sim.inform_policy with
-      | Eager -> (all, [])
-      | Lazy -> List.partition (fun c -> not (is_inform c)) all
-    in
+    let plain, informs = candidates sim in
     let plain = Array.of_list plain and informs = Array.of_list informs in
-    if Array.length plain = 0 && Array.length informs = 0 then `Quiescent
+    if Array.length plain = 0 && Array.length informs = 0 then
+      (* Only parked accesses, if any, remain: each was refused by an
+         object that has not moved since, so nothing can fire. *)
+      if break_deadlock sim then begin
+        sim.round_no <- sim.round_no + 1;
+        sim.steps <- sim.steps + 1;
+        `Progress
+      end
+      else `Quiescent
     else begin
       sim.round_no <- sim.round_no + 1;
       Rng.shuffle sim.rng plain;
@@ -665,13 +712,13 @@ let step sim =
 
 let abort_txn sim t =
   match Txn_id.Tbl.find_opt sim.statuses t with
-  | Some s when s.requested && s.completed = No ->
+  | Some s when Option.is_some s.parent && s.completed = No ->
       sim.orphan_aborts <- sim.orphan_aborts + 1;
       if sim.obs_emit then
         Obs.instant ~txn:t
           ~ts:(sim.obs_base + sim.n_actions)
           sim.obs.o "abort.orphan";
-      do_abort sim ~cause:`Orphan t;
+      do_abort sim ~cause:`Orphan s;
       true
   | Some _ | None -> false
 

@@ -3,11 +3,11 @@
     Composes the transaction interpreters, the generic objects of a
     chosen protocol, and the generic controller, and interleaves their
     enabled actions under a seeded scheduling policy.  The controller is
-    fully permissive, exactly as in the paper: it creates any requested
-    transaction, commits anything that requested commit, may abort
-    anything requested and incomplete (used for fault injection and
-    deadlock victims), reports completions to parents, and informs every
-    object of every completion — in any order the policy picks.
+    permissive, as in the paper: it creates any requested transaction,
+    commits anything that requested commit, may abort anything requested
+    and incomplete (used for fault injection and deadlock victims),
+    reports completions to parents, and informs objects of completions
+    — in any order the policy picks.
 
     Two policies:
     {ul
@@ -19,10 +19,25 @@
        parallel time: the serial scheduler does one action per round,
        so round counts compare concurrency across protocols.}}
 
-    Blocked accesses (a [try_respond] returning [None]) are retried;
-    when {e nothing} in the system can move and blocked accesses
-    remain, the runtime declares deadlock and aborts one blocked access
-    chosen at random (a behavior the permissive controller allows), so
+    Each step looks only at what can move.  The runtime keeps ready
+    sets, updated on status transitions: the transactions not yet
+    reported, the interpreters that have not requested commit, and the
+    informs not yet delivered.  Two restrictions keep those sets small,
+    and every behaviour they allow is still one of the generic system:
+    {ul
+    {- A completion of [T] is informed only to the objects of [T]'s own
+       subprogram ({!Nt_serial.Program.objects}), not to every object.
+       No other object holds anything of [T]'s subtree, and the
+       controller may inform any object but never has to.}
+    {- An access its object refused is parked, not retried: it is not
+       a candidate again until that object's next [create], successful
+       [try_respond] or inform (the wake-up contract on
+       {!Nt_gobj.Gobj.t}).  Until then asking again could only repeat
+       the refusal.}}
+
+    When nothing can fire and blocked (parked) accesses remain, the
+    runtime declares deadlock and aborts one of them, preferring one on
+    a waits-for cycle (a move the permissive controller allows), so
     executions always terminate. *)
 
 open Nt_base
@@ -116,8 +131,9 @@ val abort_txn : t -> Txn_id.t -> bool
 (** Abort a transaction from outside the scheduler, if the permissive
     controller currently may (requested and incomplete): emits
     [ABORT], records it as an orphan abort (the serving-time "client
-    vanished" cause) and queues the informs.  Returns [false] if the
-    transaction is unknown, not yet requested, or complete. *)
+    vanished" cause) and queues the informs to its footprint.  Returns
+    [false] if the transaction is unknown, not yet requested, or
+    complete. *)
 
 val top_state :
   t -> Txn_id.t -> [ `Unknown | `Running | `Committed of Value.t | `Aborted ]
@@ -155,6 +171,7 @@ val run :
 
     [obs] (default {!Nt_obs.Obs.null}) receives the full telemetry of
     the run: a span per transaction ([Create] to [Commit]/[Abort]),
-    instants for blocked-access retries, deadlock victims and injected
+    instants for refused accesses, deadlock victims and injected
     aborts, and the [runtime.*]/[txn.*] metrics (rounds, blocked
-    attempts and streaks, commit latency in rounds and in ticks). *)
+    attempts and streaks, commit latency in rounds and in ticks).  A
+    refusal is counted each time a woken access is refused again. *)

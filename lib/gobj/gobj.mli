@@ -10,8 +10,9 @@
     controls for the serialization-graph checker.
 
     A [try_respond] returning [None] means the [Request_commit] output
-    is not currently enabled (e.g. a lock conflict); the runtime will
-    retry later, and uses [waiting_on] to pick deadlock victims. *)
+    is not currently enabled (e.g. a lock conflict); the runtime asks
+    again after the object's next move (see [try_respond]), and uses
+    [waiting_on] to pick deadlock victims. *)
 
 open Nt_base
 
@@ -37,7 +38,16 @@ type t = {
   inform_abort : Txn_id.t -> unit;  (** [INFORM_ABORT_AT(X)OF(T)]. *)
   try_respond : Txn_id.t -> Value.t option;
       (** Fire [REQUEST_COMMIT(T, v)] if enabled, returning [v];
-          [None] when the precondition fails (caller retries). *)
+          [None] when the precondition fails.
+
+          Wake-up contract: the answer for an access may change only
+          after a [create], a successful [try_respond] or an inform at
+          this same object.  The runtime relies on it: a refused access
+          is parked and not asked again until one of those happens
+          here.  Every factory in the repo satisfies it: each reads
+          only its own object's state, and the weak stores of {!Broken},
+          which share one store across objects, never refuse a created
+          access. *)
   waiting_on : Txn_id.t -> (Txn_id.t * lock_kind) list;
       (** Diagnostic: the transactions whose locks / log entries
           currently block the given access, each tagged with the kind

@@ -95,8 +95,8 @@ module Hub = struct
     Metrics.observe t.gc_c dur_us;
     t.gc_busy <- t.gc_busy +. (float_of_int dur_us /. 1e6)
 
-  (* The runtime registers one [runtime.refused.<obj>] counter per
-     schema object and bumps it on every refused access, so the
+  (* The runtime registers a [runtime.refused.<obj>] counter at an
+     object's first refused access and bumps it on every one, so the
      interval delta of that family ranks this window's contended
      objects without any event stream in the loop. *)
   let refused_prefix = "runtime.refused."

@@ -3,8 +3,8 @@
     The span model: every transaction is a span, opened by its
     [CREATE] and closed by its [COMMIT]/[ABORT], nested by
     {!Nt_base.Txn_id.parent} — accesses are transactions, so object
-    activity gets spans for free.  Everything else (blocked-access
-    retries, deadlock victims, monitor alarms) is an {!constructor:
+    activity gets spans for free.  Everything else (refused accesses,
+    deadlock victims, monitor alarms) is an {!constructor:
     Instant}, and {!constructor:Counter} carries sampled time series
     (e.g. cumulative SG edges) for timeline viewers.
 

@@ -60,6 +60,13 @@ let rec accesses = function
   | Access (x, op) -> [ (x, op) ]
   | Node (_, children) -> List.concat_map accesses children
 
+let objects prog =
+  let rec go seen = function
+    | Access (x, _) -> if List.exists (Obj_id.equal x) seen then seen else x :: seen
+    | Node (_, children) -> List.fold_left go seen children
+  in
+  List.rev (go [] prog)
+
 let rec pp fmt = function
   | Access (x, op) ->
       Format.fprintf fmt "%a.%a" Obj_id.pp x Datatype.pp_op op

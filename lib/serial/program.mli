@@ -46,4 +46,12 @@ val size : t -> int
 val accesses : t -> (Obj_id.t * Datatype.op) list
 (** All leaf accesses, left to right. *)
 
+val objects : t -> Obj_id.t list
+(** The program's static footprint: the distinct objects of its leaves,
+    in first-access order.  A program names its accesses syntactically
+    (no data-dependent object choice), so every object a run of it
+    touches is in this list.  The runtime informs exactly these objects
+    of the program's completion, and the shard router classifies a
+    submission by them. *)
+
 val pp : Format.formatter -> t -> unit

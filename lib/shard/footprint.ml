@@ -1,23 +1,10 @@
-open Nt_base
 open Nt_serial
-
-let objects prog =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun (x, _) ->
-      let k = Obj_id.name x in
-      if Hashtbl.mem seen k then None
-      else begin
-        Hashtbl.add seen k ();
-        Some x
-      end)
-    (Program.accesses prog)
 
 type classification = Local of int | Cross of int list
 
 let classify part prog =
   let shards =
-    objects prog
+    Program.objects prog
     |> List.map (Partition.shard_of part)
     |> List.sort_uniq compare
   in

@@ -1,18 +1,13 @@
-(** Static object footprints of programs.
+(** Shard classification of programs by their static footprint.
 
     The router classifies every submitted program by the set of objects
-    its AST can touch.  Because a {!Nt_serial.Program.t} names its
-    accesses syntactically — there is no data-dependent object choice —
-    the static footprint is exact: every object a run of the program
-    touches is a leaf of its tree (the property test in
+    its AST can touch, {!Nt_serial.Program.objects}: the same footprint
+    the runtime informs of a completion.  It is exact, because a program
+    names its accesses syntactically (the property test in
     [test_shard.ml] pins this over every grammar, nested-abort shapes
     included). *)
 
-open Nt_base
 open Nt_serial
-
-val objects : Program.t -> Obj_id.t list
-(** Distinct objects of the program's leaves, in first-access order. *)
 
 type classification =
   | Local of int  (** Every access lands on this one shard. *)

@@ -361,8 +361,32 @@ let t_runtime_attribution () =
   Obs.close o;
   let m = Obs.metrics o in
   let cv n = Metrics.counter_value (Metrics.counter m n) in
-  check_int "lock-conflict causes = deadlock victims"
-    r.Runtime.stats.Runtime.deadlock_aborts
+  (* A deadlock victim whose ancestor had already aborted is collateral
+     of that ancestor's fate, so it counts under [abort.cause.parent];
+     every other victim is a lock conflict. *)
+  let victims =
+    List.filter_map
+      (function
+        | Obs_event.Instant { name = "deadlock.victim"; txn = Some t; _ } ->
+            Some t
+        | _ -> None)
+      (events ())
+  in
+  check_int "one victim instant per deadlock abort"
+    r.Runtime.stats.Runtime.deadlock_aborts (List.length victims);
+  let aborted = Txn_id.Tbl.create 16 and orphan_victims = ref 0 in
+  List.iter
+    (function
+      | Action.Abort t ->
+          if
+            List.exists (Txn_id.equal t) victims
+            && List.exists (Txn_id.Tbl.mem aborted) (Txn_id.proper_ancestors t)
+          then incr orphan_victims;
+          Txn_id.Tbl.replace aborted t ()
+      | _ -> ())
+    (Trace.to_list r.Runtime.trace);
+  check_int "lock-conflict causes = deadlock victims - orphan victims"
+    (r.Runtime.stats.Runtime.deadlock_aborts - !orphan_victims)
     (cv "abort.cause.lock_conflict");
   check_int "every abort has a cause"
     (cv "txn.aborted")

@@ -134,6 +134,44 @@ let t_undo_no_deadlock_on_counters () =
   check_int "no deadlock aborts" 0 r.Runtime.stats.deadlock_aborts;
   check_bool "correct" true (Checker.serially_correct schema r.Runtime.trace)
 
+(* The wake-up contract: an object's answer to an access can change
+   only at that object's own next create, successful respond or inform,
+   so the runtime parks a refused access until then.  Writers of one
+   shared register only ever wait for each other and cannot deadlock:
+   each must commit, and no stall may be broken by a victim abort.  A
+   missing wake-up would leave a writer parked with nothing left to
+   fire, which the runtime resolves as a deadlock.  The writers are
+   top-level accesses: a nested writer's lock can also be stranded by
+   its parent's inform arriving before its own (informs are delivered
+   once, in any order), which no wake-up can repair. *)
+let t_pure_waits_commit () =
+  let k = 6 in
+  let forest =
+    List.init k (fun i -> Program.access x0 (Datatype.Write (Value.Int i)))
+  in
+  let schema = Program.schema_of ~objects:[ (x0, Register.make ()) ] forest in
+  let waited = ref 0 in
+  List.iter
+    (fun (name, factory) ->
+      List.iter
+        (fun (pname, policy) ->
+          for seed = 1 to 8 do
+            let r = run_protocol ~policy ~seed schema factory forest in
+            let what = Printf.sprintf "%s/%s/seed %d" name pname seed in
+            check_int (what ^ ": all committed") k r.Runtime.committed_top;
+            check_int (what ^ ": no deadlock aborts") 0
+              r.Runtime.stats.deadlock_aborts;
+            waited := !waited + r.Runtime.stats.blocked_attempts
+          done)
+        [ ("random", Runtime.Random_step); ("bsp", Runtime.Bsp_rounds) ])
+    [
+      ("moss", Moss_object.factory);
+      ("commlock", Commlock_object.factory);
+      ("undo", Undo_object.factory);
+      ("mvts", Mvts_object.factory);
+    ];
+  check_bool "writers waited" true (!waited > 0)
+
 let suite =
   ( "runtime",
     [
@@ -146,4 +184,6 @@ let suite =
       Alcotest.test_case "max steps truncation" `Quick t_max_steps_truncation;
       Alcotest.test_case "undo never blocks on commuting ops" `Quick
         t_undo_no_deadlock_on_counters;
+      Alcotest.test_case "pure waits commit everything" `Quick
+        t_pure_waits_commit;
     ] )

@@ -64,18 +64,18 @@ let t_footprint_extraction () =
         Program.access y0 Datatype.Read;
       ]
   in
-  let names = List.map Obj_id.name (Footprint.objects p) in
+  let names = List.map Obj_id.name (Program.objects p) in
   Alcotest.(check (list string))
     "distinct, first-access order" [ "x"; "y" ] names;
   let part1 = Partition.create ~shards:1 [ (x0, Register.make ()); (y0, Register.make ()) ] in
   check_bool "one shard always local" true
     (Footprint.classify part1 p = Footprint.Local 0)
 
-(* The satellite property: every object a program touches at runtime
-   resolves to a leaf recorded in its static footprint — across every
-   grammar (smallbank included) and the adversarial nested-abort
-   shapes, whose mid-flight aborts exercise partially-executed
-   subtrees. *)
+(* Every object a program touches at runtime resolves to a leaf
+   recorded in its static footprint, and every inform goes to an object
+   of the completed transaction's own subprogram — across every grammar
+   (smallbank included) and the adversarial nested-abort shapes, whose
+   mid-flight aborts exercise partially-executed subtrees. *)
 let t_footprint_covers_runtime () =
   let grammars =
     [ Check.Rw; Check.Counters; Check.Mixed; Check.Weighted; Check.Smallbank ]
@@ -102,7 +102,7 @@ let t_footprint_covers_runtime () =
                 (Check.factory_of Check.Undo)
                 sc.Check.forest
             in
-            let feet = List.map Footprint.objects sc.Check.forest in
+            let feet = List.map Program.objects sc.Check.forest in
             List.iter
               (fun a ->
                 let t = Action.subject a in
@@ -117,7 +117,19 @@ let t_footprint_covers_runtime () =
                              (Obj_id.name x) (Action.to_string a))
                           true
                           (List.exists (Obj_id.equal x) (List.nth feet j))
-                    | _ -> ()))
+                    | _ -> ());
+                match a with
+                | Action.Inform_commit (x, t) | Action.Inform_abort (x, t) ->
+                    (* The runtime informs only the completed
+                       transaction's own footprint. *)
+                    check_bool
+                      (Printf.sprintf "%s: %s informs its own footprint"
+                         (Check.grammar_name grammar) (Action.to_string a))
+                      true
+                      (match Program.subprogram sc.Check.forest t with
+                      | Some p -> List.exists (Obj_id.equal x) (Program.objects p)
+                      | None -> false)
+                | _ -> ())
               (Trace.to_list r.Runtime.trace)
           done)
         shapes)
@@ -149,7 +161,7 @@ let t_split_pieces () =
     (fun (s, p) ->
       List.iter
         (fun x -> check_int "piece is shard-pure" s (Partition.shard_of part x))
-        (Footprint.objects p))
+        (Program.objects p))
     pieces;
   let multiset p =
     List.map (fun (x, op) -> (Obj_id.name x, op)) (Program.accesses p)

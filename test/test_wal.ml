@@ -710,6 +710,14 @@ let t_recovery_plan_rules () =
         Some simg,
         `Refused `Log );
       ("records but no Meta", log_at 0 ^ from 1, None, `Refused `Log);
+      ( "log written under the previous scheduler (NTWAL01)",
+        "NTWAL01\n" ^ String.sub img 8 (len - 8),
+        None,
+        `Refused `Log );
+      ( "snapshot written under the previous scheduler (NTSNAP1)",
+        rotated,
+        Some ("NTSNAP1\n" ^ String.sub simg 8 (String.length simg - 8)),
+        `Refused `Snapshot );
     ]
   in
   List.iter
