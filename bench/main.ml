@@ -1029,7 +1029,7 @@ let e18 () =
               let cut () =
                 let f =
                   Telemetry.Hub.cut hub
-                    ~counts:(Telemetry.Hub.counts_of_engine eng)
+                    ~counts:(Engine.stats eng)
                     ~alarms:(Engine.alarms eng)
                     ~conns:1 ~subscribers:1 ~now:0.0
                 in

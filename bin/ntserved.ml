@@ -515,24 +515,7 @@ let shard_rows srv =
 
 (* Engine counters for a frame, plus the per-shard rows. *)
 let frame_counts srv =
-  ( Telemetry.Hub.merge
-      (Array.to_list
-         (Array.map
-            (fun (st : Shard_engine.stats) ->
-              {
-                Telemetry.Hub.n_submitted = st.sh_submitted;
-                n_committed = st.sh_committed;
-                n_aborted = st.sh_aborted;
-                n_vetoed = st.sh_vetoed;
-                n_orphans = st.sh_orphans;
-                n_live = st.sh_live;
-                n_doomed = st.sh_doomed;
-                n_sg_nodes = st.sh_sg_nodes;
-                n_sg_edges = st.sh_sg_edges;
-                n_sg_reorders = st.sh_sg_reorders;
-              })
-            (shard_stats srv))),
-    shard_rows srv )
+  (Engine.sum_stats (Array.to_list (shard_stats srv)), shard_rows srv)
 
 (* Client-visible totals: commits and aborts from the router (merged
    tops: a cross-shard program counts once, not once per piece);

@@ -28,10 +28,11 @@ type completion = No | Committed | Aborted
 
 (* Swap-remove arrays: add, remove and iteration touch members only, so
    the ready sets below cost what is live, not what was ever created.
-   Each member records its own index through [slot]/[set_slot]. *)
+   Each member records its own index through [slot]/[set_slot]; a
+   vacated cell is emptied, so a removed member is not kept reachable. *)
 module Bag = struct
   type 'a t = {
-    mutable items : 'a array;
+    mutable items : 'a option array;
     mutable len : int;
     slot : 'a -> int;
     set_slot : 'a -> int -> unit;
@@ -41,11 +42,11 @@ module Bag = struct
 
   let add b x =
     if b.len = Array.length b.items then begin
-      let items = Array.make (max 16 (2 * b.len)) x in
+      let items = Array.make (max 16 (2 * b.len)) None in
       Array.blit b.items 0 items 0 b.len;
       b.items <- items
     end;
-    b.items.(b.len) <- x;
+    b.items.(b.len) <- Some x;
     b.set_slot x b.len;
     b.len <- b.len + 1
 
@@ -53,13 +54,13 @@ module Bag = struct
     let i = b.slot x in
     let last = b.items.(b.len - 1) in
     b.items.(i) <- last;
-    b.set_slot last i;
+    Option.iter (fun y -> b.set_slot y i) last;
     b.len <- b.len - 1;
-    b.items.(b.len) <- last
+    b.items.(b.len) <- None
 
   let iter f b =
     for i = 0 to b.len - 1 do
-      f b.items.(i)
+      Option.iter f b.items.(i)
     done
 
   let filter p b =
@@ -71,6 +72,7 @@ end
 type status = {
   txn : Txn_id.t;
   parent : status option;  (* None for T0 *)
+  top : int;  (* child index of T0 on the path to [txn]; -1 for T0 *)
   obj : obj option;  (* the object of an access; None otherwise *)
   program : Program.t option;  (* None for T0 *)
   mutable interp : Txn_interp.t option;  (* set at Create, non-accesses *)
@@ -153,8 +155,10 @@ type candidate =
 
 type sim = {
   rng : Rng.t;
-  statuses : status Txn_id.Tbl.t;
   root : status;
+  mutable tops : status option array;
+      (* slot [i] holds top [T0.i] from its request to its report;
+         afterwards its fate is the root interpreter's summary *)
   live : status Bag.t;  (* requested, not yet reported *)
   live_interps : status Bag.t;  (* created, commit not yet requested *)
   pending : inform Bag.t;  (* informs queued, not yet delivered *)
@@ -175,9 +179,6 @@ type sim = {
       (* admission: a [C_commit t] fires only if the gate allows it;
          a refusal aborts [t] instead (the permissive controller may
          abort anything requested and incomplete) *)
-  blocked_now : (int, unit Txn_id.Tbl.t) Hashtbl.t;
-      (* accesses whose latest try_respond refused; maintained only on
-         event-emitting runs (entries validated against status at use) *)
   mutable buf : Action.t list;  (* trace, newest first *)
   mutable n_actions : int;
   mutable round_no : int;
@@ -188,6 +189,8 @@ type sim = {
   mutable deadlock_cycles : int;
   mutable injected_aborts : int;
   mutable orphan_aborts : int;
+  mutable committed_top : int;
+  mutable aborted_top : int;
 }
 
 type t = sim
@@ -210,6 +213,11 @@ let new_status txn ~parent ~obj ~program =
   {
     txn;
     parent;
+    top =
+      (match parent with
+      | None -> -1
+      | Some p when p.top < 0 -> Option.get (Txn_id.last_index txn)
+      | Some p -> p.top);
     obj;
     program;
     interp = None;
@@ -226,15 +234,34 @@ let new_status txn ~parent ~obj ~program =
     last_blockers = [];
   }
 
-let add_status sim ~parent t program =
+let add_status sim ~parent i program =
   let obj =
     match program with
     | Program.Access (x, _) -> Some (obj_of sim x)
     | Program.Node _ -> None
   in
+  let t = Txn_id.child parent.txn i in
   let s = new_status t ~parent:(Some parent) ~obj ~program:(Some program) in
-  Txn_id.Tbl.replace sim.statuses t s;
-  Bag.add sim.live s
+  if parent == sim.root then begin
+    if i >= Array.length sim.tops then begin
+      let tops = Array.make (max 16 (2 * i)) None in
+      Array.blit sim.tops 0 tops 0 (Array.length sim.tops);
+      sim.tops <- tops
+    end;
+    sim.tops.(i) <- Some s
+  end;
+  Bag.add sim.live s;
+  t
+
+(* Top-level completions are tallied before their action is emitted, so
+   an [on_action] hook reading the tally sees this completion counted. *)
+let count_top sim s outcome =
+  match (s.parent, outcome) with
+  | Some p, Committed when p == sim.root ->
+      sim.committed_top <- sim.committed_top + 1
+  | Some p, Aborted when p == sim.root ->
+      sim.aborted_top <- sim.aborted_top + 1
+  | _ -> ()
 
 (* An object moved (a create, a successful respond or an inform): the
    accesses it refused may now be answered differently, so they become
@@ -295,6 +322,7 @@ let queue_informs sim s =
 
 let do_abort sim ~cause s =
   s.completed <- Aborted;
+  count_top sim s Aborted;
   emit sim (Action.Abort s.txn);
   (if sim.obs_on then begin
      record_abort_cause sim s cause;
@@ -306,81 +334,42 @@ let do_abort sim ~cause s =
    end);
   queue_informs sim s
 
-(* Blocked accesses, indexed by their top-level transaction so the
-   wait-for scan below only visits candidates that can possibly lie
-   inside a holder's subtree. *)
-let top_component t =
-  match Txn_id.path t with [] -> -1 | i :: _ -> i
+(* [b] lies inside the subtree of one of [holders]: while [b] is stuck
+   that subtree cannot finish, so cannot release what it holds, and
+   whoever those holders block waits for [b]. *)
+let waits_for holders b =
+  List.exists (fun (h, _) -> Txn_id.is_descendant b.txn h) holders
 
-let blocked_add sim t =
-  let top = top_component t in
-  let tbl =
-    match Hashtbl.find_opt sim.blocked_now top with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Txn_id.Tbl.create 8 in
-        Hashtbl.add sim.blocked_now top tbl;
-        tbl
+(* Wait-for accounting (event-emitting runs only): [s] was refused
+   because of the non-ancestral [holders].  Every other live access [b]
+   whose latest attempt was refused, and which is still incomplete, is
+   one [s] now waits for if it lies inside a holder's subtree; if [b]'s
+   own latest blockers put [s]'s subtree in the way as well, the pair
+   is a near-cycle — the shape {!break_deadlock} would abort. *)
+let record_waitfor sim s holders =
+  (* A descendant of a holder shares its top-level ancestor: comparing
+     top indices first keeps the path test off the rest of the walk. *)
+  let tops =
+    List.map
+      (fun (h, _) -> match Txn_id.path h with i :: _ -> i | [] -> -1)
+      holders
   in
-  Txn_id.Tbl.replace tbl t ()
-
-let blocked_remove sim t =
-  match Hashtbl.find_opt sim.blocked_now (top_component t) with
-  | Some tbl -> Txn_id.Tbl.remove tbl t
-  | None -> ()
-
-(* Wait-for accounting (event-emitting runs only): [t] was refused
-   because of the non-ancestral [holders].  Every other currently
-   blocked access [b] inside a holder's subtree is one [t] now waits
-   for (that subtree cannot release its locks while [b] is stuck); if
-   [b]'s own latest blockers put [t]'s subtree in the way as well, the
-   pair is a near-cycle — the shape {!break_deadlock} would abort. *)
-let record_waitfor sim t holders =
-  let seen_tops = ref [] in
-  List.iter
-    (fun (h0, _) ->
-      let top = top_component h0 in
-      if not (List.mem top !seen_tops) then begin
-        seen_tops := top :: !seen_tops;
-        match Hashtbl.find_opt sim.blocked_now top with
-        | None -> ()
-        | Some tbl ->
-            (* Entries gone stale without an observed unblock (the
-               transaction aborted, or committed straight from a retry)
-               are dropped as they are met, keeping the index bounded
-               by the currently blocked set. *)
-            let stale = ref [] in
-            Txn_id.Tbl.iter
-              (fun b () ->
-                if not (Txn_id.equal t b) then
-                  match Txn_id.Tbl.find_opt sim.statuses b with
-                  | Some sb
-                    when sb.completed = No && sb.commit_value = None
-                         && sb.blocked_streak > 0 ->
-                      if
-                        List.exists
-                          (fun (h, _) -> Txn_id.is_descendant b h)
-                          holders
-                      then begin
-                        Metrics.incr sim.obs.c_wf_edges;
-                        if
-                          List.exists
-                            (fun (h', _) -> Txn_id.is_descendant t h')
-                            sb.last_blockers
-                        then Metrics.incr sim.obs.c_wf_near
-                      end
-                  | Some _ | None -> stale := b :: !stale)
-              tbl;
-            List.iter (Txn_id.Tbl.remove tbl) !stale
+  Bag.iter
+    (fun b ->
+      if
+        b != s && b.blocked_streak > 0 && List.mem b.top tops
+        && b.completed = No && b.commit_value = None && waits_for holders b
+      then begin
+        Metrics.incr sim.obs.c_wf_edges;
+        if waits_for b.last_blockers s then Metrics.incr sim.obs.c_wf_near
       end)
-    holders
+    sim.live
 
 (* Fire a candidate; returns whether an action was emitted. *)
 let fire sim c =
   match c with
   | C_interp_output (s, Txn_interp.Request_child (i, prog)) ->
-      let child = Txn_id.child s.txn i in
-      add_status sim ~parent:s child prog;
+      let child = add_status sim ~parent:s i prog in
       Txn_interp.note_child_requested (Option.get s.interp) i;
       emit sim (Action.Request_create child);
       true
@@ -419,11 +408,7 @@ let fire sim c =
             if sim.obs_on then begin
               Metrics.observe sim.obs.h_blocked_streak s.blocked_streak;
               Metrics.observe sim.obs.h_wait_ticks
-                (sim.obs_base + sim.n_actions - s.blocked_since);
-              if sim.obs_emit then begin
-                blocked_remove sim t;
-                s.last_blockers <- []
-              end
+                (sim.obs_base + sim.n_actions - s.blocked_since)
             end;
             s.blocked_streak <- 0
           end;
@@ -454,8 +439,7 @@ let fire sim c =
              if sim.obs_emit then begin
                let holders = o.gobj.waiting_on t in
                s.last_blockers <- holders;
-               blocked_add sim t;
-               record_waitfor sim t holders;
+               record_waitfor sim s holders;
                Obs.instant ~txn:t ~obj:x ~ts sim.obs.o "blocked";
                Obs.wait ~ts sim.obs.o ~txn:t ~obj:x
                  ~holders:
@@ -482,6 +466,7 @@ let fire sim c =
       true
   | C_commit s ->
       s.completed <- Committed;
+      count_top sim s Committed;
       emit sim (Action.Commit s.txn);
       if sim.obs_on then begin
         Metrics.observe sim.obs.h_commit_rounds
@@ -495,8 +480,10 @@ let fire sim c =
   | C_report s ->
       let t = s.txn in
       Bag.remove sim.live s;
-      let interp = Option.get (Option.get s.parent).interp in
+      let parent = Option.get s.parent in
+      let interp = Option.get parent.interp in
       let index = Option.get (Txn_id.last_index t) in
+      if parent == sim.root then sim.tops.(index) <- None;
       (match s.completed with
       | Committed ->
           let v = Option.get s.commit_value in
@@ -556,13 +543,9 @@ let break_deadlock sim =
   match blocked with
   | [] -> false
   | _ ->
-      let waits_for a =
-        let blockers = (Option.get a.obj).gobj.waiting_on a.txn in
-        List.filter
-          (fun b ->
-            a != b
-            && List.exists (fun (u, _) -> Txn_id.is_descendant b.txn u) blockers)
-          blocked
+      let waits_for_blocked a =
+        let holders = (Option.get a.obj).gobj.waiting_on a.txn in
+        List.filter (fun b -> a != b && waits_for holders b) blocked
       in
       let victim =
         (* DFS for a node on a cycle. *)
@@ -573,7 +556,7 @@ let break_deadlock sim =
             if Txn_id.Tbl.mem visiting a.txn then found := Some a
             else begin
               Txn_id.Tbl.add visiting a.txn ();
-              List.iter dfs (waits_for a);
+              List.iter dfs (waits_for_blocked a);
               Txn_id.Tbl.remove visiting a.txn;
               Txn_id.Tbl.replace done_ a.txn ()
             end
@@ -614,8 +597,8 @@ let make ?(policy = Random_step) ?(inform_policy = Eager) ?(abort_prob = 0.0)
   let sim =
     {
       rng = Rng.create seed;
-      statuses = Txn_id.Tbl.create 128;
       root;
+      tops = [||];
       live = Bag.create (fun s -> s.live_slot) (fun s i -> s.live_slot <- i);
       live_interps =
         Bag.create (fun s -> s.interp_slot) (fun s i -> s.interp_slot <- i);
@@ -632,7 +615,6 @@ let make ?(policy = Random_step) ?(inform_policy = Eager) ?(abort_prob = 0.0)
       max_steps;
       on_action;
       commit_gate;
-      blocked_now = Hashtbl.create 16;
       buf = [];
       n_actions = 0;
       round_no = 0;
@@ -643,9 +625,10 @@ let make ?(policy = Random_step) ?(inform_policy = Eager) ?(abort_prob = 0.0)
       deadlock_cycles = 0;
       injected_aborts = 0;
       orphan_aborts = 0;
+      committed_top = 0;
+      aborted_top = 0;
     }
   in
-  Txn_id.Tbl.replace sim.statuses Txn_id.root root;
   Bag.add sim.live_interps root;
   sim
 
@@ -710,9 +693,21 @@ let step sim =
     end
   end
 
+let top_index t =
+  match Txn_id.last_index t with
+  | Some i when Txn_id.depth t = 1 -> i
+  | _ ->
+      invalid_arg
+        ("Runtime: " ^ Txn_id.to_string t ^ " is not a top-level name")
+
+(* The slot of a top between its request and its report. *)
+let top_slot sim t =
+  let i = top_index t in
+  if i < Array.length sim.tops then sim.tops.(i) else None
+
 let abort_txn sim t =
-  match Txn_id.Tbl.find_opt sim.statuses t with
-  | Some s when Option.is_some s.parent && s.completed = No ->
+  match top_slot sim t with
+  | Some s when s.completed = No ->
       sim.orphan_aborts <- sim.orphan_aborts + 1;
       if sim.obs_emit then
         Obs.instant ~txn:t
@@ -723,17 +718,25 @@ let abort_txn sim t =
   | Some _ | None -> false
 
 let top_state sim t =
-  match Txn_id.Tbl.find_opt sim.statuses t with
-  | None -> `Unknown
+  match top_slot sim t with
   | Some s -> (
       match s.completed with
       | Committed -> `Committed (Option.get s.commit_value)
       | Aborted -> `Aborted
       | No -> `Running)
+  | None -> (
+      (* Reported (the root interpreter holds its summary) or not yet
+         requested. *)
+      match Txn_interp.summary (Option.get sim.root.interp) (top_index t) with
+      | Some (Value.Pair (Value.Bool true, v)) -> `Committed v
+      | Some _ -> `Aborted
+      | None -> `Unknown)
 
 let actions_so_far sim = sim.n_actions
 let steps_so_far sim = sim.steps
 let orphan_aborts sim = sim.orphan_aborts
+let committed_top sim = sim.committed_top
+let aborted_top sim = sim.aborted_top
 
 let finish sim =
   (* Counters the simulator already tracks are settled in one batch
@@ -749,15 +752,6 @@ let finish sim =
     Metrics.incr ~by:sim.deadlock_cycles oc.c_dlk_cycles;
     Metrics.incr ~by:sim.injected_aborts oc.c_injected
   end;
-  let committed_top = ref 0 and aborted_top = ref 0 in
-  Txn_id.Tbl.iter
-    (fun t s ->
-      if Txn_id.depth t = 1 then
-        match s.completed with
-        | Committed -> incr committed_top
-        | Aborted -> incr aborted_top
-        | No -> ())
-    sim.statuses;
   {
     trace = Trace.of_list (List.rev sim.buf);
     stats =
@@ -770,8 +764,8 @@ let finish sim =
         injected_aborts = sim.injected_aborts;
         truncated = sim.truncated;
       };
-    committed_top = !committed_top;
-    aborted_top = !aborted_top;
+    committed_top = sim.committed_top;
+    aborted_top = sim.aborted_top;
   }
 
 let run ?policy ?inform_policy ?abort_prob ?top_comb ?max_steps ?obs ~seed

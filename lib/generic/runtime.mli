@@ -19,11 +19,17 @@
        parallel time: the serial scheduler does one action per round,
        so round counts compare concurrency across protocols.}}
 
-    Each step looks only at what can move.  The runtime keeps ready
-    sets, updated on status transitions: the transactions not yet
+    Each step looks only at what can move, and the runtime keeps only
+    what can still move.  Its state is three ready sets, updated on
+    status transitions: the transactions requested and not yet
     reported, the interpreters that have not requested commit, and the
-    informs not yet delivered.  Two restrictions keep those sets small,
-    and every behaviour they allow is still one of the generic system:
+    informs not yet delivered.  There is no index of past transactions:
+    a top-level transaction is reachable through a per-top slot from
+    its [REQUEST_CREATE] to its report, and afterwards only through the
+    summary [T0]'s interpreter keeps of it; a reported transaction
+    whose informs were delivered is unreachable.  Two restrictions
+    keep the ready sets small, and every behaviour they allow is still
+    one of the generic system:
     {ul
     {- A completion of [T] is informed only to the objects of [T]'s own
        subprogram ({!Nt_serial.Program.objects}), not to every object.
@@ -128,18 +134,29 @@ val step : t -> [ `Progress | `Quiescent | `Truncated ]
     [`Truncated]: the step budget is exhausted. *)
 
 val abort_txn : t -> Txn_id.t -> bool
-(** Abort a transaction from outside the scheduler, if the permissive
-    controller currently may (requested and incomplete): emits
-    [ABORT], records it as an orphan abort (the serving-time "client
-    vanished" cause) and queues the informs to its footprint.  Returns
-    [false] if the transaction is unknown, not yet requested, or
-    complete. *)
+(** Abort a top-level transaction from outside the scheduler, if the
+    permissive controller currently may (requested and incomplete):
+    emits [ABORT], records it as an orphan abort (the serving-time
+    "client vanished" cause) and queues the informs to its footprint.
+    Returns [false] if the transaction is unknown, not yet requested,
+    or complete.  Raises [Invalid_argument] for a name that is not a
+    child of [T0]. *)
 
 val top_state :
   t -> Txn_id.t -> [ `Unknown | `Running | `Committed of Value.t | `Aborted ]
-(** The fate of a transaction as far as the controller knows.
-    [`Unknown] also covers a child attached by {!add_top} whose
-    [REQUEST_CREATE] has not fired yet. *)
+(** The fate of a top-level transaction as far as the controller
+    knows: [`Running] from its [REQUEST_CREATE] until its [COMMIT] or
+    [ABORT], then [`Committed v] or [`Aborted] (before and after its
+    report alike).  [`Unknown] covers a child attached by {!add_top}
+    whose [REQUEST_CREATE] has not fired yet, and indices never
+    attached.  Raises [Invalid_argument] for a name that is not a child
+    of [T0]. *)
+
+val committed_top : t -> int
+val aborted_top : t -> int
+(** Top-level transactions committed / aborted so far.  Each is counted
+    before its [COMMIT]/[ABORT] reaches [on_action], so a reading taken
+    inside that hook includes it. *)
 
 val actions_so_far : t -> int
 val steps_so_far : t -> int

@@ -78,6 +78,8 @@ let enabled_outputs t =
       [ Request_commit (Value.List summaries) ]
     else []
 
+let summary t i = if i < t.n_children then t.summaries.(i) else None
+
 let note_child_requested t i =
   assert (not t.requested.(i));
   t.requested.(i) <- true;

@@ -38,6 +38,12 @@ val enabled_outputs : t -> output list
 (** The outputs currently enabled (zero or more child requests, or the
     commit request). *)
 
+val summary : t -> int -> Value.t option
+(** The reported summary of child [i] ([Pair (Bool true, v)] for a
+    commit with value [v], [Pair (Bool false, Unit)] for an abort);
+    [None] until the child reports, and for indices past the last
+    child. *)
+
 val note_child_requested : t -> int -> unit
 val note_child_committed : t -> int -> Value.t -> unit
 val note_child_aborted : t -> int -> unit

@@ -27,63 +27,22 @@ type t = {
   rt : Runtime.t;
   adm : Admission.t;
   doomed : unit Txn_id.Tbl.t;
-  committed_top : int ref;
-  aborted_top : int ref;
-  mutable submitted : int;
   mutable step_calls : int;
   mutable truncated : bool;
   clock : (unit -> float) option;
   times : stage_times Txn_id.Tbl.t;
 }
 
-let subprogram progs n_progs txn =
-  let rec walk prog = function
-    | [] -> Some prog
-    | i :: rest -> (
-        match prog with
-        | Program.Node (_, children) -> (
-            match List.nth_opt children i with
-            | Some p -> walk p rest
-            | None -> None)
-        | Program.Access _ -> None)
-  in
-  match Txn_id.path txn with
-  | [] -> None
-  | i :: rest -> if i < !n_progs then walk !progs.(i) rest else None
-
 let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
     ?(admission = true)
     ?(on_top_complete = fun _ _ -> ()) ?(on_action = fun _ -> ())
     ?(extra_gate = fun _ _ -> None) ?clock ~seed objects factory =
-  let dtypes = Obj_id.Tbl.create 16 in
-  List.iter (fun (x, dt) -> Obj_id.Tbl.replace dtypes x dt) objects;
   let progs = ref [||] and n_progs = ref 0 in
-  let sub = subprogram progs n_progs in
-  let classify txn =
-    match sub txn with
-    | Some (Program.Access (x, _)) -> System_type.Access x
-    | _ -> System_type.Inner
-  in
-  let dtype_of x =
-    match Obj_id.Tbl.find_opt dtypes x with
-    | Some dt -> dt
-    | None -> invalid_arg ("Engine: undeclared object " ^ Obj_id.name x)
-  in
-  let op_of txn =
-    match sub txn with
-    | Some (Program.Access (_, op)) -> op
-    | _ -> invalid_arg ("Engine: " ^ Txn_id.to_string txn ^ " is not an access")
-  in
   let schema =
-    {
-      Schema.sys = System_type.make classify;
-      objects = List.map fst objects;
-      dtype_of;
-      op_of;
-    }
+    Program.schema_of_tops ~objects (fun i ->
+        if i < !n_progs then Some !progs.(i) else None)
   in
   let adm = Admission.create ~obs ~gating:admission schema in
-  let committed_top = ref 0 and aborted_top = ref 0 in
   let times = Txn_id.Tbl.create 64 in
   (* Stage bookkeeping is entirely clock-gated: with no [clock] the
      engine does exactly what it did before (one [match] per action). *)
@@ -101,15 +60,10 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
     (match a with
     | Action.Create u when Txn_id.depth u = 1 ->
         stamp u (fun st now -> st.st_start <- now)
-    | Action.Commit u when Txn_id.depth u = 1 ->
+    | (Action.Commit u | Action.Abort u) when Txn_id.depth u = 1 ->
         stamp u (fun st now -> st.st_complete <- now);
-        incr committed_top;
-        on_top_complete u `Committed;
-        Txn_id.Tbl.remove times u
-    | Action.Abort u when Txn_id.depth u = 1 ->
-        stamp u (fun st now -> st.st_complete <- now);
-        incr aborted_top;
-        on_top_complete u `Aborted;
+        on_top_complete u
+          (match a with Action.Commit _ -> `Committed | _ -> `Aborted);
         Txn_id.Tbl.remove times u
     | _ -> ());
     Admission.on_action adm a
@@ -153,9 +107,6 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
     rt;
     adm;
     doomed = Txn_id.Tbl.create 16;
-    committed_top;
-    aborted_top;
-    submitted = 0;
     step_calls = 0;
     truncated = false;
     clock;
@@ -206,7 +157,6 @@ let submit t prog =
       t.n_progs := i + 1;
       let txn = Runtime.add_top t.rt prog in
       assert (Txn_id.last_index txn = Some i);
-      t.submitted <- t.submitted + 1;
       (match t.clock with
       | Some c ->
           let now = c () in
@@ -268,9 +218,10 @@ let kill t txn =
     match Runtime.top_state t.rt txn with
     | `Committed _ | `Aborted -> `Already_complete
     | `Unknown | `Running ->
-        (* Submitted but not yet abortable (REQUEST_CREATE pending, or a
-           commit already requested and in flight); doom it so the sweep
-           after each step retires it at the first legal moment. *)
+        (* Submitted but its REQUEST_CREATE has not fired yet (once it
+           has, the controller may abort it until it completes); doom it
+           so the sweep after each step retires it at the first legal
+           moment. *)
         Txn_id.Tbl.replace t.doomed txn ();
         `Doomed
 
@@ -289,10 +240,10 @@ let forest t = List.init !(t.n_progs) (fun i -> !(t.progs).(i))
 let schema t = t.schema
 let objects t = t.objects
 let admission t = t.adm
-let submitted t = t.submitted
-let committed_top t = !(t.committed_top)
-let aborted_top t = !(t.aborted_top)
-let live_top t = t.submitted - !(t.committed_top) - !(t.aborted_top)
+let submitted t = !(t.n_progs)
+let committed_top t = Runtime.committed_top t.rt
+let aborted_top t = Runtime.aborted_top t.rt
+let live_top t = submitted t - committed_top t - aborted_top t
 let vetoed t = Admission.vetoed t.adm
 let alarms t = Admission.alarms t.adm
 let cycle_alarms t = Admission.cycle_alarms t.adm
@@ -303,3 +254,75 @@ let steps_so_far t = Runtime.steps_so_far t.rt
 let step_calls t = t.step_calls
 let orphan_aborts t = Runtime.orphan_aborts t.rt
 let stage_times t txn = Txn_id.Tbl.find_opt t.times txn
+
+type stats = {
+  sh_submitted : int;
+  sh_committed : int;
+  sh_aborted : int;
+  sh_vetoed : int;
+  sh_live : int;
+  sh_actions : int;
+  sh_steps : int;
+  sh_orphans : int;
+  sh_doomed : int;
+  sh_alarms : int;
+  sh_cycle_alarms : int;
+  sh_sg_nodes : int;
+  sh_sg_edges : int;
+  sh_sg_reorders : int;
+}
+
+let stats t =
+  let g = Nt_sg.Monitor.graph (Admission.monitor t.adm) in
+  {
+    sh_submitted = submitted t;
+    sh_committed = committed_top t;
+    sh_aborted = aborted_top t;
+    sh_vetoed = vetoed t;
+    sh_live = live_top t;
+    sh_actions = actions_so_far t;
+    sh_steps = steps_so_far t;
+    sh_orphans = orphan_aborts t;
+    sh_doomed = doomed_count t;
+    sh_alarms = alarms t;
+    sh_cycle_alarms = cycle_alarms t;
+    sh_sg_nodes = Nt_sg.Graph.n_nodes g;
+    sh_sg_edges = Nt_sg.Graph.n_edges g;
+    sh_sg_reorders = Nt_sg.Graph.reorders g;
+  }
+
+let sum_stats =
+  List.fold_left
+    (fun a b ->
+      {
+        sh_submitted = a.sh_submitted + b.sh_submitted;
+        sh_committed = a.sh_committed + b.sh_committed;
+        sh_aborted = a.sh_aborted + b.sh_aborted;
+        sh_vetoed = a.sh_vetoed + b.sh_vetoed;
+        sh_live = a.sh_live + b.sh_live;
+        sh_actions = a.sh_actions + b.sh_actions;
+        sh_steps = a.sh_steps + b.sh_steps;
+        sh_orphans = a.sh_orphans + b.sh_orphans;
+        sh_doomed = a.sh_doomed + b.sh_doomed;
+        sh_alarms = a.sh_alarms + b.sh_alarms;
+        sh_cycle_alarms = a.sh_cycle_alarms + b.sh_cycle_alarms;
+        sh_sg_nodes = a.sh_sg_nodes + b.sh_sg_nodes;
+        sh_sg_edges = a.sh_sg_edges + b.sh_sg_edges;
+        sh_sg_reorders = a.sh_sg_reorders + b.sh_sg_reorders;
+      })
+    {
+      sh_submitted = 0;
+      sh_committed = 0;
+      sh_aborted = 0;
+      sh_vetoed = 0;
+      sh_live = 0;
+      sh_actions = 0;
+      sh_steps = 0;
+      sh_orphans = 0;
+      sh_doomed = 0;
+      sh_alarms = 0;
+      sh_cycle_alarms = 0;
+      sh_sg_nodes = 0;
+      sh_sg_edges = 0;
+      sh_sg_reorders = 0;
+    }

@@ -8,9 +8,10 @@
     a serialization-graph cycle.
 
     The engine owns a {e growable} top-level forest, so its schema is
-    a closure over the submission vector — names classify by the
-    program node they denote at lookup time, exactly as
-    {!Nt_serial.Program.schema_of} classifies a fixed forest.  The
+    {!Nt_serial.Program.schema_of_tops} over the submission vector —
+    names classify by the program node they denote at lookup time,
+    by the same rule {!Nt_serial.Program.schema_of} applies to a fixed
+    forest.  The
     engine applies no replication transform: callers serving
     replicated objects submit physically transformed programs (see
     [Nt_check.Check.record]). *)
@@ -116,8 +117,11 @@ val drain : ?burst:int -> t -> [ `Progress | `Quiescent | `Truncated ]
 val kill :
   t -> Txn_id.t -> [ `Aborted | `Doomed | `Already_complete | `Unknown ]
 (** Orphan a submission (its client vanished): abort it now if the
-    controller may, else mark it doomed — the sweep after each
-    subsequent {!step} aborts it at the first legal moment, so no
+    controller may — any submission whose [REQUEST_CREATE] has fired
+    and that has not yet committed or aborted, a requested commit
+    included ([`Aborted]).  A submission whose [REQUEST_CREATE] has
+    not fired yet is marked doomed instead ([`Doomed]): the sweep after
+    each subsequent {!step} aborts it at the first legal moment, so no
     locks outlive the disconnect. *)
 
 val state : t -> Txn_id.t -> state
@@ -136,6 +140,9 @@ val admission : t -> Admission.t
 val submitted : t -> int
 val committed_top : t -> int
 val aborted_top : t -> int
+(** The runtime's top-level tallies ({!Nt_generic.Runtime.committed_top});
+    a reading inside [on_top_complete] already counts that
+    completion. *)
 
 val live_top : t -> int
 (** Occupancy: submissions not yet committed or aborted. *)
@@ -165,3 +172,34 @@ val stage_times : t -> Txn_id.t -> stage_times option
     transaction completes — the entry is retired when the top-level
     [Commit]/[Abort] returns, so read it inside [on_top_complete]
     (where [st_complete] is already stamped) or before completion. *)
+
+(** {2 Counters} *)
+
+type stats = {
+  sh_submitted : int;
+  sh_committed : int;
+  sh_aborted : int;
+  sh_vetoed : int;
+  sh_live : int;
+  sh_actions : int;
+  sh_steps : int;
+  sh_orphans : int;
+  sh_doomed : int;
+  sh_alarms : int;
+  sh_cycle_alarms : int;
+  sh_sg_nodes : int;
+  sh_sg_edges : int;
+  sh_sg_reorders : int;
+}
+(** One reading of the getters above plus the monitor graph's size:
+    the counters a telemetry frame differences, a shard publishes to
+    other threads and a server prints.  (The [sh_] prefix names a
+    shard's row; a single engine is one shard.) *)
+
+val stats : t -> stats
+(** Read every counter; call from the engine's owning thread. *)
+
+val sum_stats : stats list -> stats
+(** Field-wise sum; [sum_stats []] is all zeros.  Exact for disjoint
+    shard monitors: shard SGs partition the tops, cross-shard edges
+    live in the spine. *)

@@ -1,6 +1,5 @@
 open Nt_base
 open Nt_obs
-open Nt_sg
 
 module Hub = struct
   type t = {
@@ -115,75 +114,8 @@ module Hub = struct
            if na <> nb then compare nb na else compare a b)
     |> List.filteri (fun i _ -> i < top_k)
 
-  (* The cumulative engine readings a frame differences against its
-     previous cut.  A single engine's come from [counts_of_engine]; a
-     shard cluster sums per-shard snapshots with
-     [merge] — the hub itself never touches an engine, so it cannot
-     race a worker domain. *)
-  type counts = {
-    n_submitted : int;
-    n_committed : int;
-    n_aborted : int;
-    n_vetoed : int;
-    n_orphans : int;
-    n_live : int;
-    n_doomed : int;
-    n_sg_nodes : int;
-    n_sg_edges : int;
-    n_sg_reorders : int;
-  }
-
-  let zero_counts =
-    {
-      n_submitted = 0;
-      n_committed = 0;
-      n_aborted = 0;
-      n_vetoed = 0;
-      n_orphans = 0;
-      n_live = 0;
-      n_doomed = 0;
-      n_sg_nodes = 0;
-      n_sg_edges = 0;
-      n_sg_reorders = 0;
-    }
-
-  let counts_of_engine eng =
-    let graph = Monitor.graph (Admission.monitor (Engine.admission eng)) in
-    {
-      n_submitted = Engine.submitted eng;
-      n_committed = Engine.committed_top eng;
-      n_aborted = Engine.aborted_top eng;
-      n_vetoed = Engine.vetoed eng;
-      n_orphans = Engine.orphan_aborts eng;
-      n_live = Engine.live_top eng;
-      n_doomed = Engine.doomed_count eng;
-      n_sg_nodes = Graph.n_nodes graph;
-      n_sg_edges = Graph.n_edges graph;
-      n_sg_reorders = Graph.reorders graph;
-    }
-
-  (* Summing the graph sizes is exact for a sharded monitor: shard SGs
-     partition the top-level transactions, so their node and edge sets
-     are disjoint (cross-shard edges live in the spine, not in any
-     shard's graph). *)
-  let merge cs =
-    List.fold_left
-      (fun a c ->
-        {
-          n_submitted = a.n_submitted + c.n_submitted;
-          n_committed = a.n_committed + c.n_committed;
-          n_aborted = a.n_aborted + c.n_aborted;
-          n_vetoed = a.n_vetoed + c.n_vetoed;
-          n_orphans = a.n_orphans + c.n_orphans;
-          n_live = a.n_live + c.n_live;
-          n_doomed = a.n_doomed + c.n_doomed;
-          n_sg_nodes = a.n_sg_nodes + c.n_sg_nodes;
-          n_sg_edges = a.n_sg_edges + c.n_sg_edges;
-          n_sg_reorders = a.n_sg_reorders + c.n_sg_reorders;
-        })
-      zero_counts cs
-
-  let peek ?(per_shard = []) t ~counts:c ~alarms ~conns ~subscribers ~now =
+  let peek ?(per_shard = []) t ~counts:(c : Engine.stats) ~alarms ~conns
+      ~subscribers ~now =
     t.seq <- t.seq + 1;
     let delta = Metrics.diff ~cur:t.registry ~prev:t.prev in
     let w_requests =
@@ -194,25 +126,25 @@ module Hub = struct
       t_mono = now;
       interval_s = t.interval_s;
       w_requests;
-      w_submitted = c.n_submitted - t.p_submitted;
-      w_committed = c.n_committed - t.p_committed;
-      w_aborted = c.n_aborted - t.p_aborted;
-      w_vetoed = c.n_vetoed - t.p_vetoed;
-      w_orphans = c.n_orphans - t.p_orphans;
+      w_submitted = c.sh_submitted - t.p_submitted;
+      w_committed = c.sh_committed - t.p_committed;
+      w_aborted = c.sh_aborted - t.p_aborted;
+      w_vetoed = c.sh_vetoed - t.p_vetoed;
+      w_orphans = c.sh_orphans - t.p_orphans;
       w_alarms = alarms - t.p_alarms;
       w_latency = Wire.hist_of_metrics t.latency_w;
-      o_live = c.n_live;
-      o_doomed = c.n_doomed;
+      o_live = c.sh_live;
+      o_doomed = c.sh_doomed;
       o_conns = conns;
       o_subscribers = subscribers;
-      c_submitted = c.n_submitted;
-      c_committed = c.n_committed;
-      c_aborted = c.n_aborted;
-      c_vetoed = c.n_vetoed;
+      c_submitted = c.sh_submitted;
+      c_committed = c.sh_committed;
+      c_aborted = c.sh_aborted;
+      c_vetoed = c.sh_vetoed;
       c_alarms = alarms;
-      sg_nodes = c.n_sg_nodes;
-      sg_edges = c.n_sg_edges;
-      sg_reorders = c.n_sg_reorders;
+      sg_nodes = c.sh_sg_nodes;
+      sg_edges = c.sh_sg_edges;
+      sg_reorders = c.sh_sg_reorders;
       hot = hot_top delta;
       stages =
         List.rev_map
@@ -228,13 +160,14 @@ module Hub = struct
       per_shard;
     }
 
-  let cut ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now =
+  let cut ?per_shard t ~counts:(c : Engine.stats) ~alarms ~conns ~subscribers
+      ~now =
     let frame = peek ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now in
-    t.p_submitted <- c.n_submitted;
-    t.p_committed <- c.n_committed;
-    t.p_aborted <- c.n_aborted;
-    t.p_vetoed <- c.n_vetoed;
-    t.p_orphans <- c.n_orphans;
+    t.p_submitted <- c.sh_submitted;
+    t.p_committed <- c.sh_committed;
+    t.p_aborted <- c.sh_aborted;
+    t.p_vetoed <- c.sh_vetoed;
+    t.p_orphans <- c.sh_orphans;
     t.p_alarms <- alarms;
     t.prev <- Metrics.copy t.registry;
     Metrics.set t.gc_pct_g frame.Wire.gc_pct;

@@ -64,37 +64,16 @@ module Hub : sig
   (** {2 Frames}
 
       A frame differences cumulative engine readings against the
-      previous {!cut}.  The caller reads them into a [counts] value: a
-      single engine with {!counts_of_engine}, a shard cluster by
-      summing per-shard snapshots with {!merge} — above one shard each
+      previous {!cut}.  The caller reads them into an {!Engine.stats}:
+      a single engine's {!Engine.stats}, a shard cluster's per-shard
+      snapshots summed with {!Engine.sum_stats} — above one shard each
       engine lives on its own domain, so the hub never touches an
       engine itself. *)
-
-  type counts = {
-    n_submitted : int;
-    n_committed : int;
-    n_aborted : int;
-    n_vetoed : int;
-    n_orphans : int;
-    n_live : int;
-    n_doomed : int;
-    n_sg_nodes : int;
-    n_sg_edges : int;
-    n_sg_reorders : int;
-  }
-
-  val counts_of_engine : Engine.t -> counts
-  (** One engine's readings; must be called from the engine's owning
-      thread. *)
-
-  val merge : counts list -> counts
-  (** Field-wise sum.  Exact for disjoint shard monitors: shard SGs
-      partition the tops, cross-shard edges live in the spine. *)
 
   val peek :
     ?per_shard:Wire.shard_row list ->
     t ->
-    counts:counts ->
+    counts:Engine.stats ->
     alarms:int ->
     conns:int ->
     subscribers:int ->
@@ -109,7 +88,7 @@ module Hub : sig
   val cut :
     ?per_shard:Wire.shard_row list ->
     t ->
-    counts:counts ->
+    counts:Engine.stats ->
     alarms:int ->
     conns:int ->
     subscribers:int ->

@@ -28,8 +28,8 @@ val emitting : t -> bool
 (** [enabled t] and the sink is not {!Sink.null}.  Hot paths that must
     build an {!Event.t} (or box optional arguments for {!instant})
     check this first so a metrics-only recorder allocates nothing; the
-    generic runtime's blocked-access bookkeeping (holder lists,
-    wait-for index) and the SG monitor's edge-witness assembly are
+    generic runtime's blocked-access bookkeeping (holder lists and the
+    wait-for counters) and the SG monitor's edge-witness assembly are
     maintained exactly when this holds. *)
 
 val metrics : t -> Metrics.t

@@ -39,6 +39,17 @@ val schema_of : objects:(Obj_id.t * Datatype.t) list -> t list -> Schema.t
     Raises [Invalid_argument] if a program accesses an undeclared
     object. *)
 
+val schema_of_tops :
+  objects:(Obj_id.t * Datatype.t) list -> (int -> t option) -> Schema.t
+(** The same rule over a forest given by its top-level lookup: [tops i]
+    is the [i]-th top-level program, [None] past the last one.  Names
+    classify by the node they denote at lookup time, so a forest that
+    grows behind [tops] (an open-loop engine's submissions) is
+    classified as {!schema_of} would classify its current contents.
+    Nothing is validated up front: [dtype_of] raises
+    [Invalid_argument] on an undeclared object, [op_of] on a name that
+    is not an access. *)
+
 val size : t -> int
 (** Total number of transaction names in the program (including
     itself). *)

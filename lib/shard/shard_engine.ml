@@ -6,7 +6,7 @@ type outcome =
   | Done_committed of Value.t
   | Done_aborted of Admission.veto option
 
-type stats = {
+type stats = Engine.stats = {
   sh_submitted : int;
   sh_committed : int;
   sh_aborted : int;
@@ -22,24 +22,6 @@ type stats = {
   sh_sg_edges : int;
   sh_sg_reorders : int;
 }
-
-let zero_stats =
-  {
-    sh_submitted = 0;
-    sh_committed = 0;
-    sh_aborted = 0;
-    sh_vetoed = 0;
-    sh_live = 0;
-    sh_actions = 0;
-    sh_steps = 0;
-    sh_orphans = 0;
-    sh_doomed = 0;
-    sh_alarms = 0;
-    sh_cycle_alarms = 0;
-    sh_sg_nodes = 0;
-    sh_sg_edges = 0;
-    sh_sg_reorders = 0;
-  }
 
 type t = {
   shard : int;
@@ -185,7 +167,7 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
       by_prefix = Hashtbl.create 64;
       buf = [];
       on_report = (fun ~g:_ ~piece:_ ~seq:_ _ -> ());
-      stats_cell = zero_stats;
+      stats_cell = Engine.sum_stats [];
     }
   in
   let create =
@@ -234,25 +216,6 @@ let finish t = Engine.finish (the_engine t)
 let buffer t = t.buf
 let engine t = the_engine t
 
-let snapshot t =
-  let e = the_engine t in
-  let g = Monitor.graph (Admission.monitor (Engine.admission e)) in
-  {
-    sh_submitted = Engine.submitted e;
-    sh_committed = Engine.committed_top e;
-    sh_aborted = Engine.aborted_top e;
-    sh_vetoed = Engine.vetoed e;
-    sh_live = Engine.live_top e;
-    sh_actions = Engine.actions_so_far e;
-    sh_steps = Engine.steps_so_far e;
-    sh_orphans = Engine.orphan_aborts e;
-    sh_doomed = Engine.doomed_count e;
-    sh_alarms = Engine.alarms e;
-    sh_cycle_alarms = Engine.cycle_alarms e;
-    sh_sg_nodes = Graph.n_nodes g;
-    sh_sg_edges = Graph.n_edges g;
-    sh_sg_reorders = Graph.reorders g;
-  }
-
+let snapshot t = Engine.stats (the_engine t)
 let publish t = t.stats_cell <- snapshot t
 let published t = t.stats_cell

@@ -50,7 +50,7 @@ type outcome =
   | Done_committed of Value.t
   | Done_aborted of Admission.veto option
 
-type stats = {
+type stats = Engine.stats = {
   sh_submitted : int;
   sh_committed : int;
   sh_aborted : int;
@@ -123,4 +123,5 @@ val published : t -> stats
     {!publish}). *)
 
 val snapshot : t -> stats
-(** Compute the counters directly — only from the owning thread. *)
+(** {!Nt_net.Engine.stats} of the shard's engine — only from the owning
+    thread. *)

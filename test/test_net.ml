@@ -445,7 +445,7 @@ let t_hub_frames () =
   let cut () =
     frames :=
       Telemetry.Hub.cut hub
-        ~counts:(Telemetry.Hub.counts_of_engine eng)
+        ~counts:(Engine.stats eng)
         ~alarms:0 ~conns:1 ~subscribers:1 ~now:0.0
       :: !frames
   in
@@ -601,6 +601,154 @@ let t_orphan_before_first_op () =
       | _ -> Alcotest.fail "object should be free after orphan cleanup");
       check_int "no alarms" 0 (Engine.alarms eng))
     (List.init 8 (fun i -> i + 1))
+
+(* The runtime keeps a top-level transaction only in a per-top slot
+   from its REQUEST_CREATE to its report, and in T0's summary after.
+   Whatever the policy, inform policy, kills and injected aborts,
+   [Engine.state] must agree at every step with the trace so far:
+   Pending before REQUEST_CREATE, Running until COMMIT/ABORT (a
+   requested commit included), then Committed with the requested value
+   or Aborted, before and after the report alike.  [kill] dooms only
+   what is not yet requested, and the top-level tallies match the
+   trace — already inside [on_top_complete]. *)
+(* Per submitted top, absent until its REQUEST_CREATE. *)
+type expected =
+  | Exp_running of Value.t option  (* the requested commit value, if any *)
+  | Exp_done of Value.t option  (* [Some v]: committed with [v], else aborted *)
+
+let t_engine_state_follows_trace () =
+  let cases = ref 0 and dooms = ref 0 and kills = ref 0 in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (policy, inform_policy) ->
+          for i = 0 to 2 do
+            incr cases;
+            let sc =
+              Check.gen_scenario backend (Rng.create ((100 * !cases) + i))
+            in
+            let expect : (int, expected) Hashtbl.t = Hashtbl.create 16 in
+            let committed = ref 0 and aborted = ref 0 in
+            let eng_ref = ref None in
+            let top u =
+              if Txn_id.depth u = 1 then Txn_id.last_index u else None
+            in
+            let on_action a =
+              match a with
+              | Action.Request_create u -> (
+                  match top u with
+                  | Some j -> Hashtbl.replace expect j (Exp_running None)
+                  | None -> ())
+              | Action.Request_commit (u, v) -> (
+                  (* An aborted top's interpreter may still request
+                     commit; that does not revive it. *)
+                  match top u with
+                  | Some j when Hashtbl.find expect j = Exp_running None ->
+                      Hashtbl.replace expect j (Exp_running (Some v))
+                  | _ -> ())
+              | Action.Commit u -> (
+                  match top u with
+                  | Some j ->
+                      incr committed;
+                      (match Hashtbl.find expect j with
+                      | Exp_running (Some v) ->
+                          Hashtbl.replace expect j (Exp_done (Some v))
+                      | _ -> Alcotest.fail "commit without a requested value")
+                  | None -> ())
+              | Action.Abort u -> (
+                  match top u with
+                  | Some j ->
+                      incr aborted;
+                      Hashtbl.replace expect j (Exp_done None)
+                  | None -> ())
+              | _ -> ()
+            in
+            let eng =
+              Engine.create ~policy ~inform_policy ~abort_prob:0.03
+                ~on_action
+                ~on_top_complete:(fun _ _ ->
+                  let eng = Option.get !eng_ref in
+                  check_int "committed tally in hook" !committed
+                    (Engine.committed_top eng);
+                  check_int "aborted tally in hook" !aborted
+                    (Engine.aborted_top eng))
+                ~seed:(7 + i) sc.Check.objects (Check.factory_of backend)
+            in
+            eng_ref := Some eng;
+            let tops = ref [] in
+            let check_states () =
+              List.iter
+                (fun u ->
+                  let j = Option.get (top u) in
+                  let ok =
+                    match (Hashtbl.find_opt expect j, Engine.state eng u) with
+                    | None, Engine.Pending -> true
+                    | Some (Exp_running _), Engine.Running -> true
+                    | Some (Exp_done (Some v)), Engine.Committed v' ->
+                        Value.equal v v'
+                    | Some (Exp_done None), Engine.Aborted _ -> true
+                    | _ -> false
+                  in
+                  if not ok then
+                    Alcotest.failf "%s case %d: state of %s disagrees with \
+                                    the trace"
+                      (Check.backend_name backend) !cases (Txn_id.to_string u))
+                !tops;
+              check_int "committed tally" !committed (Engine.committed_top eng);
+              check_int "aborted tally" !aborted (Engine.aborted_top eng);
+              check_bool "never-submitted name is unknown" true
+                (Engine.state eng (Txn_id.of_path [ List.length !tops + 3 ])
+                = Engine.Unknown)
+            in
+            let krng = Rng.create (50 + i) in
+            let kill_one () =
+              let u = List.nth !tops (Rng.int krng (List.length !tops)) in
+              let before = Hashtbl.find_opt expect (Option.get (top u)) in
+              incr kills;
+              match (Engine.kill eng u, before) with
+              | `Doomed, None -> incr dooms
+              | `Aborted, Some (Exp_running _) -> ()
+              | `Already_complete, Some (Exp_done _) -> ()
+              | _ ->
+                  Alcotest.failf "kill of %s disagrees with the trace"
+                    (Txn_id.to_string u)
+            in
+            List.iter
+              (fun p ->
+                tops := !tops @ [ Result.get_ok (Engine.submit eng p) ];
+                check_states ();
+                for _ = 1 to 4 do
+                  ignore (Engine.step eng);
+                  check_states ();
+                  if Rng.float krng 1.0 < 0.2 then begin
+                    kill_one ();
+                    check_states ()
+                  end
+                done)
+              sc.Check.forest;
+            let rec settle () =
+              match Engine.step eng with
+              | `Progress ->
+                  check_states ();
+                  settle ()
+              | `Quiescent | `Truncated -> check_states ()
+            in
+            settle ();
+            let r = Engine.finish eng in
+            check_int "finish committed" !committed r.Runtime.committed_top;
+            check_int "finish aborted" !aborted r.Runtime.aborted_top;
+            check_int "every top completed" (List.length !tops)
+              (!committed + !aborted)
+          done)
+        [
+          (Runtime.Random_step, Runtime.Eager);
+          (Runtime.Random_step, Runtime.Lazy);
+          (Runtime.Bsp_rounds, Runtime.Eager);
+          (Runtime.Bsp_rounds, Runtime.Lazy);
+        ])
+    Check.[ Moss; Undo; Commlock; Mvts ];
+  check_bool "kills exercised" true (!kills > 20);
+  check_bool "dooms exercised" true (!dooms > 0)
 
 (* ----- admission ----- *)
 
@@ -804,6 +952,8 @@ let suite =
       Alcotest.test_case "engine validation" `Quick t_engine_validation;
       Alcotest.test_case "orphan mid-transaction" `Quick t_orphan_mid_transaction;
       Alcotest.test_case "orphan before first op" `Quick t_orphan_before_first_op;
+      Alcotest.test_case "engine state follows the trace" `Quick
+        t_engine_state_follows_trace;
       Alcotest.test_case "admission: no false negatives" `Quick
         t_admission_no_false_negatives;
       Alcotest.test_case "admission: veto witness" `Quick t_admission_veto_witness;

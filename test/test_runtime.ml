@@ -172,10 +172,40 @@ let t_pure_waits_commit () =
     ];
   check_bool "writers waited" true (!waited > 0)
 
+(* [top_state] and [abort_txn] answer for children of T0 only: the
+   runtime keeps no index of deeper names once they report. *)
+let t_top_level_names_only () =
+  let forest, schema = rw_pair () in
+  let rt = Runtime.make ~seed:3 schema Moss_object.factory forest in
+  let rec settle () =
+    match Runtime.step rt with `Progress -> settle () | _ -> ()
+  in
+  settle ();
+  check_bool "reported top keeps its fate" true
+    (match Runtime.top_state rt (txn [ 0 ]) with
+    | `Committed _ | `Aborted -> true
+    | `Unknown | `Running -> false);
+  check_bool "complete top is not abortable" false
+    (Runtime.abort_txn rt (txn [ 0 ]));
+  check_bool "never attached" true
+    (Runtime.top_state rt (txn [ 9 ]) = `Unknown);
+  List.iter
+    (fun u ->
+      Alcotest.check_raises "top_state: not a top"
+        (Invalid_argument
+           ("Runtime: " ^ Txn_id.to_string u ^ " is not a top-level name"))
+        (fun () -> ignore (Runtime.top_state rt u));
+      Alcotest.check_raises "abort_txn: not a top"
+        (Invalid_argument
+           ("Runtime: " ^ Txn_id.to_string u ^ " is not a top-level name"))
+        (fun () -> ignore (Runtime.abort_txn rt u)))
+    [ Txn_id.root; txn [ 0; 0 ] ]
+
 let suite =
   ( "runtime",
     [
       Alcotest.test_case "quiescence and counts" `Quick t_quiescence_and_counts;
+      Alcotest.test_case "top-level names only" `Quick t_top_level_names_only;
       Alcotest.test_case "determinism by seed" `Quick t_determinism;
       Alcotest.test_case "bsp rounds exploit concurrency" `Quick t_bsp_fewer_rounds;
       Alcotest.test_case "deadlock broken" `Quick t_deadlock_broken;

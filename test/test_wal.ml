@@ -790,6 +790,62 @@ let t_restart_then_snapshot () =
   done;
   check_bool "restarts exercised" true (!runs > 20)
 
+(* Schedule tripwire.  Recovery replays [Steps n] through the
+   runtime's RNG, so a change to any seed's schedule must move
+   [Wal.wal_magic] (see its doc).  The digests pin the full log image,
+   snapshot included, of a few fixed recorded runs per verified
+   backend under the current magic: a schedule change that leaves the
+   magic alone fails here. *)
+let pinned_magic = "NTWAL02\n"
+
+let pinned_schedules =
+  [
+    ("moss", 0, "12e6193e809e14c3a02ab820c0f6c253");
+    ("moss", 1, "e1e64b019c5f80dc5e8f18ed9f7be1b6");
+    ("moss", 2, "2ffddd3f49ede02b8765e224408bdef3");
+    ("commlock", 0, "89e4b6933cf9c06c0f14571042f2fb33");
+    ("commlock", 1, "147d330970c14ea682bf8a1a4062acef");
+    ("commlock", 2, "79da871837a7eee14f222c627b5e7ed6");
+    ("undo", 0, "357bf26afc9d0e4a0a08c88111fac6b2");
+    ("undo", 1, "3c50fee1b7064f9fe078142608f69948");
+    ("undo", 2, "e3fe9b690e84e21bc569201cab66693a");
+    ("mvts", 0, "9cfe761390288a752553c1a83ad5169a");
+    ("mvts", 1, "81d6c59fbf7bcdd55f5a0038c8567909");
+    ("mvts", 2, "47188a07b0822a48f7920a88eb3cb1e6");
+    ("replication", 0, "bc88819fb18c879a0bbd114c92182ce1");
+    ("replication", 1, "b66f84a08d62853ce78ceb74f13c755c");
+    ("replication", 2, "3fab76aa7d2359719d8b5093b5004be5");
+  ]
+
+let t_schedule_tripwire () =
+  if Wal.wal_magic <> pinned_magic then
+    Alcotest.fail
+      "Wal.wal_magic moved: re-pin the schedule digests under the new magic";
+  List.iter
+    (fun backend ->
+      let name = Check.backend_name backend in
+      for i = 0 to 2 do
+        let sc = Check.gen_scenario backend (Rng.create (4200 + i)) in
+        let rc =
+          Check.record ~drop_prob:0.1 ~snapshot_at:6 ~seed:(4300 + i) backend
+            sc
+        in
+        let image =
+          rc.Check.rc_wal ^ Option.value ~default:"" rc.Check.rc_snapshot
+        in
+        let got = Digest.to_hex (Digest.string image) in
+        match
+          List.find_opt (fun (b, j, _) -> b = name && j = i) pinned_schedules
+        with
+        | Some (_, _, want) when want = got -> ()
+        | Some _ ->
+            Alcotest.failf
+              "%s seed %d: schedule changed: bump Wal.wal_magic and re-pin"
+              name i
+        | None -> Alcotest.failf "%s seed %d: no pinned digest" name i
+      done)
+    Check.correct_backends
+
 let suite =
   ( "wal",
     [
@@ -819,4 +875,5 @@ let suite =
       Alcotest.test_case "recovery plan rules" `Quick t_recovery_plan_rules;
       Alcotest.test_case "restart, then snapshot (40 seeds)" `Quick
         t_restart_then_snapshot;
+      Alcotest.test_case "schedule tripwire" `Quick t_schedule_tripwire;
     ] )
