@@ -109,11 +109,13 @@ val scan : magic:string -> string -> (scanned, string) result
 
 val wal_magic : string
 val snap_magic : string
-(** ["NTWAL02\n"] and ["NTSNAP2\n"].  The version moves whenever the
-    runtime's schedule for a seed changes: recovery replays [Steps n]
-    through the runtime's RNG, so an image written under an older
-    scheduler would replay to a different state.  It is refused up
-    front as a foreign file instead of failing the outcome audit. *)
+(** ["NTWAL03\n"] and ["NTSNAP3\n"].  The version moves whenever
+    replay would recompute an image differently: when the runtime's
+    schedule for a seed changes (recovery replays [Steps n] through the
+    runtime's RNG), and when the monitor's graph or a veto's witness
+    does (a snapshot's [Sg_state] and an [Outcome]'s veto text are
+    checked against the replay).  An image written by an older version
+    is refused up front as a foreign file instead of failing the audit. *)
 
 val header : magic:string -> base_seq:int -> string
 (** The 16-byte file header. *)

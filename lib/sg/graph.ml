@@ -103,13 +103,6 @@ let n_edges g = g.n_edges
 let is_acyclic g = g.n_cyclic_edges = 0
 let reorders g = g.n_reorders
 
-let successors g t =
-  match Txn_id.Tbl.find_opt g.ids t with
-  | None -> []
-  | Some i ->
-      Int_set.fold (fun j acc -> g.names.(j) :: acc) g.succ.(i) []
-      |> List.sort Txn_id.compare
-
 let iter_edges g f =
   for i = 0 to g.n - 1 do
     Int_set.iter (fun j -> f g.names.(i) g.names.(j)) g.succ.(i)
@@ -155,10 +148,10 @@ let record_cycle g cycle =
   g.n_cyclic_edges <- g.n_cyclic_edges + 1;
   if g.first_cycle = None then g.first_cycle <- Some cycle
 
-let path_of_parents g ~src ~dst =
+let path_of_parents ?name g ~src ~dst =
+  let name = match name with Some f -> f | None -> fun i -> g.names.(i) in
   let rec walk acc i =
-    if i = src then g.names.(i) :: acc
-    else walk (g.names.(i) :: acc) g.parent_tmp.(i)
+    if i = src then name i :: acc else walk (name i :: acc) g.parent_tmp.(i)
   in
   walk [] dst
 
@@ -216,32 +209,37 @@ let bounded_backward g ~src ~lb =
   done;
   !visited
 
-(* Unbounded reachability search, used once the order is broken (the
-   graph already has a cycle): does a path [src] ~> [dst] exist? *)
-let find_path g src dst =
+(* Does a path [src] ~> [dst] exist over the stored edges plus [more]
+   (further successors by id), through ids that [inside] admits?  Ids
+   at or past [g.n] are names the graph does not know: they have no
+   stored edges.  Unbounded, this is the per-insertion search once the
+   order is broken (the graph already has a cycle). *)
+let search ?(more = fun _ -> []) ?(inside = fun _ -> true) g ~src ~dst =
   g.round <- g.round + 1;
   let r = g.round in
   let found = ref false in
   let stack = ref [ src ] in
   g.mark.(src) <- r;
   g.parent_tmp.(src) <- src;
+  let visit i j =
+    if g.mark.(j) <> r && inside j then begin
+      g.mark.(j) <- r;
+      g.parent_tmp.(j) <- i;
+      stack := j :: !stack
+    end
+  in
   while (not !found) && !stack <> [] do
     match !stack with
     | [] -> ()
     | i :: rest ->
         stack := rest;
         if i = dst then found := true
-        else
-          Int_set.iter
-            (fun j ->
-              if g.mark.(j) <> r then begin
-                g.mark.(j) <- r;
-                g.parent_tmp.(j) <- i;
-                stack := j :: !stack
-              end)
-            g.succ.(i)
+        else begin
+          if i < g.n then Int_set.iter (visit i) g.succ.(i);
+          List.iter (visit i) (more i)
+        end
   done;
-  if !found then Some (path_of_parents g ~src ~dst) else None
+  !found
 
 let add_edge_checked g a b =
   let i = intern g a in
@@ -257,11 +255,12 @@ let add_edge_checked g a b =
     (* Degraded regime: the order is beyond repair, fall back to plain
        reachability per insertion. *)
     record_edge g i j;
-    match find_path g j i with
-    | Some path ->
-        record_cycle g path;
-        Cycle path
-    | None -> Ok 0
+    if search g ~src:j ~dst:i then begin
+      let path = path_of_parents g ~src:j ~dst:i in
+      record_cycle g path;
+      Cycle path
+    end
+    else Ok 0
   end
   else
     let oa = g.ord.(i) and ob = g.ord.(j) in
@@ -302,59 +301,74 @@ let add_edge_checked g a b =
 
 let add_edge g a b = ignore (add_edge_checked g a b)
 
-(* Read-only joint cycle test over G u extra, for admission control:
-   would inserting all of [extra] at once close a cycle?  Nothing is
-   interned or recorded, so a veto leaves the graph untouched — the
-   speculating caller can simply not perform the commit.  Endpoints
-   unknown to the graph are fine (they have no recorded edges).  An
-   extra edge (a, b) closes a cycle iff a path b ~> a exists in the
-   joint graph; the witness follows the {!add_result} convention:
-   the path [b ... a], so consecutive elements (wrapping) are edges. *)
+(* Read-only joint cycle test over G u extra, for admission control
+   (contract in graph.mli).  A name the graph does not know gets a
+   virtual id [n, n+1, ...], which is also its position: after every
+   real node, so, having no stored edges, it extends the maintained
+   order.  While the graph is acyclic every stored edge is forward in
+   that order, so a cycle of G u extra uses an extra edge (a, b) with
+   pos a >= pos b; its highest node leaves through such an edge and its
+   lowest is entered through one, so it lies within the window
+   [min pos b, max pos a] over them.  A search from each such [b] for
+   its [a], confined to the window, is therefore complete — the
+   argument [bounded_forward] relies on. *)
 let would_close_cycle g extra =
-  let extra = List.filter (fun (a, b) -> not (mem_edge g a b)) extra in
-  match List.find_opt (fun (a, b) -> Txn_id.equal a b) extra with
-  | Some (a, _) -> Some [ a ]
-  | None when extra = [] -> None
-  | None ->
-      let adj = Txn_id.Tbl.create 8 in
-      List.iter
-        (fun (a, b) ->
-          let cur = Option.value ~default:[] (Txn_id.Tbl.find_opt adj a) in
-          Txn_id.Tbl.replace adj a (b :: cur))
-        extra;
-      let succs t =
-        Option.value ~default:[] (Txn_id.Tbl.find_opt adj t) @ successors g t
+  let n = g.n in
+  let virt = ref [] and n_virt = ref 0 in
+  let resolve u =
+    match Txn_id.Tbl.find_opt g.ids u with
+    | Some i -> i
+    | None -> (
+        match List.find_opt (fun (v, _) -> Txn_id.equal u v) !virt with
+        | Some (_, i) -> i
+        | None ->
+            let i = n + !n_virt in
+            incr n_virt;
+            virt := (u, i) :: !virt;
+            i)
+  in
+  let extra = List.map (fun (a, b) -> (resolve a, resolve b)) extra in
+  let pos i = if i < n then g.ord.(i) else i in
+  let closing =
+    if g.n_cyclic_edges > 0 then extra
+    else List.filter (fun (i, j) -> pos i >= pos j) extra
+  in
+  if closing = [] then None
+  else begin
+    let size = n + !n_virt in
+    if Array.length g.mark < size then begin
+      let extend a =
+        let b = Array.make size 0 in
+        Array.blit a 0 b 0 (Array.length a);
+        b
       in
-      let check (a, b) =
-        let parent = Txn_id.Tbl.create 16 in
-        Txn_id.Tbl.replace parent b b;
-        let stack = ref [ b ] in
-        let found = ref false in
-        while (not !found) && !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | u :: rest ->
-              stack := rest;
-              if Txn_id.equal u a then found := true
-              else
-                List.iter
-                  (fun v ->
-                    if not (Txn_id.Tbl.mem parent v) then begin
-                      Txn_id.Tbl.replace parent v u;
-                      stack := v :: !stack
-                    end)
-                  (succs u)
-        done;
-        if not !found then None
-        else begin
-          let rec walk acc u =
-            if Txn_id.equal u b then u :: acc
-            else walk (u :: acc) (Txn_id.Tbl.find parent u)
-          in
-          Some (walk [] a)
-        end
-      in
-      List.find_map check extra
+      g.mark <- extend g.mark;
+      g.parent_tmp <- extend g.parent_tmp
+    end;
+    let adj = Hashtbl.create 16 in
+    List.iter (fun (i, j) -> Hashtbl.add adj i j) extra;
+    let more i = Hashtbl.find_all adj i in
+    let inside =
+      if g.n_cyclic_edges > 0 then fun _ -> true
+      else
+        let lo = List.fold_left (fun m (_, j) -> min m (pos j)) max_int closing
+        and hi =
+          List.fold_left (fun m (i, _) -> max m (pos i)) min_int closing
+        in
+        fun k ->
+          let p = pos k in
+          lo <= p && p <= hi
+    in
+    let name i =
+      if i < n then g.names.(i)
+      else fst (List.find (fun (_, k) -> k = i) !virt)
+    in
+    match
+      List.find_opt (fun (i, j) -> search ~more ~inside g ~src:j ~dst:i) closing
+    with
+    | Some (i, j) -> Some (path_of_parents ~name g ~src:j ~dst:i)
+    | None -> if g.n_cyclic_edges > 0 then g.first_cycle else None
+  end
 
 (* Iterative three-color DFS returning a cycle if one exists — the
    from-scratch reference the incremental detector is differentially

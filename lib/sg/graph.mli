@@ -46,15 +46,24 @@ val add_edge : t -> Txn_id.t -> Txn_id.t -> unit
 
 val would_close_cycle :
   t -> (Txn_id.t * Txn_id.t) list -> Txn_id.t list option
-(** [would_close_cycle g extra] — would inserting all of [extra] at
-    once close a cycle?  A {e read-only} joint reachability test over
-    the union of [g] and [extra]: nothing is interned or recorded, so
-    a positive answer lets admission control veto the insertion with
-    the graph untouched.  Endpoints unknown to [g], duplicate edges
-    and edges already present are all fine.  The witness follows the
-    {!add_result} convention: for the closing edge [a -> b], the path
-    [b ... a] (consecutive elements, wrapping, are edges of the joint
-    graph). *)
+(** [would_close_cycle g extra] is [Some] iff the union of [g] and
+    [extra] has a cycle — always, once [g] itself is cyclic.  {e
+    Read-only}: nothing is interned or recorded, so a positive answer
+    lets admission control veto the insertion with the graph
+    untouched.  Endpoints unknown to [g], duplicate edges, self-loops
+    and edges already present are all fine.
+
+    The test reads the maintained order: unknown endpoints are placed
+    after every node, and while [g] is acyclic a cycle needs an extra
+    edge that is not forward in that order.  With none (the common
+    case) the answer is [None] without a search; otherwise the search
+    runs from each such edge's head, confined to the order window those
+    edges span.  Once [g] is cyclic the searches are unbounded.
+
+    The witness follows the {!add_result} convention: for a closing
+    extra edge [a -> b], the path [b ... a] (consecutive elements,
+    wrapping, are edges of the joint graph).  When [g] is cyclic and no
+    extra edge closes a cycle, the witness is {!find_cycle}'s. *)
 
 val mem_edge : t -> Txn_id.t -> Txn_id.t -> bool
 val nodes : t -> Txn_id.t list
@@ -65,8 +74,6 @@ val n_nodes : t -> int
 
 val n_edges : t -> int
 (** O(1) (cached; duplicates were never counted). *)
-
-val successors : t -> Txn_id.t -> Txn_id.t list
 
 val iter_edges : t -> (Txn_id.t -> Txn_id.t -> unit) -> unit
 (** Iterate edges allocation-free (order unspecified). *)

@@ -49,8 +49,11 @@ type t = {
   vis : visibility Txn_id.Tbl.t;
   waiters : Txn_id.t list Txn_id.Tbl.t;  (* ancestor -> dependents *)
   items : item list Txn_id.Tbl.t;  (* txn -> actions on visibility *)
-  reported : (Txn_id.t * int) list Txn_id.Tbl.t;
-      (* parent -> reported children, each with the report's feed index *)
+  frontier : (Txn_id.t * int) list Txn_id.Tbl.t;
+      (* parent -> its maximal reported children (see [report]), each
+         with the report's feed index *)
+  requested : int Txn_id.Tbl.t;
+      (* open request -> its feed index, until the report *)
   objects : obj_state Obj_id.Tbl.t;
   edge_prov : (Txn_id.t * Txn_id.t, provenance) Hashtbl.t;
       (* first witness per inserted edge (edges are deduplicated) *)
@@ -80,7 +83,8 @@ let create ?mode schema =
     vis = Txn_id.Tbl.create 64;
     waiters = Txn_id.Tbl.create 64;
     items = Txn_id.Tbl.create 64;
-    reported = Txn_id.Tbl.create 32;
+    frontier = Txn_id.Tbl.create 16;
+    requested = Txn_id.Tbl.create 32;
     objects;
     edge_prov = Hashtbl.create 64;
     pending_edges = [];
@@ -252,9 +256,11 @@ let queued t u =
 let wakes t u =
   match Txn_id.Tbl.find_opt t.vis u with Some (Pending n) -> n <= 1 | _ -> false
 
-(* A commit arrived: wake dependents. *)
+(* A commit arrived: wake dependents.  [w] requested commit, so it
+   requests no more children and its frontier goes. *)
 let process_commit t touched w =
   Txn_id.Tbl.replace t.committed w ();
+  Txn_id.Tbl.remove t.frontier w;
   let deps = dependents t w in
   Txn_id.Tbl.remove t.waiters w;
   List.concat_map
@@ -275,6 +281,17 @@ let process_commit t touched w =
 
 let process_abort t w =
   Txn_id.Tbl.replace t.aborted w ();
+  (* Every proper descendant of [w] is Dead, and no precedes edge is
+     ever drawn under a Dead parent: their open requests and frontiers
+     go, so both indexes hold live transactions only. *)
+  let below u = Txn_id.is_proper_ancestor w u in
+  Txn_id.Tbl.remove t.frontier w;
+  Txn_id.Tbl.filter_map_inplace
+    (fun u at -> if below u then None else Some at)
+    t.requested;
+  Txn_id.Tbl.filter_map_inplace
+    (fun p l -> if below p then None else Some l)
+    t.frontier;
   (* Kill dependents transitively reachable via pending status. *)
   let kill u =
     match Txn_id.Tbl.find_opt t.vis u with
@@ -330,6 +347,31 @@ let account ~obs t ~edges_before alarms =
   end;
   t.pending_edges <- []
 
+let frontier t p =
+  match Txn_id.Tbl.find_opt t.frontier p with Some l -> l | None -> []
+
+(* Precedes is an interval order: [s -> v] iff [s] reported before [v]
+   was requested.  So a request draws edges from the maximal reported
+   siblings only, the frontier.  At the report of [u], every member
+   that reported before [u] was requested leaves: its edge to any later
+   request [v] is implied by [s -> u -> v], both edges drawn under the
+   one parent and so activated together (by induction on report order,
+   whatever [u]'s own fate).  Reachability, hence every cycle, is that
+   of the full relation.  A report under a Dead parent adds nothing. *)
+let report t u now =
+  let req =
+    match Txn_id.Tbl.find_opt t.requested u with Some at -> at | None -> 0
+  in
+  Txn_id.Tbl.remove t.requested u;
+  let p = Txn_id.parent_exn u in
+  match Txn_id.Tbl.find_opt t.vis p with
+  | Some Dead -> ()
+  | _ ->
+      let l = frontier t p in
+      if not (List.exists (fun (s, _) -> Txn_id.equal u s) l) then
+        Txn_id.Tbl.replace t.frontier p
+          ((u, now) :: List.filter (fun (_, rep) -> rep > req) l)
+
 let feed ?(obs = Obs.null) t (a : Action.t) =
   t.n_feeds <- t.n_feeds + 1;
   let now = t.n_feeds in
@@ -378,37 +420,30 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
   | Action.Commit u -> process_commit t touched u
   | Action.Abort u -> process_abort t u
   | Action.Report_commit (u, _) | Action.Report_abort u ->
-      (if not (Txn_id.is_root u) then
-         let p = Txn_id.parent_exn u in
-         let l =
-           match Txn_id.Tbl.find_opt t.reported p with Some l -> l | None -> []
-         in
-         if not (List.exists (fun (s, _) -> Txn_id.equal u s) l) then
-           Txn_id.Tbl.replace t.reported p ((u, now) :: l));
+      if not (Txn_id.is_root u) then report t u now;
       []
   | Action.Request_create u when not (Txn_id.is_root u) ->
       let p = Txn_id.parent_exn u in
-      let siblings =
-        match Txn_id.Tbl.find_opt t.reported p with Some l -> l | None -> []
-      in
-      List.concat_map
-        (fun (sib, reported_at) ->
-          let prov =
-            {
-              kind = Precedes;
-              before = { who = sib; at = reported_at; where = None };
-              after = { who = u; at = now; where = None };
-            }
-          in
-          if Txn_id.is_root p then insert_edge t ~prov sib u
-          else
-            match visibility t p with
-            | Visible -> insert_edge t ~prov sib u
-            | Pending _ ->
-                add_item t p (Activate_edge (sib, u, prov));
-                []
-            | Dead -> [])
-        siblings
+      let vis = if Txn_id.is_root p then Visible else visibility t p in
+      if vis = Dead then []
+      else begin
+        Txn_id.Tbl.replace t.requested u now;
+        List.concat_map
+          (fun (sib, reported_at) ->
+            let prov =
+              {
+                kind = Precedes;
+                before = { who = sib; at = reported_at; where = None };
+                after = { who = u; at = now; where = None };
+              }
+            in
+            if vis = Visible then insert_edge t ~prov sib u
+            else begin
+              add_item t p (Activate_edge (sib, u, prov));
+              []
+            end)
+          (frontier t p)
+      end
   | Action.Create _ | Action.Inform_commit _ | Action.Inform_abort _
   | Action.Request_commit _ | Action.Request_create _ ->
       []
@@ -420,6 +455,9 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
   let all = alarms @ replay_alarms in
   account ~obs t ~edges_before all;
   all
+
+let frontier_width t p = List.length (frontier t p)
+let open_requests t = Txn_id.Tbl.length t.requested
 
 let feed_trace ?obs t trace =
   let alarms = ref [] in
@@ -538,15 +576,16 @@ let prospective_commit_edges t w =
     (dependents t w);
   List.rev !out
 
+(* One cycle test, on the order the graph maintains.  Edges the graph
+   already holds are forward in it, so they cost the test nothing; the
+   ones it does not hold are named only on a veto, for the witness. *)
 let edges_would_cycle t edges =
-  match List.filter (fun (a, b, _) -> not (Graph.mem_edge t.g a b)) edges with
-  | [] -> None
-  | fresh -> (
-      match
-        Graph.would_close_cycle t.g (List.map (fun (a, b, _) -> (a, b)) fresh)
-      with
-      | None -> None
-      | Some path -> Some (path, fresh))
+  let pairs = List.map (fun (a, b, _) -> (a, b)) edges in
+  match Graph.would_close_cycle t.g pairs with
+  | None -> None
+  | Some path ->
+      let fresh (a, b, _) = not (Graph.mem_edge t.g a b) in
+      Some (path, List.filter fresh edges)
 
 let commit_would_cycle t w = edges_would_cycle t (prospective_commit_edges t w)
 

@@ -12,7 +12,12 @@
       is shown impossible;
     - the serialization graph ([conflict ∪ precedes] over visible
       activity), with {e incremental} cycle detection on every edge
-      insertion — raising {!constructor:Cycle} with the witness.  The
+      insertion — raising {!constructor:Cycle} with the witness.
+      Precedes is an interval order (a sibling precedes every request
+      made after its report), so a request draws precedes edges only
+      from its parent's {e frontier}, the maximal reported siblings
+      ({!frontier_width}): the graph is a subset of [SG(β)] with the
+      same reachability at every prefix, hence the same cycles.  The
       graph maintains a topological order (Pearce–Kelly; see
       {!Graph.add_edge_checked}), so an insertion that respects the
       order is O(1) and the rest search only the affected region:
@@ -77,6 +82,17 @@ val witness_order : t -> Sibling_order.t option
     only relate siblings, those chains respect every conflict and
     precedes edge, which is exactly what Theorem 8's proof requires
     of the order [R].  [None] once a cycle has been detected. *)
+
+val frontier_width : t -> Txn_id.t -> int
+(** How many reported children of a parent precedes edges are still
+    drawn from: the maximal ones, each reported after the latest
+    request among the others was made.  They were all open at one
+    moment, so the width never exceeds the most children ever open at
+    once.  0 once the parent commits or aborts. *)
+
+val open_requests : t -> int
+(** Requests not yet reported (under a parent that is not Dead): the
+    size of the index the frontier reads request times from. *)
 
 val visible_operations : t -> Obj_id.t -> (Txn_id.t * Value.t) list
 (** The currently-visible operation sequence of an object, in response
@@ -163,12 +179,13 @@ val prospective_commit_edges : t -> Txn_id.t -> prospective
 
 val edges_would_cycle :
   t -> prospective -> (Txn_id.t list * prospective) option
-(** Would inserting these edges close an SG cycle?  Read-only: drops
-    the edges the graph already holds and runs one joint reachability
-    test ({!Graph.would_close_cycle}) over the current graph plus the
-    rest.  [Some (cycle, fresh)] gives the witness cycle (same
-    convention as {!constructor:Cycle}) and the edges not yet in the
-    graph, for {!explain_cycle}'s [extra]. *)
+(** Would inserting these edges close an SG cycle?  Read-only: one
+    {!Graph.would_close_cycle} over the current graph plus the edges,
+    which reads the maintained order and searches only when an edge is
+    not forward in it (edges the graph holds always are).  [Some
+    (cycle, fresh)] gives the witness cycle (same convention as
+    {!constructor:Cycle}) and the edges not yet in the graph, for
+    {!explain_cycle}'s [extra]. *)
 
 val commit_would_cycle :
   t -> Txn_id.t -> (Txn_id.t list * prospective) option

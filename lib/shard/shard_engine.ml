@@ -112,12 +112,12 @@ let extra_gate t u edges =
        visible to [T0] only once every ancestor, the top included, has
        committed. *)
   else
-    let m = Admission.monitor (Engine.admission (the_engine t)) in
-    (* A new edge is always shipped.  An edge the local graph already
-       holds may be a precedes edge from a piece that reported before
-       the other top started here; the spine's rail orders the two
-       merged tops only if the first had reported before the second
-       was requested, so the edge is shipped unless that holds. *)
+    (* An edge is shipped unless the spine's rail already orders its
+       merged tops: the first reported before the second was requested.
+       Such an edge adds nothing there.  Any other edge is shipped,
+       whether the local graph holds it or not: a held one may be a
+       precedes edge from a piece that reported before the other top
+       started here, which the rail does not order. *)
     let railed ga gb =
       match (Spine.complete_seq t.spine ga, Spine.submit_seq t.spine gb) with
       | Some c, Some s -> c < s
@@ -128,10 +128,7 @@ let extra_gate t u edges =
         (fun (a, b, prov) ->
           if Txn_id.depth a = 1 && Txn_id.depth b = 1 then
             match (merged_g t a, merged_g t b) with
-            | Some ga, Some gb
-              when ga <> gb
-                   && not (Graph.mem_edge (Monitor.graph m) a b && railed ga gb)
-              ->
+            | Some ga, Some gb when ga <> gb && not (railed ga gb) ->
                 Some (ga, gb, witness_string t prov)
             | _ -> None
           else None)

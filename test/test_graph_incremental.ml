@@ -92,6 +92,80 @@ let prop_dag_stays_acyclic =
       done;
       !ok && Graph.find_cycle_scratch g = None)
 
+(* The commit gate's cycle test against the from-scratch DFS.  A random
+   graph is built through [add_edge_checked]: a DAG whose edges arrive
+   in random order (so the maintained order is repaired on the way), or
+   uniform edges taken past a first cycle.  Against it, random [extra]
+   sets mix edges between known nodes in either direction (so several
+   are not forward in the order), endpoints the graph does not know,
+   copies of stored edges and self-loops.  [would_close_cycle] must be
+   [Some] iff the union has a cycle, its witness must be one (every
+   consecutive pair, wrapping, an edge of the union), and the graph
+   must be left as it was. *)
+let joint_ok ~seed ~size ~cyclic =
+  let rng = Rng.create seed in
+  let g = Graph.create () in
+  if cyclic then begin
+    for _ = 1 to 2 * size do
+      Graph.add_edge g (n (Rng.int rng size)) (n (Rng.int rng size))
+    done;
+    if Graph.is_acyclic g then begin
+      let a = Rng.int rng size in
+      let b = (a + 1) mod size in
+      Graph.add_edge g (n a) (n b);
+      Graph.add_edge g (n b) (n a)
+    end;
+    for _ = 1 to size do
+      Graph.add_edge g (n (Rng.int rng size)) (n (Rng.int rng size))
+    done
+  end
+  else
+    for _ = 1 to 2 * size do
+      let i = Rng.int rng (size - 1) in
+      Graph.add_edge g (n i) (n (i + 1 + Rng.int rng (size - i - 1)))
+    done;
+  let stored = Array.of_list (Graph.edges g) in
+  let snapshot () = (List.sort compare (Graph.edges g), Graph.order g) in
+  let before = snapshot () in
+  let ok = ref true in
+  let insist b = if not b then ok := false in
+  for _ = 1 to 20 do
+    let node () =
+      if Rng.int rng 4 = 0 then n (size + Rng.int rng 3) else n (Rng.int rng size)
+    in
+    let extra =
+      List.init (1 + Rng.int rng 6) (fun _ ->
+          match Rng.int rng 10 with
+          | 7 | 8 when Array.length stored > 0 ->
+              stored.(Rng.int rng (Array.length stored))
+          | 9 ->
+              let a = node () in
+              (a, a)
+          | _ -> (node (), node ()))
+    in
+    let joint = Graph.create () in
+    Graph.iter_edges g (Graph.add_edge joint);
+    List.iter (fun (a, b) -> Graph.add_edge joint a b) extra;
+    let expected = Graph.find_cycle_scratch joint <> None in
+    (match Graph.would_close_cycle g extra with
+    | None -> insist (not expected)
+    | Some c -> insist (expected && genuine_cycle joint c));
+    insist (snapshot () = before)
+  done;
+  !ok
+
+let prop_joint_acyclic =
+  QCheck.Test.make ~name:"gate cycle test = from-scratch DFS (acyclic graph)"
+    ~count:150
+    QCheck.(pair (int_bound 100_000) (int_range 2 14))
+    (fun (seed, size) -> joint_ok ~seed ~size ~cyclic:false)
+
+let prop_joint_cyclic =
+  QCheck.Test.make ~name:"gate cycle test = from-scratch DFS (past a cycle)"
+    ~count:60
+    QCheck.(pair (int_bound 100_000) (int_range 2 14))
+    (fun (seed, size) -> joint_ok ~seed ~size ~cyclic:true)
+
 (* Insert a chain in reverse (each edge lands against the maintained
    order, forcing a reorder of the affected region), then close the
    cycle: the back edge is found by the limited search inside the
@@ -216,6 +290,8 @@ let suite =
     [
       QCheck_alcotest.to_alcotest prop_differential;
       QCheck_alcotest.to_alcotest prop_dag_stays_acyclic;
+      QCheck_alcotest.to_alcotest prop_joint_acyclic;
+      QCheck_alcotest.to_alcotest prop_joint_cyclic;
       Alcotest.test_case "back edge inside a reorder region" `Quick
         t_back_edge_in_reorder_region;
       Alcotest.test_case "self loop" `Quick t_self_loop;

@@ -25,9 +25,35 @@ let t_silent_on_correct () =
       (Commlock_object.factory, "commlock", Gen.counters);
     ]
 
-(* Agreement with the offline construction: same edges at end of
-   trace, and an alarm iff the offline graph is cyclic or returns are
-   inappropriate. *)
+(* The pairs (a, b) with a path a ~> b of one edge or more, as names. *)
+let closure g =
+  let adj = Txn_id.Tbl.create 16 in
+  Graph.iter_edges g (fun a b ->
+      Txn_id.Tbl.replace adj a
+        (b :: Option.value ~default:[] (Txn_id.Tbl.find_opt adj a)));
+  let from a =
+    let seen = Txn_id.Tbl.create 16 in
+    let rec go u =
+      List.iter
+        (fun v ->
+          if not (Txn_id.Tbl.mem seen v) then begin
+            Txn_id.Tbl.add seen v ();
+            go v
+          end)
+        (Option.value ~default:[] (Txn_id.Tbl.find_opt adj u))
+    in
+    go a;
+    Txn_id.Tbl.fold
+      (fun b () acc -> (Txn_id.to_string a, Txn_id.to_string b) :: acc)
+      seen []
+  in
+  List.sort compare (List.concat_map from (Graph.nodes g))
+
+(* Agreement with the offline construction at end of trace.  The
+   monitor draws precedes edges from the frontier only, so its edges
+   are a subset of the offline ones with the same reachability, hence
+   the same acyclicity; and it alarms iff the offline graph is cyclic
+   or returns are inappropriate. *)
 let t_agrees_with_offline () =
   List.iter
     (fun (factory, abort_prob) ->
@@ -49,8 +75,16 @@ let t_agrees_with_offline () =
                  (fun (a, b) -> (Txn_id.to_string a, Txn_id.to_string b))
                  (Graph.edges g))
           in
-          check_bool "same edges" true
-            (sorted_edges offline = sorted_edges (Monitor.graph m));
+          let online = Monitor.graph m in
+          let offline_edges = sorted_edges offline in
+          check_bool "monitor edges within offline edges" true
+            (List.for_all
+               (fun e -> List.mem e offline_edges)
+               (sorted_edges online));
+          check_bool "same pairs reachable" true
+            (closure offline = closure online);
+          check_bool "same acyclicity" (Graph.is_acyclic offline)
+            (Graph.is_acyclic online);
           (* The incremental visible-operation sequences agree with the
              offline definition at end of trace. *)
           let vis = Trace.visible beta ~to_:Txn_id.root in
@@ -309,6 +343,71 @@ let t_counters_fresh () =
   check_int "no edges" 0 c.Monitor.edges;
   check_int "no alarms" 0 (c.Monitor.cycle_alarms + c.Monitor.inappropriate_alarms)
 
+(* Precedes as an interval order keeps the monitor's state linear in
+   history.  A closed loop of 16 clients over 8 Moss registers gains
+   no more SG edges per top in its last tenth than 1.5x its second
+   (all-history precedes edges made that ratio grow with the run; the
+   first tenth is warm-up, its tops having few older ones to conflict
+   with); T0's frontier never holds more tops than were open at once;
+   and the request index holds open requests only. *)
+let t_state_grows_linearly () =
+  let objects =
+    List.init 8 (fun i -> (Obj_id.indexed "acct" i, Register.make ()))
+  in
+  let accounts = Array.of_list (List.map fst objects) in
+  let clients = 16 and total = 2000 in
+  let open_requests = ref 0 and open_tops = ref 0 and most_open = ref 0 in
+  let on_action = function
+    | Action.Request_create u when not (Txn_id.is_root u) ->
+        incr open_requests;
+        if Txn_id.depth u = 1 then begin
+          incr open_tops;
+          most_open := max !most_open !open_tops
+        end
+    | (Action.Report_commit (u, _) | Action.Report_abort u)
+      when not (Txn_id.is_root u) ->
+        decr open_requests;
+        if Txn_id.depth u = 1 then decr open_tops
+    | _ -> ()
+  in
+  let eng = Engine.create ~seed:7 ~on_action objects Moss_object.factory in
+  let m = Admission.monitor (Engine.admission eng) in
+  (* [edges_at.(k)]: the graph's edge count at the last step with [k]
+     tops completed (a step completes at most one: nothing is killed). *)
+  let edges_at = Array.make (total + 1) 0 in
+  let rng = Rng.create 7 in
+  let rec loop () =
+    while Engine.live_top eng < clients && Engine.submitted eng < total do
+      match Engine.submit eng (Gen.smallbank_txn ~theta:0.9 rng accounts) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e
+    done;
+    let st = Engine.step eng in
+    let done_ = Engine.committed_top eng + Engine.aborted_top eng in
+    edges_at.(done_) <- Graph.n_edges (Monitor.graph m);
+    if Monitor.frontier_width m Txn_id.root > !most_open then
+      Alcotest.failf "T0 frontier %d wider than the %d tops ever open at once"
+        (Monitor.frontier_width m Txn_id.root)
+        !most_open;
+    if Monitor.open_requests m > !open_requests then
+      Alcotest.failf "request index holds %d, only %d requests open"
+        (Monitor.open_requests m) !open_requests;
+    match st with
+    | `Progress -> loop ()
+    | `Quiescent -> if Engine.submitted eng < total then loop ()
+    | `Truncated -> Alcotest.fail "truncated"
+  in
+  loop ();
+  check_int "every top completed" total
+    (Engine.committed_top eng + Engine.aborted_top eng);
+  check_int "no request left open" 0 (Monitor.open_requests m);
+  let tenth = total / 10 in
+  let second = edges_at.(2 * tenth) - edges_at.(tenth)
+  and last = edges_at.(total) - edges_at.(total - tenth) in
+  if 2 * last > 3 * second then
+    Alcotest.failf "edges per top grew: %d in the second tenth, %d in the last"
+      second last
+
 let suite =
   ( "monitor",
     [
@@ -326,4 +425,5 @@ let suite =
       Alcotest.test_case "witness order gone on cycle" `Quick
         t_witness_order_gone_on_cycle;
       Alcotest.test_case "counters start at zero" `Quick t_counters_fresh;
+      Alcotest.test_case "state grows linearly" `Quick t_state_grows_linearly;
     ] )

@@ -457,6 +457,51 @@ let t_spine_sees_local_edges () =
   Alcotest.(check (list int)) "seeds whose merged history is cyclic" []
     (List.rev !cyclic)
 
+(* A shard ships a top-level edge to the spine only when the rail does
+   not already order its tops.  Shard-local programs cross no shard, so
+   every edge a shard holds between tops is ordered by the rail or is a
+   conflict edge between overlapping tops; a closed loop of 16 keeps the
+   spine's explicit edges below one per program (shipping every edge
+   the local graph does not hold made it about 50). *)
+let t_spine_gets_unrailed_edges () =
+  let objects = registers (numbered "acct" 16) in
+  let part = Partition.create ~shards:2 objects in
+  let groups =
+    Array.init 2 (fun s ->
+        Array.of_list
+          (List.filter_map
+             (fun (x, _) ->
+               if Partition.shard_of part x = s then Some x else None)
+             objects))
+  in
+  let programs = 300 in
+  let cl =
+    Shard_cluster.create ~shards:2 ~seed:11 objects (Check.factory_of Check.Undo)
+  in
+  let rng = Rng.create 11 in
+  let submitted = ref 0 in
+  let rec run () =
+    while
+      !submitted < programs && Shard_router.pending (Shard_cluster.router cl) < 16
+    do
+      let g = groups.(Rng.int rng 2) in
+      (match Shard_cluster.submit cl (Gen.smallbank_txn ~theta:0.0 rng g) with
+      | Ok _ -> incr submitted
+      | Error e -> Alcotest.fail e)
+    done;
+    ignore (Shard_cluster.step_shard cl (Rng.int rng 2));
+    if
+      (not (Shard_cluster.truncated cl))
+      && (!submitted < programs
+         || (not (Shard_cluster.quiescent cl))
+         || Shard_router.pending (Shard_cluster.router cl) > 0)
+    then run ()
+  in
+  run ();
+  let edges = Spine.edge_count (Shard_cluster.spine cl) in
+  if edges > 4 * programs then
+    Alcotest.failf "%d spine edges for %d programs" edges programs
+
 (* ----- one shard ----- *)
 
 (* One shard is the bare engine: a one-shard cluster and a plain engine
@@ -619,6 +664,8 @@ let suite =
         t_service_live;
       Alcotest.test_case "spine sees locally held cross-shard edges" `Quick
         t_spine_sees_local_edges;
+      Alcotest.test_case "spine gets unrailed edges only" `Quick
+        t_spine_gets_unrailed_edges;
       Alcotest.test_case "router refuses like the engine" `Quick
         t_router_refuses_like_engine;
       Alcotest.test_case "one shard is the engine" `Quick

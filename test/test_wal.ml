@@ -791,30 +791,31 @@ let t_restart_then_snapshot () =
   check_bool "restarts exercised" true (!runs > 20)
 
 (* Schedule tripwire.  Recovery replays [Steps n] through the
-   runtime's RNG, so a change to any seed's schedule must move
+   runtime's RNG and checks the monitor's graph and veto witnesses, so
+   a change to any seed's schedule, graph or witnesses must move
    [Wal.wal_magic] (see its doc).  The digests pin the full log image,
    snapshot included, of a few fixed recorded runs per verified
    backend under the current magic: a schedule change that leaves the
    magic alone fails here. *)
-let pinned_magic = "NTWAL02\n"
+let pinned_magic = "NTWAL03\n"
 
 let pinned_schedules =
   [
-    ("moss", 0, "12e6193e809e14c3a02ab820c0f6c253");
-    ("moss", 1, "e1e64b019c5f80dc5e8f18ed9f7be1b6");
-    ("moss", 2, "2ffddd3f49ede02b8765e224408bdef3");
-    ("commlock", 0, "89e4b6933cf9c06c0f14571042f2fb33");
-    ("commlock", 1, "147d330970c14ea682bf8a1a4062acef");
-    ("commlock", 2, "79da871837a7eee14f222c627b5e7ed6");
-    ("undo", 0, "357bf26afc9d0e4a0a08c88111fac6b2");
-    ("undo", 1, "3c50fee1b7064f9fe078142608f69948");
-    ("undo", 2, "e3fe9b690e84e21bc569201cab66693a");
-    ("mvts", 0, "9cfe761390288a752553c1a83ad5169a");
-    ("mvts", 1, "81d6c59fbf7bcdd55f5a0038c8567909");
-    ("mvts", 2, "47188a07b0822a48f7920a88eb3cb1e6");
-    ("replication", 0, "bc88819fb18c879a0bbd114c92182ce1");
-    ("replication", 1, "b66f84a08d62853ce78ceb74f13c755c");
-    ("replication", 2, "3fab76aa7d2359719d8b5093b5004be5");
+    ("moss", 0, "e1d9b40dd52d1882d22d8273dd3a65c9");
+    ("moss", 1, "6d9f0d8df9ea35642a610f22e9a2b1ad");
+    ("moss", 2, "19acb8bfd8c3c07dbeae074154ac50b5");
+    ("commlock", 0, "91294e78dd0e84ae1631fa7f91f57b75");
+    ("commlock", 1, "717415f900a346a6d74d9fbddc29f213");
+    ("commlock", 2, "ec58a47c71d3257255b31564af0e92f4");
+    ("undo", 0, "e385933b09b02e7d14908a1c722c7b2b");
+    ("undo", 1, "7ad8d201a27ad02fb8a027392657da8e");
+    ("undo", 2, "fdb960b4eeae1207c73549565d41d4e6");
+    ("mvts", 0, "2972cd6fd361294daa56158fc70500ae");
+    ("mvts", 1, "55846f06a1eb85565852844fe6db567c");
+    ("mvts", 2, "8bfb7c96058d981f42b69c1ab2bb2abb");
+    ("replication", 0, "217a4707bc24e4321e5630054fa52459");
+    ("replication", 1, "a36a8bdc0a800da1f6653fad56e9654b");
+    ("replication", 2, "c39ea45d198ddb0a9bf8fcc6201c0d20");
   ]
 
 let t_schedule_tripwire () =
