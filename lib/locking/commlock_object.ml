@@ -6,28 +6,55 @@ type entry = { holder : Txn_id.t; op : Datatype.op; value : Value.t }
 type state = {
   created : Txn_id.Set.t;
   commit_requested : Txn_id.Set.t;
+  base : Value.t option;
   log : entry list;
 }
 
 let initial =
-  { created = Txn_id.Set.empty; commit_requested = Txn_id.Set.empty; log = [] }
+  {
+    created = Txn_id.Set.empty;
+    commit_requested = Txn_id.Set.empty;
+    base = None;
+    log = [];
+  }
 
 let create s t = { s with created = Txn_id.Set.add t s.created }
 
-let inform_commit s t =
+(* Fold the prefix of entries held by [T0] into the base: [T0] is an
+   ancestor of every access, so such an entry never conflicts, and no
+   inform rewrites or discards it. *)
+let fold_settled (dt : Datatype.t) s =
+  match
+    Serial_spec.fold_prefix ?init:s.base dt
+      (fun e ->
+        if Txn_id.is_root e.holder then Serial_spec.Fold (e.op, e.value)
+        else Serial_spec.Stop)
+      s.log
+  with
+  | Some (base, log) when log != s.log -> { s with base = Some base; log }
+  | _ -> s
+
+let inform_commit dt s t =
   if Txn_id.is_root t then s
   else
     let p = Txn_id.parent_exn t in
+    fold_settled dt
+      {
+        s with
+        log =
+          List.map
+            (fun e ->
+              if Txn_id.equal e.holder t then { e with holder = p } else e)
+            s.log;
+      }
+
+let inform_abort dt s t =
+  fold_settled dt
     {
       s with
       log =
-        List.map
-          (fun e -> if Txn_id.equal e.holder t then { e with holder = p } else e)
-          s.log;
+        List.filter (fun e -> not (Txn_id.is_descendant e.holder t)) s.log;
     }
-
-let inform_abort s t =
-  { s with log = List.filter (fun e -> not (Txn_id.is_descendant e.holder t)) s.log }
 
 let respondable s t =
   Txn_id.Set.mem t s.created && not (Txn_id.Set.mem t s.commit_requested)
@@ -40,7 +67,7 @@ let conflicting_entries (dt : Datatype.t) s t op v =
     s.log
 
 let replay_response (dt : Datatype.t) s op =
-  Serial_spec.response dt
+  Serial_spec.response ?init:s.base dt
     (List.map (fun e -> (e.op, e.value)) s.log)
     op
 
@@ -92,8 +119,8 @@ let factory : Nt_gobj.Gobj.factory =
   {
     Nt_gobj.Gobj.obj = x;
     create = (fun t -> state := create !state t);
-    inform_commit = (fun t -> state := inform_commit !state t);
-    inform_abort = (fun t -> state := inform_abort !state t);
+    inform_commit = (fun t -> state := inform_commit dt !state t);
+    inform_abort = (fun t -> state := inform_abort dt !state t);
     try_respond =
       (fun t ->
         match request_commit dt !state t (schema.Schema.op_of t) with

@@ -23,7 +23,19 @@
     order, so behaviors are certified by the serialization-graph
     theorem (Theorem 19) — asserted in the tests, along with the fact
     that [M_X] strictly refines [M1_X] on registers (everything Moss
-    admits, plus same-datum writes). *)
+    admits, plus same-datum writes).
+
+    {2 Base and live suffix}
+
+    The log is kept as [base ⊕ log]: a state [base] (the type's
+    initial state when [None]) that the log's longest prefix of entries
+    held by [T0] was folded into, and the live suffix [log].  An entry
+    reaches [T0] when its top-level ancestor's commit is informed; from
+    then on it is inert: [T0] is an ancestor of every access, so the
+    entry conflicts with none, and no inform rewrites or discards it.
+    The informs fold after every change (an abort can expose a [T0]
+    head), so responses and conflict scans cost the suffix, and
+    [INFORM_COMMIT]'s promotion rewrites only the suffix. *)
 
 open Nt_base
 open Nt_spec
@@ -37,17 +49,22 @@ type entry = {
 type state = {
   created : Txn_id.Set.t;
   commit_requested : Txn_id.Set.t;
-  log : entry list;  (** Response order, oldest first. *)
+  base : Value.t option;
+      (** The folded [T0]-held prefix's final state; [None] is the data
+          type's initial state. *)
+  log : entry list;  (** The live suffix, response order, oldest first. *)
 }
 
 val initial : state
 val create : state -> Txn_id.t -> state
 
-val inform_commit : state -> Txn_id.t -> state
-(** Promote the transaction's entries to its parent. *)
+val inform_commit : Datatype.t -> state -> Txn_id.t -> state
+(** Promote the transaction's entries to its parent, then fold the
+    [T0]-held prefix into the base. *)
 
-val inform_abort : state -> Txn_id.t -> state
-(** Discard entries held by descendants. *)
+val inform_abort : Datatype.t -> state -> Txn_id.t -> state
+(** Discard entries held by descendants, then fold the [T0]-held prefix
+    that exposes. *)
 
 val request_commit :
   Datatype.t -> state -> Txn_id.t -> Datatype.op -> (state * Value.t) option

@@ -38,6 +38,11 @@ type obj_state = {
   mutable ops : op_record list;  (* newest first *)
   mutable next_seq : int;
   mutable obj_alarmed : bool;
+  mutable base : Value.t option;
+      (* the state the visible sequence's folded prefix replays to;
+         [None] is the data type's initial state *)
+  mutable tail : op_record list;
+      (* the records after that prefix, in [seq] order *)
 }
 
 type t = {
@@ -72,7 +77,8 @@ let create ?mode schema =
   let objects = Obj_id.Tbl.create 16 in
   List.iter
     (fun x ->
-      Obj_id.Tbl.add objects x { ops = []; next_seq = 0; obj_alarmed = false })
+      Obj_id.Tbl.add objects x
+        { ops = []; next_seq = 0; obj_alarmed = false; base = None; tail = [] })
     schema.Schema.objects;
   {
     schema;
@@ -218,17 +224,41 @@ let activate_op t touched x record =
       alarms := insert_edge t ~prov a b @ !alarms);
   !alarms
 
-(* Replay an object's visible sequence (end-of-action check). *)
+(* Replay an object's visible sequence (end-of-action check), from a
+   folded prefix.  The tail's head is folded into the base while it is
+   visible (and dropped while Dead): visibility is permanent and every
+   later record gets a larger [seq], so the visible sequence always
+   starts with the folded records.  The fold stops at the first Pending
+   record; the visible records behind it replay from the base.  The
+   fold checks the recorded values as the replay does, so the check is
+   [legal] of the whole visible sequence and alarms at the same feed. *)
 let replay_object t x =
   let ost = Obj_id.Tbl.find t.objects x in
   if ost.obj_alarmed then []
   else begin
-    let visible_ops =
-      List.filter (fun r -> r.op_visible) ost.ops
-      |> List.sort (fun r1 r2 -> compare r1.seq r2.seq)
-      |> List.map (fun r -> (t.schema.Schema.op_of r.access, r.value))
+    let dt = t.schema.Schema.dtype_of x in
+    let operation r = (t.schema.Schema.op_of r.access, r.value) in
+    let legal =
+      match
+        Serial_spec.fold_prefix ?init:ost.base dt
+          (fun r ->
+            if r.op_visible then Serial_spec.Fold (operation r)
+            else
+              match Txn_id.Tbl.find_opt t.vis r.access with
+              | Some Dead -> Serial_spec.Skip
+              | _ -> Serial_spec.Stop)
+          ost.tail
+      with
+      | None -> false
+      | Some (base, rest) ->
+          ost.base <- Some base;
+          ost.tail <- rest;
+          Serial_spec.legal ~init:base dt
+            (List.filter_map
+               (fun r -> if r.op_visible then Some (operation r) else None)
+               rest)
     in
-    if not (Serial_spec.legal (t.schema.Schema.dtype_of x) visible_ops) then begin
+    if not legal then begin
       ost.obj_alarmed <- true;
       t.any_alarm <- true;
       [ Inappropriate x ]
@@ -411,6 +441,8 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
         { access = u; value = v; seq; at = now; op_visible = false }
       in
       ost.ops <- record :: ost.ops;
+      (* An alarmed object is never replayed again. *)
+      if not ost.obj_alarmed then ost.tail <- ost.tail @ [ record ];
       match visibility t u with
       | Visible -> activate_op t touched x record
       | Pending _ ->

@@ -9,7 +9,10 @@
     - the visible operation sequence of each object, replayed against
       its serial specification as operations {e become} visible —
       raising {!constructor:Inappropriate} the moment a return value
-      is shown impossible;
+      is shown impossible.  The sequence's prefix up to the first
+      record not yet visible (nor Dead) is kept folded into a state,
+      so a replay costs the records after it, with the verdict of a
+      replay from the initial state;
     - the serialization graph ([conflict ∪ precedes] over visible
       activity), with {e incremental} cycle detection on every edge
       insertion — raising {!constructor:Cycle} with the witness.

@@ -2,19 +2,32 @@ open Nt_base
 
 type operation = Datatype.op * Value.t
 
-let final_state (dt : Datatype.t) xi =
+type fold_step = Fold of operation | Skip | Stop
+
+(* The one replay loop: every check of recorded return values below
+   runs through it. *)
+let fold_prefix ?init (dt : Datatype.t) classify entries =
   let rec go s = function
-    | [] -> Some s
-    | (op, v) :: rest ->
-        let s', v' = dt.apply s op in
-        if Value.equal v v' then go s' rest else None
+    | [] -> Some (s, [])
+    | e :: rest as l -> (
+        match classify e with
+        | Stop -> Some (s, l)
+        | Skip -> go s rest
+        | Fold (op, v) ->
+            let s', v' = dt.apply s op in
+            if Value.equal v v' then go s' rest else None)
   in
-  go dt.init xi
+  go (match init with Some s -> s | None -> dt.init) entries
 
-let legal dt xi = final_state dt xi <> None
+let final_state ?init dt xi =
+  match fold_prefix ?init dt (fun o -> Fold o) xi with
+  | Some (s, _) -> Some s
+  | None -> None
 
-let response (dt : Datatype.t) xi op =
-  match final_state dt xi with
+let legal ?init dt xi = final_state ?init dt xi <> None
+
+let response ?init (dt : Datatype.t) xi op =
+  match final_state ?init dt xi with
   | None -> None
   | Some s -> Some (snd (dt.apply s op))
 

@@ -22,8 +22,10 @@ let replay (schema : Schema.t) x trace =
     else
       match Trace.get trace i with
       | Action.Create t -> go (Undo_object.create s t) (i + 1)
-      | Action.Inform_commit (_, t) -> go (Undo_object.inform_commit s t) (i + 1)
-      | Action.Inform_abort (_, t) -> go (Undo_object.inform_abort s t) (i + 1)
+      | Action.Inform_commit (_, t) ->
+          go (Undo_object.inform_commit dt s t) (i + 1)
+      | Action.Inform_abort (_, t) ->
+          go (Undo_object.inform_abort dt s t) (i + 1)
       | Action.Request_commit (t, v) -> (
           match Undo_object.request_commit dt s t (schema.Schema.op_of t) with
           | Some (s', v') when Value.equal v v' -> go s' (i + 1)
@@ -61,35 +63,47 @@ let locally_visible_in x trace ~to_ t' =
   List.for_all informed (Txn_id.ancestors_upto t' ~upto:to_)
 
 (* Lemma 20: the log is operations(beta) minus entries with a later
-   INFORM_ABORT of an ancestor. *)
-let lemma20 (schema : Schema.t) x trace =
+   INFORM_ABORT of an ancestor — kept as base ⊕ suffix, so the suffix
+   is that list's tail and the rest of the list replays to the base. *)
+let lemma20_of (schema : Schema.t) x trace (s : Undo_object.state) =
+  let dt = schema.Schema.dtype_of x in
+  let n = Trace.length trace in
+  let expected = ref [] in
+  for i = 0 to n - 1 do
+    match Trace.get trace i with
+    | Action.Request_commit (t, v) ->
+        let undone = ref false in
+        for j = i + 1 to n - 1 do
+          match Trace.get trace j with
+          | Action.Inform_abort (y, u)
+            when Obj_id.equal x y && Txn_id.is_ancestor u t ->
+              undone := true
+          | _ -> ()
+        done;
+        if not !undone then expected := (t, v) :: !expected
+    | _ -> ()
+  done;
+  let expected = List.rev !expected in
+  let folded = List.length expected - List.length s.log in
+  let rest = List.filteri (fun i _ -> i < folded) expected
+  and tail = List.filteri (fun i _ -> i >= folded) expected in
+  folded >= 0
+  && List.for_all2
+       (fun (t, v) e ->
+         Txn_id.equal t e.Undo_object.txn && Value.equal v e.Undo_object.value)
+       tail s.log
+  &&
+  match
+    Serial_spec.final_state dt
+      (List.map (fun (t, v) -> (schema.Schema.op_of t, v)) rest)
+  with
+  | Some b -> Value.equal b (Option.value s.base ~default:dt.init)
+  | None -> false
+
+let lemma20 schema x trace =
   match replay schema x trace with
   | Error _ -> true
-  | Ok s ->
-      let n = Trace.length trace in
-      let expected = ref [] in
-      for i = 0 to n - 1 do
-        match Trace.get trace i with
-        | Action.Request_commit (t, v) ->
-            let undone = ref false in
-            for j = i + 1 to n - 1 do
-              match Trace.get trace j with
-              | Action.Inform_abort (y, u)
-                when Obj_id.equal x y && Txn_id.is_ancestor u t ->
-                  undone := true
-              | _ -> ()
-            done;
-            if not !undone then expected := (t, v) :: !expected
-        | _ -> ()
-      done;
-      let expected = List.rev !expected in
-      let actual =
-        List.map (fun e -> (e.Undo_object.txn, e.Undo_object.value)) s.log
-      in
-      List.length expected = List.length actual
-      && List.for_all2
-           (fun (t, v) (t', v') -> Txn_id.equal t t' && Value.equal v v')
-           expected actual
+  | Ok s -> lemma20_of schema x trace s
 
 let purge log victims =
   List.filter
@@ -98,6 +112,9 @@ let purge log victims =
         (List.exists (fun t -> Txn_id.is_descendant e.Undo_object.txn t) victims))
     log
 
+(* Lemma 21 over base ⊕ suffix: the folded prefix holds committed
+   chains only, so a purge of uncommitted victims touches the suffix
+   alone, which must then replay from the base. *)
 let lemma21 (schema : Schema.t) x trace ~samples =
   match replay schema x trace with
   | Error _ -> true
@@ -112,7 +129,7 @@ let lemma21 (schema : Schema.t) x trace ~samples =
               victims
           in
           let purged = purge s.log victims in
-          Serial_spec.legal dt
+          Serial_spec.legal ?init:s.base dt
             (List.map (fun e -> (e.Undo_object.op, e.Undo_object.value)) purged))
         ([] :: samples)
 

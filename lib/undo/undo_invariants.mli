@@ -6,6 +6,10 @@
     - {b Lemma 21(2)}: removing the descendants of any set of
       uncommitted transactions from the log leaves a replayable
       sequence;
+
+    both over the object's [base ⊕ log] representation (see
+    {!Undo_object}): the log proper is the folded prefix followed by
+    the live suffix;
     - {b Lemma 22}: when two conflicting responses both occur, the
       earlier one's transaction is a local orphan or locally visible to
       the later one's at the response point.
@@ -29,11 +33,15 @@ val locally_visible_in : Obj_id.t -> Trace.t -> to_:Txn_id.t -> Txn_id.t -> bool
     lca (in any order — contrast with [lock_visible]). *)
 
 val lemma20 : Schema.t -> Obj_id.t -> Trace.t -> bool
-(** The replayed log equals the filtered trace operations. *)
+(** {!lemma20_of} the state {!replay} reaches. *)
+
+val lemma20_of : Schema.t -> Obj_id.t -> Trace.t -> Undo_object.state -> bool
+(** The state's suffix equals the tail of the filtered trace
+    operations, and the rest of them replays to its base. *)
 
 val lemma21 : Schema.t -> Obj_id.t -> Trace.t -> samples:Txn_id.t list list -> bool
-(** For each sample set of uncommitted transactions, the purged log
-    replays.  (The universally-quantified lemma is sampled; the empty
+(** For each sample set of uncommitted transactions, the purged
+    suffix replays from the base.  (The universally-quantified lemma is sampled; the empty
     set — "the log itself replays" — is always included.) *)
 
 val lemma22 : Schema.t -> Obj_id.t -> Trace.t -> bool

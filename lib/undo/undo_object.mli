@@ -19,7 +19,27 @@
     the log (the "undo"); an [INFORM_COMMIT] merely records the commit
     for the visibility test.  The algorithm works for objects of
     arbitrary data type and is the paper's showcase for the generalized
-    serialization-graph theorem (Theorem 19). *)
+    serialization-graph theorem (Theorem 19).
+
+    {2 Base and live suffix}
+
+    The paper's log is kept as [base ⊕ log]: a state [base] (the
+    type's initial state when [None]) that the log's longest
+    {e settled} prefix was folded into, and the live suffix [log].  An
+    entry is settled when every non-root ancestor of its transaction,
+    itself included, is in [committed].  Such an entry can no longer
+    affect an outcome:
+    {ul
+    {- it is locally visible to every access (the ancestors
+       {!locally_visible} asks about are among the committed ones), so
+       it never blocks;}
+    {- no abort removes it: an aborted name is never committed, so it
+       is no ancestor of the entry.}}
+    The informs fold after every change (an abort can expose a settled
+    head), so the log holds only the entries since the oldest one still
+    open, and replaying or scanning it costs that suffix, not the whole
+    history.  Every response, block and undo is the one the full log
+    gives. *)
 
 open Nt_base
 open Nt_spec
@@ -30,15 +50,21 @@ type state = {
   created : Txn_id.Set.t;
   commit_requested : Txn_id.Set.t;
   committed : Txn_id.Set.t;
-  log : entry list;  (** Oldest first. *)
+  base : Value.t option;
+      (** The folded settled prefix's final state; [None] is the data
+          type's initial state. *)
+  log : entry list;  (** The live suffix, oldest first. *)
 }
 
 val initial : state
 val create : state -> Txn_id.t -> state
-val inform_commit : state -> Txn_id.t -> state
 
-val inform_abort : state -> Txn_id.t -> state
-(** Remove every log entry of a descendant of the aborted name. *)
+val inform_commit : Datatype.t -> state -> Txn_id.t -> state
+(** Record the commit, then fold the settled prefix into the base. *)
+
+val inform_abort : Datatype.t -> state -> Txn_id.t -> state
+(** Remove every log entry of a descendant of the aborted name, then
+    fold the settled prefix that exposes. *)
 
 val locally_visible : state -> to_:Txn_id.t -> Txn_id.t -> bool
 (** [locally_visible s ~to_ t']: every ancestor of [t'] not shared with
@@ -63,9 +89,6 @@ val blockers_kinded :
   (Txn_id.t * Nt_gobj.Gobj.lock_kind) list
 (** {!blockers} with each blocker tagged by the operation kind of its
     non-commuting entry. *)
-
-val log_ops : state -> (Datatype.op * Value.t) list
-(** The log as replayable operations. *)
 
 val factory : Nt_gobj.Gobj.factory
 (** [U_X] as a generic object, for any data type. *)

@@ -68,7 +68,7 @@ let t_ancestor_entries_visible () =
   let s = Commlock_object.create s r in
   check_bool "blocked before promote" true
     (Commlock_object.request_commit ctr s r Datatype.Get = None);
-  let s = Commlock_object.inform_commit s w in
+  let s = Commlock_object.inform_commit ctr s w in
   match Commlock_object.request_commit ctr s r Datatype.Get with
   | Some (_, v) -> Alcotest.check value_testable "sees promoted" (Value.Int 4) v
   | None -> Alcotest.fail "should fire after promote"
@@ -77,12 +77,36 @@ let t_abort_discards () =
   let s = Commlock_object.initial in
   let s = Commlock_object.create s a1 in
   let s, _ = Option.get (Commlock_object.request_commit acct s a1 (Datatype.Deposit 5)) in
-  let s = Commlock_object.inform_abort s t1 in
+  let s = Commlock_object.inform_abort acct s t1 in
   check_int "purged" 0 (List.length s.Commlock_object.log);
   let s = Commlock_object.create s a2 in
   match Commlock_object.request_commit acct s a2 Datatype.Balance with
   | Some (_, v) -> Alcotest.check value_testable "back to init" (Value.Int 10) v
   | None -> Alcotest.fail "balance should fire on empty log"
+
+(* Only an entry held by [T0] is folded: one promoted to its top, whose
+   commit this object has not heard, still conflicts with another top's
+   access, and the top's abort still discards it. *)
+let t_fold_waits_for_t0 () =
+  let s = Commlock_object.create Commlock_object.initial a1 in
+  let s, _ = Option.get (Commlock_object.request_commit ctr s a1 (Datatype.Incr 2)) in
+  let s = Commlock_object.inform_commit ctr s a1 in
+  check_int "held by the top, still live" 1 (List.length s.Commlock_object.log);
+  let s = Commlock_object.create s a2 in
+  check_bool "get still blocked" true
+    (Commlock_object.request_commit ctr s a2 Datatype.Get = None);
+  Alcotest.(check (list txn_testable)) "holder" [ t1 ]
+    (Commlock_object.blockers ctr s a2 Datatype.Get);
+  (let s = Commlock_object.inform_abort ctr s t1 in
+   match Commlock_object.request_commit ctr s a2 Datatype.Get with
+   | Some (_, v) -> Alcotest.check value_testable "discarded" (Value.Int 0) v
+   | None -> Alcotest.fail "get should fire after the discard");
+  let s = Commlock_object.inform_commit ctr s t1 in
+  check_int "T0-held entry folded" 0 (List.length s.Commlock_object.log);
+  check_bool "into the base" true (s.Commlock_object.base = Some (Value.Int 2));
+  match Commlock_object.request_commit ctr s a2 Datatype.Get with
+  | Some (_, v) -> Alcotest.check value_testable "base replayed" (Value.Int 2) v
+  | None -> Alcotest.fail "get should fire once the top committed"
 
 (* Model checking: Theorem 19 on generated executions over every data
    type, with aborts. *)
@@ -128,9 +152,9 @@ let t_refinement_of_m1x () =
               match Trace.get proj i with
               | Action.Create t -> go (Commlock_object.create s t) (i + 1)
               | Action.Inform_commit (_, t) ->
-                  go (Commlock_object.inform_commit s t) (i + 1)
+                  go (Commlock_object.inform_commit dt s t) (i + 1)
               | Action.Inform_abort (_, t) ->
-                  go (Commlock_object.inform_abort s t) (i + 1)
+                  go (Commlock_object.inform_abort dt s t) (i + 1)
               | Action.Request_commit (t, v) -> (
                   match
                     Commlock_object.request_commit dt s t (schema.Schema.op_of t)
@@ -160,8 +184,8 @@ let t_inform_order_sensitivity () =
   let s = Commlock_object.initial in
   let s = Commlock_object.create s w in
   let s, _ = Option.get (Commlock_object.request_commit ctr s w (Datatype.Incr 1)) in
-  let s = Commlock_object.inform_commit s t1 (* parent first *) in
-  let s = Commlock_object.inform_commit s w (* child second *) in
+  let s = Commlock_object.inform_commit ctr s t1 (* parent first *) in
+  let s = Commlock_object.inform_commit ctr s w (* child second *) in
   let s = Commlock_object.create s outsider in
   check_bool "commlock stranded below the frontier" true
     (Commlock_object.request_commit ctr s outsider Datatype.Get = None);
@@ -169,8 +193,8 @@ let t_inform_order_sensitivity () =
   let u = Undo_object.initial in
   let u = Undo_object.create u w in
   let u, _ = Option.get (Undo_object.request_commit ctr u w (Datatype.Incr 1)) in
-  let u = Undo_object.inform_commit u t1 in
-  let u = Undo_object.inform_commit u w in
+  let u = Undo_object.inform_commit ctr u t1 in
+  let u = Undo_object.inform_commit ctr u w in
   let u = Undo_object.create u outsider in
   match Undo_object.request_commit ctr u outsider Datatype.Get with
   | Some (_, v) ->
@@ -188,6 +212,7 @@ let suite =
       Alcotest.test_case "promotion makes entries visible" `Quick
         t_ancestor_entries_visible;
       Alcotest.test_case "abort discards" `Quick t_abort_discards;
+      Alcotest.test_case "fold waits for T0" `Quick t_fold_waits_for_t0;
       Alcotest.test_case "serially correct (Thm 19)" `Slow t_serially_correct;
       Alcotest.test_case "refines M1_X on registers" `Slow t_refinement_of_m1x;
       Alcotest.test_case "inform-order sensitivity (lock- vs locally-visible)"

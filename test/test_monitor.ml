@@ -1,7 +1,49 @@
 open Core
 open Util
 
-(* The monitor must stay silent on every correct protocol's behavior. *)
+(* Feed [trace] to [m] like [Monitor.feed_trace], checking after every
+   feed that the replay check, which keeps a folded base, alarms as a
+   from-scratch replay would: [Inappropriate x] has fired iff the
+   visible operation sequence of [x] replayed from the initial state
+   has ever been illegal, and it fired at the first feed that made it
+   so. *)
+let feed_checked schema m trace =
+  let fired = Obj_id.Tbl.create 8 and illegal = Obj_id.Tbl.create 8 in
+  let alarms = ref [] in
+  Array.iteri
+    (fun i a ->
+      List.iter
+        (fun al ->
+          alarms := (i, al) :: !alarms;
+          match al with
+          | Monitor.Inappropriate x ->
+              if not (Obj_id.Tbl.mem fired x) then Obj_id.Tbl.add fired x i
+          | Monitor.Cycle _ -> ())
+        (Monitor.feed m a);
+      List.iter
+        (fun x ->
+          if
+            (not (Obj_id.Tbl.mem illegal x))
+            && not
+                 (Serial_spec.legal (schema.Schema.dtype_of x)
+                    (List.map
+                       (fun (u, v) -> (schema.Schema.op_of u, v))
+                       (Monitor.visible_operations m x)))
+          then Obj_id.Tbl.add illegal x i;
+          let at tbl =
+            match Obj_id.Tbl.find_opt tbl x with
+            | Some j -> string_of_int j
+            | None -> "-"
+          in
+          if at fired <> at illegal then
+            Alcotest.failf "%s, event %d: alarm at %s, replay illegal at %s"
+              (Obj_id.name x) i (at fired) (at illegal))
+        schema.Schema.objects)
+    trace;
+  List.rev !alarms
+
+(* The monitor must stay silent on every correct protocol's behavior
+   (and its folded replay agree with a from-scratch one throughout). *)
 let t_silent_on_correct () =
   List.iter
     (fun (factory, name, gen) ->
@@ -13,7 +55,7 @@ let t_silent_on_correct () =
           in
           let r = run_protocol ~abort_prob:0.05 ~seed schema factory forest in
           let m = Monitor.create schema in
-          let alarms = Monitor.feed_trace m r.Runtime.trace in
+          let alarms = feed_checked schema m r.Runtime.trace in
           if alarms <> [] then
             Alcotest.failf "%s seed %d: unexpected alarms (%d)" name seed
               (List.length alarms);
@@ -53,7 +95,9 @@ let closure g =
    monitor draws precedes edges from the frontier only, so its edges
    are a subset of the offline ones with the same reachability, hence
    the same acyclicity; and it alarms iff the offline graph is cyclic
-   or returns are inappropriate. *)
+   or returns are inappropriate.  At every feed its replay alarm is the
+   one a from-scratch replay gives ([feed_checked]), no-undo's leaked
+   aborts included. *)
 let t_agrees_with_offline () =
   List.iter
     (fun (factory, abort_prob) ->
@@ -68,7 +112,7 @@ let t_agrees_with_offline () =
           let beta = Trace.serial r.Runtime.trace in
           let offline = Sg.build Sg.Access_level schema beta in
           let m = Monitor.create ~mode:Sg.Access_level schema in
-          let alarms = Monitor.feed_trace m r.Runtime.trace in
+          let alarms = feed_checked schema m r.Runtime.trace in
           let sorted_edges g =
             List.sort compare
               (List.map
@@ -125,7 +169,8 @@ let t_agrees_with_offline () =
             alarms)
         (List.init 10 (fun i -> i + 1)))
     [ (Moss_object.factory, 0.05); (Broken.no_control, 0.0);
-      (Broken.no_control, 0.1); (Broken.unsafe_read, 0.1) ]
+      (Broken.no_control, 0.1); (Broken.unsafe_read, 0.1);
+      (Broken.no_undo, 0.1) ]
 
 (* The alarm fires before the end: its index is a strict prefix
    position, and feeding only that prefix to the offline checker
@@ -408,6 +453,45 @@ let t_state_grows_linearly () =
     Alcotest.failf "edges per top grew: %d in the second tenth, %d in the last"
       second last
 
+(* A Pending record holds the fold back: [a1]'s read (seq 0) waits for
+   its top while [a2]'s later write becomes visible and is replayed
+   behind it.  When [T1] commits, the read becomes visible ahead of the
+   write with a value no replay from the initial state gives, and that
+   commit is flagged. *)
+let t_pending_record_holds_the_fold () =
+  let x = Obj_id.make "r" in
+  let forest =
+    [
+      Program.seq [ Program.access x Datatype.Read ];
+      Program.seq [ Program.access x (Datatype.Write (Value.Int 1)) ];
+    ]
+  in
+  let schema = Program.schema_of ~objects:[ (x, Register.make ()) ] forest in
+  let t1 = txn [ 0 ] and a1 = txn [ 0; 0 ] in
+  let t2 = txn [ 1 ] and a2 = txn [ 1; 0 ] in
+  let trace =
+    trace_of
+      [
+        open_txn t1;
+        leaf_txn a1 (Value.Int 1);
+        open_txn t2;
+        leaf_txn a2 Value.Ok;
+        commit_txn t2 Value.Ok;
+        commit_txn t1 Value.Ok;
+      ]
+  in
+  let commit_t1 =
+    let rec find i =
+      if trace.(i) = Action.Commit t1 then i else find (i + 1)
+    in
+    find 0
+  in
+  Alcotest.(check (list int)) "flagged at T1's commit" [ commit_t1 ]
+    (List.filter_map
+       (fun (i, a) ->
+         match a with Monitor.Inappropriate _ -> Some i | Monitor.Cycle _ -> None)
+       (feed_checked schema (Monitor.create schema) trace))
+
 let suite =
   ( "monitor",
     [
@@ -426,4 +510,6 @@ let suite =
         t_witness_order_gone_on_cycle;
       Alcotest.test_case "counters start at zero" `Quick t_counters_fresh;
       Alcotest.test_case "state grows linearly" `Quick t_state_grows_linearly;
+      Alcotest.test_case "pending record holds the fold back" `Quick
+        t_pending_record_holds_the_fold;
     ] )
