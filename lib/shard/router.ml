@@ -79,9 +79,8 @@ let plan t prog =
                  trace and the spine's rail both use.  One shard's
                  engine trace is already the merged one. *)
               if t.merged then begin
-                let s1 = Spine.stamp t.spine in
-                t.synth <- (s1, Action.Request_create (top_txn g)) :: t.synth;
-                Spine.note_submit t.spine g ~seq:s1
+                let s1 = Spine.note_submit t.spine g in
+                t.synth <- (s1, Action.Request_create (top_txn g)) :: t.synth
               end);
           Ok { p_g = g; p_dispatches = [ { d_shard = s; d_prefix = [ g ]; d_prog = prog } ]; p_cross = false }
       | Footprint.Cross _ ->
@@ -106,9 +105,8 @@ let plan t prog =
                  order, for the same affects-consistency reason as the
                  plain case above (the local engines' requests for the
                  piece roots are dropped by the shard taps). *)
-              let s1 = Spine.stamp t.spine in
+              let s1 = Spine.note_submit t.spine g in
               t.synth <- (s1, Action.Request_create (top_txn g)) :: t.synth;
-              Spine.note_submit t.spine g ~seq:s1;
               let s2 = Spine.stamp t.spine in
               t.synth <- (s2, Action.Create (top_txn g)) :: t.synth;
               List.iteri
@@ -148,9 +146,8 @@ let synthesize_commit t g values =
   t.synth <- (s1, Action.Request_commit (u, v)) :: t.synth;
   let s2 = Spine.stamp t.spine in
   t.synth <- (s2, Action.Commit u) :: t.synth;
-  let s3 = Spine.stamp t.spine in
+  let s3 = Spine.note_complete t.spine g in
   t.synth <- (s3, Action.Report_commit (u, v)) :: t.synth;
-  Spine.note_complete t.spine g ~seq:s3;
   v
 
 let note_report t ~g ~piece ~seq:_ out =

@@ -66,9 +66,7 @@ let remap_action t a =
 
 let local_done t u out seq =
   match prefix_of t u with
-  | Some [ g ] ->
-      Spine.note_complete t.spine g ~seq;
-      t.on_report ~g ~piece:None ~seq out
+  | Some [ g ] -> t.on_report ~g ~piece:None ~seq out
   | Some [ g; k ] -> t.on_report ~g ~piece:(Some k) ~seq out
   | _ -> ()
 
@@ -81,9 +79,18 @@ let tap t a =
          merged trace's affects relation must respect. *)
       ()
   | _ -> (
-      let m = remap_action t a in
-      let seq = Spine.stamp t.spine in
-      t.buf <- (seq, m) :: t.buf;
+      (* A whole program's report is a rail note; a piece's is not (its
+         merged node reports when the router synthesizes its commit). *)
+      let seq =
+        match a with
+        | (Action.Report_commit (u, _) | Action.Report_abort u)
+          when Txn_id.depth u = 1 -> (
+            match prefix_of t u with
+            | Some [ g ] -> Spine.note_complete t.spine g
+            | _ -> Spine.stamp t.spine)
+        | _ -> Spine.stamp t.spine
+      in
+      t.buf <- (seq, remap_action t a) :: t.buf;
       match a with
       | Action.Report_commit (u, v) when Txn_id.depth u = 1 ->
           local_done t u (Done_committed v) seq
@@ -118,17 +125,13 @@ let extra_gate t u edges =
        whether the local graph holds it or not: a held one may be a
        precedes edge from a piece that reported before the other top
        started here, which the rail does not order. *)
-    let railed ga gb =
-      match (Spine.complete_seq t.spine ga, Spine.submit_seq t.spine gb) with
-      | Some c, Some s -> c < s
-      | _ -> false
-    in
     let tops =
       List.filter_map
         (fun (a, b, prov) ->
           if Txn_id.depth a = 1 && Txn_id.depth b = 1 then
             match (merged_g t a, merged_g t b) with
-            | Some ga, Some gb when ga <> gb && not (railed ga gb) ->
+            | Some ga, Some gb
+              when ga <> gb && not (Spine.railed t.spine ga gb) ->
                 Some (ga, gb, witness_string t prov)
             | _ -> None
           else None)

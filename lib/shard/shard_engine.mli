@@ -10,10 +10,10 @@
       into the merged name space and stamps it with the global sequence
       counter, so the union of all shard buffers sorts into one merged
       trace;
-    - {e rail stamping} — top-level [Request_create]/report actions
-      stamp {!Spine.note_submit}/{!Spine.note_complete} with the same
-      sequence numbers, making the spine's implicit precedes rail
-      exactly the merged trace's;
+    - {e rail stamping} — a whole program's top-level report takes its
+      stamp from {!Spine.note_complete} (the router's merged
+      [Request_create] from {!Spine.note_submit}), so the spine's
+      precedes rail is exactly the merged trace's;
     - {e the second gate} — after the local controller admits a
       top-level commit, it hands this wrapper the prospective edge set
       it already computed ({!Nt_sg.Monitor.prospective_commit_edges},

@@ -1,39 +1,34 @@
 open Nt_base
+open Nt_sg
 
 type node = {
-  g : int;
-  mutable submit_seq : int;  (* -1 until Request_create *)
-  mutable complete_seq : int;  (* -1 until reported *)
-  mutable out_edges : (int * string) list;
-  mutable in_edges : (int * string) list;
+  mutable submit : int;  (* -1 until Request_create *)
+  mutable complete : int;  (* -1 until reported *)
 }
 
 type t = {
   mu : Mutex.t;
   seq : int Atomic.t;
+  graph : Graph.t;  (* explicit edges plus the rail's frontier edges *)
   mutable nodes : node array;
   mutable n_nodes : int;
-  mutable by_submit : node array;  (* submit-stamped nodes, sorted by stamp *)
-  mutable n_submitted : int;
+  mutable frontier : int list;  (* the maximal reported tops *)
+  explicit : (int * int, string) Hashtbl.t;  (* installed edge -> witness *)
   mutable checks : int;
   mutable vetoes : int;
-  mutable edges : int;
 }
-
-let dummy =
-  { g = -1; submit_seq = -1; complete_seq = -1; out_edges = []; in_edges = [] }
 
 let create () =
   {
     mu = Mutex.create ();
     seq = Atomic.make 0;
-    nodes = Array.make 64 dummy;
+    graph = Graph.create ();
+    nodes = [||];
     n_nodes = 0;
-    by_submit = Array.make 64 dummy;
-    n_submitted = 0;
+    frontier = [];
+    explicit = Hashtbl.create 64;
     checks = 0;
     vetoes = 0;
-    edges = 0;
   }
 
 let stamp t = Atomic.fetch_and_add t.seq 1
@@ -42,20 +37,15 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let grow arr n =
-  if n < Array.length arr then arr
-  else begin
-    let bigger = Array.make (max 64 (2 * n)) dummy in
-    Array.blit arr 0 bigger 0 (Array.length arr);
-    bigger
-  end
+let top_txn g = Txn_id.child Txn_id.root g
 
 let register t =
   locked t (fun () ->
       let g = t.n_nodes in
-      t.nodes <- grow t.nodes g;
-      t.nodes.(g) <-
-        { g; submit_seq = -1; complete_seq = -1; out_edges = []; in_edges = [] };
+      if g = Array.length t.nodes then
+        t.nodes <-
+          Array.init (max 64 (2 * g)) (fun i ->
+              if i < g then t.nodes.(i) else { submit = -1; complete = -1 });
       t.n_nodes <- g + 1;
       g)
 
@@ -63,164 +53,98 @@ let node t g =
   if g < 0 || g >= t.n_nodes then invalid_arg "Spine: unregistered transaction"
   else t.nodes.(g)
 
-let note_submit t g ~seq =
+(* The rail [u -> v iff u reported before v was requested] is an
+   interval order, kept as in [Monitor.report]: a request draws edges
+   from the frontier only, and a report retires every member that
+   reported before its own request — those reach it through the edge
+   its request drew.  Both notes stamp under the mutex, so notes arrive
+   in stamp order and the frontier is exact. *)
+let note_submit t g =
   locked t (fun () ->
       let n = node t g in
-      if n.submit_seq < 0 then begin
-        n.submit_seq <- seq;
-        t.by_submit <- grow t.by_submit t.n_submitted;
-        (* Stamps are taken before the mutex, so inserts can arrive
-           slightly out of stamp order under domains: sift from the
-           tail (almost always a plain append). *)
-        let i = ref t.n_submitted in
-        while !i > 0 && t.by_submit.(!i - 1).submit_seq > seq do
-          t.by_submit.(!i) <- t.by_submit.(!i - 1);
-          decr i
-        done;
-        t.by_submit.(!i) <- n;
-        t.n_submitted <- t.n_submitted + 1
-      end)
+      let s = stamp t in
+      n.submit <- s;
+      let v = top_txn g in
+      Graph.add_node t.graph v;
+      List.iter (fun u -> Graph.add_edge t.graph (top_txn u) v) t.frontier;
+      s)
 
-let note_complete t g ~seq =
+let note_complete t g =
   locked t (fun () ->
       let n = node t g in
-      if n.complete_seq < 0 then n.complete_seq <- seq)
+      let s = stamp t in
+      n.complete <- s;
+      t.frontier <-
+        g :: List.filter (fun u -> t.nodes.(u).complete > n.submit) t.frontier;
+      s)
 
-let submit_seq t g =
+let railed t a b =
   locked t (fun () ->
-      let n = node t g in
-      if n.submit_seq < 0 then None else Some n.submit_seq)
-
-let complete_seq t g =
-  locked t (fun () ->
-      let n = node t g in
-      if n.complete_seq < 0 then None else Some n.complete_seq)
+      let c = (node t a).complete and s = (node t b).submit in
+      c >= 0 && s >= 0 && c < s)
 
 type verdict =
   | Admitted
   | Vetoed of { cycle : Txn_id.t list; witness : string }
 
-type label = Explicit of string | Rail
+let g_of u = Option.get (Txn_id.last_index u)
 
-let top_txn g = Txn_id.child Txn_id.root g
+let rec rotate_to top pre = function
+  | [] -> List.rev pre
+  | g :: _ as l when g = top -> l @ List.rev pre
+  | g :: rest -> rotate_to top (g :: pre) rest
 
-let has_edge t a b =
-  List.exists (fun (b', _) -> b' = b) t.nodes.(a).out_edges
-
-let install t a b w =
-  let na = t.nodes.(a) and nb = t.nodes.(b) in
-  na.out_edges <- (b, w) :: na.out_edges;
-  nb.in_edges <- (a, w) :: nb.in_edges;
-  t.edges <- t.edges + 1
-
-let edge_line t a lbl b =
+(* One line per cycle edge: an explicit edge carries the witness it was
+   shipped with; any other cycle edge is a stored rail edge. *)
+let edge_line t fresh a b =
   let name g = Txn_id.to_string (top_txn g) in
-  match lbl with
-  | Explicit w -> Printf.sprintf "%s -> %s [%s]" (name a) (name b) w
-  | Rail ->
+  let shipped =
+    match Hashtbl.find_opt t.explicit (a, b) with
+    | Some _ as w -> w
+    | None ->
+        List.find_map
+          (fun (a', b', w) -> if a = a' && b = b' then Some w else None)
+          fresh
+  in
+  match shipped with
+  | Some w -> Printf.sprintf "%s -> %s [%s]" (name a) (name b) w
+  | None ->
       Printf.sprintf "%s -> %s [rail: %s reported@%d before %s requested@%d]"
-        (name a) (name b) (name a)
-        t.nodes.(a).complete_seq
-        (name b)
-        t.nodes.(b).submit_seq
+        (name a) (name b) (name a) t.nodes.(a).complete (name b)
+        t.nodes.(b).submit
 
 let gate t ~top ~edges =
   locked t (fun () ->
       t.checks <- t.checks + 1;
-      let u = node t top in
-      if u.submit_seq < 0 then invalid_arg "Spine.gate: top never submitted";
+      if (node t top).submit < 0 then
+        invalid_arg "Spine.gate: top never submitted";
       let seen = Hashtbl.create 8 in
       let fresh =
         List.filter
           (fun (a, b, _) ->
             a <> b
-            && (a = top || b = top)
             && (not (Hashtbl.mem seen (a, b)))
             && begin
                  Hashtbl.add seen (a, b) ();
-                 not (has_edge t a b)
+                 not (Hashtbl.mem t.explicit (a, b))
                end)
           edges
       in
-      (* After installation, out-neighbours of [top] would be the fresh
-         outgoing edges plus the ones already shipped; a cycle through
-         [top] closes on any node with an (installed or fresh) edge back
-         into [top], or on any node whose report pre-dates [top]'s
-         request (the implicit rail). *)
-      let sources =
-        List.filter_map
-          (fun (a, b, w) -> if a = top then Some (b, Explicit w) else None)
-          fresh
-        @ List.map (fun (v, w) -> (v, Explicit w)) u.out_edges
-      in
-      let target = Hashtbl.create 8 in
-      List.iter
-        (fun (a, b, w) -> if b = top then Hashtbl.replace target a (Explicit w))
-        fresh;
-      List.iter (fun (v, w) -> Hashtbl.replace target v (Explicit w)) u.in_edges;
-      let parent = Hashtbl.create 32 in
-      let q = Queue.create () in
-      let push p lbl v =
-        if v <> top && not (Hashtbl.mem parent v) then begin
-          Hashtbl.replace parent v (p, lbl);
-          Queue.add v q
-        end
-      in
-      List.iter (fun (v, lbl) -> push top lbl v) sources;
-      (* Rail absorption: once some visited node with completion stamp
-         [theta] is known, every node requested after [theta] is
-         rail-reachable; [by_submit] is stamp-sorted, so those are a
-         suffix, consumed monotonically. *)
-      let theta = ref max_int and theta_node = ref (-1) in
-      let absorb_ptr = ref t.n_submitted in
-      let closing = ref None in
-      (try
-         while not (Queue.is_empty q) do
-           let v = Queue.pop q in
-           let nv = t.nodes.(v) in
-           (match Hashtbl.find_opt target v with
-           | Some lbl ->
-               closing := Some (v, lbl);
-               raise Exit
-           | None -> ());
-           if nv.complete_seq >= 0 && nv.complete_seq < u.submit_seq then begin
-             closing := Some (v, Rail);
-             raise Exit
-           end;
-           List.iter (fun (z, w) -> push v (Explicit w) z) nv.out_edges;
-           if nv.complete_seq >= 0 then begin
-             if nv.complete_seq < !theta then begin
-               theta := nv.complete_seq;
-               theta_node := v
-             end;
-             while
-               !absorb_ptr > 0
-               && t.by_submit.(!absorb_ptr - 1).submit_seq > !theta
-             do
-               decr absorb_ptr;
-               push !theta_node Rail t.by_submit.(!absorb_ptr).g
-             done
-           end
-         done
-       with Exit -> ());
-      match !closing with
+      let pairs = List.map (fun (a, b, _) -> (top_txn a, top_txn b)) fresh in
+      match Graph.would_close_cycle t.graph pairs with
       | None ->
-          List.iter (fun (a, b, w) -> install t a b w) fresh;
+          List.iter
+            (fun (a, b, w) ->
+              Hashtbl.replace t.explicit (a, b) w;
+              Graph.add_edge t.graph (top_txn a) (top_txn b))
+            fresh;
           Admitted
-      | Some (v, lbl) ->
+      | Some path ->
           t.vetoes <- t.vetoes + 1;
-          let rec chain v acc =
-            if v = top then acc
-            else
-              match Hashtbl.find_opt parent v with
-              | Some (p, l) -> chain p ((p, l, v) :: acc)
-              | None -> acc
-          in
-          let path = chain v [] in
-          let cycle = top :: List.map (fun (_, _, b) -> b) path in
+          let cycle = rotate_to top [] (List.map g_of path) in
           let lines =
-            List.map (fun (a, l, b) -> edge_line t a l b) path
-            @ [ edge_line t v lbl top ]
+            List.map2 (edge_line t fresh) cycle
+              (List.tl cycle @ [ List.hd cycle ])
           in
           Vetoed
             {
@@ -230,5 +154,5 @@ let gate t ~top ~edges =
 
 let checks t = locked t (fun () -> t.checks)
 let vetoes t = locked t (fun () -> t.vetoes)
-let edge_count t = locked t (fun () -> t.edges)
+let edge_count t = locked t (fun () -> Hashtbl.length t.explicit)
 let node_count t = locked t (fun () -> t.n_nodes)

@@ -1,5 +1,7 @@
 (** The cross-shard commit gate: a coordinator-held top-level
-    serialization graph over merged transaction names.
+    serialization graph over merged transaction names — [T0]'s sibling
+    graph under sharding, kept in one {!Nt_sg.Graph} like every other
+    parent's.
 
     Under object partitioning, every {e conflict} edge of the merged
     system's SG joins two transactions that touched the same object —
@@ -7,28 +9,34 @@
     first, and the shard {e ships} its top-level projection here as a
     [(from, to, witness)] triple at the commit that witnesses it —
     even when the local graph already held the edge, unless the rail
-    below orders its endpoints.  The
-    spine never stores precedes edges explicitly: the top-level
-    precedes relation is the dense time rail [u -> v iff u reported
-    before v was requested], which the global sequence stamps encode
-    exactly — {!note_complete}[ u < ]{!note_submit}[ v].  Explicit
-    conflict edges plus that implicit rail reconstruct the merged
-    top-level SG precisely (the determinism argument and the proof
-    sketch live in [doc/sharding.mld]).
+    below orders its endpoints ({!railed}).  The top-level precedes
+    relation is the time rail [u -> v iff u reported before v was
+    requested], which the global sequence stamps encode exactly:
+    {!note_complete}[ u < ]{!note_submit}[ v].  The rail is an interval
+    order, so the graph stores it as {e frontier edges}, as
+    {!Nt_sg.Monitor} stores precedes: a request draws an edge from
+    each maximal reported top, and a report retires every frontier
+    member that reported before its own request.  Explicit conflict
+    edges plus those rail edges have the reachability of the merged
+    top-level SG (the determinism argument and the proof sketch live
+    in [doc/sharding.mld]).
 
     {!gate} is the two-phase decision: a shard about to perform a
     commit whose prospective edge set contains top-level edges presents
-    them here; the spine answers whether adding them to the global
-    graph closes a cycle — vetoing exactly the cycle-closing commits,
-    as the local gate does for local cycles — and, on admission,
-    installs them atomically (one mutex-guarded critical section, so
+    them here; the spine asks {!Nt_sg.Graph.would_close_cycle} whether
+    adding them closes a cycle — vetoing exactly the cycle-closing
+    commits, as the local gate does for local cycles — and, on
+    admission, installs them (one mutex-guarded critical section, so
     check and install are indivisible).
 
     All merged top-level transactions are registered here as dense
     integers [g] (the merged name is [T0.g]); stamps come from one
-    global atomic counter that also orders the merged trace, which is
-    what makes the harness's offline judgement and this online gate
-    agree on the precedes relation. *)
+    global counter that also orders the merged trace, which is what
+    makes the harness's offline judgement and this online gate agree on
+    the precedes relation.  {!note_submit} and {!note_complete} draw
+    their stamps under the spine's mutex, so the notes arrive in stamp
+    order — what keeps the frontier exact — and no gate can run between
+    a report's stamp and its note. *)
 
 open Nt_base
 
@@ -43,27 +51,31 @@ val stamp : t -> int
 val register : t -> int
 (** Allocate the next merged top-level transaction [g]. *)
 
-val note_submit : t -> int -> seq:int -> unit
-(** [T0.g]'s [Request_create] carries trace stamp [seq]. *)
+val note_submit : t -> int -> int
+(** Stamp [T0.g]'s [Request_create] and return the stamp: [T0.g]
+    enters the graph with a rail edge from each frontier member. *)
 
-val note_complete : t -> int -> seq:int -> unit
-(** [T0.g]'s report ([Report_commit] or [Report_abort] — aborted tops
-    are rail sources too) carries trace stamp [seq]. *)
+val note_complete : t -> int -> int
+(** Stamp [T0.g]'s report ([Report_commit] or [Report_abort] — aborted
+    tops are rail sources too) and return the stamp: [T0.g] joins the
+    frontier. *)
 
-val submit_seq : t -> int -> int option
-val complete_seq : t -> int -> int option
+val railed : t -> int -> int -> bool
+(** [railed t a b]: [T0.a] reported before [T0.b] was requested. *)
 
 type verdict =
   | Admitted
   | Vetoed of { cycle : Txn_id.t list; witness : string }
 
 val gate : t -> top:int -> edges:(int * int * string) list -> verdict
-(** [gate t ~top ~edges] — would installing [edges] (each incident to
-    [top]; the witness string explains the underlying conflict) close
-    a cycle in the global graph (explicit edges + time rail)?
-    [Admitted] installs them; [Vetoed] installs nothing and returns
-    the would-be cycle with an edge-by-edge witness chain.  Raises
-    [Invalid_argument] if [top] was never submit-stamped. *)
+(** [gate t ~top ~edges] — would installing [edges] (each witness
+    string explains the underlying conflict) close a cycle in the
+    global graph (explicit edges + time rail)?  [Admitted] installs
+    them; [Vetoed] installs nothing and returns the would-be cycle,
+    starting at [top] when it passes through it, with one witness line
+    per edge: an explicit edge's shipped witness, or a rail edge's two
+    stamps.  Raises [Invalid_argument] if [top] was never
+    submit-stamped. *)
 
 val checks : t -> int
 val vetoes : t -> int

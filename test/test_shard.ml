@@ -180,9 +180,9 @@ let t_spine_rail_veto () =
   let sp = Spine.create () in
   let g0 = Spine.register sp in
   let g1 = Spine.register sp in
-  Spine.note_submit sp g0 ~seq:(Spine.stamp sp);
-  Spine.note_complete sp g0 ~seq:(Spine.stamp sp);
-  Spine.note_submit sp g1 ~seq:(Spine.stamp sp);
+  ignore (Spine.note_submit sp g0);
+  ignore (Spine.note_complete sp g0);
+  ignore (Spine.note_submit sp g1);
   (* g0 reported before g1 was requested: the time rail runs g0 -> g1,
      so an explicit g1 -> g0 conflict edge closes a cycle. *)
   (match Spine.gate sp ~top:g1 ~edges:[ (g1, g0, "w(x) conflict") ] with
@@ -209,9 +209,9 @@ let t_spine_explicit_cycle () =
   let a = Spine.register sp in
   let b = Spine.register sp in
   let c = Spine.register sp in
-  Spine.note_submit sp a ~seq:(Spine.stamp sp);
-  Spine.note_submit sp b ~seq:(Spine.stamp sp);
-  Spine.note_submit sp c ~seq:(Spine.stamp sp);
+  ignore (Spine.note_submit sp a);
+  ignore (Spine.note_submit sp b);
+  ignore (Spine.note_submit sp c);
   (* All three overlap in time: no rail edges, only explicit ones. *)
   (match Spine.gate sp ~top:a ~edges:[ (a, b, "e1") ] with
   | Spine.Admitted -> ()
@@ -227,6 +227,145 @@ let t_spine_explicit_cycle () =
         && Astring_like.contains witness "e2"
         && Astring_like.contains witness "e3")
   | Spine.Admitted -> Alcotest.fail "explicit 3-cycle admitted"
+
+(* The gate checks every shipped edge, incident to the gated top or
+   not: an edge between two other tops that closes a cycle is vetoed. *)
+let t_spine_non_incident_edge () =
+  let sp = Spine.create () in
+  let a = Spine.register sp in
+  let b = Spine.register sp in
+  let c = Spine.register sp in
+  List.iter (fun g -> ignore (Spine.note_submit sp g)) [ a; b; c ];
+  (match Spine.gate sp ~top:a ~edges:[ (a, b, "e1") ] with
+  | Spine.Admitted -> ()
+  | Spine.Vetoed _ -> Alcotest.fail "a->b vetoed");
+  (match Spine.gate sp ~top:c ~edges:[ (b, a, "e2") ] with
+  | Spine.Vetoed { cycle; witness } ->
+      check_int "two-top cycle" 2 (List.length cycle);
+      check_bool "witness names both edges" true
+        (Astring_like.contains witness "e1" && Astring_like.contains witness "e2")
+  | Spine.Admitted -> Alcotest.fail "non-incident cycle-closing edge admitted");
+  check_int "veto installs nothing" 1 (Spine.edge_count sp)
+
+(* The spine keeps the rail as frontier edges; a brute-force model keeps
+   the literal rail (every pair whose report stamp is below the other's
+   request stamp) next to the explicit edges and searches it by DFS.
+   Over seeded histories of registrations, notes, stray stamps and
+   gates shipping edges incident to the gated top, the two agree on
+   every verdict and on the installed-edge count, and each veto witness
+   line names an edge of the literal graph with its shipped witness or
+   its two stamps. *)
+let t_spine_frontier_rail_is_literal () =
+  let vetoes = ref 0 in
+  for seed = 1 to 300 do
+    let rng = Rng.create seed in
+    let sp = Spine.create () in
+    let n = ref 0 in
+    let submit = Hashtbl.create 16 and complete = Hashtbl.create 16 in
+    let explicit = Hashtbl.create 16 in
+    let rail a b =
+      match (Hashtbl.find_opt complete a, Hashtbl.find_opt submit b) with
+      | Some c, Some s -> c < s
+      | _ -> false
+    in
+    let cyclic fresh =
+      let edge a b =
+        Hashtbl.mem explicit (a, b) || List.mem_assoc (a, b) fresh || rail a b
+      in
+      let color = Array.make !n 0 in
+      let rec visit u =
+        color.(u) <- 1;
+        let found = ref false in
+        for v = 0 to !n - 1 do
+          if (not !found) && edge u v then
+            found := color.(v) = 1 || (color.(v) = 0 && visit v)
+        done;
+        color.(u) <- 2;
+        !found
+      in
+      let rec any u = u < !n && ((color.(u) = 0 && visit u) || any (u + 1)) in
+      any 0
+    in
+    let pick p =
+      match List.filter p (List.init !n Fun.id) with
+      | [] -> None
+      | l -> Some (Rng.pick_list rng l)
+    in
+    let submitted g = Hashtbl.mem submit g in
+    for _ = 1 to 60 do
+      match Rng.int rng 7 with
+      | 0 | 1 ->
+          check_int "dense registration" !n (Spine.register sp);
+          incr n
+      | 2 -> (
+          match pick (fun g -> not (submitted g)) with
+          | Some g -> Hashtbl.replace submit g (Spine.note_submit sp g)
+          | None -> ())
+      | 3 -> (
+          match pick (fun g -> submitted g && not (Hashtbl.mem complete g)) with
+          | Some g -> Hashtbl.replace complete g (Spine.note_complete sp g)
+          | None -> ())
+      | 4 -> ignore (Spine.stamp sp)
+      | _ -> (
+          match pick submitted with
+          | None -> ()
+          | Some top ->
+              let edges =
+                List.init (1 + Rng.int rng 3) (fun _ ->
+                    let x = Option.get (pick submitted) in
+                    let a, b = if Rng.bool rng then (top, x) else (x, top) in
+                    (a, b, Printf.sprintf "e%d-%d" a b))
+              in
+              let fresh =
+                List.sort_uniq compare
+                  (List.filter_map
+                     (fun (a, b, w) ->
+                       if a = b || Hashtbl.mem explicit (a, b) then None
+                       else Some ((a, b), w))
+                     edges)
+              in
+              let expect_veto = cyclic fresh in
+              (match Spine.gate sp ~top ~edges with
+              | Spine.Admitted ->
+                  check_bool "admitted iff acyclic" false expect_veto;
+                  List.iter (fun (e, w) -> Hashtbl.replace explicit e w) fresh
+              | Spine.Vetoed { cycle; witness } ->
+                  incr vetoes;
+                  check_bool "vetoed iff cyclic" true expect_veto;
+                  let cycle = List.map (fun u -> List.hd (Txn_id.path u)) cycle in
+                  check_int "cycle starts at top" top (List.hd cycle);
+                  let lines = String.split_on_char '\n' witness in
+                  check_int "one line per edge" (List.length cycle)
+                    (List.length lines);
+                  List.iter2
+                    (fun (a, b) line ->
+                      let a', b', why =
+                        Scanf.sscanf line "T0.%d -> T0.%d [%[^]]]" (fun a b w ->
+                            (a, b, w))
+                      in
+                      check_bool "line follows the cycle" true (a = a' && b = b');
+                      let shipped =
+                        match Hashtbl.find_opt explicit (a, b) with
+                        | Some w -> Some w
+                        | None -> List.assoc_opt (a, b) fresh
+                      in
+                      match shipped with
+                      | Some w -> Alcotest.(check string) "shipped witness" w why
+                      | None ->
+                          check_bool "rail line names a rail edge" true (rail a b);
+                          Alcotest.(check string) "rail stamps"
+                            (Printf.sprintf
+                               "rail: T0.%d reported@%d before T0.%d requested@%d"
+                               a (Hashtbl.find complete a) b
+                               (Hashtbl.find submit b))
+                            why)
+                    (List.combine cycle (List.tl cycle @ [ List.hd cycle ]))
+                    lines);
+              check_int "installed edges" (Hashtbl.length explicit)
+                (Spine.edge_count sp))
+    done
+  done;
+  check_bool "the histories exercise the veto path" true (!vetoes > 50)
 
 (* ----- the deterministic sharded harness ----- *)
 
@@ -652,6 +791,10 @@ let suite =
       Alcotest.test_case "split into shard-pure pieces" `Quick t_split_pieces;
       Alcotest.test_case "spine rail veto" `Quick t_spine_rail_veto;
       Alcotest.test_case "spine explicit cycle" `Quick t_spine_explicit_cycle;
+      Alcotest.test_case "spine vetoes a non-incident edge" `Quick
+        t_spine_non_incident_edge;
+      Alcotest.test_case "spine frontier rail decides like the literal rail"
+        `Quick t_spine_frontier_rail_is_literal;
       Alcotest.test_case "sharded serving deterministic" `Quick
         t_sharded_deterministic;
       Alcotest.test_case "sharded differential sweep (200 runs)" `Slow
