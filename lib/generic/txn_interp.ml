@@ -6,7 +6,6 @@ type t = {
   comb : Program.comb;
   mutable children : Program.t array;
   mutable summaries : Value.t option array;
-  mutable requested : bool array;
   mutable n_children : int;  (* live prefix of the (growable) arrays *)
   mutable awaiting : int;  (* requested but not yet reported *)
   mutable next : int;  (* lowest unrequested child index *)
@@ -24,7 +23,6 @@ let make ?(no_commit = false) txn comb children =
     comb;
     children;
     summaries = Array.make n None;
-    requested = Array.make n false;
     n_children = n;
     awaiting = 0;
     next = 0;
@@ -45,13 +43,11 @@ let append_child t prog =
       b
     in
     t.children <- grow t.children prog;
-    t.summaries <- grow t.summaries None;
-    t.requested <- grow t.requested false
+    t.summaries <- grow t.summaries None
   end;
   let i = t.n_children in
   t.children.(i) <- prog;
   t.summaries.(i) <- None;
-  t.requested.(i) <- false;
   t.n_children <- i + 1;
   i
 
@@ -81,10 +77,9 @@ let enabled_outputs t =
 let summary t i = if i < t.n_children then t.summaries.(i) else None
 
 let note_child_requested t i =
-  assert (not t.requested.(i));
-  t.requested.(i) <- true;
+  assert (i = t.next);
   t.awaiting <- t.awaiting + 1;
-  if i >= t.next then t.next <- i + 1
+  t.next <- i + 1
 
 let note_child_committed t i v =
   assert (t.summaries.(i) = None);

@@ -13,12 +13,14 @@
     wakeup code the monitor's feed runs, so the gate judges exactly the
     edges the commit then inserts.
 
-    Soundness: in this construction only [Commit] actions can close a
-    cycle (see the Admission-speculation section of
-    {!Nt_sg.Monitor}), so gating every commit keeps the graph acyclic
-    with zero false negatives — a gated server never raises a [Cycle]
-    alarm.  With [gating:false] the monitor still runs (telemetry and
-    alarms), but nothing is vetoed. *)
+    Soundness: in this construction only a top-level [Commit] can
+    close a cycle (see the Admission-speculation section of
+    {!Nt_sg.Monitor}): queued work becomes visible when its top-level
+    ancestor commits, so an inner commit's prospective set is empty
+    and gating every commit keeps the graph acyclic with zero false
+    negatives — a gated server never raises a [Cycle] alarm.  With
+    [gating:false] the monitor still runs (telemetry and alarms), but
+    nothing is vetoed. *)
 
 open Nt_base
 open Nt_spec

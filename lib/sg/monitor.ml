@@ -18,12 +18,14 @@ type endpoint = { who : Txn_id.t; at : int; where : Obj_id.t option }
 
 type provenance = { kind : edge_kind; before : endpoint; after : endpoint }
 
+type visibility = Visible | Dead | Pending
+
 type op_record = {
   access : Txn_id.t;
   value : Value.t;
   seq : int;
   at : int;  (* feed index of the recording Request_commit *)
-  mutable op_visible : bool;
+  mutable status : visibility;  (* the access's *)
 }
 
 (* What to do when a transaction becomes visible to T0. *)
@@ -31,8 +33,6 @@ type item =
   | Activate_op of Obj_id.t * op_record
   | Activate_edge of Txn_id.t * Txn_id.t * provenance
   | Activate_node of Txn_id.t
-
-type visibility = Visible | Dead | Pending of int
 
 type obj_state = {
   mutable ops : op_record list;  (* newest first *)
@@ -49,11 +49,11 @@ type t = {
   schema : Schema.t;
   mode : Sg.conflict_mode;
   g : Graph.t;
-  committed : unit Txn_id.Tbl.t;
   aborted : unit Txn_id.Tbl.t;
-  vis : visibility Txn_id.Tbl.t;
-  waiters : Txn_id.t list Txn_id.Tbl.t;  (* ancestor -> dependents *)
-  items : item list Txn_id.Tbl.t;  (* txn -> actions on visibility *)
+  waiters : Txn_id.t list Txn_id.Tbl.t;
+      (* top -> the Pending transactions under it, newest first *)
+  items : item list Txn_id.Tbl.t;
+      (* Pending transaction -> what to do when it becomes visible *)
   frontier : (Txn_id.t * int) list Txn_id.Tbl.t;
       (* parent -> its maximal reported children (see [report]), each
          with the report's feed index *)
@@ -84,9 +84,7 @@ let create ?mode schema =
     schema;
     mode;
     g = Graph.create ();
-    committed = Txn_id.Tbl.create 64;
     aborted = Txn_id.Tbl.create 16;
-    vis = Txn_id.Tbl.create 64;
     waiters = Txn_id.Tbl.create 64;
     items = Txn_id.Tbl.create 64;
     frontier = Txn_id.Tbl.create 16;
@@ -123,41 +121,44 @@ let counters t =
    over the finished graph.  [None] once a cycle alarm has fired. *)
 let witness_order t = Option.map Sg.sibling_order_of_topo (Graph.order t.g)
 
-(* Register [u] in the visibility tracker; returns its status. *)
-let visibility t u =
-  match Txn_id.Tbl.find_opt t.vis u with
-  | Some v -> v
-  | None ->
-      let ancestors =
-        List.filter (fun a -> not (Txn_id.is_root a)) (Txn_id.ancestors u)
-      in
-      let v =
-        if List.exists (fun a -> Txn_id.Tbl.mem t.aborted a) ancestors then Dead
-        else begin
-          let missing =
-            List.filter (fun a -> not (Txn_id.Tbl.mem t.committed a)) ancestors
-          in
-          match missing with
-          | [] -> Visible
-          | _ ->
-              List.iter
-                (fun a ->
-                  let l =
-                    match Txn_id.Tbl.find_opt t.waiters a with
-                    | Some l -> l
-                    | None -> []
-                  in
-                  Txn_id.Tbl.replace t.waiters a (u :: l))
-                missing;
-              Pending (List.length missing)
-        end
-      in
-      Txn_id.Tbl.replace t.vis u v;
-      v
+(* Visibility.  The input is a generic behavior, so its transactions
+   are well-formed: one requests commit only after every child it
+   requested has reported, and the controller commits only what
+   requested commit.  Commits therefore run bottom-up, and a
+   transaction's activity becomes visible to T0 exactly when its
+   top-level ancestor commits, unless it or an ancestor aborted first.
+   A non-root transaction is Pending from the first question about it
+   until one of the two happens, registered under its top alone: the
+   top's Commit wakes the transactions registered under it, newest
+   first, and an inner commit wakes nothing.  That order is the
+   activation order, which fixes edge insertion order, hence the
+   maintained order and each edge's witness.  On an ill-formed trace
+   the monitor stays total; its verdict there is unspecified. *)
+
+let dependents t top =
+  match Txn_id.Tbl.find_opt t.waiters top with Some l -> l | None -> []
+
+let top_of u = Txn_id.child_of_on_path ~ancestor:Txn_id.root u
+
+(* [u] or an ancestor aborted. *)
+let dead t u = List.exists (Txn_id.Tbl.mem t.aborted) (Txn_id.ancestors u)
+
+(* Whether non-root [u] is Pending (else it is Dead), registering it
+   under its top at the first question. *)
+let pending t u =
+  if Txn_id.Tbl.mem t.items u then true
+  else if dead t u then false
+  else begin
+    let top = top_of u in
+    Txn_id.Tbl.replace t.waiters top (u :: dependents t top);
+    Txn_id.Tbl.replace t.items u [];
+    true
+  end
 
 let add_item t u item =
-  let l = match Txn_id.Tbl.find_opt t.items u with Some l -> l | None -> [] in
-  Txn_id.Tbl.replace t.items u (item :: l)
+  Txn_id.Tbl.replace t.items u (item :: Txn_id.Tbl.find t.items u)
+
+let is_visible r = match r.status with Visible -> true | Dead | Pending -> false
 
 (* Insert through the incremental detector: {!Graph.add_edge_checked}
    maintains a topological order and searches only the region the new
@@ -217,10 +218,10 @@ let conflict_edges t ~visible x record emit =
    wake several operations, and replaying between the wakeups of one
    commit would examine a state no prefix of the behavior exhibits). *)
 let activate_op t touched x record =
-  record.op_visible <- true;
+  record.status <- Visible;
   touched := x :: !touched;
   let alarms = ref [] in
-  conflict_edges t ~visible:(fun r -> r.op_visible) x record (fun a b prov ->
+  conflict_edges t ~visible:is_visible x record (fun a b prov ->
       alarms := insert_edge t ~prov a b @ !alarms);
   !alarms
 
@@ -242,11 +243,10 @@ let replay_object t x =
       match
         Serial_spec.fold_prefix ?init:ost.base dt
           (fun r ->
-            if r.op_visible then Serial_spec.Fold (operation r)
-            else
-              match Txn_id.Tbl.find_opt t.vis r.access with
-              | Some Dead -> Serial_spec.Skip
-              | _ -> Serial_spec.Stop)
+            match r.status with
+            | Visible -> Serial_spec.Fold (operation r)
+            | Dead -> Serial_spec.Skip
+            | Pending -> Serial_spec.Stop)
           ost.tail
       with
       | None -> false
@@ -255,7 +255,7 @@ let replay_object t x =
           ost.tail <- rest;
           Serial_spec.legal ~init:base dt
             (List.filter_map
-               (fun r -> if r.op_visible then Some (operation r) else None)
+               (fun r -> if is_visible r then Some (operation r) else None)
                rest)
     in
     if not legal then begin
@@ -273,40 +273,23 @@ let run_item t touched = function
       Graph.add_node t.g u;
       []
 
-let dependents t w =
-  match Txn_id.Tbl.find_opt t.waiters w with Some l -> l | None -> []
-
 (* [u]'s queued items, in the order they were queued. *)
 let queued t u =
   match Txn_id.Tbl.find_opt t.items u with Some l -> List.rev l | None -> []
 
-(* The one wakeup rule, for the feed and the admission speculation
-   alike: committing [w] makes a dependent visible when [w] was the
-   last uncommitted ancestor it was waiting on. *)
-let wakes t u =
-  match Txn_id.Tbl.find_opt t.vis u with Some (Pending n) -> n <= 1 | _ -> false
-
-(* A commit arrived: wake dependents.  [w] requested commit, so it
-   requests no more children and its frontier goes. *)
+(* A commit arrived.  A top's commit makes everything registered under
+   it visible; only tops are registered under, so an inner commit wakes
+   nothing.  [w] requested commit, so it requests no more children and
+   its frontier goes. *)
 let process_commit t touched w =
-  Txn_id.Tbl.replace t.committed w ();
   Txn_id.Tbl.remove t.frontier w;
   let deps = dependents t w in
   Txn_id.Tbl.remove t.waiters w;
   List.concat_map
     (fun u ->
-      if wakes t u then begin
-        Txn_id.Tbl.replace t.vis u Visible;
-        let items = queued t u in
-        Txn_id.Tbl.remove t.items u;
-        List.concat_map (run_item t touched) items
-      end
-      else begin
-        (match Txn_id.Tbl.find_opt t.vis u with
-        | Some (Pending n) -> Txn_id.Tbl.replace t.vis u (Pending (n - 1))
-        | _ -> ());
-        []
-      end)
+      let items = queued t u in
+      Txn_id.Tbl.remove t.items u;
+      List.concat_map (run_item t touched) items)
     deps
 
 let process_abort t w =
@@ -322,19 +305,19 @@ let process_abort t w =
   Txn_id.Tbl.filter_map_inplace
     (fun p l -> if below p then None else Some l)
     t.frontier;
-  (* Kill dependents transitively reachable via pending status. *)
+  (* [w] and its descendants registered under [w]'s top are Dead, and
+     so are the operations they queued. *)
   let kill u =
-    match Txn_id.Tbl.find_opt t.vis u with
-    | Some (Pending _) ->
-        Txn_id.Tbl.replace t.vis u Dead;
-        Txn_id.Tbl.remove t.items u
-    | _ -> ()
+    List.iter
+      (function Activate_op (_, r) -> r.status <- Dead | _ -> ())
+      (Txn_id.Tbl.find t.items u);
+    Txn_id.Tbl.remove t.items u
   in
-  (match Txn_id.Tbl.find_opt t.waiters w with
-  | Some l -> List.iter kill l
-  | None -> ());
-  Txn_id.Tbl.remove t.waiters w;
-  []
+  let top = top_of w in
+  let gone, live = List.partition (Txn_id.is_ancestor w) (dependents t top) in
+  List.iter kill gone;
+  if live = [] then Txn_id.Tbl.remove t.waiters top
+  else Txn_id.Tbl.replace t.waiters top live
 
 (* Alarm bookkeeping and telemetry for one fed action: count the
    alarms, emit instants for them, and stream the edges inserted since
@@ -394,13 +377,11 @@ let report t u now =
   in
   Txn_id.Tbl.remove t.requested u;
   let p = Txn_id.parent_exn u in
-  match Txn_id.Tbl.find_opt t.vis p with
-  | Some Dead -> ()
-  | _ ->
-      let l = frontier t p in
-      if not (List.exists (fun (s, _) -> Txn_id.equal u s) l) then
-        Txn_id.Tbl.replace t.frontier p
-          ((u, now) :: List.filter (fun (_, rep) -> rep > req) l)
+  if not (dead t p) then
+    let l = frontier t p in
+    if not (List.exists (fun (s, _) -> Txn_id.equal u s) l) then
+      Txn_id.Tbl.replace t.frontier p
+        ((u, now) :: List.filter (fun (_, rep) -> rep > req) l)
 
 let feed ?(obs = Obs.null) t (a : Action.t) =
   t.n_feeds <- t.n_feeds + 1;
@@ -422,11 +403,7 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
   | Action.Commit u | Action.Abort u when not (Txn_id.is_root u) -> (
       let p = Txn_id.parent_exn u in
       if Txn_id.is_root p then Graph.add_node t.g u
-      else
-        match visibility t p with
-        | Visible -> Graph.add_node t.g u
-        | Pending _ -> add_item t p (Activate_node u)
-        | Dead -> ())
+      else if pending t p then add_item t p (Activate_node u))
   | _ -> ());
   let alarms =
     match a with
@@ -437,27 +414,27 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
       let seq = ost.next_seq in
       t.n_operations <- t.n_operations + 1;
       ost.next_seq <- seq + 1;
+      let live = pending t u in
       let record =
-        { access = u; value = v; seq; at = now; op_visible = false }
+        { access = u; value = v; seq; at = now;
+          status = (if live then Pending else Dead) }
       in
       ost.ops <- record :: ost.ops;
       (* An alarmed object is never replayed again. *)
       if not ost.obj_alarmed then ost.tail <- ost.tail @ [ record ];
-      match visibility t u with
-      | Visible -> activate_op t touched x record
-      | Pending _ ->
-          add_item t u (Activate_op (x, record));
-          []
-      | Dead -> [])
+      if live then add_item t u (Activate_op (x, record));
+      [])
   | Action.Commit u -> process_commit t touched u
-  | Action.Abort u -> process_abort t u
+  | Action.Abort u when not (Txn_id.is_root u) ->
+      process_abort t u;
+      []
   | Action.Report_commit (u, _) | Action.Report_abort u ->
       if not (Txn_id.is_root u) then report t u now;
       []
   | Action.Request_create u when not (Txn_id.is_root u) ->
       let p = Txn_id.parent_exn u in
-      let vis = if Txn_id.is_root p then Visible else visibility t p in
-      if vis = Dead then []
+      let visible = Txn_id.is_root p in
+      if not (visible || pending t p) then []
       else begin
         Txn_id.Tbl.replace t.requested u now;
         List.concat_map
@@ -469,7 +446,7 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
                 after = { who = u; at = now; where = None };
               }
             in
-            if vis = Visible then insert_edge t ~prov sib u
+            if visible then insert_edge t ~prov sib u
             else begin
               add_item t p (Activate_edge (sib, u, prov));
               []
@@ -477,7 +454,7 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
           (frontier t p)
       end
   | Action.Create _ | Action.Inform_commit _ | Action.Inform_abort _
-  | Action.Request_commit _ | Action.Request_create _ ->
+  | Action.Request_commit _ | Action.Request_create _ | Action.Abort _ ->
       []
   in
   let replay_alarms =
@@ -501,7 +478,7 @@ let feed_trace ?obs t trace =
 
 let visible_operations t x =
   let ost = Obj_id.Tbl.find t.objects x in
-  List.filter (fun r -> r.op_visible) ost.ops
+  List.filter is_visible ost.ops
   |> List.sort (fun r1 r2 -> compare r1.seq r2.seq)
   |> List.map (fun r -> (r.access, r.value))
 
@@ -571,16 +548,17 @@ let explain_cycle ?extra t cycle =
 (* --- Admission speculation --------------------------------------------- *)
 
 (* The edges [feed (Commit w)] would insert, computed without mutating
-   anything: the feed's own wakeup and conflict-edge rules ({!wakes},
-   {!conflict_edges}) run over the dependents [w] would wake, but the
+   anything: the feed's own conflict-edge rule ({!conflict_edges}) runs
+   over the items of the list [process_commit] would wake, but the
    edges are collected instead of inserted.  Operations "activated"
    earlier in the simulated commit are visible to later ones, exactly
    as in the real path, via the local [newly] set.  All other feed
    actions are edge-free or target fresh nodes (a [Request_commit] of
    an uncommitted access is always deferred as an item; a
    [Request_create] precedes-edge points at a brand-new node with no
-   outgoing edges), so only commits can close a cycle and gating them
-   on this edge set is a complete admission test.  Edges the graph
+   outgoing edges), and only a top has a list, so only a top's commit
+   can close a cycle and gating commits on this edge set is a complete
+   admission test.  Edges the graph
    already holds are kept: feeding skips them, but a sharded gate must
    still see a local edge its spine does not order. *)
 let prospective_commit_edges t w =
@@ -595,16 +573,15 @@ let prospective_commit_edges t w =
   in
   List.iter
     (fun u ->
-      if wakes t u then
-        List.iter
-          (function
-            | Activate_op (x, record) ->
-                let visible r = r.op_visible || Hashtbl.mem newly (x, r.seq) in
-                conflict_edges t ~visible x record candidate;
-                Hashtbl.replace newly (x, record.seq) ()
-            | Activate_edge (a, b, prov) -> candidate a b prov
-            | Activate_node _ -> ())
-          (queued t u))
+      List.iter
+        (function
+          | Activate_op (x, record) ->
+              let visible r = is_visible r || Hashtbl.mem newly (x, r.seq) in
+              conflict_edges t ~visible x record candidate;
+              Hashtbl.replace newly (x, record.seq) ()
+          | Activate_edge (a, b, prov) -> candidate a b prov
+          | Activate_node _ -> ())
+        (queued t u))
     (dependents t w);
   List.rev !out
 

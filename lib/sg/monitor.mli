@@ -4,8 +4,14 @@
     this monitor consumes a behavior one action at a time and maintains
     {e incrementally}:
 
-    - visibility to [T0] (per-transaction counters of uncommitted
-      ancestors, decremented as commits arrive);
+    - visibility to [T0]: a transaction's activity becomes visible
+      exactly when its top-level ancestor commits, unless it or an
+      ancestor aborted first, so work waits under its top alone and
+      an inner commit wakes nothing.  This holds because the input is
+      a generic behavior, whose transactions are well-formed: a
+      transaction requests commit only after every child it requested
+      has reported, so commits run bottom-up.  On an ill-formed trace
+      the monitor stays total, but its verdict is unspecified;
     - the visible operation sequence of each object, replayed against
       its serial specification as operations {e become} visible —
       raising {!constructor:Inappropriate} the moment a return value
@@ -160,12 +166,14 @@ val pp_provenance : Format.formatter -> provenance -> unit
     For serving-time admission control (see [Nt_net.Admission]): decide
     {e before} performing a commit whether feeding it would close an SG
     cycle, without mutating the monitor.  The key structural fact (see
-    DESIGN.md) is that in this construction only [Commit] actions can
-    close a cycle — an access response of an uncommitted transaction is
-    always deferred as a visibility item, and a [Request_create]
-    precedes-edge targets a brand-new node with no outgoing edges — so
-    vetoing exactly the cycle-closing commits keeps the graph acyclic
-    with zero false negatives.
+    DESIGN.md) is that in this construction only a top-level [Commit]
+    can close a cycle — an access response of an uncommitted
+    transaction is always deferred as a visibility item, a
+    [Request_create] precedes-edge targets a brand-new node with no
+    outgoing edges, and deferred items wake only at their top's
+    commit, so an inner commit's prospective set is empty — so vetoing
+    exactly the cycle-closing commits keeps the graph acyclic with zero
+    false negatives.
 
     The speculation runs {!feed}'s own conflict-edge and wakeup code,
     collecting the edges instead of inserting them, so the prospective

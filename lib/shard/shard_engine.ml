@@ -114,35 +114,30 @@ let witness_string t prov =
 (* The second gate: [edges] is the prospective set the local gate
    already computed for [u]'s commit. *)
 let extra_gate t u edges =
-  if Txn_id.depth u <> 1 then None
-    (* Inner commits cannot add top-level edges: an operation is
-       visible to [T0] only once every ancestor, the top included, has
-       committed. *)
-  else
-    (* An edge is shipped unless the spine's rail already orders its
-       merged tops: the first reported before the second was requested.
-       Such an edge adds nothing there.  Any other edge is shipped,
-       whether the local graph holds it or not: a held one may be a
-       precedes edge from a piece that reported before the other top
-       started here, which the rail does not order. *)
-    let tops =
-      List.filter_map
-        (fun (a, b, prov) ->
-          if Txn_id.depth a = 1 && Txn_id.depth b = 1 then
-            match (merged_g t a, merged_g t b) with
-            | Some ga, Some gb
-              when ga <> gb && not (Spine.railed t.spine ga gb) ->
-                Some (ga, gb, witness_string t prov)
-            | _ -> None
-          else None)
-        edges
-    in
-    match (tops, merged_g t u) with
-    | [], _ | _, None -> None
-    | tops, Some g -> (
-        match Spine.gate t.spine ~top:g ~edges:tops with
-        | Spine.Admitted -> None
-        | Spine.Vetoed { cycle; witness } -> Some (cycle, witness))
+  (* An edge is shipped unless the spine's rail already orders its
+     merged tops: the first reported before the second was requested.
+     Such an edge adds nothing there.  Any other edge is shipped,
+     whether the local graph holds it or not: a held one may be a
+     precedes edge from a piece that reported before the other top
+     started here, which the rail does not order. *)
+  let tops =
+    List.filter_map
+      (fun (a, b, prov) ->
+        if Txn_id.depth a = 1 && Txn_id.depth b = 1 then
+          match (merged_g t a, merged_g t b) with
+          | Some ga, Some gb when ga <> gb && not (Spine.railed t.spine ga gb)
+            ->
+              Some (ga, gb, witness_string t prov)
+          | _ -> None
+        else None)
+      edges
+  in
+  match (tops, merged_g t u) with
+  | [], _ | _, None -> None
+  | tops, Some g -> (
+      match Spine.gate t.spine ~top:g ~edges:tops with
+      | Spine.Admitted -> None
+      | Spine.Vetoed { cycle; witness } -> Some (cycle, witness))
 
 (* Bare mode: the engine's own completion hook reports each top at its
    [Commit]/[Abort], with the outcome the engine already holds; every

@@ -97,15 +97,17 @@ let closure g =
    the same acyclicity; and it alarms iff the offline graph is cyclic
    or returns are inappropriate.  At every feed its replay alarm is the
    one a from-scratch replay gives ([feed_checked]), no-undo's leaked
-   aborts included. *)
+   aborts included.  The depth-3 inputs bring inner commits, inner
+   aborts and their orphans, whose work only the top's commit may make
+   visible. *)
 let t_agrees_with_offline () =
   List.iter
-    (fun (factory, abort_prob) ->
+    (fun (factory, abort_prob, depth) ->
       List.iter
         (fun seed ->
           let forest, schema =
             Gen.forest_and_schema Gen.registers ~seed
-              { Gen.default with n_top = 7; depth = 1; n_objects = 2;
+              { Gen.default with n_top = 7; depth; n_objects = 2;
                 read_ratio = 0.4 }
           in
           let r = run_protocol ~abort_prob ~seed schema factory forest in
@@ -168,9 +170,11 @@ let t_agrees_with_offline () =
               | Monitor.Cycle _ -> ())
             alarms)
         (List.init 10 (fun i -> i + 1)))
-    [ (Moss_object.factory, 0.05); (Broken.no_control, 0.0);
-      (Broken.no_control, 0.1); (Broken.unsafe_read, 0.1);
-      (Broken.no_undo, 0.1) ]
+    [ (Moss_object.factory, 0.05, 1); (Broken.no_control, 0.0, 1);
+      (Broken.no_control, 0.1, 1); (Broken.unsafe_read, 0.1, 1);
+      (Broken.no_undo, 0.1, 1); (Moss_object.factory, 0.1, 3);
+      (Undo_object.factory, 0.1, 3); (Broken.no_control, 0.1, 3);
+      (Broken.no_undo, 0.1, 3) ]
 
 (* The alarm fires before the end: its index is a strict prefix
    position, and feeding only that prefix to the offline checker
@@ -492,6 +496,82 @@ let t_pending_record_holds_the_fold () =
          match a with Monitor.Inappropriate _ -> Some i | Monitor.Cycle _ -> None)
        (feed_checked schema (Monitor.create schema) trace))
 
+(* Order tripwire.  A top's commit activates what was registered under
+   it in the order the monitor first asked about each transaction, and
+   that order fixes edge insertion order: the maintained order,
+   [Graph.reorders] and which witness each edge keeps.  No verdict
+   depends on it, so nothing else notices when it drifts.  The digests
+   pin the edges with their witnesses, the order and the reorder count
+   over fixed nested runs with aborts, three seeds per backend and
+   shape.  A change that moves them on purpose re-pins them. *)
+let pinned_orders =
+  [
+    ("moss", "default", "356cff20d94a21292cc6ada732973e4a");
+    ("moss", "lock-heavy", "2b88469b9b9a894b6e70b354c122bd7b");
+    ("moss", "deep-nesting", "1088a8ec3f06d41eb6769113e630fb73");
+    ("moss", "abort-storm", "2f9ac5cde726b3f435a253c9a186e46c");
+    ("no-control", "default", "6c931c16c26c2df8b4e2a60eccd703f8");
+    ("no-control", "lock-heavy", "62f99d92ba9b6efed730e81e092cacaa");
+    ("no-control", "deep-nesting", "04036ada2abe6f4f4c0ea5493967ef4f");
+    ("no-control", "abort-storm", "7f99cdec76c39d284133ac1551b4df8b");
+  ]
+
+let t_order_tripwire () =
+  let shapes =
+    [ (Check.Default, "default"); (Check.Lock_heavy, "lock-heavy");
+      (Check.Deep_nesting, "deep-nesting"); (Check.Abort_storm, "abort-storm") ]
+  in
+  List.iter
+    (fun backend ->
+      let name = Check.backend_name backend in
+      List.iter
+        (fun (shape, shape_name) ->
+          let b = Buffer.create 4096 in
+          for i = 0 to 2 do
+            let sc =
+              Check.gen_scenario ~grammar:Check.Mixed ~shape backend
+                (Rng.create (4600 + i))
+            in
+            let schema = Check.schema_of_scenario sc in
+            let r =
+              Runtime.run ~policy:sc.Check.policy
+                ~inform_policy:sc.Check.inform_policy
+                ~abort_prob:(Float.max 0.05 sc.Check.abort_prob)
+                ~seed:sc.Check.sched_seed schema (Check.factory_of backend)
+                sc.Check.forest
+            in
+            let m = Monitor.create schema in
+            ignore (Monitor.feed_trace m r.Runtime.trace);
+            let g = Monitor.graph m in
+            List.iter
+              (fun (a, bb) ->
+                Buffer.add_string b
+                  (Format.asprintf "%a -> %a [%a]\n" Txn_id.pp a Txn_id.pp bb
+                     (Format.pp_print_option Monitor.pp_provenance)
+                     (Monitor.edge_provenance m a bb)))
+              (List.sort compare (Graph.edges g));
+            (match Graph.order g with
+            | Some order ->
+                List.iter
+                  (fun u -> Buffer.add_string b (Txn_id.to_string u ^ " "))
+                  order
+            | None -> Buffer.add_string b "cyclic");
+            Buffer.add_string b
+              (Printf.sprintf "\nreorders %d\n" (Graph.reorders g))
+          done;
+          let got = Digest.to_hex (Digest.string (Buffer.contents b)) in
+          match
+            List.find_opt
+              (fun (n, s, _) -> n = name && s = shape_name)
+              pinned_orders
+          with
+          | Some (_, _, want) when want = got -> ()
+          | _ ->
+              Alcotest.failf "%s %s: monitor order moved (now %s)" name
+                shape_name got)
+        shapes)
+    [ Check.Moss; Check.No_control ]
+
 let suite =
   ( "monitor",
     [
@@ -512,4 +592,5 @@ let suite =
       Alcotest.test_case "state grows linearly" `Quick t_state_grows_linearly;
       Alcotest.test_case "pending record holds the fold back" `Quick
         t_pending_record_holds_the_fold;
+      Alcotest.test_case "order tripwire" `Quick t_order_tripwire;
     ] )
