@@ -176,9 +176,9 @@ type sim = {
          feeds the online monitor here so a commit gate consulted
          mid-step sees a monitor that is exactly current *)
   commit_gate : (Txn_id.t -> bool) option;
-      (* admission: a [C_commit t] fires only if the gate allows it;
-         a refusal aborts [t] instead (the permissive controller may
-         abort anything requested and incomplete) *)
+      (* admission: a top-level [C_commit t] fires only if the gate
+         allows it; a refusal aborts [t] instead (the permissive
+         controller may abort anything requested and incomplete) *)
   mutable buf : Action.t list;  (* trace, newest first *)
   mutable n_actions : int;
   mutable round_no : int;
@@ -451,7 +451,8 @@ let fire sim c =
            end);
           false)
   | C_commit s
-    when (match sim.commit_gate with Some g -> not (g s.txn) | None -> false)
+    when Txn_id.depth s.txn = 1
+         && match sim.commit_gate with Some g -> not (g s.txn) | None -> false
     ->
       (* Admission veto: performing this commit would close an SG
          cycle.  The permissive controller may abort anything

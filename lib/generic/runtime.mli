@@ -117,9 +117,10 @@ val make :
     here).
 
     [commit_gate t] is consulted when the controller is about to
-    perform [COMMIT t]; returning [false] vetoes the commit and aborts
-    [t] instead (cause [abort.cause.admission]) — a move the fully
-    permissive controller allows, so gated executions are still
+    perform [COMMIT t] for a top-level [t], once per attempt; inner
+    commits never consult it.  Returning [false] vetoes the commit and
+    aborts [t] instead (cause [abort.cause.admission]) — a move the
+    fully permissive controller allows, so gated executions are still
     behaviors of the generic system. *)
 
 val add_top : t -> Program.t -> Txn_id.t

@@ -9,7 +9,7 @@ type t = {
   obs : Obs.t;
   gating : bool;
   mutable vetoed : int;
-  vetoes : veto Txn_id.Tbl.t;  (* keyed by top-level ancestor *)
+  vetoes : veto Txn_id.Tbl.t;  (* keyed by the vetoed top *)
 }
 
 let create ?(obs = Obs.null) ?(gating = true) schema =
@@ -33,15 +33,10 @@ let cycle_alarms t = (Monitor.counters t.monitor).Monitor.cycle_alarms
 
 let on_action t a = ignore (Monitor.feed ~obs:t.obs t.monitor a)
 
-let top_of u =
-  match Txn_id.path u with
-  | [] -> u
-  | i :: _ -> Txn_id.child Txn_id.root i
-
 (* The one place a veto is recorded, whichever gate decided it. *)
 let veto t u ~cycle ~witness =
   t.vetoed <- t.vetoed + 1;
-  Txn_id.Tbl.replace t.vetoes (top_of u) { node = u; cycle; witness };
+  Txn_id.Tbl.replace t.vetoes u { node = u; cycle; witness };
   if Obs.enabled t.obs then
     Metrics.incr (Metrics.counter (Obs.metrics t.obs) "admission.vetoed");
   false
@@ -59,4 +54,4 @@ let gate t ~extra u =
         | Some (cycle, witness) -> veto t u ~cycle ~witness
         | None -> true)
 
-let veto_of t u = Txn_id.Tbl.find_opt t.vetoes (top_of u)
+let veto_of t u = Txn_id.Tbl.find_opt t.vetoes u

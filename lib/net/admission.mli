@@ -7,17 +7,17 @@
     edges ({!Nt_sg.Monitor.prospective_commit_edges}) once, asks
     {!Nt_sg.Monitor.edges_would_cycle} whether inserting them would
     close an SG cycle, and vetoes it if so, recording a witness
-    ({!Nt_sg.Monitor.explain_cycle}) keyed by the transaction's
-    top-level ancestor so the server can report {e why} a submission
-    aborted.  The prospective set comes from the same conflict-edge and
-    wakeup code the monitor's feed runs, so the gate judges exactly the
-    edges the commit then inserts.
+    ({!Nt_sg.Monitor.explain_cycle}) keyed by the vetoed top so the
+    server can report {e why} a submission aborted.  The prospective
+    set is the edges of the commit's own walk, which the [Commit] fed
+    right after applies, so the gate judges exactly the edges the
+    commit then inserts.
 
     Soundness: in this construction only a top-level [Commit] can
     close a cycle (see the Admission-speculation section of
     {!Nt_sg.Monitor}): queued work becomes visible when its top-level
-    ancestor commits, so an inner commit's prospective set is empty
-    and gating every commit keeps the graph acyclic with zero false
+    ancestor commits, so an inner commit inserts no edge, and gating
+    every top-level commit keeps the graph acyclic with zero false
     negatives — a gated server never raises a [Cycle] alarm.  With
     [gating:false] the monitor still runs (telemetry and alarms), but
     nothing is vetoed. *)
@@ -49,17 +49,17 @@ val gate :
   extra:(Txn_id.t -> Monitor.prospective -> (Txn_id.t list * string) option) ->
   Txn_id.t ->
   bool
-(** The commit gate: [false] vetoes.  The local verdict comes first;
-    only a commit it admits reaches [extra] (the cross-shard spine, see
-    [Nt_shard]), which receives the same unfiltered prospective set and
-    answers [None] to admit or [Some (cycle, witness)] to veto.  Either
-    veto bumps {!vetoed}, stores the witness under the transaction's
-    top-level ancestor and emits the [admission.vetoed] counter, so
+(** The commit gate of a top-level transaction: [false] vetoes.  The
+    local verdict comes first; only a commit it admits reaches [extra]
+    (the cross-shard spine, see [Nt_shard]), which receives the same
+    unfiltered prospective set and answers [None] to admit or [Some
+    (cycle, witness)] to veto.  Either veto bumps {!vetoed}, stores the
+    witness under the top and emits the [admission.vetoed] counter, so
     both report through {!veto_of} alike. *)
 
 val veto_of : t -> Txn_id.t -> veto option
-(** The recorded veto under this transaction's top-level ancestor, if
-    its abort was an admission veto. *)
+(** The recorded veto of this top-level transaction, if its abort was
+    an admission veto. *)
 
 val monitor : t -> Monitor.t
 val gating : t -> bool

@@ -76,23 +76,16 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
     match clock with
     | None -> gate
     | Some c ->
-        (* Attribute gate time to the top-level ancestor: inner commits
-           consult the gate too, and the request is the unit of
-           reporting. *)
+        (* Only top-level commits consult the gate. *)
         fun u ->
           let t0 = c () in
           let r = gate u in
           let dt = c () -. t0 in
-          (match Txn_id.path u with
-          | i :: _ -> (
-              match
-                Txn_id.Tbl.find_opt times (Txn_id.child Txn_id.root i)
-              with
-              | Some st ->
-                  st.st_gate <- st.st_gate +. dt;
-                  st.st_gates <- st.st_gates + 1
-              | None -> ())
-          | [] -> ());
+          (match Txn_id.Tbl.find_opt times u with
+          | Some st ->
+              st.st_gate <- st.st_gate +. dt;
+              st.st_gates <- st.st_gates + 1
+          | None -> ());
           r
   in
   let rt =

@@ -30,9 +30,11 @@ type stage_times = {
       (** When the scheduler's [CREATE] fired (= [st_submit] until
           then): execution begins here, submit-to-start is queueing. *)
   mutable st_gate : float;
-      (** Cumulative seconds spent inside the admission commit gate on
-          behalf of this request (inner commits included). *)
-  mutable st_gates : int;  (** Gate consultations. *)
+      (** Seconds spent inside the admission commit gate at this
+          request's top-level commit. *)
+  mutable st_gates : int;
+      (** Gate consultations: 0 or 1, as only a top-level commit
+          consults the gate. *)
   mutable st_complete : float;
       (** The top-level [Commit]/[Abort] ([0.] while running). *)
 }
@@ -73,7 +75,7 @@ val create :
     fresh; keep it cheap, it runs inside {!step}.  [clock] (a
     monotonic-seconds reading; [lib/net] links no [unix], so the
     server injects one) turns on {!stage_times} bookkeeping: submit /
-    scheduler-start / cumulative-gate / completion stamps per live
+    scheduler-start / gate / completion stamps per live
     top-level transaction, at the cost of a couple of clock reads per
     transaction and per gate consultation.  Without it the engine
     behaves exactly as before.  [on_action] is a read-only tap fired

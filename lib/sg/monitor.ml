@@ -18,6 +18,8 @@ type endpoint = { who : Txn_id.t; at : int; where : Obj_id.t option }
 
 type provenance = { kind : edge_kind; before : endpoint; after : endpoint }
 
+type prospective = (Txn_id.t * Txn_id.t * provenance) list
+
 type visibility = Visible | Dead | Pending
 
 type op_record = {
@@ -47,7 +49,6 @@ type obj_state = {
 
 type t = {
   schema : Schema.t;
-  mode : Sg.conflict_mode;
   g : Graph.t;
   aborted : unit Txn_id.Tbl.t;
   waiters : Txn_id.t list Txn_id.Tbl.t;
@@ -64,6 +65,9 @@ type t = {
       (* first witness per inserted edge (edges are deduplicated) *)
   mutable pending_edges : (Txn_id.t * Txn_id.t * provenance) list;
       (* edges inserted by the current feed, for the event stream *)
+  mutable walked : (Txn_id.t * (item * prospective) list) option;
+      (* the walk [prospective_commit_edges] made for a top, until the
+         next feed: a [Commit] of that top applies it *)
   mutable first_cycle : Txn_id.t list option;
   mutable any_alarm : bool;
   mutable n_feeds : int;
@@ -72,8 +76,7 @@ type t = {
   mutable n_inappropriate_alarms : int;
 }
 
-let create ?mode schema =
-  let mode = match mode with Some m -> m | None -> Sg.Operation_level in
+let create schema =
   let objects = Obj_id.Tbl.create 16 in
   List.iter
     (fun x ->
@@ -82,7 +85,6 @@ let create ?mode schema =
     schema.Schema.objects;
   {
     schema;
-    mode;
     g = Graph.create ();
     aborted = Txn_id.Tbl.create 16;
     waiters = Txn_id.Tbl.create 64;
@@ -92,6 +94,7 @@ let create ?mode schema =
     objects;
     edge_prov = Hashtbl.create 64;
     pending_edges = [];
+    walked = None;
     first_cycle = None;
     any_alarm = false;
     n_feeds = 0;
@@ -178,52 +181,35 @@ let insert_edge t ~prov a b =
         [ Cycle path ]
   end
 
-let ops_conflict t (a, va) (b, vb) =
-  match t.mode with
-  | Sg.Operation_level -> Schema.operations_conflict t.schema (a, va) (b, vb)
-  | Sg.Access_level -> Schema.accesses_conflict t.schema a b
-
-(* The one conflict-edge rule, for the feed and the admission
-   speculation alike: operation [record] on [x] becomes visible, so
-   every [visible], unrelated, conflicting operation on [x] yields an
-   edge [a -> b] between the children of the pair's lca, earlier
-   response first. *)
-let conflict_edges t ~visible x record emit =
-  List.iter
+(* The one conflict-edge rule: operation [record] on [x] becomes
+   visible, so every visible, unrelated, conflicting operation on [x]
+   yields an edge [a -> b] between the children of the pair's lca,
+   earlier response first. *)
+let conflict_edges t x record =
+  List.filter_map
     (fun other ->
       if
-        other.seq <> record.seq && visible other
+        other.seq <> record.seq && is_visible other
         && (not (Txn_id.related record.access other.access))
-        && ops_conflict t
+        && Schema.operations_conflict t.schema
              (record.access, record.value)
              (other.access, other.value)
-      then begin
+      then
         let earlier, later =
           if other.seq < record.seq then (other, record) else (record, other)
         in
         let l = Txn_id.lca earlier.access later.access in
-        emit
-          (Txn_id.child_of_on_path ~ancestor:l earlier.access)
-          (Txn_id.child_of_on_path ~ancestor:l later.access)
-          {
-            kind = Conflict;
-            before = { who = earlier.access; at = earlier.at; where = Some x };
-            after = { who = later.access; at = later.at; where = Some x };
-          }
-      end)
+        Some
+          ( Txn_id.child_of_on_path ~ancestor:l earlier.access,
+            Txn_id.child_of_on_path ~ancestor:l later.access,
+            {
+              kind = Conflict;
+              before =
+                { who = earlier.access; at = earlier.at; where = Some x };
+              after = { who = later.access; at = later.at; where = Some x };
+            } )
+      else None)
     (Obj_id.Tbl.find t.objects x).ops
-
-(* An operation became visible: insert its conflict edges; the replay
-   check is deferred to the end of the fed action (a single commit can
-   wake several operations, and replaying between the wakeups of one
-   commit would examine a state no prefix of the behavior exhibits). *)
-let activate_op t touched x record =
-  record.status <- Visible;
-  touched := x :: !touched;
-  let alarms = ref [] in
-  conflict_edges t ~visible:is_visible x record (fun a b prov ->
-      alarms := insert_edge t ~prov a b @ !alarms);
-  !alarms
 
 (* Replay an object's visible sequence (end-of-action check), from a
    folded prefix.  The tail's head is folded into the base while it is
@@ -266,31 +252,68 @@ let replay_object t x =
     else []
   end
 
-let run_item t touched = function
-  | Activate_op (x, record) -> activate_op t touched x record
-  | Activate_edge (a, b, prov) -> insert_edge t ~prov a b
-  | Activate_node u ->
-      Graph.add_node t.g u;
-      []
-
 (* [u]'s queued items, in the order they were queued. *)
 let queued t u =
   match Txn_id.Tbl.find_opt t.items u with Some l -> List.rev l | None -> []
 
-(* A commit arrived.  A top's commit makes everything registered under
-   it visible; only tops are registered under, so an inner commit wakes
-   nothing.  [w] requested commit, so it requests no more children and
-   its frontier goes. *)
-let process_commit t touched w =
+(* The one walk of a top's commit: the transactions registered under
+   [w], newest first, each one's items in the order they were queued,
+   each with the edges it witnesses first in the walk (a queued edge
+   itself; an operation, the conflict edges its visibility adds).  A
+   later witness of an edge could not insert it: the graph holds every
+   edge once inserted, cyclic or not.  Operations woken earlier in the
+   walk are visible to later ones, as they are once the commit is fed:
+   the walk marks each Visible as it goes and puts them all back to
+   Pending (every queued record is Pending) when it is done, so it
+   changes nothing.  Only a top has a list, so an inner commit's walk
+   is empty. *)
+let wake t w =
+  let woken = ref [] and seen = Hashtbl.create 16 in
+  let first (a, b, _) =
+    let dup = Txn_id.equal a b || Hashtbl.mem seen (a, b) in
+    Hashtbl.replace seen (a, b) ();
+    not dup
+  in
+  let witnessed = function
+    | Activate_op (x, record) ->
+        let edges = List.filter first (conflict_edges t x record) in
+        record.status <- Visible;
+        woken := record :: !woken;
+        edges
+    | Activate_edge (a, b, prov) -> List.filter first [ (a, b, prov) ]
+    | Activate_node _ -> []
+  in
+  (* [List.map] applies [witnessed] in list order. *)
+  let steps =
+    List.concat_map
+      (fun u -> List.map (fun item -> (item, witnessed item)) (queued t u))
+      (dependents t w)
+  in
+  List.iter (fun r -> r.status <- Pending) !woken;
+  steps
+
+(* A commit arrived: apply its walk in order.  [w] requested commit, so
+   it requests no more children and its frontier goes.  The replay
+   check is deferred to the end of the fed action (a single commit can
+   wake several operations, and replaying between the wakeups of one
+   commit would examine a state no prefix of the behavior exhibits). *)
+let process_commit t touched w steps =
   Txn_id.Tbl.remove t.frontier w;
-  let deps = dependents t w in
+  List.iter (Txn_id.Tbl.remove t.items) (dependents t w);
   Txn_id.Tbl.remove t.waiters w;
   List.concat_map
-    (fun u ->
-      let items = queued t u in
-      Txn_id.Tbl.remove t.items u;
-      List.concat_map (run_item t touched) items)
-    deps
+    (fun (item, edges) ->
+      (match item with
+      | Activate_op (x, record) ->
+          record.status <- Visible;
+          touched := x :: !touched
+      | Activate_edge _ -> ()
+      | Activate_node u -> Graph.add_node t.g u);
+      (* One item's alarms come newest first. *)
+      List.fold_left
+        (fun alarms (a, b, prov) -> insert_edge t ~prov a b @ alarms)
+        [] edges)
+    steps
 
 let process_abort t w =
   Txn_id.Tbl.replace t.aborted w ();
@@ -384,6 +407,8 @@ let report t u now =
         ((u, now) :: List.filter (fun (_, rep) -> rep > req) l)
 
 let feed ?(obs = Obs.null) t (a : Action.t) =
+  let walked = t.walked in
+  t.walked <- None;
   t.n_feeds <- t.n_feeds + 1;
   let now = t.n_feeds in
   let edges_before = Graph.n_edges t.g in
@@ -424,7 +449,15 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
       if not ost.obj_alarmed then ost.tail <- ost.tail @ [ record ];
       if live then add_item t u (Activate_op (x, record));
       [])
-  | Action.Commit u -> process_commit t touched u
+  | Action.Commit u ->
+      (* The gate's walk when nothing was fed since it was made, so an
+         admitted commit walks its list once. *)
+      let steps =
+        match walked with
+        | Some (w, steps) when Txn_id.equal w u -> steps
+        | _ -> wake t u
+      in
+      process_commit t touched u steps
   | Action.Abort u when not (Txn_id.is_root u) ->
       process_abort t u;
       []
@@ -487,8 +520,6 @@ let visible_operations t x =
 let edge_provenance t a b = Hashtbl.find_opt t.edge_prov (a, b)
 let first_cycle t = t.first_cycle
 
-type prospective = (Txn_id.t * Txn_id.t * provenance) list
-
 (* The consecutive (wrapping) edges of a cycle, with what inserted (or
    would insert) each.  [extra] supplies provenance for edges that are
    only prospective (admission speculation); everything else resolves
@@ -547,43 +578,21 @@ let explain_cycle ?extra t cycle =
 
 (* --- Admission speculation --------------------------------------------- *)
 
-(* The edges [feed (Commit w)] would insert, computed without mutating
-   anything: the feed's own conflict-edge rule ({!conflict_edges}) runs
-   over the items of the list [process_commit] would wake, but the
-   edges are collected instead of inserted.  Operations "activated"
-   earlier in the simulated commit are visible to later ones, exactly
-   as in the real path, via the local [newly] set.  All other feed
-   actions are edge-free or target fresh nodes (a [Request_commit] of
-   an uncommitted access is always deferred as an item; a
-   [Request_create] precedes-edge points at a brand-new node with no
-   outgoing edges), and only a top has a list, so only a top's commit
-   can close a cycle and gating commits on this edge set is a complete
-   admission test.  Edges the graph
-   already holds are kept: feeding skips them, but a sharded gate must
-   still see a local edge its spine does not order. *)
+(* The edges [feed (Commit w)] witnesses, computed without changing
+   anything the monitor reports: the edges of [w]'s walk.  The walk is
+   kept for that [Commit], which applies it when it is the next action
+   fed.  All other feed actions are edge-free or target fresh nodes (a
+   [Request_commit] of an uncommitted access is always deferred as an
+   item; a [Request_create] precedes-edge points at a brand-new node
+   with no outgoing edges), and only a top has a list, so only a top's
+   commit can close a cycle and gating top-level commits on this edge
+   set is a complete admission test.  Edges the graph already holds are
+   kept: feeding skips them, but a sharded gate must still see a local
+   edge its spine does not order. *)
 let prospective_commit_edges t w =
-  let newly : (Obj_id.t * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let candidate a b prov =
-    if (not (Txn_id.equal a b)) && not (Hashtbl.mem seen (a, b)) then begin
-      Hashtbl.add seen (a, b) ();
-      out := (a, b, prov) :: !out
-    end
-  in
-  List.iter
-    (fun u ->
-      List.iter
-        (function
-          | Activate_op (x, record) ->
-              let visible r = is_visible r || Hashtbl.mem newly (x, r.seq) in
-              conflict_edges t ~visible x record candidate;
-              Hashtbl.replace newly (x, record.seq) ()
-          | Activate_edge (a, b, prov) -> candidate a b prov
-          | Activate_node _ -> ())
-        (queued t u))
-    (dependents t w);
-  List.rev !out
+  let steps = wake t w in
+  t.walked <- Some (w, steps);
+  List.concat_map snd steps
 
 (* One cycle test, on the order the graph maintains.  Edges the graph
    already holds are forward in it, so they cost the test nothing; the
@@ -595,8 +604,6 @@ let edges_would_cycle t edges =
   | Some path ->
       let fresh (a, b, _) = not (Graph.mem_edge t.g a b) in
       Some (path, List.filter fresh edges)
-
-let commit_would_cycle t w = edges_would_cycle t (prospective_commit_edges t w)
 
 (* A compact per-edge label for DOT: the witnessing actions with their
    feed indices (and the conflicting object). *)

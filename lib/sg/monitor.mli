@@ -62,9 +62,8 @@ type counters = {
 (** Cumulative health counters, so a caller can report on the monitor
     without retaining every {!feed} result. *)
 
-val create : ?mode:Sg.conflict_mode -> Schema.t -> t
-(** A fresh monitor (conflict mode defaulting to [Operation_level],
-    as in {!Checker}). *)
+val create : Schema.t -> t
+(** A fresh monitor, with operation-level conflicts as in {!Checker}. *)
 
 val feed : ?obs:Obs.t -> t -> Action.t -> alarm list
 (** Consume one action; returns the alarms it triggers (usually
@@ -151,8 +150,8 @@ val cycle_witness :
 (** The consecutive (wrapping) edges of a cycle with their provenance,
     resolved against [extra] (default none) first and then against
     the recorded witnesses.  For a cycle this monitor reported, every
-    edge has [Some]; for a {!commit_would_cycle} verdict, pass its
-    prospective set as [extra], since its closing edges were never
+    edge has [Some]; for an {!edges_would_cycle} verdict, pass its
+    fresh edges as [extra], since its closing edges were never
     inserted. *)
 
 val explain_cycle : ?extra:prospective -> t -> Txn_id.t list -> string
@@ -164,29 +163,31 @@ val pp_provenance : Format.formatter -> provenance -> unit
 (** {2 Admission speculation}
 
     For serving-time admission control (see [Nt_net.Admission]): decide
-    {e before} performing a commit whether feeding it would close an SG
-    cycle, without mutating the monitor.  The key structural fact (see
-    DESIGN.md) is that in this construction only a top-level [Commit]
-    can close a cycle — an access response of an uncommitted
-    transaction is always deferred as a visibility item, a
-    [Request_create] precedes-edge targets a brand-new node with no
-    outgoing edges, and deferred items wake only at their top's
-    commit, so an inner commit's prospective set is empty — so vetoing
-    exactly the cycle-closing commits keeps the graph acyclic with zero
-    false negatives.
+    {e before} performing a top-level commit whether feeding it would
+    close an SG cycle.  The key structural fact (see DESIGN.md) is that
+    in this construction only a top-level [Commit] can close a cycle —
+    an access response of an uncommitted transaction is always deferred
+    as a visibility item, a [Request_create] precedes-edge targets a
+    brand-new node with no outgoing edges, and deferred items wake only
+    at their top's commit, so an inner commit inserts no edge — so
+    vetoing exactly the cycle-closing top-level commits keeps the graph
+    acyclic with zero false negatives.
 
-    The speculation runs {!feed}'s own conflict-edge and wakeup code,
-    collecting the edges instead of inserting them, so the prospective
-    set is exactly what the feed would witness. *)
+    A top's commit is one walk over the work registered under it: the
+    nodes it adds, the operations it makes visible and the edges they
+    witness, in order.  {!prospective_commit_edges} returns the walk's
+    edges and keeps the walk; the [Commit] fed next applies it instead
+    of walking again.  Any other action fed in between discards it. *)
 
 val prospective_commit_edges : t -> Txn_id.t -> prospective
-(** The edges the visibility wakeups of [feed t (Commit w)] witness,
-    with the provenance each would be recorded under, computed without
-    mutating the monitor.  Edges the graph already holds are included
-    (the feed would insert only the others): this is the dependency
-    set a sharded admission controller ships to the cross-shard gate
-    (see [Nt_shard.Spine]), and a locally held edge may be one the
-    spine has not seen. *)
+(** The edges [feed t (Commit w)] witnesses, with the provenance each
+    would be recorded under, first witness kept.  Nothing the monitor
+    reports changes; it keeps the walk for the [Commit w] that
+    follows.  Edges the graph already holds are included (the feed
+    would insert only the others): this is the dependency set a
+    sharded admission controller ships to the cross-shard gate (see
+    [Nt_shard.Spine]), and a locally held edge may be one the spine has
+    not seen. *)
 
 val edges_would_cycle :
   t -> prospective -> (Txn_id.t list * prospective) option
@@ -197,11 +198,6 @@ val edges_would_cycle :
     (cycle, fresh)] gives the witness cycle (same convention as
     {!constructor:Cycle}) and the edges not yet in the graph, for
     {!explain_cycle}'s [extra]. *)
-
-val commit_would_cycle :
-  t -> Txn_id.t -> (Txn_id.t list * prospective) option
-(** [commit_would_cycle t w] — would [feed t (Commit w)] close an SG
-    cycle?  [edges_would_cycle t (prospective_commit_edges t w)]. *)
 
 val dot : t -> string
 (** The current graph rendered via {!Dot.of_graph}, each edge labelled

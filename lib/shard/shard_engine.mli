@@ -17,7 +17,8 @@
     - {e the second gate} — after the local controller admits a
       top-level commit, it hands this wrapper the prospective edge set
       it already computed ({!Nt_sg.Monitor.prospective_commit_edges},
-      the feed's own edge rule, computed once per commit); if the set
+      the edges of the commit's one walk, which the feed then applies;
+      inner commits consult no gate); if the set
       contains top-level edges, their merged projection goes to
       {!Spine.gate} — new edges, and edges the local graph already
       holds unless the spine's rail orders their merged tops (the rule

@@ -91,8 +91,9 @@ let closure g =
   in
   List.sort compare (List.concat_map from (Graph.nodes g))
 
-(* Agreement with the offline construction at end of trace.  The
-   monitor draws precedes edges from the frontier only, so its edges
+(* Agreement with the offline construction at end of trace, both at
+   operation level (the only mode the monitor serves).  The monitor
+   draws precedes edges from the frontier only, so its edges
    are a subset of the offline ones with the same reachability, hence
    the same acyclicity; and it alarms iff the offline graph is cyclic
    or returns are inappropriate.  At every feed its replay alarm is the
@@ -112,8 +113,8 @@ let t_agrees_with_offline () =
           in
           let r = run_protocol ~abort_prob ~seed schema factory forest in
           let beta = Trace.serial r.Runtime.trace in
-          let offline = Sg.build Sg.Access_level schema beta in
-          let m = Monitor.create ~mode:Sg.Access_level schema in
+          let offline = Sg.build Sg.Operation_level schema beta in
+          let m = Monitor.create schema in
           let alarms = feed_checked schema m r.Runtime.trace in
           let sorted_edges g =
             List.sort compare
@@ -259,44 +260,64 @@ let t_counters () =
         (Monitor.alarmed m))
     [ (Moss_object.factory, "moss"); (Broken.no_control, "broken") ]
 
-(* The commit gate's speculation predicts the feed exactly: before
-   each [Commit w], [prospective_commit_edges] names the edges the feed
-   then adds (those the graph does not hold yet), each with the
-   provenance the feed records, and [commit_would_cycle] is [Some]
-   exactly when the feed raises a [Cycle].  Each run stops at its first
-   cycle alarm, after which the graph holds a cycle and no longer
-   gates anything. *)
+(* The commit gate's speculation predicts the feed exactly.  Before
+   each [Commit w] the test runs [Admission.gate]'s sequence:
+   [prospective_commit_edges] names the edges the feed then adds (those
+   the graph does not hold yet), each with the provenance the feed
+   records; [edges_would_cycle] is [Some] exactly when the feed raises
+   a [Cycle]; then the [Commit] is fed and applies the kept walk.  A
+   second monitor that is never speculated on is fed the same actions
+   in lockstep, and after every action both must report the same edges
+   with the same witnesses, the same order, reorder count, alarms and
+   visible operations.
+   A second pass leaves every walk stale: it speculates each top-level
+   commit at the first action after the previous one, so the [Commit]
+   arrives after the actions in between were fed on top of its walk.
+   Each run stops at its first cycle alarm, after which the graph holds
+   a cycle and no longer gates anything. *)
 let t_speculation_matches_feed () =
   let key (a, b) = (Txn_id.to_string a, Txn_id.to_string b) in
   let keys edges = List.sort compare (List.map key edges) in
   let prov p = Format.asprintf "%a" Monitor.pp_provenance p in
   let is_cycle = function Monitor.Cycle _ -> true | _ -> false in
-  let cycles = ref 0 and predicted_edges = ref 0 in
+  let cycles = ref 0 and predicted_edges = ref 0 and stale_commits = ref 0 in
   List.iter
     (fun (factory, name, gen) ->
       List.iter
-        (fun (seed, shape) ->
+        (fun ((seed, shape), stale) ->
           let forest, schema = Gen.forest_and_schema gen ~seed shape in
           let r = run_protocol ~abort_prob:0.05 ~seed schema factory forest in
-          let m = Monitor.create schema in
+          let trace = r.Runtime.trace in
+          let n = Trace.length trace in
+          let rec next_top_commit j =
+            if j >= n then None
+            else
+              match trace.(j) with
+              | Action.Commit w when Txn_id.depth w = 1 -> Some w
+              | _ -> next_top_commit (j + 1)
+          in
+          let m = Monitor.create schema and plain = Monitor.create schema in
           let g = Monitor.graph m in
+          let speculated = ref None in
           let rec go i =
-            if i < Trace.length r.Runtime.trace then
-              let a = r.Runtime.trace.(i) in
-              let cycled =
+            if i < n then begin
+              let a = trace.(i) in
+              let tag =
+                Printf.sprintf "%s seed %d event %d%s" name seed i
+                  (if stale then " (stale walks)" else "")
+              in
+              let alarms =
                 match a with
-                | Action.Commit w ->
-                    let tag =
-                      Printf.sprintf "%s seed %d event %d" name seed i
-                    in
+                | Action.Commit w when not stale ->
                     let held = keys (Graph.edges g) in
+                    let edges = Monitor.prospective_commit_edges m w in
                     let fresh =
                       List.filter
                         (fun (a, b, _) -> not (List.mem (key (a, b)) held))
-                        (Monitor.prospective_commit_edges m w)
+                        edges
                     in
-                    let verdict = Monitor.commit_would_cycle m w in
-                    let cycled = List.exists is_cycle (Monitor.feed m a) in
+                    let verdict = Monitor.edges_would_cycle m edges in
+                    let alarms = Monitor.feed m a in
                     let gained =
                       List.filter
                         (fun e -> not (List.mem e held))
@@ -311,25 +332,52 @@ let t_speculation_matches_feed () =
                           (Option.map prov (Monitor.edge_provenance m a b)
                           = Some (prov p)))
                       fresh;
-                    check_bool (tag ^ ": verdict = cycle alarm") cycled
+                    check_bool (tag ^ ": verdict = cycle alarm")
+                      (List.exists is_cycle alarms)
                       (verdict <> None);
                     predicted_edges := !predicted_edges + List.length fresh;
-                    cycled
-                | _ -> List.exists is_cycle (Monitor.feed m a)
+                    alarms
+                | Action.Commit w ->
+                    if Option.equal Txn_id.equal !speculated (Some w) then
+                      incr stale_commits;
+                    Monitor.feed m a
+                | _ ->
+                    let next = next_top_commit (i + 1) in
+                    if stale && not (Option.equal Txn_id.equal next !speculated)
+                    then begin
+                      speculated := next;
+                      Option.iter
+                        (fun w -> ignore (Monitor.prospective_commit_edges m w))
+                        next
+                    end;
+                    Monitor.feed m a
               in
-              if cycled then incr cycles else go (i + 1)
+              check_bool (tag ^ ": same alarms as unspeculated") true
+                (alarms = Monitor.feed plain a);
+              check_bool (tag ^ ": same edges, witnesses and order") true
+                (monitor_report m = monitor_report plain);
+              List.iter
+                (fun x ->
+                  check_bool (tag ^ ": same visible operations") true
+                    (Monitor.visible_operations m x
+                    = Monitor.visible_operations plain x))
+                schema.Schema.objects;
+              if List.exists is_cycle alarms then incr cycles else go (i + 1)
+            end
           in
           go 0)
         (List.concat_map
            (fun seed ->
-             [
-               ( seed,
-                 { Gen.default with n_top = 6; depth = 2; n_objects = 2;
-                   read_ratio = 0.4 } );
-               ( seed,
-                 { Gen.default with n_top = 8; depth = 1; n_objects = 1;
-                   read_ratio = 0.3 } );
-             ])
+             List.concat_map
+               (fun run -> [ (run, false); (run, true) ])
+               [
+                 ( seed,
+                   { Gen.default with n_top = 6; depth = 2; n_objects = 2;
+                     read_ratio = 0.4 } );
+                 ( seed,
+                   { Gen.default with n_top = 8; depth = 1; n_objects = 1;
+                     read_ratio = 0.3 } );
+               ])
            (List.init 8 (fun i -> i + 1))))
     [
       (Moss_object.factory, "moss", Gen.registers);
@@ -338,7 +386,8 @@ let t_speculation_matches_feed () =
     ];
   check_bool "some commit was predicted to add edges" true
     (!predicted_edges > 0);
-  check_bool "some run reached a cycle alarm" true (!cycles > 0)
+  check_bool "some run reached a cycle alarm" true (!cycles > 0);
+  check_bool "some commit was fed over a stale walk" true (!stale_commits > 0)
 
 (* The witness order read off the maintained topological order is a
    real Theorem-8 witness on alarm-free runs: defined, it orders the

@@ -828,6 +828,42 @@ let t_admission_veto_witness () =
   in
   hunt 1
 
+(* A gated engine's monitor applies the walk its gate made at each
+   admitted top-level commit instead of walking again.  After a
+   SmallBank closed loop it must hold exactly what a fresh monitor
+   builds from the finished trace: the same edges with the same
+   witnesses, the same order and reorder count. *)
+let t_gated_monitor_matches_replay () =
+  let objects =
+    List.init 8 (fun i -> (Obj_id.indexed "acct" i, Register.make ()))
+  in
+  let accounts = Array.of_list (List.map fst objects) in
+  List.iter
+    (fun (factory, name) ->
+      let eng = Engine.create ~seed:11 objects factory in
+      let rng = Rng.create 11 in
+      let total = 200 and clients = 8 in
+      let rec loop () =
+        while Engine.live_top eng < clients && Engine.submitted eng < total do
+          ignore
+            (Result.get_ok
+               (Engine.submit eng (Gen.smallbank_txn ~theta:0.9 rng accounts)))
+        done;
+        match Engine.step eng with
+        | `Progress -> loop ()
+        | `Quiescent -> if Engine.submitted eng < total then loop ()
+        | `Truncated -> Alcotest.fail "truncated"
+      in
+      loop ();
+      let live = Admission.monitor (Engine.admission eng) in
+      let replay = Monitor.create (Engine.schema eng) in
+      ignore (Monitor.feed_trace replay (Engine.finish eng).Runtime.trace);
+      check_bool (name ^ ": edges drawn") true
+        (Graph.n_edges (Monitor.graph live) > 0);
+      check_bool (name ^ ": gated monitor = replay of its trace") true
+        (monitor_report live = monitor_report replay))
+    [ (Moss_object.factory, "moss"); (Undo_object.factory, "undo") ]
+
 (* ----- served-traffic sweep (the acceptance criterion) ----- *)
 
 (* 200 served runs across the five verified backends, with disconnect
@@ -957,6 +993,8 @@ let suite =
       Alcotest.test_case "admission: no false negatives" `Quick
         t_admission_no_false_negatives;
       Alcotest.test_case "admission: veto witness" `Quick t_admission_veto_witness;
+      Alcotest.test_case "gated monitor matches a replay of its trace" `Quick
+        t_gated_monitor_matches_replay;
       Alcotest.test_case "serve sweep (correct backends)" `Slow
         t_serve_sweep_correct;
       Alcotest.test_case "serve determinism" `Quick t_serve_deterministic;

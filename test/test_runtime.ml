@@ -201,6 +201,48 @@ let t_top_level_names_only () =
         (fun () -> ignore (Runtime.abort_txn rt u)))
     [ Txn_id.root; txn [ 0; 0 ] ]
 
+(* The commit gate is consulted once per top-level commit attempt and
+   never for an inner commit: every call names a child of T0, and the
+   calls are the top-level [Commit]s plus the refusals (a refusal
+   aborts its top, which never attempts again). *)
+let t_gate_top_level_only () =
+  List.iter
+    (fun seed ->
+      let forest, schema =
+        Gen.forest_and_schema Gen.registers ~seed
+          { Gen.default with n_top = 8; depth = 3; n_objects = 3 }
+      in
+      let calls = ref 0 and refused = ref 0 in
+      let commit_gate u =
+        incr calls;
+        check_int "gate consulted for a top-level name" 1 (Txn_id.depth u);
+        let admit = !calls mod 3 <> 0 in
+        if not admit then incr refused;
+        admit
+      in
+      let rt =
+        Runtime.make ~commit_gate ~seed schema Moss_object.factory forest
+      in
+      let rec settle () =
+        match Runtime.step rt with
+        | `Progress -> settle ()
+        | `Quiescent -> ()
+        | `Truncated -> Alcotest.fail "truncated"
+      in
+      settle ();
+      let commits top =
+        Array.fold_left
+          (fun n -> function
+            | Action.Commit u when (Txn_id.depth u = 1) = top -> n + 1
+            | _ -> n)
+          0 (Runtime.finish rt).Runtime.trace
+      in
+      check_int "one call per top-level commit attempt"
+        (commits true + !refused) !calls;
+      check_bool "some commit refused" true (!refused > 0);
+      check_bool "inner commits ran ungated" true (commits false > 0))
+    [ 1; 2; 3 ]
+
 let suite =
   ( "runtime",
     [
@@ -216,4 +258,6 @@ let suite =
         t_undo_no_deadlock_on_counters;
       Alcotest.test_case "pure waits commit everything" `Quick
         t_pure_waits_commit;
+      Alcotest.test_case "gate consulted at top-level commits only" `Quick
+        t_gate_top_level_only;
     ] )

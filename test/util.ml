@@ -115,3 +115,18 @@ let realizable_operations (dt : Datatype.t) =
       |> List.sort_uniq Stdlib.compare)
     (op_universe dt)
   |> List.sort_uniq Stdlib.compare
+
+(* What a monitor reports about its graph: the edges with their
+   witnesses, the maintained order and the reorder count. *)
+let monitor_report m =
+  let g = Monitor.graph m in
+  ( List.map
+      (fun (a, b) ->
+        ( Txn_id.to_string a,
+          Txn_id.to_string b,
+          Option.map
+            (Format.asprintf "%a" Monitor.pp_provenance)
+            (Monitor.edge_provenance m a b) ))
+      (List.sort compare (Graph.edges g)),
+    Graph.order g,
+    Graph.reorders g )
