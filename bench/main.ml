@@ -838,7 +838,7 @@ let e16 () =
         cpu_ms (fun () ->
             let g = Graph.create () in
             List.iter
-              (fun (a, b) -> ignore (Graph.add_edge_checked g a b))
+              (fun (a, b) -> ignore (Graph.add_edge_checked g a b ()))
               edges;
             g)
       in
@@ -847,7 +847,7 @@ let e16 () =
             let g = Graph.create () in
             List.iter
               (fun (a, b) ->
-                Graph.add_edge g a b;
+                Graph.add_edge g a b ();
                 ignore (Graph.find_cycle_scratch g))
               edges)
       in

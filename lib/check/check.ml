@@ -555,6 +555,7 @@ type sharded_report = {
   sh_spine_checks : int;
   sh_spine_vetoes : int;
   sh_spine_edges : int;
+  sh_spine_on_rail : int;
 }
 
 (* The one serving harness, over a [shards]-way cluster.  At one shard
@@ -629,6 +630,7 @@ let serve ?(max_steps = 200_000) ?(drop_prob = 0.0) ?gating ?snapshot_at
       sh_spine_checks = Nt_shard.Spine.checks sp;
       sh_spine_vetoes = Nt_shard.Spine.vetoes sp;
       sh_spine_edges = Nt_shard.Spine.edge_count sp;
+      sh_spine_on_rail = Nt_shard.Spine.on_rail sp;
     }
   in
   (report, buf, !snapshot, !session)
@@ -874,8 +876,8 @@ type sg_agreement = {
    batch checker (incremental verdict over [Sg.build]), the online
    monitor (incremental detection per feed), and the pre-incremental
    reference ([Graph.find_cycle_scratch]).  The three must agree —
-   this is the cross-implementation oracle the differential tests and
-   ntcheck sweeps pin. *)
+   this is the cross-implementation oracle the differential tests
+   (check, essn, shard) and bench E21 pin; no ntcheck path calls it. *)
 let sg_agreement (schema : Schema.t) trace =
   let beta = Trace.serial trace in
   let g = Sg.build Sg.Operation_level schema beta in

@@ -267,7 +267,9 @@ type sharded_report = {
   sh_local : int;  (** Submissions dispatched whole to one shard. *)
   sh_spine_checks : int;  (** Cross-shard gate decisions taken. *)
   sh_spine_vetoes : int;  (** Commits vetoed by the cross-shard gate. *)
-  sh_spine_edges : int;  (** Explicit conflict edges installed. *)
+  sh_spine_edges : int;  (** Shipped conflict edges installed. *)
+  sh_spine_on_rail : int;
+      (** Of those, installed over a stored rail edge ({!Nt_shard.Spine.on_rail}). *)
 }
 
 val serve_sharded :
@@ -364,8 +366,8 @@ type sg_agreement = {
 val sg_agreement : Schema.t -> Trace.t -> sg_agreement
 (** Decide SG acyclicity of one behavior three independent ways —
     incremental batch, incremental online, from-scratch DFS — for the
-    differential oracle-equivalence tests and ntcheck sweeps, all
-    under [Operation_level] conflicts, the default of
+    differential oracle-equivalence tests and bench E21 (no ntcheck
+    path calls it), all under [Operation_level] conflicts, the default of
     {!Nt_sg.Checker} and {!Nt_sg.Monitor}. *)
 
 val sg_agrees : sg_agreement -> bool

@@ -258,11 +258,11 @@ val check_outcomes :
 (** Prefix-closure check: every audited outcome must be reproduced
     exactly by the replayed engine.  [Ok n] counts outcomes checked. *)
 
-val sg_state_of_graph : Nt_sg.Graph.t -> record
+val sg_state_of_graph : _ Nt_sg.Graph.t -> record
 (** Dense-intern a monitor graph into an [Sg_state] record. *)
 
 val check_sg_state :
-  record -> Nt_sg.Graph.t -> (unit, string) result
+  record -> _ Nt_sg.Graph.t -> (unit, string) result
 (** The snapshot's graph must equal the replayed monitor's graph
     (same node set, same edge set). *)
 

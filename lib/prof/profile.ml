@@ -28,7 +28,7 @@ type t = {
   objs : (string, obj_stat) Hashtbl.t;
   edges : (string * string * string, edge_stat) Hashtbl.t;
       (* keyed by (src, dst, kind) string forms *)
-  g : Nt_sg.Graph.t;
+  g : unit Nt_sg.Graph.t;
   pending : (string * string, int) Hashtbl.t;
       (* (txn, obj) -> waited ticks of the still-open streak *)
   mutable events : int;
@@ -98,7 +98,7 @@ let feed t (e : Event.t) =
       Hashtbl.replace t.pending key waited
   | Event.Edge { src; dst; kind; obj; w1; w1_ts; w2; w2_ts; _ } -> (
       Metrics.incr (Metrics.counter t.m ("sg.edge." ^ kind));
-      Nt_sg.Graph.add_edge t.g src dst;
+      Nt_sg.Graph.add_edge t.g src dst ();
       let key = (Txn_id.to_string src, Txn_id.to_string dst, kind) in
       match Hashtbl.find_opt t.edges key with
       | Some es -> es.e_count <- es.e_count + 1
@@ -181,7 +181,7 @@ let merge dst src =
     src.objs;
   Hashtbl.iter
     (fun key es ->
-      Nt_sg.Graph.add_edge dst.g es.e_src es.e_dst;
+      Nt_sg.Graph.add_edge dst.g es.e_src es.e_dst ();
       match Hashtbl.find_opt dst.edges key with
       | Some d -> d.e_count <- d.e_count + es.e_count
       | None -> Hashtbl.replace dst.edges key { es with e_count = es.e_count })

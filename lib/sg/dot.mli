@@ -11,12 +11,12 @@ open Nt_spec
 val of_graph :
   ?cycle:Txn_id.t list ->
   ?edge_label:(Txn_id.t -> Txn_id.t -> string option) ->
-  Graph.t ->
+  _ Graph.t ->
   string
 (** Render a graph; nodes on the given cycle (and the edges between
     consecutive cycle nodes) are drawn in red.  [edge_label] may
     attach a label to any edge (escaped for DOT) — {!Monitor.dot}
-    uses it to print each edge's witnessing accesses. *)
+    prints each edge's witnessing accesses, its {!Graph.label}. *)
 
 val of_trace : ?mode:Sg.conflict_mode -> Schema.t -> Trace.t -> string
 (** Build [SG(serial beta)] and render it, highlighting a witness

@@ -1,6 +1,6 @@
 open Nt_base
 
-(* The graph maintains, next to the adjacency sets, a topological order
+(* The graph maintains, next to the adjacency, a topological order
    of its nodes (Pearce-Kelly): [ord] maps every node to a distinct
    integer such that ord(x) < ord(y) for every edge x -> y, as long as
    the graph is acyclic.  Inserting an edge a -> b with
@@ -18,18 +18,23 @@ open Nt_base
    verdict is already decided).  [first_cycle] caches the first
    witness, so acyclicity queries stay O(1) in both regimes.
 
+   An edge's label is the value of its successor map, held once: a
+   duplicate keeps the first.  Maps iterate in ascending id order, as
+   sets do, so no search depends on the labels.
+
    Node names are interned to dense integer ids at [add_node]: the hot
    paths (order lookups, the bounded searches, the renumbering) touch
-   only int arrays and int sets, never hashing a transaction name.
+   only int arrays, maps and sets, never hashing a transaction name.
    The search worklists reuse a round-stamped [mark] array, so a
    search allocates nothing proportional to the graph. *)
 
 module Int_set = Set.Make (Int)
+module Int_map = Map.Make (Int)
 
-type t = {
+type 'e t = {
   ids : int Txn_id.Tbl.t;  (* name -> dense id, assigned at add_node *)
   mutable names : Txn_id.t array;  (* id -> name *)
-  mutable succ : Int_set.t array;
+  mutable succ : 'e Int_map.t array;  (* successor -> the edge's label *)
   mutable pred : Int_set.t array;
   mutable ord : int array;  (* id -> position; a permutation of 0..n-1 *)
   mutable mark : int array;  (* id -> round of last visit *)
@@ -68,7 +73,7 @@ let grow g =
       b
     in
     g.names <- extend g.names Txn_id.root;
-    g.succ <- extend g.succ Int_set.empty;
+    g.succ <- extend g.succ Int_map.empty;
     g.pred <- extend g.pred Int_set.empty;
     g.ord <- extend g.ord 0;
     g.mark <- extend g.mark 0;
@@ -93,10 +98,12 @@ let add_node g t = ignore (intern g t)
 
 type add_result = Ok of int | Cycle of Txn_id.t list
 
-let mem_edge g a b =
+let label g a b =
   match (Txn_id.Tbl.find_opt g.ids a, Txn_id.Tbl.find_opt g.ids b) with
-  | Some i, Some j -> Int_set.mem j g.succ.(i)
-  | _ -> false
+  | Some i, Some j -> Int_map.find_opt j g.succ.(i)
+  | _ -> None
+
+let mem_edge g a b = Option.is_some (label g a b)
 
 let n_nodes g = g.n
 let n_edges g = g.n_edges
@@ -105,7 +112,7 @@ let reorders g = g.n_reorders
 
 let iter_edges g f =
   for i = 0 to g.n - 1 do
-    Int_set.iter (fun j -> f g.names.(i) g.names.(j)) g.succ.(i)
+    Int_map.iter (fun j _ -> f g.names.(i) g.names.(j)) g.succ.(i)
   done
 
 let fold_nodes g f acc =
@@ -118,7 +125,7 @@ let fold_nodes g f acc =
 let fold_edges g f acc =
   let acc = ref acc in
   for i = 0 to g.n - 1 do
-    Int_set.iter (fun j -> acc := f !acc g.names.(i) g.names.(j)) g.succ.(i)
+    Int_map.iter (fun j _ -> acc := f !acc g.names.(i) g.names.(j)) g.succ.(i)
   done;
   !acc
 
@@ -139,8 +146,8 @@ let order g =
 
 (* Record the raw edge in both adjacency directions (the caller has
    ruled duplicates out). *)
-let record_edge g i j =
-  g.succ.(i) <- Int_set.add j g.succ.(i);
+let record_edge g i j l =
+  g.succ.(i) <- Int_map.add j l g.succ.(i);
   g.pred.(j) <- Int_set.add i g.pred.(j);
   g.n_edges <- g.n_edges + 1
 
@@ -173,8 +180,8 @@ let bounded_forward g ~src ~dst ~ub =
         stack := rest;
         if i = dst then found := true
         else
-          Int_set.iter
-            (fun j ->
+          Int_map.iter
+            (fun j _ ->
               if g.mark.(j) <> r && g.ord.(j) <= ub then begin
                 g.mark.(j) <- r;
                 g.parent_tmp.(j) <- i;
@@ -235,18 +242,18 @@ let search ?(more = fun _ -> []) ?(inside = fun _ -> true) g ~src ~dst =
         stack := rest;
         if i = dst then found := true
         else begin
-          if i < g.n then Int_set.iter (visit i) g.succ.(i);
+          if i < g.n then Int_map.iter (fun j _ -> visit i j) g.succ.(i);
           List.iter (visit i) (more i)
         end
   done;
   !found
 
-let add_edge_checked g a b =
+let add_edge_checked g a b l =
   let i = intern g a in
   let j = intern g b in
-  if Int_set.mem j g.succ.(i) then Ok 0
+  if Int_map.mem j g.succ.(i) then Ok 0
   else if i = j then begin
-    record_edge g i j;
+    record_edge g i j l;
     let cycle = [ a ] in
     record_cycle g cycle;
     Cycle cycle
@@ -254,7 +261,7 @@ let add_edge_checked g a b =
   else if g.n_cyclic_edges > 0 then begin
     (* Degraded regime: the order is beyond repair, fall back to plain
        reachability per insertion. *)
-    record_edge g i j;
+    record_edge g i j l;
     if search g ~src:j ~dst:i then begin
       let path = path_of_parents g ~src:j ~dst:i in
       record_cycle g path;
@@ -266,7 +273,7 @@ let add_edge_checked g a b =
     let oa = g.ord.(i) and ob = g.ord.(j) in
     if oa < ob then begin
       (* The maintained order already proves no path b ~> a. *)
-      record_edge g i j;
+      record_edge g i j l;
       Ok 0
     end
     else
@@ -275,7 +282,7 @@ let add_edge_checked g a b =
          complete. *)
       match bounded_forward g ~src:j ~dst:i ~ub:oa with
       | Error path ->
-          record_edge g i j;
+          record_edge g i j l;
           record_cycle g path;
           Cycle path
       | Stdlib.Ok delta_f ->
@@ -288,18 +295,18 @@ let add_edge_checked g a b =
           let by_ord l =
             List.sort (fun x y -> compare g.ord.(x) g.ord.(y)) l
           in
-          let l = by_ord delta_b @ by_ord delta_f in
+          let region = by_ord delta_b @ by_ord delta_f in
           let pool =
             List.sort (fun (x : int) y -> compare x y)
-              (List.map (fun x -> g.ord.(x)) l)
+              (List.map (fun x -> g.ord.(x)) region)
           in
-          List.iter2 (fun x o -> g.ord.(x) <- o) l pool;
-          let moved = List.length l in
+          List.iter2 (fun x o -> g.ord.(x) <- o) region pool;
+          let moved = List.length region in
           g.n_reorders <- g.n_reorders + moved;
-          record_edge g i j;
+          record_edge g i j l;
           Ok moved
 
-let add_edge g a b = ignore (add_edge_checked g a b)
+let add_edge g a b l = ignore (add_edge_checked g a b l)
 
 (* Read-only joint cycle test over G u extra, for admission control
    (contract in graph.mli).  A name the graph does not know gets a
@@ -393,8 +400,8 @@ let find_cycle_scratch g =
           Some (List.rev_map (fun x -> g.names.(x)) (cut (List.tl path)))
     | _ ->
         color.(i) <- 1;
-        Int_set.iter
-          (fun j -> if !result = None then visit (j :: path) j)
+        Int_map.iter
+          (fun j _ -> if !result = None then visit (j :: path) j)
           g.succ.(i);
         color.(i) <- 2
   in
@@ -413,7 +420,7 @@ let topological_sort g =
   else begin
     let indegree = Array.make (max 1 g.n) 0 in
     for i = 0 to g.n - 1 do
-      Int_set.iter (fun j -> indegree.(j) <- indegree.(j) + 1) g.succ.(i)
+      Int_map.iter (fun j _ -> indegree.(j) <- indegree.(j) + 1) g.succ.(i)
     done;
     (* Kahn's algorithm with a sorted frontier: a canonical order with
        ties broken by {!Txn_id.compare}, independent of insertion
@@ -433,8 +440,8 @@ let topological_sort g =
       frontier := S.remove el !frontier;
       out := name :: !out;
       incr count;
-      Int_set.iter
-        (fun j ->
+      Int_map.iter
+        (fun j _ ->
           let d = indegree.(j) - 1 in
           indegree.(j) <- d;
           if d = 0 then frontier := S.add (g.names.(j), j) !frontier)

@@ -16,11 +16,16 @@
     acyclicity, so {!is_acyclic} and {!find_cycle} are O(1) whatever
     the insertion history.  Once a cycle-closing edge is accepted no
     topological order exists; further insertions degrade to a plain
-    reachability search per edge, preserving exact cycle reporting. *)
+    reachability search per edge, preserving exact cycle reporting.
+
+    Every edge carries a label of type ['e], stored with the edge: the
+    monitor's witness of why the edge exists, the Spine's witness
+    slot, [()] offline.  A duplicate insertion keeps the first
+    label; labels never steer a search or an order. *)
 
 open Nt_base
 
-type t
+type 'e t
 
 type add_result =
   | Ok of int
@@ -32,20 +37,24 @@ type add_result =
           consecutive elements (wrapping) are edges.  The edge is
           still added — the graph records cyclic history faithfully. *)
 
-val create : unit -> t
+val create : unit -> 'e t
 
-val add_node : t -> Txn_id.t -> unit
+val add_node : 'e t -> Txn_id.t -> unit
 (** Idempotent.  New nodes enter at the end of the maintained order. *)
 
-val add_edge_checked : t -> Txn_id.t -> Txn_id.t -> add_result
-(** Insert an edge and report whether it closed a cycle.  Adds both
-    endpoints as nodes; duplicate edges are ignored ([Ok 0]). *)
+val add_edge_checked : 'e t -> Txn_id.t -> Txn_id.t -> 'e -> add_result
+(** [add_edge_checked g a b l] inserts [a -> b] labelled [l] and reports
+    whether it closed a cycle.  Adds both endpoints as nodes; a duplicate
+    edge is ignored ([Ok 0]) and keeps its first label. *)
 
-val add_edge : t -> Txn_id.t -> Txn_id.t -> unit
-(** [ignore (add_edge_checked t a b)]. *)
+val add_edge : 'e t -> Txn_id.t -> Txn_id.t -> 'e -> unit
+(** [ignore (add_edge_checked g a b l)]. *)
+
+val label : 'e t -> Txn_id.t -> Txn_id.t -> 'e option
+(** The first label of edge [a -> b]; [None] if there is no such edge. *)
 
 val would_close_cycle :
-  t -> (Txn_id.t * Txn_id.t) list -> Txn_id.t list option
+  'e t -> (Txn_id.t * Txn_id.t) list -> Txn_id.t list option
 (** [would_close_cycle g extra] is [Some] iff the union of [g] and
     [extra] has a cycle — always, once [g] itself is cyclic.  {e
     Read-only}: nothing is interned or recorded, so a positive answer
@@ -65,49 +74,49 @@ val would_close_cycle :
     wrapping, are edges of the joint graph).  When [g] is cyclic and no
     extra edge closes a cycle, the witness is {!find_cycle}'s. *)
 
-val mem_edge : t -> Txn_id.t -> Txn_id.t -> bool
-val nodes : t -> Txn_id.t list
-val edges : t -> (Txn_id.t * Txn_id.t) list
+val mem_edge : 'e t -> Txn_id.t -> Txn_id.t -> bool
+val nodes : 'e t -> Txn_id.t list
+val edges : 'e t -> (Txn_id.t * Txn_id.t) list
 
-val n_nodes : t -> int
+val n_nodes : 'e t -> int
 (** O(1) (cached). *)
 
-val n_edges : t -> int
+val n_edges : 'e t -> int
 (** O(1) (cached; duplicates were never counted). *)
 
-val iter_edges : t -> (Txn_id.t -> Txn_id.t -> unit) -> unit
+val iter_edges : 'e t -> (Txn_id.t -> Txn_id.t -> unit) -> unit
 (** Iterate edges allocation-free (order unspecified). *)
 
-val fold_nodes : t -> ('a -> Txn_id.t -> 'a) -> 'a -> 'a
-val fold_edges : t -> ('a -> Txn_id.t -> Txn_id.t -> 'a) -> 'a -> 'a
+val fold_nodes : 'e t -> ('a -> Txn_id.t -> 'a) -> 'a -> 'a
+val fold_edges : 'e t -> ('a -> Txn_id.t -> Txn_id.t -> 'a) -> 'a -> 'a
 
-val find_cycle : t -> Txn_id.t list option
+val find_cycle : 'e t -> Txn_id.t list option
 (** Some cycle (as a node list, first repeated node omitted) if one
     exists; [None] iff the graph is acyclic.  O(1): the witness of the
     first cycle-closing insertion is cached. *)
 
-val find_cycle_scratch : t -> Txn_id.t list option
+val find_cycle_scratch : 'e t -> Txn_id.t list option
 (** The pre-incremental reference: a full three-color DFS over the
     current graph.  Kept for differential testing of the incremental
     detector (and for callers that want a cycle through the {e current}
     search order rather than the first historical witness). *)
 
-val is_acyclic : t -> bool
+val is_acyclic : 'e t -> bool
 (** O(1). *)
 
-val order : t -> Txn_id.t list option
+val order : 'e t -> Txn_id.t list option
 (** The maintained topological order (all nodes, every edge forward),
     or [None] once the graph is cyclic.  Reflects insertion history;
     for a canonical insertion-independent order use
     {!topological_sort}. *)
 
-val reorders : t -> int
+val reorders : 'e t -> int
 (** Cumulative number of node renumberings performed by incremental
     insertions — the work the limited two-way search actually did
     (0 for an insertion-order that never violated the maintained
     order). *)
 
-val topological_sort : t -> Txn_id.t list option
+val topological_sort : 'e t -> Txn_id.t list option
 (** A total order of all nodes consistent with every edge, or [None]
     if cyclic.  Ties are broken deterministically by {!Txn_id.compare}
     so results are reproducible. *)

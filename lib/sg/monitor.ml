@@ -49,7 +49,7 @@ type obj_state = {
 
 type t = {
   schema : Schema.t;
-  g : Graph.t;
+  g : provenance Graph.t;  (* each edge labelled with its first witness *)
   aborted : unit Txn_id.Tbl.t;
   waiters : Txn_id.t list Txn_id.Tbl.t;
       (* top -> the Pending transactions under it, newest first *)
@@ -61,15 +61,11 @@ type t = {
   requested : int Txn_id.Tbl.t;
       (* open request -> its feed index, until the report *)
   objects : obj_state Obj_id.Tbl.t;
-  edge_prov : (Txn_id.t * Txn_id.t, provenance) Hashtbl.t;
-      (* first witness per inserted edge (edges are deduplicated) *)
   mutable pending_edges : (Txn_id.t * Txn_id.t * provenance) list;
       (* edges inserted by the current feed, for the event stream *)
   mutable walked : (Txn_id.t * (item * prospective) list) option;
       (* the walk [prospective_commit_edges] made for a top, until the
          next feed: a [Commit] of that top applies it *)
-  mutable first_cycle : Txn_id.t list option;
-  mutable any_alarm : bool;
   mutable n_feeds : int;
   mutable n_operations : int;
   mutable n_cycle_alarms : int;
@@ -92,11 +88,8 @@ let create schema =
     frontier = Txn_id.Tbl.create 16;
     requested = Txn_id.Tbl.create 32;
     objects;
-    edge_prov = Hashtbl.create 64;
     pending_edges = [];
     walked = None;
-    first_cycle = None;
-    any_alarm = false;
     n_feeds = 0;
     n_operations = 0;
     n_cycle_alarms = 0;
@@ -104,7 +97,7 @@ let create schema =
   }
 
 let graph t = t.g
-let alarmed t = t.any_alarm
+let alarmed t = t.n_cycle_alarms + t.n_inappropriate_alarms > 0
 
 let counters t =
   {
@@ -166,18 +159,15 @@ let is_visible r = match r.status with Visible -> true | Dead | Pending -> false
 (* Insert through the incremental detector: {!Graph.add_edge_checked}
    maintains a topological order and searches only the region the new
    edge can disturb, so most insertions are O(1) and none re-walks the
-   whole graph. *)
+   whole graph.  The edge keeps [prov] as its label. *)
 let insert_edge t ~prov a b =
   if Txn_id.equal a b || Graph.mem_edge t.g a b then []
   else begin
-    Hashtbl.replace t.edge_prov (a, b) prov;
     t.pending_edges <- (a, b, prov) :: t.pending_edges;
-    match Graph.add_edge_checked t.g a b with
+    match Graph.add_edge_checked t.g a b prov with
     | Graph.Ok _ -> []
     | Graph.Cycle path ->
         (* path is b ... a; the cycle is that path (edge a->b closes it). *)
-        t.any_alarm <- true;
-        if t.first_cycle = None then t.first_cycle <- Some path;
         [ Cycle path ]
   end
 
@@ -246,7 +236,6 @@ let replay_object t x =
     in
     if not legal then begin
       ost.obj_alarmed <- true;
-      t.any_alarm <- true;
       [ Inappropriate x ]
     end
     else []
@@ -413,7 +402,6 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
   let now = t.n_feeds in
   let edges_before = Graph.n_edges t.g in
   let touched = ref [] in
-  t.pending_edges <- [];
   (* Node tracking: the offline construction adds a node for the
      lowtransaction of every visible serial event.  Online it suffices
      to watch Commit/Abort actions — for any other serial event of u,
@@ -517,33 +505,29 @@ let visible_operations t x =
 
 (* --- Attribution ------------------------------------------------------- *)
 
-let edge_provenance t a b = Hashtbl.find_opt t.edge_prov (a, b)
-let first_cycle t = t.first_cycle
+let edge_provenance t a b = Graph.label t.g a b
 
 (* The consecutive (wrapping) edges of a cycle, with what inserted (or
    would insert) each.  [extra] supplies provenance for edges that are
    only prospective (admission speculation); everything else resolves
-   against the recorded witnesses.  Every edge of a cycle reported by
+   against the graph's labels.  Every edge of a cycle reported by
    [feed] was inserted by this monitor, so the provenance is only
    [None] for a list that is not one of its cycles. *)
 let cycle_witness ?(extra = []) t cycle =
-  match cycle with
-  | [] -> []
-  | _ ->
-      let arr = Array.of_list cycle in
-      let n = Array.length arr in
-      List.init n (fun i ->
-          let a = arr.(i) and b = arr.((i + 1) mod n) in
-          let prov =
-            match
-              List.find_opt
-                (fun (a', b', _) -> Txn_id.equal a a' && Txn_id.equal b b')
-                extra
-            with
-            | Some (_, _, p) -> Some p
-            | None -> edge_provenance t a b
-          in
-          (a, b, prov))
+  let arr = Array.of_list cycle in
+  let n = Array.length arr in
+  List.init n (fun i ->
+      let a = arr.(i) and b = arr.((i + 1) mod n) in
+      let prov =
+        match
+          List.find_opt
+            (fun (a', b', _) -> Txn_id.equal a a' && Txn_id.equal b b')
+            extra
+        with
+        | Some (_, _, p) -> Some p
+        | None -> edge_provenance t a b
+      in
+      (a, b, prov))
 
 let pp_provenance fmt p =
   match p.kind with
@@ -626,5 +610,5 @@ let edge_label t a b =
             Printf.sprintf "precedes @%d -> @%d" p.before.at p.after.at)
 
 let dot t =
-  let cycle = Option.value ~default:[] t.first_cycle in
+  let cycle = Option.value ~default:[] (Graph.find_cycle t.g) in
   Dot.of_graph ~cycle ~edge_label:(edge_label t) t.g

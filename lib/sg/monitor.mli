@@ -77,9 +77,6 @@ val feed_trace : ?obs:Obs.t -> t -> Trace.t -> (int * alarm) list
 
 val counters : t -> counters
 
-val graph : t -> Graph.t
-(** The current serialization graph (shared, do not mutate). *)
-
 val alarmed : t -> bool
 (** Whether any alarm has fired so far. *)
 
@@ -108,11 +105,11 @@ val visible_operations : t -> Obj_id.t -> (Txn_id.t * Value.t) list
 
 (** {2 Attribution}
 
-    Every inserted edge remembers which pair of actions created it, so
-    a {!constructor:Cycle} alarm can be explained access by access
-    instead of as a bare list of transaction names.  Feed indices
-    (1-based positions in the fed action sequence) serve as the
-    logical timestamps. *)
+    Every inserted edge carries, as its one label in the graph, the
+    pair of actions that created it, so a {!constructor:Cycle} alarm
+    can be explained access by access instead of as a bare list of
+    transaction names.  Feed indices (1-based positions in the fed
+    action sequence) serve as the logical timestamps. *)
 
 type edge_kind = Conflict | Precedes
 
@@ -130,13 +127,12 @@ type provenance = { kind : edge_kind; before : endpoint; after : endpoint }
     pair forced the edge — the two conflicting accesses (in response
     order), or the sibling's report before the new sibling's request. *)
 
-val edge_provenance : t -> Txn_id.t -> Txn_id.t -> provenance option
-(** The first witness recorded for edge [a -> b] ([None] if the edge
-    was never inserted). *)
+val graph : t -> provenance Graph.t
+(** The current serialization graph, each edge labelled with its first
+    witness (shared, do not mutate). *)
 
-val first_cycle : t -> Txn_id.t list option
-(** The witness of the first {!constructor:Cycle} alarm, retained for
-    rendering ({!dot}). *)
+val edge_provenance : t -> Txn_id.t -> Txn_id.t -> provenance option
+(** [Graph.label (graph t) a b]: the edge's first witness, if any. *)
 
 type prospective = (Txn_id.t * Txn_id.t * provenance) list
 (** Edges a speculated action would insert, with the provenance each
@@ -149,7 +145,7 @@ val cycle_witness :
   (Txn_id.t * Txn_id.t * provenance option) list
 (** The consecutive (wrapping) edges of a cycle with their provenance,
     resolved against [extra] (default none) first and then against
-    the recorded witnesses.  For a cycle this monitor reported, every
+    the graph's labels.  For a cycle this monitor reported, every
     edge has [Some]; for an {!edges_would_cycle} verdict, pass its
     fresh edges as [extra], since its closing edges were never
     inserted. *)
@@ -201,5 +197,5 @@ val edges_would_cycle :
 
 val dot : t -> string
 (** The current graph rendered via {!Dot.of_graph}, each edge labelled
-    with its witnessing actions and the first cycle (if any)
-    highlighted. *)
+    with its witnessing actions and the first cycle (if any, as
+    {!Graph.find_cycle} keeps it) highlighted. *)

@@ -14,8 +14,8 @@ let build mode (schema : Schema.t) trace =
       | Some t when not (Txn_id.is_root t) -> Graph.add_node g t
       | _ -> ())
     vis;
-  List.iter (fun (a, b) -> Graph.add_edge g a b) (Conflict.relation mode schema trace);
-  List.iter (fun (a, b) -> Graph.add_edge g a b) (Precedes.relation trace);
+  List.iter (fun (a, b) -> Graph.add_edge g a b ()) (Conflict.relation mode schema trace);
+  List.iter (fun (a, b) -> Graph.add_edge g a b ()) (Precedes.relation trace);
   g
 
 (* Group a global topological sort by parent, preserving order; each

@@ -16,11 +16,11 @@ open Nt_spec
 
 type conflict_mode = Conflict.mode = Access_level | Operation_level
 
-val build : conflict_mode -> Schema.t -> Trace.t -> Graph.t
+val build : conflict_mode -> Schema.t -> Trace.t -> unit Graph.t
 (** The serialization graph of [serial(beta)] (pass a trace of serial
     actions; {!Checker} strips inform actions for you). *)
 
-val witness_order : Graph.t -> Sibling_order.t option
+val witness_order : _ Graph.t -> Sibling_order.t option
 (** A sibling order obtained by topologically sorting each per-parent
     component; [None] iff the graph is cyclic.  This is the order
     [R] used in the proof of Theorem 8. *)

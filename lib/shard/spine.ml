@@ -9,11 +9,14 @@ type node = {
 type t = {
   mu : Mutex.t;
   seq : int Atomic.t;
-  graph : Graph.t;  (* explicit edges plus the rail's frontier edges *)
+  graph : string option ref Graph.t;
+      (* rail frontier edges and shipped edges, each labelled with its
+         shipped witness ([None] for a rail edge nothing came over) *)
   mutable nodes : node array;
   mutable n_nodes : int;
   mutable frontier : int list;  (* the maximal reported tops *)
-  explicit : (int * int, string) Hashtbl.t;  (* installed edge -> witness *)
+  mutable installs : int;  (* shipped edges installed *)
+  mutable on_rail : int;  (* of them, installed over a rail edge *)
   mutable checks : int;
   mutable vetoes : int;
 }
@@ -26,7 +29,8 @@ let create () =
     nodes = [||];
     n_nodes = 0;
     frontier = [];
-    explicit = Hashtbl.create 64;
+    installs = 0;
+    on_rail = 0;
     checks = 0;
     vetoes = 0;
   }
@@ -66,7 +70,9 @@ let note_submit t g =
       n.submit <- s;
       let v = top_txn g in
       Graph.add_node t.graph v;
-      List.iter (fun u -> Graph.add_edge t.graph (top_txn u) v) t.frontier;
+      List.iter
+        (fun u -> Graph.add_edge t.graph (top_txn u) v (ref None))
+        t.frontier;
       s)
 
 let note_complete t g =
@@ -94,19 +100,21 @@ let rec rotate_to top pre = function
   | g :: _ as l when g = top -> l @ List.rev pre
   | g :: rest -> rotate_to top (g :: pre) rest
 
-(* One line per cycle edge: an explicit edge carries the witness it was
-   shipped with; any other cycle edge is a stored rail edge. *)
+(* The witness shipped for edge [T0.a -> T0.b]: installed in the graph,
+   or else its first copy in [fresh]. *)
+let witness t fresh a b =
+  match Graph.label t.graph (top_txn a) (top_txn b) with
+  | Some { contents = Some w } -> Some w
+  | Some { contents = None } | None ->
+      List.find_map
+        (fun (a', b', w) -> if a = a' && b = b' then Some w else None)
+        fresh
+
+(* One line per cycle edge: a shipped edge carries its witness; any
+   other cycle edge is a stored rail edge. *)
 let edge_line t fresh a b =
   let name g = Txn_id.to_string (top_txn g) in
-  let shipped =
-    match Hashtbl.find_opt t.explicit (a, b) with
-    | Some _ as w -> w
-    | None ->
-        List.find_map
-          (fun (a', b', w) -> if a = a' && b = b' then Some w else None)
-          fresh
-  in
-  match shipped with
+  match witness t fresh a b with
   | Some w -> Printf.sprintf "%s -> %s [%s]" (name a) (name b) w
   | None ->
       Printf.sprintf "%s -> %s [rail: %s reported@%d before %s requested@%d]"
@@ -118,26 +126,27 @@ let gate t ~top ~edges =
       t.checks <- t.checks + 1;
       if (node t top).submit < 0 then
         invalid_arg "Spine.gate: top never submitted";
-      let seen = Hashtbl.create 8 in
+      (* Each edge's first copy, unless it was installed before. *)
       let fresh =
-        List.filter
-          (fun (a, b, _) ->
-            a <> b
-            && (not (Hashtbl.mem seen (a, b)))
-            && begin
-                 Hashtbl.add seen (a, b) ();
-                 not (Hashtbl.mem t.explicit (a, b))
-               end)
-          edges
+        List.rev
+          (List.fold_left
+             (fun acc ((a, b, _) as e) ->
+               if a = b || witness t acc a b <> None then acc else e :: acc)
+             [] edges)
       in
       let pairs = List.map (fun (a, b, _) -> (top_txn a, top_txn b)) fresh in
       match Graph.would_close_cycle t.graph pairs with
       | None ->
           List.iter
             (fun (a, b, w) ->
-              Hashtbl.replace t.explicit (a, b) w;
-              Graph.add_edge t.graph (top_txn a) (top_txn b))
+              let a = top_txn a and b = top_txn b in
+              match Graph.label t.graph a b with
+              | Some slot ->
+                  t.on_rail <- t.on_rail + 1;
+                  slot := Some w
+              | None -> Graph.add_edge t.graph a b (ref (Some w)))
             fresh;
+          t.installs <- t.installs + List.length fresh;
           Admitted
       | Some path ->
           t.vetoes <- t.vetoes + 1;
@@ -154,5 +163,6 @@ let gate t ~top ~edges =
 
 let checks t = locked t (fun () -> t.checks)
 let vetoes t = locked t (fun () -> t.vetoes)
-let edge_count t = locked t (fun () -> Hashtbl.length t.explicit)
+let edge_count t = locked t (fun () -> t.installs)
+let on_rail t = locked t (fun () -> t.on_rail)
 let node_count t = locked t (fun () -> t.n_nodes)

@@ -16,10 +16,12 @@
     order, so the graph stores it as {e frontier edges}, as
     {!Nt_sg.Monitor} stores precedes: a request draws an edge from
     each maximal reported top, and a report retires every frontier
-    member that reported before its own request.  Explicit conflict
+    member that reported before its own request.  Shipped conflict
     edges plus those rail edges have the reachability of the merged
     top-level SG (the determinism argument and the proof sketch live
-    in [doc/sharding.mld]).
+    in [doc/sharding.mld]).  Each edge of the graph is labelled with a
+    witness slot: the shipped witness, or [None] for a rail edge
+    nothing was shipped over.  There is no other copy of an edge.
 
     {!gate} is the two-phase decision: a shard about to perform a
     commit whose prospective edge set contains top-level edges presents
@@ -70,16 +72,19 @@ type verdict =
 val gate : t -> top:int -> edges:(int * int * string) list -> verdict
 (** [gate t ~top ~edges] — would installing [edges] (each witness
     string explains the underlying conflict) close a cycle in the
-    global graph (explicit edges + time rail)?  [Admitted] installs
+    global graph (shipped edges + time rail)?  [Admitted] installs
     them; [Vetoed] installs nothing and returns the would-be cycle,
     starting at [top] when it passes through it, with one witness line
-    per edge: an explicit edge's shipped witness, or a rail edge's two
-    stamps.  Raises [Invalid_argument] if [top] was never
+    per edge: a shipped edge's witness, or a rail edge's two stamps.  Raises [Invalid_argument] if [top] was never
     submit-stamped. *)
 
 val checks : t -> int
 val vetoes : t -> int
 val edge_count : t -> int
-(** Distinct explicit cross-checked conflict edges installed. *)
+(** Shipped edges installed, each counted once. *)
+
+val on_rail : t -> int
+(** Of those, the edges installed over a rail edge, whose slot takes
+    the witness: 0 in a sharded run, as shards ship unrailed edges. *)
 
 val node_count : t -> int

@@ -17,12 +17,9 @@
 
 open Nt_serial
 
-val project : Partition.t -> shard:int -> Program.t -> Program.t option
-(** The program restricted to the shard's objects; [None] when no leaf
-    lands there. *)
-
 val pieces : Partition.t -> Program.t -> (int * Program.t) list
-(** Non-empty projections, in ascending shard order. *)
+(** The program restricted to each shard's objects, for every shard
+    some leaf lands on, in ascending shard order. *)
 
 val merged : Program.t list -> Program.t
 (** [Node (Par, pieces)] — the program the merged history is judged

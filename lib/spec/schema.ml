@@ -7,9 +7,6 @@ type t = {
   op_of : Txn_id.t -> Datatype.op;
 }
 
-let dtype_of_access t txn = t.dtype_of (System_type.object_of_exn t.sys txn)
-let operation_of t txn v = (t.op_of txn, v)
-
 let operations t trace x =
   List.map (fun (txn, v) -> (t.op_of txn, v)) (Trace.operations t.sys trace x)
 

@@ -16,12 +16,6 @@ type t = {
       (** Defined on access names; the operation the access performs. *)
 }
 
-val dtype_of_access : t -> Txn_id.t -> Datatype.t
-(** The data type of the object accessed by the given access name. *)
-
-val operation_of : t -> Txn_id.t -> Value.t -> Serial_spec.operation
-(** Pair the access's operation with a return value. *)
-
 val operations : t -> Trace.t -> Obj_id.t -> Serial_spec.operation list
 (** The operation sequence of [X] occurring in a trace, as
     [(op, v)] pairs ready for replay. *)

@@ -3,7 +3,7 @@ open Util
 
 let t_renders_nodes_and_edges () =
   let g = Graph.create () in
-  Graph.add_edge g (txn [ 0 ]) (txn [ 1 ]);
+  Graph.add_edge g (txn [ 0 ]) (txn [ 1 ]) ();
   Graph.add_node g (txn [ 2 ]);
   let dot = Dot.of_graph g in
   check_bool "digraph" true (Astring_like.contains dot "digraph SG");
@@ -14,8 +14,8 @@ let t_renders_nodes_and_edges () =
 
 let t_cycle_highlight () =
   let g = Graph.create () in
-  Graph.add_edge g (txn [ 0 ]) (txn [ 1 ]);
-  Graph.add_edge g (txn [ 1 ]) (txn [ 0 ]);
+  Graph.add_edge g (txn [ 0 ]) (txn [ 1 ]) ();
+  Graph.add_edge g (txn [ 1 ]) (txn [ 0 ]) ();
   let cycle = Option.get (Graph.find_cycle g) in
   let dot = Dot.of_graph ~cycle g in
   check_bool "red nodes" true (Astring_like.contains dot "color=red");

@@ -11,22 +11,22 @@ let t_empty () =
 
 let t_basic () =
   let g = Graph.create () in
-  Graph.add_edge g (n 0) (n 1);
-  Graph.add_edge g (n 1) (n 2);
+  Graph.add_edge g (n 0) (n 1) ();
+  Graph.add_edge g (n 1) (n 2) ();
   Graph.add_node g (n 3);
   check_int "nodes" 4 (Graph.n_nodes g);
   check_int "edges" 2 (Graph.n_edges g);
   check_bool "mem" true (Graph.mem_edge g (n 0) (n 1));
   check_bool "not mem" false (Graph.mem_edge g (n 1) (n 0));
   check_bool "acyclic" true (Graph.is_acyclic g);
-  Graph.add_edge g (n 0) (n 1);
+  Graph.add_edge g (n 0) (n 1) ();
   check_int "duplicate edge ignored" 2 (Graph.n_edges g)
 
 let t_cycle () =
   let g = Graph.create () in
-  Graph.add_edge g (n 0) (n 1);
-  Graph.add_edge g (n 1) (n 2);
-  Graph.add_edge g (n 2) (n 0);
+  Graph.add_edge g (n 0) (n 1) ();
+  Graph.add_edge g (n 1) (n 2) ();
+  Graph.add_edge g (n 2) (n 0) ();
   check_bool "cyclic" false (Graph.is_acyclic g);
   (match Graph.find_cycle g with
   | Some cyc ->
@@ -43,15 +43,15 @@ let t_cycle () =
 
 let t_self_loop () =
   let g = Graph.create () in
-  Graph.add_edge g (n 5) (n 5);
+  Graph.add_edge g (n 5) (n 5) ();
   check_bool "self loop is a cycle" false (Graph.is_acyclic g)
 
 let t_topo_respects_edges () =
   let g = Graph.create () in
-  Graph.add_edge g (n 3) (n 1);
-  Graph.add_edge g (n 1) (n 0);
-  Graph.add_edge g (n 3) (n 0);
-  Graph.add_edge g (n 2) (n 0);
+  Graph.add_edge g (n 3) (n 1) ();
+  Graph.add_edge g (n 1) (n 0) ();
+  Graph.add_edge g (n 3) (n 0) ();
+  Graph.add_edge g (n 2) (n 0) ();
   match Graph.topological_sort g with
   | None -> Alcotest.fail "should be acyclic"
   | Some order ->
@@ -80,7 +80,7 @@ let prop_random_dag =
       for _ = 0 to 2 * size do
         let i = Rng.int rng (size - 1) in
         let j = i + 1 + Rng.int rng (size - i - 1) in
-        Graph.add_edge g (n i) (n j)
+        Graph.add_edge g (n i) (n j) ()
       done;
       Graph.is_acyclic g
       &&
@@ -103,11 +103,11 @@ let prop_cycle_detected =
       for _ = 0 to size do
         let i = Rng.int rng (size - 1) in
         let j = i + 1 + Rng.int rng (size - i - 1) in
-        Graph.add_edge g (n i) (n j)
+        Graph.add_edge g (n i) (n j) ()
       done;
       let k = 2 + Rng.int rng (size - 2) in
       for i = 0 to k - 1 do
-        Graph.add_edge g (n i) (n ((i + 1) mod k))
+        Graph.add_edge g (n i) (n ((i + 1) mod k)) ()
       done;
       (not (Graph.is_acyclic g)) && Graph.find_cycle g <> None)
 

@@ -36,19 +36,34 @@ let valid_topo g order =
 
 (* One random stream, checked at every prefix: (a) verdict agreement
    with the from-scratch DFS, (b) validity of the maintained order,
-   (c) genuineness of every reported cycle.  Streams draw endpoint
-   pairs uniformly, so they plant self-loops, duplicates, forward and
-   back edges in random proportions. *)
+   (c) genuineness of every reported cycle, (d) every edge's label is
+   the one it was first inserted with, and a duplicate is [Ok 0].
+   Streams draw endpoint pairs uniformly, so they plant self-loops,
+   duplicates, forward and back edges in random proportions, and most
+   run on past a first cycle into the degraded regime.  Labels come
+   from a second generator, so the edge stream is the same as with
+   unlabelled edges. *)
 let stream_ok ~seed ~size ~len =
   let rng = Rng.create seed in
+  let labels = Rng.create (seed lxor 0x5eed) in
   let g = Graph.create () in
+  let first = Hashtbl.create 16 in
   let ok = ref true in
   let insist b = if not b then ok := false in
   for _ = 1 to len do
     let a = Rng.int rng size and b = Rng.int rng size in
-    (match Graph.add_edge_checked g (n a) (n b) with
-    | Graph.Ok moved -> insist (moved >= 0)
-    | Graph.Cycle c -> insist (genuine_cycle g c));
+    let l = Rng.int labels 1000 in
+    let dup = Hashtbl.mem first (a, b) in
+    if not dup then Hashtbl.add first (a, b) l;
+    (match Graph.add_edge_checked g (n a) (n b) l with
+    | Graph.Ok moved -> insist (moved >= 0 && ((not dup) || moved = 0))
+    | Graph.Cycle c -> insist ((not dup) && genuine_cycle g c));
+    (* (d) against the reference table of first labels, every pair. *)
+    for i = 0 to size - 1 do
+      for j = 0 to size - 1 do
+        insist (Graph.label g (n i) (n j) = Hashtbl.find_opt first (i, j))
+      done
+    done;
     let scratch = Graph.find_cycle_scratch g in
     (* (a) the O(1) incremental verdict vs the full DFS. *)
     insist (Graph.is_acyclic g = (scratch = None));
@@ -82,7 +97,7 @@ let prop_dag_stays_acyclic =
       for _ = 0 to 3 * size do
         let i = Rng.int rng (size - 1) in
         let j = i + 1 + Rng.int rng (size - i - 1) in
-        (match Graph.add_edge_checked g (n i) (n j) with
+        (match Graph.add_edge_checked g (n i) (n j) () with
         | Graph.Ok _ -> ()
         | Graph.Cycle _ -> ok := false);
         if not (Graph.is_acyclic g) then ok := false;
@@ -107,22 +122,22 @@ let joint_ok ~seed ~size ~cyclic =
   let g = Graph.create () in
   if cyclic then begin
     for _ = 1 to 2 * size do
-      Graph.add_edge g (n (Rng.int rng size)) (n (Rng.int rng size))
+      Graph.add_edge g (n (Rng.int rng size)) (n (Rng.int rng size)) ()
     done;
     if Graph.is_acyclic g then begin
       let a = Rng.int rng size in
       let b = (a + 1) mod size in
-      Graph.add_edge g (n a) (n b);
-      Graph.add_edge g (n b) (n a)
+      Graph.add_edge g (n a) (n b) ();
+      Graph.add_edge g (n b) (n a) ()
     end;
     for _ = 1 to size do
-      Graph.add_edge g (n (Rng.int rng size)) (n (Rng.int rng size))
+      Graph.add_edge g (n (Rng.int rng size)) (n (Rng.int rng size)) ()
     done
   end
   else
     for _ = 1 to 2 * size do
       let i = Rng.int rng (size - 1) in
-      Graph.add_edge g (n i) (n (i + 1 + Rng.int rng (size - i - 1)))
+      Graph.add_edge g (n i) (n (i + 1 + Rng.int rng (size - i - 1))) ()
     done;
   let stored = Array.of_list (Graph.edges g) in
   let snapshot () = (List.sort compare (Graph.edges g), Graph.order g) in
@@ -144,8 +159,8 @@ let joint_ok ~seed ~size ~cyclic =
           | _ -> (node (), node ()))
     in
     let joint = Graph.create () in
-    Graph.iter_edges g (Graph.add_edge joint);
-    List.iter (fun (a, b) -> Graph.add_edge joint a b) extra;
+    Graph.iter_edges g (fun a b -> Graph.add_edge joint a b ());
+    List.iter (fun (a, b) -> Graph.add_edge joint a b ()) extra;
     let expected = Graph.find_cycle_scratch joint <> None in
     (match Graph.would_close_cycle g extra with
     | None -> insist (not expected)
@@ -174,7 +189,7 @@ let t_back_edge_in_reorder_region () =
   let g = Graph.create () in
   List.iter
     (fun (a, b) ->
-      match Graph.add_edge_checked g (n a) (n b) with
+      match Graph.add_edge_checked g (n a) (n b) () with
       | Graph.Ok _ -> ()
       | Graph.Cycle _ -> Alcotest.fail "chain edge reported as cycle")
     [ (3, 4); (2, 3); (1, 2); (0, 1) ];
@@ -183,7 +198,7 @@ let t_back_edge_in_reorder_region () =
   | Some order ->
       check_bool "order valid after reorders" true (valid_topo g order)
   | None -> Alcotest.fail "order lost while acyclic");
-  (match Graph.add_edge_checked g (n 4) (n 0) with
+  (match Graph.add_edge_checked g (n 4) (n 0) () with
   | Graph.Cycle c ->
       check_int "full chain cycle" 5 (List.length c);
       check_bool "genuine" true (genuine_cycle g c)
@@ -194,15 +209,15 @@ let t_back_edge_in_reorder_region () =
 
 let t_self_loop () =
   let g = Graph.create () in
-  Graph.add_edge g (n 0) (n 1);
-  (match Graph.add_edge_checked g (n 1) (n 1) with
+  Graph.add_edge g (n 0) (n 1) ();
+  (match Graph.add_edge_checked g (n 1) (n 1) () with
   | Graph.Cycle [ t ] -> check_bool "loop witness" true (Txn_id.equal t (n 1))
   | _ -> Alcotest.fail "self-loop not reported as unit cycle");
   check_bool "cyclic" false (Graph.is_acyclic g);
   check_int "loop edge counted once" 2 (Graph.n_edges g);
   (* Duplicate self-loop: ignored, verdict unchanged. *)
   check_bool "dup self-loop ignored" true
-    (Graph.add_edge_checked g (n 1) (n 1) = Graph.Ok 0);
+    (Graph.add_edge_checked g (n 1) (n 1) () = Graph.Ok 0);
   check_int "edges stable" 2 (Graph.n_edges g)
 
 (* Satellite regression: the cached counters are pinned after
@@ -210,12 +225,12 @@ let t_self_loop () =
    paths no longer build. *)
 let t_duplicate_edge_counters () =
   let g = Graph.create () in
-  Graph.add_edge g (n 0) (n 1);
-  Graph.add_edge g (n 1) (n 2);
+  Graph.add_edge g (n 0) (n 1) ();
+  Graph.add_edge g (n 1) (n 2) ();
   let order_before = Graph.order g in
   for _ = 1 to 5 do
     check_bool "duplicate is Ok 0" true
-      (Graph.add_edge_checked g (n 0) (n 1) = Graph.Ok 0)
+      (Graph.add_edge_checked g (n 0) (n 1) () = Graph.Ok 0)
   done;
   check_int "n_edges pinned" 2 (Graph.n_edges g);
   check_int "n_nodes pinned" 3 (Graph.n_nodes g);
@@ -227,6 +242,30 @@ let t_duplicate_edge_counters () =
   check_int "fold_edges count" 2 (Graph.fold_edges g (fun k _ _ -> k + 1) 0);
   check_int "fold_nodes count" 3 (Graph.fold_nodes g (fun k _ -> k + 1) 0)
 
+(* A duplicate keeps the edge's first label and is [Ok 0], in the
+   ordered regime and in the degraded one after a first cycle. *)
+let t_duplicate_keeps_first_label () =
+  let g = Graph.create () in
+  Graph.add_edge g (n 0) (n 1) "first";
+  check_bool "ordered duplicate is Ok 0" true
+    (Graph.add_edge_checked g (n 0) (n 1) "second" = Graph.Ok 0);
+  Alcotest.(check (option string))
+    "ordered label" (Some "first") (Graph.label g (n 0) (n 1));
+  (match Graph.add_edge_checked g (n 1) (n 0) "back" with
+  | Graph.Cycle _ -> ()
+  | Graph.Ok _ -> Alcotest.fail "cycle missed");
+  Graph.add_edge g (n 2) (n 3) "late";
+  check_bool "degraded duplicate is Ok 0" true
+    (Graph.add_edge_checked g (n 1) (n 0) "again" = Graph.Ok 0
+    && Graph.add_edge_checked g (n 2) (n 3) "again" = Graph.Ok 0);
+  Alcotest.(check (list (option string)))
+    "degraded labels"
+    [ Some "first"; Some "back"; Some "late"; None ]
+    (List.map
+       (fun (a, b) -> Graph.label g (n a) (n b))
+       [ (0, 1); (1, 0); (2, 3); (3, 2) ]);
+  check_int "duplicates not counted" 3 (Graph.n_edges g)
+
 (* A stream whose very last edge closes the only cycle: every prefix
    is acyclic (verdict and order agree with scratch), the final edge
    trips all detectors at once. *)
@@ -235,13 +274,13 @@ let t_cycle_closed_by_last_edge () =
   let chain = [ (0, 1); (1, 2); (2, 3); (0, 3); (1, 3) ] in
   List.iter
     (fun (a, b) ->
-      (match Graph.add_edge_checked g (n a) (n b) with
+      (match Graph.add_edge_checked g (n a) (n b) () with
       | Graph.Ok _ -> ()
       | Graph.Cycle _ -> Alcotest.fail "premature cycle");
       check_bool "prefix acyclic" true
         (Graph.is_acyclic g && Graph.find_cycle_scratch g = None))
     chain;
-  match Graph.add_edge_checked g (n 3) (n 0) with
+  match Graph.add_edge_checked g (n 3) (n 0) () with
   | Graph.Cycle c ->
       check_bool "genuine" true (genuine_cycle g c);
       check_bool "incremental verdict flipped" false (Graph.is_acyclic g);
@@ -254,16 +293,16 @@ let t_cycle_closed_by_last_edge () =
    not, and the from-scratch verdict keeps agreeing. *)
 let t_detection_after_first_cycle () =
   let g = Graph.create () in
-  Graph.add_edge g (n 0) (n 1);
-  (match Graph.add_edge_checked g (n 1) (n 0) with
+  Graph.add_edge g (n 0) (n 1) ();
+  (match Graph.add_edge_checked g (n 1) (n 0) () with
   | Graph.Cycle _ -> ()
   | Graph.Ok _ -> Alcotest.fail "first cycle missed");
   (* A disjoint safe edge. *)
-  (match Graph.add_edge_checked g (n 2) (n 3) with
+  (match Graph.add_edge_checked g (n 2) (n 3) () with
   | Graph.Ok _ -> ()
   | Graph.Cycle _ -> Alcotest.fail "safe edge misreported");
   (* A second, disjoint cycle. *)
-  (match Graph.add_edge_checked g (n 3) (n 2) with
+  (match Graph.add_edge_checked g (n 3) (n 2) () with
   | Graph.Cycle c -> check_bool "second cycle genuine" true (genuine_cycle g c)
   | Graph.Ok _ -> Alcotest.fail "second cycle missed");
   check_bool "scratch still agrees" true (Graph.find_cycle_scratch g <> None)
@@ -277,7 +316,7 @@ let t_order_vs_topological_sort () =
   for _ = 0 to 40 do
     let i = Rng.int rng 11 in
     let j = i + 1 + Rng.int rng (12 - i - 1) in
-    Graph.add_edge g (n i) (n j)
+    Graph.add_edge g (n i) (n j) ()
   done;
   match (Graph.order g, Graph.topological_sort g) with
   | Some o, Some k ->
@@ -297,6 +336,8 @@ let suite =
       Alcotest.test_case "self loop" `Quick t_self_loop;
       Alcotest.test_case "duplicate edges pin the counters" `Quick
         t_duplicate_edge_counters;
+      Alcotest.test_case "duplicate keeps the first label" `Quick
+        t_duplicate_keeps_first_label;
       Alcotest.test_case "cycle closed by the last edge" `Quick
         t_cycle_closed_by_last_edge;
       Alcotest.test_case "detection survives the first cycle" `Quick

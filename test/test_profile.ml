@@ -329,7 +329,7 @@ let t_monitor_provenance () =
 let t_dot_edge_labels () =
   let g = Graph.create () in
   let a = txn [ 0 ] and b = txn [ 1 ] in
-  Graph.add_edge g a b;
+  Graph.add_edge g a b ();
   let label u v =
     if Txn_id.equal u a && Txn_id.equal v b then
       Some "x \"quoted\"\nline2\\end"

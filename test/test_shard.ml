@@ -596,13 +596,9 @@ let t_spine_sees_local_edges () =
   Alcotest.(check (list int)) "seeds whose merged history is cyclic" []
     (List.rev !cyclic)
 
-(* A shard ships a top-level edge to the spine only when the rail does
-   not already order its tops.  Shard-local programs cross no shard, so
-   every edge a shard holds between tops is ordered by the rail or is a
-   conflict edge between overlapping tops; a closed loop of 16 keeps the
-   spine's explicit edges below one per program (shipping every edge
-   the local graph does not hold made it about 50). *)
-let t_spine_gets_unrailed_edges () =
+(* A closed loop of 16 clients, each submitting shard-local SmallBank
+   programs over 16 undo registers on two shards; returns the spine. *)
+let spine_closed_loop ~programs ~seed =
   let objects = registers (numbered "acct" 16) in
   let part = Partition.create ~shards:2 objects in
   let groups =
@@ -613,11 +609,10 @@ let t_spine_gets_unrailed_edges () =
                if Partition.shard_of part x = s then Some x else None)
              objects))
   in
-  let programs = 300 in
   let cl =
-    Shard_cluster.create ~shards:2 ~seed:11 objects (Check.factory_of Check.Undo)
+    Shard_cluster.create ~shards:2 ~seed objects (Check.factory_of Check.Undo)
   in
-  let rng = Rng.create 11 in
+  let rng = Rng.create seed in
   let submitted = ref 0 in
   let rec run () =
     while
@@ -637,9 +632,49 @@ let t_spine_gets_unrailed_edges () =
     then run ()
   in
   run ();
-  let edges = Spine.edge_count (Shard_cluster.spine cl) in
+  Shard_cluster.spine cl
+
+(* A shard ships a top-level edge to the spine only when the rail does
+   not already order its tops.  Shard-local programs cross no shard, so
+   every edge a shard holds between tops is ordered by the rail or is a
+   conflict edge between overlapping tops; a closed loop of 16 keeps the
+   spine's explicit edges below one per program (shipping every edge
+   the local graph does not hold made it about 50). *)
+let t_spine_gets_unrailed_edges () =
+  let programs = 300 in
+  let edges = Spine.edge_count (spine_closed_loop ~programs ~seed:11) in
   if edges > 4 * programs then
     Alcotest.failf "%d spine edges for %d programs" edges programs
+
+(* No shipped edge lands on a stored rail edge: a shard ships an edge
+   only when {!Spine.railed} does not order its merged tops, and every
+   rail edge into a top is stored at its request, before any edge of
+   its is shipped.  So each spine edge has one witness, its label: the
+   shipped one or the rail's stamps.  In the sharded differential
+   scenarios (gated backends and the ungated no-control) the rail
+   orders no shipped pair, filter or not; in the closed loops above,
+   shipping railed edges too lands about a hundred on the rail. *)
+let t_shipped_edges_miss_the_rail () =
+  List.iter
+    (fun seed ->
+      let sp = spine_closed_loop ~programs:300 ~seed in
+      check_bool "the loop installs shipped edges" true (Spine.edge_count sp > 0);
+      check_int "loop edges installed over a rail edge" 0 (Spine.on_rail sp))
+    [ 11; 12; 13 ];
+  let installed = ref 0 in
+  List.iter
+    (fun backend ->
+      for i = 0 to 19 do
+        let sc =
+          Check.gen_scenario ~grammar:Check.Mixed backend (Rng.create (1000 + i))
+        in
+        let r = Check.serve_sharded ~shards:3 ~seed:(3000 + i) backend sc in
+        installed := !installed + r.Check.sh_spine_edges;
+        check_int "shipped edges installed over a rail edge" 0
+          r.Check.sh_spine_on_rail
+      done)
+    (Check.No_control :: Check.correct_backends);
+  check_bool "the runs install shipped edges" true (!installed > 0)
 
 (* ----- one shard ----- *)
 
@@ -809,6 +844,8 @@ let suite =
         t_spine_sees_local_edges;
       Alcotest.test_case "spine gets unrailed edges only" `Quick
         t_spine_gets_unrailed_edges;
+      Alcotest.test_case "shipped edges miss the rail" `Quick
+        t_shipped_edges_miss_the_rail;
       Alcotest.test_case "router refuses like the engine" `Quick
         t_router_refuses_like_engine;
       Alcotest.test_case "one shard is the engine" `Quick
