@@ -555,7 +555,6 @@ type sharded_report = {
   sh_spine_checks : int;
   sh_spine_vetoes : int;
   sh_spine_edges : int;
-  sh_spine_on_rail : int;
 }
 
 (* The one serving harness, over a [shards]-way cluster.  At one shard
@@ -630,7 +629,6 @@ let serve ?(max_steps = 200_000) ?(drop_prob = 0.0) ?gating ?snapshot_at
       sh_spine_checks = Nt_shard.Spine.checks sp;
       sh_spine_vetoes = Nt_shard.Spine.vetoes sp;
       sh_spine_edges = Nt_shard.Spine.edge_count sp;
-      sh_spine_on_rail = Nt_shard.Spine.on_rail sp;
     }
   in
   (report, buf, !snapshot, !session)

@@ -268,8 +268,6 @@ type sharded_report = {
   sh_spine_checks : int;  (** Cross-shard gate decisions taken. *)
   sh_spine_vetoes : int;  (** Commits vetoed by the cross-shard gate. *)
   sh_spine_edges : int;  (** Shipped conflict edges installed. *)
-  sh_spine_on_rail : int;
-      (** Of those, installed over a stored rail edge ({!Nt_shard.Spine.on_rail}). *)
 }
 
 val serve_sharded :

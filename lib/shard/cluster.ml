@@ -22,14 +22,11 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs_for ?gating
     Array.init shards (fun s ->
         Shard_engine.create ?policy ?inform_policy ?abort_prob ?max_steps
           ?obs:(Option.map (fun f -> f s) obs_for)
-          ?gating ?clock ?on_top_complete ~merged ~spine ~partition:part
-          ~shard:s
+          ?gating ?clock ?on_top_complete ~merged ~spine
+          ~on_report:(Router.note_report rt) ~partition:part ~shard:s
           ~seed:(seed + (s * 1000003))
           factory)
   in
-  Array.iter
-    (fun e -> Shard_engine.set_on_report e (Router.note_report rt))
-    engines;
   { part; spine; rt; engines; merged }
 
 let dispatch t ~g { Router.d_shard; d_prefix; d_prog } =

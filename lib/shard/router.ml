@@ -10,9 +10,15 @@ type result_view =
   | Committed of Value.t
   | Aborted of Nt_net.Admission.veto option
 
+(* One per merged top [g], holding its program in the merged forest. *)
 type entry =
-  | Plain of { shard : int; mutable outcome : Shard_engine.outcome option }
+  | Plain of {
+      shard : int;
+      prog : Program.t;
+      mutable outcome : Shard_engine.outcome option;
+    }
   | Cross of {
+      prog : Program.t;  (* the par-of-pieces node *)
       shards : int array;  (* piece index -> shard *)
       values : Value.t option array;
       mutable remaining : int;
@@ -24,10 +30,8 @@ type t = {
   spine : Spine.t;
   merged : bool;  (* several shards: synthesize the merged requests *)
   mu : Mutex.t;
-  entries : (int, entry) Hashtbl.t;
-  progs : (int, Program.t) Hashtbl.t;  (* the merged forest, per g *)
+  entries : (int, entry) Hashtbl.t;  (* g -> entry, g dense from 0 *)
   mutable synth : (int * Action.t) list;  (* synthesized G actions *)
-  mutable n_local : int;
   mutable n_cross : int;
   mutable n_committed : int;
   mutable n_aborted : int;
@@ -40,9 +44,7 @@ let create ~merged part spine =
     merged;
     mu = Mutex.create ();
     entries = Hashtbl.create 256;
-    progs = Hashtbl.create 256;
     synth = [];
-    n_local = 0;
     n_cross = 0;
     n_committed = 0;
     n_aborted = 0;
@@ -60,72 +62,69 @@ let top_txn g = Txn_id.child Txn_id.root g
 let plan t prog =
   match Nt_net.Engine.validate (Partition.objects t.part) prog with
   | Error _ as e -> e
-  | Ok () -> (
-      match Footprint.classify t.part prog with
-      | Footprint.Local s ->
-          let g = Spine.register t.spine in
-          locked t (fun () ->
-              Hashtbl.replace t.entries g (Plain { shard = s; outcome = None });
-              Hashtbl.replace t.progs g prog;
-              t.n_local <- t.n_local + 1;
-              (* The merged [T0] requests its children in name order, at
-                 dispatch — the engines issue their local counterparts
-                 lazily, in whatever order their schedulers reach them,
-                 which would let a later-named top complete before an
-                 earlier-named one was even requested and put the
-                 merged trace's affects relation at odds with the
-                 pseudotime (dfs) sibling order.  The shard tap drops
-                 the local event; this stamp is the one the merged
-                 trace and the spine's rail both use.  One shard's
-                 engine trace is already the merged one. *)
-              if t.merged then begin
-                let s1 = Spine.note_submit t.spine g in
-                t.synth <- (s1, Action.Request_create (top_txn g)) :: t.synth
-              end);
-          Ok { p_g = g; p_dispatches = [ { d_shard = s; d_prefix = [ g ]; d_prog = prog } ]; p_cross = false }
-      | Footprint.Cross _ ->
-          let pieces = Split.pieces t.part prog in
-          let g = Spine.register t.spine in
-          locked t (fun () ->
-              let n = List.length pieces in
-              Hashtbl.replace t.entries g
-                (Cross
+  | Ok () ->
+      let cross, pieces =
+        match Footprint.classify t.part prog with
+        | Footprint.Local s -> (false, [ (s, prog) ])
+        | Footprint.Cross _ -> (true, Split.pieces t.part prog)
+      in
+      let g =
+        locked t (fun () ->
+            let g = Hashtbl.length t.entries in
+            let n = List.length pieces in
+            Hashtbl.replace t.entries g
+              (if cross then
+                 Cross
                    {
+                     prog = Split.merged (List.map snd pieces);
                      shards = Array.of_list (List.map fst pieces);
                      values = Array.make n None;
                      remaining = n;
                      value = None;
-                   });
-              Hashtbl.replace t.progs g (Split.merged (List.map snd pieces));
-              t.n_cross <- t.n_cross + 1;
-              (* The merged system's [T0] requests the par-of-pieces
-                 node at dispatch: stamp its creation before any piece
-                 can act, which also anchors the spine's rail — and the
-                 node itself requests its pieces right away, in piece
-                 order, for the same affects-consistency reason as the
-                 plain case above (the local engines' requests for the
-                 piece roots are dropped by the shard taps). *)
+                   }
+               else
+                 Plain { shard = fst (List.hd pieces); prog; outcome = None });
+            if cross then t.n_cross <- t.n_cross + 1;
+            (* The merged [T0] requests its children in name order, at
+               dispatch — the engines issue their local counterparts
+               lazily, in whatever order their schedulers reach them,
+               which would let a later-named top complete before an
+               earlier-named one was even requested and put the merged
+               trace's affects relation at odds with the pseudotime
+               (dfs) sibling order.  The shard taps drop the local
+               events; this stamp is the one the merged trace and the
+               spine's rail both use, and a par-of-pieces node is
+               created and requests its pieces right away, in piece
+               order, for the same reason.  One shard's engine trace is
+               already the merged one. *)
+            if t.merged then begin
               let s1 = Spine.note_submit t.spine g in
               t.synth <- (s1, Action.Request_create (top_txn g)) :: t.synth;
-              let s2 = Spine.stamp t.spine in
-              t.synth <- (s2, Action.Create (top_txn g)) :: t.synth;
-              List.iteri
-                (fun k _ ->
-                  let sk = Spine.stamp t.spine in
-                  t.synth <-
-                    (sk, Action.Request_create (Txn_id.child (top_txn g) k))
-                    :: t.synth)
-                pieces);
-          Ok
-            {
-              p_g = g;
-              p_dispatches =
-                List.mapi
-                  (fun k (s, p) ->
-                    { d_shard = s; d_prefix = [ g; k ]; d_prog = p })
-                  pieces;
-              p_cross = true;
-            })
+              if cross then begin
+                let s2 = Spine.stamp t.spine in
+                t.synth <- (s2, Action.Create (top_txn g)) :: t.synth;
+                List.iteri
+                  (fun k _ ->
+                    let sk = Spine.stamp t.spine in
+                    t.synth <-
+                      (sk, Action.Request_create (Txn_id.child (top_txn g) k))
+                      :: t.synth)
+                  pieces
+              end
+            end;
+            g)
+      in
+      Ok
+        {
+          p_g = g;
+          p_dispatches =
+            List.mapi
+              (fun k (s, p) ->
+                let d_prefix = if cross then [ g; k ] else [ g ] in
+                { d_shard = s; d_prefix; d_prog = p })
+              pieces;
+          p_cross = cross;
+        }
 
 (* With the router lock held: all pieces have reported, so the merged
    node commits — its value pairs each piece's fate, uncommitted pieces
@@ -150,7 +149,7 @@ let synthesize_commit t g values =
   t.synth <- (s3, Action.Report_commit (u, v)) :: t.synth;
   v
 
-let note_report t ~g ~piece ~seq:_ out =
+let note_report t ~g ~piece out =
   locked t (fun () ->
       match (Hashtbl.find_opt t.entries g, piece) with
       | Some (Plain ({ outcome = None; _ } as p)), None ->
@@ -173,7 +172,7 @@ let note_report t ~g ~piece ~seq:_ out =
    programs; belt and braces): count it as an aborted piece so the
    merged transaction still completes. *)
 let note_dispatch_failed t ~g ~piece =
-  note_report t ~g ~piece ~seq:0 (Shard_engine.Done_aborted None)
+  note_report t ~g ~piece (Shard_engine.Done_aborted None)
 
 let result t g =
   locked t (fun () ->
@@ -197,7 +196,7 @@ let kill_prefixes t g =
 
 let submitted t = locked t (fun () -> Hashtbl.length t.entries)
 let cross_count t = locked t (fun () -> t.n_cross)
-let local_count t = locked t (fun () -> t.n_local)
+let local_count t = locked t (fun () -> Hashtbl.length t.entries - t.n_cross)
 
 let pending t =
   locked t (fun () -> Hashtbl.length t.entries - t.n_committed - t.n_aborted)
@@ -205,7 +204,9 @@ let counts t = locked t (fun () -> (t.n_committed, t.n_aborted))
 
 let merged_forest t =
   locked t (fun () ->
-      List.init (Hashtbl.length t.progs) (fun g -> Hashtbl.find t.progs g))
+      List.init (Hashtbl.length t.entries) (fun g ->
+          match Hashtbl.find t.entries g with
+          | Plain { prog; _ } | Cross { prog; _ } -> prog))
 
 let merged_trace t buffers =
   let synth = locked t (fun () -> t.synth) in

@@ -33,16 +33,18 @@ val create : merged:bool -> Partition.t -> Spine.t -> t
 val plan : t -> Program.t -> (plan, string) result
 (** Validate with {!Nt_net.Engine.validate} against the full object
     table (atomically — no piece is dispatched for a rejected program,
-    and the message is the one a single engine gives), classify, allocate [g],
-    register it with the spine, and (when [merged]) stamp the merged
-    node's [Request_create] — for a cross-shard program also its
-    [Create] and its pieces' requests — into the synthetic action
-    stream.  The caller performs the dispatches. *)
+    and the message is the one a single engine gives), classify, number
+    it [g] (the next merged top, under the router's lock), and (when
+    [merged]) note [g]'s [Request_create] with {!Spine.note_submit}
+    in the same critical section, so the spine sees every merged top in
+    order — for a cross-shard program also stamp its [Create] and its
+    pieces' requests into the synthetic action stream.  At one shard the
+    spine is left empty.  The caller performs the dispatches. *)
 
 val note_report :
-  t -> g:int -> piece:int option -> seq:int -> Shard_engine.outcome -> unit
-(** Wire this as every shard's {!Shard_engine.set_on_report}.  The last
-    piece report synthesizes the merged node's commit. *)
+  t -> g:int -> piece:int option -> Shard_engine.outcome -> unit
+(** Pass this as every shard's [on_report] ({!Shard_engine.create}).
+    The last piece report synthesizes the merged node's commit. *)
 
 val note_dispatch_failed : t -> g:int -> piece:int option -> unit
 

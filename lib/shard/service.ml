@@ -18,13 +18,10 @@ let worker cl s mbox notify () =
   let running = ref true in
   let idle = ref false in
   while !running do
-    (* Quiescence with live transactions is transient — a blocked
-       access becomes retryable only on a later drain — so the worker
-       may park on the mailbox only when the engine is truly empty;
-       otherwise it backs off and re-drains. *)
-    let may_block = !idle && Nt_net.Engine.live_top eng = 0 in
-    if !idle && not may_block then Thread.delay 0.0005;
-    let msgs = Mailbox.pop ~block:may_block mbox in
+    (* A drain stops only when nothing can move before the next message:
+       a quiescent engine holds no live top, a truncated one never
+       steps again.  So an idle worker parks on its mailbox. *)
+    let msgs = Mailbox.pop ~block:!idle mbox in
     List.iter
       (function
         | Submit (g, d) -> Cluster.dispatch cl ~g d

@@ -30,8 +30,7 @@ type t = {
   prefixes : (int, int list) Hashtbl.t;  (* local top index -> merged prefix *)
   by_prefix : (int list, Txn_id.t) Hashtbl.t;
   mutable buf : (int * Action.t) list;  (* merged actions, newest first *)
-  mutable on_report :
-    g:int -> piece:int option -> seq:int -> outcome -> unit;
+  on_report : g:int -> piece:int option -> outcome -> unit;
   mutable stats_cell : stats;
 }
 
@@ -64,10 +63,10 @@ let remap_action t a =
   | Action.Inform_commit (x, u) -> Action.Inform_commit (x, f u)
   | Action.Inform_abort (x, u) -> Action.Inform_abort (x, f u)
 
-let local_done t u out seq =
+let local_done t u out =
   match prefix_of t u with
-  | Some [ g ] -> t.on_report ~g ~piece:None ~seq out
-  | Some [ g; k ] -> t.on_report ~g ~piece:(Some k) ~seq out
+  | Some [ g ] -> t.on_report ~g ~piece:None out
+  | Some [ g; k ] -> t.on_report ~g ~piece:(Some k) out
   | _ -> ()
 
 let tap t a =
@@ -93,10 +92,10 @@ let tap t a =
       t.buf <- (seq, remap_action t a) :: t.buf;
       match a with
       | Action.Report_commit (u, v) when Txn_id.depth u = 1 ->
-          local_done t u (Done_committed v) seq
+          local_done t u (Done_committed v)
       | Action.Report_abort u when Txn_id.depth u = 1 ->
           let veto = Admission.veto_of (Engine.admission (the_engine t)) u in
-          local_done t u (Done_aborted veto) seq
+          local_done t u (Done_aborted veto)
       | _ -> ())
 
 (* The merged top-level endpoint of a local depth-1 transaction. *)
@@ -112,22 +111,18 @@ let witness_string t prov =
                 after = r prov.Monitor.after }
 
 (* The second gate: [edges] is the prospective set the local gate
-   already computed for [u]'s commit. *)
+   already computed for [u]'s commit.  Every edge between two merged
+   tops is shipped, whether the local graph holds it or not: a held one
+   may be a precedes edge from a piece that reported before the other
+   top started here.  The spine drops the ones its rail orders. *)
 let extra_gate t u edges =
-  (* An edge is shipped unless the spine's rail already orders its
-     merged tops: the first reported before the second was requested.
-     Such an edge adds nothing there.  Any other edge is shipped,
-     whether the local graph holds it or not: a held one may be a
-     precedes edge from a piece that reported before the other top
-     started here, which the rail does not order. *)
   let tops =
     List.filter_map
       (fun (a, b, prov) ->
         if Txn_id.depth a = 1 && Txn_id.depth b = 1 then
           match (merged_g t a, merged_g t b) with
-          | Some ga, Some gb when ga <> gb && not (Spine.railed t.spine ga gb)
-            ->
-              Some (ga, gb, witness_string t prov)
+          | Some ga, Some gb when ga <> gb ->
+              Some (ga, gb, lazy (witness_string t prov))
           | _ -> None
         else None)
       edges
@@ -145,14 +140,14 @@ let extra_gate t u edges =
 let top_done t u =
   match (prefix_of t u, Engine.state (the_engine t) u) with
   | Some [ g ], Engine.Committed v ->
-      t.on_report ~g ~piece:None ~seq:0 (Done_committed v)
+      t.on_report ~g ~piece:None (Done_committed v)
   | Some [ g ], Engine.Aborted veto ->
-      t.on_report ~g ~piece:None ~seq:0 (Done_aborted veto)
+      t.on_report ~g ~piece:None (Done_aborted veto)
   | _ -> ()
 
 let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
     ?(gating = true) ?clock ?(on_top_complete = fun _ _ -> ()) ~merged
-    ~spine ~partition ~shard ~seed factory =
+    ~spine ~on_report ~partition ~shard ~seed factory =
   let t =
     {
       shard;
@@ -161,7 +156,7 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
       prefixes = Hashtbl.create 64;
       by_prefix = Hashtbl.create 64;
       buf = [];
-      on_report = (fun ~g:_ ~piece:_ ~seq:_ _ -> ());
+      on_report;
       stats_cell = Engine.sum_stats [];
     }
   in
@@ -182,8 +177,6 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
   in
   t.eng <- Some eng;
   t
-
-let set_on_report t f = t.on_report <- f
 
 let submit t ~prefix prog =
   let eng = the_engine t in

@@ -18,17 +18,17 @@
       top-level commit, it hands this wrapper the prospective edge set
       it already computed ({!Nt_sg.Monitor.prospective_commit_edges},
       the edges of the commit's one walk, which the feed then applies;
-      inner commits consult no gate); if the set
-      contains top-level edges, their merged projection goes to
-      {!Spine.gate} — new edges, and edges the local graph already
-      holds unless the spine's rail orders their merged tops (the rule
-      and its argument are in [doc/sharding.mld]); a spine veto goes
-      back to {!Nt_net.Admission.gate}, which records it like a local
-      veto, so clients cannot tell the two apart.  Commits with no
-      top-level prospective edges skip the spine — that fast path is
-      exact, not heuristic: only edges incident to the committing top
-      can close a new global cycle, and they are all in the prospective
-      set.
+      inner commits consult no gate); if the set contains edges
+      between two distinct merged tops, their merged projection goes
+      to {!Spine.gate} — new edges and edges the local graph already
+      holds alike, since the spine alone knows which its rail orders
+      (the rule and its argument are in [doc/sharding.mld]); a spine
+      veto goes back to {!Nt_net.Admission.gate}, which records it like
+      a local veto, so clients cannot tell the two apart.  Commits with
+      no top-level prospective edges skip the spine — that fast path
+      is exact, not heuristic: only edges incident to the committing
+      top can close a new global cycle, and they are all in the
+      prospective set.
 
     A {e bare} wrapper (the only shard) does none of this — its trace
     is the merged one and it holds no cross-shard cycle — and reports
@@ -37,7 +37,7 @@
     Thread discipline: every mutating entry point ({!submit}, {!step},
     {!drain}, {!kill}, {!finish}) must be called from the one thread
     that owns the shard (the domain worker, or the harness thread);
-    {!published} and {!set_on_report} are safe from anywhere. *)
+    {!published} is safe from anywhere. *)
 
 open Nt_base
 open Nt_serial
@@ -79,6 +79,7 @@ val create :
   ?on_top_complete:(Txn_id.t -> [ `Committed | `Aborted ] -> unit) ->
   merged:bool ->
   spine:Spine.t ->
+  on_report:(g:int -> piece:int option -> outcome -> unit) ->
   partition:Partition.t ->
   shard:int ->
   seed:int ->
@@ -87,13 +88,10 @@ val create :
 (** [gating] (default [true]) turns off {e both} the local admission
     gate and the spine consult — the sharded no-control, for negative
     tests.  [clock] and [on_top_complete] reach a bare wrapper's
-    engine; a merged one ignores them. *)
-
-val set_on_report :
-  t -> (g:int -> piece:int option -> seq:int -> outcome -> unit) -> unit
-(** Fired at every local top-level report (bare: at its [Commit]/[Abort],
-    stamp [0]), with the merged identity and the trace stamp.  Runs on
-    the shard's thread; keep it cheap and lock-disciplined. *)
+    engine; a merged one ignores them.  [on_report] fires at every
+    local top-level report (bare: at its [Commit]/[Abort]) with the
+    merged identity; it runs on the shard's thread, so keep it cheap
+    and lock-disciplined. *)
 
 val submit : t -> prefix:int list -> Program.t -> (Txn_id.t, string) result
 (** Validate and attach, recording the merged prefix for the new local

@@ -750,6 +750,65 @@ let t_engine_state_follows_trace () =
   check_bool "kills exercised" true (!kills > 20);
   check_bool "dooms exercised" true (!dooms > 0)
 
+(* An engine that answers [`Quiescent] holds no live top: the step
+   found nothing to fire and [break_deadlock] no blocked access to
+   abort, so nothing can move until the next submission (what lets a
+   shard worker park on its mailbox).  Open-loop runs over generated
+   forests, every shape, with random kills and injected aborts. *)
+let t_quiescent_means_no_live_top () =
+  let runs = ref 0 and quiet = ref 0 and mid_run = ref 0 in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (policy, inform_policy) ->
+          List.iteri
+            (fun si shape ->
+              for i = 0 to 2 do
+                let seed = (1000 * si) + (10 * i) + 1 in
+                let sc = Check.gen_scenario ~shape backend (Rng.create seed) in
+                incr runs;
+                let eng =
+                  Engine.create ~policy ~inform_policy ~abort_prob:0.05 ~seed
+                    sc.Check.objects (Check.factory_of backend)
+                in
+                let rng = Rng.create (seed + 7) in
+                let tops = ref [] in
+                let step ~last =
+                  match Engine.step eng with
+                  | `Quiescent ->
+                      incr quiet;
+                      if not last then incr mid_run;
+                      check_int "live tops at quiescence" 0 (Engine.live_top eng);
+                      false
+                  | `Progress -> true
+                  | `Truncated -> false
+                in
+                List.iter
+                  (fun p ->
+                    tops := Result.get_ok (Engine.submit eng p) :: !tops;
+                    for _ = 1 to Rng.int rng 12 do
+                      ignore (step ~last:false);
+                      if Rng.int rng 8 = 0 then
+                        ignore
+                          (Engine.kill eng
+                             (List.nth !tops (Rng.int rng (List.length !tops))))
+                    done)
+                  sc.Check.forest;
+                while step ~last:true do
+                  ()
+                done
+              done)
+            Check.[ Default; Lock_heavy; Deep_nesting; Abort_storm ])
+        [
+          (Runtime.Random_step, Runtime.Eager);
+          (Runtime.Random_step, Runtime.Lazy);
+          (Runtime.Bsp_rounds, Runtime.Eager);
+          (Runtime.Bsp_rounds, Runtime.Lazy);
+        ])
+    Check.[ Moss; Undo; Commlock; Mvts ];
+  check_bool "quiescence reached mid-run" true (!mid_run > 0);
+  check_int "every run quiesced at its end" !runs (!quiet - !mid_run)
+
 (* ----- admission ----- *)
 
 (* Under a broken backend the gate must veto every cycle-closing commit:
@@ -990,6 +1049,8 @@ let suite =
       Alcotest.test_case "orphan before first op" `Quick t_orphan_before_first_op;
       Alcotest.test_case "engine state follows the trace" `Quick
         t_engine_state_follows_trace;
+      Alcotest.test_case "quiescent engine holds no live top" `Quick
+        t_quiescent_means_no_live_top;
       Alcotest.test_case "admission: no false negatives" `Quick
         t_admission_no_false_negatives;
       Alcotest.test_case "admission: veto witness" `Quick t_admission_veto_witness;
