@@ -212,10 +212,10 @@ let run_cmd workload protocol seed n_top depth fanout n_objects theta
          inappropriate alarms@."
         c.Monitor.feeds c.Monitor.operations c.Monitor.edges
         c.Monitor.cycle_alarms c.Monitor.inappropriate_alarms;
-      (match Monitor.witness_order m with
+      (match Sg.witness_order (Monitor.graph m) with
       | Some order ->
           Format.printf
-            "online monitor: witness sibling order maintained incrementally \
+            "online monitor: witness sibling order from the monitor's graph \
              (%d parents, %d order repairs)@."
             (List.length (Sibling_order.parents order))
             (Graph.reorders (Monitor.graph m))

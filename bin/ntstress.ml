@@ -211,10 +211,9 @@ let () =
                                returns impossible@."
                               pname wname seed i (Obj_id.name x))
                       alarms;
-                    (* No alarm ⇒ the incremental detector still holds a
-                       topological order, so a witness sibling order for
-                       Theorem 8 must be available for free. *)
-                    alarms = [] && Monitor.witness_order m <> None
+                    (* No alarm ⇒ the monitor's graph is acyclic, so a
+                       witness sibling order for Theorem 8 exists. *)
+                    alarms = [] && Sg.witness_order (Monitor.graph m) <> None
               in
               if not (ok_wf && ok_thm && ok_lemmas && ok_monitor) then begin
                 incr failures;

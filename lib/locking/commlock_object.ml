@@ -87,17 +87,8 @@ let request_commit (dt : Datatype.t) s t op =
               v )
         else None
 
-let blockers dt s t op =
-  if not (respondable s t) then []
-  else
-    match replay_response dt s op with
-    | None -> []
-    | Some v ->
-        List.map (fun e -> e.holder) (conflicting_entries dt s t op v)
-        |> List.sort_uniq Txn_id.compare
-
-(* As [blockers], but keeps one representative log entry per holder so
-   the kind of the blocking entry can be reported alongside. *)
+(* The holders of conflicting entries, in name order, each once with
+   the kind of one representative entry. *)
 let blockers_kinded dt s t op =
   if not (respondable s t) then []
   else

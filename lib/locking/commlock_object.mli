@@ -70,17 +70,14 @@ val request_commit :
   Datatype.t -> state -> Txn_id.t -> Datatype.op -> (state * Value.t) option
 (** Fire the response if the lock-conflict rule admits it. *)
 
-val blockers : Datatype.t -> state -> Txn_id.t -> Datatype.op -> Txn_id.t list
-(** Holders of conflicting entries. *)
-
 val blockers_kinded :
   Datatype.t ->
   state ->
   Txn_id.t ->
   Datatype.op ->
   (Txn_id.t * Nt_gobj.Gobj.lock_kind) list
-(** {!blockers} with each holder tagged by the operation kind of one
-    of its conflicting log entries. *)
+(** Holders of conflicting entries, in name order, each tagged by the
+    operation kind of one of its conflicting log entries. *)
 
 val factory : Nt_gobj.Gobj.factory
 (** [M_X] as a generic object, for any data type. *)

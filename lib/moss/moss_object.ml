@@ -102,22 +102,9 @@ let request_commit s t kind =
               Value.Ok )
         else None
 
-let blockers s t kind =
-  let writes =
-    Txn_id.Map.fold
-      (fun u _ acc -> if Txn_id.is_ancestor u t then acc else u :: acc)
-      s.write_lockholders []
-  in
-  match kind with
-  | `Read -> writes
-  | `Write _ ->
-      Txn_id.Set.fold
-        (fun u acc -> if Txn_id.is_ancestor u t then acc else u :: acc)
-        s.read_lockholders writes
-
-(* As [blockers], but each holder tagged with the kind of lock it
-   holds — the shape [Gobj.waiting_on] (and the lock-wait telemetry)
-   wants. *)
+(* The non-ancestral holders of conflicting locks, each tagged with the
+   kind of lock it holds — the shape [Gobj.waiting_on] (and the
+   lock-wait telemetry) wants. *)
 let blockers_kinded s t kind =
   let writes =
     Txn_id.Map.fold

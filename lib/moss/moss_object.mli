@@ -50,17 +50,14 @@ val request_commit : state -> Txn_id.t -> [ `Read | `Write of Value.t ] ->
     [T] is unknown/already responded or a conflicting lock is held by a
     non-ancestor. *)
 
-val blockers : state -> Txn_id.t -> [ `Read | `Write of Value.t ] -> Txn_id.t list
-(** The non-ancestral holders of conflicting locks — why a
-    [request_commit] would return [None]. *)
-
 val blockers_kinded :
   state ->
   Txn_id.t ->
   [ `Read | `Write of Value.t ] ->
   (Txn_id.t * Nt_gobj.Gobj.lock_kind) list
-(** {!blockers} with each holder tagged by the lock it holds
-    ([Write] for write-lockholders, [Read] for read-lockholders) —
+(** The non-ancestral holders of conflicting locks — why a
+    [request_commit] would return [None] — each tagged by the lock it
+    holds ([Write] for write-lockholders, [Read] for read-lockholders):
     the shape [Gobj.waiting_on] reports for wait-for diagnostics. *)
 
 val lock_chain_ok : state -> bool

@@ -22,11 +22,14 @@ type prospective = (Txn_id.t * Txn_id.t * provenance) list
 
 type visibility = Visible | Dead | Pending
 
+(* One access response, resolved once: [op] is the access's operation
+   and [at] the feed index of its [Request_commit], which orders an
+   object's responses. *)
 type op_record = {
   access : Txn_id.t;
+  op : Datatype.op;
   value : Value.t;
-  seq : int;
-  at : int;  (* feed index of the recording Request_commit *)
+  at : int;
   mutable status : visibility;  (* the access's *)
 }
 
@@ -38,13 +41,12 @@ type item =
 
 type obj_state = {
   mutable ops : op_record list;  (* newest first *)
-  mutable next_seq : int;
   mutable obj_alarmed : bool;
   mutable base : Value.t option;
       (* the state the visible sequence's folded prefix replays to;
          [None] is the data type's initial state *)
   mutable tail : op_record list;
-      (* the records after that prefix, in [seq] order *)
+      (* the records after that prefix, in [at] order *)
 }
 
 type t = {
@@ -77,7 +79,7 @@ let create schema =
   List.iter
     (fun x ->
       Obj_id.Tbl.add objects x
-        { ops = []; next_seq = 0; obj_alarmed = false; base = None; tail = [] })
+        { ops = []; obj_alarmed = false; base = None; tail = [] })
     schema.Schema.objects;
   {
     schema;
@@ -107,15 +109,6 @@ let counters t =
     cycle_alarms = t.n_cycle_alarms;
     inappropriate_alarms = t.n_inappropriate_alarms;
   }
-
-(* The witness sibling order, read directly off the topological order
-   the incremental detector maintains (Pearce-Kelly invariant: while
-   no cycle has been detected, every inserted edge is forward in that
-   order).  SG edges only relate siblings, so grouping the order by
-   parent yields per-parent chains consistent with every edge — a
-   valid witness order for Theorem 8, with no final topological sort
-   over the finished graph.  [None] once a cycle alarm has fired. *)
-let witness_order t = Option.map Sg.sibling_order_of_topo (Graph.order t.g)
 
 (* Visibility.  The input is a generic behavior, so its transactions
    are well-formed: one requests commit only after every child it
@@ -174,19 +167,19 @@ let insert_edge t ~prov a b =
 (* The one conflict-edge rule: operation [record] on [x] becomes
    visible, so every visible, unrelated, conflicting operation on [x]
    yields an edge [a -> b] between the children of the pair's lca,
-   earlier response first. *)
+   earlier response first.  Every record in [x]'s list is on [x], so
+   the test is [x]'s data type on the two recorded operations. *)
 let conflict_edges t x record =
+  let dt = t.schema.Schema.dtype_of x in
   List.filter_map
     (fun other ->
       if
-        other.seq <> record.seq && is_visible other
+        other != record && is_visible other
         && (not (Txn_id.related record.access other.access))
-        && Schema.operations_conflict t.schema
-             (record.access, record.value)
-             (other.access, other.value)
+        && Datatype.conflicts dt (record.op, record.value) (other.op, other.value)
       then
         let earlier, later =
-          if other.seq < record.seq then (other, record) else (record, other)
+          if other.at < record.at then (other, record) else (record, other)
         in
         let l = Txn_id.lca earlier.access later.access in
         Some
@@ -204,7 +197,7 @@ let conflict_edges t x record =
 (* Replay an object's visible sequence (end-of-action check), from a
    folded prefix.  The tail's head is folded into the base while it is
    visible (and dropped while Dead): visibility is permanent and every
-   later record gets a larger [seq], so the visible sequence always
+   later record gets a larger [at], so the visible sequence always
    starts with the folded records.  The fold stops at the first Pending
    record; the visible records behind it replay from the base.  The
    fold checks the recorded values as the replay does, so the check is
@@ -214,7 +207,7 @@ let replay_object t x =
   if ost.obj_alarmed then []
   else begin
     let dt = t.schema.Schema.dtype_of x in
-    let operation r = (t.schema.Schema.op_of r.access, r.value) in
+    let operation r = (r.op, r.value) in
     let legal =
       match
         Serial_spec.fold_prefix ?init:ost.base dt
@@ -420,23 +413,22 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
   | _ -> ());
   let alarms =
     match a with
-  | Action.Request_commit (u, v) when System_type.is_access t.schema.Schema.sys u
-    -> (
-      let x = System_type.object_of_exn t.schema.Schema.sys u in
-      let ost = Obj_id.Tbl.find t.objects x in
-      let seq = ost.next_seq in
-      t.n_operations <- t.n_operations + 1;
-      ost.next_seq <- seq + 1;
-      let live = pending t u in
-      let record =
-        { access = u; value = v; seq; at = now;
-          status = (if live then Pending else Dead) }
-      in
-      ost.ops <- record :: ost.ops;
-      (* An alarmed object is never replayed again. *)
-      if not ost.obj_alarmed then ost.tail <- ost.tail @ [ record ];
-      if live then add_item t u (Activate_op (x, record));
-      [])
+  | Action.Request_commit (u, v) -> (
+      match System_type.kind t.schema.Schema.sys u with
+      | System_type.Inner -> []
+      | System_type.Access x ->
+          let ost = Obj_id.Tbl.find t.objects x in
+          t.n_operations <- t.n_operations + 1;
+          let live = pending t u in
+          let record =
+            { access = u; op = t.schema.Schema.op_of u; value = v; at = now;
+              status = (if live then Pending else Dead) }
+          in
+          ost.ops <- record :: ost.ops;
+          (* An alarmed object is never replayed again. *)
+          if not ost.obj_alarmed then ost.tail <- ost.tail @ [ record ];
+          if live then add_item t u (Activate_op (x, record));
+          [])
   | Action.Commit u ->
       (* The gate's walk when nothing was fed since it was made, so an
          admitted commit walks its list once. *)
@@ -475,7 +467,7 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
           (frontier t p)
       end
   | Action.Create _ | Action.Inform_commit _ | Action.Inform_abort _
-  | Action.Request_commit _ | Action.Request_create _ | Action.Abort _ ->
+  | Action.Request_create _ | Action.Abort _ ->
       []
   in
   let replay_alarms =
@@ -500,12 +492,10 @@ let feed_trace ?obs t trace =
 let visible_operations t x =
   let ost = Obj_id.Tbl.find t.objects x in
   List.filter is_visible ost.ops
-  |> List.sort (fun r1 r2 -> compare r1.seq r2.seq)
+  |> List.sort (fun r1 r2 -> compare r1.at r2.at)
   |> List.map (fun r -> (r.access, r.value))
 
 (* --- Attribution ------------------------------------------------------- *)
-
-let edge_provenance t a b = Graph.label t.g a b
 
 (* The consecutive (wrapping) edges of a cycle, with what inserted (or
    would insert) each.  [extra] supplies provenance for edges that are
@@ -525,7 +515,7 @@ let cycle_witness ?(extra = []) t cycle =
             extra
         with
         | Some (_, _, p) -> Some p
-        | None -> edge_provenance t a b
+        | None -> Graph.label t.g a b
       in
       (a, b, prov))
 
@@ -592,7 +582,7 @@ let edges_would_cycle t edges =
 (* A compact per-edge label for DOT: the witnessing actions with their
    feed indices (and the conflicting object). *)
 let edge_label t a b =
-  match edge_provenance t a b with
+  match Graph.label t.g a b with
   | None -> None
   | Some p ->
       Some

@@ -12,6 +12,13 @@
       transaction requests commit only after every child it requested
       has reported, so commits run bottom-up.  On an ill-formed trace
       the monitor stays total, but its verdict is unspecified;
+    - one record per access response, made at its [Request_commit]:
+      the access, its operation (resolved from the name once, by the
+      schema's [op_of]), the returned value and the feed index, which
+      orders an object's responses.  The conflict scan and the replay
+      read records, never the schema: two records on [X] conflict when
+      [X]'s data type says their [(op, v)] pairs do
+      ({!Datatype.conflicts});
     - the visible operation sequence of each object, replayed against
       its serial specification as operations {e become} visible —
       raising {!constructor:Inappropriate} the moment a return value
@@ -80,14 +87,6 @@ val counters : t -> counters
 val alarmed : t -> bool
 (** Whether any alarm has fired so far. *)
 
-val witness_order : t -> Sibling_order.t option
-(** The witness sibling order of Theorem 8, read directly off the
-    topological order the incremental detector maintains (no final
-    sort): the per-parent chains of {!Graph.order}.  Because SG edges
-    only relate siblings, those chains respect every conflict and
-    precedes edge, which is exactly what Theorem 8's proof requires
-    of the order [R].  [None] once a cycle has been detected. *)
-
 val frontier_width : t -> Txn_id.t -> int
 (** How many reported children of a parent precedes edges are still
     drawn from: the maximal ones, each reported after the latest
@@ -108,8 +107,9 @@ val visible_operations : t -> Obj_id.t -> (Txn_id.t * Value.t) list
     Every inserted edge carries, as its one label in the graph, the
     pair of actions that created it, so a {!constructor:Cycle} alarm
     can be explained access by access instead of as a bare list of
-    transaction names.  Feed indices (1-based positions in the fed
-    action sequence) serve as the logical timestamps. *)
+    transaction names; [Graph.label (graph t) a b] reads it.  Feed
+    indices (1-based positions in the fed action sequence) serve as
+    the logical timestamps. *)
 
 type edge_kind = Conflict | Precedes
 
@@ -129,10 +129,9 @@ type provenance = { kind : edge_kind; before : endpoint; after : endpoint }
 
 val graph : t -> provenance Graph.t
 (** The current serialization graph, each edge labelled with its first
-    witness (shared, do not mutate). *)
-
-val edge_provenance : t -> Txn_id.t -> Txn_id.t -> provenance option
-(** [Graph.label (graph t) a b]: the edge's first witness, if any. *)
+    witness (shared, do not mutate).  While no cycle has been detected,
+    [Sg.witness_order (graph t)] gives a witness sibling order of
+    Theorem 8. *)
 
 type prospective = (Txn_id.t * Txn_id.t * provenance) list
 (** Edges a speculated action would insert, with the provenance each

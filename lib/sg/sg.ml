@@ -21,10 +21,8 @@ let build mode (schema : Schema.t) trace =
 (* Group a global topological sort by parent, preserving order; each
    group is a chain for that parent.  SG edges only connect siblings,
    so the per-parent subsequences of any topological order of SG are
-   themselves consistent with every edge — the grouped order is a
-   valid witness sibling order whichever topological order is fed in
-   (the canonical {!Graph.topological_sort} or the insertion-history
-   order {!Graph.order} an online monitor maintains). *)
+   themselves consistent with every edge: the grouped order is a valid
+   witness sibling order. *)
 let sibling_order_of_topo sorted =
   let by_parent = Txn_id.Tbl.create 16 in
   List.iter

@@ -24,11 +24,3 @@ val witness_order : _ Graph.t -> Sibling_order.t option
 (** A sibling order obtained by topologically sorting each per-parent
     component; [None] iff the graph is cyclic.  This is the order
     [R] used in the proof of Theorem 8. *)
-
-val sibling_order_of_topo : Txn_id.t list -> Sibling_order.t
-(** Group a topological order of SG nodes into per-parent chains.
-    Because SG edges only connect siblings, the per-parent
-    subsequences of {e any} topological order respect every edge, so
-    the result is a valid witness order whether the input comes from
-    {!Graph.topological_sort} or from the incrementally maintained
-    {!Graph.order}. *)

@@ -94,15 +94,8 @@ let request_commit (dt : Datatype.t) s t op =
               v )
         else None
 
-let blockers dt s t op =
-  if not (respondable s t) then []
-  else
-    match replay_response dt s op with
-    | None -> []
-    | Some v -> List.map (fun e -> e.txn) (non_commuting_entries dt s t op v)
-
-(* As [blockers], tagging each blocking transaction with the kind of
-   its non-commuting log entry. *)
+(* The logged transactions whose non-commuting entries block the
+   access, each tagged with the kind of its entry. *)
 let blockers_kinded dt s t op =
   if not (respondable s t) then []
   else

@@ -77,18 +77,15 @@ val request_commit :
 (** Fire the response if the commutativity precondition holds; the
     returned value is the replay response.  [None] when blocked. *)
 
-val blockers : Datatype.t -> state -> Txn_id.t -> Datatype.op -> Txn_id.t list
-(** The logged transactions whose non-visible, non-commuting entries
-    block the access. *)
-
 val blockers_kinded :
   Datatype.t ->
   state ->
   Txn_id.t ->
   Datatype.op ->
   (Txn_id.t * Nt_gobj.Gobj.lock_kind) list
-(** {!blockers} with each blocker tagged by the operation kind of its
-    non-commuting entry. *)
+(** The logged transactions whose non-visible, non-commuting entries
+    block the access, each tagged by the operation kind of its
+    entry. *)
 
 val factory : Nt_gobj.Gobj.factory
 (** [U_X] as a generic object, for any data type. *)

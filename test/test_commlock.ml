@@ -27,7 +27,8 @@ let t_register_reduces_to_moss () =
       | None ->
           check_int "two blockers" 2
             (List.length
-               (Commlock_object.blockers reg s' a3 (Datatype.Write (Value.Int 1)))))
+               (Commlock_object.blockers_kinded reg s' a3
+                  (Datatype.Write (Value.Int 1)))))
   | None -> Alcotest.fail "shared reads should both fire")
 
 let t_refines_moss_on_same_value_writes () =
@@ -96,7 +97,7 @@ let t_fold_waits_for_t0 () =
   check_bool "get still blocked" true
     (Commlock_object.request_commit ctr s a2 Datatype.Get = None);
   Alcotest.(check (list txn_testable)) "holder" [ t1 ]
-    (Commlock_object.blockers ctr s a2 Datatype.Get);
+    (List.map fst (Commlock_object.blockers_kinded ctr s a2 Datatype.Get));
   (let s = Commlock_object.inform_abort ctr s t1 in
    match Commlock_object.request_commit ctr s a2 Datatype.Get with
    | Some (_, v) -> Alcotest.check value_testable "discarded" (Value.Int 0) v

@@ -329,7 +329,7 @@ let t_speculation_matches_feed () =
                     List.iter
                       (fun (a, b, p) ->
                         check_bool (tag ^ ": predicted provenance") true
-                          (Option.map prov (Monitor.edge_provenance m a b)
+                          (Option.map prov (Graph.label g a b)
                           = Some (prov p)))
                       fresh;
                     check_bool (tag ^ ": verdict = cycle alarm")
@@ -389,10 +389,9 @@ let t_speculation_matches_feed () =
   check_bool "some run reached a cycle alarm" true (!cycles > 0);
   check_bool "some commit was fed over a stale walk" true (!stale_commits > 0)
 
-(* The witness order read off the maintained topological order is a
-   real Theorem-8 witness on alarm-free runs: defined, it orders the
-   endpoints of every SG edge (all edges relate siblings), and it is
-   suitable for T0. *)
+(* The witness order over the monitor's graph is a real Theorem-8
+   witness on alarm-free runs: defined, it orders the endpoints of every
+   SG edge (all edges relate siblings), and it is suitable for T0. *)
 let t_witness_order () =
   let forest, schema =
     Gen.forest_and_schema Gen.registers ~seed:9
@@ -402,7 +401,7 @@ let t_witness_order () =
   let m = Monitor.create schema in
   let alarms = Monitor.feed_trace m r.Runtime.trace in
   check_bool "no alarms" true (alarms = []);
-  match Monitor.witness_order m with
+  match Sg.witness_order (Monitor.graph m) with
   | None -> Alcotest.fail "alarm-free monitor has no witness order"
   | Some order ->
       Graph.iter_edges (Monitor.graph m) (fun a b ->
@@ -431,7 +430,7 @@ let t_witness_order_gone_on_cycle () =
         if cycles = [] then None else Some m)
   in
   check_bool "no witness order after a cycle" true
-    (Monitor.witness_order m = None)
+    (Sg.witness_order (Monitor.graph m) = None)
 
 let t_counters_fresh () =
   let _, schema = Gen.forest_and_schema Gen.registers ~seed:1 Gen.default in
@@ -441,6 +440,32 @@ let t_counters_fresh () =
   check_int "no edges" 0 c.Monitor.edges;
   check_int "no alarms" 0 (c.Monitor.cycle_alarms + c.Monitor.inappropriate_alarms)
 
+(* A gated engine over 8 Moss registers, driven as a closed loop of 16
+   clients submitting hot SmallBank programs until [programs] have
+   completed; [each_step] runs after every step. *)
+let smallbank_loop ?(each_step = ignore) ~on_action ~programs () =
+  let objects =
+    List.init 8 (fun i -> (Obj_id.indexed "acct" i, Register.make ()))
+  in
+  let accounts = Array.of_list (List.map fst objects) in
+  let eng = Engine.create ~seed:7 ~on_action objects Moss_object.factory in
+  let rng = Rng.create 7 in
+  let rec loop () =
+    while Engine.live_top eng < 16 && Engine.submitted eng < programs do
+      match Engine.submit eng (Gen.smallbank_txn ~theta:0.9 rng accounts) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e
+    done;
+    let st = Engine.step eng in
+    each_step eng;
+    match st with
+    | `Progress -> loop ()
+    | `Quiescent -> if Engine.submitted eng < programs then loop ()
+    | `Truncated -> Alcotest.fail "truncated"
+  in
+  loop ();
+  eng
+
 (* Precedes as an interval order keeps the monitor's state linear in
    history.  A closed loop of 16 clients over 8 Moss registers gains
    no more SG edges per top in its last tenth than 1.5x its second
@@ -449,11 +474,7 @@ let t_counters_fresh () =
    with); T0's frontier never holds more tops than were open at once;
    and the request index holds open requests only. *)
 let t_state_grows_linearly () =
-  let objects =
-    List.init 8 (fun i -> (Obj_id.indexed "acct" i, Register.make ()))
-  in
-  let accounts = Array.of_list (List.map fst objects) in
-  let clients = 16 and total = 2000 in
+  let total = 2000 in
   let open_requests = ref 0 and open_tops = ref 0 and most_open = ref 0 in
   let on_action = function
     | Action.Request_create u when not (Txn_id.is_root u) ->
@@ -468,19 +489,11 @@ let t_state_grows_linearly () =
         if Txn_id.depth u = 1 then decr open_tops
     | _ -> ()
   in
-  let eng = Engine.create ~seed:7 ~on_action objects Moss_object.factory in
-  let m = Admission.monitor (Engine.admission eng) in
   (* [edges_at.(k)]: the graph's edge count at the last step with [k]
      tops completed (a step completes at most one: nothing is killed). *)
   let edges_at = Array.make (total + 1) 0 in
-  let rng = Rng.create 7 in
-  let rec loop () =
-    while Engine.live_top eng < clients && Engine.submitted eng < total do
-      match Engine.submit eng (Gen.smallbank_txn ~theta:0.9 rng accounts) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e
-    done;
-    let st = Engine.step eng in
+  let each_step eng =
+    let m = Admission.monitor (Engine.admission eng) in
     let done_ = Engine.committed_top eng + Engine.aborted_top eng in
     edges_at.(done_) <- Graph.n_edges (Monitor.graph m);
     if Monitor.frontier_width m Txn_id.root > !most_open then
@@ -489,13 +502,10 @@ let t_state_grows_linearly () =
         !most_open;
     if Monitor.open_requests m > !open_requests then
       Alcotest.failf "request index holds %d, only %d requests open"
-        (Monitor.open_requests m) !open_requests;
-    match st with
-    | `Progress -> loop ()
-    | `Quiescent -> if Engine.submitted eng < total then loop ()
-    | `Truncated -> Alcotest.fail "truncated"
+        (Monitor.open_requests m) !open_requests
   in
-  loop ();
+  let eng = smallbank_loop ~each_step ~on_action ~programs:total () in
+  let m = Admission.monitor (Engine.admission eng) in
   check_int "every top completed" total
     (Engine.committed_top eng + Engine.aborted_top eng);
   check_int "no request left open" 0 (Monitor.open_requests m);
@@ -506,11 +516,61 @@ let t_state_grows_linearly () =
     Alcotest.failf "edges per top grew: %d in the second tenth, %d in the last"
       second last
 
-(* A Pending record holds the fold back: [a1]'s read (seq 0) waits for
-   its top while [a2]'s later write becomes visible and is replayed
-   behind it.  When [T1] commits, the read becomes visible ahead of the
-   write with a value no replay from the initial state gives, and that
-   commit is flagged. *)
+(* Each access is resolved once.  A monitor resolves an access's
+   object and operation from its name when it records the response,
+   and the conflict scan and the replay read the record, never the
+   schema.  A gated SmallBank closed loop of 300 programs is fed, with each top-level commit speculated first as
+   the gate does, to a monitor whose schema counts its [op_of] calls
+   and its system type's classifications: one [op_of] per access
+   response and at most one classification per [Request_commit]. *)
+let t_resolves_each_access_once () =
+  let actions = ref [] in
+  let eng =
+    smallbank_loop
+      ~on_action:(fun a -> actions := a :: !actions)
+      ~programs:300 ()
+  in
+  let base = Engine.schema eng in
+  let op_of_calls = ref 0 and classify_calls = ref 0 in
+  let schema =
+    {
+      base with
+      Schema.sys =
+        System_type.make (fun u ->
+            incr classify_calls;
+            System_type.kind base.Schema.sys u);
+      op_of =
+        (fun u ->
+          incr op_of_calls;
+          base.Schema.op_of u);
+    }
+  in
+  classify_calls := 0;
+  let m = Monitor.create schema in
+  let responses = ref 0 and request_commits = ref 0 in
+  List.iter
+    (fun a ->
+      (match a with
+      | Action.Request_commit (u, _) ->
+          incr request_commits;
+          if System_type.is_access base.Schema.sys u then incr responses
+      | Action.Commit w when Txn_id.depth w = 1 ->
+          ignore (Monitor.prospective_commit_edges m w)
+      | _ -> ());
+      ignore (Monitor.feed m a))
+    (List.rev !actions);
+  check_bool "the loop drew conflict edges" true
+    (Graph.n_edges (Monitor.graph m) > 0);
+  check_int "one op_of per access response" !responses !op_of_calls;
+  if !classify_calls > !request_commits then
+    Alcotest.failf "%d classifications for %d Request_commit actions"
+      !classify_calls !request_commits
+
+(* A Pending record holds the fold back: [a1]'s read (recorded first)
+   waits for its top while [a2]'s later write becomes visible and is
+   replayed behind it.  When [T1] commits, the read becomes visible
+   ahead of the write with a value no replay from the initial state
+   gives, and that commit is flagged. *)
 let t_pending_record_holds_the_fold () =
   let x = Obj_id.make "r" in
   let forest =
@@ -597,7 +657,7 @@ let t_order_tripwire () =
                 Buffer.add_string b
                   (Format.asprintf "%a -> %a [%a]\n" Txn_id.pp a Txn_id.pp bb
                      (Format.pp_print_option Monitor.pp_provenance)
-                     (Monitor.edge_provenance m a bb)))
+                     (Graph.label g a bb)))
               (List.sort compare (Graph.edges g));
             (match Graph.order g with
             | Some order ->
@@ -633,12 +693,14 @@ let suite =
       Alcotest.test_case "counters agree with activity" `Quick t_counters;
       Alcotest.test_case "gate speculation matches the feed" `Quick
         t_speculation_matches_feed;
-      Alcotest.test_case "witness order from the maintained order" `Quick
+      Alcotest.test_case "witness order from the monitor's graph" `Quick
         t_witness_order;
       Alcotest.test_case "witness order gone on cycle" `Quick
         t_witness_order_gone_on_cycle;
       Alcotest.test_case "counters start at zero" `Quick t_counters_fresh;
       Alcotest.test_case "state grows linearly" `Quick t_state_grows_linearly;
+      Alcotest.test_case "resolves each access once" `Quick
+        t_resolves_each_access_once;
       Alcotest.test_case "pending record holds the fold back" `Quick
         t_pending_record_holds_the_fold;
       Alcotest.test_case "order tripwire" `Quick t_order_tripwire;

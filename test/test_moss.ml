@@ -30,7 +30,7 @@ let t_read_then_write_conflict () =
   check_bool "write blocked" true
     (Moss_object.request_commit s a2 (`Write (Value.Int 9)) = None);
   Alcotest.(check (list txn_testable)) "blocker is a1" [ a1 ]
-    (Moss_object.blockers s a2 (`Write (Value.Int 9)));
+    (List.map fst (Moss_object.blockers_kinded s a2 (`Write (Value.Int 9))));
   (* After a1 and t1 commit (informs), the lock moves to T0 and a2 can
      write. *)
   let s = Moss_object.inform_commit s a1 in

@@ -31,7 +31,7 @@ let t_conflicting_blocked_until_visible () =
   let s, _ = Option.get (Undo_object.request_commit ctr s a1 (Datatype.Incr 2)) in
   check_bool "get blocked" true (Undo_object.request_commit ctr s a2 Datatype.Get = None);
   Alcotest.(check (list txn_testable)) "blocker" [ a1 ]
-    (Undo_object.blockers ctr s a2 Datatype.Get);
+    (List.map fst (Undo_object.blockers_kinded ctr s a2 Datatype.Get));
   let s = Undo_object.inform_commit ctr s a1 in
   check_bool "still blocked (t1 uncommitted)" true
     (Undo_object.request_commit ctr s a2 Datatype.Get = None);
@@ -119,7 +119,7 @@ let t_fold_waits_for_the_top () =
   check_bool "get still blocked" true
     (Undo_object.request_commit ctr s a2 Datatype.Get = None);
   Alcotest.(check (list txn_testable)) "blocker" [ a ]
-    (Undo_object.blockers ctr s a2 Datatype.Get);
+    (List.map fst (Undo_object.blockers_kinded ctr s a2 Datatype.Get));
   (let s = Undo_object.inform_abort ctr s t1 in
    check_int "abort undoes it" 0 (List.length s.Undo_object.log);
    match Undo_object.request_commit ctr s a2 Datatype.Get with

@@ -126,7 +126,7 @@ let monitor_report m =
           Txn_id.to_string b,
           Option.map
             (Format.asprintf "%a" Monitor.pp_provenance)
-            (Monitor.edge_provenance m a b) ))
+            (Graph.label g a b) ))
       (List.sort compare (Graph.edges g)),
     Graph.order g,
     Graph.reorders g )
