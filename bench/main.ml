@@ -829,7 +829,7 @@ let e16 () =
       let r = run ~seed:11 schema Moss_object.factory forest in
       let m, t_monitor =
         cpu_ms (fun () ->
-            let m = Monitor.create schema in
+            let m = Monitor.create ~keep_history:true schema in
             ignore (Monitor.feed_trace m r.Runtime.trace);
             m)
       in

@@ -101,7 +101,7 @@ let write_artifacts ?crash_seed prefix backend (sc : Check.scenario) failure
   Bundle.save ~failure ?crash_seed bundle backend sc;
   Trace_io.save (prefix ^ ".trace") trace;
   let schema, _ = trace_schema backend sc in
-  let monitor = Monitor.create schema in
+  let monitor = Monitor.create ~keep_history:true schema in
   ignore (Monitor.feed_trace monitor trace);
   let oc = open_out (prefix ^ ".dot") in
   output_string oc (Monitor.dot monitor);

@@ -192,7 +192,7 @@ let () =
                 match kind with
                 | Pseudotime -> true
                 | Sg_checker ->
-                    let m = Monitor.create schema in
+                    let m = Monitor.create ~keep_history:true schema in
                     let alarms = Monitor.feed_trace m r.trace in
                     List.iter
                       (fun (i, a) ->

@@ -192,6 +192,7 @@ type failure =
   | One_copy of string
   | Durability of string
   | Essn_rejected of string
+  | Retirement of string
 
 let failure_tag = function
   | Ill_formed _ -> "ill-formed"
@@ -202,6 +203,7 @@ let failure_tag = function
   | One_copy _ -> "one-copy"
   | Durability _ -> "durability"
   | Essn_rejected _ -> "essn"
+  | Retirement _ -> "retirement"
 
 let pp_failure f fl =
   match fl with
@@ -216,6 +218,8 @@ let pp_failure f fl =
   | One_copy s -> Format.fprintf f "one-copy violation: %s" s
   | Durability s -> Format.fprintf f "durability violation: %s" s
   | Essn_rejected s -> Format.fprintf f "essn criterion rejected: %s" s
+  | Retirement s ->
+      Format.fprintf f "monitor retirement changed what it reports: %s" s
 
 type outcome = {
   trace : Trace.t;
@@ -401,6 +405,92 @@ let verdict backend ~plan ~quorums_completed schema
                         Nt_replication.Replication.pp_violation v)))
         | _ -> None)
 
+(* The retirement oracle: a monitor that retires settled tops and one
+   that keeps the whole history, fed the trace in lockstep, each
+   top-level [Commit] speculated on both first as the gate does. *)
+type retirement_agreement = {
+  ra_vetoes : int;
+  ra_alarms : int;
+  ra_retired : int;
+}
+
+exception Disagree of string
+
+let retirement_agreement (schema : Schema.t) trace =
+  let m = Monitor.create schema
+  and k = Monitor.create ~keep_history:true schema in
+  let g = Monitor.graph m and gk = Monitor.graph k in
+  let mem g u = Graph.position g u <> None in
+  let label g a b =
+    Option.map (Format.asprintf "%a" Monitor.pp_provenance) (Graph.label g a b)
+  in
+  let open_tops = Txn_id.Tbl.create 16 in
+  let vetoes = ref 0 and alarms = ref 0 in
+  let check i a =
+    let fail fmt =
+      Format.kasprintf
+        (fun s -> raise (Disagree (Printf.sprintf "event %d: %s" i s)))
+        fmt
+    in
+    (match a with
+    | Action.Commit w when Txn_id.depth w = 1 ->
+        let verdict mon =
+          Option.map
+            (fun (cycle, fresh) ->
+              (cycle, Monitor.explain_cycle ~extra:fresh mon cycle))
+            (Monitor.edges_would_cycle mon
+               (Monitor.prospective_commit_edges mon w))
+        in
+        let v = verdict m in
+        if v <> verdict k then fail "gate verdicts on %a differ" Txn_id.pp w;
+        if v <> None then incr vetoes
+    | Action.Request_create u when Txn_id.depth u = 1 ->
+        Txn_id.Tbl.replace open_tops u ()
+    | (Action.Report_commit (u, _) | Action.Report_abort u)
+      when Txn_id.depth u = 1 ->
+        Txn_id.Tbl.remove open_tops u
+    | _ -> ());
+    let fired = Monitor.feed m a in
+    if fired <> Monitor.feed k a then fail "alarms differ";
+    alarms := !alarms + List.length fired;
+    (* The retiring graph is the keeping one's subgraph induced on its
+       nodes, labels and order included, and holds every open top's
+       nodes. *)
+    Graph.fold_nodes g
+      (fun () u -> if not (mem gk u) then fail "%a only retiring" Txn_id.pp u)
+      ();
+    Graph.iter_edges g (fun a b ->
+        if label g a b <> label gk a b then
+          fail "edge %a -> %a differs" Txn_id.pp a Txn_id.pp b);
+    let induced =
+      Graph.fold_edges gk
+        (fun n a b -> if mem g a && mem g b then n + 1 else n)
+        0
+    in
+    if induced <> Graph.n_edges g then fail "not an induced subgraph";
+    Graph.fold_nodes gk
+      (fun () u ->
+        if
+          Txn_id.Tbl.mem open_tops
+            (Txn_id.child_of_on_path ~ancestor:Txn_id.root u)
+          && not (mem g u)
+        then fail "open %a retired" Txn_id.pp u)
+      ();
+    (match (Graph.order g, Graph.order gk) with
+    | None, None -> ()
+    | Some o, Some ok when o = List.filter (mem g) ok -> ()
+    | _ -> fail "orders differ")
+  in
+  match Array.iteri check trace with
+  | () ->
+      Ok
+        {
+          ra_vetoes = !vetoes;
+          ra_alarms = !alarms;
+          ra_retired = Graph.n_nodes gk - Graph.n_nodes g;
+        }
+  | exception Disagree s -> Error s
+
 let replication_config =
   { Nt_replication.Replication.n_replicas = 3; read_quorum = 2; write_quorum = 2 }
 
@@ -432,15 +522,25 @@ let run_scenario ?(obs = Obs.null) ?(max_steps = 200_000) backend sc =
       ~abort_prob:sc.abort_prob ~max_steps ~obs ~seed:sc.sched_seed schema
       (factory_of backend) forest
   in
+  let failure =
+    verdict backend ~plan
+      ~quorums_completed:
+        (r.Runtime.stats.deadlock_aborts = 0
+        && r.Runtime.stats.injected_aborts = 0)
+      schema r forest
+  in
   {
     trace = r.Runtime.trace;
     truncated = r.Runtime.stats.truncated;
     failure =
-      verdict backend ~plan
-        ~quorums_completed:
-          (r.Runtime.stats.deadlock_aborts = 0
-          && r.Runtime.stats.injected_aborts = 0)
-        schema r forest;
+      (* The monitor's verdict is unspecified on an ill-formed trace;
+         on any other, retirement must change nothing it reports. *)
+      (match failure with
+      | Some (Ill_formed _) -> failure
+      | _ -> (
+          match retirement_agreement schema r.Runtime.trace with
+          | Error s -> Some (Retirement s)
+          | Ok _ -> failure));
   }
 
 (* ----- in-process serving harness ----- *)

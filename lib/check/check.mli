@@ -162,6 +162,10 @@ type failure =
           behavior: neither the pseudotime order nor the completion
           witness certifies it (message carries the per-candidate
           failures and the anomaly classification). *)
+  | Retirement of string
+      (** A monitor retiring settled tops reported something a monitor
+          keeping the whole history did not (see
+          {!retirement_agreement}). *)
 
 val failure_tag : failure -> string
 (** A short stable tag (["sg-cycle"], ["returns"], ["differential"],
@@ -175,6 +179,24 @@ type outcome = {
   failure : failure option;
 }
 
+type retirement_agreement = {
+  ra_vetoes : int;  (** Top-level commits both gates vetoed. *)
+  ra_alarms : int;  (** Alarms both monitors raised. *)
+  ra_retired : int;  (** Nodes the retiring monitor dropped by the end. *)
+}
+
+val retirement_agreement :
+  Schema.t -> Trace.t -> (retirement_agreement, string) result
+(** The retirement oracle: feed the trace in lockstep to a default
+    {!Nt_sg.Monitor} (which retires settled tops) and to one created
+    with [~keep_history:true], speculating each top-level [Commit] on
+    both first as the commit gate does.  [Error] names the first event
+    where they part: different alarms, different gate verdicts or
+    [explain_cycle ~extra] text, a retiring graph that is not the
+    keeping one's subgraph induced on its nodes (edge labels and
+    maintained order included), or an open top's node retired.
+    {!run_scenario} runs it on every well-formed trace. *)
+
 val replication_config : Nt_replication.Replication.config
 (** The quorum configuration the [Replication] backend runs under
     (3 replicas, 2/2 intersecting quorums) — exposed so tools can
@@ -184,7 +206,10 @@ val run_scenario :
   ?obs:Nt_obs.Obs.t -> ?max_steps:int -> backend -> scenario -> outcome
 (** Execute and judge one scenario.  Fully deterministic: the same
     (backend, scenario) pair always yields the same outcome.
-    [max_steps] defaults to 200_000. *)
+    [max_steps] defaults to 200_000.  Every trace the first oracle
+    finds well-formed also goes through {!retirement_agreement}, whose
+    [Error] is reported as {!Retirement} in place of the other
+    oracles' verdict. *)
 
 (** {1 Serving harness}
 

@@ -12,9 +12,9 @@ type t = {
   vetoes : veto Txn_id.Tbl.t;  (* keyed by the vetoed top *)
 }
 
-let create ?(obs = Obs.null) ?(gating = true) schema =
+let create ?(obs = Obs.null) ?(gating = true) ?keep_history schema =
   {
-    monitor = Monitor.create schema;
+    monitor = Monitor.create ?keep_history schema;
     obs;
     gating;
     vetoed = 0;

@@ -35,10 +35,12 @@ type veto = {
   witness : string;  (** Edge-by-edge explanation. *)
 }
 
-val create : ?obs:Obs.t -> ?gating:bool -> Schema.t -> t
+val create :
+  ?obs:Obs.t -> ?gating:bool -> ?keep_history:bool -> Schema.t -> t
 (** Fresh controller over a fresh monitor ([gating] defaults to
     [true]; [obs] receives the monitor telemetry plus an
-    [admission.vetoed] counter). *)
+    [admission.vetoed] counter; [keep_history] as in
+    {!Nt_sg.Monitor.create}). *)
 
 val on_action : t -> Action.t -> unit
 (** Feed one action to the monitor (alarms are absorbed into

@@ -36,13 +36,16 @@ type t = {
 let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
     ?(admission = true)
     ?(on_top_complete = fun _ _ -> ()) ?(on_action = fun _ -> ())
-    ?(extra_gate = fun _ _ -> None) ?clock ~seed objects factory =
+    ?extra_gate ?clock ~seed objects factory =
   let progs = ref [||] and n_progs = ref 0 in
   let schema =
     Program.schema_of_tops ~objects (fun i ->
         if i < !n_progs then Some !progs.(i) else None)
   in
-  let adm = Admission.create ~obs ~gating:admission schema in
+  let adm =
+    Admission.create ~obs ~gating:admission
+      ~keep_history:(Option.is_some extra_gate) schema
+  in
   let times = Txn_id.Tbl.create 64 in
   (* Stage bookkeeping is entirely clock-gated: with no [clock] the
      engine does exactly what it did before (one [match] per action). *)
@@ -71,7 +74,10 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?(obs = Obs.null)
   (* The local verdict first: a commit the local monitor already
      refuses never reaches [extra_gate], so the cross-shard spine only
      ever sees locally-consistent candidates. *)
-  let gate = Admission.gate adm ~extra:extra_gate in
+  let gate =
+    Admission.gate adm
+      ~extra:(Option.value extra_gate ~default:(fun _ _ -> None))
+  in
   let commit_gate =
     match clock with
     | None -> gate

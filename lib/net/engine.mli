@@ -87,7 +87,9 @@ val create :
     gate already computed (unfiltered, from the monitor's one edge
     rule — see {!Admission.gate}): [Some (cycle, witness)] vetoes the
     commit and is recorded exactly as a local veto, so {!state}
-    reports it. *)
+    reports it.  An engine given [extra_gate] keeps its monitor's whole
+    history ([Nt_sg.Monitor.create ~keep_history]): the second gate
+    reads local edges at tops this monitor alone would have settled. *)
 
 val max_program : int
 (** The largest program (in transaction names, {!Program.size}) any
@@ -193,7 +195,8 @@ type stats = {
   sh_sg_edges : int;
   sh_sg_reorders : int;
 }
-(** One reading of the getters above plus the monitor graph's size:
+(** One reading of the getters above plus the monitor graph's live
+    size (settled tops retired, see {!Nt_sg.Monitor}):
     the counters a telemetry frame differences, a shard publishes to
     other threads and a server prints.  (The [sh_] prefix names a
     shard's row; a single engine is one shard.) *)

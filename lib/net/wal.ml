@@ -7,7 +7,7 @@
 open Nt_base
 
 let wal_magic = "NTWAL03\n"
-let snap_magic = "NTSNAP3\n"
+let snap_magic = "NTSNAP4\n"
 let header_len = 16
 let max_record = 16 * 1024 * 1024
 

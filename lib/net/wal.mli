@@ -109,12 +109,14 @@ val scan : magic:string -> string -> (scanned, string) result
 
 val wal_magic : string
 val snap_magic : string
-(** ["NTWAL03\n"] and ["NTSNAP3\n"].  The version moves whenever
+(** ["NTWAL03\n"] and ["NTSNAP4\n"].  The version moves whenever
     replay would recompute an image differently: when the runtime's
     schedule for a seed changes (recovery replays [Steps n] through the
     runtime's RNG), and when the monitor's graph or a veto's witness
     does (a snapshot's [Sg_state] and an [Outcome]'s veto text are
-    checked against the replay).  An image written by an older version
+    checked against the replay).  [NTSNAP4]'s [Sg_state] holds the
+    monitor's live graph, settled tops retired; an [NTSNAP3] one held
+    the whole history.  An image written by an older version
     is refused up front as a foreign file instead of failing the audit. *)
 
 val header : magic:string -> base_seq:int -> string

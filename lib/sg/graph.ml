@@ -26,7 +26,15 @@ open Nt_base
    paths (order lookups, the bounded searches, the renumbering) touch
    only int arrays, maps and sets, never hashing a transaction name.
    The search worklists reuse a round-stamped [mark] array, so a
-   search allocates nothing proportional to the graph. *)
+   search allocates nothing proportional to the graph.
+
+   A removed node leaves its slot behind: position -1, no edges, its
+   name out of [ids].  Ids are never reused, so a new node still takes
+   the next id and the next position, after every other.  Once the
+   removed slots outnumber the live ones, [compact] renumbers the live
+   nodes' ids and positions to 0..live-1, each in its old relative
+   order: the successor maps iterate as before and the maintained
+   order is unchanged, so no later search can tell. *)
 
 module Int_set = Set.Make (Int)
 module Int_map = Map.Make (Int)
@@ -40,7 +48,8 @@ type 'e t = {
   mutable mark : int array;  (* id -> round of last visit *)
   mutable parent_tmp : int array;  (* DFS tree of the current search *)
   mutable round : int;
-  mutable n : int;
+  mutable n : int;  (* ids handed out since the last compaction *)
+  mutable n_live : int;  (* of which not removed *)
   mutable n_edges : int;
   mutable first_cycle : Txn_id.t list option;
   mutable n_cyclic_edges : int;
@@ -58,6 +67,7 @@ let create () =
     parent_tmp = [||];
     round = 0;
     n = 0;
+    n_live = 0;
     n_edges = 0;
     first_cycle = None;
     n_cyclic_edges = 0;
@@ -92,6 +102,7 @@ let intern g t =
          yet, so any position is consistent. *)
       g.ord.(i) <- i;
       g.n <- i + 1;
+      g.n_live <- g.n_live + 1;
       i
 
 let add_node g t = ignore (intern g t)
@@ -105,7 +116,7 @@ let label g a b =
 
 let mem_edge g a b = Option.is_some (label g a b)
 
-let n_nodes g = g.n
+let n_nodes g = g.n_live
 let n_edges g = g.n_edges
 let is_acyclic g = g.n_cyclic_edges = 0
 let reorders g = g.n_reorders
@@ -115,10 +126,12 @@ let iter_edges g f =
     Int_map.iter (fun j _ -> f g.names.(i) g.names.(j)) g.succ.(i)
   done
 
+let removed g i = g.ord.(i) < 0
+
 let fold_nodes g f acc =
   let acc = ref acc in
   for i = 0 to g.n - 1 do
-    acc := f !acc g.names.(i)
+    if not (removed g i) then acc := f !acc g.names.(i)
   done;
   !acc
 
@@ -136,13 +149,19 @@ let edges g = fold_edges g (fun acc a b -> (a, b) :: acc) []
 let order g =
   if g.n_cyclic_edges > 0 then None
   else begin
-    (* Invert the permutation: position -> name. *)
-    let out = Array.make g.n Txn_id.root in
+    (* Invert the positions (distinct, below [g.n]): position -> id. *)
+    let at = Array.make g.n (-1) in
     for i = 0 to g.n - 1 do
-      out.(g.ord.(i)) <- g.names.(i)
+      if not (removed g i) then at.(g.ord.(i)) <- i
     done;
-    Some (Array.to_list out)
+    Some
+      (Array.fold_right
+         (fun i acc -> if i < 0 then acc else g.names.(i) :: acc)
+         at [])
   end
+
+let position g t =
+  Option.map (fun i -> g.ord.(i)) (Txn_id.Tbl.find_opt g.ids t)
 
 (* Record the raw edge in both adjacency directions (the caller has
    ruled duplicates out). *)
@@ -308,6 +327,69 @@ let add_edge_checked g a b l =
 
 let add_edge g a b l = ignore (add_edge_checked g a b l)
 
+(* Renumber the live nodes to ids and positions 0..live-1, each in its
+   old relative order, and shrink the arrays to fit them. *)
+let compact g =
+  let live = g.n_live in
+  let id = Array.make g.n (-1) in
+  let old = Array.make live 0 in
+  let k = ref 0 in
+  for i = 0 to g.n - 1 do
+    if not (removed g i) then begin
+      id.(i) <- !k;
+      old.(!k) <- i;
+      incr k
+    end
+  done;
+  let cap = max 16 (2 * live) in
+  let names = Array.make cap Txn_id.root
+  and succ = Array.make cap Int_map.empty
+  and pred = Array.make cap Int_set.empty
+  and ord = Array.make cap 0 in
+  Array.iteri
+    (fun i' i ->
+      names.(i') <- g.names.(i);
+      succ.(i') <-
+        Int_map.fold (fun j l m -> Int_map.add id.(j) l m) g.succ.(i)
+          Int_map.empty;
+      pred.(i') <- Int_set.map (fun j -> id.(j)) g.pred.(i))
+    old;
+  let by_position = Array.init live Fun.id in
+  Array.sort
+    (fun x y -> Int.compare g.ord.(old.(x)) g.ord.(old.(y)))
+    by_position;
+  Array.iteri (fun p i' -> ord.(i') <- p) by_position;
+  Txn_id.Tbl.reset g.ids;
+  Array.iteri (fun i' i -> Txn_id.Tbl.add g.ids g.names.(i) i') old;
+  g.names <- names;
+  g.succ <- succ;
+  g.pred <- pred;
+  g.ord <- ord;
+  g.mark <- Array.make cap 0;
+  g.parent_tmp <- Array.make cap 0;
+  g.n <- live
+
+(* Drop [t] with its edges.  Its slot stays (position -1) until the
+   removed slots outnumber the live ones; compacting then costs the
+   live nodes, so a removal is amortised O(log n). *)
+let remove_node g t =
+  match Txn_id.Tbl.find_opt g.ids t with
+  | None -> ()
+  | Some i ->
+      let out = g.succ.(i) and into = g.pred.(i) in
+      g.n_edges <-
+        g.n_edges - Int_map.cardinal out - Int_set.cardinal into
+        + if Int_map.mem i out then 1 else 0;
+      Int_map.iter (fun j _ -> g.pred.(j) <- Int_set.remove i g.pred.(j)) out;
+      Int_set.iter (fun k -> g.succ.(k) <- Int_map.remove i g.succ.(k)) into;
+      g.succ.(i) <- Int_map.empty;
+      g.pred.(i) <- Int_set.empty;
+      g.ord.(i) <- -1;
+      g.names.(i) <- Txn_id.root;
+      Txn_id.Tbl.remove g.ids t;
+      g.n_live <- g.n_live - 1;
+      if g.n - g.n_live > max 16 g.n_live then compact g
+
 (* Read-only joint cycle test over G u extra, for admission control
    (contract in graph.mli).  A name the graph does not know gets a
    virtual id [n, n+1, ...], which is also its position: after every
@@ -432,7 +514,8 @@ let topological_sort g =
     end) in
     let frontier = ref S.empty in
     for i = 0 to g.n - 1 do
-      if indegree.(i) = 0 then frontier := S.add (g.names.(i), i) !frontier
+      if indegree.(i) = 0 && not (removed g i) then
+        frontier := S.add (g.names.(i), i) !frontier
     done;
     let out = ref [] and count = ref 0 in
     while not (S.is_empty !frontier) do
@@ -447,5 +530,5 @@ let topological_sort g =
           if d = 0 then frontier := S.add (g.names.(j), j) !frontier)
         g.succ.(i)
     done;
-    if !count = g.n then Some (List.rev !out) else None
+    if !count = g.n_live then Some (List.rev !out) else None
   end

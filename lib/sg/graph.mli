@@ -50,6 +50,26 @@ val add_edge_checked : 'e t -> Txn_id.t -> Txn_id.t -> 'e -> add_result
 val add_edge : 'e t -> Txn_id.t -> Txn_id.t -> 'e -> unit
 (** [ignore (add_edge_checked g a b l)]. *)
 
+val remove_node : 'e t -> Txn_id.t -> unit
+(** [remove_node g t] drops [t] with its edges and their labels; a
+    name [g] does not hold is ignored.  What stays behaves as if [t]
+    had never been there, provided no remaining node ever reached it:
+    - successor maps keep iterating in first-insertion order, so every
+      search visits the remaining nodes as before and returns the same
+      witness (ids are never reused; a later node takes the next one);
+    - positions stay distinct and below the first virtual id of
+      {!would_close_cycle}, and keep their relative order;
+    - the arrays are bounded by the remaining nodes: once removed
+      slots outnumber them, ids and positions are renumbered densely,
+      each in its old order, so a removal costs amortised O(log n).
+    Removal does not leave the degraded regime: once cyclic, the graph
+    stays so and {!find_cycle} keeps its first witness. *)
+
+val position : 'e t -> Txn_id.t -> int option
+(** The node's position in the maintained order ([None] if absent).
+    Positions move with insertions and removals: compare only
+    positions read with no update in between. *)
+
 val label : 'e t -> Txn_id.t -> Txn_id.t -> 'e option
 (** The first label of edge [a -> b]; [None] if there is no such edge. *)
 
@@ -79,10 +99,11 @@ val nodes : 'e t -> Txn_id.t list
 val edges : 'e t -> (Txn_id.t * Txn_id.t) list
 
 val n_nodes : 'e t -> int
-(** O(1) (cached). *)
+(** O(1) (cached): the nodes present now. *)
 
 val n_edges : 'e t -> int
-(** O(1) (cached; duplicates were never counted). *)
+(** O(1) (cached; duplicates were never counted): the edges present
+    now, so removals lower it. *)
 
 val iter_edges : 'e t -> (Txn_id.t -> Txn_id.t -> unit) -> unit
 (** Iterate edges allocation-free (order unspecified). *)

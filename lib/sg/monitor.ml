@@ -51,6 +51,7 @@ type obj_state = {
 
 type t = {
   schema : Schema.t;
+  keep : bool;  (* never retire (see [settle]) *)
   g : provenance Graph.t;  (* each edge labelled with its first witness *)
   aborted : unit Txn_id.Tbl.t;
   waiters : Txn_id.t list Txn_id.Tbl.t;
@@ -68,13 +69,23 @@ type t = {
   mutable walked : (Txn_id.t * (item * prospective) list) option;
       (* the walk [prospective_commit_edges] made for a top, until the
          next feed: a [Commit] of that top applies it *)
+  reported : (Txn_id.t * int) Queue.t;
+      (* reported tops not yet settled, with their report indices, in
+         report order (unless [keep]) *)
+  mutable settled : Txn_id.t list;
+      (* settled tops not yet retired, in report order *)
+  inner : Txn_id.t list Txn_id.Tbl.t;
+      (* committed top -> the nodes below it its commit added *)
+  footprint : Obj_id.t list Txn_id.Tbl.t;
+      (* top -> the objects holding its records *)
+  mutable n_edges : int;  (* edges inserted *)
   mutable n_feeds : int;
   mutable n_operations : int;
   mutable n_cycle_alarms : int;
   mutable n_inappropriate_alarms : int;
 }
 
-let create schema =
+let create ?(keep_history = false) schema =
   let objects = Obj_id.Tbl.create 16 in
   List.iter
     (fun x ->
@@ -83,6 +94,7 @@ let create schema =
     schema.Schema.objects;
   {
     schema;
+    keep = keep_history;
     g = Graph.create ();
     aborted = Txn_id.Tbl.create 16;
     waiters = Txn_id.Tbl.create 64;
@@ -92,6 +104,11 @@ let create schema =
     objects;
     pending_edges = [];
     walked = None;
+    reported = Queue.create ();
+    settled = [];
+    inner = Txn_id.Tbl.create 16;
+    footprint = Txn_id.Tbl.create 16;
+    n_edges = 0;
     n_feeds = 0;
     n_operations = 0;
     n_cycle_alarms = 0;
@@ -105,7 +122,7 @@ let counters t =
   {
     feeds = t.n_feeds;
     operations = t.n_operations;
-    edges = Graph.n_edges t.g;
+    edges = t.n_edges;
     cycle_alarms = t.n_cycle_alarms;
     inappropriate_alarms = t.n_inappropriate_alarms;
   }
@@ -128,6 +145,13 @@ let dependents t top =
   match Txn_id.Tbl.find_opt t.waiters top with Some l -> l | None -> []
 
 let top_of u = Txn_id.child_of_on_path ~ancestor:Txn_id.root u
+
+let footprint t top =
+  match Txn_id.Tbl.find_opt t.footprint top with Some l -> l | None -> []
+
+(* Whether settled tops still retire (see [settle]), and so what
+   retirement reads is still kept. *)
+let retiring t = (not t.keep) && Graph.is_acyclic t.g
 
 (* [u] or an ancestor aborted. *)
 let dead t u = List.exists (Txn_id.Tbl.mem t.aborted) (Txn_id.ancestors u)
@@ -157,6 +181,7 @@ let insert_edge t ~prov a b =
   if Txn_id.equal a b || Graph.mem_edge t.g a b then []
   else begin
     t.pending_edges <- (a, b, prov) :: t.pending_edges;
+    t.n_edges <- t.n_edges + 1;
     match Graph.add_edge_checked t.g a b prov with
     | Graph.Ok _ -> []
     | Graph.Cycle path ->
@@ -283,6 +308,21 @@ let process_commit t touched w steps =
   Txn_id.Tbl.remove t.frontier w;
   List.iter (Txn_id.Tbl.remove t.items) (dependents t w);
   Txn_id.Tbl.remove t.waiters w;
+  (* The nodes below [w] enter the graph at this walk and nowhere
+     else, so retiring [w] removes exactly these with it. *)
+  if retiring t && steps <> [] then begin
+    let below =
+      List.concat_map
+        (fun (item, edges) ->
+          (match item with Activate_node u -> [ u ] | _ -> [])
+          @ List.concat_map
+              (fun (a, b, _) -> if Txn_id.depth a > 1 then [ a; b ] else [])
+              edges)
+        steps
+    in
+    if below <> [] then
+      Txn_id.Tbl.replace t.inner w (List.sort_uniq Txn_id.compare below)
+  end;
   List.concat_map
     (fun (item, edges) ->
       (match item with
@@ -344,7 +384,7 @@ let account ~obs t ~edges_before alarms =
     alarms;
   if Obs.enabled obs then begin
     let m = Obs.metrics obs in
-    let inserted = Graph.n_edges t.g - edges_before in
+    let inserted = t.n_edges - edges_before in
     if inserted > 0 then begin
       Metrics.incr ~by:inserted (Metrics.counter m "monitor.edges");
       Obs.counter_sample obs "sg.edges" (Graph.n_edges t.g);
@@ -388,12 +428,85 @@ let report t u now =
       Txn_id.Tbl.replace t.frontier p
         ((u, now) :: List.filter (fun (_, rep) -> rep > req) l)
 
+(* Retirement.  A top [s] is settled once it reported before every
+   open top was requested.  Then every top that can order before [s]
+   (one requested before [s] reported) has reported, its work visible
+   or Dead, so every edge into [s] is drawn: an edge into a top comes
+   from one requested before the top reported, and edges between two
+   reported tops are drawn by the later of their commits.  Later edges
+   at [s] all leave it.
+
+   Settled alone is not enough to drop [s]: a reported top [r] that is
+   not settled may still gain an edge from an open top (a dirty read of
+   the open top's write by [r]) and reach [s] through an older edge.
+   So [s] retires only when every top before it in the maintained
+   order is settled as well.  Its predecessors are all before it, so
+   nothing left in the graph reaches it, and nothing ever will.  What
+   retires is thus a prefix of T0's children in the order; each later
+   insertion between the others searches and renumbers only positions
+   after it.  On the nodes that stay, the order, every search, witness
+   and verdict is the one a monitor keeping the whole history has, and
+   so is the intern order (see [Request_create]).  Retiring [s] drops
+   its records, the nodes below it, and its place in T0's frontier.
+   After a cycle alarm nothing retires: the order is gone. *)
+let retire t tops =
+  let gone = Txn_id.Tbl.create 8 in
+  List.iter (fun s -> Txn_id.Tbl.replace gone s ()) tops;
+  List.iter
+    (fun x ->
+      let ost = Obj_id.Tbl.find t.objects x in
+      ost.ops <-
+        List.filter
+          (fun r -> not (Txn_id.Tbl.mem gone (top_of r.access)))
+          ost.ops)
+    (List.sort_uniq Obj_id.compare (List.concat_map (footprint t) tops));
+  List.iter
+    (fun s ->
+      Graph.remove_node t.g s;
+      (match Txn_id.Tbl.find_opt t.inner s with
+      | Some below -> List.iter (Graph.remove_node t.g) below
+      | None -> ());
+      Txn_id.Tbl.remove t.inner s;
+      Txn_id.Tbl.remove t.footprint s)
+    tops;
+  Txn_id.Tbl.replace t.frontier Txn_id.root
+    (List.filter
+       (fun (s, _) -> not (Txn_id.Tbl.mem gone s))
+       (frontier t Txn_id.root))
+
+(* Top [u] reported at [now]: settle what the watermark (the earliest
+   request among open tops) has passed, then retire the settled tops
+   placed before every unsettled one. *)
+let settle t u now =
+  if retiring t then begin
+    Queue.push (u, now) t.reported;
+    let pos v = Option.value ~default:max_int (Graph.position t.g v) in
+    let watermark, floor =
+      Txn_id.Tbl.fold
+        (fun v at (w, f) ->
+          if Txn_id.depth v = 1 then (min w at, min f (pos v)) else (w, f))
+        t.requested (max_int, max_int)
+    in
+    let rec drain acc =
+      match Queue.peek_opt t.reported with
+      | Some (s, reported_at) when reported_at < watermark ->
+          ignore (Queue.pop t.reported);
+          drain (s :: acc)
+      | _ -> List.rev acc
+    in
+    t.settled <- t.settled @ drain [];
+    let floor = Queue.fold (fun m (v, _) -> min m (pos v)) floor t.reported in
+    let go, stay = List.partition (fun s -> pos s < floor) t.settled in
+    t.settled <- stay;
+    if go <> [] then retire t go
+  end
+
 let feed ?(obs = Obs.null) t (a : Action.t) =
   let walked = t.walked in
   t.walked <- None;
   t.n_feeds <- t.n_feeds + 1;
   let now = t.n_feeds in
-  let edges_before = Graph.n_edges t.g in
+  let edges_before = t.n_edges in
   let touched = ref [] in
   (* Node tracking: the offline construction adds a node for the
      lowtransaction of every visible serial event.  Online it suffices
@@ -417,17 +530,27 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
       match System_type.kind t.schema.Schema.sys u with
       | System_type.Inner -> []
       | System_type.Access x ->
-          let ost = Obj_id.Tbl.find t.objects x in
           t.n_operations <- t.n_operations + 1;
-          let live = pending t u in
-          let record =
-            { access = u; op = t.schema.Schema.op_of u; value = v; at = now;
-              status = (if live then Pending else Dead) }
-          in
-          ost.ops <- record :: ost.ops;
-          (* An alarmed object is never replayed again. *)
-          if not ost.obj_alarmed then ost.tail <- ost.tail @ [ record ];
-          if live then add_item t u (Activate_op (x, record));
+          (* A record born Dead (under an aborted ancestor) is never
+             visible, draws no edge and the fold skips it: it is not
+             stored. *)
+          if pending t u then begin
+            let ost = Obj_id.Tbl.find t.objects x in
+            let record =
+              { access = u; op = t.schema.Schema.op_of u; value = v;
+                at = now; status = Pending }
+            in
+            ost.ops <- record :: ost.ops;
+            (* An alarmed object is never replayed again. *)
+            if not ost.obj_alarmed then ost.tail <- ost.tail @ [ record ];
+            add_item t u (Activate_op (x, record));
+            if retiring t then begin
+              let top = top_of u in
+              let objs = footprint t top in
+              if not (List.exists (Obj_id.equal x) objs) then
+                Txn_id.Tbl.replace t.footprint top (x :: objs)
+            end
+          end;
           [])
   | Action.Commit u ->
       (* The gate's walk when nothing was fed since it was made, so an
@@ -442,7 +565,10 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
       process_abort t u;
       []
   | Action.Report_commit (u, _) | Action.Report_abort u ->
-      if not (Txn_id.is_root u) then report t u now;
+      if not (Txn_id.is_root u) then begin
+        report t u now;
+        if Txn_id.depth u = 1 then settle t u now
+      end;
       []
   | Action.Request_create u when not (Txn_id.is_root u) ->
       let p = Txn_id.parent_exn u in
@@ -450,6 +576,10 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
       if not (visible || pending t p) then []
       else begin
         Txn_id.Tbl.replace t.requested u now;
+        (* Once a top has reported, T0's frontier draws an edge to every
+           later top at its request unless retirement emptied it: the
+           node enters here either way, so ids keep one order. *)
+        if visible && Txn_id.Tbl.mem t.frontier p then Graph.add_node t.g u;
         List.concat_map
           (fun (sib, reported_at) ->
             let prov =
@@ -479,7 +609,26 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
   all
 
 let frontier_width t p = List.length (frontier t p)
-let open_requests t = Txn_id.Tbl.length t.requested
+
+let census t =
+  let records f =
+    Obj_id.Tbl.fold (fun _ ost n -> n + List.length (f ost)) t.objects 0
+  and size tbl = Txn_id.Tbl.length tbl in
+  [
+    ("ops", records (fun ost -> ost.ops));
+    ("tail", records (fun ost -> ost.tail));
+    ("graph.nodes", Graph.n_nodes t.g);
+    ("graph.edges", Graph.n_edges t.g);
+    ("aborted", size t.aborted);
+    ("waiters", size t.waiters);
+    ("items", size t.items);
+    ("frontier", Txn_id.Tbl.fold (fun _ l n -> n + List.length l) t.frontier 0);
+    ("requested", size t.requested);
+    ("reported", Queue.length t.reported);
+    ("settled", List.length t.settled);
+    ("inner", size t.inner);
+    ("footprint", size t.footprint);
+  ]
 
 let feed_trace ?obs t trace =
   let alarms = ref [] in

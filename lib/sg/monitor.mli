@@ -38,7 +38,21 @@
       {!Graph.add_edge_checked}), so an insertion that respects the
       order is O(1) and the rest search only the affected region:
       monitoring a trace costs near-linearly in its length instead of
-      a full graph traversal per edge.
+      a full graph traversal per edge;
+    - only what can still close a cycle.  A top is {e settled} once it
+      reported before every open top was requested: every edge into it
+      is then drawn, and every later edge at it leaves it.  A settled
+      top {e retires} (its records, its node and the nodes below it
+      leave the monitor, and it leaves T0's frontier) once every top
+      placed before it in the maintained order is settled too, so that
+      nothing left in the graph reaches it, now or later; settled alone
+      is not enough, since an unsettled reported top may still gain an
+      edge from an open one (a dirty read) and reach it.  The graph is
+      then the subgraph of the whole-history one induced on the nodes
+      that stay, with the same order on them: every alarm, witness and
+      gate verdict is the one the whole history gives.  After a cycle
+      alarm nothing retires.  The conflict scan and the graph thus cost
+      what is open and recent, not the whole run.
 
     Because every prefix of a generic behavior is itself a behavior,
     a protocol that is serially correct for all behaviors never trips
@@ -62,15 +76,23 @@ type alarm =
 type counters = {
   feeds : int;  (** Actions consumed. *)
   operations : int;  (** Access responses recorded. *)
-  edges : int;  (** SG edges inserted (deduplicated). *)
+  edges : int;
+      (** SG edges inserted over the run (deduplicated), retired ones
+          included; [Graph.n_edges (graph t)] is the live count. *)
   cycle_alarms : int;
   inappropriate_alarms : int;
 }
 (** Cumulative health counters, so a caller can report on the monitor
     without retaining every {!feed} result. *)
 
-val create : Schema.t -> t
-(** A fresh monitor, with operation-level conflicts as in {!Checker}. *)
+val create : ?keep_history:bool -> Schema.t -> t
+(** A fresh monitor, with operation-level conflicts as in {!Checker}.
+    Retirement is a function of the fed actions alone, so two monitors
+    fed one trace agree.  [keep_history] (default [false]) turns it
+    off, for readers of the whole [SG(β)]: the sharded engines whose
+    edges a cross-shard gate reads (a top settled on one shard may not
+    be settled across shards), and offline tools that print the whole
+    graph or a witness order over it. *)
 
 val feed : ?obs:Obs.t -> t -> Action.t -> alarm list
 (** Consume one action; returns the alarms it triggers (usually
@@ -94,13 +116,21 @@ val frontier_width : t -> Txn_id.t -> int
     moment, so the width never exceeds the most children ever open at
     once.  0 once the parent commits or aborts. *)
 
-val open_requests : t -> int
-(** Requests not yet reported (under a parent that is not Dead): the
-    size of the index the frontier reads request times from. *)
+val census : t -> (string * int) list
+(** The element count of every table and list the monitor keeps, by
+    name: the records ([ops], and [tail] behind the replay's folded
+    prefix), [graph.nodes] and [graph.edges], [aborted], the
+    visibility queues ([waiters], [items]), the precedes indexes
+    ([frontier] entries, and [requested]: requests not yet reported
+    under a parent that is not Dead) and retirement's own ([reported]
+    not yet settled, [settled] not yet retired, [inner] and
+    [footprint] per top).  All but [aborted] are bounded by what is
+    open and recent; [aborted] keeps every aborted transaction. *)
 
 val visible_operations : t -> Obj_id.t -> (Txn_id.t * Value.t) list
 (** The currently-visible operation sequence of an object, in response
-    order — the sequence the monitor replays. *)
+    order — the sequence the monitor replays.  Without [keep_history]
+    the records of retired tops are gone, and it lists the others. *)
 
 (** {2 Attribution}
 
@@ -129,9 +159,10 @@ type provenance = { kind : edge_kind; before : endpoint; after : endpoint }
 
 val graph : t -> provenance Graph.t
 (** The current serialization graph, each edge labelled with its first
-    witness (shared, do not mutate).  While no cycle has been detected,
-    [Sg.witness_order (graph t)] gives a witness sibling order of
-    Theorem 8. *)
+    witness (shared, do not mutate): without [keep_history], the nodes
+    not retired.  While no cycle has been detected, [Sg.witness_order
+    (graph t)] of a monitor that keeps history gives a witness sibling
+    order of Theorem 8. *)
 
 type prospective = (Txn_id.t * Txn_id.t * provenance) list
 (** Edges a speculated action would insert, with the provenance each

@@ -324,6 +324,114 @@ let t_order_vs_topological_sort () =
       check_bool "kahn order valid" true (valid_topo g k)
   | _ -> Alcotest.fail "acyclic graph lost an order"
 
+(* Removing an order prefix changes nothing else.  Two graphs take one
+   random edge stream; [g] also removes, now and then, the node first in
+   its maintained order (no node left reaches it), and the stream never
+   draws an edge into a removed node again.  Edges out of a removed
+   node go to [keep] alone, as a retiring monitor draws none.  After
+   every step both must agree on everything about the nodes [g] holds:
+   the insertion's result (its renumbering count or cycle witness),
+   each edge and its label, the order restricted to them, the reorder
+   count, and the verdict and witness of [would_close_cycle] for a
+   random extra set (with a name neither knows).  Removals stop at the
+   first cycle.  Enough go that [g] compacts its ids several times. *)
+let prefix_removal_ok ~seed ~size =
+  let rng = Rng.create seed in
+  let g = Graph.create () and keep = Graph.create () in
+  let pool = ref (List.init 4 n) and gone = ref [] and next = ref 4 in
+  (* Edges run from lower to higher hidden rank (random, so many are
+     back edges in the maintained order); the last quarter of the stream
+     also draws self-loops and edges either way, into the degraded
+     regime. *)
+  let rank = Hashtbl.create 64 in
+  let rank_of u =
+    match Hashtbl.find_opt rank u with
+    | Some r -> r
+    | None ->
+        let r = Rng.int rng 1_000_000 in
+        Hashtbl.add rank u r;
+        r
+  in
+  let ok = ref true in
+  let insist b = if not b then ok := false in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let mem u = Graph.position g u <> None in
+  for step = 1 to 40 * size do
+    if Rng.int rng 4 = 0 || List.length !pool < 2 then begin
+      pool := n !next :: !pool;
+      incr next
+    end;
+    (match Graph.order g with
+    | Some (first :: _) when Rng.int rng 5 = 0 ->
+        Graph.remove_node g first;
+        pool := List.filter (fun u -> not (Txn_id.equal u first)) !pool;
+        gone := first :: !gone
+    | _ -> ());
+    (match List.filter mem !pool with
+    | _ :: _ as present when !gone <> [] && Rng.int rng 8 = 0 ->
+        Graph.add_edge keep (pick !gone) (pick present) step
+    | _ -> ());
+    (* A window of recent nodes keeps the live graph small. *)
+    let window = List.filteri (fun i _ -> i < size) !pool in
+    let a = pick window and b = pick window in
+    let a, b =
+      if rank_of a <= rank_of b || step > 30 * size then (a, b) else (b, a)
+    in
+    if step > 30 * size || not (Txn_id.equal a b) then
+      insist
+        (Graph.add_edge_checked g a b step
+        = Graph.add_edge_checked keep a b step);
+    Graph.iter_edges g (fun a b ->
+        insist (Graph.label g a b = Graph.label keep a b));
+    insist
+      (Graph.fold_edges keep
+         (fun k a b -> if mem a && mem b then k + 1 else k)
+         0
+      = Graph.n_edges g);
+    insist
+      (Option.map (List.filter mem) (Graph.order keep) = Graph.order g
+      || Graph.order g = None && not (Graph.is_acyclic keep));
+    insist (Graph.reorders g = Graph.reorders keep);
+    let extra =
+      List.init 3 (fun _ -> (pick window, pick window))
+      @ [ (pick window, txn [ 1_000_000 ]) ]
+    in
+    insist
+      (Graph.would_close_cycle g extra = Graph.would_close_cycle keep extra)
+  done;
+  !ok && List.length !gone >= 2 * size
+
+let prop_prefix_removal =
+  QCheck.Test.make ~name:"removing an order prefix changes nothing else"
+    ~count:60
+    QCheck.(pair (int_bound 100_000) (int_range 3 10))
+    (fun (seed, size) -> prefix_removal_ok ~seed ~size)
+
+(* [remove_node] drops the node's edges in both directions, a self-loop
+   once, and the name comes back as a new node after every other.  A
+   cyclic graph stays cyclic. *)
+let t_remove_node () =
+  let g = Graph.create () in
+  Graph.add_edge g (n 0) (n 1) ();
+  Graph.add_edge g (n 1) (n 2) ();
+  Graph.remove_node g (n 1);
+  Graph.remove_node g (n 7);
+  check_int "nodes" 2 (Graph.n_nodes g);
+  check_int "edges" 0 (Graph.n_edges g);
+  check_bool "out-edge gone" false (Graph.mem_edge g (n 1) (n 2));
+  Graph.add_node g (n 1);
+  Alcotest.(check (option (list txn_testable)))
+    "back as a new node, last in the order"
+    (Some [ n 0; n 2; n 1 ])
+    (Graph.order g);
+  let h = Graph.create () in
+  Graph.add_edge h (n 3) (n 3) ();
+  Graph.add_edge h (n 3) (n 4) ();
+  Graph.add_edge h (n 5) (n 3) ();
+  Graph.remove_node h (n 3);
+  check_int "self-loop counted once" 0 (Graph.n_edges h);
+  check_bool "still cyclic" true (Graph.find_cycle h = Some [ n 3 ])
+
 let suite =
   ( "graph-incremental",
     [
@@ -331,6 +439,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_dag_stays_acyclic;
       QCheck_alcotest.to_alcotest prop_joint_acyclic;
       QCheck_alcotest.to_alcotest prop_joint_cyclic;
+      QCheck_alcotest.to_alcotest prop_prefix_removal;
+      Alcotest.test_case "remove_node" `Quick t_remove_node;
       Alcotest.test_case "back edge inside a reorder region" `Quick
         t_back_edge_in_reorder_region;
       Alcotest.test_case "self loop" `Quick t_self_loop;

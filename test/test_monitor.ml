@@ -92,7 +92,8 @@ let closure g =
   List.sort compare (List.concat_map from (Graph.nodes g))
 
 (* Agreement with the offline construction at end of trace, both at
-   operation level (the only mode the monitor serves).  The monitor
+   operation level (the only mode the monitor serves), by a monitor
+   that keeps the whole history, as the offline graph does.  The monitor
    draws precedes edges from the frontier only, so its edges
    are a subset of the offline ones with the same reachability, hence
    the same acyclicity; and it alarms iff the offline graph is cyclic
@@ -114,7 +115,7 @@ let t_agrees_with_offline () =
           let r = run_protocol ~abort_prob ~seed schema factory forest in
           let beta = Trace.serial r.Runtime.trace in
           let offline = Sg.build Sg.Operation_level schema beta in
-          let m = Monitor.create schema in
+          let m = Monitor.create ~keep_history:true schema in
           let alarms = feed_checked schema m r.Runtime.trace in
           let sorted_edges g =
             List.sort compare
@@ -226,8 +227,10 @@ let t_cycle_witness_is_a_cycle () =
     arr
 
 (* The cumulative counters must agree with what the monitor actually
-   did: feeds = trace length, edges = the graph's edge count, and the
-   alarm tallies = the alarms returned by [feed]. *)
+   did: feeds = trace length, edges = the edge count of the graph a
+   monitor keeping the whole history holds (the same counters but for
+   what it retires), and the alarm tallies = the alarms returned by
+   [feed]. *)
 let t_counters () =
   List.iter
     (fun (factory, name) ->
@@ -238,9 +241,11 @@ let t_counters () =
       in
       let r = run_protocol ~seed:5 schema factory forest in
       let m = Monitor.create schema in
+      let kept = Monitor.create ~keep_history:true schema in
       let cycles = ref 0 and inapps = ref 0 in
       Array.iter
         (fun a ->
+          ignore (Monitor.feed kept a);
           List.iter
             (function
               | Monitor.Cycle _ -> incr cycles
@@ -248,9 +253,11 @@ let t_counters () =
             (Monitor.feed m a))
         r.Runtime.trace;
       let c = Monitor.counters m in
+      check_bool (name ^ " same counters as keeping history") true
+        (c = Monitor.counters kept);
       check_int (name ^ " feeds") (Trace.length r.Runtime.trace)
         c.Monitor.feeds;
-      check_int (name ^ " edges") (Graph.n_edges (Monitor.graph m))
+      check_int (name ^ " edges") (Graph.n_edges (Monitor.graph kept))
         c.Monitor.edges;
       check_int (name ^ " cycle alarms") !cycles c.Monitor.cycle_alarms;
       check_int (name ^ " inappropriate alarms") !inapps
@@ -389,16 +396,17 @@ let t_speculation_matches_feed () =
   check_bool "some run reached a cycle alarm" true (!cycles > 0);
   check_bool "some commit was fed over a stale walk" true (!stale_commits > 0)
 
-(* The witness order over the monitor's graph is a real Theorem-8
-   witness on alarm-free runs: defined, it orders the endpoints of every
-   SG edge (all edges relate siblings), and it is suitable for T0. *)
+(* The witness order over the graph of a monitor keeping the whole
+   history is a real Theorem-8 witness on alarm-free runs: defined, it
+   orders the endpoints of every SG edge (all edges relate siblings),
+   and it is suitable for T0. *)
 let t_witness_order () =
   let forest, schema =
     Gen.forest_and_schema Gen.registers ~seed:9
       { Gen.default with n_top = 6; depth = 2; n_objects = 3 }
   in
   let r = run_protocol ~abort_prob:0.05 ~seed:9 schema Moss_object.factory forest in
-  let m = Monitor.create schema in
+  let m = Monitor.create ~keep_history:true schema in
   let alarms = Monitor.feed_trace m r.Runtime.trace in
   check_bool "no alarms" true (alarms = []);
   match Sg.witness_order (Monitor.graph m) with
@@ -440,19 +448,21 @@ let t_counters_fresh () =
   check_int "no edges" 0 c.Monitor.edges;
   check_int "no alarms" 0 (c.Monitor.cycle_alarms + c.Monitor.inappropriate_alarms)
 
-(* A gated engine over 8 Moss registers, driven as a closed loop of 16
-   clients submitting hot SmallBank programs until [programs] have
-   completed; [each_step] runs after every step. *)
-let smallbank_loop ?(each_step = ignore) ~on_action ~programs () =
+(* A gated engine over 8 registers (Moss unless [factory] says
+   otherwise), driven as a closed loop of 16 clients submitting
+   SmallBank programs (hot unless [theta] says otherwise) until
+   [programs] have completed; [each_step] runs after every step. *)
+let smallbank_loop ?(each_step = ignore) ?(factory = Moss_object.factory)
+    ?(theta = 0.9) ?max_steps ~on_action ~programs () =
   let objects =
     List.init 8 (fun i -> (Obj_id.indexed "acct" i, Register.make ()))
   in
   let accounts = Array.of_list (List.map fst objects) in
-  let eng = Engine.create ~seed:7 ~on_action objects Moss_object.factory in
+  let eng = Engine.create ?max_steps ~seed:7 ~on_action objects factory in
   let rng = Rng.create 7 in
   let rec loop () =
     while Engine.live_top eng < 16 && Engine.submitted eng < programs do
-      match Engine.submit eng (Gen.smallbank_txn ~theta:0.9 rng accounts) with
+      match Engine.submit eng (Gen.smallbank_txn ~theta rng accounts) with
       | Ok _ -> ()
       | Error e -> Alcotest.fail e
     done;
@@ -466,13 +476,15 @@ let smallbank_loop ?(each_step = ignore) ~on_action ~programs () =
   loop ();
   eng
 
-(* Precedes as an interval order keeps the monitor's state linear in
-   history.  A closed loop of 16 clients over 8 Moss registers gains
+(* Precedes as an interval order keeps the monitor's work linear in
+   history.  A closed loop of 16 clients over 8 Moss registers inserts
    no more SG edges per top in its last tenth than 1.5x its second
    (all-history precedes edges made that ratio grow with the run; the
    first tenth is warm-up, its tops having few older ones to conflict
    with); T0's frontier never holds more tops than were open at once;
    and the request index holds open requests only. *)
+let requested m = List.assoc "requested" (Monitor.census m)
+
 let t_state_grows_linearly () =
   let total = 2000 in
   let open_requests = ref 0 and open_tops = ref 0 and most_open = ref 0 in
@@ -489,32 +501,109 @@ let t_state_grows_linearly () =
         if Txn_id.depth u = 1 then decr open_tops
     | _ -> ()
   in
-  (* [edges_at.(k)]: the graph's edge count at the last step with [k]
-     tops completed (a step completes at most one: nothing is killed). *)
+  (* [edges_at.(k)]: the edges inserted by the last step with [k] tops
+     completed (a step completes at most one: nothing is killed). *)
   let edges_at = Array.make (total + 1) 0 in
   let each_step eng =
     let m = Admission.monitor (Engine.admission eng) in
     let done_ = Engine.committed_top eng + Engine.aborted_top eng in
-    edges_at.(done_) <- Graph.n_edges (Monitor.graph m);
+    edges_at.(done_) <- (Monitor.counters m).Monitor.edges;
     if Monitor.frontier_width m Txn_id.root > !most_open then
       Alcotest.failf "T0 frontier %d wider than the %d tops ever open at once"
         (Monitor.frontier_width m Txn_id.root)
         !most_open;
-    if Monitor.open_requests m > !open_requests then
+    if requested m > !open_requests then
       Alcotest.failf "request index holds %d, only %d requests open"
-        (Monitor.open_requests m) !open_requests
+        (requested m) !open_requests
   in
   let eng = smallbank_loop ~each_step ~on_action ~programs:total () in
   let m = Admission.monitor (Engine.admission eng) in
   check_int "every top completed" total
     (Engine.committed_top eng + Engine.aborted_top eng);
-  check_int "no request left open" 0 (Monitor.open_requests m);
+  check_int "no request left open" 0 (requested m);
   let tenth = total / 10 in
   let second = edges_at.(2 * tenth) - edges_at.(tenth)
   and last = edges_at.(total) - edges_at.(total - tenth) in
   if 2 * last > 3 * second then
     Alcotest.failf "edges per top grew: %d in the second tenth, %d in the last"
       second last
+
+(* Retirement bounds the monitor's state by what is open and recent.
+   The closed loop runs 20 000 undo programs over 8 registers (16
+   clients, uniform accounts, seed 7), and a sample every 499 steps
+   reads the graph's reachable words (labels included) and the
+   monitor's census.  Averaged over the whole run, each stays within
+   1.2x of its average over the first 2 000 programs (a graph keeping
+   the whole history grows about tenfold).  [aborted] is left out:
+   it keeps every aborted transaction, a growth retirement does not
+   touch.  And whenever no top is open, whether in this loop or the
+   hot Moss one, everything has retired: the graph is empty and only
+   [aborted], and records waiting for the fold, remain. *)
+let t_state_bounded_by_open () =
+  let quiet_ok = [ "aborted"; "tail" ] in
+  let open_tops = ref 0 in
+  let on_action = function
+    | Action.Request_create u when Txn_id.depth u = 1 -> incr open_tops
+    | (Action.Report_commit (u, _) | Action.Report_abort u)
+      when Txn_id.depth u = 1 ->
+        decr open_tops
+    | _ -> ()
+  in
+  let quiet_steps = ref 0 in
+  let check_quiet eng =
+    if !open_tops = 0 then begin
+      incr quiet_steps;
+      List.iter
+        (fun (k, v) ->
+          if v <> 0 && not (List.mem k quiet_ok) then
+            Alcotest.failf "no top open, yet %s holds %d" k v)
+        (Monitor.census (Admission.monitor (Engine.admission eng)))
+    end
+  in
+  let total = 20_000 and early = 2_000 in
+  let sums = Hashtbl.create 16 in
+  let add window k v =
+    let n, s =
+      Option.value ~default:(0, 0) (Hashtbl.find_opt sums (window, k))
+    in
+    Hashtbl.replace sums (window, k) (n + 1, s + v)
+  in
+  let steps = ref 0 in
+  let each_step eng =
+    check_quiet eng;
+    incr steps;
+    if !steps mod 499 = 0 then begin
+      let m = Admission.monitor (Engine.admission eng) in
+      let sample =
+        ("graph words", Obj.reachable_words (Obj.repr (Monitor.graph m)))
+        :: List.filter (fun (k, _) -> k <> "aborted") (Monitor.census m)
+      in
+      let done_ = Engine.committed_top eng + Engine.aborted_top eng in
+      List.iter
+        (fun (k, v) ->
+          add `Run k v;
+          if done_ < early then add `Early k v)
+        sample
+    end
+  in
+  ignore
+    (smallbank_loop ~each_step ~on_action ~factory:Undo_object.factory
+       ~theta:0.0 ~max_steps:max_int ~programs:total ());
+  let mean window k =
+    let n, s = Hashtbl.find sums (window, k) in
+    float_of_int s /. float_of_int n
+  in
+  Hashtbl.iter
+    (fun (window, k) _ ->
+      if window = `Early && mean `Run k > 1.2 *. mean `Early k then
+        Alcotest.failf
+          "%s averages %.1f over %d programs, %.1f over the first %d" k
+          (mean `Run k) total (mean `Early k) early)
+    sums;
+  check_bool "the graph was sampled" true (mean `Early "graph.nodes" > 0.);
+  ignore
+    (smallbank_loop ~each_step:check_quiet ~on_action ~programs:2000 ());
+  check_bool "some step had no top open" true (!quiet_steps > 0)
 
 (* Each access is resolved once.  A monitor resolves an access's
    object and operation from its name when it records the response,
@@ -560,7 +649,7 @@ let t_resolves_each_access_once () =
       ignore (Monitor.feed m a))
     (List.rev !actions);
   check_bool "the loop drew conflict edges" true
-    (Graph.n_edges (Monitor.graph m) > 0);
+    ((Monitor.counters m).Monitor.edges > 0);
   check_int "one op_of per access response" !responses !op_of_calls;
   if !classify_calls > !request_commits then
     Alcotest.failf "%d classifications for %d Request_commit actions"
@@ -611,8 +700,9 @@ let t_pending_record_holds_the_fold () =
    [Graph.reorders] and which witness each edge keeps.  No verdict
    depends on it, so nothing else notices when it drifts.  The digests
    pin the edges with their witnesses, the order and the reorder count
-   over fixed nested runs with aborts, three seeds per backend and
-   shape.  A change that moves them on purpose re-pins them. *)
+   of a monitor keeping the whole history over fixed nested runs with
+   aborts, three seeds per backend and shape.  A change that moves them
+   on purpose re-pins them. *)
 let pinned_orders =
   [
     ("moss", "default", "356cff20d94a21292cc6ada732973e4a");
@@ -649,7 +739,7 @@ let t_order_tripwire () =
                 ~seed:sc.Check.sched_seed schema (Check.factory_of backend)
                 sc.Check.forest
             in
-            let m = Monitor.create schema in
+            let m = Monitor.create ~keep_history:true schema in
             ignore (Monitor.feed_trace m r.Runtime.trace);
             let g = Monitor.graph m in
             List.iter
@@ -681,6 +771,112 @@ let t_order_tripwire () =
         shapes)
     [ Check.Moss; Check.No_control ]
 
+(* Retirement changes no verdict.  Every backend (the verified ones and
+   the broken ones, whose dirty reads let a reported top gain edges
+   from an open one) runs scenarios of every shape, once closed (the
+   runtime requests tops as it goes) and once served ungated on one
+   shard (tops arrive over time, the case where tops settle
+   mid-run), and [Check.retirement_agreement] feeds each trace to a
+   retiring and a keeping monitor in lockstep, speculating every
+   top-level commit on both: same alarms, same gate verdicts and
+   witness text, and at every prefix the retiring graph is the keeping
+   one's induced subgraph with every open top present.  The runs must
+   retire nodes, veto commits and raise alarms, or the comparison
+   would be empty.  Replication serves physical programs under another
+   schema, so it runs closed only. *)
+let t_retirement_changes_no_verdict () =
+  let shapes =
+    [ Check.Default; Check.Lock_heavy; Check.Deep_nesting; Check.Abort_storm ]
+  in
+  let vetoes = ref 0 and alarms = ref 0 and retired = ref 0 in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun shape ->
+          for i = 0 to 5 do
+            let sc =
+              Check.gen_scenario ~shape backend (Rng.create (5100 + i))
+            in
+            let schema = Check.schema_of_scenario sc in
+            let r =
+              Runtime.run ~policy:sc.Check.policy
+                ~inform_policy:sc.Check.inform_policy
+                ~abort_prob:(Float.max 0.05 sc.Check.abort_prob)
+                ~seed:sc.Check.sched_seed schema (Check.factory_of backend)
+                sc.Check.forest
+            in
+            let served =
+              if backend = Check.Replication then []
+              else
+                [ ( "served",
+                    (Check.serve_sharded ~gating:false ~shards:1 ~seed:i
+                       backend sc)
+                      .Check.sh_report
+                      .Check.s_trace ) ]
+            in
+            List.iter
+              (fun (how, trace) ->
+                match Check.retirement_agreement schema trace with
+                | Ok a ->
+                    vetoes := !vetoes + a.Check.ra_vetoes;
+                    alarms := !alarms + a.Check.ra_alarms;
+                    retired := !retired + a.Check.ra_retired
+                | Error e ->
+                    Alcotest.failf "%s %s seed %d: %s"
+                      (Check.backend_name backend) how (5100 + i) e)
+              (("closed", r.Runtime.trace) :: served)
+          done)
+        shapes)
+    Check.all_backends;
+  check_bool "some node retired" true (!retired > 0);
+  check_bool "some commit vetoed" true (!vetoes > 0);
+  check_bool "some alarm raised" true (!alarms > 0)
+
+(* A settled top behind an unsettled one stays.  [T2] reports before
+   [T3] is requested, so once [T1] reports it is settled; but [T1], not
+   settled, read [x] before [T2] wrote it ([T1 -> T2]) and reads [y]
+   dirty from the open [T3].  [T3]'s commit draws [T3 -> T1], closing
+   [T3 -> T1 -> T2 -> T3] through [T2]'s older edges: retiring [T2] at
+   [T1]'s report would lose the cycle. *)
+let t_settled_behind_unsettled_stays () =
+  let x = Obj_id.make "x" and y = Obj_id.make "y" in
+  let read o = Program.access o Datatype.Read
+  and write o v = Program.access o (Datatype.Write (Value.Int v)) in
+  let forest =
+    [ Program.seq [ read x; read y ]; Program.seq [ write x 1 ];
+      Program.seq [ write y 5 ] ]
+  in
+  let schema =
+    Program.schema_of
+      ~objects:[ (x, Register.make ()); (y, Register.make ()) ]
+      forest
+  in
+  let t1 = txn [ 0 ] and t2 = txn [ 1 ] and t3 = txn [ 2 ] in
+  let trace =
+    trace_of
+      [
+        open_txn t1;
+        leaf_txn (txn [ 0; 0 ]) (Value.Int 0);
+        open_txn t2;
+        leaf_txn (txn [ 1; 0 ]) Value.Ok;
+        commit_txn t2 Value.Ok;
+        open_txn t3;
+        leaf_txn (txn [ 2; 0 ]) Value.Ok;
+        leaf_txn (txn [ 0; 1 ]) (Value.Int 5);
+        commit_txn t1 Value.Ok;
+        commit_txn t3 Value.Ok;
+      ]
+  in
+  let cycles =
+    List.filter
+      (fun (_, a) -> match a with Monitor.Cycle _ -> true | _ -> false)
+      (Monitor.feed_trace (Monitor.create schema) trace)
+  in
+  check_int "the cycle is caught" 1 (List.length cycles);
+  match Check.retirement_agreement schema trace with
+  | Ok a -> check_int "one veto" 1 a.Check.ra_vetoes
+  | Error e -> Alcotest.fail e
+
 let suite =
   ( "monitor",
     [
@@ -699,9 +895,15 @@ let suite =
         t_witness_order_gone_on_cycle;
       Alcotest.test_case "counters start at zero" `Quick t_counters_fresh;
       Alcotest.test_case "state grows linearly" `Quick t_state_grows_linearly;
+      Alcotest.test_case "state bounded by what is open" `Slow
+        t_state_bounded_by_open;
       Alcotest.test_case "resolves each access once" `Quick
         t_resolves_each_access_once;
       Alcotest.test_case "pending record holds the fold back" `Quick
         t_pending_record_holds_the_fold;
       Alcotest.test_case "order tripwire" `Quick t_order_tripwire;
+      Alcotest.test_case "retirement changes no verdict" `Quick
+        t_retirement_changes_no_verdict;
+      Alcotest.test_case "settled top behind an unsettled one stays" `Quick
+        t_settled_behind_unsettled_stays;
     ] )

@@ -718,6 +718,10 @@ let t_recovery_plan_rules () =
         rotated,
         Some ("NTSNAP1\n" ^ String.sub simg 8 (String.length simg - 8)),
         `Refused `Snapshot );
+      ( "snapshot holding the whole-history graph (NTSNAP3)",
+        rotated,
+        Some ("NTSNAP3\n" ^ String.sub simg 8 (String.length simg - 8)),
+        `Refused `Snapshot );
     ]
   in
   List.iter
@@ -793,35 +797,38 @@ let t_restart_then_snapshot () =
 (* Schedule tripwire.  Recovery replays [Steps n] through the
    runtime's RNG and checks the monitor's graph and veto witnesses, so
    a change to any seed's schedule, graph or witnesses must move
-   [Wal.wal_magic] (see its doc).  The digests pin the full log image,
+   [Wal.wal_magic] (see its doc), and a change to a snapshot's graph
+   must move [Wal.snap_magic].  The digests pin the full log image,
    snapshot included, of a few fixed recorded runs per verified
-   backend under the current magic: a schedule change that leaves the
-   magic alone fails here. *)
+   backend under the current magics: a schedule change that leaves the
+   magics alone fails here. *)
 let pinned_magic = "NTWAL03\n"
+let pinned_snap_magic = "NTSNAP4\n"
 
 let pinned_schedules =
   [
-    ("moss", 0, "e1d9b40dd52d1882d22d8273dd3a65c9");
-    ("moss", 1, "6d9f0d8df9ea35642a610f22e9a2b1ad");
-    ("moss", 2, "19acb8bfd8c3c07dbeae074154ac50b5");
-    ("commlock", 0, "91294e78dd0e84ae1631fa7f91f57b75");
-    ("commlock", 1, "717415f900a346a6d74d9fbddc29f213");
-    ("commlock", 2, "ec58a47c71d3257255b31564af0e92f4");
-    ("undo", 0, "e385933b09b02e7d14908a1c722c7b2b");
-    ("undo", 1, "7ad8d201a27ad02fb8a027392657da8e");
-    ("undo", 2, "fdb960b4eeae1207c73549565d41d4e6");
-    ("mvts", 0, "2972cd6fd361294daa56158fc70500ae");
-    ("mvts", 1, "55846f06a1eb85565852844fe6db567c");
-    ("mvts", 2, "8bfb7c96058d981f42b69c1ab2bb2abb");
-    ("replication", 0, "217a4707bc24e4321e5630054fa52459");
-    ("replication", 1, "a36a8bdc0a800da1f6653fad56e9654b");
-    ("replication", 2, "c39ea45d198ddb0a9bf8fcc6201c0d20");
+    ("moss", 0, "c105055b2a919149fec69ff1c5f50b3a");
+    ("moss", 1, "bf63b51aa32e5783949490eb81723f20");
+    ("moss", 2, "250bbcdccbf0b2ad7fea40a002e40d8c");
+    ("commlock", 0, "5233a9c7948c3316955cb18966b418a7");
+    ("commlock", 1, "a9b71b9338fc128f7662cb7916f2e4bb");
+    ("commlock", 2, "b0067f29d4cfd77c8282aa078bb4e4f5");
+    ("undo", 0, "984cbde808743c990e05d2fee132103e");
+    ("undo", 1, "001ab9dc8de971c49e689968df1d2889");
+    ("undo", 2, "a215540ef55a9404b2706bf45e5dce0e");
+    ("mvts", 0, "cec5579042fd5d58801c9e4f3aa8b8a8");
+    ("mvts", 1, "b42a039d70df5fcb1efb0aba1b4584c3");
+    ("mvts", 2, "106676e689e142c0de93d91e2e44b097");
+    ("replication", 0, "68bf884bf4ce659be76a513abb596faa");
+    ("replication", 1, "2530374406580c8259250bdc40ef1761");
+    ("replication", 2, "94c6f5b5e55e3245ba430f1d43b0a6d9");
   ]
 
 let t_schedule_tripwire () =
-  if Wal.wal_magic <> pinned_magic then
+  if Wal.wal_magic <> pinned_magic || Wal.snap_magic <> pinned_snap_magic then
     Alcotest.fail
-      "Wal.wal_magic moved: re-pin the schedule digests under the new magic";
+      "Wal.wal_magic or Wal.snap_magic moved: re-pin the schedule digests \
+       under the new magic";
   List.iter
     (fun backend ->
       let name = Check.backend_name backend in
