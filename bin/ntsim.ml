@@ -189,7 +189,7 @@ let run_cmd workload protocol seed n_top depth fanout n_objects theta
   | None -> ());
   let mon =
     if monitor then begin
-      let m = Monitor.create ~keep_history:true schema in
+      let m = Monitor.create ~hold:(fun _ -> true) schema in
       (match Monitor.feed_trace ~obs m trace with
       | [] -> Format.printf "online monitor: no alarms@."
       | alarms ->

@@ -192,7 +192,7 @@ let () =
                 match kind with
                 | Pseudotime -> true
                 | Sg_checker ->
-                    let m = Monitor.create ~keep_history:true schema in
+                    let m = Monitor.create schema in
                     let alarms = Monitor.feed_trace m r.trace in
                     List.iter
                       (fun (i, a) ->
@@ -212,7 +212,9 @@ let () =
                               pname wname seed i (Obj_id.name x))
                       alarms;
                     (* No alarm ⇒ the monitor's graph is acyclic, so a
-                       witness sibling order for Theorem 8 exists. *)
+                       witness sibling order for Theorem 8 exists (over
+                       the tops not retired; a retired top orders
+                       before all of them). *)
                     alarms = [] && Sg.witness_order (Monitor.graph m) <> None
               in
               if not (ok_wf && ok_thm && ok_lemmas && ok_monitor) then begin

@@ -418,7 +418,7 @@ exception Disagree of string
 
 let retirement_agreement (schema : Schema.t) trace =
   let m = Monitor.create schema
-  and k = Monitor.create ~keep_history:true schema in
+  and k = Monitor.create ~hold:(fun _ -> true) schema in
   let g = Monitor.graph m and gk = Monitor.graph k in
   let mem g u = Graph.position g u <> None in
   let label g a b =

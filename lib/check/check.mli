@@ -189,7 +189,7 @@ val retirement_agreement :
   Schema.t -> Trace.t -> (retirement_agreement, string) result
 (** The retirement oracle: feed the trace in lockstep to a default
     {!Nt_sg.Monitor} (which retires settled tops) and to one created
-    with [~keep_history:true], speculating each top-level [Commit] on
+    with [~hold:(fun _ -> true)], speculating each top-level [Commit] on
     both first as the commit gate does.  [Error] names the first event
     where they part: different alarms, different gate verdicts or
     [explain_cycle ~extra] text, a retiring graph that is not the

@@ -4,19 +4,26 @@ open Nt_obs
 
 type veto = { node : Txn_id.t; cycle : Txn_id.t list; witness : string }
 
+type upper = {
+  gate : Txn_id.t -> Monitor.prospective -> (Txn_id.t list * string) option;
+  hold : Txn_id.t -> bool;
+}
+
 type t = {
   monitor : Monitor.t;
   obs : Obs.t;
   gating : bool;
+  upper : upper option;
   mutable vetoed : int;
   vetoes : veto Txn_id.Tbl.t;  (* keyed by the vetoed top *)
 }
 
-let create ?(obs = Obs.null) ?(gating = true) ?keep_history schema =
+let create ?(obs = Obs.null) ?(gating = true) ?upper schema =
   {
-    monitor = Monitor.create ?keep_history schema;
+    monitor = Monitor.create ?hold:(Option.map (fun u -> u.hold) upper) schema;
     obs;
     gating;
+    upper;
     vetoed = 0;
     vetoes = Txn_id.Tbl.create 64;
   }
@@ -41,7 +48,10 @@ let veto t u ~cycle ~witness =
     Metrics.incr (Metrics.counter (Obs.metrics t.obs) "admission.vetoed");
   false
 
-let gate t ~extra u =
+(* The local verdict first: a commit the local monitor already refuses
+   never reaches the upper gate, so it only ever sees locally
+   consistent candidates. *)
+let gate t u =
   if not t.gating then true
   else
     let edges = Monitor.prospective_commit_edges t.monitor u in
@@ -50,7 +60,7 @@ let gate t ~extra u =
         veto t u ~cycle
           ~witness:(Monitor.explain_cycle ~extra:fresh t.monitor cycle)
     | None -> (
-        match extra u edges with
+        match Option.bind t.upper (fun up -> up.gate u edges) with
         | Some (cycle, witness) -> veto t u ~cycle ~witness
         | None -> true)
 

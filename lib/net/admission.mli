@@ -35,27 +35,32 @@ type veto = {
   witness : string;  (** Edge-by-edge explanation. *)
 }
 
-val create :
-  ?obs:Obs.t -> ?gating:bool -> ?keep_history:bool -> Schema.t -> t
+type upper = {
+  gate : Txn_id.t -> Monitor.prospective -> (Txn_id.t list * string) option;
+      (** Consulted by {!gate} only after the local verdict admits,
+          with the same unfiltered prospective set: [Some (cycle,
+          witness)] vetoes. *)
+  hold : Txn_id.t -> bool;
+      (** The monitor's hold ({!Nt_sg.Monitor.create}): the tops the
+          upper gate may still need local edges at. *)
+}
+(** The upper level of a two-level gate (the cross-shard spine, see
+    [Nt_shard]). *)
+
+val create : ?obs:Obs.t -> ?gating:bool -> ?upper:upper -> Schema.t -> t
 (** Fresh controller over a fresh monitor ([gating] defaults to
     [true]; [obs] receives the monitor telemetry plus an
-    [admission.vetoed] counter; [keep_history] as in
-    {!Nt_sg.Monitor.create}). *)
+    [admission.vetoed] counter).  Without [upper] the monitor holds no
+    top and {!gate} is the local verdict alone. *)
 
 val on_action : t -> Action.t -> unit
 (** Feed one action to the monitor (alarms are absorbed into
     {!alarms}; under gating none should ever fire). *)
 
-val gate :
-  t ->
-  extra:(Txn_id.t -> Monitor.prospective -> (Txn_id.t list * string) option) ->
-  Txn_id.t ->
-  bool
+val gate : t -> Txn_id.t -> bool
 (** The commit gate of a top-level transaction: [false] vetoes.  The
-    local verdict comes first; only a commit it admits reaches [extra]
-    (the cross-shard spine, see [Nt_shard]), which receives the same
-    unfiltered prospective set and answers [None] to admit or [Some
-    (cycle, witness)] to veto.  Either veto bumps {!vetoed}, stores the
+    local verdict comes first; only a commit it admits reaches the
+    {!upper} gate, if any.  Either veto bumps {!vetoed}, stores the
     witness under the top and emits the [admission.vetoed] counter, so
     both report through {!veto_of} alike. *)
 

@@ -58,8 +58,7 @@ val create :
   ?admission:bool ->
   ?on_top_complete:(Txn_id.t -> [ `Committed | `Aborted ] -> unit) ->
   ?on_action:(Action.t -> unit) ->
-  ?extra_gate:
-    (Txn_id.t -> Nt_sg.Monitor.prospective -> (Txn_id.t list * string) option) ->
+  ?upper:Admission.upper ->
   ?clock:(unit -> float) ->
   seed:int ->
   (Obj_id.t * Datatype.t) list ->
@@ -81,15 +80,14 @@ val create :
     behaves exactly as before.  [on_action] is a read-only tap fired
     before the engine's own bookkeeping on every runtime action — a
     shard wrapper uses it to stamp sequence numbers and mirror the
-    action stream.  [extra_gate] is a second commit gate consulted
-    {e only after} the local admission controller admits (so never
-    when [admission] is off), with the prospective edge set the local
-    gate already computed (unfiltered, from the monitor's one edge
-    rule — see {!Admission.gate}): [Some (cycle, witness)] vetoes the
-    commit and is recorded exactly as a local veto, so {!state}
-    reports it.  An engine given [extra_gate] keeps its monitor's whole
-    history ([Nt_sg.Monitor.create ~keep_history]): the second gate
-    reads local edges at tops this monitor alone would have settled. *)
+    action stream.  [upper] is the upper level of a two-level gate
+    ({!Admission.upper}): its gate is consulted {e only after} the
+    local admission controller admits (so never when [admission] is
+    off), with the prospective edge set the local gate already
+    computed (unfiltered, from the monitor's one edge rule — see
+    {!Admission.gate}), and a veto is recorded exactly as a local one,
+    so {!state} reports it; its hold keeps a top in the monitor until
+    the upper level has settled it. *)
 
 val max_program : int
 (** The largest program (in transaction names, {!Program.size}) any

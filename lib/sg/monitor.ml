@@ -51,7 +51,7 @@ type obj_state = {
 
 type t = {
   schema : Schema.t;
-  keep : bool;  (* never retire (see [settle]) *)
+  hold : Txn_id.t -> bool;  (* a top not to settle yet (see [settle]) *)
   g : provenance Graph.t;  (* each edge labelled with its first witness *)
   aborted : unit Txn_id.Tbl.t;
   waiters : Txn_id.t list Txn_id.Tbl.t;
@@ -71,7 +71,7 @@ type t = {
          next feed: a [Commit] of that top applies it *)
   reported : (Txn_id.t * int) Queue.t;
       (* reported tops not yet settled, with their report indices, in
-         report order (unless [keep]) *)
+         report order *)
   mutable settled : Txn_id.t list;
       (* settled tops not yet retired, in report order *)
   inner : Txn_id.t list Txn_id.Tbl.t;
@@ -85,7 +85,7 @@ type t = {
   mutable n_inappropriate_alarms : int;
 }
 
-let create ?(keep_history = false) schema =
+let create ?(hold = fun _ -> false) schema =
   let objects = Obj_id.Tbl.create 16 in
   List.iter
     (fun x ->
@@ -94,7 +94,7 @@ let create ?(keep_history = false) schema =
     schema.Schema.objects;
   {
     schema;
-    keep = keep_history;
+    hold;
     g = Graph.create ();
     aborted = Txn_id.Tbl.create 16;
     waiters = Txn_id.Tbl.create 64;
@@ -151,7 +151,7 @@ let footprint t top =
 
 (* Whether settled tops still retire (see [settle]), and so what
    retirement reads is still kept. *)
-let retiring t = (not t.keep) && Graph.is_acyclic t.g
+let retiring t = Graph.is_acyclic t.g
 
 (* [u] or an ancestor aborted. *)
 let dead t u = List.exists (Txn_id.Tbl.mem t.aborted) (Txn_id.ancestors u)
@@ -475,8 +475,11 @@ let retire t tops =
        (frontier t Txn_id.root))
 
 (* Top [u] reported at [now]: settle what the watermark (the earliest
-   request among open tops) has passed, then retire the settled tops
-   placed before every unsettled one. *)
+   request among open tops) has passed, in report order up to the first
+   held top, then retire the settled tops placed before every unsettled
+   one.  The drain asks the hold about one top it does not settle, and
+   the floor reads the unsettled reports only when some top waits to
+   retire, so holding every top costs no work that grows with history. *)
 let settle t u now =
   if retiring t then begin
     Queue.push (u, now) t.reported;
@@ -489,16 +492,19 @@ let settle t u now =
     in
     let rec drain acc =
       match Queue.peek_opt t.reported with
-      | Some (s, reported_at) when reported_at < watermark ->
+      | Some (s, reported_at) when reported_at < watermark && not (t.hold s)
+        ->
           ignore (Queue.pop t.reported);
           drain (s :: acc)
       | _ -> List.rev acc
     in
     t.settled <- t.settled @ drain [];
-    let floor = Queue.fold (fun m (v, _) -> min m (pos v)) floor t.reported in
-    let go, stay = List.partition (fun s -> pos s < floor) t.settled in
-    t.settled <- stay;
-    if go <> [] then retire t go
+    if t.settled <> [] then begin
+      let floor = Queue.fold (fun m (v, _) -> min m (pos v)) floor t.reported in
+      let go, stay = List.partition (fun s -> pos s < floor) t.settled in
+      t.settled <- stay;
+      if go <> [] then retire t go
+    end
   end
 
 let feed ?(obs = Obs.null) t (a : Action.t) =

@@ -51,8 +51,10 @@
       then the subgraph of the whole-history one induced on the nodes
       that stay, with the same order on them: every alarm, witness and
       gate verdict is the one the whole history gives.  After a cycle
-      alarm nothing retires.  The conflict scan and the graph thus cost
-      what is open and recent, not the whole run.
+      alarm nothing retires.  A caller may also {e hold} a top (see
+      {!create}): it then stays unsettled however old it is, which only
+      delays retirement.  The conflict scan and the graph thus cost
+      what is open, recent or held, not the whole run.
 
     Because every prefix of a generic behavior is itself a behavior,
     a protocol that is serially correct for all behaviors never trips
@@ -85,14 +87,19 @@ type counters = {
 (** Cumulative health counters, so a caller can report on the monitor
     without retaining every {!feed} result. *)
 
-val create : ?keep_history:bool -> Schema.t -> t
+val create : ?hold:(Txn_id.t -> bool) -> Schema.t -> t
 (** A fresh monitor, with operation-level conflicts as in {!Checker}.
-    Retirement is a function of the fed actions alone, so two monitors
-    fed one trace agree.  [keep_history] (default [false]) turns it
-    off, for readers of the whole [SG(β)]: the sharded engines whose
-    edges a cross-shard gate reads (a top settled on one shard may not
-    be settled across shards), and offline tools that print the whole
-    graph or a witness order over it. *)
+    [hold] (default: holds no top) names the tops that may not settle
+    yet, asked of a top the watermark has passed, in report order, at
+    each top-level report: a held top counts as unsettled, so it and
+    every top reported after it stay, and it bounds the order floor.
+    Retirement is a function of the fed actions and the hold's answers,
+    so two monitors fed one trace with one hold agree.  A sharded
+    engine holds a top until the cross-shard gate has settled it too
+    (see [Nt_shard.Spine.settled]); readers of the whole [SG(β)] (a
+    witness order over it, a rendering of it) pass [fun _ -> true],
+    which retires nothing and costs no per-report work that grows with
+    the history. *)
 
 val feed : ?obs:Obs.t -> t -> Action.t -> alarm list
 (** Consume one action; returns the alarms it triggers (usually
@@ -125,12 +132,12 @@ val census : t -> (string * int) list
     under a parent that is not Dead) and retirement's own ([reported]
     not yet settled, [settled] not yet retired, [inner] and
     [footprint] per top).  All but [aborted] are bounded by what is
-    open and recent; [aborted] keeps every aborted transaction. *)
+    open, recent or held; [aborted] keeps every aborted transaction. *)
 
 val visible_operations : t -> Obj_id.t -> (Txn_id.t * Value.t) list
 (** The currently-visible operation sequence of an object, in response
-    order — the sequence the monitor replays.  Without [keep_history]
-    the records of retired tops are gone, and it lists the others. *)
+    order — the sequence the monitor replays.  The records of retired
+    tops are gone, and it lists the others. *)
 
 (** {2 Attribution}
 
@@ -159,10 +166,9 @@ type provenance = { kind : edge_kind; before : endpoint; after : endpoint }
 
 val graph : t -> provenance Graph.t
 (** The current serialization graph, each edge labelled with its first
-    witness (shared, do not mutate): without [keep_history], the nodes
-    not retired.  While no cycle has been detected, [Sg.witness_order
-    (graph t)] of a monitor that keeps history gives a witness sibling
-    order of Theorem 8. *)
+    witness (shared, do not mutate): the nodes not retired.  While no
+    cycle has been detected, [Sg.witness_order (graph t)] of a monitor
+    that holds every top gives a witness sibling order of Theorem 8. *)
 
 type prospective = (Txn_id.t * Txn_id.t * provenance) list
 (** Edges a speculated action would insert, with the provenance each

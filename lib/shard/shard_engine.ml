@@ -134,6 +134,16 @@ let extra_gate t u edges =
       | Spine.Admitted -> None
       | Spine.Vetoed { cycle; witness } -> Some (cycle, witness))
 
+(* The local monitor keeps a top until the spine has settled its merged
+   top (a piece waits for its whole program): until then a local commit
+   may still draw an edge at it that the rail does not order, and only
+   the local monitor can draw it.  A top with no merged prefix yet is
+   kept. *)
+let hold t u =
+  match merged_g t u with
+  | Some g -> not (Spine.settled t.spine g)
+  | None -> true
+
 (* Bare mode: the engine's own completion hook reports each top at its
    [Commit]/[Abort], with the outcome the engine already holds; every
    top is a whole program there. *)
@@ -167,7 +177,9 @@ let create ?policy ?inform_policy ?abort_prob ?max_steps ?obs
   let objects = Partition.objects_of partition shard in
   let eng =
     if merged then
-      create ~on_action:(tap t) ~extra_gate:(extra_gate t) objects factory
+      create ~on_action:(tap t)
+        ~upper:{ Admission.gate = extra_gate t; hold = hold t }
+        objects factory
     else
       create ?clock
         ~on_top_complete:(fun u oc ->

@@ -28,7 +28,14 @@
       no top-level prospective edges skip the spine — that fast path
       is exact, not heuristic: only edges incident to the committing
       top can close a new global cycle, and they are all in the
-      prospective set.
+      prospective set;
+    - {e the hold} — the local monitor retires settled tops like a
+      single engine's, but holds each until {!Spine.settled} holds for
+      its merged top (a piece waits for its whole program; a top with
+      no merged prefix yet is held), so every spine decision is the one
+      shard monitors keeping their whole history give (the argument is
+      in [doc/sharding.mld]).  A hold is asked again only at the
+      shard's next local top-level report.
 
     A {e bare} wrapper (the only shard) does none of this — its trace
     is the merged one and it holds no cross-shard cycle — and reports

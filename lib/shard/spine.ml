@@ -14,6 +14,7 @@ type t = {
   mutable nodes : node array;
   mutable n_nodes : int;
   mutable frontier : int list;  (* the maximal reported tops *)
+  mutable low : int;  (* the least noted top not yet reported *)
   mutable installs : int;  (* shipped edges installed *)
   mutable checks : int;
   mutable vetoes : int;
@@ -27,6 +28,7 @@ let create () =
     nodes = [||];
     n_nodes = 0;
     frontier = [];
+    low = 0;
     installs = 0;
     checks = 0;
     vetoes = 0;
@@ -74,7 +76,18 @@ let note_complete t g =
       n.complete <- s;
       t.frontier <-
         g :: List.filter (fun u -> t.nodes.(u).complete > n.submit) t.frontier;
+      while t.low < t.n_nodes && t.nodes.(t.low).complete >= 0 do
+        t.low <- t.low + 1
+      done;
       s)
+
+(* Tops are noted in submit order, so [low]'s request is the earliest
+   among open tops: [T0.g] reported before every open top was
+   requested, and before every top noted later. *)
+let settled t g =
+  locked t (fun () ->
+      let c = (node t g).complete in
+      c >= 0 && (t.low = t.n_nodes || c < t.nodes.(t.low).submit))
 
 (* [T0.a] reported before [T0.b] was requested. *)
 let railed t a b =

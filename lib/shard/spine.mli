@@ -61,6 +61,15 @@ val note_complete : t -> int -> int
     tops are rail sources too) and return the stamp: [T0.g] joins the
     frontier. *)
 
+val settled : t -> int -> bool
+(** Whether [T0.g] reported before every top not yet reported was
+    requested: its report stamp is below the request stamp of the least
+    noted top not yet reported (or every noted top has reported).  Each
+    edge at [T0.g] a shard could still present then leads to a later
+    request, which the rail orders, so a shard may forget [T0.g] (see
+    [Shard_engine]).  Once true, it stays true.  Raises
+    [Invalid_argument] if [g] was never noted. *)
+
 type verdict =
   | Admitted
   | Vetoed of { cycle : Txn_id.t list; witness : string }

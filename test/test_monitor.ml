@@ -115,7 +115,7 @@ let t_agrees_with_offline () =
           let r = run_protocol ~abort_prob ~seed schema factory forest in
           let beta = Trace.serial r.Runtime.trace in
           let offline = Sg.build Sg.Operation_level schema beta in
-          let m = Monitor.create ~keep_history:true schema in
+          let m = Monitor.create ~hold:(fun _ -> true) schema in
           let alarms = feed_checked schema m r.Runtime.trace in
           let sorted_edges g =
             List.sort compare
@@ -241,7 +241,7 @@ let t_counters () =
       in
       let r = run_protocol ~seed:5 schema factory forest in
       let m = Monitor.create schema in
-      let kept = Monitor.create ~keep_history:true schema in
+      let kept = Monitor.create ~hold:(fun _ -> true) schema in
       let cycles = ref 0 and inapps = ref 0 in
       Array.iter
         (fun a ->
@@ -406,7 +406,7 @@ let t_witness_order () =
       { Gen.default with n_top = 6; depth = 2; n_objects = 3 }
   in
   let r = run_protocol ~abort_prob:0.05 ~seed:9 schema Moss_object.factory forest in
-  let m = Monitor.create ~keep_history:true schema in
+  let m = Monitor.create ~hold:(fun _ -> true) schema in
   let alarms = Monitor.feed_trace m r.Runtime.trace in
   check_bool "no alarms" true (alarms = []);
   match Sg.witness_order (Monitor.graph m) with
@@ -739,7 +739,7 @@ let t_order_tripwire () =
                 ~seed:sc.Check.sched_seed schema (Check.factory_of backend)
                 sc.Check.forest
             in
-            let m = Monitor.create ~keep_history:true schema in
+            let m = Monitor.create ~hold:(fun _ -> true) schema in
             ignore (Monitor.feed_trace m r.Runtime.trace);
             let g = Monitor.graph m in
             List.iter
@@ -877,6 +877,46 @@ let t_settled_behind_unsettled_stays () =
   | Ok a -> check_int "one veto" 1 a.Check.ra_vetoes
   | Error e -> Alcotest.fail e
 
+(* A monitor that holds every top (what readers of the whole graph
+   pass) retires nothing, and asks the hold about one top per top-level
+   report at most, however long the run: the drain stops at the first
+   held top.  A gated SmallBank closed loop of 1 000 programs is fed to
+   one whose hold counts its calls. *)
+let t_hold_all_asks_once_per_report () =
+  let programs = 1000 in
+  let actions = ref [] in
+  let eng =
+    smallbank_loop ~on_action:(fun a -> actions := a :: !actions) ~programs ()
+  in
+  let calls = ref 0 and reports = ref 0 in
+  let m =
+    Monitor.create
+      ~hold:(fun _ ->
+        incr calls;
+        true)
+      (Engine.schema eng)
+  in
+  List.iter
+    (fun a ->
+      (match a with
+      | Action.Report_commit (u, _) | Action.Report_abort u
+        when Txn_id.depth u = 1 ->
+          incr reports
+      | _ -> ());
+      ignore (Monitor.feed m a))
+    (List.rev !actions);
+  check_int "every top reported" programs !reports;
+  check_bool "the hold was asked" true (!calls > 0);
+  if !calls > !reports then
+    Alcotest.failf "%d hold calls for %d top-level reports" !calls !reports;
+  let census = Monitor.census m in
+  check_int "no top settled" 0 (List.assoc "settled" census);
+  check_int "every report waits" programs (List.assoc "reported" census);
+  for i = 0 to programs - 1 do
+    if Graph.position (Monitor.graph m) (Txn_id.child Txn_id.root i) = None
+    then Alcotest.failf "top %d left the graph" i
+  done
+
 let suite =
   ( "monitor",
     [
@@ -906,4 +946,6 @@ let suite =
         t_retirement_changes_no_verdict;
       Alcotest.test_case "settled top behind an unsettled one stays" `Quick
         t_settled_behind_unsettled_stays;
+      Alcotest.test_case "holding every top asks once per report" `Quick
+        t_hold_all_asks_once_per_report;
     ] )
