@@ -1,40 +1,21 @@
 open Nt_base
 
-(* The graph maintains, next to the adjacency, a topological order
-   of its nodes (Pearce-Kelly): [ord] maps every node to a distinct
-   integer such that ord(x) < ord(y) for every edge x -> y, as long as
-   the graph is acyclic.  Inserting an edge a -> b with
-   ord(a) < ord(b) is O(1); otherwise only the "affected region"
-   (nodes with order between ord(b) and ord(a)) is searched and
-   renumbered.  The forward search either certifies that no path
-   b ~> a exists — so the region can be reordered and the order
-   invariant restored — or returns that path as the witness of the
-   cycle the new edge closes.
+(* Pearce-Kelly (DESIGN.md §4): [ord] keeps a topological order of the
+   nodes while the graph is acyclic; an insertion against it searches
+   and renumbers only the affected region, and after the first accepted
+   cycle each insertion is a plain reachability search, [first_cycle]
+   keeping acyclicity queries O(1).  An edge's label is the value of
+   its successor map, held once.  Maps iterate in ascending id order,
+   so no search depends on the labels.
 
-   Once a cycle-closing edge has been accepted, no topological order
-   exists and the invariant cannot be repaired; the graph degrades to
-   a per-insertion reachability search (exactly the cost profile a
-   cyclic monitor run had anyway — after the first alarm every further
-   verdict is already decided).  [first_cycle] caches the first
-   witness, so acyclicity queries stay O(1) in both regimes.
-
-   An edge's label is the value of its successor map, held once: a
-   duplicate keeps the first.  Maps iterate in ascending id order, as
-   sets do, so no search depends on the labels.
-
-   Node names are interned to dense integer ids at [add_node]: the hot
-   paths (order lookups, the bounded searches, the renumbering) touch
-   only int arrays, maps and sets, never hashing a transaction name.
-   The search worklists reuse a round-stamped [mark] array, so a
-   search allocates nothing proportional to the graph.
-
-   A removed node leaves its slot behind: position -1, no edges, its
-   name out of [ids].  Ids are never reused, so a new node still takes
-   the next id and the next position, after every other.  Once the
-   removed slots outnumber the live ones, [compact] renumbers the live
-   nodes' ids and positions to 0..live-1, each in its old relative
-   order: the successor maps iterate as before and the maintained
-   order is unchanged, so no later search can tell. *)
+   Names are interned to dense ids at [add_node], so the hot paths
+   touch only int arrays, maps and sets, and the searches reuse a
+   round-stamped [mark] array.  A removed node leaves its slot behind
+   (position -1, no edges, its name out of [ids]); ids are never
+   reused, so a new node still takes the next id and position.  Once
+   removed slots outnumber live ones, [compact] renumbers the live
+   nodes' ids and positions densely, each in its old relative order,
+   so no later search can tell. *)
 
 module Int_set = Set.Make (Int)
 module Int_map = Map.Make (Int)

@@ -51,29 +51,23 @@ type obj_state = {
 
 type t = {
   schema : Schema.t;
-  hold : Txn_id.t -> bool;  (* a top not to settle yet (see [settle]) *)
+  hold : Txn_id.t -> bool;  (* a top not to settle yet (see [Rail.retire]) *)
   g : provenance Graph.t;  (* each edge labelled with its first witness *)
   aborted : unit Txn_id.Tbl.t;
   waiters : Txn_id.t list Txn_id.Tbl.t;
       (* top -> the Pending transactions under it, newest first *)
   items : item list Txn_id.Tbl.t;
       (* Pending transaction -> what to do when it becomes visible *)
-  frontier : (Txn_id.t * int) list Txn_id.Tbl.t;
-      (* parent -> its maximal reported children (see [report]), each
-         with the report's feed index *)
-  requested : int Txn_id.Tbl.t;
-      (* open request -> its feed index, until the report *)
+  root : Rail.t;  (* T0's precedes rail, which retires settled tops *)
+  rails : Rail.t Txn_id.Tbl.t;
+      (* inner parent -> its precedes rail, from its first child's
+         request until it commits or is Dead *)
   objects : obj_state Obj_id.Tbl.t;
   mutable pending_edges : (Txn_id.t * Txn_id.t * provenance) list;
       (* edges inserted by the current feed, for the event stream *)
   mutable walked : (Txn_id.t * (item * prospective) list) option;
       (* the walk [prospective_commit_edges] made for a top, until the
          next feed: a [Commit] of that top applies it *)
-  reported : (Txn_id.t * int) Queue.t;
-      (* reported tops not yet settled, with their report indices, in
-         report order *)
-  mutable settled : Txn_id.t list;
-      (* settled tops not yet retired, in report order *)
   inner : Txn_id.t list Txn_id.Tbl.t;
       (* committed top -> the nodes below it its commit added *)
   footprint : Obj_id.t list Txn_id.Tbl.t;
@@ -99,13 +93,11 @@ let create ?(hold = fun _ -> false) schema =
     aborted = Txn_id.Tbl.create 16;
     waiters = Txn_id.Tbl.create 64;
     items = Txn_id.Tbl.create 64;
-    frontier = Txn_id.Tbl.create 16;
-    requested = Txn_id.Tbl.create 32;
+    root = Rail.create ~retiring:true;
+    rails = Txn_id.Tbl.create 16;
     objects;
     pending_edges = [];
     walked = None;
-    reported = Queue.create ();
-    settled = [];
     inner = Txn_id.Tbl.create 16;
     footprint = Txn_id.Tbl.create 16;
     n_edges = 0;
@@ -127,19 +119,12 @@ let counters t =
     inappropriate_alarms = t.n_inappropriate_alarms;
   }
 
-(* Visibility.  The input is a generic behavior, so its transactions
-   are well-formed: one requests commit only after every child it
-   requested has reported, and the controller commits only what
-   requested commit.  Commits therefore run bottom-up, and a
-   transaction's activity becomes visible to T0 exactly when its
-   top-level ancestor commits, unless it or an ancestor aborted first.
-   A non-root transaction is Pending from the first question about it
-   until one of the two happens, registered under its top alone: the
-   top's Commit wakes the transactions registered under it, newest
-   first, and an inner commit wakes nothing.  That order is the
-   activation order, which fixes edge insertion order, hence the
-   maintained order and each edge's witness.  On an ill-formed trace
-   the monitor stays total; its verdict there is unspecified. *)
+(* Visibility arrives with the top-level commit (DESIGN.md §4): a
+   non-root transaction is Pending from the first question about it
+   until its top commits or it or an ancestor aborts, registered under
+   its top alone, whose Commit wakes them newest first.  That order
+   fixes edge insertion order, hence the maintained order and each
+   edge's witness. *)
 
 let dependents t top =
   match Txn_id.Tbl.find_opt t.waiters top with Some l -> l | None -> []
@@ -148,10 +133,6 @@ let top_of u = Txn_id.child_of_on_path ~ancestor:Txn_id.root u
 
 let footprint t top =
   match Txn_id.Tbl.find_opt t.footprint top with Some l -> l | None -> []
-
-(* Whether settled tops still retire (see [settle]), and so what
-   retirement reads is still kept. *)
-let retiring t = Graph.is_acyclic t.g
 
 (* [u] or an ancestor aborted. *)
 let dead t u = List.exists (Txn_id.Tbl.mem t.aborted) (Txn_id.ancestors u)
@@ -173,10 +154,8 @@ let add_item t u item =
 
 let is_visible r = match r.status with Visible -> true | Dead | Pending -> false
 
-(* Insert through the incremental detector: {!Graph.add_edge_checked}
-   maintains a topological order and searches only the region the new
-   edge can disturb, so most insertions are O(1) and none re-walks the
-   whole graph.  The edge keeps [prov] as its label. *)
+(* Insert through the incremental detector ({!Graph.add_edge_checked});
+   the edge keeps [prov] as its label. *)
 let insert_edge t ~prov a b =
   if Txn_id.equal a b || Graph.mem_edge t.g a b then []
   else begin
@@ -300,17 +279,17 @@ let wake t w =
   steps
 
 (* A commit arrived: apply its walk in order.  [w] requested commit, so
-   it requests no more children and its frontier goes.  The replay
+   it requests no more children and its rail goes.  The replay
    check is deferred to the end of the fed action (a single commit can
    wake several operations, and replaying between the wakeups of one
    commit would examine a state no prefix of the behavior exhibits). *)
 let process_commit t touched w steps =
-  Txn_id.Tbl.remove t.frontier w;
+  Txn_id.Tbl.remove t.rails w;
   List.iter (Txn_id.Tbl.remove t.items) (dependents t w);
   Txn_id.Tbl.remove t.waiters w;
   (* The nodes below [w] enter the graph at this walk and nowhere
      else, so retiring [w] removes exactly these with it. *)
-  if retiring t && steps <> [] then begin
+  if steps <> [] then begin
     let below =
       List.concat_map
         (fun (item, edges) ->
@@ -339,17 +318,12 @@ let process_commit t touched w steps =
 
 let process_abort t w =
   Txn_id.Tbl.replace t.aborted w ();
-  (* Every proper descendant of [w] is Dead, and no precedes edge is
-     ever drawn under a Dead parent: their open requests and frontiers
-     go, so both indexes hold live transactions only. *)
-  let below u = Txn_id.is_proper_ancestor w u in
-  Txn_id.Tbl.remove t.frontier w;
+  (* [w] and every descendant are Dead, and no precedes edge is ever
+     drawn under a Dead parent: their rails go, so the rails are those
+     of live parents only. *)
   Txn_id.Tbl.filter_map_inplace
-    (fun u at -> if below u then None else Some at)
-    t.requested;
-  Txn_id.Tbl.filter_map_inplace
-    (fun p l -> if below p then None else Some l)
-    t.frontier;
+    (fun p r -> if Txn_id.is_ancestor w p then None else Some r)
+    t.rails;
   (* [w] and its descendants registered under [w]'s top are Dead, and
      so are the operations they queued. *)
   let kill u =
@@ -405,51 +379,11 @@ let account ~obs t ~edges_before alarms =
   end;
   t.pending_edges <- []
 
-let frontier t p =
-  match Txn_id.Tbl.find_opt t.frontier p with Some l -> l | None -> []
-
-(* Precedes is an interval order: [s -> v] iff [s] reported before [v]
-   was requested.  So a request draws edges from the maximal reported
-   siblings only, the frontier.  At the report of [u], every member
-   that reported before [u] was requested leaves: its edge to any later
-   request [v] is implied by [s -> u -> v], both edges drawn under the
-   one parent and so activated together (by induction on report order,
-   whatever [u]'s own fate).  Reachability, hence every cycle, is that
-   of the full relation.  A report under a Dead parent adds nothing. *)
-let report t u now =
-  let req =
-    match Txn_id.Tbl.find_opt t.requested u with Some at -> at | None -> 0
-  in
-  Txn_id.Tbl.remove t.requested u;
-  let p = Txn_id.parent_exn u in
-  if not (dead t p) then
-    let l = frontier t p in
-    if not (List.exists (fun (s, _) -> Txn_id.equal u s) l) then
-      Txn_id.Tbl.replace t.frontier p
-        ((u, now) :: List.filter (fun (_, rep) -> rep > req) l)
-
-(* Retirement.  A top [s] is settled once it reported before every
-   open top was requested.  Then every top that can order before [s]
-   (one requested before [s] reported) has reported, its work visible
-   or Dead, so every edge into [s] is drawn: an edge into a top comes
-   from one requested before the top reported, and edges between two
-   reported tops are drawn by the later of their commits.  Later edges
-   at [s] all leave it.
-
-   Settled alone is not enough to drop [s]: a reported top [r] that is
-   not settled may still gain an edge from an open top (a dirty read of
-   the open top's write by [r]) and reach [s] through an older edge.
-   So [s] retires only when every top before it in the maintained
-   order is settled as well.  Its predecessors are all before it, so
-   nothing left in the graph reaches it, and nothing ever will.  What
-   retires is thus a prefix of T0's children in the order; each later
-   insertion between the others searches and renumbers only positions
-   after it.  On the nodes that stay, the order, every search, witness
-   and verdict is the one a monitor keeping the whole history has, and
-   so is the intern order (see [Request_create]).  Retiring [s] drops
-   its records, the nodes below it, and its place in T0's frontier.
-   After a cycle alarm nothing retires: the order is gone. *)
-let retire t tops =
+(* What the monitor keeps of the tops [Rail.retire] took out of T0's
+   rail and the graph: their records (the fold drops [tail]'s: no
+   Pending record precedes a settled one), the nodes their commits
+   added below them, and their footprints. *)
+let forget t tops =
   let gone = Txn_id.Tbl.create 8 in
   List.iter (fun s -> Txn_id.Tbl.replace gone s ()) tops;
   List.iter
@@ -462,50 +396,11 @@ let retire t tops =
     (List.sort_uniq Obj_id.compare (List.concat_map (footprint t) tops));
   List.iter
     (fun s ->
-      Graph.remove_node t.g s;
-      (match Txn_id.Tbl.find_opt t.inner s with
-      | Some below -> List.iter (Graph.remove_node t.g) below
-      | None -> ());
+      List.iter (Graph.remove_node t.g)
+        (Option.value ~default:[] (Txn_id.Tbl.find_opt t.inner s));
       Txn_id.Tbl.remove t.inner s;
       Txn_id.Tbl.remove t.footprint s)
-    tops;
-  Txn_id.Tbl.replace t.frontier Txn_id.root
-    (List.filter
-       (fun (s, _) -> not (Txn_id.Tbl.mem gone s))
-       (frontier t Txn_id.root))
-
-(* Top [u] reported at [now]: settle what the watermark (the earliest
-   request among open tops) has passed, in report order up to the first
-   held top, then retire the settled tops placed before every unsettled
-   one.  The drain asks the hold about one top it does not settle, and
-   the floor reads the unsettled reports only when some top waits to
-   retire, so holding every top costs no work that grows with history. *)
-let settle t u now =
-  if retiring t then begin
-    Queue.push (u, now) t.reported;
-    let pos v = Option.value ~default:max_int (Graph.position t.g v) in
-    let watermark, floor =
-      Txn_id.Tbl.fold
-        (fun v at (w, f) ->
-          if Txn_id.depth v = 1 then (min w at, min f (pos v)) else (w, f))
-        t.requested (max_int, max_int)
-    in
-    let rec drain acc =
-      match Queue.peek_opt t.reported with
-      | Some (s, reported_at) when reported_at < watermark && not (t.hold s)
-        ->
-          ignore (Queue.pop t.reported);
-          drain (s :: acc)
-      | _ -> List.rev acc
-    in
-    t.settled <- t.settled @ drain [];
-    if t.settled <> [] then begin
-      let floor = Queue.fold (fun m (v, _) -> min m (pos v)) floor t.reported in
-      let go, stay = List.partition (fun s -> pos s < floor) t.settled in
-      t.settled <- stay;
-      if go <> [] then retire t go
-    end
-  end
+    tops
 
 let feed ?(obs = Obs.null) t (a : Action.t) =
   let walked = t.walked in
@@ -514,16 +409,9 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
   let now = t.n_feeds in
   let edges_before = t.n_edges in
   let touched = ref [] in
-  (* Node tracking: the offline construction adds a node for the
-     lowtransaction of every visible serial event.  Online it suffices
-     to watch Commit/Abort actions — for any other serial event of u,
-     visibility of the event implies Commit u occurred and is itself
-     visible, so the Commit already supplies u's node; and a
-     Request_create/Report event's lowtransaction is the parent, whose
-     own Commit/Abort (or an ancestor chain ending at T0) covers it.
-     This keeps isolated nodes no edge ever reaches in the graph,
-     which the witness sibling order must still cover (suitability
-     condition (1)). *)
+  (* A node for the lowtransaction of each visible Commit/Abort covers
+     every visible serial event's, isolated ones included, as
+     suitability condition (1) needs (DESIGN.md §4). *)
   (match a with
   | Action.Commit u | Action.Abort u when not (Txn_id.is_root u) -> (
       let p = Txn_id.parent_exn u in
@@ -550,12 +438,10 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
             (* An alarmed object is never replayed again. *)
             if not ost.obj_alarmed then ost.tail <- ost.tail @ [ record ];
             add_item t u (Activate_op (x, record));
-            if retiring t then begin
-              let top = top_of u in
-              let objs = footprint t top in
-              if not (List.exists (Obj_id.equal x) objs) then
-                Txn_id.Tbl.replace t.footprint top (x :: objs)
-            end
+            let top = top_of u in
+            let objs = footprint t top in
+            if not (List.exists (Obj_id.equal x) objs) then
+              Txn_id.Tbl.replace t.footprint top (x :: objs)
           end;
           [])
   | Action.Commit u ->
@@ -571,21 +457,37 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
       process_abort t u;
       []
   | Action.Report_commit (u, _) | Action.Report_abort u ->
-      if not (Txn_id.is_root u) then begin
-        report t u now;
-        if Txn_id.depth u = 1 then settle t u now
-      end;
+      (* A report under a Dead parent adds nothing: its rail is gone. *)
+      (if Txn_id.depth u = 1 then begin
+         Rail.report t.root u now;
+         match Rail.retire ~hold:t.hold t.root t.g with
+         | [] -> ()
+         | tops -> forget t tops
+       end
+       else
+         match Option.bind (Txn_id.parent u) (Txn_id.Tbl.find_opt t.rails) with
+         | Some r -> Rail.report r u now
+         | None -> ());
       []
   | Action.Request_create u when not (Txn_id.is_root u) ->
       let p = Txn_id.parent_exn u in
       let visible = Txn_id.is_root p in
       if not (visible || pending t p) then []
       else begin
-        Txn_id.Tbl.replace t.requested u now;
+        let rail =
+          if visible then t.root
+          else
+            match Txn_id.Tbl.find_opt t.rails p with
+            | Some r -> r
+            | None ->
+                let r = Rail.create ~retiring:false in
+                Txn_id.Tbl.add t.rails p r;
+                r
+        in
         (* Once a top has reported, T0's frontier draws an edge to every
            later top at its request unless retirement emptied it: the
            node enters here either way, so ids keep one order. *)
-        if visible && Txn_id.Tbl.mem t.frontier p then Graph.add_node t.g u;
+        if visible && Rail.reported_any rail then Graph.add_node t.g u;
         List.concat_map
           (fun (sib, reported_at) ->
             let prov =
@@ -600,7 +502,7 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
               add_item t p (Activate_edge (sib, u, prov));
               []
             end)
-          (frontier t p)
+          (Rail.request rail u now)
       end
   | Action.Create _ | Action.Inform_commit _ | Action.Inform_abort _
   | Action.Request_create _ | Action.Abort _ ->
@@ -614,12 +516,16 @@ let feed ?(obs = Obs.null) t (a : Action.t) =
   account ~obs t ~edges_before all;
   all
 
-let frontier_width t p = List.length (frontier t p)
-
 let census t =
   let records f =
     Obj_id.Tbl.fold (fun _ ost n -> n + List.length (f ost)) t.objects 0
-  and size tbl = Txn_id.Tbl.length tbl in
+  and size tbl = Txn_id.Tbl.length tbl
+  and rails k =
+    Txn_id.Tbl.fold
+      (fun _ r n -> n + List.assoc k (Rail.census r))
+      t.rails
+      (List.assoc k (Rail.census t.root))
+  in
   [
     ("ops", records (fun ost -> ost.ops));
     ("tail", records (fun ost -> ost.tail));
@@ -628,10 +534,10 @@ let census t =
     ("aborted", size t.aborted);
     ("waiters", size t.waiters);
     ("items", size t.items);
-    ("frontier", Txn_id.Tbl.fold (fun _ l n -> n + List.length l) t.frontier 0);
-    ("requested", size t.requested);
-    ("reported", Queue.length t.reported);
-    ("settled", List.length t.settled);
+    ("frontier", rails "frontier");
+    ("requested", rails "requested");
+    ("reported", rails "reported");
+    ("settled", rails "settled");
     ("inner", size t.inner);
     ("footprint", size t.footprint);
   ]

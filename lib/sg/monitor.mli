@@ -29,32 +29,21 @@
     - the serialization graph ([conflict ∪ precedes] over visible
       activity), with {e incremental} cycle detection on every edge
       insertion — raising {!constructor:Cycle} with the witness.
-      Precedes is an interval order (a sibling precedes every request
-      made after its report), so a request draws precedes edges only
-      from its parent's {e frontier}, the maximal reported siblings
-      ({!frontier_width}): the graph is a subset of [SG(β)] with the
-      same reachability at every prefix, hence the same cycles.  The
-      graph maintains a topological order (Pearce–Kelly; see
+      Precedes edges come from one {!Rail} per parent, drawn from its
+      frontier only: the graph is a subset of [SG(β)] with the same
+      reachability at every prefix, hence the same cycles.  The graph
+      maintains a topological order (Pearce–Kelly; see
       {!Graph.add_edge_checked}), so an insertion that respects the
-      order is O(1) and the rest search only the affected region:
-      monitoring a trace costs near-linearly in its length instead of
-      a full graph traversal per edge;
-    - only what can still close a cycle.  A top is {e settled} once it
-      reported before every open top was requested: every edge into it
-      is then drawn, and every later edge at it leaves it.  A settled
-      top {e retires} (its records, its node and the nodes below it
-      leave the monitor, and it leaves T0's frontier) once every top
-      placed before it in the maintained order is settled too, so that
-      nothing left in the graph reaches it, now or later; settled alone
-      is not enough, since an unsettled reported top may still gain an
-      edge from an open one (a dirty read) and reach it.  The graph is
-      then the subgraph of the whole-history one induced on the nodes
-      that stay, with the same order on them: every alarm, witness and
-      gate verdict is the one the whole history gives.  After a cycle
-      alarm nothing retires.  A caller may also {e hold} a top (see
-      {!create}): it then stays unsettled however old it is, which only
-      delays retirement.  The conflict scan and the graph thus cost
-      what is open, recent or held, not the whole run.
+      order is O(1) and the rest search only the affected region;
+    - only what can still close a cycle.  At each top-level report
+      [T0]'s rail retires settled tops ({!Rail.retire}), and the
+      monitor drops their records and the nodes their commits added
+      below them.  The graph stays the whole-history one's subgraph
+      induced on the nodes left, with the same order on them, so every
+      alarm, witness and gate verdict is the whole history's.  A caller
+      may also {e hold} a top (see {!create}), which only delays its
+      retirement.  The conflict scan and the graph thus cost what is
+      open, recent or held, not the whole run.
 
     Because every prefix of a generic behavior is itself a behavior,
     a protocol that is serially correct for all behaviors never trips
@@ -90,16 +79,12 @@ type counters = {
 val create : ?hold:(Txn_id.t -> bool) -> Schema.t -> t
 (** A fresh monitor, with operation-level conflicts as in {!Checker}.
     [hold] (default: holds no top) names the tops that may not settle
-    yet, asked of a top the watermark has passed, in report order, at
-    each top-level report: a held top counts as unsettled, so it and
-    every top reported after it stay, and it bounds the order floor.
-    Retirement is a function of the fed actions and the hold's answers,
-    so two monitors fed one trace with one hold agree.  A sharded
-    engine holds a top until the cross-shard gate has settled it too
-    (see [Nt_shard.Spine.settled]); readers of the whole [SG(β)] (a
-    witness order over it, a rendering of it) pass [fun _ -> true],
-    which retires nothing and costs no per-report work that grows with
-    the history. *)
+    yet ({!Rail.retire}).  Retirement is a function of the fed actions
+    and the hold's answers, so two monitors fed one trace with one hold
+    agree.  A sharded engine holds a top until the cross-shard gate has
+    settled it too (see [Nt_shard.Spine.settled]); readers of the whole
+    [SG(β)] (a witness order over it, a rendering of it) pass
+    [fun _ -> true], which retires nothing. *)
 
 val feed : ?obs:Obs.t -> t -> Action.t -> alarm list
 (** Consume one action; returns the alarms it triggers (usually
@@ -116,23 +101,15 @@ val counters : t -> counters
 val alarmed : t -> bool
 (** Whether any alarm has fired so far. *)
 
-val frontier_width : t -> Txn_id.t -> int
-(** How many reported children of a parent precedes edges are still
-    drawn from: the maximal ones, each reported after the latest
-    request among the others was made.  They were all open at one
-    moment, so the width never exceeds the most children ever open at
-    once.  0 once the parent commits or aborts. *)
-
 val census : t -> (string * int) list
 (** The element count of every table and list the monitor keeps, by
     name: the records ([ops], and [tail] behind the replay's folded
     prefix), [graph.nodes] and [graph.edges], [aborted], the
-    visibility queues ([waiters], [items]), the precedes indexes
-    ([frontier] entries, and [requested]: requests not yet reported
-    under a parent that is not Dead) and retirement's own ([reported]
-    not yet settled, [settled] not yet retired, [inner] and
-    [footprint] per top).  All but [aborted] are bounded by what is
-    open, recent or held; [aborted] keeps every aborted transaction. *)
+    visibility queues ([waiters], [items]), the {!Rail.census} of every
+    rail summed ([frontier], [requested], [reported], [settled]) and
+    retirement's own [inner] and [footprint] per top.  All but
+    [aborted] are bounded by what is open, recent or held; [aborted]
+    keeps every aborted transaction. *)
 
 val visible_operations : t -> Obj_id.t -> (Txn_id.t * Value.t) list
 (** The currently-visible operation sequence of an object, in response
@@ -196,14 +173,9 @@ val pp_provenance : Format.formatter -> provenance -> unit
 
     For serving-time admission control (see [Nt_net.Admission]): decide
     {e before} performing a top-level commit whether feeding it would
-    close an SG cycle.  The key structural fact (see DESIGN.md) is that
-    in this construction only a top-level [Commit] can close a cycle —
-    an access response of an uncommitted transaction is always deferred
-    as a visibility item, a [Request_create] precedes-edge targets a
-    brand-new node with no outgoing edges, and deferred items wake only
-    at their top's commit, so an inner commit inserts no edge — so
-    vetoing exactly the cycle-closing top-level commits keeps the graph
-    acyclic with zero false negatives.
+    close an SG cycle.  Only a top-level [Commit] can (DESIGN.md §4),
+    so vetoing exactly the cycle-closing ones keeps the graph acyclic
+    with zero false negatives.
 
     A top's commit is one walk over the work registered under it: the
     nodes it adds, the operations it makes visible and the edges they

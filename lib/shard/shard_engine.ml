@@ -134,11 +134,9 @@ let extra_gate t u edges =
       | Spine.Admitted -> None
       | Spine.Vetoed { cycle; witness } -> Some (cycle, witness))
 
-(* The local monitor keeps a top until the spine has settled its merged
-   top (a piece waits for its whole program): until then a local commit
-   may still draw an edge at it that the rail does not order, and only
-   the local monitor can draw it.  A top with no merged prefix yet is
-   kept. *)
+(* Until the spine has settled a top's merged top (a piece waits for
+   its whole program), a local commit may still draw an edge at it that
+   the rail does not order, and only the local monitor can. *)
 let hold t u =
   match merged_g t u with
   | Some g -> not (Spine.settled t.spine g)

@@ -29,13 +29,10 @@
       is exact, not heuristic: only edges incident to the committing
       top can close a new global cycle, and they are all in the
       prospective set;
-    - {e the hold} — the local monitor retires settled tops like a
-      single engine's, but holds each until {!Spine.settled} holds for
-      its merged top (a piece waits for its whole program; a top with
-      no merged prefix yet is held), so every spine decision is the one
-      shard monitors keeping their whole history give (the argument is
-      in [doc/sharding.mld]).  A hold is asked again only at the
-      shard's next local top-level report.
+    - {e the hold} — the local monitor holds each top until
+      {!Spine.settled} holds for its merged top (a piece waits for its
+      whole program), so every spine decision is the one shard monitors
+      keeping their whole history give ([doc/sharding.mld]).
 
     A {e bare} wrapper (the only shard) does none of this — its trace
     is the merged one and it holds no cross-shard cycle — and reports

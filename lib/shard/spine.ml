@@ -1,20 +1,14 @@
 open Nt_base
 open Nt_sg
 
-type node = {
-  submit : int;
-  mutable complete : int;  (* -1 until reported *)
-}
-
 type t = {
   mu : Mutex.t;
   seq : int Atomic.t;
   graph : string option Graph.t;
-      (* rail frontier edges ([None]) and shipped edges (their witness) *)
-  mutable nodes : node array;
-  mutable n_nodes : int;
-  mutable frontier : int list;  (* the maximal reported tops *)
-  mutable low : int;  (* the least noted top not yet reported *)
+      (* rail frontier edges ([None]) and shipped edges (their witness),
+         over the tops not retired *)
+  rail : Rail.t;  (* T0's, on the stamps *)
+  mutable noted : int;  (* tops noted: [0 .. noted - 1] *)
   mutable installs : int;  (* shipped edges installed *)
   mutable checks : int;
   mutable vetoes : int;
@@ -25,10 +19,8 @@ let create () =
     mu = Mutex.create ();
     seq = Atomic.make 0;
     graph = Graph.create ();
-    nodes = [||];
-    n_nodes = 0;
-    frontier = [];
-    low = 0;
+    rail = Rail.create ~retiring:true;
+    noted = 0;
     installs = 0;
     checks = 0;
     vetoes = 0;
@@ -42,57 +34,37 @@ let locked t f =
 
 let top_txn g = Txn_id.child Txn_id.root g
 
-let node t g =
-  if g < 0 || g >= t.n_nodes then invalid_arg "Spine: top never noted"
-  else t.nodes.(g)
+(* [T0.g]'s request and report stamps; [None] once it has retired. *)
+let times t g =
+  if g < 0 || g >= t.noted then invalid_arg "Spine: top never noted"
+  else Rail.times t.rail (top_txn g)
 
-(* The rail [u -> v iff u reported before v was requested] is an
-   interval order, kept as in [Monitor.report]: a request draws edges
-   from the frontier only, and a report retires every member that
-   reported before its own request — those reach it through the edge
-   its request drew.  Both notes stamp under the mutex, so notes arrive
-   in stamp order and the frontier is exact. *)
+(* Both notes stamp under the mutex, so notes arrive in stamp order and
+   the rail's frontier is exact. *)
 let note_submit t g =
   locked t (fun () ->
-      if g <> t.n_nodes then invalid_arg "Spine.note_submit: not the next top";
+      if g <> t.noted then invalid_arg "Spine.note_submit: not the next top";
       let s = stamp t in
-      if g = Array.length t.nodes then begin
-        let dummy = { submit = -1; complete = -1 } in
-        let nodes = Array.make (max 64 (2 * g)) dummy in
-        Array.blit t.nodes 0 nodes 0 g;
-        t.nodes <- nodes
-      end;
-      t.nodes.(g) <- { submit = s; complete = -1 };
-      t.n_nodes <- g + 1;
+      t.noted <- g + 1;
       let v = top_txn g in
       Graph.add_node t.graph v;
-      List.iter (fun u -> Graph.add_edge t.graph (top_txn u) v None) t.frontier;
+      List.iter
+        (fun (u, _) -> Graph.add_edge t.graph u v None)
+        (Rail.request t.rail v s);
       s)
 
 let note_complete t g =
   locked t (fun () ->
-      let n = node t g in
+      ignore (times t g);
       let s = stamp t in
-      n.complete <- s;
-      t.frontier <-
-        g :: List.filter (fun u -> t.nodes.(u).complete > n.submit) t.frontier;
-      while t.low < t.n_nodes && t.nodes.(t.low).complete >= 0 do
-        t.low <- t.low + 1
-      done;
+      Rail.report t.rail (top_txn g) s;
+      ignore (Rail.retire t.rail t.graph);
       s)
 
-(* Tops are noted in submit order, so [low]'s request is the earliest
-   among open tops: [T0.g] reported before every open top was
-   requested, and before every top noted later. *)
 let settled t g =
   locked t (fun () ->
-      let c = (node t g).complete in
-      c >= 0 && (t.low = t.n_nodes || c < t.nodes.(t.low).submit))
-
-(* [T0.a] reported before [T0.b] was requested. *)
-let railed t a b =
-  let c = (node t a).complete in
-  c >= 0 && c < (node t b).submit
+      ignore (times t g);
+      Rail.settled t.rail (top_txn g))
 
 type verdict =
   | Admitted
@@ -122,18 +94,27 @@ let edge_line t fresh a b =
   | Some w -> Printf.sprintf "%s -> %s [%s]" (name a) (name b) w
   | None ->
       Printf.sprintf "%s -> %s [rail: %s reported@%d before %s requested@%d]"
-        (name a) (name b) (name a) t.nodes.(a).complete (name b)
-        t.nodes.(b).submit
+        (name a) (name b) (name a)
+        (snd (Option.get (times t a)))
+        (name b)
+        (fst (Option.get (times t b)))
 
 let gate t ~top ~edges =
   locked t (fun () ->
-      ignore (node t top);
-      (* An edge the rail orders is already reachable through the
-         frontier edges, so it adds nothing: dropping it moves no
-         verdict, and no shipped edge ever lands on a rail edge. *)
-      match
-        List.filter (fun (a, b, _) -> a <> b && not (railed t a b)) edges
-      with
+      ignore (times t top);
+      (* A rail-ordered edge is already reachable through the frontier
+         edges: dropping it moves no verdict, and no shipped edge lands
+         on a rail edge.  Every edge leaving a retired top is one; none
+         can enter it ([doc/sharding.mld]). *)
+      let kept (a, b, _) =
+        a <> b
+        &&
+        match (times t a, times t b) with
+        | _, None -> invalid_arg "Spine.gate: an edge enters a retired top"
+        | None, Some _ -> false
+        | Some (_, reported), Some (requested, _) -> reported >= requested
+      in
+      match List.filter kept edges with
       | [] -> Admitted
       | edges -> (
           t.checks <- t.checks + 1;
@@ -177,4 +158,4 @@ let gate t ~top ~edges =
 let checks t = locked t (fun () -> t.checks)
 let vetoes t = locked t (fun () -> t.vetoes)
 let edge_count t = locked t (fun () -> t.installs)
-let node_count t = locked t (fun () -> t.n_nodes)
+let node_count t = locked t (fun () -> Graph.n_nodes t.graph)

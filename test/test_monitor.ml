@@ -481,24 +481,34 @@ let smallbank_loop ?(each_step = ignore) ?(factory = Moss_object.factory)
    no more SG edges per top in its last tenth than 1.5x its second
    (all-history precedes edges made that ratio grow with the run; the
    first tenth is warm-up, its tops having few older ones to conflict
-   with); T0's frontier never holds more tops than were open at once;
-   and the request index holds open requests only. *)
+   with); each parent's frontier never holds more children than were
+   ever open under it at once, so the census's [frontier], summed over
+   the rails, stays within those widths summed over the parents not yet
+   committed or aborted; and the request index holds open requests
+   only. *)
 let requested m = List.assoc "requested" (Monitor.census m)
 
 let t_state_grows_linearly () =
   let total = 2000 in
-  let open_requests = ref 0 and open_tops = ref 0 and most_open = ref 0 in
+  let open_requests = ref 0 in
+  (* parent -> (children open under it, the most ever open at once) *)
+  let width = Txn_id.Tbl.create 64 in
   let on_action = function
     | Action.Request_create u when not (Txn_id.is_root u) ->
         incr open_requests;
-        if Txn_id.depth u = 1 then begin
-          incr open_tops;
-          most_open := max !most_open !open_tops
-        end
+        let p = Txn_id.parent_exn u in
+        let now, most =
+          Option.value ~default:(0, 0) (Txn_id.Tbl.find_opt width p)
+        in
+        Txn_id.Tbl.replace width p (now + 1, max most (now + 1))
     | (Action.Report_commit (u, _) | Action.Report_abort u)
       when not (Txn_id.is_root u) ->
         decr open_requests;
-        if Txn_id.depth u = 1 then decr open_tops
+        let p = Txn_id.parent_exn u in
+        Option.iter
+          (fun (now, most) -> Txn_id.Tbl.replace width p (now - 1, most))
+          (Txn_id.Tbl.find_opt width p)
+    | Action.Commit w | Action.Abort w -> Txn_id.Tbl.remove width w
     | _ -> ()
   in
   (* [edges_at.(k)]: the edges inserted by the last step with [k] tops
@@ -508,10 +518,12 @@ let t_state_grows_linearly () =
     let m = Admission.monitor (Engine.admission eng) in
     let done_ = Engine.committed_top eng + Engine.aborted_top eng in
     edges_at.(done_) <- (Monitor.counters m).Monitor.edges;
-    if Monitor.frontier_width m Txn_id.root > !most_open then
-      Alcotest.failf "T0 frontier %d wider than the %d tops ever open at once"
-        (Monitor.frontier_width m Txn_id.root)
-        !most_open;
+    let frontier = List.assoc "frontier" (Monitor.census m)
+    and widest = Txn_id.Tbl.fold (fun _ (_, most) n -> n + most) width 0 in
+    if frontier > widest then
+      Alcotest.failf "frontiers hold %d, wider than the %d children ever open \
+                      at once under the live parents"
+        frontier widest;
     if requested m > !open_requests then
       Alcotest.failf "request index holds %d, only %d requests open"
         (requested m) !open_requests

@@ -178,12 +178,14 @@ let t_split_pieces () =
 
 let t_spine_rail_veto () =
   let sp = Spine.create () in
-  let g0 = 0 and g1 = 1 in
+  let g0 = 0 and g1 = 2 in
   ignore (Spine.note_submit sp g0);
+  ignore (Spine.note_submit sp 1);
   ignore (Spine.note_complete sp g0);
   ignore (Spine.note_submit sp g1);
   (* g0 reported before g1 was requested: the time rail runs g0 -> g1,
-     so an explicit g1 -> g0 conflict edge closes a cycle. *)
+     so an explicit g1 -> g0 conflict edge closes a cycle.  [T0.1],
+     open since before g0's report, keeps g0 unsettled, so it stays. *)
   (match Spine.gate sp ~top:g1 ~edges:[ (g1, g0, lazy "w(x) conflict") ] with
   | Spine.Vetoed { cycle; witness } ->
       check_bool "cycle names both tops" true
@@ -226,6 +228,37 @@ let t_spine_explicit_cycle () =
         && Astring_like.contains witness "e3")
   | Spine.Admitted -> Alcotest.fail "explicit 3-cycle admitted"
 
+(* A settled top behind an unsettled one stays: the Spine form of the
+   monitor's trace.  [T0.1] reports while [T0.0] is open, [T0.2] is
+   requested after, and a shipped [T0.0 -> T0.1] puts [T0.0] before
+   [T0.1] in the order.  Once [T0.0] reports, [T0.1] is settled but
+   [T0.0] is not, so [T0.1] stays, and [T0.2 -> T0.0] closes
+   [T0.2 -> T0.0 -> T0.1 -> T0.2] through its rail edge.  Retiring
+   [T0.1] on the watermark alone would lose the cycle. *)
+let t_spine_settled_behind_unsettled () =
+  let sp = Spine.create () in
+  ignore (Spine.note_submit sp 0);
+  ignore (Spine.note_submit sp 1);
+  let c1 = Spine.note_complete sp 1 in
+  let s2 = Spine.note_submit sp 2 in
+  (match Spine.gate sp ~top:0 ~edges:[ (0, 1, lazy "e0-1") ] with
+  | Spine.Admitted -> ()
+  | Spine.Vetoed _ -> Alcotest.fail "T0.0 -> T0.1 vetoed");
+  ignore (Spine.note_complete sp 0);
+  check_bool "T0.1 settled" true (Spine.settled sp 1);
+  check_bool "T0.0 not settled" false (Spine.settled sp 0);
+  match Spine.gate sp ~top:2 ~edges:[ (2, 0, lazy "e2-0") ] with
+  | Spine.Vetoed { cycle; witness } ->
+      check_bool "the three-top cycle" true
+        (List.map (fun u -> List.hd (Txn_id.path u)) cycle = [ 2; 0; 1 ]);
+      Alcotest.(check string) "witness lines"
+        (Printf.sprintf
+           "T0.2 -> T0.0 [e2-0]\nT0.0 -> T0.1 [e0-1]\nT0.1 -> T0.2 [rail: \
+            T0.1 reported@%d before T0.2 requested@%d]"
+           c1 s2)
+        witness
+  | Spine.Admitted -> Alcotest.fail "cycle through a settled top admitted"
+
 (* The gate checks every shipped edge, incident to the gated top or
    not: an edge between two other tops that closes a cycle is vetoed. *)
 let t_spine_non_incident_edge () =
@@ -243,15 +276,18 @@ let t_spine_non_incident_edge () =
   | Spine.Admitted -> Alcotest.fail "non-incident cycle-closing edge admitted");
   check_int "veto installs nothing" 1 (Spine.edge_count sp)
 
-(* The spine keeps the rail as frontier edges; a brute-force model keeps
-   the literal rail (every pair whose report stamp is below the other's
-   request stamp) next to the explicit edges and searches it by DFS.
-   Over seeded histories of notes, stray stamps and gates shipping
-   edges incident to the gated top, the two agree on every verdict and
-   on the installed-edge count (the model installs no rail-ordered
-   pair), and each veto witness line names an edge of the literal
-   graph: a rail-ordered pair with its two stamps, any other with its
-   shipped witness. *)
+(* The spine keeps the rail as frontier edges and forgets settled tops;
+   a brute-force model keeps the literal rail (every pair whose report
+   stamp is below the other's request stamp) over every noted top next
+   to the explicit edges and searches it by DFS.  Over seeded histories
+   of notes, stray stamps and gates shipping edges incident to the
+   gated top, the two agree on every verdict and on the installed-edge
+   count (the model installs no rail-ordered pair), and each veto
+   witness line names an edge of the literal graph: a rail-ordered pair
+   with its two stamps, any other with its shipped witness.  The gates
+   ship no edge into a settled top and none out of one that the rail
+   does not order, as no shard can (see doc/sharding.mld); an edge into
+   a retired top raises. *)
 let t_spine_frontier_rail_is_literal () =
   let vetoes = ref 0 in
   for seed = 1 to 300 do
@@ -264,6 +300,18 @@ let t_spine_frontier_rail_is_literal () =
       match (Hashtbl.find_opt complete a, Hashtbl.find_opt submit b) with
       | Some c, Some s -> c < s
       | _ -> false
+    in
+    (* Reported before every top still open was requested. *)
+    let settled a =
+      match Hashtbl.find_opt complete a with
+      | None -> false
+      | Some c ->
+          Hashtbl.fold
+            (fun b s ok -> ok && (Hashtbl.mem complete b || c < s))
+            submit true
+    in
+    let shippable (a, b, _) =
+      not (settled b || (settled a && not (rail a b)))
     in
     let cyclic fresh =
       let edge a b =
@@ -304,10 +352,13 @@ let t_spine_frontier_rail_is_literal () =
           | None -> ()
           | Some top ->
               let edges =
-                List.init (1 + Rng.int rng 3) (fun _ ->
-                    let x = Option.get (pick any) in
-                    let a, b = if Rng.bool rng then (top, x) else (x, top) in
-                    (a, b, Printf.sprintf "e%d-%d" a b))
+                List.filter shippable
+                  (List.init (1 + Rng.int rng 3) (fun _ ->
+                       let x = Option.get (pick any) in
+                       let a, b =
+                         if Rng.bool rng then (top, x) else (x, top)
+                       in
+                       (a, b, Printf.sprintf "e%d-%d" a b)))
               in
               let fresh =
                 List.sort_uniq compare
@@ -362,7 +413,15 @@ let t_spine_frontier_rail_is_literal () =
                 (Spine.edge_count sp))
     done
   done;
-  check_bool "the histories exercise the veto path" true (!vetoes > 50)
+  check_bool "the histories exercise the veto path" true (!vetoes > 50);
+  let sp = Spine.create () in
+  ignore (Spine.note_submit sp 0);
+  ignore (Spine.note_complete sp 0);
+  ignore (Spine.note_submit sp 1);
+  check_bool "an edge into a retired top raises" true
+    (match Spine.gate sp ~top:1 ~edges:[ (1, 0, lazy "e1-0") ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* ----- the deterministic sharded harness ----- *)
 
@@ -668,13 +727,15 @@ let t_spine_decisions_tripwire () =
     [ (11, 797, 343); (12, 714, 313); (13, 791, 334) ]
 
 (* Merged engines retire settled tops too, each once the spine has
-   settled it.  The closed loop runs 2 000 programs, and a sample every
-   97 steps reads each shard monitor's records, nodes and edges;
-   averaged over the whole run, each stays within 1.5x of its average
-   over the first 500 programs (a shard monitor keeping its whole
-   history grows about tenfold).  The graph need not be empty at
-   quiescence: a shard asks the spine again only at its next local
-   top-level report. *)
+   settled it, and the spine retires them from its own graph.  The
+   closed loop runs 2 000 programs, and a sample every 97 steps reads
+   each shard monitor's records, nodes and edges and the spine's live
+   tops; averaged over the whole run, each stays within 1.5x of its
+   average over the first 500 programs (a shard monitor keeping its
+   whole history grows about tenfold, and a spine keeping every merged
+   top about fourfold).  The graphs need not be empty at quiescence: a
+   shard asks the spine again only at its next local top-level report,
+   and the spine retires only at a report. *)
 let t_merged_engines_retire () =
   let total = 2000 and early = 500 in
   let keys = [ "ops"; "graph.nodes"; "graph.edges" ] in
@@ -689,6 +750,10 @@ let t_merged_engines_retire () =
     if !steps mod 97 = 0 then begin
       let rt = Shard_cluster.router cl in
       let done_ = Shard_router.submitted rt - Shard_router.pending rt in
+      let sample who k v =
+        add (`Run, who, k) v;
+        if done_ < early then add (`Early, who, k) v
+      in
       for s = 0 to Shard_cluster.shards cl - 1 do
         let census =
           Monitor.census
@@ -697,12 +762,10 @@ let t_merged_engines_retire () =
                   (Shard_engine.engine (Shard_cluster.engine cl s))))
         in
         List.iter
-          (fun k ->
-            let v = List.assoc k census in
-            add (`Run, s, k) v;
-            if done_ < early then add (`Early, s, k) v)
+          (fun k -> sample (Printf.sprintf "shard %d" s) k (List.assoc k census))
           keys
-      done
+      done;
+      sample "spine" "nodes" (Spine.node_count (Shard_cluster.spine cl))
     end
   in
   let rt =
@@ -715,20 +778,20 @@ let t_merged_engines_retire () =
     float_of_int s /. float_of_int n
   in
   Hashtbl.iter
-    (fun (window, s, k) _ ->
-      if window = `Early && mean (`Run, s, k) > 1.5 *. mean (`Early, s, k)
+    (fun (window, who, k) _ ->
+      if window = `Early && mean (`Run, who, k) > 1.5 *. mean (`Early, who, k)
       then
-        Alcotest.failf
-          "shard %d: %s averages %.1f over %d programs, %.1f over the first %d"
-          s k
-          (mean (`Run, s, k))
+        Alcotest.failf "%s: %s averages %.1f over %d programs, %.1f over the first %d"
+          who k
+          (mean (`Run, who, k))
           total
-          (mean (`Early, s, k))
+          (mean (`Early, who, k))
           early)
     sums;
-  check_bool "the shard graphs were sampled" true
-    (mean (`Early, 0, "graph.nodes") > 0.
-    && mean (`Early, 1, "graph.nodes") > 0.)
+  check_bool "the shard graphs and the spine were sampled" true
+    (mean (`Early, "shard 0", "graph.nodes") > 0.
+    && mean (`Early, "shard 1", "graph.nodes") > 0.
+    && mean (`Early, "spine", "nodes") > 0.)
 
 (* ----- one shard ----- *)
 
@@ -884,6 +947,8 @@ let suite =
       Alcotest.test_case "spine explicit cycle" `Quick t_spine_explicit_cycle;
       Alcotest.test_case "spine vetoes a non-incident edge" `Quick
         t_spine_non_incident_edge;
+      Alcotest.test_case "spine: settled top behind an unsettled one stays"
+        `Quick t_spine_settled_behind_unsettled;
       Alcotest.test_case "spine frontier rail decides like the literal rail"
         `Quick t_spine_frontier_rail_is_literal;
       Alcotest.test_case "sharded serving deterministic" `Quick
