@@ -100,6 +100,7 @@ type wal_file = {
   snapshot_every : int;  (* appended records per snapshot; 0 = never *)
   wal_fd : Unix.file_descr ref;
   mk_writer : fresh:bool -> base_seq:int -> Wal.Writer.t;
+  mutable rotated : int * int;  (* records and syncs of rotated-out writers *)
 }
 
 (* A recovery in flight: the plan replays in bounded chunks between
@@ -221,6 +222,11 @@ let fsync_dir path =
   let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
 
+(* Records appended and syncs made by every writer of this process. *)
+let wal_counts wf ss =
+  let w = Durable.Session.writer ss and r, s = wf.rotated in
+  (r + Wal.Writer.appended w, s + Wal.Writer.syncs w)
+
 (* Snapshot, then rotate the log.  The snapshot is written whole to a
    temp file and renamed into place; the log then restarts as a fresh
    generation whose [base_seq] is the snapshot's cover point.  Every
@@ -243,6 +249,7 @@ let take_snapshot srv wf ss =
   in
   let old_fd = !(wf.wal_fd) in
   wf.wal_fd := fd';
+  wf.rotated <- wal_counts wf ss;
   Durable.Session.rotate ss (wf.mk_writer ~fresh:true ~base_seq:next_seq);
   Sys.rename rot wf.wal_path;
   fsync_dir wf.wal_path;
@@ -343,7 +350,9 @@ let init_durability srv ~path ~fsync_batch ~fsync_interval_s ~snapshot_every
     Durable.Session.create ~plan ~meta srv.cl
       (mk_writer ~fresh:(valid = 0) ~base_seq:plan.Wal.Recovery.base_seq)
   in
-  srv.wal <- Some { wal_path = path; snapshot_every; wal_fd = fd; mk_writer };
+  srv.wal <-
+    Some
+      { wal_path = path; snapshot_every; wal_fd = fd; mk_writer; rotated = (0, 0) };
   if plan.Wal.Recovery.empty then begin
     srv.session <- Some (resume ());
     srv.status <- Wire.Fresh
@@ -1234,6 +1243,11 @@ let serve_cmd socket port backend_name table n_objects seed policy admission
        Printf.sprintf ", %d orphaned"
          (shard_sum (fun st -> st.Shard_engine.sh_orphans) srv))
     (actionable_alarms srv);
+  (match (srv.wal, srv.session) with
+  | Some wf, Some ss ->
+      let records, syncs = wal_counts wf ss in
+      Format.printf "ntserved: wal %d records in %d syncs@." records syncs
+  | _ -> ());
   if verbose && shards > 1 then
     Array.iteri
       (fun i (st : Shard_engine.stats) ->
@@ -1319,9 +1333,11 @@ let cmd =
       value & opt int 1
       & info [ "fsync-batch" ] ~docv:"N"
           ~doc:
-            "Group commit: fsync once per N appended records (1 = \
-             every record, the unbatched baseline; 0 = never by count, \
-             rely on --fsync-interval and shutdown).")
+            "Group commit: fsync when a log call leaves N or more \
+             appended records unsynced (1 = every log call: a \
+             submission, a kill or a turn's cut, the unbatched \
+             baseline; 0 = never by count, rely on --fsync-interval \
+             and shutdown).  A call's records go out in one write.")
   in
   let fsync_interval =
     Arg.(

@@ -437,22 +437,31 @@ module Writer = struct
     (match t.clock with Some c -> t.last_sync <- c () | None -> ());
     t.on_sync ()
 
-  let append t r =
-    let bytes = encode_record r in
-    t.sink.write bytes;
-    t.bytes <- t.bytes + String.length bytes;
-    t.next_seq <- t.next_seq + 1;
-    t.appended <- t.appended + 1;
-    t.dirty <- t.dirty + 1;
-    if t.fsync_batch > 0 && t.dirty >= t.fsync_batch then do_sync t
+  (* One writer call is one [write] and at most one [sync]: durability
+     is what a call promises when it returns, and no caller acts
+     between two records of one call.  The bytes are those of the
+     records written one at a time. *)
+  let write_call t = function
+    | [] -> ()
+    | records ->
+        let chunk = String.concat "" (List.map encode_record records) in
+        let n = List.length records in
+        t.sink.write chunk;
+        t.bytes <- t.bytes + String.length chunk;
+        t.next_seq <- t.next_seq + n;
+        t.appended <- t.appended + n;
+        t.dirty <- t.dirty + n;
+        if t.fsync_batch > 0 && t.dirty >= t.fsync_batch then do_sync t
 
+  let append t r = write_call t [ r ]
   let note_outcome t ~txn outcome = t.pending <- (txn, outcome) :: t.pending
 
   let log_steps t n =
-    if n > 0 then append t (Steps n);
-    let outcomes = List.rev t.pending in
+    let outcomes =
+      List.rev_map (fun (txn, outcome) -> Outcome { txn; outcome }) t.pending
+    in
     t.pending <- [];
-    List.iter (fun (txn, outcome) -> append t (Outcome { txn; outcome })) outcomes
+    write_call t (if n > 0 then Steps n :: outcomes else outcomes)
 
   let tick t =
     match t.clock with

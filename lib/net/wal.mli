@@ -137,13 +137,20 @@ val buffer_sink : Buffer.t -> sink
 module Writer : sig
   (** Appends records with group-commit [fsync] batching.
 
-      Durability policy: [sync] runs once [fsync_batch] records have
-      been appended since the last sync (1 = sync every record, the
-      unbatched baseline), or when [fsync_interval_s] has elapsed with
-      dirty records ({!tick}), or on {!flush} — whichever comes first.
-      Batching bounds the window of acknowledged-but-volatile records
-      by [fsync_batch] records / [fsync_interval_s] seconds; see
-      [doc/durability.mld].
+      The unit of writing and syncing is the writer call, not the
+      record: {!append} and {!log_steps} each hand all their records
+      to [sink.write] as one string, then sync at most once.
+      Durability policy: a call syncs before it returns when
+      [fsync_batch] or more records are unsynced (1 = no call returns
+      with an unsynced record, the unbatched baseline: one sync per
+      call, however many records a {!log_steps} cut carries); or
+      {!tick} syncs once [fsync_interval_s] has elapsed with dirty
+      records; or {!flush} does — whichever comes first.  Batching
+      bounds the window of acknowledged-but-volatile records by
+      [fsync_batch] records (no call returns with that many unsynced)
+      and [fsync_interval_s] seconds; see [doc/durability.mld].  The
+      file image is the same whatever the policy: the records in call
+      order, each framed on its own.
 
       The writer also owns an ordering invariant the validator relies
       on: completions observed while stepping ({!note_outcome}) are
@@ -169,7 +176,9 @@ module Writer : sig
   val append : t -> record -> unit
   val note_outcome : t -> txn:Txn_id.t -> outcome -> unit
   val log_steps : t -> int -> unit
-  (** Append [Steps n] (if [n > 0]), then any buffered outcomes. *)
+  (** Append [Steps n] (if [n > 0]), then any buffered outcomes in
+      noted order — one [write], at most one [sync]; nothing at all
+      when [n = 0] and no outcome is pending. *)
 
   val tick : t -> unit
   (** Time-based sync check; needs [clock]. *)

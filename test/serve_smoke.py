@@ -15,8 +15,10 @@ For each mode it starts the server on a fresh Unix socket, then
 
 Then a durable round at one shard (--wal, --snapshot-every 20): the
 same command line with --shards 2 must exit 2 saying the log requires
-a single shard; then a campaign with --shutdown, a restart on the same log whose Ping must
-report "recovered" and whose acknowledged outcomes ntwal verify must
+a single shard; then a campaign with --shutdown, whose server must
+report fewer log syncs than records (one sync per log call, not per
+record); a restart on the same log whose Ping must report "recovered"
+and whose acknowledged outcomes ntwal verify must
 find reproduced, and a restart after one byte of the rotated snapshot
 is flipped, which must exit 2 naming the snapshot.
 
@@ -30,6 +32,7 @@ ntserved option that provides them.
 
 import json
 import os
+import re
 import shutil
 import socket
 import subprocess
@@ -161,6 +164,14 @@ def durable_round(ntserved, ntload, ntwal, tmp):
             fail("wal: ntserved exited %d\n%s" % (srv.returncode, out))
         if not os.path.exists(wal + ".snap"):
             fail("wal: no snapshot after the campaign")
+        # One write and one sync per log call: a turn's cut carries its
+        # Steps record and every outcome behind it under one fsync, so
+        # at the default --fsync-batch 1 syncs fall short of records.
+        m = re.search(r"^ntserved: wal (\d+) records in (\d+) syncs$", out,
+                      re.MULTILINE)
+        if m is None or int(m.group(2)) >= int(m.group(1)):
+            fail("wal: no sync-ratio line with fewer syncs than records\n%s"
+                 % out)
         srv = start()
         s = connect(sock_path)
         deadline = time.time() + 10

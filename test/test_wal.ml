@@ -170,6 +170,111 @@ let t_outcome_after_steps () =
             Txn_id.equal a t1 && Txn_id.equal b t2
         | _ -> false)
 
+(* A buffer sink that counts its [write] and [sync] calls. *)
+let counting_sink () =
+  let buf = Buffer.create 256 and writes = ref 0 and syncs = ref 0 in
+  let sink =
+    {
+      Wal.write =
+        (fun s ->
+          incr writes;
+          Buffer.add_string buf s);
+      sync = (fun () -> incr syncs);
+    }
+  in
+  (buf, writes, syncs, sink)
+
+(* The writer call is the unit of write and sync: a cut of one [Steps]
+   record and three outcomes is one [write] and one [sync] at batch 1,
+   with the same bytes as the records framed one at a time; an empty
+   cut touches nothing; at batch 4 a 5-record cut syncs once and
+   leaves nothing dirty. *)
+let t_writer_call_unit () =
+  let buf, writes, syncs, sink = counting_sink () in
+  let w = Wal.Writer.create ~fsync_batch:1 ~base_seq:0 ~on_sync:ignore sink in
+  let header_bytes = Buffer.length buf in
+  check_int "header is one write" 1 !writes;
+  let noted =
+    [
+      (t1, Wal.Committed "(int 1)");
+      (t2, Wal.Aborted None);
+      (t1, Wal.Aborted (Some "cycle T1->T2"));
+    ]
+  in
+  List.iter (fun (txn, oc) -> Wal.Writer.note_outcome w ~txn oc) noted;
+  Wal.Writer.log_steps w 5;
+  check_int "one write per call" 2 !writes;
+  check_int "one sync per call" 1 !syncs;
+  check_int "appended advances by 4" 4 (Wal.Writer.appended w);
+  check_int "next_seq advances by 4" 4 (Wal.Writer.next_seq w);
+  let expected =
+    String.concat ""
+      (List.map Wal.encode_record
+         (Wal.Steps 5
+         :: List.map (fun (txn, outcome) -> Wal.Outcome { txn; outcome }) noted))
+  in
+  Alcotest.(check string)
+    "image is the records framed one at a time" expected
+    (Buffer.sub buf header_bytes (Buffer.length buf - header_bytes));
+  check_int "bytes_written counts header and records"
+    (Buffer.length buf) (Wal.Writer.bytes_written w);
+  Wal.Writer.log_steps w 0;
+  check_int "empty cut writes nothing" 2 !writes;
+  check_int "empty cut does not sync" 1 !syncs;
+  let _, _, syncs4, sink4 = counting_sink () in
+  let w4 = Wal.Writer.create ~fsync_batch:4 ~base_seq:0 ~on_sync:ignore sink4 in
+  for i = 1 to 4 do
+    Wal.Writer.note_outcome w4 ~txn:(txn [ i ]) (Wal.Committed "(unit)")
+  done;
+  Wal.Writer.log_steps w4 3;
+  check_int "5-record cut at batch 4 syncs once" 1 !syncs4;
+  Wal.Writer.flush w4;
+  check_int "and leaves nothing dirty" 1 !syncs4
+
+(* One chunk per call lets a crash tear a cut between any two bytes,
+   not only at record boundaries.  Every prefix of a multi-record cut
+   must scan [Clean] at a record boundary or [Torn] back to the last
+   one, and no intact prefix may hold an [Outcome] without the [Steps]
+   record before it. *)
+let t_torn_cut () =
+  let buf, writes, _, sink = counting_sink () in
+  let w = Wal.Writer.create ~base_seq:0 ~on_sync:ignore sink in
+  Wal.Writer.append w (Wal.Submit { req = None; client = "c"; program = "p" });
+  Wal.Writer.note_outcome w ~txn:t1 (Wal.Committed "(int 3)");
+  Wal.Writer.note_outcome w ~txn:t2 (Wal.Aborted (Some "cycle T1->T2"));
+  Wal.Writer.log_steps w 7;
+  check_int "header, submit, one cut" 3 !writes;
+  let img = Buffer.contents buf in
+  let boundaries =
+    match Wal.scan ~magic:Wal.wal_magic img with
+    | Ok s -> s.Wal.sc_offsets @ [ String.length img ]
+    | Error e -> Alcotest.fail e
+  in
+  let cut_start = List.nth boundaries 1 in
+  for len = cut_start to String.length img do
+    match Wal.scan ~magic:Wal.wal_magic (String.sub img 0 len) with
+    | Error e -> Alcotest.failf "cut at %d: %s" len e
+    | Ok s ->
+        let last =
+          List.fold_left (fun a b -> if b <= len then b else a) 0 boundaries
+        in
+        (match s.Wal.sc_tail with
+        | Wal.Clean ->
+            check_bool (Printf.sprintf "clean at %d is a boundary" len) true
+              (len = last)
+        | Wal.Torn { valid; _ } ->
+            check_int (Printf.sprintf "torn at %d keeps the last boundary" len)
+              last valid);
+        let rec closed seen_steps = function
+          | [] -> true
+          | Wal.Steps _ :: rest -> closed true rest
+          | Wal.Outcome _ :: _ when not seen_steps -> false
+          | _ :: rest -> closed seen_steps rest
+        in
+        check_bool (Printf.sprintf "outcomes behind steps at %d" len) true
+          (closed false s.Wal.sc_records)
+  done
+
 let compact records = Wal.Closure.records (Wal.Closure.of_records records)
 
 (* The replay closure merges step runs, drops audit-only records, keeps
@@ -861,6 +966,10 @@ let suite =
       Alcotest.test_case "adversarial decode" `Quick t_adversarial_decode;
       Alcotest.test_case "writer batching" `Quick t_writer_batching;
       Alcotest.test_case "outcome after steps" `Quick t_outcome_after_steps;
+      Alcotest.test_case "one write and one sync per call" `Quick
+        t_writer_call_unit;
+      Alcotest.test_case "torn cut keeps outcomes behind steps" `Quick
+        t_torn_cut;
       Alcotest.test_case "compact" `Quick t_compact;
       Alcotest.test_case "closure incremental = compact" `Quick
         t_closure_incremental;
